@@ -21,9 +21,6 @@
 //	        campaign.WithSeed(1),
 //	        campaign.WithObserver(func(i int, tr campaign.TrialResult) { ... }),
 //	).Run(ctx)
-//
-// The old positional Run/RunCached entry points remain as deprecated
-// wrappers.
 package campaign
 
 import (

@@ -22,11 +22,17 @@ import (
 // ProfileLib counts through the control runtime, without executing the
 // instrumentation's host calls: a cheap PC-indexed census the hooked fast
 // loop services inline. The cross-layer test suite pins the two counts to
-// each other on real workloads.
+// each other on real workloads. The backend pass tags exactly one
+// application instruction per SiteID, so the map is the image of the
+// predecode-time site index.
 func SiteMap(img *vm.Image) []bool {
-	return vm.TargetMap(img, func(in *vm.Inst) bool {
-		return in.SiteID != 0 && !in.Instrumented
-	})
+	tm := make([]bool, len(img.Instrs))
+	for id := int32(1); id < img.NumSites; id++ {
+		if pc, ok := img.SitePC(id); ok {
+			tm[pc] = true
+		}
+	}
+	return tm
 }
 
 // ProfileLib counts dynamic target instructions and never triggers
@@ -80,22 +86,22 @@ func (l *InjectLib) ResolveRecord(img *vm.Image) {
 	ResolveRecord(img, &l.Rec, l.OpIdx)
 }
 
-// ResolveRecord locates rec.SiteID's application instruction in the image
-// and fills the record's PC, mnemonic and (for the opIdx-th output operand)
-// register. Shared by every control library speaking the selInstr/setupFI
-// protocol — the library itself only sees operand counts and sizes, like
-// the real control runtime, so site resolution happens after the run.
+// ResolveRecord looks up rec.SiteID's application instruction in the image's
+// site index (vm.Image.SitePC, built once at predecode) and fills the
+// record's PC, mnemonic and (for the opIdx-th output operand) register.
+// Shared by every control library speaking the selInstr/setupFI protocol —
+// the library itself only sees operand counts and sizes, like the real
+// control runtime, so site resolution happens after the run.
 func ResolveRecord(img *vm.Image, rec *fault.Record, opIdx int) {
-	for pc := range img.Instrs {
-		in := &img.Instrs[pc]
-		if in.SiteID == rec.SiteID && !in.Instrumented {
-			rec.PC = int32(pc)
-			rec.Op = in.Op.String()
-			if opIdx < int(in.NOut) {
-				rec.Reg = in.Outs[opIdx]
-			}
-			return
-		}
+	pc, ok := img.SitePC(rec.SiteID)
+	if !ok {
+		return
+	}
+	in := &img.Instrs[pc]
+	rec.PC = pc
+	rec.Op = in.Op.String()
+	if opIdx < int(in.NOut) {
+		rec.Reg = in.Outs[opIdx]
 	}
 }
 

@@ -186,7 +186,9 @@ func (m *Machine) runHooked() {
 			}
 			m.Regs[u.a] = v
 
-		case uSTORE:
+		case uSTORE, uSITE:
+			// A fused site head executes as the plain store it is here:
+			// observers see all 16 instructions of the sequence.
 			if !m.store64(m.uopAddr(u), m.Regs[u.a]) {
 				return
 			}

@@ -103,6 +103,11 @@ const (
 
 	uNOP
 	uHALT
+
+	// uSITE is the site superinstruction (site.go): a uSTORE whose tgt
+	// indexes Image.sites. It stays the last kind, outside the range
+	// runFast's switch covers, and is dispatched from its default arm.
+	uSITE
 )
 
 // uop is one predecoded micro-op. Field use depends on kind:
@@ -110,7 +115,7 @@ const (
 //	a           destination / register operand
 //	b, c, scale memory base, index (NoReg ⇒ absent) and scale
 //	imm         immediate or memory displacement
-//	tgt         branch target, host index, or uSTOREi displacement
+//	tgt         branch target, host index, uSTOREi displacement, or uSITE entry
 //	cond        condition code for (fused) JCC / SETCC
 //	cost        cycle cost charged up front (op cost + memory surcharge)
 //	cost2       cycle cost of the branch half of a fused pair
@@ -161,6 +166,25 @@ func (img *Image) build() {
 	// fallthrough. The JCC slot keeps its unfused uop (see file comment).
 	for pc := range img.Instrs {
 		img.fuse(int32(pc))
+	}
+	// Site superinstruction (site.go): matched on the fused stream, rewrites
+	// head slots only.
+	for pc := range img.Instrs {
+		img.fuseSite(int32(pc), len(img.sites))
+	}
+
+	// SiteID → PC of the application instruction carrying it (first wins).
+	for pc := range img.Instrs {
+		in := &img.Instrs[pc]
+		if in.Instrumented || in.SiteID < 0 {
+			continue
+		}
+		for int(in.SiteID) >= len(img.sitePC) {
+			img.sitePC = append(img.sitePC, -1)
+		}
+		if img.sitePC[in.SiteID] < 0 {
+			img.sitePC[in.SiteID] = int32(pc)
+		}
 	}
 }
 
@@ -218,7 +242,9 @@ func (img *Image) Clone() *Image {
 // Repredecode refreshes the predecoded state of pc after an in-place
 // mutation of Instrs[pc] (the opcode-corruption ablation rewrites opcodes
 // mid-run). The neighboring slot pc-1 is re-fused as well, since its fused
-// state depends on what pc holds. Mutating an image forfeits its
+// state depends on what pc holds, and so is every site superinstruction one
+// of whose 16 slots is pc: its head drops back to the plain store unless the
+// sequence still has the site shape. Mutating an image forfeits its
 // share-across-goroutines guarantee: callers must have exclusive use of
 // the image for the whole mutate/run/restore window.
 func (img *Image) Repredecode(pc int32) {
@@ -230,6 +256,7 @@ func (img *Image) Repredecode(pc int32) {
 		img.code[p] = predecode1(&img.Instrs[p])
 		img.fuse(p)
 	}
+	img.refuseSitesAround(pc)
 }
 
 // intALUKinds and fpALUKinds map two-address ALU opcodes to their reg/reg

@@ -422,8 +422,16 @@ func (m *Machine) runFast() {
 			m.ExitCode = int64(m.Regs[vx.R0])
 			return
 
-		default: // uGeneric: full decode through the reference switch.
-			m.execOp(pc, &img.Instrs[pc])
+		default:
+			if u.kind == uSITE {
+				// Site superinstruction, out of line (site.go) and dispatched
+				// from here so that the switch above — and with it the code
+				// of every site-free run — is what it was without it.
+				m.runSite(pc)
+			} else {
+				// uGeneric: full decode through the reference switch.
+				m.execOp(pc, &img.Instrs[pc])
+			}
 			if m.Halted || m.observed() {
 				return
 			}

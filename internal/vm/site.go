@@ -1,0 +1,259 @@
+package vm
+
+import (
+	"encoding/binary"
+
+	"repro/internal/vx"
+)
+
+// This file implements the site superinstruction: the second kind of
+// predecode-time fusion, next to the compare+branch pairs in predecode.go.
+// A REFINE binary runs 16 instrumentation instructions behind every target
+// instruction, and on all but one dynamic occurrence per trial they do
+// nothing but save state, ask the control runtime "trigger here?", hear
+// "no", and restore the state again. The predecoder recognises that
+// sequence by shape and the hook-free loop executes the whole not-triggered
+// path in one dispatch.
+//
+// The matched shape (pre at head, post wherever the JE lands):
+//
+//	head+0  MOVQ [abs] ← SP        post+0  POPQ R3
+//	head+1  PUSHF                  post+1  POPQ R2
+//	head+2  PUSHQ R0               post+2  POPQ R1
+//	head+3  PUSHQ R1               post+3  POPQ R0
+//	head+4  PUSHQ R2               post+4  POPF
+//	head+5  PUSHQ R3               post+5  MOVQ SP ← [abs]
+//	head+6  MOVQ R1 ← imm
+//	head+7  CALLQ host
+//	head+8  TESTQ R0, R0
+//	head+9  JE post
+//
+// The matcher looks at operand shapes only — no symbol names, so vm stays
+// ignorant of who emits the sequence — and requires the head to carry the
+// assembler's Instrumented mark. Only the head slot is rewritten (to uSITE);
+// the other 15 slots keep their own uops, so branches and corrupted return
+// addresses landing mid-sequence execute exactly what they always did.
+// runHooked and Step execute the head as the plain store it is: observers
+// see every instruction.
+
+const (
+	sitePreLen  = 10 // instructions at head (PreFI)
+	sitePostLen = 6  // instructions at post (PostFI)
+	siteCallOff = 7  // head-relative slot of the CALLQ
+	// Instructions still to run after the head, and after the CALLQ.
+	siteAfterHead = sitePreLen + sitePostLen - 1
+	siteAfterCall = siteAfterHead - siteCallOff
+	// siteSaveBytes is the PreFI save area: FLAGS and R0..R3 pushed below SP.
+	siteSaveBytes = 40
+)
+
+// siteInfo is the side-table entry of one matched site; the head uop's tgt
+// indexes it. Entries are never removed: a site a mutation unfused keeps its
+// entry, which is how Repredecode finds it again when a later mutation
+// restores the shape.
+type siteInfo struct {
+	head, post int32
+	host       int32  // host index of the CALLQ
+	site       int64  // the immediate loaded into R1
+	abs        uint64 // the SP save slot
+	// preCycles covers head+1..head+7 (without the host function's own
+	// latency, which is the machine's binding); postCycles covers the TESTQ,
+	// the JE and the six post instructions. The head's cost is charged by
+	// the dispatch loop like any uop's.
+	preCycles, postCycles int64
+}
+
+// sitePushOrder is the PreFI push order after PUSHF; PostFI pops in reverse.
+var sitePushOrder = [4]vx.Reg{vx.R0, vx.R1, vx.R2, vx.R3}
+
+// matchSite reports whether the instructions at head have the site shape.
+// It reads the predecoded stream, so it must run after fuse (the TESTQ+JE
+// pair is recognised in its fused form).
+func (img *Image) matchSite(head int32) (siteInfo, bool) {
+	code := img.code
+	if head < 0 || int(head)+sitePreLen > len(code) {
+		return siteInfo{}, false
+	}
+	absSP := func(u *uop) bool {
+		return u.a == uint8(vx.SP) && u.b == uint8(vx.NoReg) && u.c == uint8(vx.NoReg)
+	}
+	pre := code[head : head+sitePreLen]
+	in := &img.Instrs[head]
+	if pre[0].kind != uSTORE || in.Op != vx.MOVQ || !in.Instrumented || !absSP(&pre[0]) {
+		return siteInfo{}, false
+	}
+	if pre[1].kind != uPUSHF {
+		return siteInfo{}, false
+	}
+	for i, r := range sitePushOrder {
+		if u := &pre[2+i]; u.kind != uPUSHr || u.a != uint8(r) {
+			return siteInfo{}, false
+		}
+	}
+	if u := &pre[6]; u.kind != uMOVri || u.a != uint8(vx.R1) {
+		return siteInfo{}, false
+	}
+	if pre[siteCallOff].kind != uCALLH {
+		return siteInfo{}, false
+	}
+	br := &pre[8]
+	if br.kind != uTESTrrJCC || br.a != uint8(vx.R0) || br.b != uint8(vx.R0) || vx.Cond(br.cond) != vx.CondE {
+		return siteInfo{}, false
+	}
+	if br.tgt < 0 || int(br.tgt)+sitePostLen > len(code) {
+		return siteInfo{}, false
+	}
+	post := code[br.tgt : br.tgt+sitePostLen]
+	for i, r := range sitePushOrder {
+		if u := &post[3-i]; u.kind != uPOPr || u.a != uint8(r) {
+			return siteInfo{}, false
+		}
+	}
+	if post[4].kind != uPOPF {
+		return siteInfo{}, false
+	}
+	if u := &post[5]; u.kind != uLOAD || !absSP(u) || u.imm != pre[0].imm {
+		return siteInfo{}, false
+	}
+
+	s := siteInfo{
+		head: head,
+		post: br.tgt,
+		host: pre[siteCallOff].tgt,
+		site: pre[6].imm,
+		abs:  uint64(pre[0].imm),
+	}
+	for i := 1; i <= siteCallOff; i++ {
+		s.preCycles += int64(pre[i].cost)
+	}
+	s.postCycles = int64(br.cost) + int64(br.cost2)
+	for i := range post {
+		s.postCycles += int64(post[i].cost)
+	}
+	return s, true
+}
+
+// unfuseSite demotes a fused head to the plain store it is.
+func (img *Image) unfuseSite(head int32) {
+	if u := &img.code[head]; u.kind == uSITE {
+		u.kind, u.tgt = uSTORE, 0
+	}
+}
+
+// fuseSite brings code[head] in line with what the 16 slots hold now: uSITE
+// when they have the site shape, the plain store (or whatever predecode1
+// made of a mutated head) otherwise. A match is recorded in sites[idx],
+// appended when idx == len(sites).
+func (img *Image) fuseSite(head int32, idx int) {
+	img.unfuseSite(head)
+	s, ok := img.matchSite(head)
+	if !ok {
+		return
+	}
+	if idx == len(img.sites) {
+		img.sites = append(img.sites, s)
+	} else {
+		img.sites[idx] = s
+	}
+	img.code[head].kind, img.code[head].tgt = uSITE, int32(idx)
+}
+
+// refuseSitesAround re-evaluates every known site one of whose 16 slots is
+// pc, after Repredecode refreshed that slot. Only sequences that matched when
+// the image was built are considered: a mutation can unfuse and re-fuse
+// those, never conjure a new site.
+func (img *Image) refuseSitesAround(pc int32) {
+	for i := range img.sites {
+		s := &img.sites[i]
+		if (pc >= s.head && pc < s.head+sitePreLen) || (pc >= s.post && pc < s.post+sitePostLen) {
+			img.fuseSite(s.head, i)
+		}
+	}
+}
+
+// put64 is store64 with the bounds check hoisted by the caller.
+func (m *Machine) put64(addr, v uint64) {
+	m.markDirty(addr)
+	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
+}
+
+// runSite executes a fused site head for runFast, which has already
+// accounted for the head instruction (InstrCount, cost, PC). The caller
+// re-checks Halted and observed() and recomputes its countdown afterwards,
+// exactly as after a generic op.
+//
+// The accounting is the unfused sequence's, lump-summed between the points
+// where anything can look: the host function sees InstrCount, Cycles, PC,
+// SP, R1 and the stack as after eight single dispatches, and the final state
+// is that of sixteen. Stores and loads stay real, in the original order —
+// a fault-flipped SP can make the pushes overwrite the save slot, and the
+// closing load must then read what they wrote — and the handler hands the
+// rest of the sequence to the unfused slots (PC already points at the next
+// one) at two seams:
+//
+//   - after the head store: a deadline (budget or fire point) within the
+//     remaining 15 instructions, an unbound host, or a save area that is not
+//     wholly in bounds — each of those ends or traps mid-sequence, and the
+//     unfused slots already do that exactly;
+//   - after the host call: anything but "not triggered, nothing else
+//     changed" — the machine halted, an observer was attached (serviced for
+//     the CALLQ as runFast's host-call seam does), R0 != 0, a deadline moved
+//     into the remaining 8 instructions, or SP/PC were rewritten.
+//
+//go:noinline
+func (m *Machine) runSite(head int32) {
+	img := m.Img
+	s := &img.sites[img.code[head].tgt]
+	sp := m.Regs[vx.SP]
+	if !m.store64(s.abs, sp) {
+		return
+	}
+	h := &m.hosts[s.host]
+	if m.fastCountdown() < siteAfterHead || h.Fn == nil ||
+		sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
+		return
+	}
+
+	m.put64(sp-8, m.Regs[vx.RFLAGS])
+	m.put64(sp-16, m.Regs[vx.R0])
+	m.put64(sp-24, m.Regs[vx.R1])
+	m.put64(sp-32, m.Regs[vx.R2])
+	m.put64(sp-40, m.Regs[vx.R3])
+	m.Regs[vx.SP] = sp - siteSaveBytes
+	m.Regs[vx.R1] = uint64(s.site)
+	m.InstrCount += siteCallOff
+	c := h.Cycles
+	if c == 0 {
+		c = vx.HostCallCycles
+	}
+	m.Cycles += s.preCycles + c
+	call := head + siteCallOff
+	m.PC = call + 1
+	h.Fn(m)
+	if !h.PreserveRegs {
+		m.scrambleExceptResults()
+	}
+	if m.Halted {
+		return
+	}
+	if m.observed() {
+		m.postExec(call, &img.Instrs[call])
+		return
+	}
+	if m.Regs[vx.R0] != 0 || m.fastCountdown() < siteAfterCall ||
+		m.Regs[vx.SP] != sp-siteSaveBytes || m.PC != call+1 {
+		return
+	}
+
+	// TESTQ sets ZF, JE is taken; POPF then overwrites the flags.
+	mem := m.Mem
+	m.Regs[vx.R3] = binary.LittleEndian.Uint64(mem[sp-40:])
+	m.Regs[vx.R2] = binary.LittleEndian.Uint64(mem[sp-32:])
+	m.Regs[vx.R1] = binary.LittleEndian.Uint64(mem[sp-24:])
+	m.Regs[vx.R0] = binary.LittleEndian.Uint64(mem[sp-16:])
+	m.Regs[vx.RFLAGS] = binary.LittleEndian.Uint64(mem[sp-8:])
+	m.Regs[vx.SP] = binary.LittleEndian.Uint64(mem[s.abs:])
+	m.InstrCount += siteAfterCall
+	m.Cycles += s.postCycles
+	m.PC = s.post + sitePostLen
+}

@@ -1,0 +1,636 @@
+package vm_test
+
+// Differential tests for the site superinstruction (site.go): on REFINE
+// images the hook-free loop executes the not-triggered PreFI → selInstr →
+// PostFI path in one dispatch, and everything observable — trap, exit code,
+// InstrCount, Cycles, registers, output, final memory, the fault record and
+// the outcome — must stay what RunStepped produces, including when a budget,
+// a fire point, a wild SP, a corrupted return address or a misbehaving
+// control library cuts the 16-instruction sequence anywhere.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"os"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/campaign"
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/multibit"
+	"repro/internal/pinfi"
+	"repro/internal/vm"
+	"repro/internal/vx"
+)
+
+// siteDiff runs scenarios on one binary through Run and through RunStepped,
+// on two machines it reuses across scenarios.
+type siteDiff struct {
+	t         *testing.T
+	bin       *campaign.Binary
+	fast, ref *vm.Machine
+}
+
+func newSiteDiff(t *testing.T, bin *campaign.Binary) *siteDiff {
+	return &siteDiff{t: t, bin: bin, fast: bin.NewMachine(), ref: bin.NewMachine()}
+}
+
+// check resets both machines, lets setup prepare each (bind libraries, arm
+// fire points, set the budget) and runs them. setup returns a function
+// reporting whatever else the scenario can observe — library counters, the
+// fault record, a trace — which must agree as well.
+func (d *siteDiff) check(label string, setup func(m *vm.Machine) func() any) {
+	d.t.Helper()
+	run := func(m *vm.Machine, stepped bool) (machineState, any) {
+		m.Reset()
+		report := setup(m)
+		if stepped {
+			m.RunStepped()
+		} else {
+			m.Run()
+		}
+		var extra any
+		if report != nil {
+			extra = report()
+		}
+		return snapshot(m), extra
+	}
+	fs, fx := run(d.fast, false)
+	rs, rx := run(d.ref, true)
+	name := fmt.Sprintf("%s/%s %s", d.bin.App.Name, d.bin.Tool.Name(), label)
+	if !equalStates(fs, rs) {
+		d.t.Errorf("%s: fused run diverged from RunStepped:\nfast: %+v\nref:  %+v", name, fs, rs)
+	}
+	if d.fast.TrapMsg != d.ref.TrapMsg {
+		d.t.Errorf("%s: trap message %q, stepped %q", name, d.fast.TrapMsg, d.ref.TrapMsg)
+	}
+	if !reflect.DeepEqual(fx, rx) {
+		d.t.Errorf("%s: scenario observations diverged:\nfast: %+v\nref:  %+v", name, fx, rx)
+	}
+	if !bytes.Equal(d.fast.Mem, d.ref.Mem) {
+		d.t.Errorf("%s: final memory diverged", name)
+	}
+}
+
+// siteAnchor is one dynamic execution of a fused site in the golden run.
+type siteAnchor struct {
+	at         int64 // InstrCount before the head executes
+	head, post int32
+	ret        int64 // InstrCount before some RET executes, near at
+}
+
+// findAnchors records, for each threshold, the first fused head (and the
+// first RET) the golden run executes at or after that many instructions.
+func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []siteAnchor {
+	t.Helper()
+	heads, posts := vm.SiteHeads(bin.Img)
+	postOf := make(map[int32]int32, len(heads))
+	for i, h := range heads {
+		postOf[h] = posts[i]
+	}
+	var out []siteAnchor
+	cur := siteAnchor{at: -1, ret: -1}
+	m := bin.NewMachine()
+	(&core.ProfileLib{}).Bind(m)
+	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
+		before := mm.InstrCount - 1
+		if before < thresholds[len(out)] {
+			return
+		}
+		if post, ok := postOf[pc]; ok && cur.at < 0 {
+			cur.at, cur.head, cur.post = before, pc, post
+		}
+		if in.Op == vx.RET && cur.ret < 0 {
+			cur.ret = before
+		}
+		if cur.at >= 0 && cur.ret >= 0 {
+			out = append(out, cur)
+			cur = siteAnchor{at: -1, ret: -1}
+			if len(out) == len(thresholds) {
+				mm.Hook = nil
+			}
+		}
+	}
+	m.Run()
+	if len(out) == 0 {
+		t.Fatalf("%s: golden run executes no fused site past %d instructions", bin.App.Name, thresholds[0])
+	}
+	return out
+}
+
+// bindProfile binds the counting control library and reports its count.
+func bindProfile(m *vm.Machine) func() any {
+	lib := &core.ProfileLib{}
+	lib.Bind(m)
+	return func() any { return lib.Count }
+}
+
+// tailBudget bounds the instructions a scenario runs past its anchor: what
+// the scenario perturbs has long played out by then, and the stepped
+// reference stays cheap.
+const tailBudget = 4000
+
+// TestSiteFusionCoversEveryRefineSite: every site core.Instrument emits
+// fuses, on all 14 apps and for both REFINE-built tools, and nothing fuses in
+// an LLFI or PINFI image.
+func TestSiteFusionCoversEveryRefineSite(t *testing.T) {
+	for _, name := range diffApps(t) {
+		for _, tool := range []campaign.Tool{campaign.REFINE, multibit.Injector} {
+			bin := buildBin(t, name, tool)
+			if n := vm.FusedSites(bin.Img); n != bin.Sites || n == 0 {
+				t.Errorf("%s/%s: %d fused sites, binary has %d", name, tool.Name(), n, bin.Sites)
+			}
+		}
+		for _, tool := range []campaign.Tool{campaign.LLFI, campaign.PINFI} {
+			if n := vm.FusedSites(buildBin(t, name, tool).Img); n != 0 {
+				t.Errorf("%s/%s: %d fused sites in an image without REFINE instrumentation", name, tool.Name(), n)
+			}
+		}
+	}
+}
+
+// TestSiteFusedMatchesSteppedTrials sweeps injection trials — the triggered
+// path leaves the superinstruction at its second seam — for REFINE's
+// single-flip library and for the double-flip protocol of multibit's REFINE2.
+func TestSiteFusedMatchesSteppedTrials(t *testing.T) {
+	targets := 4
+	if testing.Short() {
+		targets = 2 // the race job: stepped full-length runs are slow there
+	}
+	for _, name := range diffApps(t) {
+		for _, tool := range []campaign.Tool{campaign.REFINE, multibit.Injector} {
+			bin := buildBin(t, name, tool)
+			prof, err := bin.RunProfile(pinfi.DefaultCosts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newSiteDiff(t, bin)
+			d.check("golden", func(m *vm.Machine) func() any {
+				report := bindProfile(m)
+				return func() any { return [2]any{report(), fault.Classify(m, prof.Golden)} }
+			})
+			for i := 0; i < targets; i++ {
+				target := prof.Targets * int64(2*i+1) / int64(2*targets)
+				d.check(fmt.Sprintf("target %d", target), func(m *vm.Machine) func() any {
+					m.Budget = prof.Budget
+					rng := fault.NewRNG(uint64(i)*7919 + 1)
+					if tool == campaign.REFINE {
+						lib := &core.InjectLib{Target: target, RNG: rng}
+						lib.Bind(m)
+						return func() any {
+							lib.ResolveRecord(m.Img)
+							return [3]any{lib.Triggered, lib.Rec, fault.Classify(m, prof.Golden)}
+						}
+					}
+					lib := &twoShotLib{InjectLib: core.InjectLib{Target: target, RNG: rng}}
+					lib.Bind(m)
+					return func() any {
+						return [3]any{lib.shots, lib.Rec, fault.Classify(m, prof.Golden)}
+					}
+				})
+			}
+		}
+	}
+}
+
+// twoShotLib is the selInstr half of multibit's double-flip control library
+// (which is unexported, and whose Trial cannot be single-stepped): it
+// triggers on the target-th and the following dynamic target instruction.
+// setupFI is InjectLib's.
+type twoShotLib struct {
+	core.InjectLib
+	count int64
+	shots int
+}
+
+func (l *twoShotLib) Bind(m *vm.Machine) {
+	l.InjectLib.Bind(m)
+	m.BindHost(vm.HostFn{
+		Name:         core.HostSelInstr,
+		PreserveRegs: true,
+		Fn: func(mm *vm.Machine) {
+			mm.Regs[vx.R0] = 0
+			if l.shots < 2 && (l.count == l.Target || l.count == l.Target+1) {
+				if l.shots == 0 {
+					l.Rec.DynIdx = l.count
+					l.Rec.SiteID = int32(int64(mm.Regs[vx.R1]))
+				}
+				l.shots++
+				mm.Regs[vx.R0] = 1
+			}
+			l.count++
+		},
+	})
+}
+
+// TestSiteFusedMatchesSteppedAtEverySeam cuts, bends and interrupts one
+// dynamic site execution per anchor in every way the handler has a check
+// for.
+func TestSiteFusedMatchesSteppedAtEverySeam(t *testing.T) {
+	for _, name := range diffApps(t) {
+		bin := buildBin(t, name, campaign.REFINE)
+		d := newSiteDiff(t, bin)
+		abs := uint64(bin.Img.GlobalAddrs["__refine_sp_save"])
+		if abs == 0 {
+			t.Fatalf("%s: no __refine_sp_save slot", name)
+		}
+		for _, a := range findAnchors(t, bin, 300, 30_000) {
+			siteBudgetCases(d, a)
+			siteFireCases(d, a)
+			siteSPCases(d, a, abs)
+			siteReturnCases(d, a)
+			siteLibraryCases(d, a)
+		}
+
+		// (e) No control library bound: the head's store still happens, the
+		// pushes too, and the CALLQ traps.
+		fresh := newSiteDiff(t, bin)
+		fresh.check("unbound host", func(*vm.Machine) func() any { return nil })
+		if fresh.fast.Trap != vm.TrapIllegal {
+			t.Errorf("%s: unbound selInstr ended with trap %v", name, fresh.fast.Trap)
+		}
+	}
+}
+
+// (a) The budget runs out before each of the 16 instructions of the site,
+// and right behind it.
+func siteBudgetCases(d *siteDiff, a siteAnchor) {
+	for off := int64(0); off <= 16; off++ {
+		d.check(fmt.Sprintf("budget at head+%d", off), func(m *vm.Machine) func() any {
+			m.Budget = a.at + off
+			return bindProfile(m)
+		})
+	}
+}
+
+// (f) A fire point is due before each of the 16 instructions and behind the
+// last: once flipping a register, once attaching a counting observer.
+func siteFireCases(d *siteDiff, a siteAnchor) {
+	tm := core.SiteMap(d.bin.Img)
+	for off := int64(0); off <= 16; off++ {
+		for _, attach := range []bool{false, true} {
+			d.check(fmt.Sprintf("fire at head+%d attach=%v", off, attach), func(m *vm.Machine) func() any {
+				m.Budget = a.at + tailBudget
+				report := bindProfile(m)
+				var seen [3]int64
+				ch := &vm.CountHook{Targets: tm, PerInstr: 3, Arm: -1}
+				m.ArmFire(&vm.FirePoint{At: a.at + off, PC: a.head, PerInstr: 2,
+					Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+						seen = [3]int64{mm.InstrCount, int64(mm.PC), mm.Cycles}
+						mm.FlipBit(vx.R2, 5)
+						if attach {
+							mm.Count = ch
+						}
+					}})
+				return func() any { return [3]any{report(), seen, ch.N} }
+			})
+		}
+	}
+}
+
+// (b) The head finds a wild SP: below the save area's room above the guard
+// page, past the end of memory, misaligned, wrapping, and on top of the
+// slot the head itself saves SP to — the pushes then overwrite the saved SP
+// and PostFI's closing load must read what they wrote.
+func siteSPCases(d *siteDiff, a siteAnchor, abs uint64) {
+	const base = vm.DefaultGlobalBase
+	size := uint64(d.bin.Img.MemSize)
+	values := []uint64{
+		0, 8, base, base + 8, base + 32, base + 39, base + 40, base + 41, base + 47,
+		size - 3, size, size + 1, size + 8, size + 40, 1 << 63, ^uint64(0) - 3,
+		abs, abs + 4, abs + 8, abs + 16, abs + 24, abs + 32, abs + 40, abs + 44, abs + 48,
+	}
+	for _, v := range values {
+		d.check(fmt.Sprintf("SP=%#x at head", v), func(m *vm.Machine) func() any {
+			m.Budget = a.at + tailBudget
+			m.ArmFire(&vm.FirePoint{At: a.at, PC: a.head,
+				Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) { mm.Regs[vx.SP] = v }})
+			return bindProfile(m)
+		})
+	}
+	for _, delta := range []uint64{1, 3, 4, 7} {
+		d.check(fmt.Sprintf("SP+%d at head", delta), func(m *vm.Machine) func() any {
+			m.Budget = a.at + tailBudget
+			m.ArmFire(&vm.FirePoint{At: a.at, PC: a.head,
+				Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) { mm.Regs[vx.SP] += delta }})
+			return bindProfile(m)
+		})
+	}
+}
+
+// (c) A corrupted return address lands on each of the 16 slots: slot 1 is
+// the fused head reached by a control transfer, slots 2..16 kept their own
+// uops.
+func siteReturnCases(d *siteDiff, a siteAnchor) {
+	for k := int32(0); k < 16; k++ {
+		land := a.head + k
+		if k >= 10 {
+			land = a.post + k - 10
+		}
+		d.check(fmt.Sprintf("RET lands on slot %d", k+1), func(m *vm.Machine) func() any {
+			m.Budget = a.ret + tailBudget
+			m.ArmFire(&vm.FirePoint{At: a.ret, PC: a.head,
+				Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+					sp := mm.Regs[vx.SP]
+					binary.LittleEndian.PutUint64(mm.Mem[sp:], uint64(land))
+					mm.MarkMemWritten(sp, 8)
+				}})
+			return bindProfile(m)
+		})
+	}
+}
+
+// (d) selInstr itself does something other than answer "no": the first call
+// at or past the anchor runs act (and still answers 0 unless act says
+// otherwise).
+func siteLibraryCases(d *siteDiff, a siteAnchor) {
+	tm := core.SiteMap(d.bin.Img)
+	// obs is what a scenario observes: the machine as the library sees it
+	// at the call boundary — part of the contract — and whatever the
+	// observers it attaches record afterwards.
+	type obs struct {
+		calls      int64
+		at, cycles int64
+		pc         int32
+		sp, r1     uint64
+		count      vm.CountHook
+		trace      []vm.TraceEntry
+		hookHash   uint64
+		hookN      int64
+		fire       int64
+	}
+	scenario := func(label string, scramble bool, act func(mm *vm.Machine, o *obs)) {
+		d.check("selInstr "+label, func(m *vm.Machine) func() any {
+			m.Budget = a.at + tailBudget
+			(&core.ProfileLib{}).Bind(m) // setupFI
+			o := &obs{count: vm.CountHook{Targets: tm, PerInstr: 3, Arm: -1}}
+			done := false
+			m.BindHost(vm.HostFn{
+				Name:         core.HostSelInstr,
+				PreserveRegs: !scramble,
+				Fn: func(mm *vm.Machine) {
+					o.calls++
+					mm.Regs[vx.R0] = 0
+					if done || mm.InstrCount <= a.at {
+						return
+					}
+					done = true
+					o.at, o.cycles, o.pc = mm.InstrCount, mm.Cycles, mm.PC
+					o.sp, o.r1 = mm.Regs[vx.SP], mm.Regs[vx.R1]
+					act(mm, o)
+				},
+			})
+			return func() any {
+				if m.Trace != nil {
+					o.trace = m.Trace.Entries()
+				}
+				o.count.Targets = nil
+				return *o
+			}
+		})
+	}
+
+	scenario("answers no", false, func(*vm.Machine, *obs) {})
+	scenario("answers no, C ABI clobbers", true, func(*vm.Machine, *obs) {})
+	scenario("triggers", false, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.R0] = 1 })
+	scenario("returns garbage", true, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.R0] = 1 << 40 })
+	scenario("halts", false, func(mm *vm.Machine, _ *obs) { mm.Halted, mm.ExitCode = true, 7 })
+	scenario("attaches a CountHook", false, func(mm *vm.Machine, o *obs) { mm.Count = &o.count })
+	scenario("attaches a TraceRing", false, func(mm *vm.Machine, _ *obs) { mm.Trace = vm.NewTraceRing(24) })
+	scenario("attaches an ExecHook", false, func(mm *vm.Machine, o *obs) {
+		o.hookHash = 14695981039346656037
+		mm.Hook = func(hm *vm.Machine, pc int32, in *vm.Inst) {
+			o.hookHash = obsHash(o.hookHash, pc, hm.InstrCount, hm.Cycles, in.Op)
+			o.hookN++
+		}
+	})
+	scenario("moves SP", false, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.SP] += 8 })
+	scenario("moves PC", false, func(mm *vm.Machine, _ *obs) { mm.PC = a.post + 2 })
+	for k := int64(0); k <= 9; k++ {
+		scenario(fmt.Sprintf("sets Budget to now+%d", k), false, func(mm *vm.Machine, _ *obs) {
+			mm.Budget = mm.InstrCount + k
+		})
+		scenario(fmt.Sprintf("arms a fire point at now+%d", k), false, func(mm *vm.Machine, o *obs) {
+			mm.ArmFire(&vm.FirePoint{At: mm.InstrCount + k, PC: a.head, PerInstr: 1,
+				Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
+					o.fire = fm.InstrCount<<20 | int64(fm.PC)
+					fm.FlipBit(vx.R3, 9)
+				}})
+		})
+		// An observer that is gone again after the CALLQ it was attached
+		// on, leaving a new budget behind: the hook-free loop carries on and
+		// must count down from the new deadline.
+		scenario(fmt.Sprintf("attaches a one-shot hook setting Budget to now+%d", k), false, func(mm *vm.Machine, o *obs) {
+			mm.Hook = func(hm *vm.Machine, _ int32, _ *vm.Inst) {
+				o.hookN++
+				hm.Hook = nil
+				hm.Budget = hm.InstrCount + k
+			}
+		})
+	}
+}
+
+// TestSiteRepredecodeUnfuses: a mutation of any of a site's 16 slots demotes
+// the head to its plain store, the mutated image runs like the stepped
+// reference, and restoring the slot fuses the site again — before a run and
+// from a fire point in the middle of one, as the opcode-corruption injector
+// does it.
+func TestSiteRepredecodeUnfuses(t *testing.T) {
+	bin := buildBin(t, "HPCCG", campaign.REFINE)
+	a := findAnchors(t, bin, 2000)[0]
+	img := bin.Img.Clone()
+	if n := vm.FusedSites(img); n != bin.Sites {
+		t.Fatalf("clone fuses %d of %d sites", n, bin.Sites)
+	}
+	d := newSiteDiff(t, bin)
+	d.fast.Img, d.ref.Img = img, img
+
+	for k := int32(0); k < 16; k++ {
+		pc := a.head + k
+		if k >= 10 {
+			pc = a.post + k - 10
+		}
+		orig := img.Instrs[pc].Op
+		mutate := func(op vx.Op) {
+			img.Instrs[pc].Op = op
+			img.Repredecode(pc)
+		}
+
+		mutate(vx.NOP)
+		if n := vm.FusedSites(img); n != bin.Sites-1 {
+			t.Errorf("slot %d corrupted: %d fused sites, want %d", k+1, n, bin.Sites-1)
+		}
+		d.check(fmt.Sprintf("slot %d corrupted before the run", k+1), func(m *vm.Machine) func() any {
+			m.Budget = a.at + tailBudget
+			return bindProfile(m)
+		})
+		mutate(orig)
+		if n := vm.FusedSites(img); n != bin.Sites {
+			t.Errorf("slot %d restored: %d fused sites, want %d", k+1, n, bin.Sites)
+		}
+
+		d.check(fmt.Sprintf("slot %d corrupted mid-run", k+1), func(m *vm.Machine) func() any {
+			m.Budget = a.at + tailBudget
+			m.ArmFire(&vm.FirePoint{At: a.at, PC: pc,
+				Fn: func(*vm.Machine, int32, *vm.Inst) { mutate(vx.NOP) }})
+			report := bindProfile(m)
+			return func() any {
+				mutate(orig)
+				return report()
+			}
+		})
+	}
+	if n := vm.FusedSites(bin.Img); n != bin.Sites {
+		t.Errorf("mutating the clone left the original with %d of %d fused sites", n, bin.Sites)
+	}
+}
+
+// siteShape builds the smallest image holding one site: the 10 PreFI
+// instructions, a HALT where SetupFI would start, the 6 PostFI instructions
+// and a final HALT. The caller's edit turns it into a near miss.
+func siteShape(edit func(ins []vm.Inst)) *vm.Image {
+	const abs = vm.DefaultGlobalBase + 64
+	reg := func(op vx.Op, r vx.Reg) vm.Inst { return vm.Inst{Op: op, AKind: vm.OpReg, AReg: r} }
+	mem := vm.Inst{MemBase: vx.NoReg, MemIndex: vx.NoReg, MemDisp: abs}
+	spSave, spLoad := mem, mem
+	spSave.Op, spSave.AKind, spSave.BKind, spSave.BReg = vx.MOVQ, vm.OpMem, vm.OpReg, vx.SP
+	spLoad.Op, spLoad.AKind, spLoad.AReg, spLoad.BKind = vx.MOVQ, vm.OpReg, vx.SP, vm.OpMem
+	ins := []vm.Inst{
+		spSave,
+		{Op: vx.PUSHF},
+		reg(vx.PUSHQ, vx.R0), reg(vx.PUSHQ, vx.R1), reg(vx.PUSHQ, vx.R2), reg(vx.PUSHQ, vx.R3),
+		{Op: vx.MOVQ, AKind: vm.OpReg, AReg: vx.R1, BKind: vm.OpImm, Imm: 1},
+		{Op: vx.CALLQ, HostIdx: 0},
+		{Op: vx.TESTQ, AKind: vm.OpReg, AReg: vx.R0, BKind: vm.OpReg, BReg: vx.R0},
+		{Op: vx.JCC, Cond: vx.CondE, Target: 11},
+		{Op: vx.HALT},
+		reg(vx.POPQ, vx.R3), reg(vx.POPQ, vx.R2), reg(vx.POPQ, vx.R1), reg(vx.POPQ, vx.R0),
+		{Op: vx.POPF},
+		spLoad,
+		{Op: vx.HALT},
+	}
+	for i := range ins {
+		ins[i].Instrumented = true
+		if ins[i].Op != vx.CALLQ {
+			ins[i].HostIdx = -1
+		}
+	}
+	if edit != nil {
+		edit(ins)
+	}
+	return &vm.Image{
+		Instrs:     ins,
+		Funcs:      []vm.FuncInfo{{Name: "main", Entry: 0, End: int32(len(ins))}},
+		HostFns:    []string{"sel"},
+		GlobalBase: vm.DefaultGlobalBase,
+		GlobalEnd:  vm.DefaultGlobalBase + 128,
+		MemSize:    1 << 16,
+	}
+}
+
+// TestSiteMatcherRejectsNearMisses: the shape fuses as emitted, and every
+// one-instruction departure from it stays unfused — and runs like the
+// stepped reference either way.
+func TestSiteMatcherRejectsNearMisses(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(ins []vm.Inst)
+	}{
+		{"push order R1,R0", func(ins []vm.Inst) { ins[2].AReg, ins[3].AReg = vx.R1, vx.R0 }},
+		{"pop order R2,R3", func(ins []vm.Inst) { ins[11].AReg, ins[12].AReg = vx.R2, vx.R3 }},
+		{"post loads SP from another address", func(ins []vm.Inst) { ins[16].MemDisp += 8 }},
+		{"post loads into another register", func(ins []vm.Inst) { ins[16].AReg = vx.R5 }},
+		{"head is not instrumentation", func(ins []vm.Inst) { ins[0].Instrumented = false }},
+		{"head saves another register", func(ins []vm.Inst) { ins[0].BReg = vx.R5 }},
+		{"head stores through a base register", func(ins []vm.Inst) { ins[0].MemBase = vx.R6 }},
+		{"head is a MOVSD", func(ins []vm.Inst) { ins[0].Op = vx.MOVSD }},
+		{"no PUSHF", func(ins []vm.Inst) { ins[1].Op = vx.NOP }},
+		{"no POPF", func(ins []vm.Inst) { ins[15].Op = vx.NOP }},
+		{"site id goes to R2", func(ins []vm.Inst) { ins[6].AReg = vx.R2 }},
+		{"direct call", func(ins []vm.Inst) { ins[7].HostIdx, ins[7].Target = -1, 17 }},
+		{"tests R0 against R1", func(ins []vm.Inst) { ins[8].BReg = vx.R1 }},
+		{"compares instead of testing", func(ins []vm.Inst) { ins[8].Op = vx.CMPQ }},
+		{"branches on NE", func(ins []vm.Inst) { ins[9].Cond = vx.CondNE }},
+		{"jumps instead of branching", func(ins []vm.Inst) { ins[9].Op = vx.JMP }},
+		{"branches past the pops", func(ins []vm.Inst) { ins[9].Target = 12 }},
+		{"branches to the end of the stream", func(ins []vm.Inst) { ins[9].Target = 14 }},
+	}
+	run := func(img *vm.Image, stepped bool) (machineState, []byte) {
+		m := vm.New(img)
+		m.Budget = 100
+		m.BindHost(vm.HostFn{Name: "sel", PreserveRegs: true, Fn: func(mm *vm.Machine) { mm.Regs[vx.R0] = 0 }})
+		m.Regs[vx.R2], m.Regs[vx.R3], m.Regs[vx.RFLAGS] = 22, 33, vx.FlagC
+		if stepped {
+			m.RunStepped()
+		} else {
+			m.Run()
+		}
+		return snapshot(m), m.Mem
+	}
+	same := func(name string, img *vm.Image) {
+		fs, fm := run(img, false)
+		rs, rm := run(img, true)
+		if !equalStates(fs, rs) || !bytes.Equal(fm, rm) {
+			t.Errorf("%s: fast run diverged from RunStepped:\nfast: %+v\nref:  %+v", name, fs, rs)
+		}
+	}
+
+	img := siteShape(nil)
+	if n := vm.FusedSites(img); n != 1 {
+		t.Fatalf("the emitted shape fuses %d sites, want 1", n)
+	}
+	same("emitted shape", img)
+	for _, c := range cases {
+		img := siteShape(c.edit)
+		if n := vm.FusedSites(img); n != 0 {
+			t.Errorf("%s: fused", c.name)
+		}
+		same(c.name, img)
+	}
+}
+
+// TestSiteFusedSpeedGate is the CI gate for the site superinstruction: a
+// REFINE golden run must be at least 1.5× faster with its heads fused than
+// the same image run with every head demoted to its plain store (the
+// measured ratio is ~2.8×). Env-gated like the other wall-clock gates.
+func TestSiteFusedSpeedGate(t *testing.T) {
+	if os.Getenv("SITE_SPEED_GATE") == "" {
+		t.Skip("wall-clock gate: set SITE_SPEED_GATE=1 to run (the dedicated CI step does); skipped by default so loaded machines can't flake the plain suite")
+	}
+	bin := buildBin(t, "HPCCG", campaign.REFINE)
+	unfused := bin.Img.Clone()
+	vm.UnfuseSites(unfused)
+	if vm.FusedSites(unfused) != 0 || vm.FusedSites(bin.Img) != bin.Sites {
+		t.Fatalf("fused sites: image %d of %d, unfused copy %d", vm.FusedSites(bin.Img), bin.Sites, vm.FusedSites(unfused))
+	}
+
+	measure := func(img *vm.Image) (time.Duration, machineState) {
+		m := bin.NewMachine()
+		m.Img = img
+		best := time.Duration(1 << 62)
+		for rep := 0; rep < 5; rep++ {
+			m.Reset()
+			(&core.ProfileLib{}).Bind(m)
+			start := time.Now()
+			m.Run()
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best, snapshot(m)
+	}
+	fused, fs := measure(bin.Img)
+	plain, ps := measure(unfused)
+	if !equalStates(fs, ps) {
+		t.Fatalf("fused and unfused runs diverged:\nfused:   %+v\nunfused: %+v", fs, ps)
+	}
+	mips := func(d time.Duration) float64 { return float64(fs.InstrCount) / d.Seconds() / 1e6 }
+	if ratio := float64(plain) / float64(fused); ratio < 1.5 {
+		t.Errorf("fused sites only %.2fx over unfused (%.0f vs %.0f Minstr/s); want >= 1.5x", ratio, mips(fused), mips(plain))
+	} else {
+		t.Logf("fused sites %.2fx over unfused (%.0f vs %.0f Minstr/s)", ratio, mips(fused), mips(plain))
+	}
+}

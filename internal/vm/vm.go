@@ -100,10 +100,12 @@ type Image struct {
 	// unexported and absent from the wire: gob drops these, and ensure()
 	// rebuilds them deterministically from the exported fields on the far
 	// side (the disk cache round-trips Image through gob).
-	once      predecodeOnce     //fi:nowire — derived predecode state, rebuilt by ensure()
-	code      []uop             //fi:nowire — derived predecode state, rebuilt by ensure()
-	hostIndex map[string]int32  //fi:nowire — derived predecode state, rebuilt by ensure()
-	funcOrder []int32           //fi:nowire — indexes into Funcs sorted by Entry, rebuilt by ensure()
+	once      predecodeOnce    //fi:nowire — derived predecode state, rebuilt by ensure()
+	code      []uop            //fi:nowire — derived predecode state, rebuilt by ensure()
+	hostIndex map[string]int32 //fi:nowire — derived predecode state, rebuilt by ensure()
+	funcOrder []int32          //fi:nowire — indexes into Funcs sorted by Entry, rebuilt by ensure()
+	sites     []siteInfo       //fi:nowire — site superinstruction side table (site.go), rebuilt by ensure()
+	sitePC    []int32          //fi:nowire — SiteID → PC index for SitePC, rebuilt by ensure()
 }
 
 // Imports reports whether the image links against the named host function.
@@ -135,6 +137,19 @@ func (img *Image) FuncOf(pc int32) *FuncInfo {
 		return f
 	}
 	return nil
+}
+
+// SitePC returns the PC of the application instruction carrying SiteID id —
+// the first instruction in stream order that is not instrumentation. The
+// index is built once at predecode. id 0 is the untagged population and
+// resolves to the first untagged application instruction, which is what a
+// scan for a garbage site id of 0 always found.
+func (img *Image) SitePC(id int32) (int32, bool) {
+	img.ensure()
+	if id < 0 || int(id) >= len(img.sitePC) || img.sitePC[id] < 0 {
+		return 0, false
+	}
+	return img.sitePC[id], true
 }
 
 // GlobalBase is the default load address of the data segment. Addresses below
