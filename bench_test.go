@@ -15,6 +15,7 @@
 package refine_test
 
 import (
+	"context"
 	"os"
 	"testing"
 	"time"
@@ -35,6 +36,14 @@ import (
 
 const benchTrials = 80 // reduced trial count for bench runs
 
+// benchCampaign runs benchTrials trials of (app, tool) at seed 1.
+func benchCampaign(app refine.App, tool refine.Tool, extra ...refine.CampaignOption) (*refine.Result, error) {
+	opts := append([]refine.CampaignOption{
+		refine.WithTrials(benchTrials), refine.WithSeed(1), refine.WithRecords(),
+	}, extra...)
+	return refine.NewCampaign(app, tool, opts...).Run(context.Background())
+}
+
 // BenchmarkFig4Outcomes regenerates the Figure 4 / Table 6 series: per
 // application, the crash/SOC/benign percentages of all three tools.
 func BenchmarkFig4Outcomes(b *testing.B) {
@@ -42,7 +51,7 @@ func BenchmarkFig4Outcomes(b *testing.B) {
 		b.Run(app.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, tool := range refine.Tools {
-					res, err := refine.Campaign(app, tool, benchTrials, 1, 0)
+					res, err := benchCampaign(app, tool)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -64,11 +73,11 @@ func BenchmarkTable4ContingencyAMG(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		l, err := refine.Campaign(app, refine.LLFI, benchTrials, 1, 0)
+		l, err := benchCampaign(app, refine.LLFI)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := refine.Campaign(app, refine.PINFI, benchTrials, 1, 0)
+		p, err := benchCampaign(app, refine.PINFI)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,13 +295,13 @@ func BenchmarkAblationOptLevel(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		o2, err := refine.Campaign(app, refine.PINFI, benchTrials, 1, 0)
+		o2, err := benchCampaign(app, refine.PINFI)
 		if err != nil {
 			b.Fatal(err)
 		}
 		opts := refine.DefaultOptions()
 		opts.Opt = opt.O0
-		o0, err := refine.CampaignWith(app, refine.PINFI, benchTrials, 1, 0, opts)
+		o0, err := benchCampaign(app, refine.PINFI, refine.WithOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,43 +358,6 @@ func BenchmarkSuiteSharded(b *testing.B) {
 	b.ReportMetric(inproc.Seconds()/float64(b.N), "inproc_s")
 	b.ReportMetric(sharded.Seconds()/float64(b.N), "sharded_s")
 	b.ReportMetric(inproc.Seconds()/sharded.Seconds(), "speedup_x")
-}
-
-// BenchmarkSuiteSaturation measures the tentpole of the suite-wide
-// scheduler: a multi-app, multi-tool suite with cold caches, run once on the
-// serial one-campaign-at-a-time path and once with every campaign submitted
-// up front to a shared work-stealing executor. On the serial path the 18
-// single-threaded build+profile steps and each campaign's trial tail leave
-// cores idle; on the scheduled path builds of later campaigns overlap trials
-// of earlier ones. speedup_x is wall-clock serial/scheduled — the target is
-// ≥1.5× with spare cores. Outcomes are bit-identical either way (the
-// determinism suite asserts it; this benchmark only times).
-func BenchmarkSuiteSaturation(b *testing.B) {
-	apps := refine.Apps()[:6]
-	const trials = 40
-	var serial, scheduled time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := experiments.RunSuite(experiments.Config{
-			Apps: apps, Trials: trials, Seed: 1, Cache: campaign.NewCache(),
-		}); err != nil {
-			b.Fatal(err)
-		}
-		serial += time.Since(start)
-
-		ex := sched.New(0)
-		start = time.Now()
-		if _, err := experiments.RunSuite(experiments.Config{
-			Apps: apps, Trials: trials, Seed: 1, Cache: campaign.NewCache(), Sched: ex,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		scheduled += time.Since(start)
-		ex.Close()
-	}
-	b.ReportMetric(serial.Seconds()/float64(b.N), "serial_s")
-	b.ReportMetric(scheduled.Seconds()/float64(b.N), "sched_s")
-	b.ReportMetric(serial.Seconds()/scheduled.Seconds(), "speedup_x")
 }
 
 // BenchmarkFig5SpeedWarmStart is BenchmarkFig5Speed's warm-start

@@ -6,7 +6,7 @@
 //
 //	fi-campaign [-trials 1068] [-seed 1] [-workers 0] [-apps HPCCG,CG,...]
 //	            [-tools LLFI,REFINE,PINFI,REFINE2,OPCODE] [-instrs all|arithm|mem|stack]
-//	            [-O 2|0] [-sched-workers 0] [-shards 0] [-cache-dir DIR]
+//	            [-O 2|0] [-shards 0] [-cache-dir DIR]
 //	            [-precision 0.03] [-mutate app:func] [-quiet]
 //
 // The paper's configuration is the default: 1068 trials (3% margin, 95%
@@ -16,12 +16,11 @@
 // variant and the OPCODE corruption injectors; the statistical tables that
 // need the PINFI baseline are skipped when it is not selected.
 //
-// All campaigns run on one work-stealing executor by default: every
-// (app, tool) campaign is submitted up front, so builds and profiles of
-// later campaigns overlap the trial tails of earlier ones and cores stay
-// saturated across the whole suite. -sched-workers sizes the pool (0 =
-// GOMAXPROCS); a negative value falls back to the serial one-campaign-at-a-
-// time path. Either way results are bit-identical for a fixed seed.
+// All campaigns run on one work-stealing executor: every (app, tool)
+// campaign is submitted up front, so builds and profiles of later campaigns
+// overlap the trial tails of earlier ones and cores stay saturated across
+// the whole suite. -workers sizes it (0 = GOMAXPROCS, 1 = serial); results
+// are bit-identical for a fixed seed at any size.
 //
 // -cache-dir persists built binaries and golden profiles to disk,
 // content-addressed by configuration and IR fingerprint: a second
@@ -80,27 +79,18 @@ import (
 
 func main() {
 	shard.MaybeWorker() // re-exec'd shard workers never reach flag parsing
-	trials := flag.Int("trials", 1068, "fault-injection samples per (app, tool)")
-	seed := flag.Uint64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS); with the shared scheduler active this caps the executor size")
-	appsFlag := flag.String("apps", "", "comma-separated app subset (default: all 14)")
-	toolsFlag := flag.String("tools", "", "comma-separated tool subset from the injector registry\n(default: LLFI,REFINE,PINFI; registered: "+strings.Join(campaign.ToolNames(), ",")+")")
+	var f experiments.Flags
+	f.Register(flag.CommandLine, 1068)
+	f.RegisterTools(flag.CommandLine)
 	instrs := flag.String("instrs", "all", "-fi-instrs class filter: all|arithm|mem|stack")
 	optLevel := flag.Int("O", 2, "optimization level (2 or 0)")
-	schedWorkers := flag.Int("sched-workers", 0, "shared work-stealing executor size (0 = GOMAXPROCS, < 0 = serial per-campaign pools)")
-	chunk := flag.Int("chunk", 0, "trial indexes claimed per executor lock acquisition (0 = adaptive); results are identical across chunk sizes")
-	shards := flag.Int("shards", 0, "fan campaigns across N worker OS processes (this binary re-exec'd); results are bit-identical to in-process runs, and -cache-dir is shared so only the first worker per app x tool builds (0 = in-process)")
-	shardWorker := flag.Bool("shard-worker", false, "run as a shard worker: gob job assignments on stdin, trial frames on stdout (what -shards re-execs; normally set via the environment)")
 	shardListen := flag.String("shard-listen", "", "run as a long-lived TCP worker node on this address (host:port; port 0 picks one) serving coordinator sessions until killed")
-	shardNodes := flag.String("shard-nodes", "", "comma-separated worker-node addresses (-shard-listen instances) to dial instead of re-execing local workers; -shards sizes the session count (0 = one per node)")
+	flag.StringVar(&f.ShardNodes, "shard-nodes", "", "comma-separated worker-node addresses (-shard-listen instances) to dial instead of re-execing local workers; -shards sizes the session count (0 = one per node)")
 	submit := flag.String("submit", "", "submit the suite to a running fi-serve daemon at this address (host:port) instead of executing locally; identical submissions dedup server-side")
-	cacheDir := flag.String("cache-dir", "", "persist built binaries + profiles under this directory (warm starts skip all builds)")
-	precision := flag.Float64("precision", 0, "adaptive trial allocation: stop each campaign once every outcome class's 95% Wilson-CI half-width is at or below this margin (0 = fixed -trials); the stop index is deterministic across execution modes")
 	mutate := flag.String("mutate", "", "app:func — apply a dead single-function IR edit (DCE-erased, binary-identical) before running; with a warm -cache-dir the compositional cache re-injects only that function's section")
-	journalDir := flag.String("journal", "", "append every completed trial to a crash-safe journal under this directory; a restarted run replays it and re-executes only missing trials")
 	quiet := flag.Bool("quiet", false, "suppress per-campaign progress")
 	flag.Parse()
-	if *shardWorker {
+	if f.ShardWorker {
 		if err := shard.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			fatal(err)
 		}
@@ -114,54 +104,11 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{
-		Trials:    *trials,
-		Seed:      *seed,
-		Workers:   *workers,
-		Chunk:     *chunk,
-		Build:     campaign.DefaultBuildOptions(),
-		Precision: *precision,
-	}
-	schedSize := *schedWorkers
-	if *shards > 0 || *shardNodes != "" || *submit != "" {
-		schedSize = -1 // trials run in the workers (or the daemon); no in-process executor
-	}
-	ex, cache, err := experiments.ResolveExecution(schedSize, *workers, *cacheDir)
+	cfg, closeRun, err := f.Open()
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Sched, cfg.Cache = ex, cache
-	var journal *campaign.Journal
-	if *journalDir != "" {
-		if journal, err = campaign.OpenJournal(*journalDir); err != nil {
-			fatal(err)
-		}
-		defer journal.Close()
-		cfg.Journal = journal
-	}
-	var pool *shard.Pool
-	switch {
-	case *shardNodes != "":
-		// Remote worker nodes: -shards sizes the session count (0 = one per
-		// node); everything downstream is the ordinary pool machinery.
-		var nodes []string
-		for _, n := range strings.Split(*shardNodes, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				nodes = append(nodes, n)
-			}
-		}
-		if pool, err = shard.NewTCPPool(*shards, nodes); err != nil {
-			fatal(err)
-		}
-	case *shards > 0:
-		if pool, err = shard.NewPool(*shards); err != nil {
-			fatal(err)
-		}
-	}
-	if pool != nil {
-		defer pool.Close()
-		cfg.Pool = pool
-	}
+	defer closeRun()
 	classes, err := fault.ParseClasses(*instrs)
 	if err != nil {
 		fatal(err)
@@ -170,26 +117,8 @@ func main() {
 	if *optLevel == 0 {
 		cfg.Build.Opt = opt.O0
 	}
-	if *appsFlag != "" {
-		for _, name := range strings.Split(*appsFlag, ",") {
-			app, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Apps = append(cfg.Apps, app)
-		}
-	}
-	if *toolsFlag != "" {
-		for _, name := range strings.Split(*toolsFlag, ",") {
-			tool, err := campaign.ToolByName(strings.TrimSpace(name))
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Tools = append(cfg.Tools, tool)
-		}
-	}
 	if *mutate != "" {
-		if *shards > 0 || *shardNodes != "" || *submit != "" {
+		if cfg.Pool != nil || *submit != "" {
 			// Shard workers and the fi-serve daemon re-resolve apps through
 			// the registry by name, so a process-local mutated builder would
 			// silently not ship.
@@ -244,19 +173,7 @@ func main() {
 	fmt.Printf("# %d apps x %d tools x %d trials = %d experiments in %v\n",
 		len(suite.Order), len(suite.Tools), suite.Trials,
 		len(suite.Order)*len(suite.Tools)*suite.Trials, time.Since(start).Round(time.Millisecond))
-	fmt.Println(experiments.CacheStatsLine(cache))
-	if cache.Dir() != "" {
-		fmt.Println(experiments.ComposeLine(cache))
-	}
-	if journal != nil {
-		fmt.Println(experiments.JournalLine(journal))
-	}
-	if pool != nil {
-		pool.Close() // drain the workers' final cache counters first
-		fmt.Println(experiments.ShardLines(pool))
-	} else {
-		fmt.Println(experiments.ExecutionLine(cfg.Sched, cfg.Chunk))
-	}
+	experiments.Report(os.Stdout, cfg)
 	fmt.Println()
 
 	printTables(suite)

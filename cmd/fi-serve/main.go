@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/serve"
@@ -55,14 +54,7 @@ func main() {
 		defer j.Close()
 		cfg.Journal = j
 	}
-	var pool *shard.Pool
-	var err error
-	switch {
-	case *shardNodes != "":
-		pool, err = shard.NewTCPPool(*shards, splitNodes(*shardNodes))
-	case *shards > 0:
-		pool, err = shard.NewPool(*shards)
-	}
+	pool, err := shard.OpenPool(*shards, *shardNodes)
 	if err != nil {
 		fatal(err)
 	}
@@ -79,16 +71,6 @@ func main() {
 	if err := http.ListenAndServe(*listen, s.Handler()); err != nil {
 		fatal(err)
 	}
-}
-
-func splitNodes(s string) []string {
-	var out []string
-	for _, n := range strings.Split(s, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 func poolDesc(p *shard.Pool) string {

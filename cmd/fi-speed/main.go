@@ -7,17 +7,17 @@
 // Usage:
 //
 //	fi-speed [-trials 200] [-seed 1] [-workers 0] [-apps CSV] [-tools CSV]
-//	         [-sched-workers 0] [-shards 0] [-cache-dir DIR] [-precision 0]
+//	         [-shards 0] [-cache-dir DIR] [-precision 0]
 //	         [-cpuprofile out.pprof]
 //
 // -tools selects injectors from the registry (PINFI is always included — it
-// is the normalization baseline). Campaigns run on one shared work-stealing
-// executor by default (-sched-workers 0 = GOMAXPROCS, < 0 = serial);
+// is the normalization baseline). Campaigns run on one work-stealing
+// executor (-workers sizes it: 0 = GOMAXPROCS, 1 = serial);
 // -shards N instead fans them across N re-exec'd worker processes sharing
 // the -cache-dir; -cache-dir persists builds and golden profiles so
 // repeated timing runs warm-start from disk. None of these affect the
 // reported cycle counts — the Figure 5 numbers come from the deterministic
-// cycle model, bit-identical for a fixed seed across schedulers, shard
+// cycle model, bit-identical for a fixed seed across worker counts, shard
 // counts and cache states.
 package main
 
@@ -26,13 +26,12 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/pinfi"
 	"repro/internal/shard"
-	"repro/internal/workloads"
+	"repro/internal/vx"
 
 	// Register the multi-bit REFINE variant so -tools REFINE2 resolves,
 	// and the opcode-corruption injectors for -tools OPCODE,OPCODE-VALID.
@@ -51,21 +50,12 @@ func main() {
 }
 
 func run() error {
-	trials := flag.Int("trials", 200, "trials per (app, tool)")
-	seed := flag.Uint64("seed", 1, "base RNG seed")
-	workers := flag.Int("workers", 0, "parallel trial workers (0 = GOMAXPROCS); with the shared scheduler active this caps the executor size")
-	appsFlag := flag.String("apps", "", "comma-separated app subset")
-	toolsFlag := flag.String("tools", "", "comma-separated tool subset from the injector registry\n(default: LLFI,REFINE,PINFI; registered: "+strings.Join(campaign.ToolNames(), ",")+")")
-	schedWorkers := flag.Int("sched-workers", 0, "shared work-stealing executor size (0 = GOMAXPROCS, < 0 = serial per-campaign pools)")
-	chunk := flag.Int("chunk", 0, "trial indexes claimed per executor lock acquisition (0 = adaptive); results are identical across chunk sizes")
-	shards := flag.Int("shards", 0, "fan campaigns across N worker OS processes (this binary re-exec'd); results are bit-identical to in-process runs (0 = in-process)")
-	shardWorker := flag.Bool("shard-worker", false, "run as a shard worker: gob job assignments on stdin, trial frames on stdout (what -shards re-execs; normally set via the environment)")
-	cacheDir := flag.String("cache-dir", "", "persist built binaries + profiles under this directory (warm starts skip all builds)")
-	journalDir := flag.String("journal", "", "append every completed trial to a crash-safe journal under this directory; a restarted run replays it and re-executes only missing trials")
-	precision := flag.Float64("precision", 0, "adaptive trial allocation: stop each campaign once every outcome class's 95% Wilson-CI half-width is at or below this margin (0 = fixed -trials)")
+	var f experiments.Flags
+	f.Register(flag.CommandLine, 200)
+	f.RegisterTools(flag.CommandLine)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the suite run to this file")
 	flag.Parse()
-	if *shardWorker {
+	if f.ShardWorker {
 		return shard.WorkerMain(os.Stdin, os.Stdout)
 	}
 
@@ -81,59 +71,17 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := experiments.Config{
-		Trials:    *trials,
-		Seed:      *seed,
-		Workers:   *workers,
-		Chunk:     *chunk,
-		Build:     campaign.DefaultBuildOptions(),
-		Precision: *precision,
-	}
-	schedSize := *schedWorkers
-	if *shards > 0 {
-		schedSize = -1 // trials run in the workers; no in-process executor
-	}
-	ex, cache, err := experiments.ResolveExecution(schedSize, *workers, *cacheDir)
+	cfg, closeRun, err := f.Open()
 	if err != nil {
 		return err
 	}
-	cfg.Sched, cfg.Cache = ex, cache
-	var journal *campaign.Journal
-	if *journalDir != "" {
-		if journal, err = campaign.OpenJournal(*journalDir); err != nil {
-			return err
-		}
-		defer journal.Close()
-		cfg.Journal = journal
-	}
-	var pool *shard.Pool
-	if *shards > 0 {
-		if pool, err = shard.NewPool(*shards); err != nil {
-			return err
-		}
-		defer pool.Close()
-		cfg.Pool = pool
-	}
-	if *appsFlag != "" {
-		for _, name := range strings.Split(*appsFlag, ",") {
-			app, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			cfg.Apps = append(cfg.Apps, app)
-		}
-	}
-	if *toolsFlag != "" {
+	defer closeRun()
+	if cfg.Tools != nil {
 		havePINFI := false
-		for _, name := range strings.Split(*toolsFlag, ",") {
-			tool, err := campaign.ToolByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
+		for _, tool := range cfg.Tools {
 			if tool.Name() == campaign.PINFI.Name() {
 				havePINFI = true
 			}
-			cfg.Tools = append(cfg.Tools, tool)
 		}
 		if !havePINFI {
 			// Figure 5 normalizes to PINFI; keep the baseline in the suite.
@@ -144,20 +92,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiments.CacheStatsLine(cache))
-	if cache.Dir() != "" {
-		fmt.Println(experiments.ComposeLine(cache))
-	}
-	if journal != nil {
-		fmt.Println(experiments.JournalLine(journal))
-	}
-	if pool != nil {
-		pool.Close() // drain the workers' final cache counters first
-		fmt.Println(experiments.ShardLines(pool))
-	} else {
-		fmt.Println(experiments.ExecutionLine(cfg.Sched, cfg.Chunk))
-	}
-	fmt.Println(experiments.SpeedLine())
+	experiments.Report(os.Stdout, cfg)
 	fmt.Println()
 	fmt.Println(suite.Figure5())
 
@@ -172,6 +107,6 @@ func run() error {
 
 	costs := pinfi.DefaultCosts()
 	fmt.Printf("\nCost model: PIN per-instr callback %d cycles, JIT %d cycles/static-instr, host call %d cycles.\n",
-		costs.PerInstr, costs.JITPerStaticInstr, 30)
+		costs.PerInstr, costs.JITPerStaticInstr, vx.HostCallCycles)
 	return nil
 }

@@ -8,20 +8,19 @@
 // conclusions (LLFI significantly different from PINFI on every app; REFINE
 // on none).
 //
-// With -measure it additionally runs a live suite — through the shared
-// work-stealing scheduler and, with -cache-dir, the disk-persistent
-// build/profile cache — and prints the measured Table 5 next to the
-// published verdicts. -sched-workers sizes the executor (0 = GOMAXPROCS,
-// < 0 = serial); -shards N instead fans the campaigns across N re-exec'd
-// worker processes sharing the -cache-dir; repeated invocations with the
-// same -cache-dir skip every build and golden profile. Measured verdicts
-// are bit-identical across all execution modes.
+// With -measure it additionally runs a live suite — on one work-stealing
+// executor and, with -cache-dir, the disk-persistent build/profile cache —
+// and prints the measured Table 5 next to the published verdicts. -workers
+// sizes the executor (0 = GOMAXPROCS, 1 = serial); -shards N instead fans
+// the campaigns across N re-exec'd worker processes sharing the -cache-dir;
+// repeated invocations with the same -cache-dir skip every build and golden
+// profile. Measured verdicts are bit-identical across all execution modes.
 //
 // Usage:
 //
 //	fi-stats [-table4] [-table5] [-samplesize] [-margin 0.03] [-ci]
 //	         [-measure] [-apps CSV] [-trials 1068] [-seed 1] [-precision 0]
-//	         [-sched-workers 0] [-shards 0] [-cache-dir DIR]
+//	         [-workers 0] [-shards 0] [-cache-dir DIR]
 //
 // -ci adds 95% Wilson confidence-interval columns: a rate table over the
 // published Table 6 counts, plus the measured Figure 4 under -measure.
@@ -34,13 +33,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
-	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/shard"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 
 	// Register the extension injectors so measured suites can reference
 	// them, matching fi-campaign's registry.
@@ -56,18 +52,10 @@ func main() {
 	margin := flag.Float64("margin", 0.03, "margin of error for -samplesize")
 	ci := flag.Bool("ci", false, "add 95% Wilson confidence-interval columns: a rate table over the published Table 6 counts, and the measured Figure 4 under -measure")
 	measure := flag.Bool("measure", false, "run a live suite and print the measured Table 5")
-	appsFlag := flag.String("apps", "", "comma-separated app subset for -measure (default: all 14)")
-	trials := flag.Int("trials", 1068, "trials per (app, tool) for -measure")
-	seed := flag.Uint64("seed", 1, "base RNG seed for -measure")
-	schedWorkers := flag.Int("sched-workers", 0, "shared work-stealing executor size for -measure (0 = GOMAXPROCS, < 0 = serial)")
-	chunk := flag.Int("chunk", 0, "trial indexes claimed per executor lock acquisition for -measure (0 = adaptive)")
-	shards := flag.Int("shards", 0, "fan -measure campaigns across N worker OS processes (this binary re-exec'd); verdicts are bit-identical to in-process runs (0 = in-process)")
-	shardWorker := flag.Bool("shard-worker", false, "run as a shard worker: gob job assignments on stdin, trial frames on stdout (what -shards re-execs; normally set via the environment)")
-	cacheDir := flag.String("cache-dir", "", "persist -measure builds + profiles under this directory")
-	precision := flag.Float64("precision", 0, "adaptive trial allocation for -measure: stop each campaign once every outcome class's 95% Wilson-CI half-width is at or below this margin (0 = fixed -trials)")
-	journalDir := flag.String("journal", "", "append every completed -measure trial to a crash-safe journal under this directory; a restarted run replays it and re-executes only missing trials")
+	var f experiments.Flags // the -measure suite's execution flags
+	f.Register(flag.CommandLine, 1068)
 	flag.Parse()
-	if *shardWorker {
+	if f.ShardWorker {
 		if err := shard.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "fi-stats:", err)
 			os.Exit(1)
@@ -144,74 +132,26 @@ func main() {
 	}
 
 	if *measure {
-		if err := runMeasured(*appsFlag, *trials, *seed, *schedWorkers, *chunk, *shards, *cacheDir, *journalDir, *precision, *ci); err != nil {
+		if err := runMeasured(&f, *ci); err != nil {
 			fmt.Fprintln(os.Stderr, "fi-stats:", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// runMeasured runs a live suite through the shared scheduler (and the disk
-// cache when dir is set) and prints the measured Table 5.
-func runMeasured(appsCSV string, trials int, seed uint64, schedWorkers, chunk, shards int, dir, journalDir string, precision float64, ci bool) error {
-	cfg := experiments.Config{
-		Trials:    trials,
-		Seed:      seed,
-		Chunk:     chunk,
-		Build:     campaign.DefaultBuildOptions(),
-		Precision: precision,
-	}
-	if shards > 0 {
-		schedWorkers = -1 // trials run in the workers; no in-process executor
-	}
-	ex, cache, err := experiments.ResolveExecution(schedWorkers, 0, dir)
+// runMeasured runs a live suite and prints the measured Table 5.
+func runMeasured(f *experiments.Flags, ci bool) error {
+	cfg, closeRun, err := f.Open()
 	if err != nil {
 		return err
 	}
-	cfg.Sched, cfg.Cache = ex, cache
-	var journal *campaign.Journal
-	if journalDir != "" {
-		if journal, err = campaign.OpenJournal(journalDir); err != nil {
-			return err
-		}
-		defer journal.Close()
-		cfg.Journal = journal
-	}
-	var pool *shard.Pool
-	if shards > 0 {
-		if pool, err = shard.NewPool(shards); err != nil {
-			return err
-		}
-		defer pool.Close()
-		cfg.Pool = pool
-	}
-	if appsCSV != "" {
-		for _, name := range strings.Split(appsCSV, ",") {
-			app, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			cfg.Apps = append(cfg.Apps, app)
-		}
-	}
+	defer closeRun()
 	suite, err := experiments.RunSuite(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nMeasured suite (n=%d per cell):\n", suite.Trials)
-	fmt.Println(experiments.CacheStatsLine(cache))
-	if cache.Dir() != "" {
-		fmt.Println(experiments.ComposeLine(cache))
-	}
-	if journal != nil {
-		fmt.Println(experiments.JournalLine(journal))
-	}
-	if pool != nil {
-		pool.Close() // drain the workers' final cache counters first
-		fmt.Println(experiments.ShardLines(pool))
-	} else {
-		fmt.Println(experiments.ExecutionLine(cfg.Sched, cfg.Chunk))
-	}
+	experiments.Report(os.Stdout, cfg)
 	if ci {
 		fmt.Println(suite.Figure4())
 	}

@@ -59,31 +59,29 @@ func main() {
 	var refProf *core.ProfileLib
 	var llfiProf *llfi.ProfileLib
 	switch {
-	case imports(img, core.HostSelInstr) && (*profile || *fiTarget < 0):
+	case img.Imports(core.HostSelInstr) && (*profile || *fiTarget < 0):
 		refProf = &core.ProfileLib{}
 		refProf.Bind(m)
-	case imports(img, core.HostSelInstr):
+	case img.Imports(core.HostSelInstr):
 		lib := &core.InjectLib{Target: *fiTarget, RNG: fault.NewRNG(*seed)}
 		lib.Bind(m)
 		defer func() { fmt.Printf("fault: %s\n", lib.Rec) }()
-	case imports(img, llfi.HostFaultI64) && (*profile || *fiTarget < 0):
+	case img.Imports(llfi.HostFaultI64) && (*profile || *fiTarget < 0):
 		llfiProf = &llfi.ProfileLib{}
 		llfiProf.Bind(m)
-	case imports(img, llfi.HostFaultI64):
+	case img.Imports(llfi.HostFaultI64):
 		lib := &llfi.InjectLib{Target: *fiTarget, RNG: fault.NewRNG(*seed)}
 		lib.Bind(m)
 		defer func() { fmt.Printf("fault: %s\n", lib.Rec) }()
 	}
 
-	var tracer *vm.Tracer
 	if *trace > 0 {
-		tracer = &vm.Tracer{}
-		tracer.Attach(m, *trace)
+		m.Trace = vm.NewTraceRing(*trace)
 	}
 
 	trap := m.Run()
-	if tracer != nil {
-		fmt.Print(tracer.Dump(img))
+	if m.Trace != nil {
+		fmt.Print(m.Trace.Dump(img))
 	}
 	fmt.Printf("exit=%d trap=%s instrs=%d cycles=%d\n", m.ExitCode, trap, m.InstrCount, m.Cycles)
 	if refProf != nil {
@@ -96,15 +94,6 @@ func main() {
 		fmt.Printf("trap detail: %s\n", m.TrapMsg)
 		os.Exit(2)
 	}
-}
-
-func imports(img *vm.Image, name string) bool {
-	for _, h := range img.HostFns {
-		if h == name {
-			return true
-		}
-	}
-	return false
 }
 
 func fatal(err error) {

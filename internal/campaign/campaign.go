@@ -292,7 +292,6 @@ type Result struct {
 	// Records must be identical across worker counts and cache states; the
 	// determinism suite asserts exactly that. Records is populated only when
 	// the campaign opts in via WithRecords (million-trial campaigns stream
-	// through WithObserver instead); the deprecated Run/RunCached wrappers
-	// always opt in, preserving their historical behavior.
+	// through WithObserver instead).
 	Records []TrialResult
 }

@@ -208,8 +208,8 @@ func TestOutcomeMixIsNonTrivial(t *testing.T) {
 }
 
 func TestParallelCampaignMatchesSerial(t *testing.T) {
-	serial := runMigrated(t, testApp, campaign.REFINE, 120, 7, 1, campaign.DefaultBuildOptions())
-	parallel := runMigrated(t, testApp, campaign.REFINE, 120, 7, 8, campaign.DefaultBuildOptions())
+	serial := runCampaign(t, testApp, campaign.REFINE, 120, 7, 1, campaign.DefaultBuildOptions())
+	parallel := runCampaign(t, testApp, campaign.REFINE, 120, 7, 8, campaign.DefaultBuildOptions())
 	if serial.Counts != parallel.Counts {
 		t.Fatalf("parallel counts %+v != serial %+v", parallel.Counts, serial.Counts)
 	}

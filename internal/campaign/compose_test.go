@@ -27,7 +27,7 @@ func diskRun(t *testing.T, dir string, app campaign.App, tool campaign.Tool) (*c
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runMigrated(t, app, tool, composeTrials, composeSeed, 4,
+	res := runCampaign(t, app, tool, composeTrials, composeSeed, 4,
 		campaign.DefaultBuildOptions(), campaign.WithCache(cache))
 	return res, cache.Compose()
 }
@@ -44,7 +44,7 @@ func TestComposeDifferentialMatchesMonolithic(t *testing.T) {
 	for _, app := range apps {
 		for _, tool := range campaign.Tools {
 			dir := t.TempDir()
-			mono := runMigrated(t, app, tool, composeTrials, composeSeed, 4,
+			mono := runCampaign(t, app, tool, composeTrials, composeSeed, 4,
 				campaign.DefaultBuildOptions(), campaign.WithCache(nil))
 			cold, coldStats := diskRun(t, dir, app, tool)
 			warm, warmStats := diskRun(t, dir, app, tool)

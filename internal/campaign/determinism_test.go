@@ -30,6 +30,20 @@ func detApp(t *testing.T) campaign.App {
 	return app
 }
 
+// runCampaign runs one buffered campaign to completion.
+func runCampaign(t *testing.T, app campaign.App, tool campaign.Tool, n int, seed uint64, workers int, o campaign.BuildOptions, extra ...campaign.Option) *campaign.Result {
+	t.Helper()
+	opts := append([]campaign.Option{
+		campaign.WithTrials(n), campaign.WithSeed(seed), campaign.WithWorkers(workers),
+		campaign.WithBuildOptions(o), campaign.WithRecords(),
+	}, extra...)
+	res, err := campaign.New(app, tool, opts...).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func sameResult(t *testing.T, label string, a, b *campaign.Result) {
 	t.Helper()
 	if a.Counts != b.Counts {
@@ -56,8 +70,8 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	app := detApp(t)
 	o := campaign.DefaultBuildOptions()
 	for _, tool := range campaign.Tools {
-		w1 := runMigrated(t, app, tool, detTrials, detSeed, 1, o, campaign.WithCache(nil))
-		w8 := runMigrated(t, app, tool, detTrials, detSeed, 8, o, campaign.WithCache(nil))
+		w1 := runCampaign(t, app, tool, detTrials, detSeed, 1, o, campaign.WithCache(nil))
+		w8 := runCampaign(t, app, tool, detTrials, detSeed, 8, o, campaign.WithCache(nil))
 		sameResult(t, tool.String()+" workers=1 vs workers=8", w1, w8)
 	}
 }
@@ -70,9 +84,9 @@ func TestCampaignDeterministicAcrossCacheStates(t *testing.T) {
 	o := campaign.DefaultBuildOptions()
 	cache := campaign.NewCache()
 	for _, tool := range campaign.Tools {
-		fresh := runMigrated(t, app, tool, detTrials, detSeed, 4, o, campaign.WithCache(nil))
-		cold := runMigrated(t, app, tool, detTrials, detSeed, 4, o, campaign.WithCache(cache))
-		warm := runMigrated(t, app, tool, detTrials, detSeed, 4, o, campaign.WithCache(cache))
+		fresh := runCampaign(t, app, tool, detTrials, detSeed, 4, o, campaign.WithCache(nil))
+		cold := runCampaign(t, app, tool, detTrials, detSeed, 4, o, campaign.WithCache(cache))
+		warm := runCampaign(t, app, tool, detTrials, detSeed, 4, o, campaign.WithCache(cache))
 		sameResult(t, tool.String()+" fresh vs cold cache", fresh, cold)
 		sameResult(t, tool.String()+" cold vs warm cache", cold, warm)
 	}

@@ -352,8 +352,8 @@ func TestJournalKeyIsolation(t *testing.T) {
 	}
 }
 
-// TestScheduledCampaignResume: the work-stealing executor path honors the
-// journal the same way the pooled path does.
+// TestScheduledCampaignResume: a campaign on a shared executor honors the
+// journal the same way one on its private executor does.
 func TestScheduledCampaignResume(t *testing.T) {
 	const trials = 24
 	app := journalApp(t)

@@ -61,7 +61,7 @@ func TestPrecisionStopDeterministicAcrossModes(t *testing.T) {
 	sameResult(t, "serial vs workers=8", serial, parallel)
 
 	ex := sched.New(4)
-	scheduled := precisionRun(t, campaign.WithCache(cache), campaign.WithExecutor(ex), campaign.WithChunk(8))
+	scheduled := precisionRun(t, campaign.WithCache(cache), campaign.WithExecutor(ex))
 	if scheduled.Trials != serial.Trials {
 		t.Fatalf("scheduled stopped at %d, serial at %d", scheduled.Trials, serial.Trials)
 	}
@@ -86,7 +86,7 @@ func TestPrecisionStopWithComposedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runMigrated(t, app, campaign.REFINE, precTrials, precSeed, 4,
+	runCampaign(t, app, campaign.REFINE, precTrials, precSeed, 4,
 		campaign.DefaultBuildOptions(), campaign.WithCache(cache))
 
 	fresh := precisionRun(t, campaign.WithWorkers(4))
@@ -109,7 +109,7 @@ func TestPrecisionStopWithComposedCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := runMigrated(t, app, campaign.REFINE, precTrials, precSeed, 4,
+	full := runCampaign(t, app, campaign.REFINE, precTrials, precSeed, 4,
 		campaign.DefaultBuildOptions(), campaign.WithCache(verify))
 	if full.Trials != precTrials {
 		t.Fatalf("full composed run truncated: %d", full.Trials)

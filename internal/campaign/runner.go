@@ -15,12 +15,12 @@ import (
 	"repro/internal/stats"
 )
 
-// ErrBuildUnclaimed reports that a scheduled campaign's build+profile unit
-// settled without ever being claimed by an executor worker. The usual cause
-// is context cancellation — then Run wraps ctx.Err() instead — so this
-// sentinel surfaces only when the unit was abandoned while ctx.Err() is nil
-// (e.g. a context whose Done channel fires before Err reports non-nil).
-// Match with errors.Is.
+// ErrBuildUnclaimed reports that a campaign's build+profile unit settled
+// without ever being claimed by an executor worker. The usual cause is
+// context cancellation — then Run wraps ctx.Err() instead — so this sentinel
+// surfaces only when the unit was abandoned while ctx.Err() is nil (e.g. a
+// context whose Done channel fires before Err reports non-nil). Match with
+// errors.Is.
 var ErrBuildUnclaimed = errors.New("build+profile unit abandoned unclaimed")
 
 // ErrShardsUnavailable is wrapped by the shard engine when it cannot field
@@ -47,8 +47,7 @@ type Campaign struct {
 
 	observer    func(i int, tr TrialResult)
 	keepRecords bool
-	exec        *sched.Executor   // nil ⇒ private per-campaign worker pool
-	chunk       int               // trial indexes claimed per executor lock (0 ⇒ adaptive)
+	exec        *sched.Executor   // nil ⇒ a private executor of c.workers for this Run
 	shards      int               // worker processes (WithShards; 0 ⇒ in-process)
 	journal     *Journal          // nil ⇒ no crash-safe resume
 	precision   *stats.Sequential // nil ⇒ fixed trial count (no sequential stopping)
@@ -66,8 +65,9 @@ func WithTrials(n int) Option { return func(c *Campaign) { c.lo, c.trials = 0, n
 // (default: 1).
 func WithSeed(s uint64) Option { return func(c *Campaign) { c.seed = s } }
 
-// WithWorkers sets the number of parallel trial workers (default and ≤ 0:
-// GOMAXPROCS). Results are independent of the worker count by construction.
+// WithWorkers sizes the private executor a campaign without WithExecutor
+// runs on (default and ≤ 0: GOMAXPROCS; 1 = serial). Results are independent
+// of the worker count by construction.
 func WithWorkers(n int) Option { return func(c *Campaign) { c.workers = n } }
 
 // WithBuildOptions sets the build pipeline configuration (optimization
@@ -94,32 +94,24 @@ func WithObserver(fn func(i int, tr TrialResult)) Option {
 	return func(c *Campaign) { c.observer = fn }
 }
 
-// WithRecords buffers every trial's TrialResult in Result.Records (the
-// pre-v2 default). Off by default so million-trial campaigns run in constant
-// memory; aggregate Counts/Cycles are always collected, and WithObserver
-// provides the full stream without buffering.
+// WithRecords buffers every trial's TrialResult in Result.Records. Off by
+// default so million-trial campaigns run in constant memory; aggregate
+// Counts/Cycles are always collected, and WithObserver provides the full
+// stream without buffering.
 func WithRecords() Option { return func(c *Campaign) { c.keepRecords = true } }
 
 // WithExecutor schedules the campaign's build+profile and trials on a shared
-// work-stealing executor instead of a private worker pool. Campaigns on one
-// executor interleave at trial granularity, so a multi-campaign suite keeps
-// every core busy even while individual campaigns build, profile, or drain
-// their trial tail. Results are bit-identical to the pooled path (and to any
-// worker count): the executor only decides where iterations run, and trial i
-// is always seeded by TrialSeed(seed, tool, i). WithWorkers is ignored on
-// this path — parallelism is the executor's.
+// work-stealing executor instead of a private one created for the Run.
+// Campaigns on one executor interleave at trial granularity, so a
+// multi-campaign suite keeps every core busy even while individual campaigns
+// build, profile, or drain their trial tail. Results are bit-identical to a
+// private executor of any size: the executor only decides where iterations
+// run, and trial i is always seeded by TrialSeed(seed, tool, i). WithWorkers
+// is ignored with a shared executor — parallelism is the executor's.
 //
 // Run must not be called from inside a body already executing on the same
 // executor (it waits on the executor and would hold a worker hostage).
 func WithExecutor(ex *sched.Executor) Option { return func(c *Campaign) { c.exec = ex } }
-
-// WithChunk sets how many trial indexes a scheduled campaign's workers claim
-// per executor lock acquisition (default 0: adaptive — 1 for small batches,
-// growing with the trial count, capped at sched.MaxChunk). Chunking only
-// changes lock traffic, never results: trial i is always seeded by
-// TrialSeed(seed, tool, i), and the determinism suite asserts chunk sizes
-// 1, 4 and 64 produce bit-identical campaigns. Ignored without WithExecutor.
-func WithChunk(k int) Option { return func(c *Campaign) { c.chunk = k } }
 
 // WithTrialRange restricts the campaign to trial indexes [lo, hi) of the
 // full trial space. Trial i keeps its absolute seed TrialSeed(seed, tool, i)
@@ -141,9 +133,8 @@ func WithTrialRange(lo, hi int) Option {
 // shard engine to be linked in (import repro/internal/shard, the refine
 // facade, or any fi-* driver) and a registry application (workers resolve
 // the app by name). WithWorkers caps each worker process's trial
-// parallelism (default: GOMAXPROCS split across the workers);
-// WithExecutor/WithChunk do not apply — workers run their private pooled
-// path.
+// parallelism (default: GOMAXPROCS split across the workers); WithExecutor
+// does not apply — each worker process runs its ranges on its own executor.
 func WithShards(n int) Option { return func(c *Campaign) { c.shards = n } }
 
 // WithPrecision replaces the fixed trial count with sequential Wilson-CI
@@ -178,8 +169,8 @@ func WithPrecision(margin, z float64) Option {
 // coordinator killed mid-campaign therefore resumes where it left off, and
 // because trial i is a pure function of TrialSeed(seed, tool, i), the resumed
 // Counts/Cycles/Records/observer stream is bit-identical to an uninterrupted
-// run. Applies to the pooled, scheduled and sharded paths alike (shard
-// workers never journal — only the coordinator's merger does).
+// run. Applies to in-process and sharded campaigns alike (shard workers
+// never journal — only the coordinator's merger does).
 func WithJournal(j *Journal) Option { return func(c *Campaign) { c.journal = j } }
 
 // resume returns the journal's recorded results for this campaign's trial
@@ -369,7 +360,10 @@ func (c *collector) delivered() int {
 }
 
 // Run executes the campaign: build and profile (through the configured
-// cache), then the trials distributed over the worker pool. Trial i uses
+// cache) as one executor unit — so an idle worker of a shared executor can
+// pick it up while other campaigns trial — then the trials as one claimable
+// batch. The executor is the one from WithExecutor, otherwise a private one of
+// WithWorkers workers that lives for this call. Trial i uses
 // TrialSeed(seed, tool, i), so Counts, Cycles, Records and the observer
 // stream are all reproducible regardless of parallelism and cache state.
 //
@@ -397,76 +391,23 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 		fmt.Fprintf(os.Stderr, "campaign: %s/%s: %v; falling back to in-process execution\n",
 			c.app.Name, c.tool.Name(), err)
 	}
-	if c.exec != nil {
-		return c.runScheduled(ctx)
-	}
-	bin, prof, err := c.prepare()
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: %s/%s: %w", c.app.Name, c.tool.Name(), err)
-	}
-
-	workers := c.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.trials-c.lo {
-		workers = c.trials - c.lo
+	ex := c.exec
+	if ex == nil {
+		workers := c.workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		// A zero-trial campaign still builds and profiles: never size below 1.
+		ex = sched.New(max(1, min(workers, c.trials-c.lo)))
+		defer ex.Close()
 	}
 
-	comp, recorded := c.composeLoad(prof, c.resume())
-	res, col := c.newResult(prof, recorded)
-	if comp != nil && len(comp.missed) > 0 {
-		col.comp = make([]TrialResult, c.trials-c.lo)
-	}
-	replay(col, recorded)
-
-	var nextIdx atomic.Int64
-	var wg sync.WaitGroup
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := bin.AcquireMachine() // one pooled machine per worker
-			defer bin.ReleaseMachine(m)
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				i := c.lo + int(nextIdx.Add(1)) - 1
-				if i >= c.trials || i >= col.stop() {
-					return
-				}
-				if _, ok := recorded[i]; ok {
-					continue // restored from the journal or section cache
-				}
-				col.add(i, bin.runTrialOn(m, prof, c.costs, TrialSeed(c.seed, c.tool, i)))
-			}
-		}()
-	}
-	wg.Wait()
-
-	c.composeStore(ctx, bin, comp, col)
-	return c.finish(ctx, res, col)
-}
-
-// runScheduled is Run on a shared executor: the build+profile is one
-// scheduled unit (so an idle suite worker can pick it up while other
-// campaigns trial), the trials are a claimable batch. The order-deterministic
-// collector and the partial-prefix cancellation contract are identical to the
-// pooled path.
-func (c *Campaign) runScheduled(ctx context.Context) (*Result, error) {
 	var (
 		bin  *Binary
 		prof *Profile
 		err  error
 	)
-	c.exec.Submit(ctx, 1, func(int) { bin, prof, err = c.prepare() }).Wait()
+	ex.Submit(ctx, 1, func(int) { bin, prof, err = c.prepare() }).Wait()
 	if err != nil {
 		return nil, err
 	}
@@ -489,8 +430,8 @@ func (c *Campaign) runScheduled(ctx context.Context) (*Result, error) {
 	if comp != nil && len(comp.missed) > 0 {
 		col.comp = make([]TrialResult, c.trials-c.lo)
 	}
-	replay(col, recorded)
-	c.exec.SubmitChunk(ctx, c.trials-c.lo, c.chunk, func(i int) {
+	replay(recorded, col.add)
+	ex.Submit(ctx, c.trials-c.lo, func(i int) {
 		idx := c.lo + i
 		if idx >= col.stop() {
 			return // past the precision stop
@@ -542,19 +483,17 @@ func (c *Campaign) newResult(prof *Profile, recorded map[int]TrialResult) (*Resu
 	return res, col
 }
 
-// replay feeds journal-restored trials into the collector in index order;
-// the reorder buffer delivers them exactly as a live run would.
-func replay(col *collector, recorded map[int]TrialResult) {
-	if len(recorded) == 0 {
-		return
-	}
+// replay feeds restored trials (journal, section cache) to add in index
+// order; the reorder buffer behind add delivers them exactly as a live run
+// would.
+func replay(recorded map[int]TrialResult, add func(int, TrialResult)) {
 	idx := make([]int, 0, len(recorded))
 	for i := range recorded {
 		idx = append(idx, i)
 	}
 	sort.Ints(idx)
 	for _, i := range idx {
-		col.add(i, recorded[i])
+		add(i, recorded[i])
 	}
 }
 
@@ -581,10 +520,3 @@ func (c *Campaign) finish(ctx context.Context, res *Result, col *collector) (*Re
 	}
 	return res, nil
 }
-
-// The positional pre-v2 wrappers Run and RunCached are gone: construct with
-// New(app, tool, WithTrials(n), WithSeed(seed), WithWorkers(w),
-// WithBuildOptions(o), [WithCache(c),] WithRecords()) and call Run(ctx).
-// The option form adds context cancellation, streaming observers and
-// opt-out record buffering; WithRecords reproduces the wrappers' historical
-// always-buffer behavior.

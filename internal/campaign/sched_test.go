@@ -1,17 +1,18 @@
 package campaign_test
 
-// Coverage for the suite-wide trial scheduler and the disk-persistent
-// artifact cache: campaigns on a shared work-stealing executor must be
-// bit-identical to the private-pool path across executor sizes and
-// submission patterns; cancellation keeps the partial-prefix contract; and
-// a warm disk cache must skip every build and golden profile while
-// reproducing the cold run bit for bit.
+// Coverage for the trial executor and the disk-persistent artifact cache:
+// campaigns on a shared work-stealing executor must be bit-identical to ones
+// on a private executor across executor sizes and submission patterns;
+// cancellation keeps the partial-prefix contract; a private executor never
+// outlives its Run; and a warm disk cache must skip every build and golden
+// profile while reproducing the cold run bit for bit.
 
 import (
 	"context"
-	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/ir"
@@ -35,28 +36,18 @@ func miniApp2() *ir.Module {
 	return m
 }
 
-func runPooled(t *testing.T, workers int, cache *campaign.Cache) *campaign.Result {
+// runPrivate runs the reference campaign on a private executor of the given
+// size; runShared runs it on ex.
+func runPrivate(t *testing.T, workers int, cache *campaign.Cache) *campaign.Result {
 	t.Helper()
-	res, err := campaign.New(testApp, campaign.REFINE,
-		campaign.WithTrials(120), campaign.WithSeed(7), campaign.WithWorkers(workers),
-		campaign.WithCache(cache), campaign.WithRecords(),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runCampaign(t, testApp, campaign.REFINE, 120, 7, workers,
+		campaign.DefaultBuildOptions(), campaign.WithCache(cache))
 }
 
-func runScheduled(t *testing.T, ex *sched.Executor, cache *campaign.Cache) *campaign.Result {
+func runShared(t *testing.T, ex *sched.Executor, cache *campaign.Cache) *campaign.Result {
 	t.Helper()
-	res, err := campaign.New(testApp, campaign.REFINE,
-		campaign.WithTrials(120), campaign.WithSeed(7),
-		campaign.WithExecutor(ex), campaign.WithCache(cache), campaign.WithRecords(),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runCampaign(t, testApp, campaign.REFINE, 120, 7, 0,
+		campaign.DefaultBuildOptions(), campaign.WithCache(cache), campaign.WithExecutor(ex))
 }
 
 func equalResults(t *testing.T, label string, a, b *campaign.Result) {
@@ -75,17 +66,25 @@ func equalResults(t *testing.T, label string, a, b *campaign.Result) {
 	}
 }
 
-// TestScheduledMatchesPooled: the executor path reproduces the private-pool
-// path bit for bit, across executor sizes (1 worker ≡ serial).
+// TestScheduledMatchesPooled: a campaign on a shared executor reproduces the
+// one on its private executor bit for bit, across executor sizes (1 worker ≡
+// serial), the process-wide default executor and every cache state.
 func TestScheduledMatchesPooled(t *testing.T) {
 	cache := campaign.NewCache()
-	pooled := runPooled(t, 4, cache)
+	private := runPrivate(t, 4, cache) // cold cache
 	for _, workers := range []int{1, 8} {
 		ex := sched.New(workers)
-		got := runScheduled(t, ex, cache)
+		got := runShared(t, ex, cache)
 		ex.Close()
-		equalResults(t, "sched-workers="+string(rune('0'+workers)), pooled, got)
+		equalResults(t, "shared executor workers="+string(rune('0'+workers)), private, got)
 	}
+	equalResults(t, "process-wide default executor", private, runShared(t, sched.Default(), cache))
+	for _, workers := range []int{1, 2, 8} {
+		equalResults(t, "private executor workers="+string(rune('0'+workers)), private, runPrivate(t, workers, cache))
+	}
+	// WithCache(nil) forces a fresh build+profile; results must still agree
+	// with the cached ones.
+	equalResults(t, "warm cache vs fresh build", private, runPrivate(t, 2, nil))
 }
 
 // TestScheduledConcurrentCampaigns: many campaigns submitted to one executor
@@ -140,7 +139,7 @@ func TestScheduledConcurrentCampaigns(t *testing.T) {
 // delivered trials, each bit-identical to the full run's.
 func TestScheduledCancellation(t *testing.T) {
 	cache := campaign.NewCache()
-	full := runPooled(t, 1, cache)
+	full := runPrivate(t, 1, cache)
 	ex := sched.New(2)
 	defer ex.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -186,7 +185,7 @@ func TestDiskCacheColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := runPooled(t, 4, cold)
+	a := runPrivate(t, 4, cold)
 	st := cold.Stats()
 	if st.Builds == 0 {
 		t.Fatalf("cold run built nothing: %+v", st)
@@ -199,7 +198,7 @@ func TestDiskCacheColdWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := runPooled(t, 4, warm)
+	b := runPrivate(t, 4, warm)
 	st = warm.Stats()
 	if st.Builds != 0 {
 		t.Fatalf("warm run rebuilt %d artifacts: %+v", st.Builds, st)
@@ -213,7 +212,7 @@ func TestDiskCacheColdWarm(t *testing.T) {
 	equalResults(t, "cold vs warm disk cache", a, b)
 
 	// And fully uncached agrees too: persistence must not change results.
-	fresh := runPooled(t, 4, nil)
+	fresh := runPrivate(t, 4, nil)
 	equalResults(t, "warm disk cache vs fresh build", b, fresh)
 }
 
@@ -245,60 +244,113 @@ func TestDiskCacheKeysByIR(t *testing.T) {
 	}
 }
 
-// TestChunkSizesBitIdentical: chunked trial claiming — 1, 4 and 64 indexes
-// per executor lock acquisition, plus the adaptive default — produces
-// bit-identical campaign results, and serial (pooled, single worker) agrees
-// with every scheduled variant. Chunking decides only where iterations run.
-func TestChunkSizesBitIdentical(t *testing.T) {
+// TestChunkedCancellationPrefix: cancellation abandons unclaimed indexes
+// only — a claimed chunk runs to its end. One worker cancelled mid-chunk
+// therefore delivers exactly its first claim (sched.MaxChunk at this trial
+// count), bit-identical to the full run's prefix.
+func TestChunkedCancellationPrefix(t *testing.T) {
 	cache := campaign.NewCache()
-	serial := runPooled(t, 1, cache)
-	for _, chunk := range []int{0, 1, 4, 64} {
-		ex := sched.New(4)
-		res, err := campaign.New(testApp, campaign.REFINE,
-			campaign.WithTrials(120), campaign.WithSeed(7),
-			campaign.WithExecutor(ex), campaign.WithChunk(chunk),
-			campaign.WithCache(cache), campaign.WithRecords(),
-		).Run(context.Background())
-		ex.Close()
-		if err != nil {
-			t.Fatal(err)
+	full := runPrivate(t, 1, cache)
+	ctx, cancel := context.WithCancel(context.Background())
+	var seen int
+	res, err := campaign.New(testApp, campaign.REFINE,
+		campaign.WithTrials(100000), campaign.WithSeed(7), campaign.WithWorkers(1),
+		campaign.WithCache(cache), campaign.WithRecords(),
+		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
+			seen++
+			if seen == 25 {
+				cancel()
+			}
+		}),
+	).Run(ctx)
+	if err == nil {
+		t.Fatal("cancelled campaign returned nil error")
+	}
+	if res.Trials != sched.MaxChunk {
+		t.Fatalf("partial prefix %d, want the one claimed chunk of %d", res.Trials, sched.MaxChunk)
+	}
+	for i := 0; i < res.Trials; i++ {
+		if res.Records[i] != full.Records[i] {
+			t.Fatalf("partial trial %d differs from full run", i)
 		}
-		equalResults(t, fmt.Sprintf("chunk=%d vs serial", chunk), serial, res)
 	}
 }
 
-// TestChunkedCancellationPrefix: the partial-prefix cancellation contract
-// holds for every chunk size — the delivered prefix of a cancelled chunked
-// campaign is bit-identical to the full run's prefix.
-func TestChunkedCancellationPrefix(t *testing.T) {
+// TestZeroTrialCampaign: an empty trial range still builds and profiles —
+// the result is empty, carries the profile and no error — on a private
+// executor (whose size must clamp to one worker for the build unit) and on a
+// shared one.
+func TestZeroTrialCampaign(t *testing.T) {
+	ex := sched.New(2)
+	defer ex.Close()
+	for name, rng := range map[string]campaign.Option{
+		"WithTrials(0)":        campaign.WithTrials(0),
+		"WithTrialRange(5, 5)": campaign.WithTrialRange(5, 5),
+	} {
+		for where, exec := range map[string]*sched.Executor{"private": nil, "shared": ex} {
+			res, err := campaign.New(testApp, campaign.REFINE, rng,
+				campaign.WithExecutor(exec), campaign.WithRecords(),
+				campaign.WithObserver(func(int, campaign.TrialResult) {
+					t.Errorf("%s/%s: observer invoked", name, where)
+				}),
+			).Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, where, err)
+			}
+			if res.Trials != 0 || len(res.Records) != 0 || res.Counts.Total() != 0 || res.Cycles != 0 {
+				t.Fatalf("%s/%s: result not empty: %+v", name, where, res)
+			}
+			if res.Profile == nil {
+				t.Fatalf("%s/%s: no profile", name, where)
+			}
+		}
+	}
+}
+
+// unbuildable fails ir.Verify: main has no terminator.
+func unbuildable() *ir.Module {
+	m := ir.NewModule("unbuildable")
+	ir.NewBuilder(m).NewFunc("main", ir.I64)
+	return m
+}
+
+// TestPrivateExecutorNeverLeaks: Run closes its private executor on every
+// return path — completed, cancelled mid-run, failed build, invalid range —
+// so repeated campaigns leave the goroutine count where it started.
+func TestPrivateExecutorNeverLeaks(t *testing.T) {
 	cache := campaign.NewCache()
-	full := runPooled(t, 1, cache)
-	for _, chunk := range []int{1, 4, 64} {
-		ex := sched.New(2)
+	runPrivate(t, 4, cache) // warm the cache and any lazily started runtime goroutines
+	base := runtime.NumGoroutine()
+	for round := 0; round < 5; round++ {
+		runPrivate(t, 4, cache)
+
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen int
-		res, err := campaign.New(testApp, campaign.REFINE,
-			campaign.WithTrials(100000), campaign.WithSeed(7),
-			campaign.WithExecutor(ex), campaign.WithChunk(chunk),
-			campaign.WithCache(cache), campaign.WithRecords(),
-			campaign.WithObserver(func(i int, tr campaign.TrialResult) {
-				seen++
-				if seen == 25 {
+		if _, err := campaign.New(testApp, campaign.REFINE,
+			campaign.WithTrials(100000), campaign.WithWorkers(4), campaign.WithCache(cache),
+			campaign.WithObserver(func(int, campaign.TrialResult) {
+				if seen++; seen == 25 {
 					cancel()
 				}
 			}),
-		).Run(ctx)
-		ex.Close()
-		if err == nil {
-			t.Fatalf("chunk=%d: cancelled campaign returned nil error", chunk)
+		).Run(ctx); err == nil {
+			t.Fatal("cancelled campaign returned nil error")
 		}
-		if res.Trials >= 100000 || res.Trials < 25 {
-			t.Fatalf("chunk=%d: bad partial prefix %d", chunk, res.Trials)
+		cancel()
+
+		if _, err := campaign.New(campaign.App{Name: "unbuildable", Build: unbuildable}, campaign.REFINE,
+			campaign.WithTrials(8), campaign.WithWorkers(4), campaign.WithCache(nil),
+		).Run(context.Background()); err == nil {
+			t.Fatal("unbuildable app campaigned without error")
 		}
-		for i := 0; i < min(res.Trials, len(full.Records)); i++ {
-			if res.Records[i] != full.Records[i] {
-				t.Fatalf("chunk=%d: partial trial %d differs from full run", chunk, i)
-			}
+	}
+	// The executor's per-batch context watchers exit once their batch
+	// settles, which may trail Run's return by a scheduling quantum.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d after, %d before", runtime.NumGoroutine(), base)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -198,16 +198,11 @@ func (c *Campaign) composeLoad(prof *Profile, recorded map[int]TrialResult) (*co
 		if recorded == nil {
 			recorded = make(map[int]TrialResult, len(st.recorded))
 		}
-		idx := make([]int, 0, len(st.recorded))
-		for i := range st.recorded {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		for _, i := range idx {
+		replay(st.recorded, func(i int, tr TrialResult) {
 			if _, ok := recorded[i]; !ok {
-				recorded[i] = st.recorded[i]
+				recorded[i] = tr
 			}
-		}
+		})
 	}
 	return st, recorded
 }

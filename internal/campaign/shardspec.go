@@ -2,7 +2,7 @@ package campaign
 
 // Process-sharding seams: the gob-encodable campaign Spec shipped to worker
 // processes and the Merger that reassembles worker trial streams through the
-// same order-deterministic collector the in-process paths use. The engine
+// same order-deterministic collector in-process runs use. The engine
 // that spawns workers and speaks the wire protocol lives in internal/shard
 // (it depends on this package and the workload registry, so campaign only
 // defines the data contract and the RegisterShardRunner hook).
@@ -10,7 +10,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/pinfi"
@@ -112,16 +111,7 @@ func (c *Campaign) NewMerger() *Merger {
 	recorded := c.resume()
 	res, col := c.newResult(nil, recorded)
 	m := &Merger{c: c, res: res, col: col, seen: make([]bool, c.trials-c.lo)}
-	if len(recorded) > 0 {
-		idx := make([]int, 0, len(recorded))
-		for i := range recorded {
-			idx = append(idx, i)
-		}
-		sort.Ints(idx)
-		for _, i := range idx {
-			m.Add(i, recorded[i])
-		}
-	}
+	replay(recorded, func(i int, tr TrialResult) { m.Add(i, tr) })
 	return m
 }
 
@@ -204,7 +194,7 @@ func (m *Merger) Unseen(lo, hi int) []int {
 }
 
 // Finish applies the partial-prefix cancellation contract and returns the
-// merged result, exactly as the in-process paths do: on a cancelled context
+// merged result, exactly as an in-process run does: on a cancelled context
 // the result covers the contiguous delivered prefix and the error wraps
 // ctx.Err().
 func (m *Merger) Finish(ctx context.Context) (*Result, error) {

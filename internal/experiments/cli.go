@@ -1,109 +1,163 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
+	"io"
+	"runtime"
+	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/sched"
 	"repro/internal/shard"
+	"repro/internal/workloads"
 )
 
-// ResolveExecution resolves the fi-* drivers' shared execution flags into a
-// Config-ready executor and cache, so the three drivers cannot drift:
-//
-//   - schedWorkers < 0: serial per-campaign pools (nil executor);
-//     trialWorkers then bounds each campaign's private pool as before.
-//   - schedWorkers > 0: a dedicated executor of that size.
-//   - schedWorkers == 0: the shared process-wide executor — unless
-//     trialWorkers caps parallelism (the pre-scheduler -workers contract:
-//     a user limiting CPU use must stay limited), in which case a
-//     dedicated executor of that size is used instead.
-//
-// cacheDir == "" selects the process-wide in-memory cache; otherwise the
-// disk-persistent cache rooted there.
-func ResolveExecution(schedWorkers, trialWorkers int, cacheDir string) (*sched.Executor, *campaign.Cache, error) {
-	var ex *sched.Executor
-	switch {
-	case schedWorkers > 0:
-		ex = sched.New(schedWorkers)
-	case schedWorkers == 0 && trialWorkers > 0:
-		ex = sched.New(trialWorkers)
-	case schedWorkers == 0:
-		ex = sched.Default()
+// Flags is the suite-execution flag block fi-campaign, fi-speed and fi-stats
+// share, so the three drivers cannot drift: Register binds the flags, Open
+// resolves them into a Config-ready cache, journal and worker pool, and
+// Report renders the "# …:" lines that describe the run.
+type Flags struct {
+	Trials      int
+	Seed        uint64
+	Workers     int
+	Apps        string
+	Shards      int
+	ShardWorker bool
+	CacheDir    string
+	Journal     string
+	Precision   float64
+
+	// Not every driver offers these: -tools is bound by RegisterTools, and
+	// fi-campaign binds its -shard-nodes to ShardNodes itself.
+	Tools      string
+	ShardNodes string
+}
+
+// Register binds the shared flags on fs; trials is the driver's default
+// per-cell trial count.
+func (f *Flags) Register(fs *flag.FlagSet, trials int) {
+	fs.IntVar(&f.Trials, "trials", trials, "fault-injection samples per (app, tool)")
+	fs.Uint64Var(&f.Seed, "seed", 1, "base RNG seed")
+	fs.IntVar(&f.Workers, "workers", 0, "size of the work-stealing executor every campaign of the suite runs on (0 = GOMAXPROCS, 1 = serial); with -shards, each worker process's trial parallelism. Results are identical for any value")
+	fs.StringVar(&f.Apps, "apps", "", "comma-separated app subset (default: all 14)")
+	fs.IntVar(&f.Shards, "shards", 0, "fan campaigns across N worker OS processes (this binary re-exec'd); results are bit-identical to in-process runs, and -cache-dir is shared so only the first worker per app x tool builds (0 = in-process)")
+	fs.BoolVar(&f.ShardWorker, "shard-worker", false, "run as a shard worker: gob job assignments on stdin, trial frames on stdout (what -shards re-execs; normally set via the environment)")
+	fs.StringVar(&f.CacheDir, "cache-dir", "", "persist built binaries + profiles under this directory (warm starts skip all builds)")
+	fs.StringVar(&f.Journal, "journal", "", "append every completed trial to a crash-safe journal under this directory; a restarted run replays it and re-executes only missing trials")
+	fs.Float64Var(&f.Precision, "precision", 0, "adaptive trial allocation: stop each campaign once every outcome class's 95% Wilson-CI half-width is at or below this margin (0 = fixed -trials); the stop index is deterministic across execution modes")
+}
+
+// RegisterTools binds -tools for the drivers that campaign with a
+// selectable injector set.
+func (f *Flags) RegisterTools(fs *flag.FlagSet) {
+	fs.StringVar(&f.Tools, "tools", "", "comma-separated tool subset from the injector registry\n(default: LLFI,REFINE,PINFI; registered: "+strings.Join(campaign.ToolNames(), ",")+")")
+}
+
+// Open resolves the flags into a suite Config: the app and tool subsets, the
+// cache (CacheDir == "" selects the process-wide in-memory cache; otherwise
+// the disk-persistent cache rooted there), the journal and the shard worker
+// pool. The returned close function releases the journal and the pool; call
+// it after Report.
+func (f *Flags) Open() (Config, func(), error) {
+	cfg := Config{
+		Trials:    f.Trials,
+		Seed:      f.Seed,
+		Workers:   f.Workers,
+		Build:     campaign.DefaultBuildOptions(),
+		Precision: f.Precision,
+		Cache:     campaign.DefaultCache(),
 	}
-	cache := campaign.DefaultCache()
-	if cacheDir != "" {
-		var err error
-		if cache, err = campaign.NewDiskCache(cacheDir); err != nil {
-			return nil, nil, err
+	for _, name := range splitCSV(f.Apps) {
+		app, err := workloads.ByName(name)
+		if err != nil {
+			return cfg, nil, err
+		}
+		cfg.Apps = append(cfg.Apps, app)
+	}
+	for _, name := range splitCSV(f.Tools) {
+		tool, err := campaign.ToolByName(name)
+		if err != nil {
+			return cfg, nil, err
+		}
+		cfg.Tools = append(cfg.Tools, tool)
+	}
+	var err error
+	if f.CacheDir != "" {
+		if cfg.Cache, err = campaign.NewDiskCache(f.CacheDir); err != nil {
+			return cfg, nil, err
 		}
 	}
-	return ex, cache, nil
-}
-
-// CacheStatsLine renders the drivers' "# cache:" report (the CI sched-cache
-// job greps it to assert cold builds and warm disk hits).
-func CacheStatsLine(c *campaign.Cache) string {
-	st := c.Stats()
-	return fmt.Sprintf("# cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d dir=%s",
-		st.Builds, st.MemHits, st.DiskHits, st.DiskErrors, st.Quarantined, c.Dir())
-}
-
-// ComposeLine renders the drivers' "# compose:" report: the compositional
-// section-cache counters (reused = section entries restored from disk,
-// reinjected = sections whose trials had to execute). The compose-smoke CI
-// job greps it to assert that a warm run after a single-function edit
-// re-injects exactly the affected sections.
-func ComposeLine(c *campaign.Cache) string {
-	st := c.Compose()
-	return fmt.Sprintf("# compose: sections=%d reused=%d reinjected=%d trials-reused=%d trials-reinjected=%d",
-		st.Sections, st.Reused, st.Reinjected, st.TrialsReused, st.TrialsReinjected)
-}
-
-// JournalLine renders the drivers' "# journal:" report. The chaos-smoke CI
-// job greps replayed= on a resumed run to assert that journal replay (not
-// re-execution) supplied the already-completed trials.
-func JournalLine(j *campaign.Journal) string {
-	st := j.Stats()
-	return fmt.Sprintf("# journal: segments=%d loaded=%d replayed=%d appended=%d torn=%d errors=%d dir=%s",
-		st.Segments, st.Loaded, st.Replayed, st.Appended, st.Torn, st.Errors, st.Dir)
-}
-
-// ExecutionLine renders the drivers' "# exec:" report: the resolved
-// execution substrate (shared executor size or serial pools) and the trial
-// claim-chunk policy, so a run's scheduling configuration is recorded next
-// to its tables.
-func ExecutionLine(ex *sched.Executor, chunk int) string {
-	if ex == nil {
-		return "# exec: serial per-campaign pools"
+	if f.Journal != "" {
+		if cfg.Journal, err = campaign.OpenJournal(f.Journal); err != nil {
+			return cfg, nil, err
+		}
 	}
-	ck := "adaptive"
-	if chunk > 0 {
-		ck = fmt.Sprint(chunk)
+	if cfg.Pool, err = shard.OpenPool(f.Shards, f.ShardNodes); err != nil {
+		if cfg.Journal != nil {
+			cfg.Journal.Close()
+		}
+		return cfg, nil, err
 	}
-	return fmt.Sprintf("# exec: sched-workers=%d chunk=%s", ex.Workers(), ck)
+	return cfg, func() {
+		if cfg.Pool != nil {
+			cfg.Pool.Close()
+		}
+		if cfg.Journal != nil {
+			cfg.Journal.Close()
+		}
+	}, nil
 }
 
-// SpeedLine renders the drivers' "# speed:" report: the process's measured
-// wall-clock VM throughput split by campaign phase — profiling (golden runs
-// and fire-point recording, hooked) versus trials (hook-free fire-point
-// dispatch for the binary-level tools). Unlike every table, this line is
-// wall-clock diagnostic output: it varies run to run and across machines,
-// and nothing deterministic derives from it. A sharded run reports only the
-// coordinator's own share (each worker process accumulates its own counters).
-func SpeedLine() string {
+func splitCSV(s string) []string {
+	if s == "" {
+		return nil
+	}
+	out := strings.Split(s, ",")
+	for i := range out {
+		out[i] = strings.TrimSpace(out[i])
+	}
+	return out
+}
+
+// Report writes the drivers' "# …:" run report for a finished suite. The CI
+// jobs grep these lines: "# cache:" for cold builds and warm disk hits,
+// "# compose:" for the sections a warm run after a single-function edit
+// re-injects, "# journal:" replayed= for resumed runs, "# shard-cache:" for
+// the workers' cross-process totals. A sharded run's pool is drained first —
+// each worker piggybacks its cumulative cache counters on every range ack and
+// on exit, so only after Pool.Close are they the suite-wide total.
+//
+// The closing "# speed:" line is the process's measured wall-clock VM
+// throughput split by campaign phase — profiling (golden runs and fire-point
+// recording, hooked) versus trials. Unlike every table it varies run to run
+// and across machines, nothing deterministic derives from it, and a sharded
+// run reports only the coordinator's own share.
+func Report(w io.Writer, cfg Config) {
+	st := cfg.Cache.Stats()
+	fmt.Fprintf(w, "# cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d dir=%s\n",
+		st.Builds, st.MemHits, st.DiskHits, st.DiskErrors, st.Quarantined, cfg.Cache.Dir())
+	if cfg.Cache.Dir() != "" {
+		cs := cfg.Cache.Compose()
+		fmt.Fprintf(w, "# compose: sections=%d reused=%d reinjected=%d trials-reused=%d trials-reinjected=%d\n",
+			cs.Sections, cs.Reused, cs.Reinjected, cs.TrialsReused, cs.TrialsReinjected)
+	}
+	if cfg.Journal != nil {
+		js := cfg.Journal.Stats()
+		fmt.Fprintf(w, "# journal: segments=%d loaded=%d replayed=%d appended=%d torn=%d errors=%d dir=%s\n",
+			js.Segments, js.Loaded, js.Replayed, js.Appended, js.Torn, js.Errors, js.Dir)
+	}
+	if p := cfg.Pool; p != nil {
+		p.Close()
+		ps := p.Stats()
+		fmt.Fprintf(w, "# shard: workers=%d deaths=%d\n# shard-cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d\n",
+			p.Workers(), p.Deaths(), ps.Builds, ps.MemHits, ps.DiskHits, ps.DiskErrors, ps.Quarantined)
+	} else {
+		workers := cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		fmt.Fprintf(w, "# exec: workers=%d\n", workers)
+	}
 	profile, trial := campaign.ReadPhaseStats().InstrsPerSec()
-	return fmt.Sprintf("# speed: profile=%.1fM instr/s trial=%.1fM instr/s",
-		profile/1e6, trial/1e6)
-}
-
-// ShardLines renders the drivers' sharded-run report: the pool size and the
-// workers' aggregated cross-process cache counters (each worker piggybacks
-// its cumulative counters on every range ack and on exit, so after
-// Pool.Close this is the suite-wide total — the shard-smoke CI job asserts
-// warm builds=0 on it).
-func ShardLines(p *shard.Pool) string {
-	st := p.Stats()
-	return fmt.Sprintf("# shard: workers=%d deaths=%d\n# shard-cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d",
-		p.Workers(), p.Deaths(), st.Builds, st.MemHits, st.DiskHits, st.DiskErrors, st.Quarantined)
+	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s\n", profile/1e6, trial/1e6)
 }

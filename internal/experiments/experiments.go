@@ -39,9 +39,12 @@ type Config struct {
 	// Tools selects the injectors to campaign with (nil ⇒ the paper's
 	// LLFI/REFINE/PINFI). Resolve registry extensions with
 	// campaign.ToolByName — any registered injector works here.
-	Tools   []campaign.Tool
-	Trials  int // 0 ⇒ paper's 1068
-	Seed    uint64
+	Tools  []campaign.Tool
+	Trials int // 0 ⇒ paper's 1068
+	Seed   uint64
+	// Workers sizes the executor a suite without Sched runs on (0 ⇒
+	// GOMAXPROCS; 1 = serial); with Shards or Pool it caps each worker
+	// process's trial parallelism instead.
 	Workers int
 	Build   campaign.BuildOptions
 	// Cache selects the build/profile cache for the suite's campaigns
@@ -50,19 +53,14 @@ type Config struct {
 	// of recompiling per campaign. A disk-backed cache (campaign.
 	// NewDiskCache) additionally persists artifacts across processes.
 	Cache *campaign.Cache
-	// Sched, if non-nil, runs the whole suite on one shared work-stealing
-	// executor: every (app, tool) campaign is submitted up front, so builds
-	// and profiles of later campaigns overlap the trial tails of earlier
-	// ones and cores stay saturated end to end. Results are bit-identical
-	// to the serial path — campaigns are seeded per trial, and each
-	// campaign's collector delivers in trial order regardless of where
-	// iterations ran.
+	// Sched supplies the work-stealing executor the suite runs on (nil ⇒ a
+	// suite-private one of Workers workers). Every (app, tool) campaign is
+	// submitted up front, so builds and profiles of later campaigns overlap
+	// the trial tails of earlier ones and cores stay saturated end to end.
+	// Results are bit-identical for any executor size — campaigns are seeded
+	// per trial, and each campaign's collector delivers in trial order
+	// regardless of where iterations ran.
 	Sched *sched.Executor
-	// Chunk sets how many trial indexes a scheduled campaign's workers
-	// claim per executor lock acquisition (0 = adaptive, growing with the
-	// trial count up to sched.MaxChunk). Results are bit-identical across
-	// chunk sizes; only lock traffic changes. Ignored without Sched.
-	Chunk int
 	// Shards fans every campaign of the suite across this many worker OS
 	// processes (this binary re-exec'd; see internal/shard) instead of
 	// running trials in-process. Workers share the suite cache's disk
@@ -70,8 +68,7 @@ type Config struct {
 	// builds. Results stay bit-identical to the in-process paths — the
 	// shard coordinator merges worker streams through the same
 	// order-deterministic collector. Workers caps each worker's trial
-	// parallelism; Sched and Chunk configure only in-process execution and
-	// are unused on the sharded path. 0 ⇒ in-process.
+	// parallelism; Sched is unused on the sharded path. 0 ⇒ in-process.
 	Shards int
 	// Pool supplies a live shard worker pool to run the suite on (its
 	// cache counters stay readable by the caller afterwards); nil with
@@ -83,8 +80,8 @@ type Config struct {
 	// class's Wilson-CI half-width is at or below this margin, instead of
 	// always running the full Trials. The stop index is a pure function of
 	// the in-order trial prefix, so precision-stopped suites stay
-	// bit-identical across the serial, scheduled, sharded, cached and
-	// resumed paths. 0 ⇒ fixed Trials.
+	// bit-identical across executor sizes and sharded, cached and resumed
+	// runs. 0 ⇒ fixed Trials.
 	Precision float64
 	// Journal makes the suite crash-safe (campaign.WithJournal): every
 	// completed trial is appended to the journal, and a restarted suite
@@ -93,8 +90,8 @@ type Config struct {
 	// no journaling.
 	Journal *campaign.Journal
 	// Progress, if non-nil, receives one line per completed campaign.
-	// On the scheduled path campaigns finish concurrently, so line order
-	// follows completion, not the app×tool nesting; calls are serialized.
+	// Campaigns finish concurrently, so line order follows completion, not
+	// the app×tool nesting; calls are serialized.
 	Progress func(string)
 }
 
@@ -104,8 +101,8 @@ func RunSuite(cfg Config) (*Suite, error) {
 }
 
 // RunSuiteContext is RunSuite with cancellation: when ctx is cancelled, the
-// suite stops promptly (on the scheduled path, every in-flight campaign is
-// abandoned at its partial prefix) and the error wraps ctx.Err().
+// suite stops promptly (every in-flight campaign is abandoned at its partial
+// prefix) and the error wraps ctx.Err().
 func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	apps := cfg.Apps
 	if apps == nil {
@@ -136,98 +133,36 @@ func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 		s.Order = append(s.Order, app.Name)
 		s.Results[app.Name] = map[string]*campaign.Result{}
 	}
-	spec := func(app campaign.App, tool campaign.Tool, extra ...campaign.Option) *campaign.Campaign {
-		opts := append([]campaign.Option{
-			campaign.WithTrials(trials),
-			campaign.WithSeed(cfg.Seed),
-			campaign.WithWorkers(cfg.Workers),
-			campaign.WithBuildOptions(cfg.Build),
-			campaign.WithCache(cache),
-			campaign.WithJournal(cfg.Journal),
-			campaign.WithPrecision(cfg.Precision, 0),
-		}, extra...)
-		return campaign.New(app, tool, opts...)
-	}
-	progress := func(app campaign.App, tool campaign.Tool, res *campaign.Result) {
-		if cfg.Progress != nil {
-			c := res.Counts
-			cfg.Progress(fmt.Sprintf("%-8s %-6s crash=%4d soc=%4d benign=%4d (cycles %.2e)",
-				app.Name, tool.Name(), c.Crash, c.SOC, c.Benign, float64(res.Cycles)))
+	// One campaign runs either as a tenant of the shard pool — co-scheduled
+	// by its round-robin fair sharing, workers keeping their in-memory caches
+	// across campaigns and sharing a disk-backed suite cache by directory
+	// (see internal/shard) — or on the suite's executor. Everything else
+	// about the fan-out is shared.
+	var ex *sched.Executor
+	run := func(ctx context.Context, c *campaign.Campaign) (*campaign.Result, error) { return c.Run(ctx) }
+	switch {
+	case cfg.Pool != nil:
+		run = cfg.Pool.Run
+	case cfg.Shards > 0:
+		pool, err := shard.NewPool(cfg.Shards)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %w", err)
 		}
-	}
-
-	if cfg.Shards > 0 || cfg.Pool != nil {
-		// Sharded path: every campaign is admitted to the pool up front and
-		// co-scheduled as a tenant of its round-robin fair sharing (see
-		// internal/shard) — one campaign's build tail no longer leaves
-		// workers idle while another has runnable ranges, workers keep their
-		// in-memory caches across campaigns, and a disk-backed suite cache is
-		// shared by directory. Results stay bit-identical to a sequential
-		// fan-out: each tenant's merger only ever sees its own frames.
-		pool := cfg.Pool
-		if pool == nil {
-			var err error
-			if pool, err = shard.NewPool(cfg.Shards); err != nil {
-				return nil, fmt.Errorf("experiments: %w", err)
-			}
-			defer pool.Close()
-		}
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		var (
-			mu       sync.Mutex
-			firstErr error
-			wg       sync.WaitGroup
-		)
-		for _, app := range apps {
-			for _, tool := range tools {
-				wg.Add(1)
-				go func(app campaign.App, tool campaign.Tool) {
-					defer wg.Done()
-					res, err := pool.Run(runCtx, spec(app, tool))
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("experiments: %s/%s: %w", app.Name, tool.Name(), err)
-							cancel() // abandon the rest of the suite
-						}
-						return
-					}
-					s.Results[app.Name][tool.Name()] = res
-					progress(app, tool, res)
-				}(app, tool)
-			}
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return s, nil
+		defer pool.Close()
+		run = pool.Run
+	case cfg.Sched != nil:
+		ex = cfg.Sched
+	default:
+		ex = sched.New(cfg.Workers)
+		defer ex.Close()
 	}
 
-	if cfg.Sched == nil {
-		// Serial path: one campaign at a time, each with its private worker
-		// pool (the pre-scheduler behavior, kept as the baseline the
-		// saturation benchmark and determinism tests compare against).
-		for _, app := range apps {
-			for _, tool := range tools {
-				res, err := spec(app, tool).Run(ctx)
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s/%s: %w", app.Name, tool.Name(), err)
-				}
-				s.Results[app.Name][tool.Name()] = res
-				progress(app, tool, res)
-			}
-		}
-		return s, nil
-	}
-
-	// Scheduled path: submit every campaign up front. Each campaign goroutine
-	// is a thin client that enqueues its build+profile unit and trial batch
-	// on the shared executor and waits; the executor's workers do all the
+	// Submit every campaign up front. Each campaign goroutine is a thin
+	// client that enqueues its build+profile unit and trial batch (or its
+	// shard ranges) and waits; the executor's or pool's workers do all the
 	// actual compute, so |apps|×|tools| concurrent campaigns cost |workers|
-	// cores, not |apps|×|tools| pools.
+	// cores, and builds of later campaigns overlap the trial tails of
+	// earlier ones.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -240,7 +175,16 @@ func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 			wg.Add(1)
 			go func(app campaign.App, tool campaign.Tool) {
 				defer wg.Done()
-				res, err := spec(app, tool, campaign.WithExecutor(cfg.Sched), campaign.WithChunk(cfg.Chunk)).Run(runCtx)
+				res, err := run(runCtx, campaign.New(app, tool,
+					campaign.WithTrials(trials),
+					campaign.WithSeed(cfg.Seed),
+					campaign.WithWorkers(cfg.Workers),
+					campaign.WithExecutor(ex),
+					campaign.WithBuildOptions(cfg.Build),
+					campaign.WithCache(cache),
+					campaign.WithJournal(cfg.Journal),
+					campaign.WithPrecision(cfg.Precision, 0),
+				))
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -251,7 +195,11 @@ func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 					return
 				}
 				s.Results[app.Name][tool.Name()] = res
-				progress(app, tool, res)
+				if cfg.Progress != nil {
+					c := res.Counts
+					cfg.Progress(fmt.Sprintf("%-8s %-6s crash=%4d soc=%4d benign=%4d (cycles %.2e)",
+						app.Name, tool.Name(), c.Crash, c.SOC, c.Benign, float64(res.Cycles)))
+				}
 			}(app, tool)
 		}
 	}

@@ -1,14 +1,13 @@
 package experiments_test
 
-// Suite-level scheduler coverage: submitting every campaign of a suite up
-// front onto one shared executor must reproduce the serial suite bit for
-// bit — outcome counts, cycles, and the chi-squared verdicts derived from
-// them — across executor sizes, and a name-equal tool instance must match
-// the suite's tables (the Suite.has fix).
+// Suite-level scheduler coverage: a suite on a caller-supplied shared
+// executor must reproduce the one on its suite-private executor bit for bit
+// — outcome counts, cycles, and the chi-squared verdicts derived from them —
+// across executor sizes (1 worker = serial), and a name-equal tool instance
+// must match the suite's tables (the Suite.has fix).
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"repro/internal/campaign"
@@ -64,30 +63,38 @@ func equalSuites(t *testing.T, label string, a, b *experiments.Suite) {
 	}
 }
 
-// TestSuiteSerialVsScheduled: the scheduled suite (all campaigns submitted
-// up front) is bit-identical to the serial PR-2 path, at 1 and at many
-// workers.
+// TestSuiteSerialVsScheduled: a suite on a shared executor, at 1 and at many
+// workers, and one on a suite-private executor of the default size are
+// bit-identical to the serial suite (a suite-private executor of one worker).
 func TestSuiteSerialVsScheduled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-app suites are too heavy for -short")
 	}
 	cfg := schedConfig(t)
 	cfg.Cache = campaign.NewCache()
+	cfg.Workers = 1
 	serial, err := experiments.RunSuite(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pcfg := schedConfig(t)
+	pcfg.Cache = campaign.NewCache()
+	private, err := experiments.RunSuite(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalSuites(t, "serial vs private default-size executor", serial, private)
 	for _, workers := range []int{1, 8} {
 		ex := sched.New(workers)
 		scfg := schedConfig(t)
 		scfg.Cache = campaign.NewCache()
 		scfg.Sched = ex
-		sched1, err := experiments.RunSuite(scfg)
+		shared, err := experiments.RunSuite(scfg)
 		ex.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		equalSuites(t, "serial vs scheduled", serial, sched1)
+		equalSuites(t, "serial vs shared executor", serial, shared)
 	}
 }
 
@@ -167,33 +174,5 @@ func TestHasComparesByName(t *testing.T) {
 	}
 	if s.Figure5() == "Figure 5: skipped (requires the PINFI baseline in the suite)\n" {
 		t.Fatal("Figure5 skipped despite a name-equal PINFI baseline")
-	}
-}
-
-// TestSuiteChunkSizes: Config.Chunk — the drivers' -chunk plumbing — never
-// changes suite results: chunk 1, 64 and the adaptive default reproduce the
-// serial suite bit for bit.
-func TestSuiteChunkSizes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-app suites are too heavy for -short")
-	}
-	cfg := schedConfig(t)
-	cfg.Cache = campaign.NewCache()
-	serial, err := experiments.RunSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{0, 1, 64} {
-		ex := sched.New(4)
-		scfg := schedConfig(t)
-		scfg.Cache = campaign.NewCache()
-		scfg.Sched = ex
-		scfg.Chunk = chunk
-		got, err := experiments.RunSuite(scfg)
-		ex.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalSuites(t, fmt.Sprintf("serial vs chunk=%d", chunk), serial, got)
 	}
 }

@@ -76,8 +76,8 @@ var (
 )
 
 // Default returns the process-wide executor (GOMAXPROCS workers), created on
-// first use. The fi-* drivers and experiments.RunSuite share it so every
-// campaign of a process draws from one pool.
+// first use, for callers that want every campaign of a process to draw from
+// one pool without owning an executor's lifetime.
 func Default() *Executor {
 	defaultOnce.Do(func() { defaultExec = New(0) })
 	return defaultExec
@@ -109,9 +109,8 @@ func (e *Executor) Submit(ctx context.Context, n int, body func(i int)) *Handle 
 // size (1 for small batches, growing with n, capped at MaxChunk). Chunking
 // never changes what runs: indexes are still handed out exactly once in
 // increasing order, so any result keyed by index is bit-identical across
-// chunk sizes (the campaign determinism suite asserts chunk 1 ≡ 4 ≡ 64).
-// Cancellation abandons unclaimed indexes only; a claimed chunk runs to its
-// end, so the completed set is always a prefix of claimed chunks.
+// chunk sizes. Cancellation abandons unclaimed indexes only; a claimed chunk
+// runs to its end, so the completed set is always a prefix of claimed chunks.
 func (e *Executor) SubmitChunk(ctx context.Context, n, chunk int, body func(i int)) *Handle {
 	if chunk <= 0 {
 		chunk = adaptiveChunk(n, e.workers)

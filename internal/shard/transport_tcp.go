@@ -159,6 +159,26 @@ func NewTCPPool(n int, nodes []string) (*Pool, error) {
 	return newPool(n, t)
 }
 
+// OpenPool opens the pool the drivers' -shards / -shard-nodes flags describe:
+// sessions on the comma-separated worker nodes when nodes is non-empty (n
+// sizes the session count, 0 ⇒ one per node), n re-exec'd local workers when
+// only n > 0, and no pool (nil, nil ⇒ run in-process) otherwise.
+func OpenPool(n int, nodes string) (*Pool, error) {
+	switch {
+	case nodes != "":
+		var addrs []string
+		for _, a := range strings.Split(nodes, ",") {
+			if a = strings.TrimSpace(a); a != "" {
+				addrs = append(addrs, a)
+			}
+		}
+		return NewTCPPool(n, addrs)
+	case n > 0:
+		return NewPool(n)
+	}
+	return nil, nil
+}
+
 // Node is a TCP worker node: a listener whose every accepted connection is
 // served as an independent worker session until the peer disconnects. One
 // node serves any number of coordinators and sessions concurrently; sessions

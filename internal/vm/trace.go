@@ -11,8 +11,11 @@ import (
 // ring of the most recently committed instructions, serviced inline by the
 // hooked fast loop and Step (like CountHook — straight-line stores, no
 // closure call, so a traced run no longer pays the ~1.8× closure-hook
-// penalty). Attach by setting Machine.Trace; observer order is Count, then
-// Trace, then Hook, and Reset detaches it. Fault-injection campaigns discard
+// penalty). Attach by setting Machine.Trace: the ring occupies its own
+// observer slot, so it composes structurally with an ExecHook or CountHook
+// (order is Count, then Trace, then Hook; no closure chaining), a traced run
+// reports the identical InstrCount/Cycles an untraced one does
+// (trace_test.go asserts it), and Reset detaches it. Fault-injection campaigns discard
 // tracing (speed), but vxrun -trace and crash triage in tests use it to
 // reconstruct how a corrupted execution reached its trap — the kind of
 // failure forensics a debugger-based injector gets for free and compiled-in
@@ -63,32 +66,8 @@ type TraceEntry struct {
 	Flags uint64
 }
 
-// Tracer is the convenience wrapper around TraceRing with image-aware
-// dumping. It occupies the machine's dedicated Trace observer slot, so it
-// composes structurally with an ExecHook or CountHook (no closure chaining),
-// and a traced run reports the identical InstrCount/Cycles an untraced one
-// does (trace_test.go asserts it).
-type Tracer struct {
-	ring *TraceRing
-}
-
-// Attach installs the tracer on the machine's Trace slot. Any ExecHook or
-// CountHook stays attached and runs in its usual order (Count, Trace, Hook).
-func (t *Tracer) Attach(m *Machine, depth int) {
-	t.ring = NewTraceRing(depth)
-	m.Trace = t.ring
-}
-
-// Entries returns the buffered trace in execution order.
-func (t *Tracer) Entries() []TraceEntry {
-	if t.ring == nil {
-		return nil
-	}
-	return t.ring.Entries()
-}
-
 // Dump renders the trace with function names resolved against the image.
-func (t *Tracer) Dump(img *Image) string {
+func (t *TraceRing) Dump(img *Image) string {
 	var b strings.Builder
 	for _, e := range t.Entries() {
 		fn := "?"

@@ -13,8 +13,8 @@ func TestTracerCapturesTail(t *testing.T) {
 	img := mustAssemble(t, buildFactorial())
 	m := vm.New(img)
 	bindOut(m)
-	tr := &vm.Tracer{}
-	tr.Attach(m, 16)
+	tr := vm.NewTraceRing(16)
+	m.Trace = tr
 	m.Run()
 
 	entries := tr.Entries()
@@ -44,8 +44,8 @@ func TestTracerChainsExistingHook(t *testing.T) {
 	bindOut(m)
 	count := 0
 	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) { count++ }
-	tr := &vm.Tracer{}
-	tr.Attach(m, 8)
+	tr := vm.NewTraceRing(8)
+	m.Trace = tr
 	m.Run()
 	if count == 0 {
 		t.Fatal("chained hook never ran")
@@ -59,8 +59,8 @@ func TestTracerShortRun(t *testing.T) {
 	img := mustAssemble(t, buildFactorial())
 	m := vm.New(img)
 	bindOut(m)
-	tr := &vm.Tracer{}
-	tr.Attach(m, 4096) // deeper than the run
+	tr := vm.NewTraceRing(4096) // deeper than the run
+	m.Trace = tr
 	m.Run()
 	entries := tr.Entries()
 	if int64(len(entries)) != m.InstrCount {
@@ -80,8 +80,8 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	plain.Run()
 
 	traced := bin.NewMachine()
-	tr := &vm.Tracer{}
-	tr.Attach(traced, 32)
+	tr := vm.NewTraceRing(32)
+	traced.Trace = tr
 	traced.Run()
 
 	if plain.InstrCount != traced.InstrCount || plain.Cycles != traced.Cycles {
@@ -111,7 +111,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 
 	both := bin.NewMachine()
 	both.Count = &vm.CountHook{Targets: bin.TargetMap(), PerInstr: 7, Arm: -1}
-	(&vm.Tracer{}).Attach(both, 16)
+	both.Trace = vm.NewTraceRing(16)
 	both.Run()
 
 	if cs, bs := snapshot(counted), snapshot(both); !equalStates(cs, bs) {

@@ -28,8 +28,6 @@
 package refine
 
 import (
-	"context"
-
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/ir"
@@ -159,7 +157,8 @@ var (
 	WithTrials = campaign.WithTrials
 	// WithSeed sets the base RNG seed (default 1).
 	WithSeed = campaign.WithSeed
-	// WithWorkers sets the parallel trial workers (default GOMAXPROCS).
+	// WithWorkers sizes the campaign's private executor (default
+	// GOMAXPROCS; 1 = serial).
 	WithWorkers = campaign.WithWorkers
 	// WithOptions sets the build pipeline configuration.
 	WithOptions = campaign.WithBuildOptions
@@ -170,14 +169,10 @@ var (
 	WithObserver = campaign.WithObserver
 	// WithRecords buffers every TrialResult in Result.Records.
 	WithRecords = campaign.WithRecords
-	// WithChunk sets how many trial indexes a scheduled campaign claims
-	// per executor lock acquisition (0 = adaptive); results are
-	// bit-identical across chunk sizes.
-	WithChunk = campaign.WithChunk
 	// WithExecutor schedules the campaign on a shared work-stealing
-	// executor (see NewExecutor/SharedExecutor) instead of a private pool;
-	// concurrent campaigns interleave at trial granularity with
-	// bit-identical results.
+	// executor (see NewExecutor/SharedExecutor) instead of a private one
+	// of WithWorkers workers; concurrent campaigns interleave at trial
+	// granularity with bit-identical results.
 	WithExecutor = campaign.WithExecutor
 	// WithShards fans the campaign across N worker OS processes (this
 	// binary re-exec'd; see ShardPool) with bit-identical results for any
@@ -194,9 +189,9 @@ var (
 	WithJournal = campaign.WithJournal
 )
 
-// ErrBuildUnclaimed is returned (wrapped) by scheduled campaigns whose
-// build+profile unit was abandoned before any executor worker claimed it
-// while the context reports no error; match with errors.Is.
+// ErrBuildUnclaimed is returned (wrapped) by campaigns whose build+profile
+// unit was abandoned before any executor worker claimed it while the context
+// reports no error; match with errors.Is.
 var ErrBuildUnclaimed = campaign.ErrBuildUnclaimed
 
 // ErrShardsUnavailable wraps shard-pool construction failures (no worker
@@ -244,8 +239,8 @@ type Executor = sched.Executor
 // GOMAXPROCS). Close it when done.
 func NewExecutor(workers int) *Executor { return sched.New(workers) }
 
-// SharedExecutor returns the process-wide executor used by the fi-* drivers
-// (GOMAXPROCS workers, never closed).
+// SharedExecutor returns the process-wide executor (GOMAXPROCS workers,
+// never closed).
 func SharedExecutor() *Executor { return sched.Default() }
 
 // Cache memoizes builds and golden profiles; see NewBuildCache and
@@ -274,41 +269,6 @@ func NewDiskCache(dir string) (*Cache, error) { return campaign.NewDiskCache(dir
 // WithCache(nil) to bypass caching.
 func NewCampaign(app App, tool Tool, opts ...CampaignOption) *CampaignSpec {
 	return campaign.New(app, tool, opts...)
-}
-
-// Campaign runs n trials of (app, tool) across workers goroutines
-// (workers ≤ 0 uses GOMAXPROCS) with the default build options and the
-// process-wide cache, buffering all Records.
-//
-// Deprecated: use NewCampaign(app, tool, opts...).Run(ctx).
-func Campaign(app App, tool Tool, n int, seed uint64, workers int) (*Result, error) {
-	return campaign.New(app, tool,
-		campaign.WithTrials(n), campaign.WithSeed(seed), campaign.WithWorkers(workers),
-		campaign.WithBuildOptions(DefaultOptions()), campaign.WithRecords(),
-	).Run(context.Background())
-}
-
-// CampaignWith runs a campaign with explicit build options (ablations).
-// It shares the process-wide build/profile cache (see Campaign).
-//
-// Deprecated: use NewCampaign with WithOptions.
-func CampaignWith(app App, tool Tool, n int, seed uint64, workers int, o Options) (*Result, error) {
-	return campaign.New(app, tool,
-		campaign.WithTrials(n), campaign.WithSeed(seed), campaign.WithWorkers(workers),
-		campaign.WithBuildOptions(o), campaign.WithRecords(),
-	).Run(context.Background())
-}
-
-// CampaignFresh runs a campaign with a from-scratch build and profile,
-// bypassing the process-wide cache — for apps whose Build closures change
-// between runs while keeping the same name.
-//
-// Deprecated: use NewCampaign with WithCache(nil).
-func CampaignFresh(app App, tool Tool, n int, seed uint64, workers int, o Options) (*Result, error) {
-	return campaign.New(app, tool,
-		campaign.WithTrials(n), campaign.WithSeed(seed), campaign.WithWorkers(workers),
-		campaign.WithBuildOptions(o), campaign.WithCache(nil), campaign.WithRecords(),
-	).Run(context.Background())
 }
 
 // SampleSize computes the Leveugle et al. sample count; the paper's margin
