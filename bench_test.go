@@ -276,9 +276,7 @@ func BenchmarkAblationPinfiDetach(b *testing.B) {
 			// "No detach" counterpart: charge the callback for the whole run.
 			m := bin.NewMachine()
 			m.Budget = prof.Budget
-			m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-				mm.Cycles += costs.PerInstr
-			}
+			m.Count = &vm.CountHook{PerInstr: costs.PerInstr, Arm: -1}
 			m.Run()
 			withoutDetach += m.Cycles + costs.JITPerStaticInstr*int64(len(bin.Img.Instrs))
 		}
@@ -459,12 +457,10 @@ func BenchmarkVMThroughput(b *testing.B) {
 }
 
 // BenchmarkVMThroughputHooked reports hooked emulator speed — the cost of
-// profiling runs and the pre-detach prefix of binary-level trials. Three
-// variants: the inline counting hook on the hooked fast loop (the
-// production profiling path), a closure ExecHook on the hooked fast loop
-// (tracers, custom observers), and the closure hook single-stepped through
-// the reference decoder (the pre-overhaul path, kept as the baseline the
-// speed gate compares against).
+// profiling runs and of the counted reference carrier's prefix. Two
+// variants: the inline counting hook on the hooked fast loop, and the same
+// hook single-stepped through the reference decoder (the baseline the speed
+// gate compares against).
 func BenchmarkVMThroughputHooked(b *testing.B) {
 	app, err := refine.AppByName("FT")
 	if err != nil {
@@ -475,14 +471,14 @@ func BenchmarkVMThroughputHooked(b *testing.B) {
 		b.Fatal(err)
 	}
 	costs := pinfi.DefaultCosts()
-	cfg := refine.DefaultOptions().FI
-	run := func(b *testing.B, prep func(m *vm.Machine), stepped bool) {
+	tm := bin.TargetMap()
+	run := func(b *testing.B, stepped bool) {
 		m := bin.NewMachine()
 		b.ResetTimer()
 		var instrs int64
 		for i := 0; i < b.N; i++ {
 			m.Reset()
-			prep(m)
+			m.Count = &vm.CountHook{Targets: tm, PerInstr: costs.PerInstr, Arm: -1}
 			if stepped {
 				m.RunStepped()
 			} else {
@@ -492,34 +488,8 @@ func BenchmarkVMThroughputHooked(b *testing.B) {
 		}
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
 	}
-	b.Run("counted", func(b *testing.B) {
-		tm := bin.TargetMap()
-		run(b, func(m *vm.Machine) {
-			m.Count = &vm.CountHook{Targets: tm, PerInstr: costs.PerInstr, Arm: -1}
-		}, false)
-	})
-	b.Run("closure", func(b *testing.B) {
-		run(b, func(m *vm.Machine) {
-			var targets int64
-			m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-				mm.Cycles += costs.PerInstr
-				if cfg.TargetInst(mm.Img, in) {
-					targets++
-				}
-			}
-		}, false)
-	})
-	b.Run("stepped-baseline", func(b *testing.B) {
-		run(b, func(m *vm.Machine) {
-			var targets int64
-			m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-				mm.Cycles += costs.PerInstr
-				if cfg.TargetInst(mm.Img, in) {
-					targets++
-				}
-			}
-		}, true)
-	})
+	b.Run("counted", func(b *testing.B) { run(b, false) })
+	b.Run("stepped-baseline", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkCompile reports end-to-end compilation speed for the whole

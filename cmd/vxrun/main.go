@@ -58,6 +58,7 @@ func main() {
 	// Bind whichever FI runtime the object imports.
 	var refProf *core.ProfileLib
 	var llfiProf *llfi.ProfileLib
+	var faultRec func() fault.Record // an injected run's fault log, read after the run
 	switch {
 	case img.Imports(core.HostSelInstr) && (*profile || *fiTarget < 0):
 		refProf = &core.ProfileLib{}
@@ -65,14 +66,17 @@ func main() {
 	case img.Imports(core.HostSelInstr):
 		lib := &core.InjectLib{Target: *fiTarget, RNG: fault.NewRNG(*seed)}
 		lib.Bind(m)
-		defer func() { fmt.Printf("fault: %s\n", lib.Rec) }()
+		faultRec = func() fault.Record {
+			lib.ResolveRecord(img)
+			return lib.Rec
+		}
 	case img.Imports(llfi.HostFaultI64) && (*profile || *fiTarget < 0):
 		llfiProf = &llfi.ProfileLib{}
 		llfiProf.Bind(m)
 	case img.Imports(llfi.HostFaultI64):
 		lib := &llfi.InjectLib{Target: *fiTarget, RNG: fault.NewRNG(*seed)}
 		lib.Bind(m)
-		defer func() { fmt.Printf("fault: %s\n", lib.Rec) }()
+		faultRec = func() fault.Record { return lib.Rec }
 	}
 
 	if *trace > 0 {
@@ -89,6 +93,9 @@ func main() {
 	}
 	if llfiProf != nil {
 		fmt.Printf("fi-targets: %d\n", llfiProf.Count)
+	}
+	if faultRec != nil {
+		fmt.Printf("fault: %s\n", faultRec())
 	}
 	if trap != vm.TrapNone {
 		fmt.Printf("trap detail: %s\n", m.TrapMsg)

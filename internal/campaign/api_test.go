@@ -55,7 +55,7 @@ type stubInjector struct{ campaign.ToolName }
 
 func (stubInjector) InstrumentIR(*ir.Module, fault.Config) int              { return 0 }
 func (stubInjector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
-func (stubInjector) Profile(*vm.Machine, fault.Config, pinfi.CostModel) (int64, []uint64) {
+func (stubInjector) Profile(*vm.Machine, *campaign.Binary, pinfi.CostModel) (int64, []uint64) {
 	return 0, nil
 }
 func (stubInjector) Trial(*vm.Machine, *campaign.Binary, *campaign.Profile, pinfi.CostModel, int64, *fault.RNG) fault.Record {

@@ -25,7 +25,8 @@ var (
 	// machine-level population with no code-generation interference.
 	REFINE Tool = &refineInjector{ToolName: "REFINE"}
 	// PINFI is the binary-level baseline: no static instrumentation, the
-	// VM's execution hook stands in for PIN's dynamic instrumentation.
+	// VM's counting observer stands in for PIN's dynamic instrumentation
+	// during the profile and a fire point schedules each trial's injection.
 	PINFI Tool = &pinfiInjector{ToolName: "PINFI"}
 )
 
@@ -49,16 +50,14 @@ func (llfiInjector) InstrumentIR(m *ir.Module, cfg fault.Config) int {
 
 func (llfiInjector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
 
-func (llfiInjector) Profile(m *vm.Machine, _ fault.Config, _ pinfi.CostModel) (int64, []uint64) {
+func (llfiInjector) Profile(m *vm.Machine, _ *Binary, _ pinfi.CostModel) (int64, []uint64) {
 	lib := &llfi.ProfileLib{}
 	lib.Bind(m)
 	m.Run()
 	return lib.Count, append([]uint64(nil), m.Output...)
 }
 
-func (llfiInjector) Trial(m *vm.Machine, _ *Binary, prof *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	m.Reset()
-	m.Budget = prof.Budget
+func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
 	lib := &llfi.InjectLib{Target: target, RNG: rng}
 	lib.Bind(m)
 	m.Run()
@@ -75,16 +74,14 @@ func (refineInjector) InstrumentMachine(p *mir.Prog, cfg fault.Config) (int, err
 	return core.Instrument(p, cfg)
 }
 
-func (refineInjector) Profile(m *vm.Machine, _ fault.Config, _ pinfi.CostModel) (int64, []uint64) {
+func (refineInjector) Profile(m *vm.Machine, _ *Binary, _ pinfi.CostModel) (int64, []uint64) {
 	lib := &core.ProfileLib{}
 	lib.Bind(m)
 	m.Run()
 	return lib.Count, append([]uint64(nil), m.Output...)
 }
 
-func (refineInjector) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	m.Reset()
-	m.Budget = prof.Budget
+func (refineInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
 	lib := &core.InjectLib{Target: target, RNG: rng}
 	lib.Bind(m)
 	m.Run()
@@ -94,24 +91,14 @@ func (refineInjector) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.Cos
 
 // pinfiInjector ---------------------------------------------------------------
 
-type pinfiInjector struct{ ToolName }
-
-func (pinfiInjector) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
-
-func (pinfiInjector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
-
-func (pinfiInjector) Profile(m *vm.Machine, cfg fault.Config, costs pinfi.CostModel) (int64, []uint64) {
-	return pinfi.Profile(m, cfg, costs)
+type pinfiInjector struct {
+	ToolName
+	BinaryLevel
 }
 
-// UsesFirePoints opts PINFI trials into the fire-point index: the cache
-// records it once per binary and warm starts restore it from disk.
-func (pinfiInjector) UsesFirePoints() bool { return true }
-
-func (pinfiInjector) Trial(m *vm.Machine, b *Binary, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	m.Budget = prof.Budget
-	// TrialFired resets, keeping the budget; the fire-point index maps the
-	// target occurrence to an absolute instruction index, so the whole trial
-	// runs on the hook-free fast loop — zero hooked instructions.
-	return pinfi.TrialFired(m, b.FirePoints(), costs, target, rng)
+func (pinfiInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
+	var rec fault.Record
+	pinfi.ArmFired(m, b.FirePoints(), costs, target, pinfi.Flip(target, rng, &rec))
+	m.Run()
+	return rec
 }

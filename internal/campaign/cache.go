@@ -32,8 +32,7 @@ import (
 // entries are safe to share across goroutines and campaigns. That includes
 // opcode corruption: the registered OPCODE injectors (internal/opcodefi)
 // mutate only private per-trial image clones, never the cached Binary's
-// Image. Only direct pinfi.OpcodeTrial callers bypassing the registry must
-// still arrange exclusive use of their image.
+// Image.
 //
 // Keys include the application name and memory size but not the Build
 // function itself (Go functions are not comparable): two distinct App values
@@ -210,15 +209,6 @@ func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.
 		if e.err == nil {
 			e.prof, e.err = e.bin.RunProfile(costs)
 		}
-		if e.err == nil {
-			// Tools that trial over the fire-point index get it recorded
-			// eagerly — while the profile's golden run is fresh and before
-			// the disk store — so warm starts restore it with the entry
-			// instead of re-running the recording pass per process.
-			if u, ok := tool.(FirePointUser); ok && u.UsesFirePoints() {
-				e.bin.FirePoints()
-			}
-		}
 		if e.err == nil && path != "" {
 			c.storeDiskEntry(path, e.bin, e.prof)
 		}
@@ -304,8 +294,7 @@ type diskEntry struct {
 	Cfg     fault.Config
 	Prof    *Profile
 	// Fire is the binary's fire-point index (nil for tools that never use
-	// one); persisting it lets warm starts skip the recording pass the same
-	// way they skip the golden profile.
+	// one), recorded by the same golden pass as Prof.
 	Fire *pinfi.FirePoints
 }
 
@@ -336,12 +325,15 @@ func (c *Cache) loadDiskEntry(path string, app App, tool Tool) (*Binary, *Profil
 		return nil, nil, false
 	}
 	var d diskEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil || d.Img == nil || d.Prof == nil || d.Version != diskFormatVersion {
+	u, _ := tool.(FirePointUser)
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil || d.Img == nil || d.Prof == nil || d.Version != diskFormatVersion ||
+		(u != nil && u.UsesFirePoints() && (d.Fire == nil || d.Fire.N != d.Prof.Targets)) {
 		// The checksum matched, so this is a well-preserved entry this
-		// binary cannot trust: an undecodable gob, or a payload stamped by
-		// a different format version — drift the content address should
-		// have caught. Quarantine it all the same: rebuilding once beats
-		// failing forever.
+		// binary cannot trust: an undecodable gob, a payload stamped by a
+		// different format version — drift the content address should have
+		// caught — or a fire-point index that is missing or not the
+		// profile's, which would panic in Lookup mid-campaign. Quarantine
+		// it all the same: rebuilding once beats failing forever.
 		c.quarantine(path)
 		return nil, nil, false
 	}

@@ -1,12 +1,13 @@
 package campaign
 
-// White-box disk-cache format-version tests. The version is enforced twice:
-// folded into the content address (an old harness's entries simply miss for
-// a new one) and stamped inside the gob payload. The in-payload check is
-// what this file exercises — it catches the paths the address cannot: a
-// cache dir populated by a tool that reuses current file names around an
-// older body. Such an entry must take the PR 6 quarantine path (renamed
-// aside, counted, rebuilt exactly once), never be half-trusted.
+// White-box disk-cache payload-validation tests. The version is enforced
+// twice: folded into the content address (an old harness's entries simply
+// miss for a new one) and stamped inside the gob payload. The in-payload
+// checks are what this file exercises — they catch the paths the address
+// cannot: a cache dir populated by a tool that reuses current file names
+// around an older body, or around a body whose fire-point index is missing
+// or another profile's. Such an entry must take the PR 6 quarantine path
+// (renamed aside, counted, rebuilt exactly once), never be half-trusted.
 
 import (
 	"bytes"
@@ -52,6 +53,25 @@ func buildThroughDisk(t *testing.T, dir string) (*Binary, CacheStats) {
 }
 
 func TestOldVersionCacheEntryQuarantinedAndRebuilt(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(d *diskEntry)
+	}{
+		// Version 2 predates the persisted index.
+		{"old-version", func(d *diskEntry) { d.Version, d.Fire = 2, nil }},
+		// Either of these would reach Lookup's out-of-range panic
+		// mid-campaign if it were trusted.
+		{"no-fire-index", func(d *diskEntry) { d.Fire = nil }},
+		{"fire-index-of-another-profile", func(d *diskEntry) { d.Fire.N-- }},
+	} {
+		t.Run(tc.name, func(t *testing.T) { quarantinedAndRebuilt(t, tc.tamper) })
+	}
+}
+
+// quarantinedAndRebuilt rewrites a stored entry in place as tamper leaves it
+// — valid checksum, current path: well-preserved, decodable, untrustworthy —
+// and expects one quarantine, one rebuild and a clean warm hit afterwards.
+func quarantinedAndRebuilt(t *testing.T, tamper func(d *diskEntry)) {
 	dir := t.TempDir()
 
 	// Cold: build, profile, record fire points (PINFI is a FirePointUser),
@@ -82,9 +102,6 @@ func TestOldVersionCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 		t.Fatal("restored fire-point index differs from the recorded one")
 	}
 
-	// Rewrite the entry in place as a version-2 payload with a valid
-	// checksum at the current path: well-preserved, decodable, wrong
-	// version.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +110,7 @@ func TestOldVersionCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(data[checksumLen:])).Decode(&d); err != nil {
 		t.Fatal(err)
 	}
-	d.Version = 2
-	d.Fire = nil // version 2 predates the persisted index
+	tamper(&d)
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&d); err != nil {
 		t.Fatal(err)
@@ -104,10 +120,10 @@ func TestOldVersionCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The old-version entry must quarantine and rebuild once.
+	// The tampered entry must quarantine and rebuild once.
 	rebuilt, stats := buildThroughDisk(t, dir)
 	if stats.Quarantined != 1 || stats.Builds != 1 {
-		t.Fatalf("old-version run: %+v, want quarantine + one rebuild", stats)
+		t.Fatalf("tampered run: %+v, want quarantine + one rebuild", stats)
 	}
 	if rebuilt.firePts == nil {
 		t.Fatal("rebuild after quarantine left no fire-point index")

@@ -83,13 +83,10 @@ type Binary struct {
 	targetOnce sync.Once
 	targets    []bool
 
-	// fireOnce/firePts lazily cache the fire-point index (see FirePoints):
-	// one hooked golden pass per binary records the absolute InstrCount of
-	// every dynamic target occurrence, and every hook-free trial shares the
-	// immutable result. The disk cache persists it alongside the profile
-	// (loadDiskEntry presets firePts, so warm starts skip the pass too).
-	fireOnce sync.Once
-	firePts  *pinfi.FirePoints
+	// firePts is the fire-point index of a binary-level tool's binary (see
+	// FirePoints): set by the profiling pass or preset from a disk-cache
+	// entry, immutable afterwards.
+	firePts *pinfi.FirePoints
 }
 
 // TargetMap returns the binary's per-PC injection-population bitmap
@@ -101,30 +98,14 @@ func (b *Binary) TargetMap() []bool {
 	return b.targets
 }
 
-// FirePoints returns the binary's fire-point index, recording it on first
-// use (one hooked golden pass over the target map — profiling-phase work,
-// amortized over the campaign and persisted by the disk cache). The index is
-// immutable afterwards, so concurrent trial workers share it. Recording can
-// only fail if the golden run fails, which RunProfile has already ruled out
-// for any binary a campaign trials against — a failure here is a harness
-// bug, so it panics rather than threading an impossible error through every
-// injector.
-func (b *Binary) FirePoints() *pinfi.FirePoints {
-	b.fireOnce.Do(func() {
-		if b.firePts != nil {
-			return // preset from a disk-cache entry
-		}
-		m := b.NewMachine()
-		start := phaseStart()
-		fps, err := pinfi.RecordFirePoints(m, b.TargetMap())
-		noteProfilePhase(m.InstrCount, start)
-		if err != nil {
-			panic(fmt.Sprintf("campaign: %s/%s: %v", b.App.Name, b.Tool.Name(), err))
-		}
-		b.firePts = fps
-	})
-	return b.firePts
-}
+// FirePoints returns the binary's fire-point index — the absolute
+// InstrCount of every dynamic target occurrence of the golden run, which
+// every hook-free trial of a binary-level tool shares. BinaryLevel.Profile
+// records it during RunProfile's golden pass and the disk cache restores it
+// with the entry, so it never costs a pass of its own; it is nil for a
+// binary that has neither been profiled nor restored, and for tools that are
+// not binary-level.
+func (b *Binary) FirePoints() *pinfi.FirePoints { return b.firePts }
 
 // BuildBinary compiles the application through the shared pipeline, letting
 // the tool instrument at its hook points:
@@ -229,7 +210,7 @@ func (b *Binary) RunProfile(costs pinfi.CostModel) (*Profile, error) {
 	m := b.NewMachine()
 	p := &Profile{}
 	start := phaseStart()
-	p.Targets, p.Golden = b.Tool.Profile(m, b.Cfg, costs)
+	p.Targets, p.Golden = b.Tool.Profile(m, b, costs)
 	noteProfilePhase(m.InstrCount, start)
 	if m.Trap != vm.TrapNone || m.ExitCode != 0 {
 		return nil, fmt.Errorf("campaign: %s/%s: golden run failed: trap=%v exit=%d %s",
@@ -264,9 +245,13 @@ func (b *Binary) RunTrial(prof *Profile, costs pinfi.CostModel, seed uint64) Tri
 	return b.runTrialOn(m, prof, costs, seed)
 }
 
+// runTrialOn runs one trial on a freshly reset machine (NewMachine or
+// AcquireMachine): the runner owns the start state, so the budget is applied
+// here and injectors never reset.
 func (b *Binary) runTrialOn(m *vm.Machine, prof *Profile, costs pinfi.CostModel, seed uint64) TrialResult {
 	rng := fault.NewRNG(seed)
 	target := rng.Intn(prof.Targets)
+	m.Budget = prof.Budget
 	start := phaseStart()
 	rec := b.Tool.Trial(m, b, prof, costs, target, rng)
 	noteTrialPhase(m.InstrCount, start)

@@ -1,20 +1,23 @@
 package campaign_test
 
-// The fire-point differential suite: every binary-level trial formulation
-// rewritten over the fire-point index must be bit-identical — outcome,
-// fault record, modeled cycles, trap, dynamic instruction count, output —
-// to its hooked CountHook reference, across all 14 kernels and all four
-// binary-level fault models (PINFI register flips, OPCODE / OPCODE-VALID
-// opcode corruption, PINFI2 double flips). This is the acceptance bar for
-// the hook-free trial path: the perf rung changes how the injection point
-// is reached, never what the experiment measures.
+// The fire-point differential suite: every binary-level injection carried by
+// the fire-point index must be bit-identical — outcome, fault record,
+// modeled cycles, trap and its message, dynamic instruction count, output,
+// final memory — to the same injection on the counted CountHook reference
+// carrier, run on the fast loops and single-stepped, across all 14 kernels
+// and all four binary-level fault models (PINFI register flips, OPCODE /
+// OPCODE-VALID opcode corruption, PINFI2 double flips). This is the
+// acceptance bar for the hook-free trial path: the carrier changes how the
+// injection point is reached, never what the experiment measures.
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/multibit"
+	"repro/internal/opcodefi"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -26,6 +29,7 @@ type trialOutcome struct {
 	Rec        fault.Record
 	Outcome    fault.Outcome
 	Trap       vm.TrapKind
+	TrapMsg    string
 	ExitCode   int64
 	InstrCount int64
 	Cycles     int64
@@ -42,6 +46,7 @@ func finishTrial(m *vm.Machine, rec fault.Record, golden []uint64) trialOutcome 
 		Rec:        rec,
 		Outcome:    fault.Classify(m, golden),
 		Trap:       m.Trap,
+		TrapMsg:    m.TrapMsg,
 		ExitCode:   m.ExitCode,
 		InstrCount: m.InstrCount,
 		Cycles:     m.Cycles,
@@ -49,52 +54,78 @@ func finishTrial(m *vm.Machine, rec fault.Record, golden []uint64) trialOutcome 
 	}
 }
 
-// firedVariant pairs a hooked reference trial with its fire-point rewrite.
-type firedVariant struct {
-	name   string
-	mapped func(m *vm.Machine, bin *campaign.Binary, fps *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record
-	fired  func(m *vm.Machine, bin *campaign.Binary, fps *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record
+// injection builds one fault model's injection callback and its undo.
+type injection struct {
+	name string
+	make func(bin *campaign.Binary, costs pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) (inject vm.ExecHook, restore func())
 }
 
-func firedVariants() []firedVariant {
-	return []firedVariant{
-		{
-			name: "PINFI",
-			mapped: func(m *vm.Machine, bin *campaign.Binary, _ *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return pinfi.TrialMapped(m, bin.TargetMap(), costs, target, rng)
-			},
-			fired: func(m *vm.Machine, _ *campaign.Binary, fps *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return pinfi.TrialFired(m, fps, costs, target, rng)
-			},
-		},
-		{
-			name: "OPCODE",
-			mapped: func(m *vm.Machine, bin *campaign.Binary, _ *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return pinfi.OpcodeTrialMapped(m, bin.TargetMap(), costs, target, pinfi.OpcodeAny, rng)
-			},
-			fired: func(m *vm.Machine, _ *campaign.Binary, fps *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return pinfi.OpcodeTrialFired(m, fps, costs, target, pinfi.OpcodeAny, rng)
-			},
-		},
-		{
-			name: "OPCODE-VALID",
-			mapped: func(m *vm.Machine, bin *campaign.Binary, _ *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return pinfi.OpcodeTrialMapped(m, bin.TargetMap(), costs, target, pinfi.OpcodeValidOnly, rng)
-			},
-			fired: func(m *vm.Machine, _ *campaign.Binary, fps *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return pinfi.OpcodeTrialFired(m, fps, costs, target, pinfi.OpcodeValidOnly, rng)
-			},
-		},
-		{
-			name: "PINFI2",
-			mapped: func(m *vm.Machine, bin *campaign.Binary, _ *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return multibit.DoubleTrialMapped(m, bin.TargetMap(), costs, target, rng)
-			},
-			fired: func(m *vm.Machine, bin *campaign.Binary, fps *pinfi.FirePoints, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-				return multibit.DoubleTrialFired(m, fps, bin.TargetMap(), costs, target, rng)
-			},
-		},
+func injections() []injection {
+	none := func() {}
+	opcode := func(name string, mode pinfi.OpcodeMode) injection {
+		return injection{name, func(_ *campaign.Binary, _ pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) (vm.ExecHook, func()) {
+			return pinfi.CorruptOpcode(target, mode, rng, rec)
+		}}
 	}
+	return []injection{
+		{"PINFI", func(_ *campaign.Binary, _ pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) (vm.ExecHook, func()) {
+			return pinfi.Flip(target, rng, rec), none
+		}},
+		opcode("OPCODE", pinfi.OpcodeAny),
+		opcode("OPCODE-VALID", pinfi.OpcodeValidOnly),
+		{"PINFI2", func(bin *campaign.Binary, costs pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) (vm.ExecHook, func()) {
+			return multibit.DoubleFlip(bin.TargetMap(), costs, target, rng, rec), none
+		}},
+	}
+}
+
+// carriers are the ways an injection reaches its target occurrence: the
+// production fire point, and the counted reference on both execution paths.
+var carriers = []struct {
+	name             string
+	counted, stepped bool
+}{{"fired", false, false}, {"counted", true, false}, {"counted-stepped", true, true}}
+
+// diffCarriers runs one trial of inj on every carrier and reports any
+// divergence from the fired one, whose outcome it returns.
+func diffCarriers(t *testing.T, bin *campaign.Binary, prof *campaign.Profile, inj injection, occ, budget int64, seed uint64) trialOutcome {
+	t.Helper()
+	costs := pinfi.DefaultCosts()
+	var fired trialOutcome
+	var firedMem []byte
+	for _, c := range carriers {
+		m := bin.NewMachine()
+		m.Img = bin.AcquireImageClone() // opcode injections mutate in place
+		m.Budget = budget
+		var rec fault.Record
+		inject, restore := inj.make(bin, costs, occ, fault.NewRNG(seed), &rec)
+		if c.counted {
+			pinfi.ArmCounted(m, bin.TargetMap(), costs, occ, inject)
+		} else {
+			pinfi.ArmFired(m, bin.FirePoints(), costs, occ, inject)
+		}
+		if c.stepped {
+			m.RunStepped()
+		} else {
+			m.Run()
+		}
+		restore()
+		bin.ReleaseImageClone(m.Img)
+		got := finishTrial(m, rec, prof.Golden)
+		if firedMem == nil {
+			fired, firedMem = got, m.Mem
+			continue
+		}
+		if got != fired {
+			t.Errorf("%s/%s occurrence %d budget %d: %s diverged from fired:\n%s: %+v\nfired: %+v",
+				bin.App.Name, inj.name, occ, budget, c.name, c.name, got, fired)
+		}
+		if !bytes.Equal(m.Mem, firedMem) {
+			t.Errorf("%s/%s occurrence %d budget %d: %s final memory diverged from fired",
+				bin.App.Name, inj.name, occ, budget, c.name)
+		}
+	}
+	return fired
 }
 
 // TestFiredTrialsMatchHookedReference runs the full 14-kernel × 4-model
@@ -114,40 +145,24 @@ func TestFiredTrialsMatchHookedReference(t *testing.T) {
 			apps = append(apps, app)
 		}
 	}
-	costs := pinfi.DefaultCosts()
 	for _, app := range apps {
 		bin, err := campaign.BuildBinary(app, campaign.PINFI, campaign.DefaultBuildOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := bin.RunProfile(costs)
+		prof, err := bin.RunProfile(pinfi.DefaultCosts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fps := bin.FirePoints()
-		if fps.N != prof.Targets {
+		if fps := bin.FirePoints(); fps.N != prof.Targets {
 			t.Fatalf("%s: fire-point index N=%d != profiled targets %d", app.Name, fps.N, prof.Targets)
 		}
 		pick := fault.NewRNG(42)
 		occs := []int64{0, prof.Targets / 2, prof.Targets - 1,
 			pick.Intn(prof.Targets), pick.Intn(prof.Targets)}
-		for _, v := range firedVariants() {
+		for _, inj := range injections() {
 			for _, occ := range occs {
-				seed := uint64(occ)*2654435761 + 17
-				mm := bin.NewMachine()
-				mm.Img = bin.AcquireImageClone() // opcode variants mutate in place
-				mm.Budget = prof.Budget
-				ref := finishTrial(mm, v.mapped(mm, bin, fps, costs, occ, fault.NewRNG(seed)), prof.Golden)
-
-				fm := bin.NewMachine()
-				fm.Img = bin.AcquireImageClone()
-				fm.Budget = prof.Budget
-				got := finishTrial(fm, v.fired(fm, bin, fps, costs, occ, fault.NewRNG(seed)), prof.Golden)
-
-				if ref != got {
-					t.Errorf("%s/%s occurrence %d diverged:\nhooked: %+v\nfired:  %+v",
-						app.Name, v.name, occ, ref, got)
-				}
+				diffCarriers(t, bin, prof, inj, occ, prof.Budget, uint64(occ)*2654435761+17)
 			}
 		}
 	}
@@ -155,7 +170,7 @@ func TestFiredTrialsMatchHookedReference(t *testing.T) {
 
 // TestFiredTrialBudgetSweep pins the fire/budget composition at the
 // campaign layer for every fired model: budgets below, exactly on, and just
-// past the injection index must reproduce the hooked reference bit for bit
+// past the injection index must reproduce the counted reference bit for bit
 // (below: the injection never lands and the run times out; on: the fault
 // injects during the last budgeted instruction's epilogue, then the machine
 // times out — the paper's timeout classification still sees the fault).
@@ -164,44 +179,55 @@ func TestFiredTrialBudgetSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := pinfi.DefaultCosts()
 	bin, err := campaign.BuildBinary(app, campaign.PINFI, campaign.DefaultBuildOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := bin.RunProfile(costs)
+	prof, err := bin.RunProfile(pinfi.DefaultCosts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fps := bin.FirePoints()
 	occ := prof.Targets / 2
-	at, _ := fps.Lookup(occ)
+	at, _ := bin.FirePoints().Lookup(occ)
 
-	for _, v := range firedVariants() {
+	for _, inj := range injections() {
 		for _, budget := range []int64{at / 2, at - 1, at, at + 1, prof.Budget} {
-			seed := uint64(budget) ^ 0x9E3779B9
-			mm := bin.NewMachine()
-			mm.Img = bin.AcquireImageClone()
-			mm.Budget = budget
-			ref := finishTrial(mm, v.mapped(mm, bin, fps, costs, occ, fault.NewRNG(seed)), prof.Golden)
-
-			fm := bin.NewMachine()
-			fm.Img = bin.AcquireImageClone()
-			fm.Budget = budget
-			got := finishTrial(fm, v.fired(fm, bin, fps, costs, occ, fault.NewRNG(seed)), prof.Golden)
-
-			if ref != got {
-				t.Errorf("%s budget %d (fire at %d) diverged:\nhooked: %+v\nfired:  %+v",
-					v.name, budget, at, ref, got)
-			}
+			got := diffCarriers(t, bin, prof, inj, occ, budget, uint64(budget)^0x9E3779B9)
 			if budget < at && got.Rec != (fault.Record{}) {
 				t.Errorf("%s budget %d < fire index %d: injection landed anyway: %+v",
-					v.name, budget, at, got.Rec)
+					inj.name, budget, at, got.Rec)
 			}
 			if budget <= at && got.Trap != vm.TrapTimeout {
 				t.Errorf("%s budget %d <= fire index %d: want timeout, got trap=%v",
-					v.name, budget, at, got.Trap)
+					inj.name, budget, at, got.Trap)
 			}
+		}
+	}
+}
+
+// TestBinaryLevelBuildRunsOneGoldenPass: the hooked golden pass that counts
+// a binary-level tool's population also records its fire-point index, so a
+// cold build+profile executes the program exactly once.
+func TestBinaryLevelBuildRunsOneGoldenPass(t *testing.T) {
+	app, err := workloads.ByName("EP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range []campaign.Tool{campaign.PINFI, opcodefi.Injector, opcodefi.ValidInjector, multibit.PINFI2Injector} {
+		if u, ok := tool.(campaign.FirePointUser); !ok || !u.UsesFirePoints() {
+			t.Fatalf("%s is not a FirePointUser", tool.Name())
+		}
+		before := campaign.ReadPhaseStats().ProfileInstrs
+		bin, prof, err := campaign.NewCache().BuildAndProfile(app, tool, campaign.DefaultBuildOptions(), pinfi.DefaultCosts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := prof.Budget / campaign.TimeoutFactor
+		if got := campaign.ReadPhaseStats().ProfileInstrs - before; got != golden {
+			t.Errorf("%s: cold build+profile executed %d profiling instructions, the golden run has %d", tool.Name(), got, golden)
+		}
+		if fps := bin.FirePoints(); fps == nil || fps.N != prof.Targets {
+			t.Errorf("%s: fire-point index %+v does not cover the %d profiled targets", tool.Name(), fps, prof.Targets)
 		}
 	}
 }

@@ -44,17 +44,18 @@ type Injector interface {
 	// added. Tools that do not instrument machine code return 0, nil.
 	InstrumentMachine(p *mir.Prog, cfg fault.Config) (int, error)
 
-	// Profile runs the profiling step (paper Figure 3a) on a fresh machine:
-	// it must execute the program once, counting the dynamic target
+	// Profile runs the profiling step (paper Figure 3a) on a fresh machine
+	// for b: it must execute the program once, counting the dynamic target
 	// population and collecting the golden output. The orchestrator
 	// validates the run (no trap, clean exit, non-empty population) and
 	// derives the timeout budget afterwards.
-	Profile(m *vm.Machine, cfg fault.Config, costs pinfi.CostModel) (targets int64, golden []uint64)
+	Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (targets int64, golden []uint64)
 
 	// Trial executes one fault-injection experiment against the given
 	// dynamic target index, leaving the machine halted for outcome
-	// classification. The machine may be recycled from a pool: Trial is
-	// responsible for resetting it and applying prof.Budget before running.
+	// classification. The runner owns the start state: m arrives freshly
+	// reset (possibly recycled from a pool) with prof.Budget applied, and
+	// Trial must not reset it.
 	Trial(m *vm.Machine, b *Binary, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record
 }
 
@@ -65,14 +66,32 @@ type Injector interface {
 type Tool = Injector
 
 // FirePointUser is the optional marker interface for injectors whose Trial
-// runs over the binary's fire-point index (Binary.FirePoints). The cache
-// uses it to record the index eagerly — during the build+profile step, before
-// the disk store — so warm starts restore it with the entry instead of paying
-// the recording pass again; a campaign over a non-caching path still records
-// lazily on the first trial.
+// runs over the binary's fire-point index (Binary.FirePoints); embed
+// BinaryLevel to implement it. The disk cache uses it to refuse a restored
+// entry whose index is missing or does not match the profile.
 type FirePointUser interface {
 	UsesFirePoints() bool
 }
+
+// BinaryLevel is the embeddable build-and-profile half of a binary-level
+// injector (PINFI, OPCODE, PINFI2): no static instrumentation — the
+// population is the plain binary's dynamic instruction stream — and PINFI's
+// profiling step, whose one hooked golden pass under the PIN-style cost
+// model also records the fire-point index the tool's trials are scheduled
+// from. Only Trial is left to the embedding injector.
+type BinaryLevel struct{}
+
+func (BinaryLevel) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
+
+func (BinaryLevel) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
+
+func (BinaryLevel) Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (int64, []uint64) {
+	fps, golden := pinfi.Profile(m, b.TargetMap(), costs)
+	b.firePts = fps
+	return fps.N, golden
+}
+
+func (BinaryLevel) UsesFirePoints() bool { return true }
 
 // ToolName implements the Name and String halves of an Injector by value;
 // embed it to get stable naming plus fmt.Stringer for log lines.

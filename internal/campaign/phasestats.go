@@ -7,9 +7,9 @@ import (
 
 // Phase throughput accounting: process-wide counters of executed VM
 // instructions and wall time, split by campaign phase — profiling (golden
-// runs, fire-point recording) versus trials. They feed the fi-speed drivers'
-// `# speed:` diagnostic line and the BENCH emitters; nothing deterministic
-// reads them, which is why the wall-clock reads below carry //fi:wallclock-ok
+// runs) versus trials. They feed the fi-* drivers' `# speed:` diagnostic
+// line; nothing deterministic reads them, which is why the wall-clock reads
+// below carry //fi:wallclock-ok
 // (the timing never touches outcomes, records, cycles or tables — those stay
 // pure functions of the seed).
 //
@@ -58,8 +58,8 @@ func phaseStart() time.Time {
 	return time.Now() //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
 }
 
-// noteProfilePhase credits a profiling-phase run (golden profile, fire-point
-// recording) to the throughput counters.
+// noteProfilePhase credits a profiling-phase run (the golden profile) to the
+// throughput counters.
 func noteProfilePhase(instrs int64, start time.Time) {
 	profInstrs.Add(instrs)
 	profNanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables

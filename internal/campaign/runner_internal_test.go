@@ -1,10 +1,17 @@
 package campaign
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/pinfi"
+	"repro/internal/vm"
+	"repro/internal/vx"
 )
 
 // TestCollectorReentrantObserver pins the observer-delivery seam: the
@@ -56,5 +63,59 @@ func TestCollectorReentrantObserver(t *testing.T) {
 	}
 	if res.Counts.Benign != 4 {
 		t.Fatalf("Counts.Benign = %d, want 4", res.Counts.Benign)
+	}
+}
+
+// startStateProbe is an injector whose Trial never resets and never sets a
+// budget: it checks the machine the runner hands it, then crashes it over
+// dirtied memory, so the next trial on the pooled machine has something to
+// be clean of.
+type startStateProbe struct {
+	ToolName
+	BinaryLevel
+	t *testing.T
+
+	mu     sync.Mutex
+	seen   map[*vm.Machine]bool
+	reused int
+}
+
+func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.CostModel, _ int64, _ *fault.RNG) fault.Record {
+	fresh := b.NewMachine()
+	if m.InstrCount != 0 || m.Budget != prof.Budget || m.Count != nil || m.FireArmed() ||
+		m.Regs != fresh.Regs || m.PC != fresh.PC || !bytes.Equal(m.Mem, fresh.Mem) {
+		p.t.Errorf("trial handed a machine off its start state: InstrCount=%d Budget=%d (want %d) observer=%v armed=%v, or registers/memory not pristine",
+			m.InstrCount, m.Budget, prof.Budget, m.Count != nil, m.FireArmed())
+	}
+	p.mu.Lock()
+	if p.seen[m] {
+		p.reused++
+	}
+	p.seen[m] = true
+	p.mu.Unlock()
+	m.ArmFire(&vm.FirePoint{At: 20, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+		const addr = 1 << 20
+		binary.LittleEndian.PutUint64(mm.Mem[addr:], 0xDEAD)
+		mm.MarkMemWritten(addr, 8)
+		mm.Regs[vx.BP] = 8 // the epilogue pops from the guard page
+	}})
+	m.Run()
+	return fault.Record{}
+}
+
+// TestRunnerOwnsTrialStartState: the runner, not the injector, resets the
+// machine and applies the budget — once per trial, pooled machines included.
+func TestRunnerOwnsTrialStartState(t *testing.T) {
+	const trials = 8
+	probe := &startStateProbe{ToolName: "START-STATE-PROBE", t: t, seen: map[*vm.Machine]bool{}}
+	res, err := New(versionTestApp(), probe, WithTrials(trials), WithWorkers(1), WithCache(nil)).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts.Crash != trials {
+		t.Fatalf("probe trials did not all crash: %+v", res.Counts)
+	}
+	if probe.reused == 0 {
+		t.Fatal("no trial ran on a pooled machine that had already crashed")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/opt"
+	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/vx"
 )
@@ -150,21 +151,17 @@ func TestProfileCountMatchesDynamicTargets(t *testing.T) {
 	}
 	_, lib := runProfiled(t, img)
 
-	// Count dynamically executed target instructions with a VM hook; must
-	// equal the library's count exactly.
+	// Count dynamically executed target instructions with a VM count hook;
+	// must equal the library's count exactly.
 	m2 := vm.New(img)
 	m2.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) { mm.Regs[vx.R0] = 0 }})
 	plib := &core.ProfileLib{}
 	plib.Bind(m2)
-	var hookCount int64
-	m2.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-		if cfg.TargetInst(mm.Img, in) {
-			hookCount++
-		}
-	}
+	ch := &vm.CountHook{Targets: pinfi.TargetMap(img, cfg), Arm: -1}
+	m2.Count = ch
 	m2.Run()
-	if hookCount != lib.Count {
-		t.Fatalf("hook counted %d targets, selInstr %d", hookCount, lib.Count)
+	if ch.N != lib.Count {
+		t.Fatalf("hook counted %d targets, selInstr %d", ch.N, lib.Count)
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/mir"
 	"repro/internal/pinfi"
 	"repro/internal/sched"
 	"repro/internal/vm"
@@ -128,17 +126,12 @@ func TestSuiteScheduledCancellation(t *testing.T) {
 // of them with == would panic at runtime.
 type renamedTool struct {
 	campaign.ToolName
+	campaign.BinaryLevel
 	pad []int // uncomparable dynamic type on purpose
 }
 
-func (renamedTool) InstrumentIR(*ir.Module, fault.Config) int              { return 0 }
-func (renamedTool) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
-func (renamedTool) Profile(m *vm.Machine, cfg fault.Config, costs pinfi.CostModel) (int64, []uint64) {
-	return pinfi.Profile(m, cfg, costs)
-}
 func (renamedTool) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	m.Budget = prof.Budget
-	return pinfi.Trial(m, b.Cfg, costs, target, rng)
+	return campaign.PINFI.Trial(m, b, prof, costs, target, rng)
 }
 
 // TestHasComparesByName: Suite.has and the comparison tables must match

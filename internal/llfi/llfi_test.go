@@ -9,6 +9,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/llfi"
 	"repro/internal/opt"
+	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/vx"
 )
@@ -154,15 +155,11 @@ func TestPopulationSmallerThanMachine(t *testing.T) {
 	plib := &llfi.ProfileLib{}
 	plib.Bind(m)
 	cfg := fault.DefaultConfig()
-	var machineTargets int64
-	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-		if cfg.TargetInst(mm.Img, in) {
-			machineTargets++
-		}
-	}
+	ch := &vm.CountHook{Targets: pinfi.TargetMap(img, cfg), Arm: -1}
+	m.Count = ch
 	m.Run()
-	if plib.Count >= machineTargets {
-		t.Fatalf("LLFI population %d not smaller than machine population %d", plib.Count, machineTargets)
+	if plib.Count >= ch.N {
+		t.Fatalf("LLFI population %d not smaller than machine population %d", plib.Count, ch.N)
 	}
 }
 

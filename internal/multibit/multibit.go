@@ -3,8 +3,8 @@
 // extensibility proof for the Campaign API v2: it adds a fourth fault model
 // (two single-bit flips at consecutive dynamic target instructions, the
 // double-fault model of multi-bit upset studies) without touching the
-// orchestrator. The build pipeline and profiling step are REFINE's own
-// (core.Instrument, core.ProfileLib); only the trial-time control library
+// orchestrator. The build pipeline and profiling step are REFINE's own (the
+// injector embeds campaign.REFINE); only the trial-time control library
 // differs, and it speaks the same selInstr/setupFI host protocol the
 // instrumented binary already implements.
 //
@@ -19,8 +19,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/mir"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/vx"
@@ -30,33 +28,20 @@ import (
 const Name = "REFINE2"
 
 // Injector is the registered double bit-flip REFINE variant.
-var Injector campaign.Tool = &injector{ToolName: campaign.ToolName(Name)}
+var Injector campaign.Tool = &injector{Tool: campaign.REFINE}
 
 func init() {
 	campaign.Register(Injector)
 }
 
-type injector struct{ campaign.ToolName }
+// injector embeds REFINE itself for the build pipeline and the profiling
+// step: the instrumented binary is bit-identical to a REFINE build, so the
+// two injectors share cacheable artifacts in spirit (the cache still keys
+// them separately by name, keeping the machine pools private).
+type injector struct{ campaign.Tool }
 
-// InstrumentIR: like REFINE, nothing happens at the IR level.
-func (injector) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
-
-// InstrumentMachine reuses REFINE's backend pass unchanged: the instrumented
-// binary is bit-identical to a REFINE build, so the two injectors share
-// cacheable artifacts in spirit (the cache still keys them separately by
-// name, keeping the machine pools private).
-func (injector) InstrumentMachine(p *mir.Prog, cfg fault.Config) (int, error) {
-	return core.Instrument(p, cfg)
-}
-
-// Profile is REFINE's profiling step: count dynamic target instructions over
-// a golden run via the counting control library.
-func (injector) Profile(m *vm.Machine, _ fault.Config, _ pinfi.CostModel) (int64, []uint64) {
-	lib := &core.ProfileLib{}
-	lib.Bind(m)
-	m.Run()
-	return lib.Count, append([]uint64(nil), m.Output...)
-}
+func (injector) Name() string   { return Name }
+func (injector) String() string { return Name }
 
 // Trial injects two single-bit faults: one at the target dynamic instruction
 // and one at the immediately following dynamic target instruction, each with
@@ -64,9 +49,7 @@ func (injector) Profile(m *vm.Machine, _ fault.Config, _ pinfi.CostModel) (int64
 // target site (the first flip crashed or diverted the program), only the
 // first fault lands — as on real hardware, a dead process cannot be faulted
 // twice.
-func (injector) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	m.Reset()
-	m.Budget = prof.Budget
+func (injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
 	lib := &doubleLib{target: target, rng: rng}
 	lib.Bind(m)
 	m.Run()

@@ -15,8 +15,6 @@ package multibit
 import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/mir"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
 )
@@ -31,110 +29,43 @@ func init() {
 	campaign.Register(PINFI2Injector)
 }
 
-type pinfi2Injector struct{ campaign.ToolName }
-
-// InstrumentIR: a binary-level injector leaves the IR untouched.
-func (pinfi2Injector) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
-
-// InstrumentMachine: no static instrumentation — like PINFI, the population
-// is the plain binary's dynamic instruction stream.
-func (pinfi2Injector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
-
-// Profile is PINFI's profiling step: count dynamic target instructions over
-// a golden run under the PIN-style cost model.
-func (pinfi2Injector) Profile(m *vm.Machine, cfg fault.Config, costs pinfi.CostModel) (int64, []uint64) {
-	return pinfi.Profile(m, cfg, costs)
+type pinfi2Injector struct {
+	campaign.ToolName
+	campaign.BinaryLevel
 }
-
-// UsesFirePoints opts the first flip into the fire-point index.
-func (pinfi2Injector) UsesFirePoints() bool { return true }
 
 // Trial injects two single-bit register faults at consecutive dynamic target
 // occurrences (the double-fault model), first flip via the fire-point index.
-func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	m.Budget = prof.Budget
-	return DoubleTrialFired(m, b.FirePoints(), b.TargetMap(), costs, target, rng)
+func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
+	var rec fault.Record
+	pinfi.ArmFired(m, b.FirePoints(), costs, target, DoubleFlip(b.TargetMap(), costs, target, rng, &rec))
+	m.Run()
+	return rec
 }
 
-// DoubleTrialMapped is the hooked reference formulation of a PINFI2 trial:
-// one counting hook counts from the start, flips at the target-th occurrence,
-// re-arms for the next occurrence, flips again and detaches. The returned
-// record describes the first flip (the Record format logs one fault; the
-// second draw consumes RNG state deterministically). The differential suite
-// holds DoubleTrialFired to this formulation bit for bit.
-func DoubleTrialMapped(m *vm.Machine, targets []bool, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	budget := m.Budget
-	m.Reset()
-	m.Budget = budget
-	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	var rec fault.Record
-	flips := 0
-	ch := &vm.CountHook{Targets: targets, PerInstr: costs.PerInstr, Arm: target}
-	ch.Fire = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-		outs := in.Outs[:in.NOut]
-		op, bit := fault.PickOperandAndBit(rng, outs)
-		mm.FlipBit(outs[op], bit)
-		flips++
-		if flips == 1 {
-			rec = fault.Record{
-				DynIdx: target, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String(),
-			}
-			// Stay attached, re-armed for the immediately following target
-			// occurrence (N advances to target+1 after this Fire returns).
-			ch.Arm = target + 1
-			return
+// DoubleFlip is the double-flip injection: pinfi's register flip at the
+// target occurrence, logged to rec, which then attaches the counting hook
+// that lands the same flip once more (the Record format logs one fault, so
+// the second flip's log is dropped; its draw consumes RNG state
+// deterministically). N primes to target+1 — this occurrence was number
+// target, and counting advances past it before looking for the next — armed
+// for the very next target occurrence of the now-diverged stream; the second
+// flip detaches, as the single-flip trial does. If the first flip crashes or
+// diverts the program away from every remaining target site, only it lands
+// (a dead process cannot be faulted twice); if the budget expires before the
+// first flip, neither does.
+func DoubleFlip(targets []bool, costs pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) vm.ExecHook {
+	flip := pinfi.Flip(target, rng, rec)
+	return func(m *vm.Machine, pc int32, in *vm.Inst) {
+		flip(m, pc, in)
+		first := *rec
+		m.Count = &vm.CountHook{
+			Targets: targets, PerInstr: costs.PerInstr, N: target + 1, Arm: target + 1,
+			Fire: func(mm *vm.Machine, pc int32, in *vm.Inst) {
+				mm.Count = nil
+				flip(mm, pc, in)
+				*rec = first
+			},
 		}
-		// Second flip: remove instrumentation and detach, as in the
-		// single-flip trial.
-		mm.Count = nil
 	}
-	m.Count = ch
-	m.Run()
-	m.Count = nil
-	return rec
-}
-
-// DoubleTrialFired is DoubleTrialMapped with the first flip scheduled
-// through the fire-point index: the prefix up to the first injection runs
-// hook-free, and the fire callback attaches the counting hook — primed with
-// the occurrences already executed — that lands the second flip on the
-// diverged post-injection stream. If the first flip crashes or diverts the
-// program away from every remaining target site, only it lands (a dead
-// process cannot be faulted twice); if the budget expires before the first
-// flip, neither does, exactly as in the hooked formulation.
-func DoubleTrialFired(m *vm.Machine, fps *pinfi.FirePoints, targets []bool, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	budget := m.Budget
-	m.Reset()
-	m.Budget = budget
-	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	at, pc := fps.Lookup(target)
-	var rec fault.Record
-	m.ArmFire(&vm.FirePoint{
-		At: at, PC: pc, PerInstr: costs.PerInstr,
-		Fn: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			outs := in.Outs[:in.NOut]
-			op, bit := fault.PickOperandAndBit(rng, outs)
-			mm.FlipBit(outs[op], bit)
-			rec = fault.Record{
-				DynIdx: target, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String(),
-			}
-			// Second flip by counting: N primes to target+1 (this occurrence
-			// was number target, and the hooked reference advances past it
-			// before looking for the next), armed for the very next target
-			// occurrence of the now-diverged stream.
-			mm.Count = &vm.CountHook{
-				Targets: targets, PerInstr: costs.PerInstr,
-				N: target + 1, Arm: target + 1,
-				Fire: func(mm2 *vm.Machine, pc2 int32, in2 *vm.Inst) {
-					outs2 := in2.Outs[:in2.NOut]
-					op2, bit2 := fault.PickOperandAndBit(rng, outs2)
-					mm2.FlipBit(outs2[op2], bit2)
-					mm2.Count = nil
-				},
-			}
-		},
-	})
-	m.Run()
-	m.Count = nil
-	return rec
 }

@@ -1,5 +1,5 @@
 // Package opcodefi registers OPCODE and OPCODE-VALID, opcode-corruption
-// injectors built on pinfi.OpcodeTrial (paper §4.5: true opcode corruption,
+// injectors built on pinfi.CorruptOpcode (paper §4.5: true opcode corruption,
 // which the published REFINE lists as future work). Like PINFI the injectors
 // need no static instrumentation; unlike PINFI's transient register flips,
 // the fault is a persistent bit flip in the target instruction's opcode
@@ -10,8 +10,8 @@
 // Binary"). The injectors remove it by never touching the shared image:
 // each trial swaps the pooled machine onto a private image clone
 // (Binary.AcquireImageClone — copy-on-first-acquire, pooled on the Binary
-// so clones share its lifetime; OpcodeTrial restores the opcode before
-// returning, so a pooled clone is always pristine). Cached binaries, pooled
+// so clones share its lifetime; the opcode is restored before the clone is
+// released, so a pooled clone is always pristine). Cached binaries, pooled
 // machines and concurrent workers all compose with opcode corruption
 // exactly as with every other injector.
 package opcodefi
@@ -19,8 +19,6 @@ package opcodefi
 import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
-	"repro/internal/ir"
-	"repro/internal/mir"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
 )
@@ -52,43 +50,30 @@ func init() {
 
 type injector struct {
 	campaign.ToolName
+	campaign.BinaryLevel
 	mode pinfi.OpcodeMode
 }
 
-// InstrumentIR: a binary-level injector leaves the IR untouched.
-func (*injector) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
-
-// InstrumentMachine: no static instrumentation either — the population is
-// the plain binary's dynamic instruction stream, like PINFI's.
-func (*injector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
-
-// Profile is PINFI's profiling step: count dynamic target instructions over
-// a golden run under the PIN-style cost model.
-func (*injector) Profile(m *vm.Machine, cfg fault.Config, costs pinfi.CostModel) (int64, []uint64) {
-	return pinfi.Profile(m, cfg, costs)
-}
-
-// UsesFirePoints opts OPCODE trials into the fire-point index: the cache
-// records it once per binary and warm starts restore it from disk.
-func (*injector) UsesFirePoints() bool { return true }
-
 // Trial swaps the pooled machine onto a private image clone (pooled on the
 // Binary, so the clones share its lifetime), runs one opcode-corruption
-// experiment, and restores the shared image. The machine keeps its host
-// bindings across the swap: the clone shares the original's host-symbol
-// table, so every HostIdx resolves identically. OpcodeTrialFired restores
-// the flipped opcode before returning, so released clones are always
-// pristine.
-func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
+// experiment, and restores the shared image. The machine keeps its memory
+// and host bindings across the swap: the clone shares the original's
+// initialized data and host-symbol table, so the reset the runner did
+// stands and every HostIdx resolves identically. The fire-point index maps
+// the target occurrence to its absolute instruction index (recorded on the
+// shared image; the pristine clone's dynamics are identical), so the whole
+// trial — prefix, corruption, post-corruption suffix — runs on the hook-free
+// fast loop. The flipped opcode is restored before the clone is released, so
+// released clones are always pristine.
+func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
 	priv := b.AcquireImageClone()
 	base := m.Img
 	m.Img = priv
-	m.Budget = prof.Budget // OpcodeTrialFired resets, keeping the budget
-	// The fire-point index maps the target occurrence to its absolute
-	// instruction index (recorded on the shared image; the pristine clone's
-	// dynamics are identical), so the whole trial — prefix, corruption,
-	// post-corruption suffix — runs on the hook-free fast loop.
-	rec := pinfi.OpcodeTrialFired(m, b.FirePoints(), costs, target, j.mode, rng)
+	var rec fault.Record
+	inject, restore := pinfi.CorruptOpcode(target, j.mode, rng, &rec)
+	pinfi.ArmFired(m, b.FirePoints(), costs, target, inject)
+	m.Run()
+	restore()
 	m.Img = base
 	b.ReleaseImageClone(priv)
 	return rec

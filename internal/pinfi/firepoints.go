@@ -3,22 +3,17 @@ package pinfi
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/fault"
-	"repro/internal/vm"
-	"repro/internal/vx"
 )
 
 // Fire-point index: the per-binary artifact that makes binary-level trials
-// hook-free end to end. One hooked golden pass per binary records, for every
-// dynamic target-instruction occurrence, the absolute InstrCount at which it
-// committed and its PC. A trial then maps "inject at the Nth dynamic target
-// occurrence" straight to an absolute instruction index and arms the VM's
-// fire-point seam (vm.Machine.ArmFire): the injection deadline rides the
-// budget countdown of the hook-free fast loop, so neither the prefix nor the
-// suffix of the trial executes a single hooked instruction. The recording
-// pass is paid once per binary and amortized over the ~1000-trial campaign
-// (and persisted in the campaign disk cache alongside the profile).
+// hook-free end to end. The one hooked golden pass per binary (Profile)
+// records, for every dynamic target-instruction occurrence, the absolute
+// InstrCount at which it committed and its PC. A trial then maps "inject at
+// the Nth dynamic target occurrence" straight to an absolute instruction
+// index and arms the VM's fire-point seam (ArmFired): the injection deadline
+// rides the budget countdown of the hook-free fast loop, so neither the
+// prefix nor the suffix of the trial executes a single hooked instruction.
+// The index is persisted in the campaign disk cache alongside the profile.
 
 // fireAnchorStride is the occurrence interval between sparse decode anchors:
 // a Lookup decodes at most this many delta records.
@@ -88,100 +83,4 @@ func (f *FirePoints) Lookup(i int64) (instr int64, pc int32) {
 		pc += int32(dp)
 	}
 	return instr, pc
-}
-
-// RecordFirePoints runs the one hooked golden pass that builds a binary's
-// fire-point index: an ExecHook records (InstrCount, PC) at every dynamic
-// occurrence of a target instruction. The pass is budget-free — it retraces
-// the profiling run, which the campaign has already validated as trap-free —
-// and its dynamics are bit-identical to any trial's pre-injection prefix
-// (Cycles and Budget never influence the architectural trajectory), so the
-// recorded indices are exact for every trial of the campaign.
-func RecordFirePoints(m *vm.Machine, targets []bool) (*FirePoints, error) {
-	m.Reset()
-	fps := &FirePoints{}
-	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-		if targets[pc] {
-			fps.add(mm.InstrCount, pc)
-		}
-	}
-	m.Run()
-	m.Hook = nil
-	if m.Trap != vm.TrapNone {
-		return nil, fmt.Errorf("pinfi: fire-point recording trapped: %s", m.TrapMsg)
-	}
-	if m.ExitCode != 0 {
-		return nil, fmt.Errorf("pinfi: fire-point recording exited %d", m.ExitCode)
-	}
-	return fps, nil
-}
-
-// TrialFired is TrialMapped rewritten over a fire-point index: instead of
-// counting target occurrences through a hooked prefix, the trial looks up
-// the target's absolute instruction index and arms the VM's fire-point seam.
-// The whole trial — prefix, injection, suffix — runs on the hook-free fast
-// loop with zero hooked instructions; outcomes, Cycles and the fault record
-// are bit-identical to TrialMapped (the deferred PerInstr observer cost is
-// settled as a lump sum at the fire, see vm.FirePoint).
-func TrialFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, rng *fault.RNG) fault.Record {
-	budget := m.Budget
-	m.Reset()
-	m.Budget = budget
-	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	at, pc := fps.Lookup(target)
-	var rec fault.Record
-	m.ArmFire(&vm.FirePoint{
-		At: at, PC: pc, PerInstr: costs.PerInstr,
-		Fn: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			outs := in.Outs[:in.NOut]
-			op, bit := fault.PickOperandAndBit(rng, outs)
-			mm.FlipBit(outs[op], bit)
-			rec = fault.Record{
-				DynIdx: target, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String(),
-			}
-		},
-	})
-	m.Run()
-	return rec
-}
-
-// OpcodeTrialFired is OpcodeTrialMapped over a fire-point index: the opcode
-// corruption fires at the looked-up absolute instruction index on the
-// hook-free fast loop (Repredecode rewrites the predecoded stream in place,
-// so the running loop executes the corrupted instruction from the next
-// dispatch). The image is restored before returning, as in the mapped form.
-func OpcodeTrialFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, mode OpcodeMode, rng *fault.RNG) fault.Record {
-	budget := m.Budget
-	m.Reset()
-	m.Budget = budget
-	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	at, pc := fps.Lookup(target)
-	var rec fault.Record
-	var corruptedPC int32 = -1
-	var savedOp vx.Op
-	m.ArmFire(&vm.FirePoint{
-		At: at, PC: pc, PerInstr: costs.PerInstr,
-		Fn: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			old := in.Op
-			bit := uint(rng.Intn(8))
-			flipped := vx.Op(uint8(old) ^ uint8(1<<bit))
-			if mode == OpcodeValidOnly {
-				for !validOpcode(flipped) {
-					bit = uint(rng.Intn(8))
-					flipped = vx.Op(uint8(old) ^ uint8(1<<bit))
-				}
-			}
-			corruptedPC = pc
-			savedOp = old
-			mm.Img.Instrs[pc].Op = flipped
-			mm.Img.Repredecode(pc)
-			rec = fault.Record{DynIdx: target, PC: pc, Bit: bit, Op: old.String() + "->" + flipped.String()}
-		},
-	})
-	m.Run()
-	if corruptedPC >= 0 {
-		m.Img.Instrs[corruptedPC].Op = savedOp
-		m.Img.Repredecode(corruptedPC)
-	}
-	return rec
 }

@@ -35,55 +35,41 @@ const (
 	OpcodeValidOnly
 )
 
-// OpcodeTrial runs one opcode-corruption experiment: at the target-th
-// dynamic target instruction, one bit of that instruction's opcode byte is
-// flipped for the remainder of the run. The image is restored before the
-// function returns, so trials are independent.
-func OpcodeTrial(m *vm.Machine, cfg fault.Config, costs CostModel, target int64, mode OpcodeMode, rng *fault.RNG) fault.Record {
-	return OpcodeTrialMapped(m, TargetMap(m.Img, cfg), costs, target, mode, rng)
+// CorruptOpcode is the opcode-corruption injection and its undo: inject
+// flips one bit of the opcode byte of the instruction it lands on — in the
+// machine's image, for the remainder of the run (Repredecode rewrites the
+// predecoded stream in place, so the running loop executes the corrupted
+// instruction from the next dispatch) — and logs the transition to rec;
+// restore puts the opcode back once the machine has halted, so trials are
+// independent. A counting hook's target bitmap is consulted only while the
+// hook is attached, so it never observes the corrupted stream.
+func CorruptOpcode(target int64, mode OpcodeMode, rng *fault.RNG, rec *fault.Record) (inject vm.ExecHook, restore func()) {
+	var img *vm.Image // the corrupted image, once the injection has landed
+	var old vx.Op
+	inject = func(m *vm.Machine, pc int32, in *vm.Inst) {
+		img, old = m.Img, in.Op
+		bit := uint(rng.Intn(8))
+		flipped := vx.Op(uint8(old) ^ uint8(1<<bit))
+		if mode == OpcodeValidOnly {
+			for !validOpcode(flipped) {
+				bit = uint(rng.Intn(8))
+				flipped = vx.Op(uint8(old) ^ uint8(1<<bit))
+			}
+		}
+		*rec = fault.Record{DynIdx: target, PC: pc, Bit: bit, Op: old.String() + "->" + flipped.String()}
+		setOpcode(img, pc, flipped)
+	}
+	restore = func() {
+		if img != nil {
+			setOpcode(img, rec.PC, old)
+		}
+	}
+	return inject, restore
 }
 
-// OpcodeTrialMapped is OpcodeTrial over a precomputed target bitmap: the
-// pre-corruption prefix counts through an inline vm.CountHook on the hooked
-// fast loop, and the Fire callback corrupts the opcode, repredecodes the
-// slot, and detaches. The bitmap is consulted only while the hook is
-// attached, so it never observes the corrupted instruction stream.
-func OpcodeTrialMapped(m *vm.Machine, targets []bool, costs CostModel, target int64, mode OpcodeMode, rng *fault.RNG) fault.Record {
-	budget := m.Budget
-	m.Reset()
-	m.Budget = budget
-	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	var rec fault.Record
-	var corruptedPC int32 = -1
-	var savedOp vx.Op
-
-	m.Count = &vm.CountHook{
-		Targets: targets, PerInstr: costs.PerInstr, Arm: target,
-		Fire: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			old := in.Op
-			bit := uint(rng.Intn(8))
-			flipped := vx.Op(uint8(old) ^ uint8(1<<bit))
-			if mode == OpcodeValidOnly {
-				for !validOpcode(flipped) {
-					bit = uint(rng.Intn(8))
-					flipped = vx.Op(uint8(old) ^ uint8(1<<bit))
-				}
-			}
-			corruptedPC = pc
-			savedOp = old
-			mm.Img.Instrs[pc].Op = flipped
-			mm.Img.Repredecode(pc)
-			rec = fault.Record{DynIdx: target, PC: pc, Bit: bit, Op: old.String() + "->" + flipped.String()}
-			mm.Count = nil
-		},
-	}
-	m.Run()
-	m.Count = nil
-	if corruptedPC >= 0 {
-		m.Img.Instrs[corruptedPC].Op = savedOp
-		m.Img.Repredecode(corruptedPC)
-	}
-	return rec
+func setOpcode(img *vm.Image, pc int32, op vx.Op) {
+	img.Instrs[pc].Op = op
+	img.Repredecode(pc)
 }
 
 // validOpcode reports whether the encoding names a real, emittable

@@ -9,16 +9,27 @@ import (
 	"repro/internal/vm"
 )
 
+// opcodeTrial runs one opcode-corruption trial on the production carrier and
+// restores the image.
+func opcodeTrial(m *vm.Machine, fps *pinfi.FirePoints, target int64, mode pinfi.OpcodeMode, rng *fault.RNG) fault.Record {
+	var rec fault.Record
+	inject, restore := pinfi.CorruptOpcode(target, mode, rng, &rec)
+	pinfi.ArmFired(m, fps, pinfi.DefaultCosts(), target, inject)
+	m.Run()
+	restore()
+	return rec
+}
+
 func TestOpcodeTrialRestoresImage(t *testing.T) {
 	img := buildImage(t)
 	saved := make([]vm.Inst, len(img.Instrs))
 	copy(saved, img.Instrs)
 
-	m := newMachine(img)
-	targets, _ := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, _ := profile(img)
+	targets := fps.N
 	mt := newMachine(img)
 	mt.Budget = m.InstrCount * 10
-	rec := pinfi.OpcodeTrial(mt, fault.DefaultConfig(), pinfi.DefaultCosts(), targets/2, pinfi.OpcodeAny, fault.NewRNG(11))
+	rec := opcodeTrial(mt, fps, targets/2, pinfi.OpcodeAny, fault.NewRNG(11))
 	if rec.Op == "" || !strings.Contains(rec.Op, "->") {
 		t.Fatalf("no opcode transition recorded: %+v", rec)
 	}
@@ -31,8 +42,8 @@ func TestOpcodeTrialRestoresImage(t *testing.T) {
 
 func TestOpcodeValidOnlyNeverIllegal(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, _ := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, _ := profile(img)
+	targets := fps.N
 	budget := m.InstrCount * 10
 
 	for seed := uint64(0); seed < 60; seed++ {
@@ -40,7 +51,7 @@ func TestOpcodeValidOnlyNeverIllegal(t *testing.T) {
 		target := rng.Intn(targets)
 		mt := newMachine(img)
 		mt.Budget = budget
-		pinfi.OpcodeTrial(mt, fault.DefaultConfig(), pinfi.DefaultCosts(), target, pinfi.OpcodeValidOnly, rng)
+		opcodeTrial(mt, fps, target, pinfi.OpcodeValidOnly, rng)
 		if mt.Trap == vm.TrapIllegal {
 			t.Fatalf("seed %d: valid-only mode raised illegal-instruction trap", seed)
 		}
@@ -49,8 +60,8 @@ func TestOpcodeValidOnlyNeverIllegal(t *testing.T) {
 
 func TestOpcodeAnyProducesIllegalSometimes(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, golden := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, golden := profile(img)
+	targets := fps.N
 	budget := m.InstrCount * 10
 
 	outcomes := map[fault.Outcome]int{}
@@ -60,7 +71,7 @@ func TestOpcodeAnyProducesIllegalSometimes(t *testing.T) {
 		target := rng.Intn(targets)
 		mt := newMachine(img)
 		mt.Budget = budget
-		pinfi.OpcodeTrial(mt, fault.DefaultConfig(), pinfi.DefaultCosts(), target, pinfi.OpcodeAny, rng)
+		opcodeTrial(mt, fps, target, pinfi.OpcodeAny, rng)
 		outcomes[fault.Classify(mt, golden)]++
 		if mt.Trap == vm.TrapIllegal {
 			illegal++
@@ -80,8 +91,8 @@ func TestOpcodeAnyProducesIllegalSometimes(t *testing.T) {
 // (invalid encodings always crash; valid-but-wrong opcodes often do not).
 func TestOpcodeModesDiverge(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, golden := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, golden := profile(img)
+	targets := fps.N
 	budget := m.InstrCount * 10
 
 	counts := map[pinfi.OpcodeMode]*fault.Counts{
@@ -94,7 +105,7 @@ func TestOpcodeModesDiverge(t *testing.T) {
 			target := rng.Intn(targets)
 			mt := newMachine(img)
 			mt.Budget = budget
-			pinfi.OpcodeTrial(mt, fault.DefaultConfig(), pinfi.DefaultCosts(), target, mode, rng)
+			opcodeTrial(mt, fps, target, mode, rng)
 			c.Add(fault.Classify(mt, golden))
 		}
 	}

@@ -1,9 +1,9 @@
 // Package pinfi implements the binary-level comparator: fault injection via
 // dynamic binary instrumentation in the style of the PINFI tool the paper
-// uses as its accuracy baseline (§5.2). The VM's per-instruction execution
-// hook stands in for PIN's instruction-level instrumentation: it observes
-// the executed machine instruction stream of the *uninstrumented, optimized*
-// binary — the definitive dynamic instruction population.
+// uses as its accuracy baseline (§5.2). The VM's inline counting observer
+// (vm.CountHook) stands in for PIN's instruction-level instrumentation: it
+// observes the executed machine instruction stream of the *uninstrumented,
+// optimized* binary — the definitive dynamic instruction population.
 //
 // The package models PIN's costs explicitly (per-instruction analysis
 // callback plus one-time JIT translation of the code it executes) and
@@ -49,64 +49,76 @@ func TargetMap(img *vm.Image, cfg fault.Config) []bool {
 	return vm.TargetMap(img, func(in *vm.Inst) bool { return cfg.TargetInst(img, in) })
 }
 
-// Profile runs the program once with counting instrumentation attached for
-// the whole run (as PINFI's profiling tool does), returning the number of
-// dynamic target instructions, the golden output, and the dynamic
-// instruction count used for the 10× timeout budget.
-func Profile(m *vm.Machine, cfg fault.Config, costs CostModel) (targets int64, golden []uint64) {
-	return ProfileMapped(m, TargetMap(m.Img, cfg), costs)
-}
-
-// ProfileMapped is Profile over a precomputed target bitmap. The counting
-// runs as an inline vm.CountHook on the hooked fast dispatch loop — the
-// whole-run instrumentation PINFI's profiling tool attaches no longer costs
-// a reference-decoder single-step per instruction.
-func ProfileMapped(m *vm.Machine, targets []bool, costs CostModel) (int64, []uint64) {
-	m.Reset()
+// Profile runs the one hooked golden pass of a binary-level tool on a fresh
+// machine: counting instrumentation attached for the whole run (as PINFI's
+// profiling tool does), whose Fire — re-armed at every occurrence — records
+// the fire-point index the trials are scheduled from. It returns the index
+// (N is the dynamic target count) and the golden output; the machine is left
+// halted with the dynamic instruction count the 10× timeout budget derives
+// from. The recorded indices are exact for every trial of the campaign: a
+// trial's pre-injection prefix is bit-identical to this run (Cycles and
+// Budget never influence the architectural trajectory).
+func Profile(m *vm.Machine, targets []bool, costs CostModel) (*FirePoints, []uint64) {
 	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	ch := &vm.CountHook{Targets: targets, PerInstr: costs.PerInstr, Arm: -1}
+	fps := &FirePoints{}
+	ch := &vm.CountHook{Targets: targets, PerInstr: costs.PerInstr}
+	ch.Fire = func(mm *vm.Machine, pc int32, _ *vm.Inst) {
+		fps.add(mm.InstrCount, pc)
+		ch.Arm++
+	}
 	m.Count = ch
 	m.Run()
 	m.Count = nil
-	return ch.N, append([]uint64(nil), m.Output...)
+	return fps, append([]uint64(nil), m.Output...)
 }
 
-// Trial runs one fault-injection experiment: the counting hook counts target
-// instructions, flips one uniformly drawn bit of one uniformly drawn output
-// register of the target-index-th dynamic target instruction, then detaches.
-// The machine is left halted for outcome classification. Trial resets the
-// machine but re-applies the caller-set instruction budget (Reset clears it,
-// by the machine-reuse hygiene contract).
-func Trial(m *vm.Machine, cfg fault.Config, costs CostModel, target int64, rng *fault.RNG) fault.Record {
-	return TrialMapped(m, TargetMap(m.Img, cfg), costs, target, rng)
-}
+// A binary-level trial is one injection — an ExecHook-shaped callback that
+// runs once, after the target-th dynamic target instruction commits — armed
+// on a freshly reset machine by one of the two carriers below; the caller
+// then runs the machine, which is left halted for outcome classification.
+// The injections are Flip, CorruptOpcode (opcode.go) and multibit's double
+// flip. Both carriers hand the injection the same machine state (the
+// instruction's effects committed, its PerInstr cost charged, no observer
+// attached), so everything a campaign derives from a trial is bit-identical
+// between them — the differential suite holds the fired carrier to the
+// counted one and to RunStepped.
 
-// TrialMapped is Trial over a precomputed target bitmap. The pre-injection
-// prefix — the dominant hooked execution of a campaign — runs as an inline
-// vm.CountHook; only the single injection point pays a closure call (Fire),
-// which flips the bits and detaches (the paper's §5.2 optimization), letting
-// the rest of the run execute on the hook-free fast loop.
-func TrialMapped(m *vm.Machine, targets []bool, costs CostModel, target int64, rng *fault.RNG) fault.Record {
-	budget := m.Budget
-	m.Reset()
-	m.Budget = budget
+// ArmFired is the production carrier: it looks the target occurrence up in
+// the fire-point index and arms the VM's fire-point seam at that absolute
+// instruction index. The whole trial — prefix, injection, suffix — runs on
+// the hook-free fast loop with zero hooked instructions; the deferred
+// PerInstr observer cost is settled as a lump sum at the fire (see
+// vm.FirePoint).
+func ArmFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, inject vm.ExecHook) {
 	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	var rec fault.Record
+	at, pc := fps.Lookup(target)
+	m.ArmFire(&vm.FirePoint{At: at, PC: pc, PerInstr: costs.PerInstr, Fn: inject})
+}
+
+// ArmCounted is the reference carrier, PINFI as the paper describes it: a
+// counting hook attached from instruction 0 counts target occurrences
+// through a hooked prefix and, at the target-th, removes the instrumentation
+// and detaches (the §5.2 optimization) before injecting.
+func ArmCounted(m *vm.Machine, targets []bool, costs CostModel, target int64, inject vm.ExecHook) {
+	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
 	m.Count = &vm.CountHook{
 		Targets: targets, PerInstr: costs.PerInstr, Arm: target,
 		Fire: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			outs := in.Outs[:in.NOut]
-			op, bit := fault.PickOperandAndBit(rng, outs)
-			mm.FlipBit(outs[op], bit)
-			rec = fault.Record{
-				DynIdx: target, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String(),
-			}
-			// The paper's optimization: remove instrumentation and detach
-			// once the single fault is injected.
 			mm.Count = nil
+			inject(mm, pc, in)
 		},
 	}
-	m.Run()
-	m.Count = nil
-	return rec
+}
+
+// Flip is the register-flip injection (the paper's single-bit fault model):
+// it flips one uniformly drawn bit of one uniformly drawn output register of
+// the instruction it lands on and logs the fault to rec — which stays zero
+// when the run ends before the injection does.
+func Flip(target int64, rng *fault.RNG, rec *fault.Record) vm.ExecHook {
+	return func(m *vm.Machine, pc int32, in *vm.Inst) {
+		outs := in.Outs[:in.NOut]
+		op, bit := fault.PickOperandAndBit(rng, outs)
+		m.FlipBit(outs[op], bit)
+		*rec = fault.Record{DynIdx: target, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String()}
+	}
 }

@@ -46,11 +46,26 @@ func newMachine(img *vm.Image) *vm.Machine {
 	return m
 }
 
+// profile runs the profiling pass on a fresh machine, which it returns
+// halted (InstrCount is the golden run's length).
+func profile(img *vm.Image) (m *vm.Machine, fps *pinfi.FirePoints, golden []uint64) {
+	m = newMachine(img)
+	fps, golden = pinfi.Profile(m, pinfi.TargetMap(img, fault.DefaultConfig()), pinfi.DefaultCosts())
+	return m, fps, golden
+}
+
+// trial runs one register-flip trial on the production carrier.
+func trial(m *vm.Machine, fps *pinfi.FirePoints, target int64, rng *fault.RNG) fault.Record {
+	var rec fault.Record
+	pinfi.ArmFired(m, fps, pinfi.DefaultCosts(), target, pinfi.Flip(target, rng, &rec))
+	m.Run()
+	return rec
+}
+
 func TestProfileCountsAndGolden(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, golden := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
-	if targets == 0 {
+	m, fps, golden := profile(img)
+	if fps.N == 0 {
 		t.Fatal("no targets")
 	}
 	if len(golden) != 1 {
@@ -67,8 +82,7 @@ func TestProfileCostsMoreThanNative(t *testing.T) {
 	m.Run()
 	native := m.Cycles
 
-	m2 := newMachine(img)
-	pinfi.Profile(m2, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m2, _, _ := profile(img)
 	if m2.Cycles <= native {
 		t.Fatalf("instrumented profile (%d cycles) not slower than native (%d)", m2.Cycles, native)
 	}
@@ -76,20 +90,20 @@ func TestProfileCostsMoreThanNative(t *testing.T) {
 
 func TestTrialInjectsAndDetaches(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, golden := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, golden := profile(img)
+	targets := fps.N
 	budget := m.InstrCount * 10
 
 	outcomes := map[fault.Outcome]int{}
 	for target := int64(0); target < targets; target += targets/31 + 1 {
 		mt := newMachine(img)
 		mt.Budget = budget
-		rec := pinfi.Trial(mt, fault.DefaultConfig(), pinfi.DefaultCosts(), target, fault.NewRNG(uint64(target)+5))
+		rec := trial(mt, fps, target, fault.NewRNG(uint64(target)+5))
 		if rec.Op == "" {
 			t.Fatalf("target %d: no fault recorded", target)
 		}
-		if mt.Hook != nil {
-			t.Fatal("hook still attached after trial")
+		if mt.Count != nil || mt.FireArmed() {
+			t.Fatal("instrumentation still attached after trial")
 		}
 		outcomes[fault.Classify(mt, golden)]++
 	}
@@ -103,17 +117,17 @@ func TestTrialInjectsAndDetaches(t *testing.T) {
 // instrumentation detaches at the injection point.
 func TestDetachReducesCost(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, _ := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, _ := profile(img)
+	targets := fps.N
 
 	early := newMachine(img)
 	early.Budget = m.InstrCount * 10
 	// Use a seed whose flip is benign-ish; costs still dominated by hook.
-	pinfi.Trial(early, fault.DefaultConfig(), pinfi.DefaultCosts(), 0, fault.NewRNG(1))
+	trial(early, fps, 0, fault.NewRNG(1))
 
 	late := newMachine(img)
 	late.Budget = m.InstrCount * 10
-	pinfi.Trial(late, fault.DefaultConfig(), pinfi.DefaultCosts(), targets-1, fault.NewRNG(1))
+	trial(late, fps, targets-1, fault.NewRNG(1))
 
 	if early.Cycles >= late.Cycles {
 		t.Fatalf("early-inject trial (%d cycles) not cheaper than late-inject (%d): detach not working",
@@ -123,16 +137,16 @@ func TestDetachReducesCost(t *testing.T) {
 
 func TestTrialDeterminism(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, golden := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, golden := profile(img)
+	targets := fps.N
 	target := targets / 2
 
 	m1 := newMachine(img)
 	m1.Budget = m.InstrCount * 10
-	r1 := pinfi.Trial(m1, fault.DefaultConfig(), pinfi.DefaultCosts(), target, fault.NewRNG(99))
+	r1 := trial(m1, fps, target, fault.NewRNG(99))
 	m2 := newMachine(img)
 	m2.Budget = m.InstrCount * 10
-	r2 := pinfi.Trial(m2, fault.DefaultConfig(), pinfi.DefaultCosts(), target, fault.NewRNG(99))
+	r2 := trial(m2, fps, target, fault.NewRNG(99))
 	if r1 != r2 || m1.Cycles != m2.Cycles ||
 		fault.Classify(m1, golden) != fault.Classify(m2, golden) {
 		t.Fatal("identical trials diverged")
@@ -141,12 +155,12 @@ func TestTrialDeterminism(t *testing.T) {
 
 func TestRecordFieldsPlausible(t *testing.T) {
 	img := buildImage(t)
-	m := newMachine(img)
-	targets, _ := pinfi.Profile(m, fault.DefaultConfig(), pinfi.DefaultCosts())
+	m, fps, _ := profile(img)
+	targets := fps.N
 	mt := newMachine(img)
 	mt.Budget = m.InstrCount * 10
 	target := targets / 3
-	rec := pinfi.Trial(mt, fault.DefaultConfig(), pinfi.DefaultCosts(), target, fault.NewRNG(4))
+	rec := trial(mt, fps, target, fault.NewRNG(4))
 	if rec.DynIdx != target {
 		t.Fatalf("record dyn %d, want %d", rec.DynIdx, target)
 	}

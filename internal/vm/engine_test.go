@@ -84,16 +84,30 @@ func bindGolden(m *vm.Machine, tool campaign.Tool) {
 	}
 }
 
+// everyInstr attaches fn as a per-instruction observer: a CountHook over an
+// all-true target map whose Fire re-arms itself for the next occurrence runs
+// fn after every committed instruction, on Step, on the hooked fast loop and
+// at the host-call seam alike. It charges no cycles. fn detaches it with
+// m.Count = nil.
+func everyInstr(m *vm.Machine, fn vm.ExecHook) {
+	ch := &vm.CountHook{Targets: vm.TargetMap(m.Img, func(*vm.Inst) bool { return true })}
+	ch.Fire = func(mm *vm.Machine, pc int32, in *vm.Inst) {
+		ch.Arm++
+		fn(mm, pc, in)
+	}
+	m.Count = ch
+}
+
 // refRun executes the machine entirely through the Step reference path
-// (attaching a hook no longer forces it — hooked runs dispatch through the
-// hooked fast loop — so the differential baseline uses RunStepped). The
-// no-op hook is kept attached so hook-servicing transitions exercise the
-// same observer code; it costs no cycles, so the accounting is identical to
-// an unhooked stepping loop.
+// (attaching an observer no longer forces it — hooked runs dispatch through
+// the hooked fast loop — so the differential baseline uses RunStepped). The
+// no-op probe is kept attached so observer-servicing transitions exercise
+// the same observer code; it costs no cycles, so the accounting is identical
+// to an unhooked stepping loop.
 func refRun(m *vm.Machine) {
-	m.Hook = func(*vm.Machine, int32, *vm.Inst) {}
+	everyInstr(m, func(*vm.Machine, int32, *vm.Inst) {})
 	m.RunStepped()
-	m.Hook = nil
+	m.Count = nil
 }
 
 func TestFastEngineMatchesStepReference(t *testing.T) {
@@ -176,10 +190,10 @@ func TestDirtyPageResetMatchesFreshMachine(t *testing.T) {
 	}
 }
 
-// TestHostAttachedHookMatchesStep covers the one way a hook can appear
-// mid-run in the fast loop: a host function attaching it. Step fires a
-// freshly attached hook for the attaching CALLQ itself, so the fast loop
-// must too — the hook's observation count and the final state have to match
+// TestHostAttachedHookMatchesStep covers one way an observer can appear
+// mid-run in the fast loop: a host function attaching it. Step services a
+// freshly attached observer for the attaching CALLQ itself, so the fast loop
+// must too — the probe's observation count and the final state have to match
 // the reference path exactly.
 func TestHostAttachedHookMatchesStep(t *testing.T) {
 	img := mustAssemble(t, buildFactorial())
@@ -189,7 +203,7 @@ func TestHostAttachedHookMatchesStep(t *testing.T) {
 		m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 			mm.Output = append(mm.Output, mm.Regs[vx.R1])
 			mm.Regs[vx.R0] = 0
-			mm.Hook = func(*vm.Machine, int32, *vm.Inst) { hooked++ }
+			everyInstr(mm, func(*vm.Machine, int32, *vm.Inst) { hooked++ })
 		}})
 		if ref {
 			refRun(m)
@@ -279,18 +293,18 @@ func TestImageIndexes(t *testing.T) {
 
 // TestResetClearsBudgetAndHook is the machine-reuse hygiene regression
 // test: a pooled machine must not leak the previous trial's timeout budget
-// or exec hook into the next run.
+// or observer into the next run.
 func TestResetClearsBudgetAndHook(t *testing.T) {
 	bin := buildBin(t, "CG", campaign.PINFI)
 	m := bin.NewMachine()
 	m.Budget = 123
-	m.Hook = func(*vm.Machine, int32, *vm.Inst) {}
+	everyInstr(m, func(*vm.Machine, int32, *vm.Inst) {})
 	m.Reset()
 	if m.Budget != 0 {
 		t.Errorf("Reset left Budget = %d, want 0", m.Budget)
 	}
-	if m.Hook != nil {
-		t.Errorf("Reset left Hook attached")
+	if m.Count != nil {
+		t.Errorf("Reset left the probe attached")
 	}
 	// A reused machine whose previous trial timed out must now complete.
 	m.Budget = 10

@@ -49,7 +49,7 @@ type FirePoint struct {
 }
 
 // ArmFire arms the one-shot fire point for the current run. Arming is
-// per-run state: Reset disarms, like Budget, Hook and Count (machine-reuse
+// per-run state: Reset disarms, like Budget, Count and Trace (machine-reuse
 // hygiene — a pooled machine must not leak a pending injection into the next
 // trial).
 func (m *Machine) ArmFire(fp *FirePoint) {

@@ -10,25 +10,22 @@ import (
 // that services per-instruction observers inline instead of falling back to
 // the reference Step decoder. Hooked runs are the cost REFINE's speed claim
 // must drive toward zero (the ZOFI argument): all of PINFI's profiling, the
-// hooked prefix of every PINFI/OPCODE trial, and any traced run used to
-// execute through Step's full-decode path. They now run over the same uop
-// stream as the hook-free fast loop.
+// counted tail of a double-flip trial, and any traced run used to execute
+// through Step's full-decode path. They now run over the same uop stream as
+// the hook-free fast loop.
 //
-// Three observer kinds exist:
+// Two observer kinds exist, both serviced with straight-line code:
 //
-//   - ExecHook (vm.go): the general closure hook. The hooked loop calls it
-//     after every committed instruction, exactly as Step does.
-//   - CountHook (below): the specialized profiling observer — a per-PC
-//     target bitmap, a per-instruction cycle surcharge, and a counter. The
-//     loop services it with straight-line arithmetic, no closure call, so a
-//     counting profile run costs barely more than the hook-free loop.
-//   - TraceRing (trace.go): the specialized trace observer — a ring buffer
-//     of recent instructions, serviced inline like CountHook so tracing
-//     stops paying the closure-hook penalty.
+//   - CountHook (below): the profiling observer — a per-PC target bitmap, a
+//     per-instruction cycle surcharge, and a counter, so a counting profile
+//     run costs barely more than the hook-free loop. Its Fire callback, run
+//     at one armed occurrence, is the only closure an observer can call.
+//   - TraceRing (trace.go): the trace observer — a ring buffer of recent
+//     instructions.
 //
-// Both paths share postExec, which Step also calls, so observer semantics
-// (ordering, halt suppression, attach/detach transitions) cannot diverge
-// between the reference and fast paths.
+// Step services them through postExec, whose body the hooked loop inlines,
+// so observer semantics (ordering, halt suppression, attach/detach
+// transitions) cannot diverge between the reference and fast paths.
 
 // CountHook is the closure-free profiling observer serviced inline by the
 // hooked fast loop: after every committed instruction the machine charges
@@ -38,12 +35,13 @@ import (
 // pre-injection prefix of every binary-level trial.
 //
 // Fire is the escape hatch for trial injectors: when an executed target
-// instruction finds N == Arm, Fire runs (with the same signature and machine
-// state an ExecHook would see) *in place of nothing* — counting still
-// advances afterwards, matching a closure that injects and then increments.
-// Fire typically flips bits and detaches by setting m.Count = nil (the
-// paper's §5.2 detach optimization); the loop then drops to the hook-free
-// fast path. Arm < 0 never fires.
+// instruction finds N == Arm, Fire runs *in place of nothing* — counting
+// still advances afterwards, matching a closure that injects and then
+// increments. Fire typically flips bits and detaches by setting
+// m.Count = nil (the paper's §5.2 detach optimization); the loop then drops
+// to the hook-free fast path. A Fire that moves Arm to the next occurrence
+// runs again there (the profile pass records every occurrence that way).
+// Arm < 0 never fires.
 type CountHook struct {
 	// Targets marks the PCs whose instructions belong to the counted
 	// population (len == len(Img.Instrs); a short or nil slice counts
@@ -77,10 +75,9 @@ func TargetMap(img *Image, keep func(*Inst) bool) []bool {
 
 // postExec runs the per-instruction observers after an instruction's
 // architectural effects are committed: the inline CountHook first, then the
-// inline TraceRing, then the ExecHook. A halted machine fires nothing (a
-// trapping instruction is not observed, matching Step's historical
-// contract), and a Fire or hook that halts the machine suppresses the
-// observers that would have followed it. Step and the hooked fast loop
+// inline TraceRing. A halted machine fires nothing (a trapping instruction
+// is not observed, matching Step's historical contract), and a Fire that
+// halts the machine suppresses the trace entry that would have followed it. Step and the hooked fast loop
 // share this method, so observer semantics are identical on both paths by
 // construction.
 func (m *Machine) postExec(pc int32, in *Inst) {
@@ -96,14 +93,11 @@ func (m *Machine) postExec(pc int32, in *Inst) {
 	if tr := m.Trace; tr != nil && !m.Halted {
 		tr.record(m.InstrCount, pc, in.Op, m.Regs[vx.SP], m.Regs[vx.RFLAGS])
 	}
-	if h := m.Hook; h != nil && !m.Halted {
-		h(m, pc, in)
-	}
 }
 
 // observed reports whether any per-instruction observer is attached.
 func (m *Machine) observed() bool {
-	return m.Hook != nil || m.Count != nil || m.Trace != nil
+	return m.Count != nil || m.Trace != nil
 }
 
 // RunStepped executes until halt, trap, or budget exhaustion entirely
@@ -126,9 +120,9 @@ func (m *Machine) RunStepped() TrapKind {
 // the machine halts or the last observer detaches (Run then switches to the
 // hook-free loop).
 //
-// Unlike runFast there is no budget countdown to resync: observers run
-// arbitrary code after every instruction and may change Budget at any time,
-// so the loop checks Budget directly, exactly like Step. Fused
+// Unlike runFast there is no budget countdown to resync: a Fire can run
+// arbitrary code after any instruction and may change Budget, so the loop
+// checks Budget directly, exactly like Step. Fused
 // compare+branch superinstructions are likewise not taken here — observers
 // must see the unfused pair, so the fused kinds execute only their compare
 // half and fall through to the branch slot's own unfused uop. The handlers
@@ -312,17 +306,17 @@ func (m *Machine) runHooked() {
 			m.Regs[u.a] = ^m.Regs[u.a]
 
 		case uFADDrr:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) + math.Float64frombits(m.Regs[u.b]))
+			m.Regs[u.a] = fadd(m.Regs[u.a], m.Regs[u.b])
 		case uFADDri:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) + math.Float64frombits(uint64(u.imm)))
+			m.Regs[u.a] = fadd(m.Regs[u.a], uint64(u.imm))
 		case uFSUBrr:
 			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) - math.Float64frombits(m.Regs[u.b]))
 		case uFSUBri:
 			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) - math.Float64frombits(uint64(u.imm)))
 		case uFMULrr:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) * math.Float64frombits(m.Regs[u.b]))
+			m.Regs[u.a] = fmul(m.Regs[u.a], m.Regs[u.b])
 		case uFMULri:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) * math.Float64frombits(uint64(u.imm)))
+			m.Regs[u.a] = fmul(m.Regs[u.a], uint64(u.imm))
 		case uFDIVrr:
 			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) / math.Float64frombits(m.Regs[u.b]))
 		case uFDIVri:
@@ -425,7 +419,7 @@ func (m *Machine) runHooked() {
 
 		case uCALLH:
 			// No countdown to resync and no attach special-case: whatever the
-			// host function did to Budget, Hook or Count, the loop reads it
+			// host function did to Budget, Count or Trace, the loop reads it
 			// fresh — the epilogue below services a freshly attached observer
 			// for the attaching instruction, exactly like Step.
 			h := &m.hosts[u.tgt]
@@ -455,10 +449,10 @@ func (m *Machine) runHooked() {
 
 		// Observer epilogue — postExec's body inlined (kept in lockstep with
 		// it): a halted machine observes nothing, the count hook runs first,
-		// then the trace ring, then the closure hook; Fire runs before N
-		// advances, and a Fire or hook that halts the machine suppresses
-		// what would have followed. When the last observer detaches, return
-		// so Run drops to the hook-free fast loop.
+		// then the trace ring; Fire runs before N advances, and a Fire that
+		// halts the machine suppresses what would have followed. When the
+		// last observer detaches, return so Run drops to the hook-free fast
+		// loop.
 		if m.Halted {
 			return
 		}
@@ -473,9 +467,6 @@ func (m *Machine) runHooked() {
 		}
 		if tr := m.Trace; tr != nil && !m.Halted {
 			tr.record(m.InstrCount, pc, img.Instrs[pc].Op, m.Regs[vx.SP], m.Regs[vx.RFLAGS])
-		}
-		if h := m.Hook; h != nil && !m.Halted {
-			h(m, pc, &img.Instrs[pc])
 		}
 		if m.Halted || !m.observed() {
 			return

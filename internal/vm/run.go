@@ -10,16 +10,17 @@ import (
 // kind (TrapNone for a normal halt).
 //
 // Run alternates between two predecoded loop variants at observer
-// attach/detach boundaries: while an ExecHook or CountHook is attached it
+// attach/detach boundaries: while a CountHook or TraceRing is attached it
 // executes the hooked fast loop (runHooked), which dispatches uops and
 // services the observers inline after every instruction; with no observer it
 // executes the hook-free fast loop (runFast), which additionally hoists the
-// budget check into a countdown and takes fused superinstructions. The
-// PINFI comparator detaches its observer mid-run (§5.2), so a hooked PINFI
-// trial starts hooked and finishes on the hook-free loop — and a fire-point
-// trial (ArmFire) never leaves it: the injection rides the same countdown as
-// the budget, so both prefix and suffix run hook-free. Step remains the
-// reference path both loops are differentially pinned to (RunStepped).
+// budget check into a countdown and takes fused superinstructions. A
+// counted PINFI trial detaches its observer mid-run (§5.2), so it starts
+// hooked and finishes on the hook-free loop — and a fire-point trial
+// (ArmFire), the production form, never leaves it: the injection rides the
+// same countdown as the budget, so both prefix and suffix run hook-free.
+// Step remains the reference path both loops are differentially pinned to
+// (RunStepped).
 func (m *Machine) Run() TrapKind {
 	m.Img.ensure()
 	for !m.Halted {
@@ -38,7 +39,7 @@ func (m *Machine) Run() TrapKind {
 // runFast is the hook-free inner interpreter loop over predecoded uops. It
 // must stay observationally identical to stepping: same traps, same cycle
 // accounting, same InstrCount at every host-call boundary. It returns when
-// the machine halts or a host function attaches an ExecHook.
+// the machine halts or a host function or fire point attaches an observer.
 func (m *Machine) runFast() {
 	img := m.Img
 	code := img.code
@@ -225,17 +226,17 @@ func (m *Machine) runFast() {
 			m.Regs[u.a] = ^m.Regs[u.a]
 
 		case uFADDrr:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) + math.Float64frombits(m.Regs[u.b]))
+			m.Regs[u.a] = fadd(m.Regs[u.a], m.Regs[u.b])
 		case uFADDri:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) + math.Float64frombits(uint64(u.imm)))
+			m.Regs[u.a] = fadd(m.Regs[u.a], uint64(u.imm))
 		case uFSUBrr:
 			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) - math.Float64frombits(m.Regs[u.b]))
 		case uFSUBri:
 			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) - math.Float64frombits(uint64(u.imm)))
 		case uFMULrr:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) * math.Float64frombits(m.Regs[u.b]))
+			m.Regs[u.a] = fmul(m.Regs[u.a], m.Regs[u.b])
 		case uFMULri:
-			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) * math.Float64frombits(uint64(u.imm)))
+			m.Regs[u.a] = fmul(m.Regs[u.a], uint64(u.imm))
 		case uFDIVrr:
 			m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) / math.Float64frombits(m.Regs[u.b]))
 		case uFDIVri:
@@ -468,6 +469,33 @@ func (m *Machine) uopAddr(u *uop) uint64 {
 	}
 	return a + uint64(u.imm)
 }
+
+// fadd and fmul are ADDSD and MULSD on bit patterns. When both operands are
+// NaN, x64 keeps the destination's payload; Go is free to commute a sum or a
+// product, and does so differently from one call site to the next, so that
+// case is spelled out once for all three dispatchers. The NaN tests are
+// integer compares on purpose: a floating-point compare or an out-of-line
+// call in these arms costs the hook-free loop several percent.
+func fadd(a, b uint64) uint64 {
+	return keepDst(math.Float64bits(math.Float64frombits(a)+math.Float64frombits(b)), a, b)
+}
+
+func fmul(a, b uint64) uint64 {
+	return keepDst(math.Float64bits(math.Float64frombits(a)*math.Float64frombits(b)), a, b)
+}
+
+// keepDst returns r, the host's result for destination a and source b, or
+// the quieted destination when all three are NaN.
+func keepDst(r, a, b uint64) uint64 {
+	if isNaN(r) && isNaN(a) && isNaN(b) {
+		return a | 1<<51
+	}
+	return r
+}
+
+// isNaN reports whether a bit pattern is a NaN: exponent all ones, mantissa
+// not zero.
+func isNaN(bits uint64) bool { return bits<<1 > 0xFFE0_0000_0000_0000 }
 
 // cmpFlags computes CMPQ's ZF/SF/CF triple.
 func cmpFlags(a, b uint64) uint64 {

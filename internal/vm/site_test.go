@@ -95,7 +95,7 @@ func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []site
 	cur := siteAnchor{at: -1, ret: -1}
 	m := bin.NewMachine()
 	(&core.ProfileLib{}).Bind(m)
-	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
+	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
 		before := mm.InstrCount - 1
 		if before < thresholds[len(out)] {
 			return
@@ -110,10 +110,10 @@ func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []site
 			out = append(out, cur)
 			cur = siteAnchor{at: -1, ret: -1}
 			if len(out) == len(thresholds) {
-				mm.Hook = nil
+				mm.Count = nil
 			}
 		}
-	}
+	})
 	m.Run()
 	if len(out) == 0 {
 		t.Fatalf("%s: golden run executes no fused site past %d instructions", bin.App.Name, thresholds[0])
@@ -400,12 +400,12 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 	scenario("halts", false, func(mm *vm.Machine, _ *obs) { mm.Halted, mm.ExitCode = true, 7 })
 	scenario("attaches a CountHook", false, func(mm *vm.Machine, o *obs) { mm.Count = &o.count })
 	scenario("attaches a TraceRing", false, func(mm *vm.Machine, _ *obs) { mm.Trace = vm.NewTraceRing(24) })
-	scenario("attaches an ExecHook", false, func(mm *vm.Machine, o *obs) {
+	scenario("attaches a per-instruction Fire", false, func(mm *vm.Machine, o *obs) {
 		o.hookHash = 14695981039346656037
-		mm.Hook = func(hm *vm.Machine, pc int32, in *vm.Inst) {
+		everyInstr(mm, func(hm *vm.Machine, pc int32, in *vm.Inst) {
 			o.hookHash = obsHash(o.hookHash, pc, hm.InstrCount, hm.Cycles, in.Op)
 			o.hookN++
-		}
+		})
 	})
 	scenario("moves SP", false, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.SP] += 8 })
 	scenario("moves PC", false, func(mm *vm.Machine, _ *obs) { mm.PC = a.post + 2 })
@@ -424,11 +424,11 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 		// on, leaving a new budget behind: the hook-free loop carries on and
 		// must count down from the new deadline.
 		scenario(fmt.Sprintf("attaches a one-shot hook setting Budget to now+%d", k), false, func(mm *vm.Machine, o *obs) {
-			mm.Hook = func(hm *vm.Machine, _ int32, _ *vm.Inst) {
+			everyInstr(mm, func(hm *vm.Machine, _ int32, _ *vm.Inst) {
 				o.hookN++
-				hm.Hook = nil
+				hm.Count = nil
 				hm.Budget = hm.InstrCount + k
-			}
+			})
 		})
 	}
 }

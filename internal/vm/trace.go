@@ -10,16 +10,14 @@ import (
 // TraceRing is the closure-free ring-buffer trace observer: a fixed-depth
 // ring of the most recently committed instructions, serviced inline by the
 // hooked fast loop and Step (like CountHook — straight-line stores, no
-// closure call, so a traced run no longer pays the ~1.8× closure-hook
-// penalty). Attach by setting Machine.Trace: the ring occupies its own
-// observer slot, so it composes structurally with an ExecHook or CountHook
-// (order is Count, then Trace, then Hook; no closure chaining), a traced run
-// reports the identical InstrCount/Cycles an untraced one does
-// (trace_test.go asserts it), and Reset detaches it. Fault-injection campaigns discard
-// tracing (speed), but vxrun -trace and crash triage in tests use it to
-// reconstruct how a corrupted execution reached its trap — the kind of
-// failure forensics a debugger-based injector gets for free and compiled-in
-// instrumentation has to earn.
+// closure call). Attach by setting Machine.Trace: the ring occupies its own
+// observer slot, so it composes structurally with a CountHook (order is
+// Count, then Trace), a traced run reports the identical InstrCount/Cycles
+// an untraced one does (trace_test.go asserts it), and Reset detaches it.
+// Fault-injection campaigns discard tracing (speed), but vxrun -trace and
+// crash triage in tests use it to reconstruct how a corrupted execution
+// reached its trap — the kind of failure forensics a debugger-based injector
+// gets for free and compiled-in instrumentation has to earn.
 type TraceRing struct {
 	ring []TraceEntry
 	next int

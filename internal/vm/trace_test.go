@@ -43,7 +43,7 @@ func TestTracerChainsExistingHook(t *testing.T) {
 	m := vm.New(img)
 	bindOut(m)
 	count := 0
-	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) { count++ }
+	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) { count++ })
 	tr := vm.NewTraceRing(8)
 	m.Trace = tr
 	m.Run()
@@ -69,9 +69,7 @@ func TestTracerShortRun(t *testing.T) {
 }
 
 // TestTracedRunMatchesUntraced pins the tracer's zero-interference
-// contract on the hooked fast loop: tracing rides ExecHook, which now
-// dispatches over predecoded uops instead of forcing the single-stepped
-// reference path, and a traced run must report the identical
+// contract on the hooked fast loop: a traced run must report the identical
 // InstrCount/Cycles/output/trap an untraced run does.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	bin := buildBin(t, "CG", campaign.PINFI)

@@ -4,8 +4,9 @@
 // guarded address space, a downward-growing stack, a FLAGS register, traps
 // (segfault, divide error, wild control flow), an instruction budget for
 // timeout detection, a deterministic cycle model for the speed experiments,
-// and a per-instruction execution hook that the PINFI comparator uses as its
-// stand-in for dynamic binary instrumentation.
+// and inline per-instruction observers (CountHook, TraceRing) plus a
+// one-shot fire point that the PINFI comparator uses as its stand-in for
+// dynamic binary instrumentation.
 package vm
 
 import (
@@ -207,12 +208,10 @@ type HostFn struct {
 	Cycles int64
 }
 
-// ExecHook observes each executed instruction. It runs after the
-// instruction's architectural effects are committed, which lets a fault
-// injector flip bits in the instruction's output registers — matching
-// PIN-style "insert analysis call after instruction" semantics. Setting
-// m.Hook = nil from inside the hook detaches it (the paper's §5.2 PINFI
-// optimization).
+// ExecHook is the callback type of CountHook.Fire and FirePoint.Fn. It runs
+// after the instruction's architectural effects are committed, which lets a
+// fault injector flip bits in the instruction's output registers — matching
+// PIN-style "insert analysis call after instruction" semantics.
 type ExecHook func(m *Machine, pc int32, in *Inst)
 
 // Machine executes an Image.
@@ -239,14 +238,12 @@ type Machine struct {
 	// SOC classification uses exactly this stream.
 	Output []uint64
 
-	Hook ExecHook
 	// Count is the inline counting observer serviced by the hooked fast
-	// loop without closure indirection (see CountHook in hooked.go). When
-	// both observers are attached, Count runs before Hook.
+	// loop without closure indirection (see CountHook in hooked.go).
 	Count *CountHook
 	// Trace is the inline ring-buffer trace observer (see TraceRing in
 	// trace.go), serviced like Count without closure indirection. Observer
-	// order is Count, then Trace, then Hook.
+	// order is Count, then Trace.
 	Trace *TraceRing
 
 	// fire is the armed one-shot fire point (see FirePoint/ArmFire in
@@ -297,8 +294,8 @@ func New(img *Image) *Machine {
 }
 
 // Reset re-initializes registers, memory and accounting for a fresh run. It
-// also clears the instruction Budget, detaches any ExecHook, CountHook and
-// TraceRing, and disarms any pending FirePoint, so a pooled machine cannot
+// also clears the instruction Budget, detaches any CountHook and TraceRing,
+// and disarms any pending FirePoint, so a pooled machine cannot
 // leak the previous trial's timeout, instrumentation or injection into the
 // next run. Only pages dirtied since the previous Reset are cleared.
 func (m *Machine) Reset() {
@@ -338,7 +335,6 @@ func (m *Machine) Reset() {
 	m.InstrCount = 0
 	m.Budget = 0
 	m.Cycles = 0
-	m.Hook = nil
 	m.Count = nil
 	m.Trace = nil
 	m.fire = nil
@@ -582,10 +578,9 @@ func (m *Machine) scramble() {
 	m.Regs[vx.RFLAGS] = vx.FlagS
 }
 
-// Step executes a single instruction. It is the reference path: hooked runs
-// (PINFI's stand-in for dynamic binary instrumentation) and single-stepping
-// tools use it, and the predecoded fast loop in run.go must stay
-// observationally identical to it.
+// Step executes a single instruction. It is the reference path: RunStepped
+// and single-stepping tools use it, and the predecoded loops in run.go and
+// hooked.go must stay observationally identical to it.
 func (m *Machine) Step() {
 	if m.Halted {
 		return
@@ -724,11 +719,11 @@ func (m *Machine) execOp(pc int32, in *Inst) {
 		var r float64
 		switch in.Op {
 		case vx.ADDSD:
-			r = a + b
+			r = math.Float64frombits(fadd(m.Regs[in.AReg], bv))
 		case vx.SUBSD:
 			r = a - b
 		case vx.MULSD:
-			r = a * b
+			r = math.Float64frombits(fmul(m.Regs[in.AReg], bv))
 		case vx.DIVSD:
 			r = a / b
 		case vx.MINSD:

@@ -317,6 +317,50 @@ func TestUcomisdNaN(t *testing.T) {
 	}
 }
 
+// TestTwoNaNOperandsKeepDestination: ADDSD and MULSD of two NaNs keep the
+// destination's payload (quieted), as SUBSD and DIVSD do, in the register and
+// the memory form and on all three dispatchers. Host calls scramble FPRs to
+// distinct NaNs, so a corrupted run meets this case; before the rule was
+// spelled out the fast loops kept the source's payload where Step kept the
+// destination's.
+func TestTwoNaNOperandsKeepDestination(t *testing.T) {
+	const dst, src = 0x7ff4_9190_1c53_87f2, 0x7ff8_0000_0000_0abc // signaling, quiet
+	for _, op := range []vx.Op{vx.ADDSD, vx.MULSD, vx.SUBSD, vx.DIVSD} {
+		for _, viaMem := range []bool{false, true} {
+			p := &mir.Prog{Entry: "main", Globals: []mir.Global{{Name: "g", Size: 8}}}
+			f := &mir.Fn{Name: "main"}
+			b := f.NewBlock()
+			b.Emit(&mir.Instr{Op: vx.MOVQ, A: mir.PReg(vx.R1), B: mir.Imm(dst)})
+			b.Emit(&mir.Instr{Op: vx.MOVQ2SD, A: mir.PReg(vx.F0), B: mir.PReg(vx.R1)})
+			b.Emit(&mir.Instr{Op: vx.MOVQ, A: mir.MemSym("g", 0), B: mir.Imm(src)})
+			b.Emit(&mir.Instr{Op: vx.MOVSD, A: mir.PReg(vx.F1), B: mir.MemSym("g", 0)})
+			if viaMem {
+				b.Emit(&mir.Instr{Op: op, A: mir.PReg(vx.F0), B: mir.MemSym("g", 0)})
+			} else {
+				b.Emit(&mir.Instr{Op: op, A: mir.PReg(vx.F0), B: mir.PReg(vx.F1)})
+			}
+			b.Emit(&mir.Instr{Op: vx.RET})
+			p.Fns = []*mir.Fn{f}
+			img := mustAssemble(t, p)
+			for _, loop := range []string{"fast", "hooked", "stepped"} {
+				m := vm.New(img)
+				switch loop {
+				case "fast":
+					m.Run()
+				case "hooked":
+					m.Count = &vm.CountHook{Arm: -1}
+					m.Run()
+				case "stepped":
+					m.RunStepped()
+				}
+				if got := m.Regs[vx.F0]; m.Trap != vm.TrapNone || got != dst|1<<51 {
+					t.Errorf("%s viaMem=%v on the %s loop: %#x (trap %v), want %#x", op, viaMem, loop, got, m.Trap, uint64(dst|1<<51))
+				}
+			}
+		}
+	}
+}
+
 func TestPushPopAndFlagsSaveRestore(t *testing.T) {
 	p := &mir.Prog{Entry: "main"}
 	f := &mir.Fn{Name: "main"}
@@ -341,12 +385,12 @@ func TestHookObservesAndDetaches(t *testing.T) {
 	m := vm.New(img)
 	bindOut(m)
 	seen := 0
-	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
+	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
 		seen++
 		if seen == 5 {
-			mm.Hook = nil // detach
+			mm.Count = nil // detach
 		}
-	}
+	})
 	m.Run()
 	if seen != 5 {
 		t.Fatalf("hook ran %d times after detach at 5", seen)
@@ -359,12 +403,12 @@ func TestFlipBitChangesOutcome(t *testing.T) {
 	// must differ from the golden product.
 	m := vm.New(img)
 	bindOut(m)
-	m.Hook = func(mm *vm.Machine, pc int32, in *vm.Inst) {
+	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
 		if in.Op == vx.IMULQ {
 			mm.FlipBit(vx.R0, 0)
-			mm.Hook = nil
+			mm.Count = nil
 		}
-	}
+	})
 	m.Run()
 	if m.Output[0] == 3628800 {
 		t.Fatalf("bit flip had no effect on output")
