@@ -16,9 +16,7 @@ package refine_test
 
 import (
 	"context"
-	"os"
 	"testing"
-	"time"
 
 	refine "repro"
 	"repro/internal/campaign"
@@ -28,7 +26,6 @@ import (
 	"repro/internal/llfi"
 	"repro/internal/opt"
 	"repro/internal/pinfi"
-	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -236,11 +233,9 @@ func BenchmarkAblationCallVsBlock(b *testing.B) {
 			m := bin.NewMachine()
 			switch tool {
 			case refine.REFINE:
-				lib := &core.ProfileLib{}
-				lib.Bind(m)
+				(&core.Lib{Target: -1}).Bind(m)
 			case refine.LLFI:
-				lib := &llfi.ProfileLib{}
-				lib.Bind(m)
+				(&llfi.Lib{Target: -1}).Bind(m)
 			}
 			if trap := m.Run(); trap != vm.TrapNone {
 				b.Fatalf("trap %v", trap)
@@ -314,50 +309,6 @@ func BenchmarkAblationOptLevel(b *testing.B) {
 	}
 }
 
-// TestMain lets this benchmark binary serve as its own shard worker: the
-// sharded suite benches re-exec it with the worker marker set.
-func TestMain(m *testing.M) {
-	refine.MaybeShardWorker()
-	os.Exit(m.Run())
-}
-
-// BenchmarkSuiteSharded times the same cold suite as BenchmarkSuiteSaturation
-// in-process vs fanned out across worker OS processes sharing one disk cache
-// dir. Like the saturation bench, the win needs spare cores — worker
-// processes multiply usable parallelism only past GOMAXPROCS of headroom —
-// but the numbers document the fan-out overhead (process spawn, gob framing,
-// merge) either way.
-func BenchmarkSuiteSharded(b *testing.B) {
-	apps := refine.Apps()[:6]
-	const trials = 40
-	var inproc, sharded time.Duration
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := experiments.RunSuite(experiments.Config{
-			Apps: apps, Trials: trials, Seed: 1, Cache: campaign.NewCache(),
-		}); err != nil {
-			b.Fatal(err)
-		}
-		inproc += time.Since(start)
-
-		dir := b.TempDir()
-		cache, err := campaign.NewDiskCache(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		start = time.Now()
-		if _, err := experiments.RunSuite(experiments.Config{
-			Apps: apps, Trials: trials, Seed: 1, Cache: cache, Shards: 2,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		sharded += time.Since(start)
-	}
-	b.ReportMetric(inproc.Seconds()/float64(b.N), "inproc_s")
-	b.ReportMetric(sharded.Seconds()/float64(b.N), "sharded_s")
-	b.ReportMetric(inproc.Seconds()/sharded.Seconds(), "speedup_x")
-}
-
 // BenchmarkFig5SpeedWarmStart is BenchmarkFig5Speed's warm-start
 // counterpart: every iteration opens a *fresh* cache over a pre-populated
 // disk directory — a new CLI invocation in miniature — so the measured time
@@ -383,7 +334,7 @@ func BenchmarkFig5SpeedWarmStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		suite, err := experiments.RunSuite(experiments.Config{
-			Apps: apps, Trials: benchTrials, Seed: 1, Cache: cache, Sched: sched.Default(),
+			Apps: apps, Trials: benchTrials, Seed: 1, Cache: cache,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -419,7 +370,7 @@ func BenchmarkTable5ChiSquaredWarmStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		suite, err := experiments.RunSuite(experiments.Config{
-			Apps: apps, Trials: 150, Seed: 1, Cache: cache, Sched: sched.Default(),
+			Apps: apps, Trials: 150, Seed: 1, Cache: cache,
 		})
 		if err != nil {
 			b.Fatal(err)

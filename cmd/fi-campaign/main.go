@@ -35,12 +35,12 @@
 // fits M — bit-identical across all execution modes.
 //
 // -shards N fans every campaign out across N worker OS processes — this
-// binary re-exec'd with -shard-worker semantics (a gob job stream on stdin,
-// (index, TrialResult) frames on stdout) — scaling past GOMAXPROCS the way
-// the paper's cluster campaigns do (§A.4). Results are bit-identical to an
-// in-process run for any shard count; combine with -cache-dir so only the
-// first worker per app×tool builds and warm reruns build nothing (the
-// "# shard-cache:" line reports the cross-process totals).
+// binary re-exec'd as a worker (marked through the environment; a gob job
+// stream on stdin, (index, TrialResult) frames on stdout) — scaling past
+// GOMAXPROCS the way the paper's cluster campaigns do (§A.4). Results are
+// bit-identical to an in-process run for any shard count; combine with
+// -cache-dir so only the first worker per app×tool builds and warm reruns
+// build nothing (the "# shard-cache:" line reports the cross-process totals).
 //
 // The same fan-out crosses machines: fi-campaign -shard-listen :7070 turns a
 // process into a long-lived worker node, and a coordinator run with
@@ -51,23 +51,21 @@
 // -submit addr sends the whole suite to a running fi-serve daemon instead of
 // executing locally: trial streams arrive over HTTP as they land, identical
 // submissions dedup onto one execution server-side, and the client prints
-// the same tables a local run would.
+// the same tables a local run would. The daemon runs full-count campaigns on
+// its own pool, so -precision, -shards and -shard-nodes are refused with it.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/opt"
-	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/workloads"
 
@@ -86,16 +84,10 @@ func main() {
 	optLevel := flag.Int("O", 2, "optimization level (2 or 0)")
 	shardListen := flag.String("shard-listen", "", "run as a long-lived TCP worker node on this address (host:port; port 0 picks one) serving coordinator sessions until killed")
 	flag.StringVar(&f.ShardNodes, "shard-nodes", "", "comma-separated worker-node addresses (-shard-listen instances) to dial instead of re-execing local workers; -shards sizes the session count (0 = one per node)")
-	submit := flag.String("submit", "", "submit the suite to a running fi-serve daemon at this address (host:port) instead of executing locally; identical submissions dedup server-side")
+	flag.StringVar(&f.Submit, "submit", "", "submit the suite to a running fi-serve daemon at this address (host:port) instead of executing locally; identical submissions dedup server-side")
 	mutate := flag.String("mutate", "", "app:func — apply a dead single-function IR edit (DCE-erased, binary-identical) before running; with a warm -cache-dir the compositional cache re-injects only that function's section")
 	quiet := flag.Bool("quiet", false, "suppress per-campaign progress")
 	flag.Parse()
-	if f.ShardWorker {
-		if err := shard.WorkerMain(os.Stdin, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *shardListen != "" {
 		// Worker-node mode: serve coordinator sessions until killed.
 		if err := shard.ListenAndServe(*shardListen, nil); err != nil {
@@ -118,7 +110,7 @@ func main() {
 		cfg.Build.Opt = opt.O0
 	}
 	if *mutate != "" {
-		if cfg.Pool != nil || *submit != "" {
+		if cfg.Pool != nil || cfg.Daemon != nil {
 			// Shard workers and the fi-serve daemon re-resolve apps through
 			// the registry by name, so a process-local mutated builder would
 			// silently not ship.
@@ -151,37 +143,29 @@ func main() {
 		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
 
-	if *submit != "" {
-		start := time.Now()
-		suite, err := submitSuite(*submit, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("# %d apps x %d tools x %d trials = %d experiments in %v (executed by fi-serve %s)\n",
-			len(suite.Order), len(suite.Tools), suite.Trials,
-			len(suite.Order)*len(suite.Tools)*suite.Trials, time.Since(start).Round(time.Millisecond), *submit)
-		fmt.Println()
-		printTables(suite)
-		return
-	}
-
 	start := time.Now()
 	suite, err := experiments.RunSuite(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("# %d apps x %d tools x %d trials = %d experiments in %v\n",
+	header := fmt.Sprintf("# %d apps x %d tools x %d trials = %d experiments in %v",
 		len(suite.Order), len(suite.Tools), suite.Trials,
 		len(suite.Order)*len(suite.Tools)*suite.Trials, time.Since(start).Round(time.Millisecond))
-	experiments.Report(os.Stdout, cfg)
+	if cfg.Daemon != nil {
+		// The cache, pool and VM that did the work are the daemon's: there is
+		// no local run to report on.
+		fmt.Printf("%s (executed by fi-serve %s)\n", header, f.Submit)
+	} else {
+		fmt.Println(header)
+		experiments.Report(os.Stdout, cfg)
+	}
 	fmt.Println()
 
 	printTables(suite)
 }
 
-// printTables renders the paper's outcome tables — shared by local execution
-// and the -submit client, which reconstructs the suite from fi-serve streams
-// (the tables read only Counts, Cycles and Trials, all of which travel).
+// printTables renders the paper's outcome tables. They read only Counts,
+// Cycles and Trials, which a -submit run's results carry too.
 func printTables(suite *experiments.Suite) {
 	fmt.Println(suite.Table6())
 	fmt.Println(suite.Figure4())
@@ -230,70 +214,6 @@ func printTables(suite *experiments.Suite) {
 		fmt.Printf(" %s %.1fx", t.Name(), suite.NormalizedTime(t))
 	}
 	fmt.Println(" (paper: LLFI 3.9x, REFINE 1.2x).")
-}
-
-// submitSuite ships every app×tool campaign of the configuration to a
-// running fi-serve daemon, concurrently — the daemon co-schedules them as
-// tenants of its worker pool and dedups identical submissions across
-// clients — and assembles the streamed summaries into the same Suite shape
-// a local run produces (the tables read only Counts, Cycles and Trials).
-func submitSuite(addr string, cfg experiments.Config) (*experiments.Suite, error) {
-	apps := cfg.Apps
-	if apps == nil {
-		apps = workloads.Registry()
-	}
-	tools := cfg.Tools
-	if tools == nil {
-		tools = campaign.Tools
-	}
-	suite := &experiments.Suite{
-		Trials:  cfg.Trials,
-		Results: map[string]map[string]*campaign.Result{},
-		Tools:   append([]campaign.Tool(nil), tools...),
-	}
-	for _, app := range apps {
-		suite.Order = append(suite.Order, app.Name)
-		suite.Results[app.Name] = map[string]*campaign.Result{}
-	}
-	client := &serve.Client{Addr: addr}
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for _, app := range apps {
-		for _, tool := range tools {
-			wg.Add(1)
-			go func(app campaign.App, tool campaign.Tool) {
-				defer wg.Done()
-				// Derive the spec through campaign.New so defaulting (cost
-				// model, trial range) matches a local run bit for bit.
-				spec := campaign.New(app, tool,
-					campaign.WithTrials(cfg.Trials),
-					campaign.WithSeed(cfg.Seed),
-					campaign.WithBuildOptions(cfg.Build),
-				).Spec()
-				sum, err := client.Run(context.Background(), spec, nil)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("submit %s/%s: %w", app.Name, tool.Name(), err)
-					}
-					return
-				}
-				suite.Results[app.Name][tool.Name()] = &campaign.Result{
-					App: app.Name, Tool: tool,
-					Counts: sum.Counts, Cycles: sum.Cycles, Trials: sum.Trials,
-				}
-			}(app, tool)
-		}
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return suite, nil
 }
 
 func fatal(err error) {

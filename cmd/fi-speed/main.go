@@ -55,9 +55,6 @@ func run() error {
 	f.RegisterTools(flag.CommandLine)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the suite run to this file")
 	flag.Parse()
-	if f.ShardWorker {
-		return shard.WorkerMain(os.Stdin, os.Stdout)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

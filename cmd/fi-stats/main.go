@@ -55,13 +55,6 @@ func main() {
 	var f experiments.Flags // the -measure suite's execution flags
 	f.Register(flag.CommandLine, 1068)
 	flag.Parse()
-	if f.ShardWorker {
-		if err := shard.WorkerMain(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "fi-stats:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	paper := experiments.PaperTable6()
 	var apps []string

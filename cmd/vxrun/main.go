@@ -55,27 +55,27 @@ func main() {
 		mm.Regs[vx.R0] = 0
 	}})
 
-	// Bind whichever FI runtime the object imports.
-	var refProf *core.ProfileLib
-	var llfiProf *llfi.ProfileLib
+	// Bind whichever FI runtime the object imports. A profile is a run whose
+	// library never fires (target < 0).
+	target := *fiTarget
+	if *profile {
+		target = -1
+	}
+	var fiTargets *int64             // the library's dynamic target count
 	var faultRec func() fault.Record // an injected run's fault log, read after the run
 	switch {
-	case img.Imports(core.HostSelInstr) && (*profile || *fiTarget < 0):
-		refProf = &core.ProfileLib{}
-		refProf.Bind(m)
 	case img.Imports(core.HostSelInstr):
-		lib := &core.InjectLib{Target: *fiTarget, RNG: fault.NewRNG(*seed)}
+		lib := &core.Lib{Target: target, RNG: fault.NewRNG(*seed)}
 		lib.Bind(m)
+		fiTargets = &lib.Count
 		faultRec = func() fault.Record {
 			lib.ResolveRecord(img)
 			return lib.Rec
 		}
-	case img.Imports(llfi.HostFaultI64) && (*profile || *fiTarget < 0):
-		llfiProf = &llfi.ProfileLib{}
-		llfiProf.Bind(m)
 	case img.Imports(llfi.HostFaultI64):
-		lib := &llfi.InjectLib{Target: *fiTarget, RNG: fault.NewRNG(*seed)}
+		lib := &llfi.Lib{Target: target, RNG: fault.NewRNG(*seed)}
 		lib.Bind(m)
+		fiTargets = &lib.Count
 		faultRec = func() fault.Record { return lib.Rec }
 	}
 
@@ -88,13 +88,9 @@ func main() {
 		fmt.Print(m.Trace.Dump(img))
 	}
 	fmt.Printf("exit=%d trap=%s instrs=%d cycles=%d\n", m.ExitCode, trap, m.InstrCount, m.Cycles)
-	if refProf != nil {
-		fmt.Printf("fi-targets: %d\n", refProf.Count)
-	}
-	if llfiProf != nil {
-		fmt.Printf("fi-targets: %d\n", llfiProf.Count)
-	}
-	if faultRec != nil {
+	if fiTargets != nil && target < 0 {
+		fmt.Printf("fi-targets: %d\n", *fiTargets)
+	} else if fiTargets != nil {
 		fmt.Printf("fault: %s\n", faultRec())
 	}
 	if trap != vm.TrapNone {

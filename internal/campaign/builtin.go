@@ -51,14 +51,14 @@ func (llfiInjector) InstrumentIR(m *ir.Module, cfg fault.Config) int {
 func (llfiInjector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
 
 func (llfiInjector) Profile(m *vm.Machine, _ *Binary, _ pinfi.CostModel) (int64, []uint64) {
-	lib := &llfi.ProfileLib{}
+	lib := &llfi.Lib{Target: -1}
 	lib.Bind(m)
 	m.Run()
 	return lib.Count, append([]uint64(nil), m.Output...)
 }
 
 func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	lib := &llfi.InjectLib{Target: target, RNG: rng}
+	lib := &llfi.Lib{Target: target, RNG: rng}
 	lib.Bind(m)
 	m.Run()
 	return lib.Rec
@@ -75,14 +75,14 @@ func (refineInjector) InstrumentMachine(p *mir.Prog, cfg fault.Config) (int, err
 }
 
 func (refineInjector) Profile(m *vm.Machine, _ *Binary, _ pinfi.CostModel) (int64, []uint64) {
-	lib := &core.ProfileLib{}
+	lib := &core.Lib{Target: -1}
 	lib.Bind(m)
 	m.Run()
 	return lib.Count, append([]uint64(nil), m.Output...)
 }
 
 func (refineInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	lib := &core.InjectLib{Target: target, RNG: rng}
+	lib := &core.Lib{Target: target, RNG: rng}
 	lib.Bind(m)
 	m.Run()
 	lib.ResolveRecord(b.Img)

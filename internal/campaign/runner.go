@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -22,13 +21,6 @@ import (
 // context whose Done channel fires before Err reports non-nil). Match with
 // errors.Is.
 var ErrBuildUnclaimed = errors.New("build+profile unit abandoned unclaimed")
-
-// ErrShardsUnavailable is wrapped by the shard engine when it cannot field
-// any worker process at all (the executable cannot be re-exec'd, every spawn
-// failed after retries). Run treats it as a degraded-mode signal: it warns
-// and falls back to in-process execution, which is bit-identical by the
-// determinism invariant — sharding only decides where trials run.
-var ErrShardsUnavailable = errors.New("shard workers unavailable")
 
 // Campaign is a fully specified fault-injection campaign: one application,
 // one injector, and the run configuration collected from functional options.
@@ -48,7 +40,6 @@ type Campaign struct {
 	observer    func(i int, tr TrialResult)
 	keepRecords bool
 	exec        *sched.Executor   // nil ⇒ a private executor of c.workers for this Run
-	shards      int               // worker processes (WithShards; 0 ⇒ in-process)
 	journal     *Journal          // nil ⇒ no crash-safe resume
 	precision   *stats.Sequential // nil ⇒ fixed trial count (no sequential stopping)
 }
@@ -124,19 +115,6 @@ func WithTrialRange(lo, hi int) Option {
 	return func(c *Campaign) { c.lo, c.trials = lo, hi }
 }
 
-// WithShards runs the campaign across n worker OS processes instead of in
-// this one: the binary re-execs itself (see internal/shard), workers claim
-// trial index ranges dynamically, stream (index, TrialResult) frames back,
-// and the coordinator merges them through the same order-deterministic
-// collector — Counts, Cycles, Records and the observer stream are
-// bit-identical to an in-process run for any shard count. Requires the
-// shard engine to be linked in (import repro/internal/shard, the refine
-// facade, or any fi-* driver) and a registry application (workers resolve
-// the app by name). WithWorkers caps each worker process's trial
-// parallelism (default: GOMAXPROCS split across the workers); WithExecutor
-// does not apply — each worker process runs its ranges on its own executor.
-func WithShards(n int) Option { return func(c *Campaign) { c.shards = n } }
-
 // WithPrecision replaces the fixed trial count with sequential Wilson-CI
 // stopping (stats.Sequential): the campaign stops at the first trial-count
 // batch boundary where every outcome class's Wilson interval has half-width
@@ -181,20 +159,6 @@ func (c *Campaign) resume() map[int]TrialResult {
 	}
 	return c.journal.Recorded(c.Spec().Key(), c.lo, c.trials)
 }
-
-// shardRunner is installed by internal/shard's init; campaign cannot import
-// it (shard depends on campaign and the workload registry).
-var shardRunner func(ctx context.Context, c *Campaign) (*Result, error)
-
-// RegisterShardRunner installs the process-sharding engine behind WithShards.
-// Called from internal/shard's init; campaigns configured with WithShards
-// fail with an explanatory error until some import links the engine in.
-func RegisterShardRunner(fn func(ctx context.Context, c *Campaign) (*Result, error)) {
-	shardRunner = fn
-}
-
-// Shards reports the WithShards configuration (0 ⇒ in-process).
-func (c *Campaign) Shards() int { return c.shards }
 
 // TrialRange reports the campaign's [lo, hi) trial index range
 // (0, WithTrials for a full campaign).
@@ -261,11 +225,9 @@ type collector struct {
 	// deliverer, at a batch boundary of the delivered prefix — when every
 	// outcome class reaches the target half-width. Trials at or past stopAt
 	// are discarded undelivered, so the delivered prefix (and therefore the
-	// stop decision itself) is identical across execution modes. hi == 0
-	// (a zero-value collector, as some collector unit tests build) means
-	// unbounded: no stop checks apply.
+	// stop decision itself) is identical across execution modes.
 	prec   *stats.Sequential
-	hi     int // the campaign's trial-range upper bound (0 ⇒ unbounded)
+	hi     int // the campaign's trial-range upper bound
 	stopAt atomic.Int64
 
 	// comp, when non-nil, buffers every delivered trial by range-relative
@@ -275,12 +237,7 @@ type collector struct {
 }
 
 // stop returns one past the last trial index the campaign may deliver.
-func (c *collector) stop() int {
-	if c.hi == 0 {
-		return int(^uint(0) >> 1) // unbounded zero-value collector
-	}
-	return int(c.stopAt.Load())
-}
+func (c *collector) stop() int { return int(c.stopAt.Load()) }
 
 // stopped reports whether sequential precision stopping fixed a stop index
 // below the campaign's trial-range upper bound.
@@ -376,20 +333,6 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 	if c.lo < 0 || c.lo > c.trials {
 		return nil, fmt.Errorf("campaign: %s/%s: invalid trial range [%d, %d)",
 			c.app.Name, c.tool.Name(), c.lo, c.trials)
-	}
-	if c.shards > 0 {
-		if shardRunner == nil {
-			return nil, fmt.Errorf("campaign: %s/%s: WithShards(%d) needs the shard engine linked in (import repro/internal/shard or the refine facade)",
-				c.app.Name, c.tool.Name(), c.shards)
-		}
-		res, err := shardRunner(ctx, c)
-		if err == nil || !errors.Is(err, ErrShardsUnavailable) {
-			return res, err
-		}
-		// No worker process could be fielded: degrade to in-process
-		// execution with a warning. Results are bit-identical either way.
-		fmt.Fprintf(os.Stderr, "campaign: %s/%s: %v; falling back to in-process execution\n",
-			c.app.Name, c.tool.Name(), err)
 	}
 	ex := c.exec
 	if ex == nil {

@@ -21,8 +21,7 @@ import (
 // same collector — cannot self-deadlock. Pre-fix, collector.add held c.mu
 // across the observer call and both re-entrant paths deadlocked.
 func TestCollectorReentrantObserver(t *testing.T) {
-	res := &Result{Trials: 4}
-	col := &collector{pending: map[int]TrialResult{}, res: res}
+	res, col := New(App{}, PINFI, WithTrials(4)).newResult(nil, nil)
 	var order []int
 	col.obs = func(i int, tr TrialResult) {
 		order = append(order, i)

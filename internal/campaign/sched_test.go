@@ -68,17 +68,16 @@ func equalResults(t *testing.T, label string, a, b *campaign.Result) {
 
 // TestScheduledMatchesPooled: a campaign on a shared executor reproduces the
 // one on its private executor bit for bit, across executor sizes (1 worker ≡
-// serial), the process-wide default executor and every cache state.
+// serial, 0 = GOMAXPROCS) and every cache state.
 func TestScheduledMatchesPooled(t *testing.T) {
 	cache := campaign.NewCache()
 	private := runPrivate(t, 4, cache) // cold cache
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{0, 1, 8} {
 		ex := sched.New(workers)
 		got := runShared(t, ex, cache)
 		ex.Close()
 		equalResults(t, "shared executor workers="+string(rune('0'+workers)), private, got)
 	}
-	equalResults(t, "process-wide default executor", private, runShared(t, sched.Default(), cache))
 	for _, workers := range []int{1, 2, 8} {
 		equalResults(t, "private executor workers="+string(rune('0'+workers)), private, runPrivate(t, workers, cache))
 	}

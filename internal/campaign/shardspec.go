@@ -1,11 +1,11 @@
 package campaign
 
-// Process-sharding seams: the gob-encodable campaign Spec shipped to worker
-// processes and the Merger that reassembles worker trial streams through the
-// same order-deterministic collector in-process runs use. The engine
-// that spawns workers and speaks the wire protocol lives in internal/shard
-// (it depends on this package and the workload registry, so campaign only
-// defines the data contract and the RegisterShardRunner hook).
+// The data contract for running a campaign somewhere else: the gob-encodable
+// Spec shipped to worker processes and daemons, NewFromSpec that rebuilds a
+// campaign from one, and the Merger that reassembles remote trial streams
+// through the same order-deterministic collector in-process runs use. The
+// engines that spawn workers and speak the wire protocols (internal/shard,
+// internal/serve) depend on this package; it knows nothing of them.
 
 import (
 	"context"

@@ -8,7 +8,9 @@ import (
 
 // The control runtime library (paper §4.2.4, Figure 3). The instrumented
 // binary calls selInstr after every target instruction; when selInstr
-// triggers, setupFI chooses the operand and bit. Implementations are host
+// triggers, setupFI chooses the operand and bit. There is one implementation,
+// Lib: the profiling library of Figure 3a is the injection library of Figure
+// 3b with a target that is never reached. Its entry points are host
 // functions with hand-written-stub semantics: they preserve all registers
 // except the return register, so instrumentation needs to save only its own
 // scratch state. Each call costs the modeled native-call latency, which is
@@ -18,8 +20,8 @@ import (
 // SiteMap returns the per-PC bitmap of the image's REFINE injection sites —
 // the application instructions the backend pass assigned a SiteID. Each
 // execution of a marked instruction drives exactly one selInstr call, so a
-// vm.CountHook over this map counts the same dynamic target population
-// ProfileLib counts through the control runtime, without executing the
+// vm.CountHook over this map counts the same dynamic target population a
+// never-firing Lib counts through the control runtime, without executing the
 // instrumentation's host calls: a cheap PC-indexed census the hooked fast
 // loop services inline. The cross-layer test suite pins the two counts to
 // each other on real workloads. The backend pass tags exactly one
@@ -35,91 +37,74 @@ func SiteMap(img *vm.Image) []bool {
 	return tm
 }
 
-// ProfileLib counts dynamic target instructions and never triggers
-// (Figure 3a). Its destructor-equivalent is reading Count after the run.
-type ProfileLib struct {
-	Count int64
-}
-
-// Bind installs the profiling library on a machine.
-func (p *ProfileLib) Bind(m *vm.Machine) {
-	m.BindHost(vm.HostFn{
-		Name:         HostSelInstr,
-		PreserveRegs: true,
-		Fn: func(mm *vm.Machine) {
-			p.Count++
-			mm.Regs[vx.R0] = 0
-		},
-	})
-	m.BindHost(vm.HostFn{
-		Name:         HostSetupFI,
-		PreserveRegs: true,
-		Fn: func(mm *vm.Machine) {
-			mm.Regs[vx.R0] = 0 // never reached during profiling
-		},
-	})
-}
-
-// InjectLib implements the single-bit-flip fault model (Figure 3b): it
-// triggers on the Target-th dynamic target instruction and then draws the
-// operand and bit uniformly.
-type InjectLib struct {
-	Target int64 // dynamic index to inject at (0-based)
+// Lib is the control library: it counts selInstr calls, answers 1 on the
+// Flips consecutive dynamic target instructions starting at the Target-th,
+// and serves each resulting setupFI call with a uniform ⟨operand, bit⟩ draw.
+// A profile run (Figure 3a) is a trial that never fires: a negative Target
+// never triggers, and Count after the run is the dynamic target population.
+// Flips == 1 (the default) is the paper's single-bit-flip model (Figure 3b);
+// Flips == 2 is REFINE2's double fault, whose second flip lands only if
+// execution reaches another target instruction — as on real hardware, a dead
+// process cannot be faulted twice.
+type Lib struct {
+	Target int64 // dynamic index to inject at (0-based; < 0 ⇒ never)
 	RNG    *fault.RNG
+	Flips  int // consecutive triggering occurrences (≤ 1 ⇒ 1)
 
-	count     int64
+	Count     int64 // selInstr calls so far
 	Triggered bool
-	Rec       fault.Record
+	// Rec describes the first flip: the Record format logs one fault, and
+	// any later draw — the second flip, or setupFI re-entered by corrupted
+	// control flow — still consumes RNG state deterministically, so trials
+	// stay exactly reproducible.
+	Rec fault.Record
 	// OpIdx is the operand index setupFI chose; the harness resolves it to
 	// the architectural register via ResolveRecord (the library itself only
 	// sees operand counts and sizes, as in the real implementation).
 	OpIdx int
+	drawn bool // Rec.Bit and OpIdx hold the first flip's draw
 }
 
-// ResolveRecord fills the register/PC/mnemonic fields of the fault record by
-// looking up the instrumented site in the image, completing the paper's
-// fault log (target instruction, operand, bit).
-func (l *InjectLib) ResolveRecord(img *vm.Image) {
-	if !l.Triggered {
-		return
-	}
-	ResolveRecord(img, &l.Rec, l.OpIdx)
-}
-
-// ResolveRecord looks up rec.SiteID's application instruction in the image's
-// site index (vm.Image.SitePC, built once at predecode) and fills the
-// record's PC, mnemonic and (for the opIdx-th output operand) register.
-// Shared by every control library speaking the selInstr/setupFI protocol —
-// the library itself only sees operand counts and sizes, like the real
-// control runtime, so site resolution happens after the run.
-func ResolveRecord(img *vm.Image, rec *fault.Record, opIdx int) {
-	pc, ok := img.SitePC(rec.SiteID)
-	if !ok {
+// ResolveRecord completes the paper's fault log (target instruction, operand,
+// bit) after the run: it looks up Rec.SiteID's application instruction in the
+// image's site index (vm.Image.SitePC, built once at predecode) and fills the
+// record's PC, mnemonic and, for the OpIdx-th output operand, register.
+func (l *Lib) ResolveRecord(img *vm.Image) {
+	pc, ok := img.SitePC(l.Rec.SiteID)
+	if !l.Triggered || !ok {
 		return
 	}
 	in := &img.Instrs[pc]
-	rec.PC = pc
-	rec.Op = in.Op.String()
-	if opIdx < int(in.NOut) {
-		rec.Reg = in.Outs[opIdx]
+	l.Rec.PC = pc
+	l.Rec.Op = in.Op.String()
+	if l.OpIdx < int(in.NOut) {
+		l.Rec.Reg = in.Outs[l.OpIdx]
 	}
 }
 
-// Bind installs the injection library on a machine.
-func (l *InjectLib) Bind(m *vm.Machine) {
+// Bind installs the control library on a machine.
+func (l *Lib) Bind(m *vm.Machine) {
+	flips := uint64(max(l.Flips, 1))
+	if l.Target < 0 {
+		flips = 0
+	}
 	m.BindHost(vm.HostFn{
 		Name:         HostSelInstr,
 		PreserveRegs: true,
 		Fn: func(mm *vm.Machine) {
-			if l.count == l.Target && !l.Triggered {
-				l.Triggered = true
-				l.Rec.DynIdx = l.count
-				l.Rec.SiteID = int64ToInt32(mm.Regs[vx.R1])
+			// Count only grows, so the window [Target, Target+flips) is
+			// crossed once: one unsigned compare decides.
+			if uint64(l.Count-l.Target) < flips {
+				if !l.Triggered {
+					l.Triggered = true
+					l.Rec.DynIdx = l.Count
+					l.Rec.SiteID = int64ToInt32(mm.Regs[vx.R1])
+				}
 				mm.Regs[vx.R0] = 1
 			} else {
 				mm.Regs[vx.R0] = 0
 			}
-			l.count++
+			l.Count++
 		},
 	})
 	m.BindHost(vm.HostFn{
@@ -139,8 +124,11 @@ func (l *InjectLib) Bind(m *vm.Machine) {
 			}
 			op := l.RNG.Intn(nOps)
 			bit := l.RNG.Intn(sizes[op])
-			l.Rec.Bit = uint(bit)
-			l.OpIdx = int(op)
+			if !l.drawn {
+				l.drawn = true
+				l.Rec.Bit = uint(bit)
+				l.OpIdx = int(op)
+			}
 			mm.Regs[vx.R0] = uint64(op)<<16 | uint64(bit)
 		},
 	})

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ir"
+	"repro/internal/mir"
 	"repro/internal/opt"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
@@ -51,14 +52,14 @@ func buildSmall(t *testing.T) *codegen.Result {
 	return res
 }
 
-func runProfiled(t *testing.T, img *vm.Image) (*vm.Machine, *core.ProfileLib) {
+func runProfiled(t *testing.T, img *vm.Image) (*vm.Machine, *core.Lib) {
 	t.Helper()
 	m := vm.New(img)
 	m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 		mm.Output = append(mm.Output, mm.Regs[vx.R1])
 		mm.Regs[vx.R0] = 0
 	}})
-	lib := &core.ProfileLib{}
+	lib := &core.Lib{Target: -1}
 	lib.Bind(m)
 	if trap := m.Run(); trap != vm.TrapNone {
 		t.Fatalf("trap %v: %s", trap, m.TrapMsg)
@@ -155,7 +156,7 @@ func TestProfileCountMatchesDynamicTargets(t *testing.T) {
 	// must equal the library's count exactly.
 	m2 := vm.New(img)
 	m2.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) { mm.Regs[vx.R0] = 0 }})
-	plib := &core.ProfileLib{}
+	plib := &core.Lib{Target: -1}
 	plib.Bind(m2)
 	ch := &vm.CountHook{Targets: pinfi.TargetMap(img, cfg), Arm: -1}
 	m2.Count = ch
@@ -181,7 +182,7 @@ func TestInjectFlipsExactlyOnce(t *testing.T) {
 		m := vm.New(img)
 		m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) { mm.Regs[vx.R0] = 0 }})
 		m.Budget = 10_000_000
-		lib := &core.InjectLib{Target: target, RNG: fault.NewRNG(uint64(target) + 7)}
+		lib := &core.Lib{Target: target, RNG: fault.NewRNG(uint64(target) + 7)}
 		lib.Bind(m)
 		m.Run()
 		if lib.Triggered {
@@ -190,6 +191,58 @@ func TestInjectFlipsExactlyOnce(t *testing.T) {
 	}
 	if triggered == 0 {
 		t.Fatal("injection never triggered")
+	}
+}
+
+// TestRecordDescribesFirstFlip: when corrupted control flow re-enters an
+// injection block after the trigger, setupFI is served again — the draw and
+// the flip still happen, RNG order is part of a trial's determinism — but the
+// fault log keeps the first flip's ⟨operand, bit⟩ beside the first trigger's
+// DynIdx and SiteID, for a single flip and for REFINE2's pair alike.
+func TestRecordDescribesFirstFlip(t *testing.T) {
+	p := &mir.Prog{Entry: "main", HostFns: []string{core.HostSelInstr, core.HostSetupFI}}
+	main := &mir.Fn{Name: "main"}
+	b := main.NewBlock()
+	mov := func(r vx.Reg, v int64) {
+		b.Emit(&mir.Instr{Op: vx.MOVQ, A: mir.PReg(r), B: mir.Imm(v)})
+	}
+	mov(vx.R1, 1) // the site id
+	b.Emit(&mir.Instr{Op: vx.CALLQ, A: mir.Sym(core.HostSelInstr), NIntArgs: 1})
+	for call := 0; call < 2; call++ { // the block's own setupFI, then the re-entry
+		mov(vx.R1, 2)
+		mov(vx.R2, 64)
+		mov(vx.R3, 64)
+		b.Emit(&mir.Instr{Op: vx.CALLQ, A: mir.Sym(core.HostSetupFI), NIntArgs: 3})
+	}
+	mov(vx.R0, 0)
+	b.Emit(&mir.Instr{Op: vx.RET})
+	p.Fns = []*mir.Fn{main}
+	img, err := asm.Assemble(p, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const seed = 3
+	for _, flips := range []int{1, 2} {
+		ref := fault.NewRNG(seed)
+		op, bit := ref.Intn(2), ref.Intn(64)
+		if op2, bit2 := ref.Intn(2), ref.Intn(64); op2 == op && bit2 == bit {
+			t.Fatalf("seed %d draws ⟨%d, %d⟩ twice; pick one whose draws differ", seed, op, bit)
+		}
+		lib := &core.Lib{Target: 0, RNG: fault.NewRNG(seed), Flips: flips}
+		m := vm.New(img)
+		lib.Bind(m)
+		if trap := m.Run(); trap != vm.TrapNone {
+			t.Fatalf("trap %v: %s", trap, m.TrapMsg)
+		}
+		want := fault.Record{DynIdx: 0, SiteID: 1, Bit: uint(bit)}
+		if !lib.Triggered || lib.Rec != want || lib.OpIdx != int(op) {
+			t.Errorf("flips=%d: triggered=%v rec=%+v op=%d, want the first draw: rec=%+v op=%d",
+				flips, lib.Triggered, lib.Rec, lib.OpIdx, want, op)
+		}
+		if lib.RNG.Next() != ref.Next() {
+			t.Errorf("flips=%d: the re-entered setupFI did not draw", flips)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/workloads"
 )
@@ -17,20 +19,21 @@ import (
 // resolves them into a Config-ready cache, journal and worker pool, and
 // Report renders the "# …:" lines that describe the run.
 type Flags struct {
-	Trials      int
-	Seed        uint64
-	Workers     int
-	Apps        string
-	Shards      int
-	ShardWorker bool
-	CacheDir    string
-	Journal     string
-	Precision   float64
+	Trials    int
+	Seed      uint64
+	Workers   int
+	Apps      string
+	Shards    int
+	CacheDir  string
+	Journal   string
+	Precision float64
 
 	// Not every driver offers these: -tools is bound by RegisterTools, and
-	// fi-campaign binds its -shard-nodes to ShardNodes itself.
+	// fi-campaign binds its -shard-nodes and -submit to ShardNodes and Submit
+	// itself.
 	Tools      string
 	ShardNodes string
+	Submit     string
 }
 
 // Register binds the shared flags on fs; trials is the driver's default
@@ -41,7 +44,6 @@ func (f *Flags) Register(fs *flag.FlagSet, trials int) {
 	fs.IntVar(&f.Workers, "workers", 0, "size of the work-stealing executor every campaign of the suite runs on (0 = GOMAXPROCS, 1 = serial); with -shards, each worker process's trial parallelism. Results are identical for any value")
 	fs.StringVar(&f.Apps, "apps", "", "comma-separated app subset (default: all 14)")
 	fs.IntVar(&f.Shards, "shards", 0, "fan campaigns across N worker OS processes (this binary re-exec'd); results are bit-identical to in-process runs, and -cache-dir is shared so only the first worker per app x tool builds (0 = in-process)")
-	fs.BoolVar(&f.ShardWorker, "shard-worker", false, "run as a shard worker: gob job assignments on stdin, trial frames on stdout (what -shards re-execs; normally set via the environment)")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "persist built binaries + profiles under this directory (warm starts skip all builds)")
 	fs.StringVar(&f.Journal, "journal", "", "append every completed trial to a crash-safe journal under this directory; a restarted run replays it and re-executes only missing trials")
 	fs.Float64Var(&f.Precision, "precision", 0, "adaptive trial allocation: stop each campaign once every outcome class's 95% Wilson-CI half-width is at or below this margin (0 = fixed -trials); the stop index is deterministic across execution modes")
@@ -55,9 +57,10 @@ func (f *Flags) RegisterTools(fs *flag.FlagSet) {
 
 // Open resolves the flags into a suite Config: the app and tool subsets, the
 // cache (CacheDir == "" selects the process-wide in-memory cache; otherwise
-// the disk-persistent cache rooted there), the journal and the shard worker
-// pool. The returned close function releases the journal and the pool; call
-// it after Report.
+// the disk-persistent cache rooted there), the journal, and where campaigns
+// run — the shard worker pool, or the fi-serve daemon Submit names. The
+// returned close function releases the journal and the pool; call it after
+// Report.
 func (f *Flags) Open() (Config, func(), error) {
 	cfg := Config{
 		Trials:    f.Trials,
@@ -66,6 +69,14 @@ func (f *Flags) Open() (Config, func(), error) {
 		Build:     campaign.DefaultBuildOptions(),
 		Precision: f.Precision,
 		Cache:     campaign.DefaultCache(),
+	}
+	if f.Submit != "" {
+		if f.Precision > 0 || f.Shards > 0 || f.ShardNodes != "" {
+			// A submitted campaign.Spec carries no precision rule and the
+			// daemon's pool is its own: refuse what would be silently dropped.
+			return cfg, nil, errors.New("-submit runs on the daemon's own pool at the full trial count; drop -precision/-shards/-shard-nodes")
+		}
+		cfg.Daemon = &serve.Client{Addr: f.Submit}
 	}
 	for _, name := range splitCSV(f.Apps) {
 		app, err := workloads.ByName(name)
@@ -128,8 +139,8 @@ func splitCSV(s string) []string {
 // on exit, so only after Pool.Close are they the suite-wide total.
 //
 // The closing "# speed:" line is the process's measured wall-clock VM
-// throughput split by campaign phase — profiling (golden runs and fire-point
-// recording, hooked) versus trials. Unlike every table it varies run to run
+// throughput split by campaign phase — profiling (each binary's one golden
+// pass) versus trials. Unlike every table it varies run to run
 // and across machines, nothing deterministic derives from it, and a sharded
 // run reports only the coordinator's own share.
 func Report(w io.Writer, cfg Config) {

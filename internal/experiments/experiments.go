@@ -16,6 +16,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/fault"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/workloads"
@@ -43,8 +44,8 @@ type Config struct {
 	Trials int // 0 ⇒ paper's 1068
 	Seed   uint64
 	// Workers sizes the executor a suite without Sched runs on (0 ⇒
-	// GOMAXPROCS; 1 = serial); with Shards or Pool it caps each worker
-	// process's trial parallelism instead.
+	// GOMAXPROCS; 1 = serial); with Pool it caps each worker process's trial
+	// parallelism instead.
 	Workers int
 	Build   campaign.BuildOptions
 	// Cache selects the build/profile cache for the suite's campaigns
@@ -61,19 +62,20 @@ type Config struct {
 	// per trial, and each campaign's collector delivers in trial order
 	// regardless of where iterations ran.
 	Sched *sched.Executor
-	// Shards fans every campaign of the suite across this many worker OS
-	// processes (this binary re-exec'd; see internal/shard) instead of
-	// running trials in-process. Workers share the suite cache's disk
-	// directory when it has one, so only the first process per app×tool
-	// builds. Results stay bit-identical to the in-process paths — the
-	// shard coordinator merges worker streams through the same
-	// order-deterministic collector. Workers caps each worker's trial
-	// parallelism; Sched is unused on the sharded path. 0 ⇒ in-process.
-	Shards int
-	// Pool supplies a live shard worker pool to run the suite on (its
-	// cache counters stay readable by the caller afterwards); nil with
-	// Shards > 0 spawns a pool for the duration of the suite.
+	// Pool runs every campaign of the suite as a tenant of this live shard
+	// worker pool (see internal/shard) instead of in-process; the caller
+	// opens and closes it, and its cache counters stay readable afterwards.
+	// Workers share the suite cache's disk directory when it has one, so
+	// only the first process per app×tool builds. Results stay bit-identical
+	// to the in-process path — the pool merges worker streams through the
+	// same order-deterministic collector. Sched is unused on a pool.
 	Pool *shard.Pool
+	// Daemon submits every campaign of the suite to this running fi-serve
+	// daemon instead of executing it here (fi-campaign -submit): identical
+	// submissions dedup server-side, and the results carry what the tables
+	// read — Counts, Cycles, Trials. Cache, Journal, Precision, Pool and
+	// Sched do not travel in a campaign.Spec and are unused.
+	Daemon *serve.Client
 	// Precision, when > 0, enables adaptive trial allocation
 	// (campaign.WithPrecision at the paper's 95% confidence): each campaign
 	// stops at the first deterministic batch boundary where every outcome
@@ -133,23 +135,19 @@ func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 		s.Order = append(s.Order, app.Name)
 		s.Results[app.Name] = map[string]*campaign.Result{}
 	}
-	// One campaign runs either as a tenant of the shard pool — co-scheduled
-	// by its round-robin fair sharing, workers keeping their in-memory caches
-	// across campaigns and sharing a disk-backed suite cache by directory
-	// (see internal/shard) — or on the suite's executor. Everything else
-	// about the fan-out is shared.
+	// Where a campaign runs is one of three same-shaped calls: on a fi-serve
+	// daemon, as a tenant of the shard pool — co-scheduled by its round-robin
+	// fair sharing, workers keeping their in-memory caches across campaigns
+	// and sharing a disk-backed suite cache by directory (see internal/shard)
+	// — or on the suite's executor. Everything else about the fan-out is
+	// shared.
 	var ex *sched.Executor
 	run := func(ctx context.Context, c *campaign.Campaign) (*campaign.Result, error) { return c.Run(ctx) }
 	switch {
+	case cfg.Daemon != nil:
+		run = cfg.Daemon.RunCampaign
 	case cfg.Pool != nil:
 		run = cfg.Pool.Run
-	case cfg.Shards > 0:
-		pool, err := shard.NewPool(cfg.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		defer pool.Close()
-		run = pool.Run
 	case cfg.Sched != nil:
 		ex = cfg.Sched
 	default:

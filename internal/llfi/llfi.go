@@ -119,7 +119,7 @@ func posIn(b *ir.Block, v *ir.Value) int {
 // call sites — the CALLQ instructions into the injectFault runtime. Each
 // execution of a marked call drives exactly one runtime invocation, so a
 // vm.CountHook over this map counts the same dynamic instrumented
-// population ProfileLib counts from inside the host functions, without
+// population a never-firing Lib counts from inside the host functions, without
 // paying their modeled call costs: a cheap PC-indexed census the hooked
 // fast loop services inline (and a cross-layer check that instrumentation,
 // code generation and the runtime agree on the population).
@@ -144,84 +144,30 @@ func SiteMap(img *vm.Image) []bool {
 // up to 9.4×, 3.9× overall).
 const injectFaultCycles = 200
 
-// ProfileLib counts dynamic instrumented instructions and passes values
-// through unchanged.
-type ProfileLib struct {
-	Count int64
-}
-
-// Bind installs the profiling runtime on a machine.
-func (p *ProfileLib) Bind(m *vm.Machine) {
-	passI := func(mm *vm.Machine) {
-		p.Count++
-		mm.Regs[vx.R0] = mm.Regs[vx.R2]
-	}
-	passF := func(mm *vm.Machine) {
-		p.Count++
-		// Value already in F0; C ABI returns it there unchanged.
-	}
-	m.BindHost(vm.HostFn{Name: HostFaultI64, Fn: passI, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultI1, Fn: passI, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultPtr, Fn: passI, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultF64, Fn: passF, Cycles: injectFaultCycles})
-}
-
-// InjectLib flips one (or, in the multi-bit variant studied by follow-up
-// work on double bit-flip errors, several distinct) uniformly drawn bits of
-// the value flowing through the Target-th dynamic instrumented instruction.
-// IR values have a single destination and no flags, so the operand draw is
-// degenerate — exactly the fault-model impoverishment the paper attributes
-// to IR-level injectors.
-type InjectLib struct {
-	Target int64
+// Lib is LLFI's injectFault runtime: it counts dynamic instrumented
+// instructions, passes every value through unchanged, and flips one uniformly
+// drawn bit of the value flowing through the Target-th. A profile run is a
+// trial that never fires: a negative Target never triggers, and Count after
+// the run is the population. IR values have a single destination and no
+// flags, so the operand draw is degenerate — exactly the fault-model
+// impoverishment the paper attributes to IR-level injectors.
+type Lib struct {
+	Target int64 // dynamic index to inject at (0-based; < 0 ⇒ never)
 	RNG    *fault.RNG
-	// Bits is the number of distinct bits to flip (0 or 1 ⇒ the paper's
-	// single-bit model; 2 ⇒ the double-bit-flip variant).
-	Bits int
 
-	count     int64
+	Count     int64 // runtime calls so far
 	Triggered bool
 	Rec       fault.Record
 }
 
-// mask draws the XOR mask under the configured multiplicity.
-func (l *InjectLib) mask(width int64) (uint64, uint) {
-	n := l.Bits
-	if int64(n) > width {
-		n = int(width) // an i1 value has only one flippable bit
-	}
-	if n <= 1 {
-		bit := uint(l.RNG.Intn(width))
-		return 1 << bit, bit
-	}
-	var m uint64
-	first := uint(0)
-	for i := 0; i < n; {
-		bit := uint(l.RNG.Intn(width))
-		if m&(1<<bit) != 0 {
-			continue // distinct bits, as in the double-bit-flip studies
-		}
-		if i == 0 {
-			first = bit
-		}
-		m |= 1 << bit
-		i++
-	}
-	return m, first
-}
-
-// Bind installs the injection runtime on a machine.
-func (l *InjectLib) Bind(m *vm.Machine) {
-	flip := func(mm *vm.Machine, isF64 bool, isI1 bool) {
-		if l.count == l.Target && !l.Triggered {
+// Bind installs the runtime on a machine.
+func (l *Lib) Bind(m *vm.Machine) {
+	flip := func(mm *vm.Machine, isF64 bool, width int64) {
+		if l.Count == l.Target {
 			l.Triggered = true
-			bits := int64(64)
-			if isI1 {
-				bits = 1
-			}
-			mask, bit := l.mask(bits)
+			bit := uint(l.RNG.Intn(width))
 			l.Rec = fault.Record{
-				DynIdx: l.count,
+				DynIdx: l.Count,
 				// The VM syncs mm.PC past the call before host dispatch, so
 				// the injecting instruction is the previous one. Recording it
 				// gives every tool a PC, which the campaign cache uses to
@@ -232,19 +178,20 @@ func (l *InjectLib) Bind(m *vm.Machine) {
 				Op:     "ir-value",
 			}
 			if isF64 {
-				mm.Regs[vx.F0] ^= mask
+				mm.Regs[vx.F0] ^= 1 << bit
 				l.Rec.Reg = vx.F0
 			} else {
-				mm.Regs[vx.R0] = mm.Regs[vx.R2] ^ mask
+				mm.Regs[vx.R0] = mm.Regs[vx.R2] ^ 1<<bit
 				l.Rec.Reg = vx.R0
 			}
 		} else if !isF64 {
+			// An f64 value is already in F0; the C ABI returns it there.
 			mm.Regs[vx.R0] = mm.Regs[vx.R2]
 		}
-		l.count++
+		l.Count++
 	}
-	m.BindHost(vm.HostFn{Name: HostFaultI64, Fn: func(mm *vm.Machine) { flip(mm, false, false) }, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultI1, Fn: func(mm *vm.Machine) { flip(mm, false, true) }, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultPtr, Fn: func(mm *vm.Machine) { flip(mm, false, false) }, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultF64, Fn: func(mm *vm.Machine) { flip(mm, true, false) }, Cycles: injectFaultCycles})
+	m.BindHost(vm.HostFn{Name: HostFaultI64, Fn: func(mm *vm.Machine) { flip(mm, false, 64) }, Cycles: injectFaultCycles})
+	m.BindHost(vm.HostFn{Name: HostFaultI1, Fn: func(mm *vm.Machine) { flip(mm, false, 1) }, Cycles: injectFaultCycles})
+	m.BindHost(vm.HostFn{Name: HostFaultPtr, Fn: func(mm *vm.Machine) { flip(mm, false, 64) }, Cycles: injectFaultCycles})
+	m.BindHost(vm.HostFn{Name: HostFaultF64, Fn: func(mm *vm.Machine) { flip(mm, true, 64) }, Cycles: injectFaultCycles})
 }

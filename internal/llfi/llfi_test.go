@@ -100,7 +100,7 @@ func TestProfilePassesValuesThrough(t *testing.T) {
 	img, _ := compileInstrumented(t)
 	m := vm.New(img)
 	bindOut(m)
-	lib := &llfi.ProfileLib{}
+	lib := &llfi.Lib{Target: -1}
 	lib.Bind(m)
 	if trap := m.Run(); trap != vm.TrapNone {
 		t.Fatalf("trap %v: %s", trap, m.TrapMsg)
@@ -119,7 +119,7 @@ func TestInjectionFlipsValue(t *testing.T) {
 	// Profile to learn the population.
 	m := vm.New(img)
 	bindOut(m)
-	plib := &llfi.ProfileLib{}
+	plib := &llfi.Lib{Target: -1}
 	plib.Bind(m)
 	m.Run()
 	golden := append([]uint64(nil), m.Output...)
@@ -132,7 +132,7 @@ func TestInjectionFlipsValue(t *testing.T) {
 		mi := vm.New(img)
 		bindOut(mi)
 		mi.Budget = budget
-		lib := &llfi.InjectLib{Target: target, RNG: fault.NewRNG(uint64(target)*13 + 1)}
+		lib := &llfi.Lib{Target: target, RNG: fault.NewRNG(uint64(target)*13 + 1)}
 		lib.Bind(mi)
 		mi.Run()
 		if !lib.Triggered {
@@ -152,7 +152,7 @@ func TestPopulationSmallerThanMachine(t *testing.T) {
 	img, _ := compileInstrumented(t)
 	m := vm.New(img)
 	bindOut(m)
-	plib := &llfi.ProfileLib{}
+	plib := &llfi.Lib{Target: -1}
 	plib.Bind(m)
 	cfg := fault.DefaultConfig()
 	ch := &vm.CountHook{Targets: pinfi.TargetMap(img, cfg), Arm: -1}
@@ -160,45 +160,6 @@ func TestPopulationSmallerThanMachine(t *testing.T) {
 	m.Run()
 	if plib.Count >= ch.N {
 		t.Fatalf("LLFI population %d not smaller than machine population %d", plib.Count, ch.N)
-	}
-}
-
-// TestDoubleBitFlipVariant exercises the multi-bit extension: two distinct
-// bits flipped per fault, the model of the double-bit-flip resilience
-// studies the paper cites.
-func TestDoubleBitFlipVariant(t *testing.T) {
-	img, _ := compileInstrumented(t)
-	m := vm.New(img)
-	bindOut(m)
-	plib := &llfi.ProfileLib{}
-	plib.Bind(m)
-	m.Run()
-	golden := append([]uint64(nil), m.Output...)
-	budget := m.InstrCount * 10
-
-	single, double := 0, 0
-	for target := int64(0); target < plib.Count; target += plib.Count/29 + 1 {
-		for _, bits := range []int{1, 2} {
-			mi := vm.New(img)
-			bindOut(mi)
-			mi.Budget = budget
-			lib := &llfi.InjectLib{Target: target, RNG: fault.NewRNG(uint64(target) + 3), Bits: bits}
-			lib.Bind(mi)
-			mi.Run()
-			if !lib.Triggered {
-				t.Fatalf("bits=%d target=%d never triggered", bits, target)
-			}
-			if fault.Classify(mi, golden) != fault.Benign {
-				if bits == 1 {
-					single++
-				} else {
-					double++
-				}
-			}
-		}
-	}
-	if single == 0 && double == 0 {
-		t.Fatal("no flips had any effect")
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 
 // Executor is a fixed-size worker pool over claimable iteration batches.
 // Create with New, share freely across campaigns and goroutines, and Close
-// when done (the process-wide Default executor is never closed).
+// when done.
 type Executor struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -68,19 +68,6 @@ func New(workers int) *Executor {
 		go e.worker()
 	}
 	return e
-}
-
-var (
-	defaultOnce sync.Once
-	defaultExec *Executor
-)
-
-// Default returns the process-wide executor (GOMAXPROCS workers), created on
-// first use, for callers that want every campaign of a process to draw from
-// one pool without owning an executor's lifetime.
-func Default() *Executor {
-	defaultOnce.Do(func() { defaultExec = New(0) })
-	return defaultExec
 }
 
 // Workers reports the pool size.
@@ -286,7 +273,7 @@ func (e *Executor) worker() {
 }
 
 // Close drains the pool: workers finish the iterations already claimable and
-// exit. Submitting after Close panics. The Default executor is never closed.
+// exit. Submitting after Close panics.
 func (e *Executor) Close() {
 	e.mu.Lock()
 	e.closed = true

@@ -141,16 +141,6 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDefaultIsShared: Default returns one process-wide pool.
-func TestDefaultIsShared(t *testing.T) {
-	if sched.Default() != sched.Default() {
-		t.Fatal("Default not a singleton")
-	}
-	if sched.Default().Workers() <= 0 {
-		t.Fatal("Default has no workers")
-	}
-}
-
 // TestChunkedEveryIndexExactlyOnce: explicit chunk sizes hand out each index
 // exactly once, in increasing claim order, across worker counts — chunking
 // changes lock traffic, never coverage.

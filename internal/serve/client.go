@@ -75,6 +75,27 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec, obs func(int, camp
 	return nil, fmt.Errorf("serve: stream to %s kept tearing: %w", c.Addr, lastErr)
 }
 
+// RunCampaign runs cam on the daemon — the daemon's counterpart of
+// Campaign.Run and shard.Pool.Run. It submits cam.Spec() with the deployment
+// fields (CacheDir, Workers) cleared: the daemon's cache and pool are its
+// own. What does not travel in a Spec (observer, journal, precision rule) is
+// not honoured, and the Result carries what the summary does — App, Tool,
+// Counts, Cycles, Trials.
+func (c *Client) RunCampaign(ctx context.Context, cam *campaign.Campaign) (*campaign.Result, error) {
+	spec := cam.Spec()
+	spec.CacheDir, spec.Workers = "", 0
+	tool, err := campaign.ToolByName(spec.Tool)
+	if err != nil {
+		return nil, err
+	}
+	sum, err := c.Run(ctx, spec, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &campaign.Result{App: spec.App, Tool: tool,
+		Counts: sum.Counts, Cycles: sum.Cycles, Trials: sum.Trials}, nil
+}
+
 // fatalError marks failures a reconnect cannot cure (a rejected submission,
 // a failed run).
 type fatalError struct{ err error }

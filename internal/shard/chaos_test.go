@@ -175,10 +175,8 @@ func TestChaosDeterministicCrashBecomesHarnessFault(t *testing.T) {
 	}
 }
 
-// TestChaosSpawnFailureFailsFastWithContext: a pool whose first worker cannot
-// spawn must fail with an error naming the executable and worker index, and
-// the error must match campaign.ErrShardsUnavailable through the campaign
-// hook.
+// TestChaosSpawnFailureFailsFast: a pool whose first worker cannot spawn must
+// fail with an error naming the executable and worker index.
 func TestChaosSpawnFailureFailsFast(t *testing.T) {
 	defer chaos.Reset()
 	chaos.Arm("shard.pool.spawn", chaos.Fault{Kind: chaos.ErrKind, Count: 1 << 20})
@@ -190,30 +188,6 @@ func TestChaosSpawnFailureFailsFast(t *testing.T) {
 	if !strings.Contains(err.Error(), "spawn worker 0") {
 		t.Fatalf("spawn error %q does not name the worker", err)
 	}
-}
-
-// TestChaosSpawnFailureFallsBackInProcess: when no worker can be spawned, a
-// WithShards campaign must complete in-process (with a warning) instead of
-// failing — bit-identically, by the determinism invariant.
-func TestChaosSpawnFailureFallsBackInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full campaign")
-	}
-	defer chaos.Reset()
-	const trials = 48
-	app := mustApp(t, "CG")
-	ref := baseline(t, app, campaign.REFINE, trials, 41)
-
-	chaos.Arm("shard.pool.spawn", chaos.Fault{Kind: chaos.ErrKind, Count: 1 << 20})
-	res, err := campaign.New(app, campaign.REFINE,
-		campaign.WithTrials(trials), campaign.WithSeed(41),
-		campaign.WithRecords(), campaign.WithCache(nil),
-		campaign.WithShards(2)).Run(context.Background())
-	chaos.Reset()
-	if err != nil {
-		t.Fatalf("campaign did not fall back in-process: %v", err)
-	}
-	assertIdentical(t, res, ref, "fallback")
 }
 
 // TestChaosPartialSpawnContinues: if some workers spawn and some do not, the

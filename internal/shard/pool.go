@@ -51,9 +51,10 @@
 //     forever. All of this is exercised deterministically by the chaos
 //     suite (internal/chaos).
 //
-// Campaigns opt in with campaign.WithShards(n) (this package registers the
-// engine hook at init), suites with experiments.Config.Shards, and the fi-*
-// drivers with -shards / -shard-nodes. Knobs for tests: FI_SHARD_STALL and
+// Pool.Run is the only way a campaign reaches the workers: callers open a
+// pool (NewPool, NewTCPPool, or OpenPool from the fi-* drivers' -shards /
+// -shard-nodes) and hand it campaigns; suites pass it as
+// experiments.Config.Pool. Knobs for tests: FI_SHARD_STALL and
 // FI_SHARD_GRACE (milliseconds) fix the silent-worker deadline and the
 // terminate→kill grace.
 package shard
@@ -76,19 +77,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/workloads"
 )
-
-func init() {
-	campaign.RegisterShardRunner(func(ctx context.Context, c *campaign.Campaign) (*campaign.Result, error) {
-		p, err := NewPool(c.Shards())
-		if err != nil {
-			// Signal campaign.Run's degraded-mode fallback: no worker
-			// process could be fielded at all.
-			return nil, fmt.Errorf("%w: %v", campaign.ErrShardsUnavailable, err)
-		}
-		defer p.Close()
-		return p.Run(ctx, c)
-	})
-}
 
 // Retry budget: a range that kills SplitAfter workers is split into
 // single-trial ranges (only not-yet-shipped indexes), and a single-trial
@@ -936,16 +924,4 @@ func (p *Pool) respawnWorker() {
 	w.conn.CloseWrite()
 	<-w.readerDone
 	w.conn.Wait()
-}
-
-// Run is the one-shot convenience: spawn an n-worker pool, run the single
-// campaign, drain the pool. Campaign.WithShards routes here through the
-// registered engine hook.
-func Run(ctx context.Context, n int, c *campaign.Campaign) (*campaign.Result, error) {
-	p, err := NewPool(n)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.Run(ctx, c)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/shard"
 )
 
 func TestShardPrecisionStopMatchesInProcess(t *testing.T) {
@@ -45,7 +44,7 @@ func TestShardPrecisionStopMatchesInProcess(t *testing.T) {
 		}
 		c := campaign.New(app, campaign.REFINE,
 			append(opts(), campaign.WithCache(cache))...)
-		res, err := shard.Run(context.Background(), shards, c)
+		res, err := runOnPool(context.Background(), shards, c)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

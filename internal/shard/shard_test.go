@@ -85,6 +85,17 @@ func baseline(t *testing.T, app campaign.App, tool campaign.Tool, trials int, se
 	return res
 }
 
+// runOnPool runs one campaign on a pool of n workers opened for it and
+// drained afterwards.
+func runOnPool(ctx context.Context, n int, c *campaign.Campaign) (*campaign.Result, error) {
+	p, err := shard.NewPool(n)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Run(ctx, c)
+}
+
 // TestShardDeterminism is the acceptance gate: shards ∈ {1, 2, 4} must
 // reproduce the unsharded campaign bit for bit — Counts, Cycles, Records,
 // the observer stream (indexes strictly in order), and the profile.
@@ -112,7 +123,7 @@ func TestShardDeterminism(t *testing.T) {
 				order = append(order, i)
 				mu.Unlock()
 			}))
-		res, err := shard.Run(context.Background(), shards, c)
+		res, err := runOnPool(context.Background(), shards, c)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -215,7 +226,7 @@ func TestShardCancellationPrefix(t *testing.T) {
 				cancel()
 			}
 		}))
-	res, err := shard.Run(ctx, 2, c)
+	res, err := runOnPool(ctx, 2, c)
 	if err == nil {
 		t.Fatal("cancelled sharded campaign must return an error")
 	}
@@ -338,27 +349,6 @@ func TestShardNonRegistryAppRejected(t *testing.T) {
 	defer p.Close()
 	if _, err := p.Run(context.Background(), c); err == nil || !strings.Contains(err.Error(), "registry") {
 		t.Fatalf("expected registry-app error, got %v", err)
-	}
-}
-
-// TestWithShardsOption: the campaign-level WithShards option routes through
-// the registered engine hook end to end.
-func TestWithShardsOption(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	const trials = 24
-	app := mustApp(t, "CG")
-	ref := baseline(t, app, campaign.PINFI, trials, 3)
-	res, err := campaign.New(app, campaign.PINFI,
-		campaign.WithTrials(trials), campaign.WithSeed(3),
-		campaign.WithRecords(), campaign.WithCache(nil),
-		campaign.WithShards(2)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counts != ref.Counts || res.Cycles != ref.Cycles {
-		t.Fatalf("WithShards result diverges from unsharded: %+v vs %+v", res.Counts, ref.Counts)
 	}
 }
 

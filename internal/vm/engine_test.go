@@ -78,9 +78,9 @@ func buildBin(t *testing.T, appName string, tool campaign.Tool) *campaign.Binary
 func bindGolden(m *vm.Machine, tool campaign.Tool) {
 	switch tool {
 	case campaign.REFINE:
-		(&core.ProfileLib{}).Bind(m)
+		(&core.Lib{Target: -1}).Bind(m)
 	case campaign.LLFI:
-		(&llfi.ProfileLib{}).Bind(m)
+		(&llfi.Lib{Target: -1}).Bind(m)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestFastEngineMatchesStepUnderInjection(t *testing.T) {
 		run := func(exec func(m *vm.Machine)) machineState {
 			m := bin.NewMachine()
 			m.Budget = prof.Budget
-			lib := &core.InjectLib{Target: target, RNG: fault.NewRNG(uint64(i) * 977)}
+			lib := &core.Lib{Target: target, RNG: fault.NewRNG(uint64(i) * 977)}
 			lib.Bind(m)
 			exec(m)
 			return snapshot(m)

@@ -225,12 +225,12 @@ func TestSiteMapsMatchHostCallCounts(t *testing.T) {
 			var hostCount int64
 			switch tc.tool {
 			case campaign.REFINE:
-				lib := &core.ProfileLib{}
+				lib := &core.Lib{Target: -1}
 				lib.Bind(hostM)
 				hostM.Run()
 				hostCount = lib.Count
 			case campaign.LLFI:
-				lib := &llfi.ProfileLib{}
+				lib := &llfi.Lib{Target: -1}
 				lib.Bind(hostM)
 				hostM.Run()
 				hostCount = lib.Count

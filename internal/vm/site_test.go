@@ -94,7 +94,7 @@ func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []site
 	var out []siteAnchor
 	cur := siteAnchor{at: -1, ret: -1}
 	m := bin.NewMachine()
-	(&core.ProfileLib{}).Bind(m)
+	(&core.Lib{Target: -1}).Bind(m)
 	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
 		before := mm.InstrCount - 1
 		if before < thresholds[len(out)] {
@@ -121,9 +121,10 @@ func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []site
 	return out
 }
 
-// bindProfile binds the counting control library and reports its count.
+// bindProfile binds a never-firing control library and reports its count.
+// It carries an RNG because the scenarios bend control flow into setupFI.
 func bindProfile(m *vm.Machine) func() any {
-	lib := &core.ProfileLib{}
+	lib := &core.Lib{Target: -1, RNG: fault.NewRNG(1)}
 	lib.Bind(m)
 	return func() any { return lib.Count }
 }
@@ -154,14 +155,15 @@ func TestSiteFusionCoversEveryRefineSite(t *testing.T) {
 
 // TestSiteFusedMatchesSteppedTrials sweeps injection trials — the triggered
 // path leaves the superinstruction at its second seam — for REFINE's
-// single-flip library and for the double-flip protocol of multibit's REFINE2.
+// single flip and for the double flip of multibit's REFINE2.
 func TestSiteFusedMatchesSteppedTrials(t *testing.T) {
 	targets := 4
 	if testing.Short() {
 		targets = 2 // the race job: stepped full-length runs are slow there
 	}
 	for _, name := range diffApps(t) {
-		for _, tool := range []campaign.Tool{campaign.REFINE, multibit.Injector} {
+		for k, tool := range []campaign.Tool{campaign.REFINE, multibit.Injector} {
+			flips := k + 1
 			bin := buildBin(t, name, tool)
 			prof, err := bin.RunProfile(pinfi.DefaultCosts())
 			if err != nil {
@@ -177,53 +179,16 @@ func TestSiteFusedMatchesSteppedTrials(t *testing.T) {
 				d.check(fmt.Sprintf("target %d", target), func(m *vm.Machine) func() any {
 					m.Budget = prof.Budget
 					rng := fault.NewRNG(uint64(i)*7919 + 1)
-					if tool == campaign.REFINE {
-						lib := &core.InjectLib{Target: target, RNG: rng}
-						lib.Bind(m)
-						return func() any {
-							lib.ResolveRecord(m.Img)
-							return [3]any{lib.Triggered, lib.Rec, fault.Classify(m, prof.Golden)}
-						}
-					}
-					lib := &twoShotLib{InjectLib: core.InjectLib{Target: target, RNG: rng}}
+					lib := &core.Lib{Target: target, RNG: rng, Flips: flips}
 					lib.Bind(m)
 					return func() any {
-						return [3]any{lib.shots, lib.Rec, fault.Classify(m, prof.Golden)}
+						lib.ResolveRecord(m.Img)
+						return [4]any{lib.Triggered, lib.Count, lib.Rec, fault.Classify(m, prof.Golden)}
 					}
 				})
 			}
 		}
 	}
-}
-
-// twoShotLib is the selInstr half of multibit's double-flip control library
-// (which is unexported, and whose Trial cannot be single-stepped): it
-// triggers on the target-th and the following dynamic target instruction.
-// setupFI is InjectLib's.
-type twoShotLib struct {
-	core.InjectLib
-	count int64
-	shots int
-}
-
-func (l *twoShotLib) Bind(m *vm.Machine) {
-	l.InjectLib.Bind(m)
-	m.BindHost(vm.HostFn{
-		Name:         core.HostSelInstr,
-		PreserveRegs: true,
-		Fn: func(mm *vm.Machine) {
-			mm.Regs[vx.R0] = 0
-			if l.shots < 2 && (l.count == l.Target || l.count == l.Target+1) {
-				if l.shots == 0 {
-					l.Rec.DynIdx = l.count
-					l.Rec.SiteID = int32(int64(mm.Regs[vx.R1]))
-				}
-				l.shots++
-				mm.Regs[vx.R0] = 1
-			}
-			l.count++
-		},
-	})
 }
 
 // TestSiteFusedMatchesSteppedAtEverySeam cuts, bends and interrupts one
@@ -365,7 +330,7 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 	scenario := func(label string, scramble bool, act func(mm *vm.Machine, o *obs)) {
 		d.check("selInstr "+label, func(m *vm.Machine) func() any {
 			m.Budget = a.at + tailBudget
-			(&core.ProfileLib{}).Bind(m) // setupFI
+			(&core.Lib{Target: -1, RNG: fault.NewRNG(1)}).Bind(m) // setupFI
 			o := &obs{count: vm.CountHook{Targets: tm, PerInstr: 3, Arm: -1}}
 			done := false
 			m.BindHost(vm.HostFn{
@@ -613,7 +578,7 @@ func TestSiteFusedSpeedGate(t *testing.T) {
 		best := time.Duration(1 << 62)
 		for rep := 0; rep < 5; rep++ {
 			m.Reset()
-			(&core.ProfileLib{}).Bind(m)
+			(&core.Lib{Target: -1}).Bind(m)
 			start := time.Now()
 			m.Run()
 			if d := time.Since(start); d < best {

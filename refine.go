@@ -15,7 +15,10 @@
 // registry (ToolByName, Registered); the paper's three tools plus the
 // REFINE2 double-bit-flip variant are pre-registered. Campaigns stream
 // results through WithObserver or buffer them with WithRecords, and cancel
-// cleanly through the context.
+// cleanly through the context. Where a campaign runs is the caller's choice
+// of call, not an option: Run(ctx) executes in this process, and
+// ShardPool.Run(ctx, campaign) executes the same campaign on worker
+// processes.
 //
 // Substrates live in internal packages: the SSA IR and optimizer
 // (internal/ir, internal/opt), the VX64 backend (internal/codegen,
@@ -170,14 +173,10 @@ var (
 	// WithRecords buffers every TrialResult in Result.Records.
 	WithRecords = campaign.WithRecords
 	// WithExecutor schedules the campaign on a shared work-stealing
-	// executor (see NewExecutor/SharedExecutor) instead of a private one
-	// of WithWorkers workers; concurrent campaigns interleave at trial
-	// granularity with bit-identical results.
+	// executor (see NewExecutor) instead of a private one of WithWorkers
+	// workers; concurrent campaigns interleave at trial granularity with
+	// bit-identical results.
 	WithExecutor = campaign.WithExecutor
-	// WithShards fans the campaign across N worker OS processes (this
-	// binary re-exec'd; see ShardPool) with bit-identical results for any
-	// shard count. Requires a registry app (AppByName).
-	WithShards = campaign.WithShards
 	// WithTrialRange restricts the campaign to trial indexes [lo, hi)
 	// while keeping absolute per-trial seeds — the sharding substrate,
 	// usable directly for manual work splitting.
@@ -193,11 +192,6 @@ var (
 // unit was abandoned before any executor worker claimed it while the context
 // reports no error; match with errors.Is.
 var ErrBuildUnclaimed = campaign.ErrBuildUnclaimed
-
-// ErrShardsUnavailable wraps shard-pool construction failures (no worker
-// process could be spawned); campaign.Run falls back to in-process
-// execution when its shard hook reports it. Match with errors.Is.
-var ErrShardsUnavailable = campaign.ErrShardsUnavailable
 
 // Journal is a crash-safe, append-only record of completed trials: gob
 // frames in rotated segments, fsynced, torn-tail tolerant. One journal
@@ -216,9 +210,11 @@ func OpenJournal(dir string) (*Journal, error) { return campaign.OpenJournal(dir
 
 // ShardPool is a set of live worker processes that campaigns fan out over:
 // this binary re-exec'd, driven over stdio with gob frames, sharing one
-// content-addressed disk cache. One pool can run many campaigns (a suite)
-// before Close. See internal/shard for the wire protocol and the
-// determinism, cache-sharing and cancellation contracts.
+// content-addressed disk cache. pool.Run(ctx, campaign) is Campaign.Run on
+// the workers — bit-identical results for any pool size, registry apps only
+// (workers resolve the app by name) — and one pool can run many campaigns (a
+// suite), concurrently, before Close. See internal/shard for the wire
+// protocol and the determinism, cache-sharing and cancellation contracts.
 type ShardPool = shard.Pool
 
 // NewShardPool spawns n shard worker processes. The embedding binary must
@@ -230,18 +226,14 @@ func NewShardPool(n int) (*ShardPool, error) { return shard.NewPool(n) }
 // in any main — or in TestMain of any test binary — that creates pools.
 func MaybeShardWorker() { shard.MaybeWorker() }
 
-// Executor is the process-wide work-stealing trial executor: one pool that
-// treats every build, profile and trial of every campaign as a claimable
+// Executor is the work-stealing trial executor: one pool that treats every
+// build, profile and trial of every campaign submitted to it as a claimable
 // unit of work, keeping cores saturated across a whole suite.
 type Executor = sched.Executor
 
 // NewExecutor creates an executor with the given worker count (<= 0 means
 // GOMAXPROCS). Close it when done.
 func NewExecutor(workers int) *Executor { return sched.New(workers) }
-
-// SharedExecutor returns the process-wide executor (GOMAXPROCS workers,
-// never closed).
-func SharedExecutor() *Executor { return sched.Default() }
 
 // Cache memoizes builds and golden profiles; see NewBuildCache and
 // NewDiskCache.
