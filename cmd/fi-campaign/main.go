@@ -58,6 +58,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -159,16 +160,20 @@ func main() {
 		fmt.Println(header)
 		experiments.Report(os.Stdout, cfg)
 	}
-	fmt.Println()
-
-	printTables(suite)
+	if err := printTables(os.Stdout, suite); err != nil {
+		fatal(err)
+	}
 }
 
-// printTables renders the paper's outcome tables. They read only Counts,
-// Cycles and Trials, which a -submit run's results carry too.
-func printTables(suite *experiments.Suite) {
-	fmt.Println(suite.Table6())
-	fmt.Println(suite.Figure4())
+// printTables renders everything below the "# …" report lines: a blank line
+// and the paper's outcome tables. They read only Counts, Cycles and Trials,
+// which a -submit run's results carry too, and are a pure function of the
+// flags that select apps, tools, trials and seed — golden_test.go holds them
+// to a committed copy.
+func printTables(w io.Writer, suite *experiments.Suite) error {
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, suite.Table6())
+	fmt.Fprintln(w, suite.Figure4())
 
 	hasPINFI := false
 	hasLLFI := false
@@ -181,39 +186,40 @@ func printTables(suite *experiments.Suite) {
 		}
 	}
 	if !hasPINFI || len(suite.Tools) < 2 {
-		fmt.Println("(statistical comparisons skipped: they need PINFI plus at least one other tool)")
-		return
+		fmt.Fprintln(w, "(statistical comparisons skipped: they need PINFI plus at least one other tool)")
+		return nil
 	}
 
 	if hasLLFI {
-		fmt.Println(suite.Table4(suite.Order[0]))
+		fmt.Fprintln(w, suite.Table4(suite.Order[0]))
 	}
 	t5, err := suite.Table5()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Println(t5)
-	fmt.Println(suite.Figure5())
+	fmt.Fprintln(w, t5)
+	fmt.Fprintln(w, suite.Figure5())
 
 	sig, err := suite.SummaryCounts()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Print("Headline:")
+	fmt.Fprint(w, "Headline:")
 	for _, t := range suite.Tools {
 		if n, ok := sig[t.Name()]; ok {
-			fmt.Printf(" %s differs from PINFI on %d/%d apps;", t.Name(), n, len(suite.Order))
+			fmt.Fprintf(w, " %s differs from PINFI on %d/%d apps;", t.Name(), n, len(suite.Order))
 		}
 	}
-	fmt.Println()
-	fmt.Print("Campaign time vs PINFI:")
+	fmt.Fprintln(w)
+	fmt.Fprint(w, "Campaign time vs PINFI:")
 	for _, t := range suite.Tools {
 		if t.Name() == campaign.PINFI.Name() {
 			continue
 		}
-		fmt.Printf(" %s %.1fx", t.Name(), suite.NormalizedTime(t))
+		fmt.Fprintf(w, " %s %.1fx", t.Name(), suite.NormalizedTime(t))
 	}
-	fmt.Println(" (paper: LLFI 3.9x, REFINE 1.2x).")
+	fmt.Fprintln(w, " (paper: LLFI 3.9x, REFINE 1.2x).")
+	return nil
 }
 
 func fatal(err error) {

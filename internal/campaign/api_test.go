@@ -58,7 +58,8 @@ func (stubInjector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { re
 func (stubInjector) Profile(*vm.Machine, *campaign.Binary, pinfi.CostModel) (int64, []uint64) {
 	return 0, nil
 }
-func (stubInjector) Trial(*vm.Machine, *campaign.Binary, *campaign.Profile, pinfi.CostModel, int64, *fault.RNG) fault.Record {
+func (stubInjector) Replay(*vm.Machine, *campaign.Binary, []int64, func(int64)) {}
+func (stubInjector) Trial(*vm.Machine, *campaign.Binary, *campaign.Profile, pinfi.CostModel, int64, int64, *fault.RNG) fault.Record {
 	return fault.Record{}
 }
 

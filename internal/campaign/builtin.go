@@ -57,8 +57,13 @@ func (llfiInjector) Profile(m *vm.Machine, _ *Binary, _ pinfi.CostModel) (int64,
 	return lib.Count, append([]uint64(nil), m.Output...)
 }
 
-func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	lib := &llfi.Lib{Target: target, RNG: rng}
+func (llfiInjector) Replay(m *vm.Machine, _ *Binary, marks []int64, at func(dyn int64)) {
+	(&llfi.Lib{Target: -1, Marks: marks, AtMark: at}).Bind(m)
+	m.Run()
+}
+
+func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
+	lib := &llfi.Lib{Target: target, RNG: rng, Count: from}
 	lib.Bind(m)
 	m.Run()
 	return lib.Rec
@@ -81,8 +86,13 @@ func (refineInjector) Profile(m *vm.Machine, _ *Binary, _ pinfi.CostModel) (int6
 	return lib.Count, append([]uint64(nil), m.Output...)
 }
 
-func (refineInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	lib := &core.Lib{Target: target, RNG: rng}
+func (refineInjector) Replay(m *vm.Machine, _ *Binary, marks []int64, at func(dyn int64)) {
+	(&core.Lib{Target: -1, Marks: marks, AtMark: at}).Bind(m)
+	m.Run()
+}
+
+func (refineInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
+	lib := &core.Lib{Target: target, RNG: rng, Count: from}
 	lib.Bind(m)
 	m.Run()
 	lib.ResolveRecord(b.Img)
@@ -96,7 +106,7 @@ type pinfiInjector struct {
 	BinaryLevel
 }
 
-func (pinfiInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
+func (pinfiInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG) fault.Record {
 	var rec fault.Record
 	pinfi.ArmFired(m, b.FirePoints(), costs, target, pinfi.Flip(target, rng, &rec))
 	m.Run()

@@ -458,10 +458,18 @@ func (c *Cache) Len() int {
 // worker's machine — and its dirty-page state — survives across campaigns
 // instead of being reallocated per run. Release with ReleaseMachine.
 func (b *Binary) AcquireMachine() *vm.Machine {
+	m := b.acquireMachine()
+	m.Reset()
+	return m
+}
+
+// acquireMachine is AcquireMachine without the Reset, for the campaign
+// runner: runTrialOn sets the start state itself, so a trial pays one Reset
+// or one Restore, never both. A pooled machine comes back as its last trial
+// left it.
+func (b *Binary) acquireMachine() *vm.Machine {
 	if v := b.pool.Get(); v != nil {
-		m := v.(*vm.Machine)
-		m.Reset()
-		return m
+		return v.(*vm.Machine)
 	}
 	return b.NewMachine()
 }

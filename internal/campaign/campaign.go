@@ -8,6 +8,12 @@
 // the paper's cluster of nodes (§A.4); every trial seeds its own RNG, so
 // results are independent of scheduling.
 //
+// The runner owns a trial's start state. Until its fault lands a trial is
+// the golden run, so a Binary memoizes a few snapshots of that run (anchors,
+// see anchors.go) and every trial of every tool starts from the nearest one
+// at or before its target — a plain Reset being the anchor at 0 — with
+// results bit-identical to re-executing the prefix.
+//
 // The orchestrator is generic over the Injector interface: tools plug into
 // the shared build pipeline (IR hook for LLFI-style passes, machine hook for
 // REFINE-style passes) and provide their own profiling and trial semantics.
@@ -87,6 +93,12 @@ type Binary struct {
 	// FirePoints): set by the profiling pass or preset from a disk-cache
 	// entry, immutable afterwards.
 	firePts *pinfi.FirePoints
+
+	// anchors are the memoized golden-run snapshots trials start from (see
+	// anchors.go), ascending in dyn: captured by the first trial, immutable
+	// afterwards.
+	anchorOnce sync.Once
+	anchors    []anchor
 }
 
 // TargetMap returns the binary's per-PC injection-population bitmap
@@ -230,10 +242,11 @@ type TrialResult struct {
 	Rec     fault.Record
 	Cycles  int64
 	Trap    vm.TrapKind
-	// Instrs is the trial's executed dynamic instruction count — the
-	// numerator of the trial-phase throughput line (see PhaseStats). Old
-	// journal entries gob-decode it as zero; it does not feed the outcome
-	// tables.
+	// Instrs is the trial's dynamic instruction count from instruction 0 —
+	// the architectural length of the run, including the golden prefix a
+	// trial started from an anchor did not itself execute (PhaseStats counts
+	// what was executed). Old journal entries gob-decode it as zero; it does
+	// not feed the outcome tables.
 	Instrs int64
 }
 
@@ -245,16 +258,31 @@ func (b *Binary) RunTrial(prof *Profile, costs pinfi.CostModel, seed uint64) Tri
 	return b.runTrialOn(m, prof, costs, seed)
 }
 
-// runTrialOn runs one trial on a freshly reset machine (NewMachine or
-// AcquireMachine): the runner owns the start state, so the budget is applied
-// here and injectors never reset.
+// runTrialOn runs one trial on a machine of the binary in any state (fresh,
+// or as the pool's last trial left it), starting from the nearest anchor.
 func (b *Binary) runTrialOn(m *vm.Machine, prof *Profile, costs pinfi.CostModel, seed uint64) TrialResult {
 	rng := fault.NewRNG(seed)
 	target := rng.Intn(prof.Targets)
+	return b.runTrialFrom(m, b.anchorFor(m, prof.Targets, target), prof, costs, target, rng)
+}
+
+// runTrialFrom runs one trial against target from the start state a: the
+// runner owns that state — one Restore of the anchor, or one Reset when
+// there is none before the target — and applies the budget, so injectors
+// never reset.
+func (b *Binary) runTrialFrom(m *vm.Machine, a *anchor, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) TrialResult {
+	var from int64
+	if a != nil {
+		m.Restore(a.snap)
+		from = a.dyn
+	} else {
+		m.Reset()
+	}
 	m.Budget = prof.Budget
+	skipped := m.InstrCount
 	start := phaseStart()
-	rec := b.Tool.Trial(m, b, prof, costs, target, rng)
-	noteTrialPhase(m.InstrCount, start)
+	rec := b.Tool.Trial(m, b, prof, costs, from, target, rng)
+	noteTrialPhase(m.InstrCount-skipped, skipped, start)
 	return TrialResult{
 		Outcome: fault.Classify(m, prof.Golden),
 		Rec:     rec,

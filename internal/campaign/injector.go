@@ -13,8 +13,9 @@ import (
 )
 
 // Injector is a pluggable fault-injection tool: it hooks the shared build
-// pipeline at the two instrumentation points, runs the profiling step, and
-// executes single trials. The orchestrator (BuildBinary, RunProfile, the
+// pipeline at the two instrumentation points, runs the profiling step,
+// replays it for the runner to snapshot, and executes single trials from
+// the start state the runner hands it. The orchestrator (BuildBinary, RunProfile, the
 // campaign runner) is generic over this interface; registering a new
 // injector — a new fault model, a new instrumentation level — requires no
 // orchestrator changes. The paper's three tools and the multi-bit REFINE
@@ -51,12 +52,28 @@ type Injector interface {
 	// derives the timeout budget afterwards.
 	Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (targets int64, golden []uint64)
 
+	// Replay re-runs the never-firing golden pass of Profile on m, which
+	// arrives reset and without a budget, and calls at(dyn) for each dyn in
+	// marks (ascending, 1 ≤ dyn ≤ the population) at the inter-instruction
+	// boundary where exactly dyn dynamic targets have been consumed — the
+	// last of them has done all it does on a run that does not fire there,
+	// the next has not begun. The runner snapshots the machine in at (see
+	// anchors.go), so m.Cycles must be the golden run's bare count there:
+	// what a cost model charges for the prefix is Trial's to add. What
+	// Replay leaves on m afterwards is discarded.
+	Replay(m *vm.Machine, b *Binary, marks []int64, at func(dyn int64))
+
 	// Trial executes one fault-injection experiment against the given
 	// dynamic target index, leaving the machine halted for outcome
-	// classification. The runner owns the start state: m arrives freshly
-	// reset (possibly recycled from a pool) with prof.Budget applied, and
-	// Trial must not reset it.
-	Trial(m *vm.Machine, b *Binary, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record
+	// classification. The runner owns the start state and Trial must not
+	// reset: m arrives (possibly recycled from a pool) with prof.Budget
+	// applied, no observer attached and nothing armed, in the state of the
+	// golden run at the boundary where from ≤ target dynamic targets have
+	// been consumed — freshly reset when from is 0, restored from a snapshot
+	// Replay let the runner take otherwise, with InstrCount, Cycles and the
+	// output of that prefix. A tool that counts targets as it runs starts
+	// its count at from.
+	Trial(m *vm.Machine, b *Binary, prof *Profile, costs pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record
 }
 
 // Tool is the campaign-facing alias for Injector. Historically Tool was a
@@ -77,8 +94,9 @@ type FirePointUser interface {
 // injector (PINFI, OPCODE, PINFI2): no static instrumentation — the
 // population is the plain binary's dynamic instruction stream — and PINFI's
 // profiling step, whose one hooked golden pass under the PIN-style cost
-// model also records the fire-point index the tool's trials are scheduled
-// from. Only Trial is left to the embedding injector.
+// model also records the fire-point index the tool's trials — and the
+// golden-run snapshots they start from — are scheduled from. Only Trial is
+// left to the embedding injector.
 type BinaryLevel struct{}
 
 func (BinaryLevel) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
@@ -89,6 +107,28 @@ func (BinaryLevel) Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (int
 	fps, golden := pinfi.Profile(m, b.TargetMap(), costs)
 	b.firePts = fps
 	return fps.N, golden
+}
+
+// Replay runs the plain binary hook-free with a chain of fire points, each
+// armed by its predecessor, at the golden-run instruction where the last of
+// the mark's dyn targets commits. No observer cost is charged: a snapshot
+// taken here holds the golden run's bare Cycles, and pinfi.ArmFired settles
+// the skipped prefix under the trial's own cost model.
+func (BinaryLevel) Replay(m *vm.Machine, b *Binary, marks []int64, at func(dyn int64)) {
+	fps := b.FirePoints()
+	var arm func(i int)
+	arm = func(i int) {
+		if i == len(marks) {
+			return
+		}
+		instr, pc := fps.Lookup(marks[i] - 1)
+		m.ArmFire(&vm.FirePoint{At: instr, PC: pc, Fn: func(*vm.Machine, int32, *vm.Inst) {
+			at(marks[i])
+			arm(i + 1)
+		}})
+	}
+	arm(0)
+	m.Run()
 }
 
 func (BinaryLevel) UsesFirePoints() bool { return true }

@@ -382,7 +382,7 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 		if _, ok := recorded[idx]; ok {
 			return // restored from the journal or section cache
 		}
-		m := bin.AcquireMachine()
+		m := bin.acquireMachine()
 		defer bin.ReleaseMachine(m)
 		col.add(idx, bin.runTrialOn(m, prof, c.costs, TrialSeed(c.seed, c.tool, idx)))
 	}).Wait()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -66,33 +67,64 @@ func TestCollectorReentrantObserver(t *testing.T) {
 }
 
 // startStateProbe is an injector whose Trial never resets and never sets a
-// budget: it checks the machine the runner hands it, then crashes it over
-// dirtied memory, so the next trial on the pooled machine has something to
-// be clean of.
+// budget: it checks the machine the runner hands it against the golden run
+// at the boundary the runner says it is at, then crashes it over dirtied
+// memory, so the next trial on the pooled machine has something to be clean
+// of.
 type startStateProbe struct {
 	ToolName
 	BinaryLevel
 	t *testing.T
 
-	mu     sync.Mutex
-	seen   map[*vm.Machine]bool
-	reused int
+	mu              sync.Mutex
+	seen            map[*vm.Machine]bool
+	reused          int
+	anchored, reset int
+	replays         int
+	replayed, first *vm.Machine
 }
 
-func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.CostModel, _ int64, _ *fault.RNG) fault.Record {
-	fresh := b.NewMachine()
-	if m.InstrCount != 0 || m.Budget != prof.Budget || m.Count != nil || m.FireArmed() ||
-		m.Regs != fresh.Regs || m.PC != fresh.PC || !bytes.Equal(m.Mem, fresh.Mem) {
-		p.t.Errorf("trial handed a machine off its start state: InstrCount=%d Budget=%d (want %d) observer=%v armed=%v, or registers/memory not pristine",
-			m.InstrCount, m.Budget, prof.Budget, m.Count != nil, m.FireArmed())
+func (p *startStateProbe) Replay(m *vm.Machine, b *Binary, marks []int64, at func(int64)) {
+	p.replays++
+	p.replayed = m
+	p.BinaryLevel.Replay(m, b, marks, at)
+}
+
+func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.CostModel, from, target int64, _ *fault.RNG) fault.Record {
+	// The golden run at from: a budget of exactly the instruction the
+	// from-th target commits at stops a fresh machine on that boundary.
+	golden := b.NewMachine()
+	if from > 0 {
+		golden.Budget, _ = b.FirePoints().Lookup(from - 1)
+		golden.Run()
+	}
+	if from < 0 || from > target {
+		p.t.Errorf("trial against target %d told its start state has consumed %d targets", target, from)
+	}
+	if m.Budget != prof.Budget || m.Count != nil || m.Trace != nil || m.FireArmed() || m.Halted || m.Trap != vm.TrapNone {
+		p.t.Errorf("from %d: trial handed a machine not ready to run: Budget=%d (want %d) observer=%v armed=%v halted=%v trap=%v",
+			from, m.Budget, prof.Budget, m.Count != nil || m.Trace != nil, m.FireArmed(), m.Halted, m.Trap)
+	}
+	if m.InstrCount != golden.InstrCount || m.Cycles != golden.Cycles || m.PC != golden.PC || m.Regs != golden.Regs ||
+		!slices.Equal(m.Output, golden.Output) || !bytes.Equal(m.Mem, golden.Mem) {
+		p.t.Errorf("from %d: start state is not the golden run's: InstrCount=%d (want %d) Cycles=%d (want %d) PC=%d (want %d), or registers, output or memory differ",
+			from, m.InstrCount, golden.InstrCount, m.Cycles, golden.Cycles, m.PC, golden.PC)
 	}
 	p.mu.Lock()
+	if p.first == nil {
+		p.first = m
+	}
 	if p.seen[m] {
 		p.reused++
 	}
 	p.seen[m] = true
+	if from > 0 {
+		p.anchored++
+	} else {
+		p.reset++
+	}
 	p.mu.Unlock()
-	m.ArmFire(&vm.FirePoint{At: 20, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+	m.ArmFire(&vm.FirePoint{At: m.InstrCount + 5, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
 		const addr = 1 << 20
 		binary.LittleEndian.PutUint64(mm.Mem[addr:], 0xDEAD)
 		mm.MarkMemWritten(addr, 8)
@@ -102,10 +134,15 @@ func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi
 	return fault.Record{}
 }
 
-// TestRunnerOwnsTrialStartState: the runner, not the injector, resets the
-// machine and applies the budget — once per trial, pooled machines included.
+// TestRunnerOwnsTrialStartState: the runner, not the injector, puts the
+// machine into the trial's start state and applies the budget — one Reset or
+// one Restore per trial, pooled machines that crashed over stray stores
+// included — and what it hands over is the golden run at the boundary it
+// names. The anchors are captured once, on the machine the first trial
+// already holds (a second machine per binary showed up as +11 to +55 MB peak
+// RSS in the benchmark).
 func TestRunnerOwnsTrialStartState(t *testing.T) {
-	const trials = 8
+	const trials = 24
 	probe := &startStateProbe{ToolName: "START-STATE-PROBE", t: t, seen: map[*vm.Machine]bool{}}
 	res, err := New(versionTestApp(), probe, WithTrials(trials), WithWorkers(1), WithCache(nil)).Run(context.Background())
 	if err != nil {
@@ -116,5 +153,11 @@ func TestRunnerOwnsTrialStartState(t *testing.T) {
 	}
 	if probe.reused == 0 {
 		t.Fatal("no trial ran on a pooled machine that had already crashed")
+	}
+	if probe.anchored == 0 || probe.reset == 0 {
+		t.Fatalf("%d trials started from an anchor, %d from Reset: want both", probe.anchored, probe.reset)
+	}
+	if probe.replays != 1 || probe.replayed != probe.first {
+		t.Fatalf("anchors captured by %d replays, on the first trial's machine: %v", probe.replays, probe.replayed == probe.first)
 	}
 }

@@ -51,7 +51,10 @@ type Lib struct {
 	RNG    *fault.RNG
 	Flips  int // consecutive triggering occurrences (≤ 1 ⇒ 1)
 
-	Count     int64 // selInstr calls so far
+	// Count is the number of selInstr calls so far. A trial that starts from
+	// a snapshot of the golden run starts it at the number of calls the
+	// snapshot's prefix made.
+	Count     int64
 	Triggered bool
 	// Rec describes the first flip: the Record format logs one fault, and
 	// any later draw — the second flip, or setupFI re-entered by corrupted
@@ -63,6 +66,17 @@ type Lib struct {
 	// sees operand counts and sizes, as in the real implementation).
 	OpIdx int
 	drawn bool // Rec.Bit and OpIdx hold the first flip's draw
+
+	// Marks are ascending call counts (each ≥ 1) the harness wants to see
+	// the machine at: the selInstr call that brings Count to one of them
+	// arms a fire point at its own instruction, so AtMark runs at the
+	// inter-instruction boundary right behind that call — the call has
+	// answered, the machine is between instructions — with Count as its
+	// argument. The fused site leaves its handler for an armed fire point
+	// at its post-call seam like for any other deadline.
+	Marks  []int64
+	AtMark func(count int64)
+	mark   int // Marks[:mark] have been armed
 }
 
 // ResolveRecord completes the paper's fault log (target instruction, operand,
@@ -88,25 +102,35 @@ func (l *Lib) Bind(m *vm.Machine) {
 	if l.Target < 0 {
 		flips = 0
 	}
-	m.BindHost(vm.HostFn{
-		Name:         HostSelInstr,
-		PreserveRegs: true,
-		Fn: func(mm *vm.Machine) {
-			// Count only grows, so the window [Target, Target+flips) is
-			// crossed once: one unsigned compare decides.
-			if uint64(l.Count-l.Target) < flips {
-				if !l.Triggered {
-					l.Triggered = true
-					l.Rec.DynIdx = l.Count
-					l.Rec.SiteID = int64ToInt32(mm.Regs[vx.R1])
-				}
-				mm.Regs[vx.R0] = 1
-			} else {
-				mm.Regs[vx.R0] = 0
+	selInstr := func(mm *vm.Machine) {
+		// Count only grows, so the window [Target, Target+flips) is
+		// crossed once: one unsigned compare decides.
+		if uint64(l.Count-l.Target) < flips {
+			if !l.Triggered {
+				l.Triggered = true
+				l.Rec.DynIdx = l.Count
+				l.Rec.SiteID = int64ToInt32(mm.Regs[vx.R1])
 			}
-			l.Count++
-		},
-	})
+			mm.Regs[vx.R0] = 1
+		} else {
+			mm.Regs[vx.R0] = 0
+		}
+		l.Count++
+	}
+	if len(l.Marks) > 0 {
+		// Only a run that has marks pays for looking: this call is the
+		// whole cost of a not-triggered site.
+		count := selInstr
+		selInstr = func(mm *vm.Machine) {
+			count(mm)
+			if l.mark < len(l.Marks) && l.Count == l.Marks[l.mark] {
+				l.mark++
+				mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, PC: mm.PC - 1,
+					Fn: func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }})
+			}
+		}
+	}
+	m.BindHost(vm.HostFn{Name: HostSelInstr, PreserveRegs: true, Fn: selInstr})
 	m.BindHost(vm.HostFn{
 		Name:         HostSetupFI,
 		PreserveRegs: true,

@@ -139,10 +139,13 @@ func splitCSV(s string) []string {
 // on exit, so only after Pool.Close are they the suite-wide total.
 //
 // The closing "# speed:" line is the process's measured wall-clock VM
-// throughput split by campaign phase — profiling (each binary's one golden
-// pass) versus trials. Unlike every table it varies run to run
-// and across machines, nothing deterministic derives from it, and a sharded
-// run reports only the coordinator's own share.
+// throughput split by campaign phase — profiling (each binary's golden
+// passes: the profile run, and the replay its anchors are captured on)
+// versus trials, over the instructions each executed — and skipped=, the
+// share of the trials' instructions that starting from an anchor spared
+// them (an exact count; 0% means no anchor is being used). The rates vary
+// run to run and across machines, nothing deterministic derives from the
+// line, and a sharded run reports only the coordinator's own share.
 func Report(w io.Writer, cfg Config) {
 	st := cfg.Cache.Stats()
 	fmt.Fprintf(w, "# cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d dir=%s\n",
@@ -169,6 +172,8 @@ func Report(w io.Writer, cfg Config) {
 		}
 		fmt.Fprintf(w, "# exec: workers=%d\n", workers)
 	}
-	profile, trial := campaign.ReadPhaseStats().InstrsPerSec()
-	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s\n", profile/1e6, trial/1e6)
+	ps := campaign.ReadPhaseStats()
+	profile, trial := ps.InstrsPerSec()
+	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s skipped=%.0f%%\n",
+		profile/1e6, trial/1e6, 100*ps.SkippedShare())
 }

@@ -155,9 +155,19 @@ type Lib struct {
 	Target int64 // dynamic index to inject at (0-based; < 0 ⇒ never)
 	RNG    *fault.RNG
 
-	Count     int64 // runtime calls so far
+	// Count is the number of runtime calls so far. A trial that starts from
+	// a snapshot of the golden run starts it at the number of calls the
+	// snapshot's prefix made.
+	Count     int64
 	Triggered bool
 	Rec       fault.Record
+
+	// Marks and AtMark are core.Lib's: the call that brings Count to a mark
+	// arms a fire point at its own instruction, so AtMark runs at the
+	// boundary right behind it, after the C-ABI scramble.
+	Marks  []int64
+	AtMark func(count int64)
+	mark   int // Marks[:mark] have been armed
 }
 
 // Bind installs the runtime on a machine.
@@ -189,6 +199,11 @@ func (l *Lib) Bind(m *vm.Machine) {
 			mm.Regs[vx.R0] = mm.Regs[vx.R2]
 		}
 		l.Count++
+		if l.mark < len(l.Marks) && l.Count == l.Marks[l.mark] {
+			l.mark++
+			mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, PC: mm.PC - 1,
+				Fn: func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }})
+		}
 	}
 	m.BindHost(vm.HostFn{Name: HostFaultI64, Fn: func(mm *vm.Machine) { flip(mm, false, 64) }, Cycles: injectFaultCycles})
 	m.BindHost(vm.HostFn{Name: HostFaultI1, Fn: func(mm *vm.Machine) { flip(mm, false, 1) }, Cycles: injectFaultCycles})

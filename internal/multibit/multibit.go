@@ -32,10 +32,11 @@ func init() {
 	campaign.Register(Injector)
 }
 
-// injector embeds REFINE itself for the build pipeline and the profiling
-// step: the instrumented binary is bit-identical to a REFINE build, so the
-// two injectors share cacheable artifacts in spirit (the cache still keys
-// them separately by name, keeping the machine pools private).
+// injector embeds REFINE itself for the build pipeline, the profiling step
+// and the replay that golden-run snapshots are taken from: the instrumented
+// binary is bit-identical to a REFINE build, so the two injectors share
+// cacheable artifacts in spirit (the cache still keys them separately by
+// name, keeping the machine pools private).
 type injector struct{ campaign.Tool }
 
 func (injector) Name() string   { return Name }
@@ -47,8 +48,8 @@ func (injector) String() string { return Name }
 // target site (the first flip crashed or diverted the program), only the
 // first fault lands — as on real hardware, a dead process cannot be faulted
 // twice. The returned record describes the first flip.
-func (injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, _ pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
-	lib := &core.Lib{Target: target, RNG: rng, Flips: 2}
+func (injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
+	lib := &core.Lib{Target: target, RNG: rng, Flips: 2, Count: from}
 	lib.Bind(m)
 	m.Run()
 	lib.ResolveRecord(b.Img)

@@ -36,7 +36,7 @@ type pinfi2Injector struct {
 
 // Trial injects two single-bit register faults at consecutive dynamic target
 // occurrences (the double-fault model), first flip via the fire-point index.
-func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
+func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG) fault.Record {
 	var rec fault.Record
 	pinfi.ArmFired(m, b.FirePoints(), costs, target, DoubleFlip(b.TargetMap(), costs, target, rng, &rec))
 	m.Run()

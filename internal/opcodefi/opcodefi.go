@@ -58,14 +58,16 @@ type injector struct {
 // Binary, so the clones share its lifetime), runs one opcode-corruption
 // experiment, and restores the shared image. The machine keeps its memory
 // and host bindings across the swap: the clone shares the original's
-// initialized data and host-symbol table, so the reset the runner did
-// stands and every HostIdx resolves identically. The fire-point index maps
+// initialized data and host-symbol table, so the start state the runner set
+// — a reset, or a snapshot of the shared image's golden run, swapped onto
+// the clone only here, after the restore — stands and every HostIdx resolves
+// identically. The fire-point index maps
 // the target occurrence to its absolute instruction index (recorded on the
 // shared image; the pristine clone's dynamics are identical), so the whole
 // trial — prefix, corruption, post-corruption suffix — runs on the hook-free
 // fast loop. The flipped opcode is restored before the clone is released, so
 // released clones are always pristine.
-func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) fault.Record {
+func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG) fault.Record {
 	priv := b.AcquireImageClone()
 	base := m.Img
 	m.Img = priv

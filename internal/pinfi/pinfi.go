@@ -74,7 +74,7 @@ func Profile(m *vm.Machine, targets []bool, costs CostModel) (*FirePoints, []uin
 
 // A binary-level trial is one injection — an ExecHook-shaped callback that
 // runs once, after the target-th dynamic target instruction commits — armed
-// on a freshly reset machine by one of the two carriers below; the caller
+// on a machine in its start state by one of the two carriers below; the caller
 // then runs the machine, which is left halted for outcome classification.
 // The injections are Flip, CorruptOpcode (opcode.go) and multibit's double
 // flip. Both carriers hand the injection the same machine state (the
@@ -89,16 +89,26 @@ func Profile(m *vm.Machine, targets []bool, costs CostModel) (*FirePoints, []uin
 // the hook-free fast loop with zero hooked instructions; the deferred
 // PerInstr observer cost is settled as a lump sum at the fire (see
 // vm.FirePoint).
+//
+// The machine need not be at instruction 0: a snapshot of the golden run
+// (vm.Machine.Restore) at or before the target occurrence is as good a start
+// as Reset. This is the one place a binary-level trial's cycles are made
+// whole. A snapshot holds the golden run's bare Cycles — no JIT lump, no
+// observer cost, so it belongs to no cost model — and ArmFired charges the
+// JIT lump plus PerInstr for the InstrCount instructions the start state
+// skipped; the fire point is armed from that InstrCount, so the lump sum at
+// the fire covers exactly the remainder.
 func ArmFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, inject vm.ExecHook) {
-	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
+	m.Cycles += costs.JITPerStaticInstr*int64(len(m.Img.Instrs)) + costs.PerInstr*m.InstrCount
 	at, pc := fps.Lookup(target)
 	m.ArmFire(&vm.FirePoint{At: at, PC: pc, PerInstr: costs.PerInstr, Fn: inject})
 }
 
-// ArmCounted is the reference carrier, PINFI as the paper describes it: a
-// counting hook attached from instruction 0 counts target occurrences
-// through a hooked prefix and, at the target-th, removes the instrumentation
-// and detaches (the §5.2 optimization) before injecting.
+// ArmCounted is the reference carrier, PINFI as the paper describes it, for
+// a freshly reset machine: a counting hook attached from instruction 0
+// counts target occurrences through a hooked prefix and, at the target-th,
+// removes the instrumentation and detaches (the §5.2 optimization) before
+// injecting.
 func ArmCounted(m *vm.Machine, targets []bool, costs CostModel, target int64, inject vm.ExecHook) {
 	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
 	m.Count = &vm.CountHook{

@@ -98,3 +98,24 @@ func TestDirtyRingResetHygieneAcrossReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDirtyRingRestoreForgetsLastPage: Restore, like Reset, must forget the
+// lastPage dedup state. A page the previous run stored to last and the
+// snapshot does not hold is clean after Restore; if the next run's first
+// store hits it again and the dedup still remembers it, the page is never
+// marked and its bytes survive the following Reset.
+func TestDirtyRingRestoreForgetsLastPage(t *testing.T) {
+	m := dirtyTestMachine(DefaultGlobalBase + 8*dirtyPageSize)
+	pristine := append([]byte(nil), m.Mem...)
+	s := m.Snapshot()
+	addr := uint64(DefaultGlobalBase) + 5*dirtyPageSize
+	m.store64(addr, 0xAAAA)
+	m.Restore(s)
+	m.store64(addr, 0xBBBB)
+	m.Reset()
+	for i := range m.Mem {
+		if m.Mem[i] != pristine[i] {
+			t.Fatalf("byte %#x survived Restore → store → Reset", i)
+		}
+	}
+}

@@ -326,6 +326,8 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 		hookHash   uint64
 		hookN      int64
 		fire       int64
+		mark       machineState // a machine restored from a snapshot taken at a mark
+		restored   *vm.Machine  // that machine, run on; nil once compared
 	}
 	scenario := func(label string, scramble bool, act func(mm *vm.Machine, o *obs)) {
 		d.check("selInstr "+label, func(m *vm.Machine) func() any {
@@ -353,6 +355,13 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 					o.trace = m.Trace.Entries()
 				}
 				o.count.Targets = nil
+				if r := o.restored; r != nil {
+					if !equalStates(snapshot(r), snapshot(m)) || r.TrapMsg != m.TrapMsg || !bytes.Equal(r.Mem, m.Mem) {
+						d.t.Errorf("%s selInstr %s: the machine restored from the snapshot ended elsewhere:\nrestored: %+v\nmachine:  %+v",
+							d.bin.App.Name, label, snapshot(r), snapshot(m))
+					}
+					o.restored = nil
+				}
 				return *o
 			}
 		})
@@ -371,6 +380,25 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 			o.hookHash = obsHash(o.hookHash, pc, hm.InstrCount, hm.Cycles, in.Op)
 			o.hookN++
 		})
+	})
+	// The shape a control library's mark has (core.Lib.Marks): the call arms
+	// a fire point at its own instruction, so the callback runs at the
+	// boundary right behind it — the fused handler has to leave at its
+	// post-call seam for that — and snapshots the machine. The snapshot must
+	// be the same boundary under Run and RunStepped, and a machine restored
+	// from it must run on to where the snapshotted one ends.
+	scenario("arms a mark that snapshots the machine", false, func(mm *vm.Machine, o *obs) {
+		mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, PC: mm.PC - 1,
+			Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
+				o.fire = fm.InstrCount<<20 | int64(fm.PC)
+				r := d.bin.NewMachine()
+				r.Restore(fm.Snapshot())
+				o.mark = snapshot(r)
+				r.Budget = fm.Budget
+				bindProfile(r)
+				r.Run()
+				o.restored = r
+			}})
 	})
 	scenario("moves SP", false, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.SP] += 8 })
 	scenario("moves PC", false, func(mm *vm.Machine, _ *obs) { mm.PC = a.post + 2 })

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/vx"
 )
@@ -253,10 +252,11 @@ type Machine struct {
 
 	hosts []HostFn
 
-	// dirty is a bitmap of memory pages (dirtyPageSize bytes each) written
-	// since the last Reset. The store path marks pages; Reset clears only the
-	// marked pages instead of the whole address space, so short trials stop
-	// paying O(MemSize) per run.
+	// dirty is a bitmap of memory pages (dirtyPageSize bytes each) that may
+	// differ from a never-written address space: written since the last
+	// Reset, or put back by the last Restore. The store path marks pages;
+	// Reset and Restore sweep only the marked pages instead of the whole
+	// address space, so short trials stop paying O(MemSize) per run.
 	dirty []uint64
 
 	// dirtyRing batches the store path's page marking: store64 appends page
@@ -297,7 +297,8 @@ func New(img *Image) *Machine {
 // also clears the instruction Budget, detaches any CountHook and TraceRing,
 // and disarms any pending FirePoint, so a pooled machine cannot
 // leak the previous trial's timeout, instrumentation or injection into the
-// next run. Only pages dirtied since the previous Reset are cleared.
+// next run. Only pages dirtied since the previous Reset or Restore (see
+// snapshot.go) are cleared.
 func (m *Machine) Reset() {
 	img := m.Img
 	if m.Mem == nil || int64(len(m.Mem)) != img.MemSize {
@@ -307,19 +308,8 @@ func (m *Machine) Reset() {
 		m.dirtyN = 0 // ring entries indexed the old address space
 	} else {
 		m.flushDirty() // fold unflushed ring entries in before the sweep
-		for wi, w := range m.dirty {
-			if w == 0 {
-				continue
-			}
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				lo := (wi*64 + b) << dirtyPageShift
-				hi := min(lo+dirtyPageSize, len(m.Mem))
-				clear(m.Mem[lo:hi])
-			}
-			m.dirty[wi] = 0
-		}
+		m.eachDirtyPage(func(lo, hi int) { clear(m.Mem[lo:hi]) })
+		clear(m.dirty)
 	}
 	m.lastPage = 0
 	copy(m.Mem[img.GlobalBase:], img.InitData)
@@ -328,20 +318,27 @@ func (m *Machine) Reset() {
 		m.Regs[i] = 0
 	}
 	m.PC = img.EntryPC
+	m.InstrCount = 0
+	m.Cycles = 0
+	m.Output = m.Output[:0]
+	m.clearRun()
+	// Stack: push the exit sentinel so that RET from the entry function halts.
+	m.Regs[vx.SP] = uint64(img.MemSize)
+	m.push(uint64(len(img.Instrs)))
+}
+
+// clearRun drops what a run leaves on the machine besides its architectural
+// state, for Reset and Restore alike: how it ended, the Budget, the
+// observers and a pending fire point.
+func (m *Machine) clearRun() {
 	m.Halted = false
 	m.ExitCode = 0
 	m.Trap = TrapNone
 	m.TrapMsg = ""
-	m.InstrCount = 0
 	m.Budget = 0
-	m.Cycles = 0
 	m.Count = nil
 	m.Trace = nil
 	m.fire = nil
-	m.Output = m.Output[:0]
-	// Stack: push the exit sentinel so that RET from the entry function halts.
-	m.Regs[vx.SP] = uint64(img.MemSize)
-	m.push(uint64(len(img.Instrs)))
 }
 
 // markDirty records that the 8 bytes at addr were written. The caller has
