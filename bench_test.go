@@ -407,6 +407,35 @@ func BenchmarkVMThroughput(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
 }
 
+// BenchmarkVMThroughputSites reports the loop a REFINE trial spends its time
+// in: a golden run of a REFINE image with a never-firing control library
+// bound, where every target instruction is followed by a fused site
+// (internal/vm/site.go). sites/s is the rate of those dispatches, which is
+// the library's own count of selInstr calls.
+func BenchmarkVMThroughputSites(b *testing.B) {
+	app, err := refine.AppByName("HPCCG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bin, err := refine.Build(app, refine.REFINE, refine.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := bin.NewMachine()
+	b.ResetTimer()
+	var instrs, sites int64
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+		lib := &core.Lib{Target: -1}
+		lib.Bind(m)
+		m.Run()
+		instrs += m.InstrCount
+		sites += lib.Count
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(float64(sites)/b.Elapsed().Seconds(), "sites/s")
+}
+
 // BenchmarkVMThroughputHooked reports hooked emulator speed — the cost of
 // profiling runs and of the counted reference carrier's prefix. Two
 // variants: the inline counting hook on the hooked fast loop, and the same

@@ -2,7 +2,9 @@
 // execution time per application for LLFI and REFINE, normalized to PINFI,
 // plus the aggregate total (Figure 5o). It also reports the per-run
 // breakdown (pre/post-detach costs for PINFI, instrumentation overhead for
-// REFINE/LLFI) that explains the shape.
+// REFINE/LLFI) that explains the shape, and a second table with the host's
+// own wall time per trial beside the model's totals — a diagnostic of this
+// machine and this run, which nothing compares or gates on.
 //
 // Usage:
 //
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"strings"
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
@@ -92,6 +95,7 @@ func run() error {
 	experiments.Report(os.Stdout, cfg)
 	fmt.Println()
 	fmt.Println(suite.Figure5())
+	fmt.Println(hostTimes(suite, campaign.ReadPhaseStats()))
 
 	paper := experiments.PaperFigure5()
 	fmt.Println("Paper's published normalization for reference:")
@@ -106,4 +110,30 @@ func run() error {
 	fmt.Printf("\nCost model: PIN per-instr callback %d cycles, JIT %d cycles/static-instr, host call %d cycles.\n",
 		costs.PerInstr, costs.JITPerStaticInstr, vx.HostCallCycles)
 	return nil
+}
+
+// hostTimes renders what the trials cost on this machine — wall time per
+// trial from the process's phase counters, normalized to PINFI — beside the
+// cycle model's Figure 5 totals. Without PINFI trials in this process (a
+// sharded run: the workers hold the counters) it degrades to a skip notice.
+func hostTimes(suite *experiments.Suite, ps campaign.PhaseStats) string {
+	perTrial := func(t campaign.TrialPhase) float64 {
+		if t.Trials == 0 {
+			return 0
+		}
+		return float64(t.Nanos) / float64(t.Trials)
+	}
+	base := perTrial(ps.TrialByTool[campaign.PINFI.Name()])
+	if base == 0 {
+		return "Host time: skipped (no PINFI trials ran in this process)\n"
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Host time on this machine, normalized to PINFI\n")
+	fmt.Fprintf(&b, "%-10s %8s %9s %8s %8s\n", "Tool", "trials", "us/trial", "host", "model")
+	for _, tool := range suite.Tools {
+		t := ps.TrialByTool[tool.Name()]
+		fmt.Fprintf(&b, "%-10s %8d %9.1f %8.1f %8.1f\n", tool.Name(), t.Trials,
+			perTrial(t)/1e3, perTrial(t)/base, suite.NormalizedTime(tool))
+	}
+	return b.String()
 }

@@ -211,3 +211,39 @@ func TestAnchorByteCap(t *testing.T) {
 		t.Errorf("trials without an anchor skipped %d instructions", skipped)
 	}
 }
+
+// TestPhaseStatsSplitByTool: the trial counters are kept per tool name — one
+// campaign moves its own tool's row by exactly its trials and its
+// instructions, nobody else's — and the totals are the sum of the rows.
+func TestPhaseStatsSplitByTool(t *testing.T) {
+	app := appsByName(t, "CG")[0]
+	for _, tool := range []campaign.Tool{campaign.PINFI, campaign.REFINE} {
+		before := campaign.ReadPhaseStats()
+		var instrs int64
+		_, err := campaign.New(app, tool, campaign.WithTrials(8), campaign.WithSeed(1),
+			campaign.WithWorkers(1), campaign.WithCache(nil),
+			campaign.WithObserver(func(_ int, tr campaign.TrialResult) { instrs += tr.Instrs }),
+		).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := campaign.ReadPhaseStats()
+		var sum campaign.TrialPhase
+		for name, row := range after.TrialByTool {
+			was := before.TrialByTool[name]
+			if name != tool.Name() && row != was {
+				t.Errorf("a %s campaign moved %s's counters: %+v → %+v", tool.Name(), name, was, row)
+			}
+			sum.Instrs += row.Instrs
+			sum.Skipped += row.Skipped
+			sum.Nanos += row.Nanos
+		}
+		row, was := after.TrialByTool[tool.Name()], before.TrialByTool[tool.Name()]
+		if row.Trials-was.Trials != 8 || row.Instrs-was.Instrs+row.Skipped-was.Skipped != instrs || row.Nanos <= was.Nanos {
+			t.Errorf("%s: row %+v → %+v over 8 trials of %d instructions", tool.Name(), was, row, instrs)
+		}
+		if sum.Instrs != after.TrialInstrs || sum.Skipped != after.TrialSkipped || sum.Nanos != after.TrialNanos {
+			t.Errorf("%s: totals %d/%d/%d are not the sum of the rows %+v", tool.Name(), after.TrialInstrs, after.TrialSkipped, after.TrialNanos, sum)
+		}
+	}
+}

@@ -282,7 +282,7 @@ func (b *Binary) runTrialFrom(m *vm.Machine, a *anchor, prof *Profile, costs pin
 	skipped := m.InstrCount
 	start := phaseStart()
 	rec := b.Tool.Trial(m, b, prof, costs, from, target, rng)
-	noteTrialPhase(m.InstrCount-skipped, skipped, start)
+	noteTrialPhase(b.Tool.Name(), m.InstrCount-skipped, skipped, start)
 	return TrialResult{
 		Outcome: fault.Classify(m, prof.Golden),
 		Rec:     rec,

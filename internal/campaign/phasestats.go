@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,26 +16,38 @@ import (
 //
 // The counters cover work done by this process: a sharded campaign's
 // coordinator reports only its own share, not its workers' (each worker
-// process accumulates its own).
+// process accumulates its own). The trial counters are kept per tool name,
+// so a driver can put the host's time per tool beside the cycle model's.
 var (
-	profInstrs   atomic.Int64
-	profNanos    atomic.Int64
-	trialInstrs  atomic.Int64
-	trialSkipped atomic.Int64
-	trialNanos   atomic.Int64
+	profInstrs atomic.Int64
+	profNanos  atomic.Int64
+
+	trialByTool sync.Map // tool name → *trialCounters
 )
+
+type trialCounters struct{ trials, instrs, skipped, nanos atomic.Int64 }
+
+// TrialPhase is one tool's trial counters: Instrs counts the instructions
+// its trials executed and Skipped the golden-prefix instructions their
+// anchors spared them; the two add up to the sum of TrialResult.Instrs.
+type TrialPhase struct {
+	Trials  int64
+	Instrs  int64
+	Skipped int64
+	Nanos   int64
+}
 
 // PhaseStats is a snapshot of the per-phase throughput counters. The profile
 // phase is every golden pass: a binary's profile run and the replay its
-// anchors are captured on. TrialInstrs counts the instructions trials
-// executed and TrialSkipped the golden-prefix instructions their anchors
-// spared them; the two add up to the sum of TrialResult.Instrs.
+// anchors are captured on. TrialInstrs, TrialSkipped and TrialNanos are the
+// sums over TrialByTool, which is keyed by Tool.Name().
 type PhaseStats struct {
 	ProfileInstrs int64
 	ProfileNanos  int64
 	TrialInstrs   int64
 	TrialSkipped  int64
 	TrialNanos    int64
+	TrialByTool   map[string]TrialPhase
 }
 
 // SkippedShare is the share of the trials' architectural instructions that
@@ -61,13 +74,21 @@ func (s PhaseStats) InstrsPerSec() (profile, trial float64) {
 
 // ReadPhaseStats snapshots the process-wide phase counters.
 func ReadPhaseStats() PhaseStats {
-	return PhaseStats{
+	s := PhaseStats{
 		ProfileInstrs: profInstrs.Load(),
 		ProfileNanos:  profNanos.Load(),
-		TrialInstrs:   trialInstrs.Load(),
-		TrialSkipped:  trialSkipped.Load(),
-		TrialNanos:    trialNanos.Load(),
+		TrialByTool:   make(map[string]TrialPhase),
 	}
+	trialByTool.Range(func(tool, v any) bool {
+		c := v.(*trialCounters)
+		t := TrialPhase{Trials: c.trials.Load(), Instrs: c.instrs.Load(), Skipped: c.skipped.Load(), Nanos: c.nanos.Load()}
+		s.TrialByTool[tool.(string)] = t
+		s.TrialInstrs += t.Instrs
+		s.TrialSkipped += t.Skipped
+		s.TrialNanos += t.Nanos
+		return true
+	})
+	return s
 }
 
 // phaseStart timestamps the beginning of a timed phase section.
@@ -82,10 +103,16 @@ func noteProfilePhase(instrs int64, start time.Time) {
 	profNanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
 }
 
-// noteTrialPhase credits one trial run to the throughput counters: the
+// noteTrialPhase credits one trial run to its tool's throughput counters: the
 // instructions it executed, and those its start state skipped.
-func noteTrialPhase(executed, skipped int64, start time.Time) {
-	trialInstrs.Add(executed)
-	trialSkipped.Add(skipped)
-	trialNanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
+func noteTrialPhase(tool string, executed, skipped int64, start time.Time) {
+	v, ok := trialByTool.Load(tool)
+	if !ok {
+		v, _ = trialByTool.LoadOrStore(tool, new(trialCounters))
+	}
+	c := v.(*trialCounters)
+	c.trials.Add(1)
+	c.instrs.Add(executed)
+	c.skipped.Add(skipped)
+	c.nanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
 }

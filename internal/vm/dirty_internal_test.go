@@ -1,15 +1,19 @@
 package vm
 
-// White-box tests for the batched dirty-page marking: the per-run page ring
-// (dirtyRing/dirtyN/lastPage) must never lose a page — not across ring
-// overflow, not for stores straddling a page boundary, not for the unflushed
-// tail Reset folds in before its sweep. Losing one means a reused machine
-// leaks bytes from the previous trial into the next, silently corrupting
-// campaign outcomes; these tests pin the invariant at the store64 seam,
-// below anything workload behavior can mask.
+// White-box tests for dirty-page marking: the store path must never lose a
+// page — not over many distinct pages, not for stores straddling a page
+// boundary, not across Reset or Restore, and not in the fused site, which
+// marks its save area once instead of once per push. Losing one means a
+// reused machine leaks bytes from the previous trial into the next, silently
+// corrupting campaign outcomes; these tests pin the invariant at the
+// store64/runSite seam, below anything workload behavior can mask.
 
 import (
+	"bytes"
+	"slices"
 	"testing"
+
+	"repro/internal/vx"
 )
 
 // dirtyTestMachine builds a minimal machine with a large flat memory and no
@@ -19,15 +23,25 @@ func dirtyTestMachine(memSize int64) *Machine {
 	return New(img)
 }
 
-func TestDirtyRingOverflowAndStraddle(t *testing.T) {
-	const pages = 300 // well past the 64-entry ring: forces mid-run flushes
+// wantPristine fails the test if any byte of m.Mem differs from pristine.
+func wantPristine(t *testing.T, m *Machine, pristine []byte, after string) {
+	t.Helper()
+	for i := range m.Mem {
+		if m.Mem[i] != pristine[i] {
+			t.Fatalf("byte %#x (page %d) survived %s: got %#x want %#x",
+				i, i>>dirtyPageShift, after, m.Mem[i], pristine[i])
+		}
+	}
+}
+
+func TestDirtyBitmapManyPagesAndStraddle(t *testing.T) {
+	const pages = 300 // several bitmap words
 	m := dirtyTestMachine(DefaultGlobalBase + (pages+2)*dirtyPageSize)
 	pristine := append([]byte(nil), m.Mem...)
 
-	// One aligned store per page (distinct pages defeat the lastPage dedup)
-	// plus a straddling store across every page boundary: the second page of
-	// a straddle is exactly the case a per-store bitmap write got for free
-	// and the batched path must handle explicitly.
+	// One aligned store per page plus a straddling store across every page
+	// boundary: the second page of a straddle is the one a single test of
+	// the store's own page would miss.
 	for p := uint64(0); p < pages; p++ {
 		base := uint64(DefaultGlobalBase) + p*dirtyPageSize
 		if !m.store64(base+8, 0xAAAA_BBBB_CCCC_DDDD) {
@@ -38,28 +52,15 @@ func TestDirtyRingOverflowAndStraddle(t *testing.T) {
 		}
 	}
 	m.Reset()
-	for i := range m.Mem {
-		if m.Mem[i] != pristine[i] {
-			t.Fatalf("byte %#x (page %d) survived Reset: got %#x want %#x",
-				i, i>>dirtyPageShift, m.Mem[i], pristine[i])
-		}
-	}
-	// The only pending ring entry after Reset is the exit-sentinel push at
-	// the top of the stack — per-run state the next Reset folds in. Anything
-	// else is a leak.
-	sentinelPage := uint32((uint64(m.Img.MemSize) - 8) >> dirtyPageShift)
-	if m.dirtyN != 1 || m.dirtyRing[0] != sentinelPage {
-		t.Fatalf("Reset left ring state beyond the exit-sentinel push: dirtyN=%d ring[0]=%d want page %d",
-			m.dirtyN, m.dirtyRing[0], sentinelPage)
-	}
+	wantPristine(t, m, pristine, "Reset")
 }
 
-func TestDirtyRingRepeatedStoresSamePage(t *testing.T) {
+func TestDirtyBitmapRepeatedStoresSamePage(t *testing.T) {
 	m := dirtyTestMachine(DefaultGlobalBase + 8*dirtyPageSize)
 	pristine := append([]byte(nil), m.Mem...)
 
-	// Hammer one page (the lastPage dedup's hot case), then alternate
-	// between two pages (defeats dedup without overflowing the ring).
+	// Hammer one page (the already-marked hot case), then alternate between
+	// two pages.
 	a := uint64(DefaultGlobalBase)
 	b := a + 3*dirtyPageSize
 	for i := uint64(0); i < 1000; i++ {
@@ -70,41 +71,28 @@ func TestDirtyRingRepeatedStoresSamePage(t *testing.T) {
 		m.store64(b, i)
 	}
 	m.Reset()
-	for i := range m.Mem {
-		if m.Mem[i] != pristine[i] {
-			t.Fatalf("byte %#x survived Reset", i)
-		}
-	}
+	wantPristine(t, m, pristine, "Reset")
 }
 
-// TestDirtyRingResetHygieneAcrossReuse is the regression shape of the PR 1
-// pool bug at the memory layer: run, Reset, run again — the second run must
-// start from bit-identical memory, including when the first run's final
-// stores are still sitting unflushed in the ring at Reset time.
-func TestDirtyRingResetHygieneAcrossReuse(t *testing.T) {
+// TestDirtyBitmapResetHygieneAcrossReuse is the regression shape of the PR 1
+// pool bug at the memory layer: run, Reset, run again — every run must start
+// from bit-identical memory.
+func TestDirtyBitmapResetHygieneAcrossReuse(t *testing.T) {
 	m := dirtyTestMachine(DefaultGlobalBase + 8*dirtyPageSize)
 	pristine := append([]byte(nil), m.Mem...)
 	for round := 0; round < 3; round++ {
-		// A handful of stores — fewer than the ring holds, so nothing
-		// flushes until Reset itself does.
 		for i := uint64(0); i < 10; i++ {
 			m.store64(uint64(DefaultGlobalBase)+i*dirtyPageSize/2, ^i)
 		}
 		m.Reset()
-		for i := range m.Mem {
-			if m.Mem[i] != pristine[i] {
-				t.Fatalf("round %d: byte %#x survived Reset", round, i)
-			}
-		}
+		wantPristine(t, m, pristine, "Reset")
 	}
 }
 
-// TestDirtyRingRestoreForgetsLastPage: Restore, like Reset, must forget the
-// lastPage dedup state. A page the previous run stored to last and the
-// snapshot does not hold is clean after Restore; if the next run's first
-// store hits it again and the dedup still remembers it, the page is never
-// marked and its bytes survive the following Reset.
-func TestDirtyRingRestoreForgetsLastPage(t *testing.T) {
+// TestDirtyBitmapRestoreThenStore: a page the previous run stored to and the
+// snapshot does not hold is clean after Restore; the next run's first store
+// to it must mark it again, or its bytes survive the following Reset.
+func TestDirtyBitmapRestoreThenStore(t *testing.T) {
 	m := dirtyTestMachine(DefaultGlobalBase + 8*dirtyPageSize)
 	pristine := append([]byte(nil), m.Mem...)
 	s := m.Snapshot()
@@ -113,9 +101,57 @@ func TestDirtyRingRestoreForgetsLastPage(t *testing.T) {
 	m.Restore(s)
 	m.store64(addr, 0xBBBB)
 	m.Reset()
-	for i := range m.Mem {
-		if m.Mem[i] != pristine[i] {
-			t.Fatalf("byte %#x survived Restore → store → Reset", i)
+	wantPristine(t, m, pristine, "Restore → store → Reset")
+}
+
+// TestDirtyBitmapFusedSiteSaveArea: per-store marking covered whatever a push
+// touched for free; the fused site marks the save area's two end pages once
+// and must get the same set — when the 40 bytes straddle a page boundary, and
+// when SP is not 8-aligned so that one push straddles it by itself. The set
+// is that of the same image with its head unfused, bit for bit.
+func TestDirtyBitmapFusedSiteSaveArea(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sp   uint64
+	}{
+		{"save area straddles a page boundary", 8*dirtyPageSize + 16},
+		{"SP not 8-aligned, one push straddles", 5*dirtyPageSize + 4},
+		{"SP not 8-aligned within a page", 6*dirtyPageSize + 99},
+	} {
+		run := func(fused bool) (*Machine, []byte) {
+			img := SiteShape(nil)
+			if !fused {
+				UnfuseSites(img)
+			}
+			if got := FusedSites(img) == 1; got != fused {
+				t.Fatalf("%s: fused=%v, want %v", c.name, got, fused)
+			}
+			m := New(img)
+			pristine := append([]byte(nil), m.Mem...)
+			m.BindHost(HostFn{Name: "sel", PreserveRegs: true, Fn: func(mm *Machine) { mm.Regs[vx.R0] = 0 }})
+			m.Regs[vx.SP] = c.sp
+			for _, r := range sitePushOrder {
+				m.Regs[r] = ^uint64(0) // every pushed byte is non-zero
+			}
+			m.Regs[vx.RFLAGS] = ^uint64(0)
+			m.Run()
+			if m.Trap != TrapNone || m.Regs[vx.SP] != c.sp {
+				t.Fatalf("%s: fused=%v: trap %v (%s), SP %#x", c.name, fused, m.Trap, m.TrapMsg, m.Regs[vx.SP])
+			}
+			return m, pristine
 		}
+		m, pristine := run(true)
+		ref, _ := run(false)
+		if !slices.Equal(m.dirty, ref.dirty) {
+			t.Errorf("%s: fused site marked %x, unfused sequence %x", c.name, m.dirty, ref.dirty)
+		}
+		if !bytes.Equal(m.Mem, ref.Mem) {
+			t.Errorf("%s: fused and unfused memory differ", c.name)
+		}
+		if lo := c.sp - siteSaveBytes; bytes.Contains(m.Mem[lo:c.sp], []byte{0}) {
+			t.Fatalf("%s: the save area holds a zero byte; the test would not see a lost page", c.name)
+		}
+		m.Reset()
+		wantPristine(t, m, pristine, "fused site → Reset")
 	}
 }

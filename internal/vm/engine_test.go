@@ -9,6 +9,7 @@ package vm_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/campaign"
@@ -21,7 +22,9 @@ import (
 	"repro/internal/workloads"
 )
 
-// machineState snapshots everything observable about a finished run.
+// machineState snapshots everything observable about a finished run, and the
+// dirty-page bitmap: marking is exact on every execution path, so two runs
+// that agree on memory agree on which pages they wrote.
 type machineState struct {
 	Trap       vm.TrapKind
 	ExitCode   int64
@@ -30,6 +33,7 @@ type machineState struct {
 	PC         int32
 	Regs       [33]uint64
 	Output     []uint64
+	Dirty      []uint64
 }
 
 func snapshot(m *vm.Machine) machineState {
@@ -41,6 +45,7 @@ func snapshot(m *vm.Machine) machineState {
 		PC:         m.PC,
 		Regs:       m.Regs,
 		Output:     append([]uint64(nil), m.Output...),
+		Dirty:      vm.DirtyPages(m),
 	}
 }
 
@@ -49,15 +54,7 @@ func equalStates(a, b machineState) bool {
 		a.Cycles != b.Cycles || a.PC != b.PC || a.Regs != b.Regs {
 		return false
 	}
-	if len(a.Output) != len(b.Output) {
-		return false
-	}
-	for i := range a.Output {
-		if a.Output[i] != b.Output[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Output, b.Output) && slices.Equal(a.Dirty, b.Dirty)
 }
 
 func buildBin(t *testing.T, appName string, tool campaign.Tool) *campaign.Binary {

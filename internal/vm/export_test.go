@@ -1,8 +1,13 @@
 package vm
 
-// Test-only access to the site superinstruction's internals (site.go) for
-// the external test package, which needs real REFINE images and therefore
-// cannot live inside package vm.
+import "repro/internal/vx"
+
+// Test-only access to the site superinstruction's internals (site.go) and
+// the dirty-page bitmap for the external test package, which needs real
+// REFINE images and therefore cannot live inside package vm.
+
+// DirtyPages returns a copy of m's dirty-page bitmap.
+func DirtyPages(m *Machine) []uint64 { return append([]uint64(nil), m.dirty...) }
 
 // FusedSites counts the heads currently fused in img.
 func FusedSites(img *Image) int {
@@ -30,4 +35,48 @@ func SiteHeads(img *Image) (heads, posts []int32) {
 		}
 	}
 	return heads, posts
+}
+
+// SiteShape builds the smallest image holding one site: the 10 PreFI
+// instructions, a HALT where SetupFI would start, the 6 PostFI instructions
+// and a final HALT, importing one host function, "sel". The caller's edit
+// turns it into a near miss.
+func SiteShape(edit func(ins []Inst)) *Image {
+	const abs = DefaultGlobalBase + 64
+	reg := func(op vx.Op, r vx.Reg) Inst { return Inst{Op: op, AKind: OpReg, AReg: r} }
+	mem := Inst{MemBase: vx.NoReg, MemIndex: vx.NoReg, MemDisp: abs}
+	spSave, spLoad := mem, mem
+	spSave.Op, spSave.AKind, spSave.BKind, spSave.BReg = vx.MOVQ, OpMem, OpReg, vx.SP
+	spLoad.Op, spLoad.AKind, spLoad.AReg, spLoad.BKind = vx.MOVQ, OpReg, vx.SP, OpMem
+	ins := []Inst{
+		spSave,
+		{Op: vx.PUSHF},
+		reg(vx.PUSHQ, vx.R0), reg(vx.PUSHQ, vx.R1), reg(vx.PUSHQ, vx.R2), reg(vx.PUSHQ, vx.R3),
+		{Op: vx.MOVQ, AKind: OpReg, AReg: vx.R1, BKind: OpImm, Imm: 1},
+		{Op: vx.CALLQ, HostIdx: 0},
+		{Op: vx.TESTQ, AKind: OpReg, AReg: vx.R0, BKind: OpReg, BReg: vx.R0},
+		{Op: vx.JCC, Cond: vx.CondE, Target: 11},
+		{Op: vx.HALT},
+		reg(vx.POPQ, vx.R3), reg(vx.POPQ, vx.R2), reg(vx.POPQ, vx.R1), reg(vx.POPQ, vx.R0),
+		{Op: vx.POPF},
+		spLoad,
+		{Op: vx.HALT},
+	}
+	for i := range ins {
+		ins[i].Instrumented = true
+		if ins[i].Op != vx.CALLQ {
+			ins[i].HostIdx = -1
+		}
+	}
+	if edit != nil {
+		edit(ins)
+	}
+	return &Image{
+		Instrs:     ins,
+		Funcs:      []FuncInfo{{Name: "main", Entry: 0, End: int32(len(ins))}},
+		HostFns:    []string{"sel"},
+		GlobalBase: DefaultGlobalBase,
+		GlobalEnd:  DefaultGlobalBase + 128,
+		MemSize:    1 << 16,
+	}
 }

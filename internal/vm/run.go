@@ -428,7 +428,7 @@ func (m *Machine) runFast() {
 				// Site superinstruction, out of line (site.go) and dispatched
 				// from here so that the switch above — and with it the code
 				// of every site-free run — is what it was without it.
-				m.runSite(pc)
+				m.runSite(&img.sites[u.tgt])
 			} else {
 				// uGeneric: full decode through the reference switch.
 				m.execOp(pc, &img.Instrs[pc])

@@ -171,12 +171,6 @@ func (img *Image) refuseSitesAround(pc int32) {
 	}
 }
 
-// put64 is store64 with the bounds check hoisted by the caller.
-func (m *Machine) put64(addr, v uint64) {
-	m.markDirty(addr)
-	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
-}
-
 // runSite executes a fused site head for runFast, which has already
 // accounted for the head instruction (InstrCount, cost, PC). The caller
 // re-checks Halted and observed() and recomputes its countdown afterwards,
@@ -201,9 +195,7 @@ func (m *Machine) put64(addr, v uint64) {
 //     into the remaining 8 instructions, or SP/PC were rewritten.
 //
 //go:noinline
-func (m *Machine) runSite(head int32) {
-	img := m.Img
-	s := &img.sites[img.code[head].tgt]
+func (m *Machine) runSite(s *siteInfo) {
 	sp := m.Regs[vx.SP]
 	if !m.store64(s.abs, sp) {
 		return
@@ -214,11 +206,17 @@ func (m *Machine) runSite(head int32) {
 		return
 	}
 
-	m.put64(sp-8, m.Regs[vx.RFLAGS])
-	m.put64(sp-16, m.Regs[vx.R0])
-	m.put64(sp-24, m.Regs[vx.R1])
-	m.put64(sp-32, m.Regs[vx.R2])
-	m.put64(sp-40, m.Regs[vx.R3])
+	// The five pushes write [sp-40, sp), checked above: one page, two across
+	// a boundary, and exactly the pages the unfused pushes would mark.
+	mem := m.Mem
+	save := (*[siteSaveBytes]byte)(mem[sp-siteSaveBytes : sp])
+	m.markPage((sp - siteSaveBytes) >> dirtyPageShift)
+	m.markPage((sp - 1) >> dirtyPageShift)
+	binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
+	binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
+	binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
+	binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
+	binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
 	m.Regs[vx.SP] = sp - siteSaveBytes
 	m.Regs[vx.R1] = uint64(s.site)
 	m.InstrCount += siteCallOff
@@ -227,7 +225,7 @@ func (m *Machine) runSite(head int32) {
 		c = vx.HostCallCycles
 	}
 	m.Cycles += s.preCycles + c
-	call := head + siteCallOff
+	call := s.head + siteCallOff
 	m.PC = call + 1
 	h.Fn(m)
 	if !h.PreserveRegs {
@@ -237,7 +235,7 @@ func (m *Machine) runSite(head int32) {
 		return
 	}
 	if m.observed() {
-		m.postExec(call, &img.Instrs[call])
+		m.postExec(call, &m.Img.Instrs[call])
 		return
 	}
 	if m.Regs[vx.R0] != 0 || m.fastCountdown() < siteAfterCall ||
@@ -246,12 +244,11 @@ func (m *Machine) runSite(head int32) {
 	}
 
 	// TESTQ sets ZF, JE is taken; POPF then overwrites the flags.
-	mem := m.Mem
-	m.Regs[vx.R3] = binary.LittleEndian.Uint64(mem[sp-40:])
-	m.Regs[vx.R2] = binary.LittleEndian.Uint64(mem[sp-32:])
-	m.Regs[vx.R1] = binary.LittleEndian.Uint64(mem[sp-24:])
-	m.Regs[vx.R0] = binary.LittleEndian.Uint64(mem[sp-16:])
-	m.Regs[vx.RFLAGS] = binary.LittleEndian.Uint64(mem[sp-8:])
+	m.Regs[vx.R3] = binary.LittleEndian.Uint64(save[0:])
+	m.Regs[vx.R2] = binary.LittleEndian.Uint64(save[8:])
+	m.Regs[vx.R1] = binary.LittleEndian.Uint64(save[16:])
+	m.Regs[vx.R0] = binary.LittleEndian.Uint64(save[24:])
+	m.Regs[vx.RFLAGS] = binary.LittleEndian.Uint64(save[32:])
 	m.Regs[vx.SP] = binary.LittleEndian.Uint64(mem[s.abs:])
 	m.InstrCount += siteAfterCall
 	m.Cycles += s.postCycles

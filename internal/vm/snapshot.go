@@ -57,7 +57,6 @@ func (m *Machine) eachDirtyPage(fn func(lo, hi int)) {
 // boundary: call it between instructions of a run — from a FirePoint.Fn, or
 // before Run — never from a host function, whose call is still in flight.
 func (m *Machine) Snapshot() *Snapshot {
-	m.flushDirty()
 	s := &Snapshot{
 		regs:       m.Regs,
 		pc:         m.PC,
@@ -100,14 +99,12 @@ func (m *Machine) Restore(s *Snapshot) {
 	if len(s.dirty) != len(m.dirty) {
 		panic("vm: Restore: snapshot of a different address space")
 	}
-	m.flushDirty()
 	m.eachDirtyPage(func(lo, hi int) { clear(m.Mem[lo:hi]) })
 	off := 0
 	for _, e := range s.extents {
 		off += copy(m.Mem[e.addr:e.addr+e.n], s.mem[off:])
 	}
 	copy(m.dirty, s.dirty)
-	m.lastPage = 0
 	m.Regs = s.regs
 	m.PC = s.pc
 	m.InstrCount = s.instrCount

@@ -254,35 +254,19 @@ type Machine struct {
 
 	// dirty is a bitmap of memory pages (dirtyPageSize bytes each) that may
 	// differ from a never-written address space: written since the last
-	// Reset, or put back by the last Restore. The store path marks pages;
-	// Reset and Restore sweep only the marked pages instead of the whole
-	// address space, so short trials stop paying O(MemSize) per run.
+	// Reset, or put back by the last Restore. It is the only marking state
+	// there is — the store path tests and sets a page's bit, Reset and
+	// Restore sweep only the marked pages instead of the whole address space
+	// (so short trials stop paying O(MemSize) per run) and a Snapshot copies
+	// it — so there is no per-run marking state for either to forget.
 	dirty []uint64
-
-	// dirtyRing batches the store path's page marking: store64 appends page
-	// numbers here (deduplicated against lastPage, which almost every store
-	// hits again) and they are folded into the dirty bitmap only when the
-	// ring fills or Reset consumes it — two bitmap read-modify-writes per
-	// store become, typically, one register compare. Page 0 doubles as the
-	// lastPage "none" sentinel: guest stores are bounds-checked to
-	// addr >= DefaultGlobalBase, so page 0 is unreachable through this path.
-	dirtyRing [dirtyRingLen]uint32
-	dirtyN    int
-	lastPage  uint32
 }
 
 // dirtyPageShift selects the dirty-tracking page size (4 KiB, like a real
-// MMU page). A 4 MiB address space needs a 16-word bitmap.
+// MMU page). A 4 MiB address space needs a 16-word bitmap, which stays in L1.
 const dirtyPageShift = 12
 
 const dirtyPageSize = 1 << dirtyPageShift
-
-// dirtyRingLen sizes the dirty-page batching ring. Store-heavy kernels
-// alternate among a handful of hot pages, so a small ring absorbs long runs
-// of stores between flushes; the worst case (every store a new page) flushes
-// once per dirtyRingLen stores, which is no more bitmap traffic than the
-// unbatched path paid.
-const dirtyRingLen = 64
 
 // New creates a machine for the image with default memory size.
 func New(img *Image) *Machine {
@@ -305,13 +289,10 @@ func (m *Machine) Reset() {
 		m.Mem = make([]byte, img.MemSize)
 		npages := (len(m.Mem) + dirtyPageSize - 1) >> dirtyPageShift
 		m.dirty = make([]uint64, (npages+63)/64)
-		m.dirtyN = 0 // ring entries indexed the old address space
 	} else {
-		m.flushDirty() // fold unflushed ring entries in before the sweep
 		m.eachDirtyPage(func(lo, hi int) { clear(m.Mem[lo:hi]) })
 		clear(m.dirty)
 	}
-	m.lastPage = 0
 	copy(m.Mem[img.GlobalBase:], img.InitData)
 	m.markDirtyRange(uint64(img.GlobalBase), int64(len(img.InitData)))
 	for i := range m.Regs {
@@ -342,37 +323,23 @@ func (m *Machine) clearRun() {
 }
 
 // markDirty records that the 8 bytes at addr were written. The caller has
-// already bounds-checked addr, so both page indexes are in range. Marking is
-// batched through the dirty ring: the common case — another store to the
-// page the last store hit — costs one compare, and the bitmap is only
-// touched at flush boundaries (ring overflow, Reset).
+// already bounds-checked addr, so both page indexes are in range. The common
+// case — a page some earlier store already marked — is one load and a test
+// of a bitmap word that lives in L1. The straddle test is on the page offset
+// rather than a second page number so that the whole thing stays under the
+// inliner's budget and store64 pays no call for it.
 func (m *Machine) markDirty(addr uint64) {
-	p := uint32(addr >> dirtyPageShift)
-	if p != m.lastPage {
-		m.notePage(p)
-	}
-	if p2 := uint32((addr + 7) >> dirtyPageShift); p2 != p {
-		m.notePage(p2)
+	m.markPage(addr >> dirtyPageShift)
+	if addr&(dirtyPageSize-1) > dirtyPageSize-8 {
+		m.markPage((addr + 7) >> dirtyPageShift)
 	}
 }
 
-// notePage appends a page to the dirty ring, flushing to the bitmap when
-// full.
-func (m *Machine) notePage(p uint32) {
-	m.lastPage = p
-	if m.dirtyN == len(m.dirtyRing) {
-		m.flushDirty()
+// markPage sets page p's bit in the dirty bitmap unless it is set already.
+func (m *Machine) markPage(p uint64) {
+	if w, bit := &m.dirty[p>>6], uint64(1)<<(p&63); *w&bit == 0 {
+		*w |= bit
 	}
-	m.dirtyRing[m.dirtyN] = p
-	m.dirtyN++
-}
-
-// flushDirty folds the ring's pending pages into the dirty bitmap.
-func (m *Machine) flushDirty() {
-	for _, p := range m.dirtyRing[:m.dirtyN] {
-		m.dirty[p>>6] |= 1 << (p & 63)
-	}
-	m.dirtyN = 0
 }
 
 // MarkMemWritten records an n-byte direct write to Mem so the dirty-page
@@ -390,7 +357,7 @@ func (m *Machine) markDirtyRange(addr uint64, n int64) {
 		return
 	}
 	for p := addr >> dirtyPageShift; p <= (addr+uint64(n)-1)>>dirtyPageShift; p++ {
-		m.dirty[p>>6] |= 1 << (p & 63)
+		m.markPage(p)
 	}
 }
 
@@ -429,9 +396,10 @@ func (m *Machine) fault(k TrapKind, format string, args ...any) {
 
 // memory access helpers ------------------------------------------------------
 
-// load64 and store64 are the only memory-access primitives of both
-// execution paths; store64 is also the single point where dirty-page
-// marking happens. The bounds checks are written to be overflow-safe:
+// load64 and store64 are the memory-access primitives of every execution
+// path, and store64 is where a store's pages are marked dirty; the one other
+// writer is the fused site (site.go), which bounds-checks and marks its save
+// area once for its five pushes. The bounds checks are overflow-safe:
 // addr+8 could wrap for addresses near 2^64 (e.g. a bit-flipped stack
 // pointer).
 
