@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/experiments"
 )
 
@@ -19,6 +20,10 @@ import (
 // anchors, and the same flags must print the same bytes from now on — every
 // registered fault model, 720 trials. A change that moves it has changed
 // what an experiment measures and must say so by regenerating the file.
+//
+// The six tools are three instrumentation levels, and the sweep is where
+// that is held too: on a fresh cache it makes nine builds (3 apps × ir,
+// backend, binary), not eighteen.
 func TestSweepMatchesCommittedGolden(t *testing.T) {
 	var f experiments.Flags
 	fs := flag.NewFlagSet("fi-campaign", flag.ContinueOnError)
@@ -33,6 +38,7 @@ func TestSweepMatchesCommittedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer closeRun()
+	cfg.Cache = campaign.NewCache()
 	suite, err := experiments.RunSuite(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,5 +53,8 @@ func TestSweepMatchesCommittedGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("tables differ from testdata/sweep.golden:\n--- got\n%s\n--- want\n%s", got.Bytes(), want)
+	}
+	if builds, entries := cfg.Cache.Stats().Builds, cfg.Cache.Len(); builds != 9 || entries != 9 {
+		t.Errorf("six tools × three apps made %d builds in %d cache entries, want 9 and 9: one per app and level", builds, entries)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/multibit"
 	"repro/internal/opcodefi"
 	"repro/internal/pinfi"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -95,6 +96,69 @@ func TestAnchoredTrialsMatchResetStarted(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSharedBuildInterleavesFaultModels is the hygiene the shared build
+// depends on: the four binary-level tools hold one build, so one pooled
+// machine serves an OPCODE trial (private image clone swapped in and out),
+// then a PINFI2 trial (counting observer attached mid-run), then PINFI, then
+// OPCODE-VALID, over the same anchors. Each must be the trial a fresh machine
+// of the tool's own private build runs from Reset, Cycles included, and must
+// hand the machine back on the shared image with nothing armed — the rows
+// include an OPCODE trial that traps on its corrupted opcode and a PINFI2
+// trial on the last target, whose second flip never lands and whose observer
+// is still attached when the run ends.
+func TestSharedBuildInterleavesFaultModels(t *testing.T) {
+	app := appsByName(t, "HPCCG")[0]
+	costs := pinfi.DefaultCosts()
+	cache := campaign.NewCache()
+	order := []campaign.Tool{opcodefi.Injector, multibit.PINFI2Injector, campaign.PINFI, opcodefi.ValidInjector}
+	var m *vm.Machine
+	var illegal, unlanded bool
+	for i, seed := range []uint64{2, 40, 4, 6, 11, 5, 17, 30, 7, 34, 21, 13} {
+		tool := order[i%len(order)]
+		shared, prof, err := cache.BuildAndProfile(app, tool, campaign.DefaultBuildOptions(), costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		private, err := campaign.BuildBinary(app, tool, campaign.DefaultBuildOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := private.RunProfile(costs); err != nil {
+			t.Fatal(err)
+		}
+		if m == nil {
+			m = shared.AcquireMachine()
+			defer shared.ReleaseMachine(m)
+		}
+		// Row i is tool i mod 4 against target seed/41 of the population,
+		// except PINFI2's seed 40: the last target, with nothing after it for
+		// a second flip to land on.
+		target := int64(seed) * prof.Targets / 41
+		lastTarget := tool == multibit.PINFI2Injector && seed == 40
+		if lastTarget {
+			target = prof.Targets - 1
+		}
+		got := shared.TrialAt(m, prof, costs, target, seed, true)
+		want := private.TrialAt(private.NewMachine(), prof, costs, target, seed, false)
+		if got != want {
+			t.Errorf("%s target %d on the shared build's pooled machine diverged from a fresh private build:\nshared:  %+v\nprivate: %+v",
+				tool.Name(), target, got, want)
+		}
+		if m.Img != shared.Img || m.FireArmed() || (m.Count != nil) != lastTarget {
+			t.Errorf("%s target %d left the pooled machine on image %p (shared %p), armed=%v, observer=%v",
+				tool.Name(), target, m.Img, shared.Img, m.FireArmed(), m.Count != nil)
+		}
+		illegal = illegal || tool == opcodefi.Injector && got.Trap == vm.TrapIllegal
+		unlanded = unlanded || lastTarget
+	}
+	if !illegal || !unlanded {
+		t.Errorf("rows no longer cover an OPCODE trial trapping on its opcode (%v) and a PINFI2 second flip that never lands (%v)", illegal, unlanded)
+	}
+	if st := cache.Stats(); st.Builds != 1 || cache.Len() != 1 {
+		t.Errorf("four binary-level tools made %d builds in %d entries, want one shared build", st.Builds, cache.Len())
 	}
 }
 

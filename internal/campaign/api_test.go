@@ -53,6 +53,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 // stubInjector is a minimal Injector for registry-behavior tests.
 type stubInjector struct{ campaign.ToolName }
 
+func (s stubInjector) Level() string                                        { return s.Name() }
 func (stubInjector) InstrumentIR(*ir.Module, fault.Config) int              { return 0 }
 func (stubInjector) InstrumentMachine(*mir.Prog, fault.Config) (int, error) { return 0, nil }
 func (stubInjector) Profile(*vm.Machine, *campaign.Binary, pinfi.CostModel) (int64, []uint64) {

@@ -44,6 +44,8 @@ func init() {
 
 type llfiInjector struct{ ToolName }
 
+func (llfiInjector) Level() string { return "ir" }
+
 func (llfiInjector) InstrumentIR(m *ir.Module, cfg fault.Config) int {
 	return llfi.Instrument(m, cfg)
 }
@@ -72,6 +74,8 @@ func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostMode
 // refineInjector --------------------------------------------------------------
 
 type refineInjector struct{ ToolName }
+
+func (refineInjector) Level() string { return "backend" }
 
 func (refineInjector) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
 

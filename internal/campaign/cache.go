@@ -26,13 +26,14 @@ import (
 // target population, golden output, timeout budget). A suite over T tools
 // and repeated campaigns — benchmark iterations, ablations, the fi-* drivers
 // regenerating several tables from the same binaries — pays the build and
-// profile once per (app, tool, options, cost-model) key instead of once per
-// campaign. Both artifacts are immutable after construction (machines only
-// read the Image; Profile is never written after RunProfile), so cached
-// entries are safe to share across goroutines and campaigns. That includes
+// profile once per (app, Injector.Level, options, cost-model) key: the seven
+// registered tools are three builds per app. Both artifacts are immutable
+// after construction (machines only read the Image; Profile is never written
+// after RunProfile), so cached entries are safe to share across goroutines,
+// campaigns and the tools of a level. That includes
 // opcode corruption: the registered OPCODE injectors (internal/opcodefi)
-// mutate only private per-trial image clones, never the cached Binary's
-// Image.
+// mutate only private per-trial image clones, never the cached build's
+// Image, and hand a pooled machine back on the shared one.
 //
 // Keys include the application name and memory size but not the Build
 // function itself (Go functions are not comparable): two distinct App values
@@ -52,7 +53,7 @@ type Cache struct {
 
 	// fp memoizes the per-app fingerprints (whole-program hash plus the
 	// per-function canonical fingerprints backing the compositional section
-	// cache): a warm suite touches each app once per tool×options key, and
+	// cache): a warm suite touches each app once per level×options key, and
 	// the frontend+print run only needs to happen once per app. Keying by
 	// name+memSize matches the in-memory layer's documented contract (one
 	// Build per name within a cache).
@@ -98,7 +99,7 @@ type CacheStats struct {
 type cacheKey struct {
 	app     string
 	memSize int64
-	tool    string // stable injector name
+	level   string // Injector.Level: the build half, shared by its tools
 	opt     opt.Level
 	funcs   string // canonical -fi-funcs encoding
 	classes uint8  // fault.ClassSet
@@ -107,12 +108,12 @@ type cacheKey struct {
 
 // newCacheKey canonicalizes the identity of a build+profile artifact; the
 // disk layer's content addresses (entryPath, sectionPath) fold the same
-// fields in.
+// fields in; sectionPath adds the tool's name, which identifies results.
 func newCacheKey(app App, tool Tool, o BuildOptions, costs pinfi.CostModel) cacheKey {
 	return cacheKey{
 		app:     app.Name,
 		memSize: app.MemSize,
-		tool:    tool.Name(),
+		level:   tool.Level(),
 		opt:     o.Opt.Resolve(), // "unset" and "explicitly O2" share an entry
 		funcs:   strings.Join(o.FI.Funcs, "\x00"),
 		classes: uint8(o.FI.Classes),
@@ -181,8 +182,9 @@ func DefaultCache() *Cache { return defaultCache }
 
 // BuildAndProfile returns the compiled binary and its profile for the key,
 // building and golden-running at most once per key even under concurrent
-// callers. Errors are cached too: a broken build fails every campaign the
-// same way instead of rebuilding.
+// callers. The Binary's Tool is the caller's; its build and the profile are
+// the key's one copy. Errors are cached too: a broken build fails every
+// campaign the same way instead of rebuilding.
 func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.CostModel) (*Binary, *Profile, error) {
 	k := newCacheKey(app, tool, o, costs)
 	c.mu.Lock()
@@ -213,7 +215,12 @@ func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.
 			c.storeDiskEntry(path, e.bin, e.prof)
 		}
 	})
-	return e.bin, e.prof, e.err
+	if e.bin == nil {
+		return nil, nil, e.err
+	}
+	h := *e.bin
+	h.Tool = tool
+	return &h, e.prof, e.err
 }
 
 // disk persistence ------------------------------------------------------------
@@ -227,8 +234,9 @@ func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.
 // the persisted fire-point index; version 4 added the compositional
 // section-entry layer (.fis files, see sections.go) and re-keyed the build
 // entries alongside it, so every pre-compositional entry misses (or
-// quarantines via the in-payload stamp) and rebuilds through the PR 6 path.
-const diskFormatVersion = 4
+// quarantines via the in-payload stamp) and rebuilds through the PR 6 path;
+// version 5 addresses a build entry by level, not tool (same payload).
+const diskFormatVersion = 5
 
 // checksumLen prefixes every disk entry: SHA-256 over the gob payload,
 // verified on load so torn writes and bit-rot are detected (and
@@ -307,7 +315,7 @@ type diskEntry struct {
 func (c *Cache) entryPath(app App, k cacheKey) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "v%d|%s|%d|%s|%d|%q|%d|%+v|%s|", diskFormatVersion,
-		k.app, k.memSize, k.tool, k.opt, k.funcs, k.classes, k.costs,
+		k.app, k.memSize, k.level, k.opt, k.funcs, k.classes, k.costs,
 		harnessFingerprint())
 	h.Write([]byte(c.irFingerprint(app)))
 	return filepath.Join(c.dir, hex.EncodeToString(h.Sum(nil))[:40]+".fic")
@@ -337,7 +345,7 @@ func (c *Cache) loadDiskEntry(path string, app App, tool Tool) (*Binary, *Profil
 		c.quarantine(path)
 		return nil, nil, false
 	}
-	return &Binary{App: app, Tool: tool, Img: d.Img, Sites: d.Sites, Cfg: d.Cfg, firePts: d.Fire}, d.Prof, true
+	return &Binary{App: app, Tool: tool, build: &build{Img: d.Img, Sites: d.Sites, Cfg: d.Cfg, firePts: d.Fire}}, d.Prof, true
 }
 
 // quarantine renames a corrupt entry aside (best effort: removed outright if
@@ -454,7 +462,7 @@ func (c *Cache) Len() int {
 // machine pooling ------------------------------------------------------------
 
 // AcquireMachine returns a reset machine for the binary, reusing a pooled
-// one when available. Pooled machines live on the (cached) Binary, so a
+// one when available. Pooled machines live on the (cached) build, so a
 // worker's machine — and its dirty-page state — survives across campaigns
 // instead of being reallocated per run. Release with ReleaseMachine.
 func (b *Binary) AcquireMachine() *vm.Machine {

@@ -59,6 +59,9 @@ func TestOldVersionCacheEntryQuarantinedAndRebuilt(t *testing.T) {
 	}{
 		// Version 2 predates the persisted index.
 		{"old-version", func(d *diskEntry) { d.Version, d.Fire = 2, nil }},
+		// Version 4 has the current body, addressed by the asking tool's
+		// name: nothing but the stamp tells it apart on a version-5 path.
+		{"previous-version", func(d *diskEntry) { d.Version = diskFormatVersion - 1 }},
 		// Either of these would reach Lookup's out-of-range panic
 		// mid-campaign if it were trusted.
 		{"no-fire-index", func(d *diskEntry) { d.Fire = nil }},

@@ -1,9 +1,9 @@
 // Package campaign orchestrates fault-injection experiments: it compiles an
-// application once per tool (each tool has its own build pipeline, as in the
-// paper's artifact description §A.3), runs the profiling step to obtain the
-// dynamic target count, the golden output and the 10× timeout budget
-// (Figure 3a), executes trials with uniformly drawn fault targets
-// (Figure 3b), classifies outcomes, and aggregates the Table 6 counts.
+// application once per instrumentation level (each has its own build
+// pipeline, as in the paper's artifact description §A.3), runs the profiling
+// step to obtain the dynamic target count, the golden output and the 10×
+// timeout budget (Figure 3a), executes trials with uniformly drawn fault
+// targets (Figure 3b), classifies outcomes, and aggregates the Table 6 counts.
 // Campaigns run trials in parallel across worker goroutines, standing in for
 // the paper's cluster of nodes (§A.4); every trial seeds its own RNG, so
 // results are independent of scheduling.
@@ -64,10 +64,21 @@ func DefaultBuildOptions() BuildOptions {
 	return BuildOptions{Opt: opt.O2, FI: fault.DefaultConfig()}
 }
 
-// Binary is a compiled application ready for fault-injection runs.
+// Binary is a compiled application ready for fault-injection runs: a tool's
+// handle on a build. The build — everything below Tool — belongs to what was
+// built, the tool's instrumentation level: a Cache hands every tool of one
+// Level a Binary with its own Tool and the same *build, so PINFI, OPCODE,
+// OPCODE-VALID and PINFI2 run their trials on one image, one fire-point
+// index, one set of anchors and one pool of machines.
 type Binary struct {
-	App   App
-	Tool  Tool
+	App  App
+	Tool Tool
+	*build
+}
+
+// build is the level's one copy of a compiled application and of what is
+// memoized on it.
+type build struct {
 	Img   *vm.Image
 	Sites int // static instrumentation sites (REFINE / LLFI)
 	Cfg   fault.Config
@@ -79,7 +90,7 @@ type Binary struct {
 
 	// imgPool recycles private image clones for injectors that mutate the
 	// instruction stream in place (see AcquireImageClone). Living on the
-	// Binary, the clones share its lifetime: discarding a cache releases
+	// build, the clones share its lifetime: discarding a cache releases
 	// them with everything else.
 	imgPool sync.Pool
 
@@ -102,21 +113,21 @@ type Binary struct {
 }
 
 // TargetMap returns the binary's per-PC injection-population bitmap
-// (pinfi.TargetMap over Img and Cfg) — the representation the VM's hooked
-// fast loop counts without closure indirection. It is computed once per
-// binary and immutable afterwards, so concurrent trial workers share it.
+// (pinfi.TargetMap over Img and Cfg) — the representation a vm.CountHook
+// counts without closure indirection. It is computed once per build and
+// immutable afterwards, so concurrent trial workers share it.
 func (b *Binary) TargetMap() []bool {
 	b.targetOnce.Do(func() { b.targets = pinfi.TargetMap(b.Img, b.Cfg) })
 	return b.targets
 }
 
-// FirePoints returns the binary's fire-point index — the absolute
-// InstrCount of every dynamic target occurrence of the golden run, which
-// every hook-free trial of a binary-level tool shares. BinaryLevel.Profile
-// records it during RunProfile's golden pass and the disk cache restores it
-// with the entry, so it never costs a pass of its own; it is nil for a
-// binary that has neither been profiled nor restored, and for tools that are
-// not binary-level.
+// FirePoints returns the build's fire-point index — the absolute InstrCount
+// of every dynamic target occurrence of the golden run, which every trial of
+// every binary-level tool shares. BinaryLevel.Profile records it during
+// RunProfile's golden pass — the one observed pass of a "binary" build — and
+// the disk cache restores it with the entry, so it never costs a pass of its
+// own; it is nil for a binary that has neither been profiled nor restored,
+// and for tools that are not binary-level.
 func (b *Binary) FirePoints() *pinfi.FirePoints { return b.firePts }
 
 // BuildBinary compiles the application through the shared pipeline, letting
@@ -176,7 +187,7 @@ func BuildBinary(app App, tool Tool, o BuildOptions) (bin *Binary, err error) {
 	for i := range img.Funcs {
 		img.Funcs[i].IsTarget = o.FI.FuncSelected(img.Funcs[i].Name)
 	}
-	return &Binary{App: app, Tool: tool, Img: img, Sites: sites, Cfg: o.FI}, nil
+	return &Binary{App: app, Tool: tool, build: &build{Img: img, Sites: sites, Cfg: o.FI}}, nil
 }
 
 // bindOutput installs the standard output host functions (only those the

@@ -26,12 +26,21 @@ import (
 // per-trial state belongs in locals (or a library value bound to the
 // machine), never on the injector itself.
 type Injector interface {
-	// Name is the stable identifier used for CLI selection (-tools), cache
-	// keys and trial-seed derivation. It must be unique across the registry
-	// and must never change once results depend on it. String must return
-	// the same value (embed ToolName to get both).
+	// Name is the stable identifier used for CLI selection (-tools), trial-
+	// seed derivation and result addresses (journal, section entries). It
+	// must be unique across the registry and must never change once results
+	// depend on it. String must return the same value (embed ToolName).
 	Name() string
 	fmt.Stringer
+
+	// Level is the stable name of the tool's build half — the two hooks
+	// below, Profile and Replay — and what a Cache keys a build by: tools
+	// with one Level must build, profile and replay identically, and share
+	// one build (image, fire-point index, anchors, machine pool) with only
+	// Trial their own. Registered: "ir" (LLFI), "backend" (REFINE, REFINE2),
+	// "binary" (embed BinaryLevel). A hand-written injector returns its own
+	// Name and shares with nobody.
+	Level() string
 
 	// InstrumentIR instruments the optimized, not-yet-legalized IR module
 	// (the LLFI hook point: after -O2, before lowering) and returns the
@@ -83,21 +92,24 @@ type Injector interface {
 type Tool = Injector
 
 // FirePointUser is the optional marker interface for injectors whose Trial
-// runs over the binary's fire-point index (Binary.FirePoints); embed
+// runs over the build's fire-point index (Binary.FirePoints); embed
 // BinaryLevel to implement it. The disk cache uses it to refuse a restored
 // entry whose index is missing or does not match the profile.
 type FirePointUser interface {
 	UsesFirePoints() bool
 }
 
-// BinaryLevel is the embeddable build-and-profile half of a binary-level
-// injector (PINFI, OPCODE, PINFI2): no static instrumentation — the
-// population is the plain binary's dynamic instruction stream — and PINFI's
-// profiling step, whose one hooked golden pass under the PIN-style cost
-// model also records the fire-point index the tool's trials — and the
-// golden-run snapshots they start from — are scheduled from. Only Trial is
-// left to the embedding injector.
+// BinaryLevel is the embeddable build half of a binary-level injector
+// (PINFI, OPCODE, OPCODE-VALID, PINFI2), and the "binary" Level they share a
+// build under: no static instrumentation — the population is the plain
+// binary's dynamic instruction stream — and PINFI's profiling step, whose one
+// observed golden pass under the PIN-style cost model also records the
+// fire-point index the tools' trials — and the golden-run snapshots they
+// start from — are scheduled from. Only Trial is left to the embedding
+// injector.
 type BinaryLevel struct{}
+
+func (BinaryLevel) Level() string { return "binary" }
 
 func (BinaryLevel) InstrumentIR(*ir.Module, fault.Config) int { return 0 }
 

@@ -56,6 +56,7 @@ type corruptIRTool struct {
 
 func (c corruptIRTool) Name() string   { return string(c.ToolName) }
 func (c corruptIRTool) String() string { return string(c.ToolName) }
+func (c corruptIRTool) Level() string  { return string(c.ToolName) } // not the wrapped tool's build
 
 func (c corruptIRTool) InstrumentIR(m *ir.Module, cfg fault.Config) int {
 	for _, f := range m.Funcs {
@@ -77,6 +78,7 @@ type corruptMachineTool struct {
 
 func (c corruptMachineTool) Name() string   { return string(c.ToolName) }
 func (c corruptMachineTool) String() string { return string(c.ToolName) }
+func (c corruptMachineTool) Level() string  { return string(c.ToolName) }
 
 func (c corruptMachineTool) InstrumentMachine(p *mir.Prog, cfg fault.Config) (int, error) {
 	for _, f := range p.Fns {

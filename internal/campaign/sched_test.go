@@ -9,6 +9,7 @@ package campaign_test
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -213,6 +214,41 @@ func TestDiskCacheColdWarm(t *testing.T) {
 	// And fully uncached agrees too: persistence must not change results.
 	fresh := runPrivate(t, 4, nil)
 	equalResults(t, "warm disk cache vs fresh build", b, fresh)
+}
+
+// TestDiskCacheStoresOneEntryPerLevel: a build is addressed by what was built.
+// Every registered tool run over one cache directory leaves three .fic
+// entries per app — ir, backend, binary — and a second cache over the
+// directory restores all seven tools from them without building, with the
+// records of the cold run.
+func TestDiskCacheStoresOneEntryPerLevel(t *testing.T) {
+	dir := t.TempDir()
+	sweep := func() (map[string]*campaign.Result, campaign.CacheStats) {
+		cache, err := campaign.NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]*campaign.Result{}
+		for _, tool := range everyTool {
+			out[tool.Name()] = runCampaign(t, testApp, tool, 24, 7, 1,
+				campaign.DefaultBuildOptions(), campaign.WithCache(cache))
+		}
+		return out, cache.Stats()
+	}
+	cold, st := sweep()
+	if st.Builds != 3 || st.DiskHits != 0 {
+		t.Fatalf("cold sweep of %d tools: %+v, want 3 builds", len(everyTool), st)
+	}
+	if fics, _ := filepath.Glob(filepath.Join(dir, "*.fic")); len(fics) != 3 {
+		t.Fatalf("cold sweep left %d .fic entries, want 3: %v", len(fics), fics)
+	}
+	warm, st := sweep()
+	if st.Builds != 0 || st.DiskHits != 3 || st.DiskErrors != 0 || st.Quarantined != 0 {
+		t.Fatalf("warm sweep: %+v, want 0 builds from 3 disk hits", st)
+	}
+	for _, tool := range everyTool {
+		equalResults(t, "cold vs warm "+tool.Name(), cold[tool.Name()], warm[tool.Name()])
+	}
 }
 
 // TestDiskCacheKeysByIR: two apps sharing a name but building different IR

@@ -159,12 +159,13 @@ func profileDigest(p *Profile) string {
 
 // sectionPath derives a section entry's content address. Everything that
 // can change a trial's result or attribution is folded in: the build
-// identity (cache key + harness fingerprint), the seeded trial range, the
-// profile digest, and the section's own canonical fingerprint.
-func (c *Cache) sectionPath(k cacheKey, seed uint64, lo, hi int, profD, section, fp string) string {
+// identity (cache key + harness fingerprint), the tool whose trials these
+// are, the seeded trial range, the profile digest, and the section's own
+// canonical fingerprint.
+func (c *Cache) sectionPath(k cacheKey, tool string, seed uint64, lo, hi int, profD, section, fp string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "s%d|%s|%d|%s|%d|%q|%d|%+v|%s|%d|%d|%d|%s|%q|%s", diskFormatVersion,
-		k.app, k.memSize, k.tool, k.opt, k.funcs, k.classes, k.costs,
+	fmt.Fprintf(h, "s%d|%s|%d|%s|%s|%d|%q|%d|%+v|%s|%d|%d|%d|%s|%q|%s", diskFormatVersion,
+		k.app, k.memSize, k.level, tool, k.opt, k.funcs, k.classes, k.costs,
 		harnessFingerprint(), seed, lo, hi, profD, section, fp)
 	return filepath.Join(c.dir, hex.EncodeToString(h.Sum(nil))[:40]+".fis")
 }
@@ -241,7 +242,7 @@ func (c *Cache) loadSections(cmp *Campaign, prof *Profile) *composeState {
 		if sec != "" {
 			fp = fps.funcs[sec]
 		}
-		path := c.sectionPath(k, cmp.seed, cmp.lo, cmp.trials, profD, sec, fp)
+		path := c.sectionPath(k, cmp.tool.Name(), cmp.seed, cmp.lo, cmp.trials, profD, sec, fp)
 		st.paths[sec] = path
 		c.secTotal.Add(1)
 		e, ok := c.loadSectionEntry(path, cmp.lo, cmp.trials)

@@ -22,8 +22,8 @@ import (
 // execution of a marked instruction drives exactly one selInstr call, so a
 // vm.CountHook over this map counts the same dynamic target population a
 // never-firing Lib counts through the control runtime, without executing the
-// instrumentation's host calls: a cheap PC-indexed census the hooked fast
-// loop services inline. The cross-layer test suite pins the two counts to
+// instrumentation's host calls: a PC-indexed census with no closure per
+// instruction. The cross-layer test suite pins the two counts to
 // each other on real workloads. The backend pass tags exactly one
 // application instruction per SiteID, so the map is the image of the
 // predecode-time site index.

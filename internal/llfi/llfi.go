@@ -120,9 +120,9 @@ func posIn(b *ir.Block, v *ir.Value) int {
 // execution of a marked call drives exactly one runtime invocation, so a
 // vm.CountHook over this map counts the same dynamic instrumented
 // population a never-firing Lib counts from inside the host functions, without
-// paying their modeled call costs: a cheap PC-indexed census the hooked
-// fast loop services inline (and a cross-layer check that instrumentation,
-// code generation and the runtime agree on the population).
+// paying their modeled call costs: a PC-indexed census with no closure per
+// instruction (and a cross-layer check that instrumentation, code generation
+// and the runtime agree on the population).
 func SiteMap(img *vm.Image) []bool {
 	isFault := map[string]bool{
 		HostFaultI64: true, HostFaultF64: true, HostFaultI1: true, HostFaultPtr: true,

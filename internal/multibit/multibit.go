@@ -33,10 +33,10 @@ func init() {
 }
 
 // injector embeds REFINE itself for the build pipeline, the profiling step
-// and the replay that golden-run snapshots are taken from: the instrumented
-// binary is bit-identical to a REFINE build, so the two injectors share
-// cacheable artifacts in spirit (the cache still keys them separately by
-// name, keeping the machine pools private).
+// and the replay that golden-run snapshots are taken from — and for Level:
+// the instrumented binary is bit-identical to a REFINE build, so a cache
+// hands both injectors the same "backend" build, profile, anchors and machine
+// pool. Only Trial is REFINE2's own.
 type injector struct{ campaign.Tool }
 
 func (injector) Name() string   { return Name }

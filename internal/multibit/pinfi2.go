@@ -8,7 +8,8 @@ package multibit
 // the (target+1)-th target occurrence of the *post-injection* execution,
 // whose dynamics have diverged from the golden run the index was recorded
 // on. The fire callback therefore attaches an inline counting hook primed
-// with the occurrence count so far, and the run continues hooked until the
+// with the occurrence count so far, and the run continues observed (through
+// the VM's reference Step path, for the few instructions it takes) until the
 // second flip detaches it — fire points where the golden trace is valid,
 // counting where it is not.
 

@@ -5,14 +5,14 @@ import (
 	"fmt"
 )
 
-// Fire-point index: the per-binary artifact that makes binary-level trials
-// hook-free end to end. The one hooked golden pass per binary (Profile)
+// Fire-point index: the per-build artifact that makes binary-level trials
+// hook-free end to end. The one observed golden pass per build (Profile)
 // records, for every dynamic target-instruction occurrence, the absolute
 // InstrCount at which it committed and its PC. A trial then maps "inject at
 // the Nth dynamic target occurrence" straight to an absolute instruction
 // index and arms the VM's fire-point seam (ArmFired): the injection deadline
 // rides the budget countdown of the hook-free fast loop, so neither the
-// prefix nor the suffix of the trial executes a single hooked instruction.
+// prefix nor the suffix of the trial executes a single observed instruction.
 // The index is persisted in the campaign disk cache alongside the profile.
 
 // fireAnchorStride is the occurrence interval between sparse decode anchors:

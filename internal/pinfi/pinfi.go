@@ -40,8 +40,8 @@ func DefaultCosts() CostModel {
 }
 
 // TargetMap precomputes the per-PC bitmap of the injection population under
-// the configuration — the representation the VM's hooked fast loop services
-// without closure indirection (vm.CountHook). The population predicate is
+// the configuration — the representation vm.CountHook counts without closure
+// indirection. The population predicate is
 // purely static per instruction (class, output registers, owning function),
 // so the bitmap is exact; campaigns cache it per binary
 // (campaign.Binary.TargetMap) instead of recomputing per trial.
@@ -49,10 +49,11 @@ func TargetMap(img *vm.Image, cfg fault.Config) []bool {
 	return vm.TargetMap(img, func(in *vm.Inst) bool { return cfg.TargetInst(img, in) })
 }
 
-// Profile runs the one hooked golden pass of a binary-level tool on a fresh
-// machine: counting instrumentation attached for the whole run (as PINFI's
-// profiling tool does), whose Fire — re-armed at every occurrence — records
-// the fire-point index the trials are scheduled from. It returns the index
+// Profile runs the one observed golden pass of a binary-level build on a
+// fresh machine: counting instrumentation attached for the whole run (as
+// PINFI's profiling tool does), so the VM executes it through Step, whose
+// Fire — re-armed at every occurrence — records the fire-point index the
+// trials are scheduled from. It returns the index
 // (N is the dynamic target count) and the golden output; the machine is left
 // halted with the dynamic instruction count the 10× timeout budget derives
 // from. The recorded indices are exact for every trial of the campaign: a
@@ -86,7 +87,7 @@ func Profile(m *vm.Machine, targets []bool, costs CostModel) (*FirePoints, []uin
 // ArmFired is the production carrier: it looks the target occurrence up in
 // the fire-point index and arms the VM's fire-point seam at that absolute
 // instruction index. The whole trial — prefix, injection, suffix — runs on
-// the hook-free fast loop with zero hooked instructions; the deferred
+// the hook-free fast loop with zero observed instructions; the deferred
 // PerInstr observer cost is settled as a lump sum at the fire (see
 // vm.FirePoint).
 //
@@ -106,7 +107,7 @@ func ArmFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, inj
 
 // ArmCounted is the reference carrier, PINFI as the paper describes it, for
 // a freshly reset machine: a counting hook attached from instruction 0
-// counts target occurrences through a hooked prefix and, at the target-th,
+// counts target occurrences through an observed prefix and, at the target-th,
 // removes the instrumentation and detaches (the §5.2 optimization) before
 // injecting.
 func ArmCounted(m *vm.Machine, targets []bool, costs CostModel, target int64, inject vm.ExecHook) {

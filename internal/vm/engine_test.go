@@ -83,8 +83,8 @@ func bindGolden(m *vm.Machine, tool campaign.Tool) {
 
 // everyInstr attaches fn as a per-instruction observer: a CountHook over an
 // all-true target map whose Fire re-arms itself for the next occurrence runs
-// fn after every committed instruction, on Step, on the hooked fast loop and
-// at the host-call seam alike. It charges no cycles. fn detaches it with
+// fn after every committed instruction, on Step and at the fast loop's
+// host-call seam alike. It charges no cycles. fn detaches it with
 // m.Count = nil.
 func everyInstr(m *vm.Machine, fn vm.ExecHook) {
 	ch := &vm.CountHook{Targets: vm.TargetMap(m.Img, func(*vm.Inst) bool { return true })}
@@ -96,11 +96,10 @@ func everyInstr(m *vm.Machine, fn vm.ExecHook) {
 }
 
 // refRun executes the machine entirely through the Step reference path
-// (attaching an observer no longer forces it — hooked runs dispatch through
-// the hooked fast loop — so the differential baseline uses RunStepped). The
-// no-op probe is kept attached so observer-servicing transitions exercise
-// the same observer code; it costs no cycles, so the accounting is identical
-// to an unhooked stepping loop.
+// (RunStepped: an attached observer alone would keep Run on Step only until
+// it detaches). The no-op probe is kept attached so observer-servicing
+// transitions exercise the same observer code; it costs no cycles, so the
+// accounting is identical to an unobserved stepping loop.
 func refRun(m *vm.Machine) {
 	everyInstr(m, func(*vm.Machine, int32, *vm.Inst) {})
 	m.RunStepped()

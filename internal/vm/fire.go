@@ -2,11 +2,11 @@ package vm
 
 // This file implements the fire-point seam: one-shot injection scheduling at
 // an absolute instruction index, serviced by the hook-free fast loop (and,
-// for loop equivalence, by Step and the hooked loop). It is the budget-trap
+// for loop equivalence, by Step). It is the budget-trap
 // machinery generalized into a second deadline: a binary-level trial that
 // knows — from a recorded golden pass — the absolute InstrCount of its
 // injection point arms a FirePoint instead of counting target occurrences
-// through a hooked prefix, so the entire pre-injection run executes at
+// through an observed prefix, so the entire pre-injection run executes at
 // hook-free speed (the ZOFI argument: injection timing as a budget, not
 // per-instruction counting).
 
@@ -34,7 +34,7 @@ type FirePoint struct {
 	// PerInstr × (committed instructions since arming) when the fire point
 	// services, or when Run returns with it still pending (a budget smaller
 	// than At times the run out first; the lump sum then covers exactly the
-	// budgeted instructions, matching the hooked path's running charge).
+	// budgeted instructions, matching the counted path's running charge).
 	PerInstr int64
 	// Fn is the injection callback, with ExecHook's signature and the same
 	// machine state a CountHook.Fire would see: the fired instruction's
@@ -74,7 +74,7 @@ func (m *Machine) serviceFire() {
 }
 
 // settleFire settles the deferred observer cost of a fire point the run
-// never reached (timeout or crash before At): the hooked reference keeps its
+// never reached (timeout or crash before At): the counted reference keeps its
 // counting observer attached to the end of such a run, charging PerInstr for
 // every committed instruction, so the lump sum here must cover the same
 // count. Run and RunStepped call it on exit; the callback does not run.

@@ -3,7 +3,8 @@ package vm_test
 // Differential tests for the fire-point seam: a FirePoint armed at absolute
 // index At must be observationally identical — outcome, cycle accounting,
 // trap, final register file — to a CountHook whose Fire runs at the same
-// dynamic target occurrence, on all three loops (fast, hooked, stepped), and
+// dynamic target occurrence, on the fast loop, on Step behind an observer and
+// on RunStepped, and
 // it must compose with the caller budget in every order (fire before budget,
 // budget before fire, both on the same instruction). Plus the machine-reuse
 // hygiene the pool depends on: Reset must disarm a pending fire point and
@@ -132,9 +133,9 @@ func TestFirePointBudgetInteraction(t *testing.T) {
 	}
 }
 
-// TestFirePointLoopEquivalence services the same fire point on all three
-// loops: production Run (hook-free fast loop), Run with a counting observer
-// attached (hooked fast loop), and RunStepped. Final states must be
+// TestFirePointLoopEquivalence services the same fire point three ways:
+// production Run (hook-free fast loop), Run with a counting observer
+// attached (Step, observers serviced), and RunStepped. Final states must be
 // bit-identical; the observer variants charge no cycles so the comparison is
 // exact.
 func TestFirePointLoopEquivalence(t *testing.T) {
@@ -160,7 +161,7 @@ func TestFirePointLoopEquivalence(t *testing.T) {
 		case "fast":
 			m.Run()
 		case "hooked":
-			// A zero-cost counting observer forces the hooked fast loop
+			// A zero-cost counting observer takes Run off the fast loop
 			// without perturbing the accounting.
 			m.Count = &vm.CountHook{Targets: make([]bool, len(bin.Img.Instrs)), Arm: -1}
 			m.Run()
@@ -280,13 +281,13 @@ func TestPooledMachineNoFireLeak(t *testing.T) {
 }
 
 // TestTrialFastSpeedGate is the CI bench-smoke gate for the fire-point
-// rung, companion to TestHookedFastSpeedGate: a binary-level trial on the
-// fired carrier must be at least 1.2× faster than the same trial on the
-// counted reference carrier, whose pre-injection prefix runs hooked behind
-// a counting observer. The target is the last dynamic occurrence, so
-// the hooked prefix spans (almost) the whole run — the shape that dominates
-// a campaign's trial phase. The measured speedup is larger (hook-free
-// ≈1.3–1.8× the counting loop); 1.2× leaves headroom for noisy shared
+// rung: a binary-level trial on the fired carrier must be at least 1.2×
+// faster than the same trial on the counted reference carrier, whose
+// pre-injection prefix runs through Step behind a counting observer. The
+// target is the last dynamic occurrence, so the counted prefix spans
+// (almost) the whole run — the shape that dominates a campaign's trial
+// phase. Measured ≈3× (it was 1.3–1.8× while the counted prefix had a
+// predecoded loop of its own); 1.2× leaves headroom for noisy shared
 // runners.
 func TestTrialFastSpeedGate(t *testing.T) {
 	if os.Getenv("TRIAL_SPEED_GATE") == "" {
@@ -299,7 +300,7 @@ func TestTrialFastSpeedGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	fps := bin.FirePoints()
-	target := prof.Targets - 1 // maximize the hooked prefix
+	target := prof.Targets - 1 // maximize the counted prefix
 
 	once := func(fired bool) time.Duration {
 		m := bin.NewMachine()
@@ -314,15 +315,16 @@ func TestTrialFastSpeedGate(t *testing.T) {
 		m.Run()
 		return time.Since(start)
 	}
-	// Best of nine, interleaved (see TestHookedFastSpeedGate).
+	// Best of nine, interleaved: a shared box's slow phases outlast a run,
+	// so both sides must get to sample the fast ones.
 	fast, ref := time.Duration(1<<62), time.Duration(1<<62)
 	for rep := 0; rep < 9; rep++ {
 		fast, ref = min(fast, once(true)), min(ref, once(false))
 	}
 	if ratio := float64(ref) / float64(fast); ratio < 1.2 {
-		t.Errorf("fire-point trial only %.2fx over the hooked-prefix trial (hooked %v, fired %v); want >= 1.2x",
+		t.Errorf("fire-point trial only %.2fx over the counted reference trial (counted %v, fired %v); want >= 1.2x",
 			ratio, ref, fast)
 	} else {
-		t.Logf("fire-point trial %.2fx over the hooked-prefix trial (hooked %v, fired %v)", ratio, ref, fast)
+		t.Logf("fire-point trial %.2fx over the counted reference trial (counted %v, fired %v)", ratio, ref, fast)
 	}
 }

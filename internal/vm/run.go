@@ -9,23 +9,23 @@ import (
 // Run executes until halt, trap, or budget exhaustion. It returns the trap
 // kind (TrapNone for a normal halt).
 //
-// Run alternates between two predecoded loop variants at observer
-// attach/detach boundaries: while a CountHook or TraceRing is attached it
-// executes the hooked fast loop (runHooked), which dispatches uops and
-// services the observers inline after every instruction; with no observer it
-// executes the hook-free fast loop (runFast), which additionally hoists the
-// budget check into a countdown and takes fused superinstructions. A
-// counted PINFI trial detaches its observer mid-run (§5.2), so it starts
-// hooked and finishes on the hook-free loop — and a fire-point trial
-// (ArmFire), the production form, never leaves it: the injection rides the
-// same countdown as the budget, so both prefix and suffix run hook-free.
-// Step remains the reference path both loops are differentially pinned to
-// (RunStepped).
+// There are two loops. With no observer attached Run executes the hook-free
+// fast loop (runFast): predecoded uops, the budget check hoisted into a
+// countdown, fused superinstructions. While a CountHook or TraceRing is
+// attached it executes Step, the reference path, one instruction at a time —
+// observers see every architectural instruction unfused, and what is
+// observed is too little to own a loop: one golden pass per binary-level
+// build, the few instructions between PINFI2's two flips, vxrun -trace. A
+// counted trial (pinfi.ArmCounted, the reference carrier) detaches its
+// observer mid-run (§5.2), so it starts stepped and finishes on runFast; a
+// fire-point trial (ArmFire), the production form, never leaves runFast: the
+// injection rides the same countdown as the budget. The differential suites
+// pin runFast to Step through RunStepped.
 func (m *Machine) Run() TrapKind {
 	m.Img.ensure()
 	for !m.Halted {
 		if m.observed() {
-			m.runHooked()
+			m.Step()
 		} else {
 			m.runFast()
 		}
@@ -53,12 +53,12 @@ func (m *Machine) runFast() {
 		pc := m.PC
 		if uint32(pc) >= uint32(n) || left <= 0 {
 			// Slow path: sentinel/bad-pc, a due fire point, or the budget.
-			// A due fire services first — the hooked reference runs
+			// A due fire services first — the counted reference runs
 			// CountHook.Fire in instruction At's observer epilogue, before
 			// the next instruction's sentinel, bad-pc and budget checks —
 			// then the loop re-enters with the countdown restored. A fire
 			// callback that halts ends the run; one that attaches an
-			// observer hands over to the hooked loop (Run switches).
+			// observer hands over to Step (Run switches).
 			if fp := m.fire; fp != nil && m.InstrCount >= fp.At {
 				m.serviceFire()
 				if m.Halted || m.observed() {
@@ -313,8 +313,8 @@ func (m *Machine) runFast() {
 					// The compare half was the fired instruction. Service it
 					// with the pair's committed state (flags written, PC at
 					// the branch slot) and re-dispatch the branch through
-					// its own unfused uop — exactly how the hooked loop
-					// executes the pair around an observer.
+					// its own unfused uop — Step executes the pair as two
+					// instructions around an observer.
 					m.serviceFire()
 					if m.Halted || m.observed() {
 						return
@@ -403,10 +403,9 @@ func (m *Machine) runFast() {
 				m.scrambleExceptResults()
 			}
 			// Host code runs arbitrary Go: it may halt the machine, attach an
-			// observer (Step services a freshly attached hook or count hook
-			// for the attaching instruction, so do the same before handing
-			// over to the hooked loop), or change the budget (refresh the
-			// countdown either way).
+			// observer (Step services a freshly attached observer for the
+			// attaching instruction, so do the same before handing over to
+			// it), or change the budget (refresh the countdown either way).
 			if m.Halted {
 				return
 			}
@@ -473,7 +472,7 @@ func (m *Machine) uopAddr(u *uop) uint64 {
 // fadd and fmul are ADDSD and MULSD on bit patterns. When both operands are
 // NaN, x64 keeps the destination's payload; Go is free to commute a sum or a
 // product, and does so differently from one call site to the next, so that
-// case is spelled out once for all three dispatchers. The NaN tests are
+// case is spelled out once for both dispatchers. The NaN tests are
 // integer compares on purpose: a floating-point compare or an out-of-line
 // call in these arms costs the hook-free loop several percent.
 func fadd(a, b uint64) uint64 {

@@ -33,8 +33,8 @@ import (
 // assembler's Instrumented mark. Only the head slot is rewritten (to uSITE);
 // the other 15 slots keep their own uops, so branches and corrupted return
 // addresses landing mid-sequence execute exactly what they always did.
-// runHooked and Step execute the head as the plain store it is: observers
-// see every instruction.
+// Step executes the head as the plain store it is: observers see every
+// instruction.
 
 const (
 	sitePreLen  = 10 // instructions at head (PreFI)

@@ -8,9 +8,8 @@ import (
 )
 
 // TraceRing is the closure-free ring-buffer trace observer: a fixed-depth
-// ring of the most recently committed instructions, serviced inline by the
-// hooked fast loop and Step (like CountHook — straight-line stores, no
-// closure call). Attach by setting Machine.Trace: the ring occupies its own
+// ring of the most recently committed instructions, serviced by Step's
+// postExec (like CountHook — straight-line stores, no closure call). Attach by setting Machine.Trace: the ring occupies its own
 // observer slot, so it composes structurally with a CountHook (order is
 // Count, then Trace), a traced run reports the identical InstrCount/Cycles
 // an untraced one does (trace_test.go asserts it), and Reset detaches it.
@@ -33,8 +32,7 @@ func NewTraceRing(depth int) *TraceRing {
 	return &TraceRing{ring: make([]TraceEntry, depth)}
 }
 
-// record appends one committed instruction. The hooked fast loop and
-// postExec call it inline.
+// record appends one committed instruction; postExec calls it.
 func (t *TraceRing) record(seq int64, pc int32, op vx.Op, sp, flags uint64) {
 	t.ring[t.next] = TraceEntry{Seq: seq, PC: pc, Op: op, SP: sp, Flags: flags}
 	t.next++

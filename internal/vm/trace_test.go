@@ -69,7 +69,7 @@ func TestTracerShortRun(t *testing.T) {
 }
 
 // TestTracedRunMatchesUntraced pins the tracer's zero-interference
-// contract on the hooked fast loop: a traced run must report the identical
+// contract: a traced run (on Step) must report the identical
 // InstrCount/Cycles/output/trap an untraced run does.
 func TestTracedRunMatchesUntraced(t *testing.T) {
 	bin := buildBin(t, "CG", campaign.PINFI)
@@ -101,7 +101,7 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 		t.Errorf("last trace Seq = %d, want final InstrCount %d", last.Seq, traced.InstrCount)
 	}
 
-	// Tracing a hooked (counting) run must chain, not perturb: identical
+	// Tracing a counting run must chain, not perturb: identical
 	// accounting with and without the tracer on top of a CountHook.
 	counted := bin.NewMachine()
 	counted.Count = &vm.CountHook{Targets: bin.TargetMap(), PerInstr: 7, Arm: -1}

@@ -237,8 +237,9 @@ type Machine struct {
 	// SOC classification uses exactly this stream.
 	Output []uint64
 
-	// Count is the inline counting observer serviced by the hooked fast
-	// loop without closure indirection (see CountHook in hooked.go).
+	// Count is the counting observer, serviced without closure indirection
+	// (see CountHook in hooked.go). While it or Trace is attached, Run
+	// executes through Step.
 	Count *CountHook
 	// Trace is the inline ring-buffer trace observer (see TraceRing in
 	// trace.go), serviced like Count without closure indirection. Observer
@@ -543,9 +544,10 @@ func (m *Machine) scramble() {
 	m.Regs[vx.RFLAGS] = vx.FlagS
 }
 
-// Step executes a single instruction. It is the reference path: RunStepped
-// and single-stepping tools use it, and the predecoded loops in run.go and
-// hooked.go must stay observationally identical to it.
+// Step executes a single instruction. It is the reference path: Run executes
+// observed stretches through it, RunStepped and single-stepping tools whole
+// runs, and the predecoded loop in run.go must stay observationally
+// identical to it.
 func (m *Machine) Step() {
 	if m.Halted {
 		return
@@ -553,7 +555,7 @@ func (m *Machine) Step() {
 	if fp := m.fire; fp != nil && m.InstrCount >= fp.At {
 		// A due fire point is serviced before this instruction's sentinel,
 		// bad-pc and budget checks — the same inter-instruction boundary at
-		// which the fast loops service it (the observer epilogue of the
+		// which the fast loop services it (the observer epilogue of the
 		// At-th committed instruction).
 		m.serviceFire()
 		if m.Halted {

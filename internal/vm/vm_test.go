@@ -319,9 +319,9 @@ func TestUcomisdNaN(t *testing.T) {
 
 // TestTwoNaNOperandsKeepDestination: ADDSD and MULSD of two NaNs keep the
 // destination's payload (quieted), as SUBSD and DIVSD do, in the register and
-// the memory form and on all three dispatchers. Host calls scramble FPRs to
+// the memory form and on both dispatchers. Host calls scramble FPRs to
 // distinct NaNs, so a corrupted run meets this case; before the rule was
-// spelled out the fast loops kept the source's payload where Step kept the
+// spelled out the fast loop kept the source's payload where Step kept the
 // destination's.
 func TestTwoNaNOperandsKeepDestination(t *testing.T) {
 	const dst, src = 0x7ff4_9190_1c53_87f2, 0x7ff8_0000_0000_0abc // signaling, quiet
