@@ -1,12 +1,13 @@
 package campaign_test
 
-// The prefix-anchor differential suite: a trial started from a memoized
-// snapshot of the golden run must be bit-identical — outcome, fault record,
-// modeled cycles, trap and its message, exit code, dynamic instruction
-// count, output, registers and final memory — to the same trial started from
-// Reset, for every registered tool on all 14 kernels. The start state changes
-// how much of the golden prefix a trial executes, never what the experiment
-// measures.
+// The anchor differential suite. A trial started from a memoized snapshot of
+// the golden run must be bit-identical — outcome, fault record, modeled
+// cycles, trap and its message, exit code, dynamic instruction count, output,
+// registers and final memory — to the same trial started from Reset, and a
+// trial finished at a later snapshot it has rejoined the golden run at must
+// return the TrialResult of the same trial run to its end, for every
+// registered tool on all 14 kernels. Anchors change how much of the golden
+// run a trial executes, never what the experiment measures.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/multibit"
 	"repro/internal/opcodefi"
@@ -76,8 +78,8 @@ func TestAnchoredTrialsMatchResetStarted(t *testing.T) {
 			}
 			for _, target := range targets {
 				seed := uint64(target)*2654435761 + 17
-				got := bin.TrialAt(anchored, prof, costs, target, seed, true)
-				want := bin.TrialAt(reset, prof, costs, target, seed, false)
+				got := bin.TrialAt(anchored, prof, costs, target, fault.NewRNG(seed), campaign.FromAnchor)
+				want := bin.TrialAt(reset, prof, costs, target, fault.NewRNG(seed), campaign.FromReset)
 				if got != want {
 					t.Errorf("%s/%s target %d: anchored trial diverged from the reset-started one:\nanchored: %+v\nreset:    %+v",
 						app.Name, tool.Name(), target, got, want)
@@ -99,6 +101,117 @@ func TestAnchoredTrialsMatchResetStarted(t *testing.T) {
 	}
 }
 
+// rejoinedBy reads how many of a tool's trials have been finished at an
+// anchor so far.
+func rejoinedBy(tool campaign.Tool) int64 {
+	return campaign.ReadPhaseStats().TrialByTool[tool.Name()].Rejoined
+}
+
+// TestRejoinedTrialsMatchUnpruned is the tail-pruning differential: per
+// kernel and tool, the campaign's own first 64 trials (seed 1) as the runner
+// runs them — finished at the first anchor behind the fault whose state they
+// equal — against the same trials run to their end. No mismatch is
+// tolerated and there is no allow-list. All the pruned trials of a cell
+// share one machine with the trials around them, so each also follows a
+// machine halted in mid-run; it must come back on the shared image with
+// nothing armed. OPCODE's fault lives in its image clone, which no snapshot
+// holds, so it is never pruned; neither is a PINFI2 trial whose second flip
+// has not landed, its observer still attached and charging.
+func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
+	apps := workloads.Registry()
+	if testing.Short() {
+		apps = appsByName(t, "HPCCG", "FT", "DC")
+	}
+	costs := pinfi.DefaultCosts()
+	const trials = 64
+	var unlanded int
+	for _, tool := range everyTool {
+		before := rejoinedBy(tool)
+		var benign int
+		for _, app := range apps {
+			bin, err := campaign.BuildBinary(app, tool, campaign.DefaultBuildOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := bin.RunProfile(costs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pruned, full := bin.NewMachine(), bin.NewMachine()
+			for i := 0; i < trials; i++ {
+				trial := func(m *vm.Machine, how campaign.Start) campaign.TrialResult {
+					rng := fault.NewRNG(campaign.TrialSeed(1, tool, i))
+					target := rng.Intn(prof.Targets) // the runner's draw
+					return bin.TrialAt(m, prof, costs, target, rng, how)
+				}
+				was := rejoinedBy(tool)
+				got, want := trial(pruned, campaign.AsRun), trial(full, campaign.FromAnchor)
+				if got != want {
+					t.Errorf("%s/%s trial %d: finished at an anchor it is not the trial run to its end:\npruned:   %+v\nunpruned: %+v",
+						app.Name, tool.Name(), i, got, want)
+				}
+				if pruned.Img != bin.Img || pruned.FireArmed() {
+					t.Errorf("%s/%s trial %d: machine handed back on image %p (binary's %p), armed=%v",
+						app.Name, tool.Name(), i, pruned.Img, bin.Img, pruned.FireArmed())
+				}
+				if pruned.Count != nil {
+					unlanded++
+					if rejoinedBy(tool) != was {
+						t.Errorf("%s/%s trial %d: finished at an anchor with its observer still attached", app.Name, tool.Name(), i)
+					}
+				}
+				if want.Outcome == fault.Benign {
+					benign++
+				}
+			}
+		}
+		n := rejoinedBy(tool) - before
+		t.Logf("%-12s %d trials, %d benign, %d finished at an anchor", tool.Name(), trials*len(apps), benign, n)
+		if never := tool == opcodefi.Injector || tool == opcodefi.ValidInjector; never != (n == 0) {
+			t.Errorf("%s: %d trials finished at an anchor (OPCODE and OPCODE-VALID never are, the others must be)", tool.Name(), n)
+		}
+	}
+	if unlanded == 0 {
+		t.Error("no PINFI2 trial ended with its second flip unlanded: the observer-attached row is gone")
+	}
+}
+
+// TestRejoinedTrialRespectsBudget: a trial that has rejoined the golden run
+// is finished there only if its whole length fits the budget. A rejoined
+// REFINE trial is the golden run plus the instructions of its triggered
+// site, so under a budget of exactly the golden length it is left to run and
+// times out, as it always did; under the profile's budget it is pruned.
+func TestRejoinedTrialRespectsBudget(t *testing.T) {
+	bin, err := campaign.BuildBinary(appsByName(t, "CG")[0], campaign.REFINE, campaign.DefaultBuildOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	costs := pinfi.DefaultCosts()
+	prof, err := bin.RunProfile(costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := *prof
+	tight.Budget = prof.Budget / campaign.TimeoutFactor
+	m, ref := bin.NewMachine(), bin.NewMachine()
+	for seed := uint64(1); ; seed++ {
+		if seed > 64 {
+			t.Fatal("no REFINE trial of 64 rejoined the golden run")
+		}
+		target := int64(seed) * prof.Targets / 65
+		was := rejoinedBy(campaign.REFINE)
+		if bin.TrialAt(m, prof, costs, target, fault.NewRNG(seed), campaign.AsRun); rejoinedBy(campaign.REFINE) == was {
+			continue
+		}
+		got := bin.TrialAt(m, &tight, costs, target, fault.NewRNG(seed), campaign.AsRun)
+		want := bin.TrialAt(ref, &tight, costs, target, fault.NewRNG(seed), campaign.FromAnchor)
+		if got != want || got.Trap != vm.TrapTimeout || rejoinedBy(campaign.REFINE) != was+1 {
+			t.Errorf("target %d under a budget of the golden length: %+v, run to its end %+v; want the same timeout, not pruned", target, got, want)
+		}
+		return
+	}
+}
+
 // TestSharedBuildInterleavesFaultModels is the hygiene the shared build
 // depends on: the four binary-level tools hold one build, so one pooled
 // machine serves an OPCODE trial (private image clone swapped in and out),
@@ -106,9 +219,10 @@ func TestAnchoredTrialsMatchResetStarted(t *testing.T) {
 // OPCODE-VALID, over the same anchors. Each must be the trial a fresh machine
 // of the tool's own private build runs from Reset, Cycles included, and must
 // hand the machine back on the shared image with nothing armed — the rows
-// include an OPCODE trial that traps on its corrupted opcode and a PINFI2
+// include an OPCODE trial that traps on its corrupted opcode, a PINFI2
 // trial on the last target, whose second flip never lands and whose observer
-// is still attached when the run ends.
+// is still attached when the run ends, and trials finished at an anchor, which
+// hand the next row a machine halted in mid-run.
 func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 	app := appsByName(t, "HPCCG")[0]
 	costs := pinfi.DefaultCosts()
@@ -116,6 +230,7 @@ func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 	order := []campaign.Tool{opcodefi.Injector, multibit.PINFI2Injector, campaign.PINFI, opcodefi.ValidInjector}
 	var m *vm.Machine
 	var illegal, unlanded bool
+	var rejoined int64
 	for i, seed := range []uint64{2, 40, 4, 6, 11, 5, 17, 30, 7, 34, 21, 13} {
 		tool := order[i%len(order)]
 		shared, prof, err := cache.BuildAndProfile(app, tool, campaign.DefaultBuildOptions(), costs)
@@ -141,8 +256,10 @@ func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 		if lastTarget {
 			target = prof.Targets - 1
 		}
-		got := shared.TrialAt(m, prof, costs, target, seed, true)
-		want := private.TrialAt(private.NewMachine(), prof, costs, target, seed, false)
+		rejoined -= rejoinedBy(tool)
+		got := shared.TrialAt(m, prof, costs, target, fault.NewRNG(seed), campaign.AsRun)
+		rejoined += rejoinedBy(tool)
+		want := private.TrialAt(private.NewMachine(), prof, costs, target, fault.NewRNG(seed), campaign.FromReset)
 		if got != want {
 			t.Errorf("%s target %d on the shared build's pooled machine diverged from a fresh private build:\nshared:  %+v\nprivate: %+v",
 				tool.Name(), target, got, want)
@@ -154,8 +271,8 @@ func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 		illegal = illegal || tool == opcodefi.Injector && got.Trap == vm.TrapIllegal
 		unlanded = unlanded || lastTarget
 	}
-	if !illegal || !unlanded {
-		t.Errorf("rows no longer cover an OPCODE trial trapping on its opcode (%v) and a PINFI2 second flip that never lands (%v)", illegal, unlanded)
+	if !illegal || !unlanded || rejoined == 0 {
+		t.Errorf("rows no longer cover an OPCODE trial trapping on its opcode (%v), a PINFI2 second flip that never lands (%v) and a trial finished at an anchor (%d)", illegal, unlanded, rejoined)
 	}
 	if st := cache.Stats(); st.Builds != 1 || cache.Len() != 1 {
 		t.Errorf("four binary-level tools made %d builds in %d entries, want one shared build", st.Builds, cache.Len())
@@ -164,41 +281,53 @@ func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 
 // TestAnchorsSkipTheGoldenPrefix is the machine-independent gate on what the
 // anchors are for: over the same 3 kernels × 64 trials per tool, the
-// instructions trials execute are at most 70 % of the instructions their
-// runs consist of (measured: PINFI 0.60, REFINE 0.50, LLFI 0.48), executed
-// and skipped add up to Σ TrialResult.Instrs, and the counts repeat bit for
-// bit on fresh binaries.
+// instructions trials execute and the trials finished at an anchor are exact
+// counts — any change to them is a change to where anchors sit or to when a
+// trial counts as rejoined, and belongs in the diff — executed, skipped and
+// pruned add up to Σ TrialResult.Instrs, and everything repeats bit for bit
+// on fresh binaries. Before tail pruning the executed shares were 0.600,
+// 0.500 and 0.480.
 func TestAnchorsSkipTheGoldenPrefix(t *testing.T) {
 	apps := appsByName(t, "CG", "FT", "DC")
-	for _, tool := range []campaign.Tool{campaign.PINFI, campaign.REFINE, campaign.LLFI} {
-		measure := func() (executed, instrs int64) {
+	type counts struct{ executed, instrs, rejoined int64 }
+	for _, row := range []struct {
+		tool campaign.Tool
+		want counts
+	}{
+		{campaign.PINFI, counts{8174444, 16924384, 53}},
+		{campaign.REFINE, counts{84769541, 202136493, 37}},
+		{campaign.LLFI, counts{21893409, 52217379, 22}},
+	} {
+		tool := row.tool
+		measure := func() (c counts) {
 			before := campaign.ReadPhaseStats()
 			for _, app := range apps {
 				_, err := campaign.New(app, tool, campaign.WithTrials(64), campaign.WithSeed(1),
 					campaign.WithWorkers(1), campaign.WithCache(nil),
-					campaign.WithObserver(func(_ int, tr campaign.TrialResult) { instrs += tr.Instrs }),
+					campaign.WithObserver(func(_ int, tr campaign.TrialResult) { c.instrs += tr.Instrs }),
 				).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
 			after := campaign.ReadPhaseStats()
-			executed = after.TrialInstrs - before.TrialInstrs
-			if skipped := after.TrialSkipped - before.TrialSkipped; executed+skipped != instrs {
-				t.Errorf("%s: executed %d + skipped %d != Σ Instrs %d", tool.Name(), executed, skipped, instrs)
+			c.executed = after.TrialInstrs - before.TrialInstrs
+			c.rejoined = after.TrialByTool[tool.Name()].Rejoined - before.TrialByTool[tool.Name()].Rejoined
+			skipped, pruned := after.TrialSkipped-before.TrialSkipped, after.TrialPruned-before.TrialPruned
+			if c.executed+skipped+pruned != c.instrs {
+				t.Errorf("%s: executed %d + skipped %d + pruned %d != Σ Instrs %d", tool.Name(), c.executed, skipped, pruned, c.instrs)
 			}
-			return executed, instrs
+			return c
 		}
-		executed, instrs := measure()
-		if e2, i2 := measure(); e2 != executed || i2 != instrs {
-			t.Errorf("%s: counts do not repeat: executed %d then %d, Σ Instrs %d then %d", tool.Name(), executed, e2, instrs, i2)
+		got := measure()
+		if again := measure(); again != got {
+			t.Errorf("%s: counts do not repeat: %+v then %+v", tool.Name(), got, again)
 		}
-		ratio := float64(executed) / float64(instrs)
-		if ratio > 0.70 {
-			t.Errorf("%s: trials executed %.3f of their instructions (%d of %d); want <= 0.70 — is an anchor not being used?",
-				tool.Name(), ratio, executed, instrs)
+		if got != row.want {
+			t.Errorf("%s: %+v, want %+v — is an anchor not being used, or a rejoined trial run to its end?", tool.Name(), got, row.want)
 		}
-		t.Logf("%s: executed/Instrs = %d/%d = %.4f", tool.Name(), executed, instrs, ratio)
+		t.Logf("%s: executed/Instrs = %d/%d = %.4f, %d of 192 trials finished at an anchor",
+			tool.Name(), got.executed, got.instrs, float64(got.executed)/float64(got.instrs), got.rejoined)
 	}
 }
 
@@ -267,7 +396,7 @@ func TestAnchorByteCap(t *testing.T) {
 	ref := bin.NewMachine()
 	for seed := uint64(1); seed <= 8; seed++ {
 		target := int64(seed) * prof.Targets / 9
-		if got, want := bin.TrialAt(m, prof, costs, target, seed, true), bin.TrialAt(ref, prof, costs, target, seed, false); got != want {
+		if got, want := bin.TrialAt(m, prof, costs, target, fault.NewRNG(seed), campaign.AsRun), bin.TrialAt(ref, prof, costs, target, fault.NewRNG(seed), campaign.FromReset); got != want {
 			t.Errorf("target %d: %+v, reset-started %+v", target, got, want)
 		}
 	}
@@ -300,14 +429,18 @@ func TestPhaseStatsSplitByTool(t *testing.T) {
 			}
 			sum.Instrs += row.Instrs
 			sum.Skipped += row.Skipped
+			sum.Pruned += row.Pruned
 			sum.Nanos += row.Nanos
 		}
 		row, was := after.TrialByTool[tool.Name()], before.TrialByTool[tool.Name()]
-		if row.Trials-was.Trials != 8 || row.Instrs-was.Instrs+row.Skipped-was.Skipped != instrs || row.Nanos <= was.Nanos {
+		if row.Trials-was.Trials != 8 || row.Instrs-was.Instrs+row.Skipped-was.Skipped+row.Pruned-was.Pruned != instrs || row.Nanos <= was.Nanos {
 			t.Errorf("%s: row %+v → %+v over 8 trials of %d instructions", tool.Name(), was, row, instrs)
 		}
-		if sum.Instrs != after.TrialInstrs || sum.Skipped != after.TrialSkipped || sum.Nanos != after.TrialNanos {
-			t.Errorf("%s: totals %d/%d/%d are not the sum of the rows %+v", tool.Name(), after.TrialInstrs, after.TrialSkipped, after.TrialNanos, sum)
+		if rejoined := row.Rejoined - was.Rejoined; rejoined == 0 || rejoined == 8 || row.Pruned == was.Pruned {
+			t.Errorf("%s: %d of 8 trials finished at an anchor, %d instructions pruned; want some and not all", tool.Name(), rejoined, row.Pruned-was.Pruned)
+		}
+		if sum.Instrs != after.TrialInstrs || sum.Skipped != after.TrialSkipped || sum.Pruned != after.TrialPruned || sum.Nanos != after.TrialNanos {
+			t.Errorf("%s: totals %d/%d/%d/%d are not the sum of the rows %+v", tool.Name(), after.TrialInstrs, after.TrialSkipped, after.TrialPruned, after.TrialNanos, sum)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (stubInjector) Profile(*vm.Machine, *campaign.Binary, pinfi.CostModel) (int
 	return 0, nil
 }
 func (stubInjector) Replay(*vm.Machine, *campaign.Binary, []int64, func(int64)) {}
-func (stubInjector) Trial(*vm.Machine, *campaign.Binary, *campaign.Profile, pinfi.CostModel, int64, int64, *fault.RNG) fault.Record {
+func (stubInjector) Trial(*vm.Machine, *campaign.Binary, *campaign.Profile, pinfi.CostModel, int64, int64, *fault.RNG, *campaign.Tail) fault.Record {
 	return fault.Record{}
 }
 

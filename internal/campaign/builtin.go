@@ -64,8 +64,9 @@ func (llfiInjector) Replay(m *vm.Machine, _ *Binary, marks []int64, at func(dyn 
 	m.Run()
 }
 
-func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
-	lib := &llfi.Lib{Target: target, RNG: rng, Count: from}
+func (llfiInjector) Trial(m *vm.Machine, _ *Binary, _ *Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG, tail *Tail) fault.Record {
+	lib := &llfi.Lib{Target: target, RNG: rng, Count: from,
+		Marks: tail.Marks(target + 1), AtMark: func(dyn int64) { tail.Rejoined(m, dyn) }}
 	lib.Bind(m)
 	m.Run()
 	return lib.Rec
@@ -95,8 +96,9 @@ func (refineInjector) Replay(m *vm.Machine, _ *Binary, marks []int64, at func(dy
 	m.Run()
 }
 
-func (refineInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
-	lib := &core.Lib{Target: target, RNG: rng, Count: from}
+func (refineInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG, tail *Tail) fault.Record {
+	lib := &core.Lib{Target: target, RNG: rng, Count: from,
+		Marks: tail.Marks(target + 2), AtMark: func(dyn int64) { tail.Rejoined(m, dyn) }}
 	lib.Bind(m)
 	m.Run()
 	lib.ResolveRecord(b.Img)
@@ -110,9 +112,13 @@ type pinfiInjector struct {
 	BinaryLevel
 }
 
-func (pinfiInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG) fault.Record {
+func (pinfiInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG, tail *Tail) fault.Record {
 	var rec fault.Record
-	pinfi.ArmFired(m, b.FirePoints(), costs, target, pinfi.Flip(target, rng, &rec))
+	flip := pinfi.Flip(target, rng, &rec)
+	pinfi.ArmFired(m, b.FirePoints(), costs, target, func(m *vm.Machine, pc int32, in *vm.Inst) {
+		flip(m, pc, in)
+		tail.Chain(m)
+	})
 	m.Run()
 	return rec
 }

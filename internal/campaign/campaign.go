@@ -11,8 +11,9 @@
 // The runner owns a trial's start state. Until its fault lands a trial is
 // the golden run, so a Binary memoizes a few snapshots of that run (anchors,
 // see anchors.go) and every trial of every tool starts from the nearest one
-// at or before its target — a plain Reset being the anchor at 0 — with
-// results bit-identical to re-executing the prefix.
+// at or before its target — a plain Reset being the anchor at 0 — and is
+// finished at the first one behind its fault it has rejoined the golden run
+// at, with results bit-identical to executing the prefix and the tail.
 //
 // The orchestrator is generic over the Injector interface: tools plug into
 // the shared build pipeline (IR hook for LLFI-style passes, machine hook for
@@ -105,11 +106,11 @@ type build struct {
 	// entry, immutable afterwards.
 	firePts *pinfi.FirePoints
 
-	// anchors are the memoized golden-run snapshots trials start from (see
-	// anchors.go), ascending in dyn: captured by the first trial, immutable
-	// afterwards.
+	// golden is what the build memoizes of its golden run (see anchors.go):
+	// the snapshots trials start from and are finished at, and where the run
+	// ends. Captured by the first trial, immutable afterwards.
 	anchorOnce sync.Once
-	anchors    []anchor
+	golden     goldenRun
 }
 
 // TargetMap returns the binary's per-PC injection-population bitmap
@@ -254,10 +255,10 @@ type TrialResult struct {
 	Cycles  int64
 	Trap    vm.TrapKind
 	// Instrs is the trial's dynamic instruction count from instruction 0 —
-	// the architectural length of the run, including the golden prefix a
-	// trial started from an anchor did not itself execute (PhaseStats counts
-	// what was executed). Old journal entries gob-decode it as zero; it does
-	// not feed the outcome tables.
+	// the architectural length of the run, including the golden prefix and
+	// tail a trial started from or finished at an anchor did not itself
+	// execute (PhaseStats counts what was executed). Old journal entries
+	// gob-decode it as zero; it does not feed the outcome tables.
 	Instrs int64
 }
 
@@ -274,26 +275,33 @@ func (b *Binary) RunTrial(prof *Profile, costs pinfi.CostModel, seed uint64) Tri
 func (b *Binary) runTrialOn(m *vm.Machine, prof *Profile, costs pinfi.CostModel, seed uint64) TrialResult {
 	rng := fault.NewRNG(seed)
 	target := rng.Intn(prof.Targets)
-	return b.runTrialFrom(m, b.anchorFor(m, prof.Targets, target), prof, costs, target, rng)
+	g := b.goldenAnchors(m, prof.Targets)
+	return b.runTrialFrom(m, g, g.before(target), prof, costs, target, rng)
 }
 
-// runTrialFrom runs one trial against target from the start state a: the
-// runner owns that state — one Restore of the anchor, or one Reset when
-// there is none before the target — and applies the budget, so injectors
-// never reset.
-func (b *Binary) runTrialFrom(m *vm.Machine, a *anchor, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) TrialResult {
+// runTrialFrom runs one trial against target from the n-th anchor of g — the
+// runner owns the start state, one Restore or (n = 0) one Reset, and applies
+// the budget, so injectors never reset — and finishes it at a later anchor
+// it has rejoined (see Tail); tests cut g off after the n-th for none.
+func (b *Binary) runTrialFrom(m *vm.Machine, g goldenRun, n int, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG) TrialResult {
 	var from int64
-	if a != nil {
-		m.Restore(a.snap)
-		from = a.dyn
+	if n > 0 {
+		m.Restore(g.snaps[n-1])
+		from = g.dyns[n-1]
 	} else {
 		m.Reset()
 	}
 	m.Budget = prof.Budget
 	skipped := m.InstrCount
+	g.dyns, g.snaps = g.dyns[n:], g.snaps[n:]
+	tail := &Tail{goldenRun: g, budget: prof.Budget}
 	start := phaseStart()
-	rec := b.Tool.Trial(m, b, prof, costs, from, target, rng)
-	noteTrialPhase(b.Tool.Name(), m.InstrCount-skipped, skipped, start)
+	rec := b.Tool.Trial(m, b, prof, costs, from, target, rng, tail)
+	noteTrialPhase(b.Tool.Name(), m.InstrCount-skipped, skipped, tail, start)
+	if tail.rejoined {
+		// The rest is the golden run's, which ended clean on its output.
+		return TrialResult{Outcome: fault.Benign, Rec: rec, Cycles: m.Cycles + tail.cycles, Instrs: m.InstrCount + tail.instrs}
+	}
 	return TrialResult{
 		Outcome: fault.Classify(m, prof.Golden),
 		Rec:     rec,

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"slices"
+
 	"repro/internal/fault"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
@@ -13,21 +15,35 @@ import (
 // AnchorDyns returns the dynamic target index of each of the binary's
 // anchors, capturing them on m if no trial has yet.
 func (b *Binary) AnchorDyns(m *vm.Machine, prof *Profile) []int64 {
-	b.anchorFor(m, prof.Targets, 0)
-	dyns := make([]int64, len(b.anchors))
-	for i, a := range b.anchors {
-		dyns[i] = a.dyn
-	}
-	return dyns
+	return slices.Clone(b.goldenAnchors(m, prof.Targets).dyns)
 }
 
-// TrialAt runs one trial against an explicit target on m: from the nearest
-// anchor, as the runner starts it, or — anchored false — from Reset, the
-// start state the anchored trial must be indistinguishable from.
-func (b *Binary) TrialAt(m *vm.Machine, prof *Profile, costs pinfi.CostModel, target int64, seed uint64, anchored bool) TrialResult {
-	var a *anchor
-	if anchored {
-		a = b.anchorFor(m, prof.Targets, target)
+// Start is how TrialAt runs a trial.
+type Start int
+
+const (
+	// FromReset starts at instruction 0 and runs to the end: the reference
+	// every other trial must be indistinguishable from.
+	FromReset Start = iota
+	// FromAnchor starts from the nearest anchor and runs to the end.
+	FromAnchor
+	// AsRun is the runner's trial: from the nearest anchor, finished at a
+	// later one it has rejoined the golden run at.
+	AsRun
+)
+
+// TrialAt runs one trial against an explicit target on m. The reference
+// forms are the runner's own function on a golden run with nothing behind
+// the start state, or with nothing at all.
+func (b *Binary) TrialAt(m *vm.Machine, prof *Profile, costs pinfi.CostModel, target int64, rng *fault.RNG, how Start) TrialResult {
+	var g goldenRun
+	n := 0
+	if how != FromReset {
+		g = b.goldenAnchors(m, prof.Targets)
+		n = g.before(target)
 	}
-	return b.runTrialFrom(m, a, prof, costs, target, fault.NewRNG(seed))
+	if how != AsRun {
+		g.dyns, g.snaps = g.dyns[:n], g.snaps[:n]
+	}
+	return b.runTrialFrom(m, g, n, prof, costs, target, rng)
 }

@@ -62,14 +62,14 @@ type Injector interface {
 	Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (targets int64, golden []uint64)
 
 	// Replay re-runs the never-firing golden pass of Profile on m, which
-	// arrives reset and without a budget, and calls at(dyn) for each dyn in
-	// marks (ascending, 1 ≤ dyn ≤ the population) at the inter-instruction
-	// boundary where exactly dyn dynamic targets have been consumed — the
-	// last of them has done all it does on a run that does not fire there,
-	// the next has not begun. The runner snapshots the machine in at (see
-	// anchors.go), so m.Cycles must be the golden run's bare count there:
-	// what a cost model charges for the prefix is Trial's to add. What
-	// Replay leaves on m afterwards is discarded.
+	// arrives reset and without a budget, to its end, and calls at(dyn) for
+	// each dyn in marks (ascending, 1 ≤ dyn ≤ the population) at the
+	// inter-instruction boundary where exactly dyn dynamic targets have been
+	// consumed — the last of them has done all it does on a run that does not
+	// fire there, the next has not begun. The runner snapshots the machine in
+	// at and reads the golden run's length off it afterwards (see anchors.go),
+	// so m.Cycles must be the golden run's bare count throughout: what a cost
+	// model charges for a prefix is Trial's to add.
 	Replay(m *vm.Machine, b *Binary, marks []int64, at func(dyn int64))
 
 	// Trial executes one fault-injection experiment against the given
@@ -82,7 +82,11 @@ type Injector interface {
 	// Replay let the runner take otherwise, with InstrCount, Cycles and the
 	// output of that prefix. A tool that counts targets as it runs starts
 	// its count at from.
-	Trial(m *vm.Machine, b *Binary, prof *Profile, costs pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record
+	//
+	// tail, never nil, is the golden run behind the fault: the later
+	// snapshots, at which the trial may find it has rejoined that run and
+	// stop (see Tail). A Trial that leaves it alone runs to its end.
+	Trial(m *vm.Machine, b *Binary, prof *Profile, costs pinfi.CostModel, from, target int64, rng *fault.RNG, tail *Tail) fault.Record
 }
 
 // Tool is the campaign-facing alias for Injector. Historically Tool was a

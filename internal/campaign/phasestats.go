@@ -25,27 +25,31 @@ var (
 	trialByTool sync.Map // tool name → *trialCounters
 )
 
-type trialCounters struct{ trials, instrs, skipped, nanos atomic.Int64 }
+type trialCounters struct{ trials, rejoined, instrs, skipped, pruned, nanos atomic.Int64 }
 
 // TrialPhase is one tool's trial counters: Instrs counts the instructions
-// its trials executed and Skipped the golden-prefix instructions their
-// anchors spared them; the two add up to the sum of TrialResult.Instrs.
+// its trials executed, Skipped the golden prefix their start anchors spared
+// them and Pruned the golden tail the Rejoined of them were finished without
+// (see Tail); the three add up to the sum of TrialResult.Instrs.
 type TrialPhase struct {
-	Trials  int64
-	Instrs  int64
-	Skipped int64
-	Nanos   int64
+	Trials   int64
+	Rejoined int64
+	Instrs   int64
+	Skipped  int64
+	Pruned   int64
+	Nanos    int64
 }
 
 // PhaseStats is a snapshot of the per-phase throughput counters. The profile
 // phase is every golden pass: a binary's profile run and the replay its
-// anchors are captured on. TrialInstrs, TrialSkipped and TrialNanos are the
-// sums over TrialByTool, which is keyed by Tool.Name().
+// anchors are captured on. TrialInstrs, TrialSkipped, TrialPruned and
+// TrialNanos are the sums over TrialByTool, which is keyed by Tool.Name().
 type PhaseStats struct {
 	ProfileInstrs int64
 	ProfileNanos  int64
 	TrialInstrs   int64
 	TrialSkipped  int64
+	TrialPruned   int64
 	TrialNanos    int64
 	TrialByTool   map[string]TrialPhase
 }
@@ -54,10 +58,21 @@ type PhaseStats struct {
 // was not executed because the trial started from an anchor (zero before any
 // trial has run).
 func (s PhaseStats) SkippedShare() float64 {
-	if total := s.TrialInstrs + s.TrialSkipped; total > 0 {
+	if total := s.TrialInstrs + s.TrialSkipped + s.TrialPruned; total > 0 {
 		return float64(s.TrialSkipped) / float64(total)
 	}
 	return 0
+}
+
+// RejoinedShare is the share of the trials that were finished at an anchor
+// they had rejoined the golden run at (zero before any trial has run).
+func (s PhaseStats) RejoinedShare() float64 {
+	var all TrialPhase
+	for _, t := range s.TrialByTool {
+		all.Trials += t.Trials
+		all.Rejoined += t.Rejoined
+	}
+	return float64(all.Rejoined) / float64(max(all.Trials, 1))
 }
 
 // InstrsPerSec returns the phase throughputs in instructions per second
@@ -81,10 +96,12 @@ func ReadPhaseStats() PhaseStats {
 	}
 	trialByTool.Range(func(tool, v any) bool {
 		c := v.(*trialCounters)
-		t := TrialPhase{Trials: c.trials.Load(), Instrs: c.instrs.Load(), Skipped: c.skipped.Load(), Nanos: c.nanos.Load()}
+		t := TrialPhase{Trials: c.trials.Load(), Rejoined: c.rejoined.Load(), Instrs: c.instrs.Load(),
+			Skipped: c.skipped.Load(), Pruned: c.pruned.Load(), Nanos: c.nanos.Load()}
 		s.TrialByTool[tool.(string)] = t
 		s.TrialInstrs += t.Instrs
 		s.TrialSkipped += t.Skipped
+		s.TrialPruned += t.Pruned
 		s.TrialNanos += t.Nanos
 		return true
 	})
@@ -104,8 +121,8 @@ func noteProfilePhase(instrs int64, start time.Time) {
 }
 
 // noteTrialPhase credits one trial run to its tool's throughput counters: the
-// instructions it executed, and those its start state skipped.
-func noteTrialPhase(tool string, executed, skipped int64, start time.Time) {
+// instructions it executed, its start state skipped and its tail spared it.
+func noteTrialPhase(tool string, executed, skipped int64, tail *Tail, start time.Time) {
 	v, ok := trialByTool.Load(tool)
 	if !ok {
 		v, _ = trialByTool.LoadOrStore(tool, new(trialCounters))
@@ -114,5 +131,9 @@ func noteTrialPhase(tool string, executed, skipped int64, start time.Time) {
 	c.trials.Add(1)
 	c.instrs.Add(executed)
 	c.skipped.Add(skipped)
+	if tail.rejoined {
+		c.rejoined.Add(1)
+		c.pruned.Add(tail.instrs)
+	}
 	c.nanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
 }

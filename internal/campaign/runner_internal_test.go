@@ -90,7 +90,7 @@ func (p *startStateProbe) Replay(m *vm.Machine, b *Binary, marks []int64, at fun
 	p.BinaryLevel.Replay(m, b, marks, at)
 }
 
-func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.CostModel, from, target int64, _ *fault.RNG) fault.Record {
+func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi.CostModel, from, target int64, _ *fault.RNG, _ *Tail) fault.Record {
 	// The golden run at from: a budget of exactly the instruction the
 	// from-th target commits at stops a fresh machine on that boundary.
 	golden := b.NewMachine()

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"repro/internal/fault"
 	"repro/internal/vm"
 	"repro/internal/vx"
@@ -73,10 +75,13 @@ type Lib struct {
 	// inter-instruction boundary right behind that call — the call has
 	// answered, the machine is between instructions — with Count as its
 	// argument. The fused site leaves its handler for an armed fire point
-	// at its post-call seam like for any other deadline.
+	// at its post-call seam like for any other deadline. Most runs have
+	// some: a trial's are where it is compared with the golden run.
 	Marks  []int64
 	AtMark func(count int64)
-	mark   int // Marks[:mark] have been armed
+	mark   int          // Marks[:mark] have been armed
+	next   int64        // Marks[mark], or math.MaxInt64 when none is left
+	fire   vm.FirePoint // the one fire point every mark re-arms
 }
 
 // ResolveRecord completes the paper's fault log (target instruction, operand,
@@ -102,6 +107,11 @@ func (l *Lib) Bind(m *vm.Machine) {
 	if l.Target < 0 {
 		flips = 0
 	}
+	l.next = math.MaxInt64
+	if l.mark < len(l.Marks) {
+		l.next = l.Marks[l.mark]
+	}
+	l.fire.Fn = func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }
 	selInstr := func(mm *vm.Machine) {
 		// Count only grows, so the window [Target, Target+flips) is
 		// crossed once: one unsigned compare decides.
@@ -116,18 +126,15 @@ func (l *Lib) Bind(m *vm.Machine) {
 			mm.Regs[vx.R0] = 0
 		}
 		l.Count++
-	}
-	if len(l.Marks) > 0 {
-		// Only a run that has marks pays for looking: this call is the
-		// whole cost of a not-triggered site.
-		count := selInstr
-		selInstr = func(mm *vm.Machine) {
-			count(mm)
-			if l.mark < len(l.Marks) && l.Count == l.Marks[l.mark] {
-				l.mark++
-				mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, PC: mm.PC - 1,
-					Fn: func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }})
+		// One compare on a site's hot path: a sentinel when no mark is left.
+		if l.Count == l.next {
+			l.mark++
+			l.next = math.MaxInt64
+			if l.mark < len(l.Marks) {
+				l.next = l.Marks[l.mark]
 			}
+			l.fire.At, l.fire.PC = mm.InstrCount, mm.PC-1
+			mm.ArmFire(&l.fire)
 		}
 	}
 	m.BindHost(vm.HostFn{Name: HostSelInstr, PreserveRegs: true, Fn: selInstr})

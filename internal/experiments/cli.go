@@ -138,14 +138,15 @@ func splitCSV(s string) []string {
 // each worker piggybacks its cumulative cache counters on every range ack and
 // on exit, so only after Pool.Close are they the suite-wide total.
 //
-// The closing "# speed:" line is the process's measured wall-clock VM
+// The closing "# speed:" line is this process's measured wall-clock VM
 // throughput split by campaign phase — profiling (each binary's golden
 // passes: the profile run, and the replay its anchors are captured on)
-// versus trials, over the instructions each executed — and skipped=, the
+// versus trials, over the instructions each executed — then skipped=, the
 // share of the trials' instructions that starting from an anchor spared
-// them (an exact count; 0% means no anchor is being used). The rates vary
-// run to run and across machines, nothing deterministic derives from the
-// line, and a sharded run reports only the coordinator's own share.
+// them, and rejoined=, the share of the trials finished at an anchor behind
+// their fault (exact counts; 0% means the anchors are not in use). The rates
+// vary run to run and nothing deterministic derives from the line; a
+// coordinator, which ran no trial, says so instead of printing its zeroes.
 func Report(w io.Writer, cfg Config) {
 	st := cfg.Cache.Stats()
 	fmt.Fprintf(w, "# cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d dir=%s\n",
@@ -172,8 +173,12 @@ func Report(w io.Writer, cfg Config) {
 		}
 		fmt.Fprintf(w, "# exec: workers=%d\n", workers)
 	}
+	if cfg.Pool != nil || cfg.Daemon != nil {
+		fmt.Fprintln(w, "# speed: trials ran in other processes, which keep their own counters")
+		return
+	}
 	ps := campaign.ReadPhaseStats()
 	profile, trial := ps.InstrsPerSec()
-	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s skipped=%.0f%%\n",
-		profile/1e6, trial/1e6, 100*ps.SkippedShare())
+	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s skipped=%.0f%% rejoined=%.0f%%\n",
+		profile/1e6, trial/1e6, 100*ps.SkippedShare(), 100*ps.RejoinedShare())
 }

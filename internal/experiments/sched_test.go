@@ -130,8 +130,8 @@ type renamedTool struct {
 	pad []int // uncomparable dynamic type on purpose
 }
 
-func (renamedTool) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
-	return campaign.PINFI.Trial(m, b, prof, costs, from, target, rng)
+func (renamedTool) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, from, target int64, rng *fault.RNG, tail *campaign.Tail) fault.Record {
+	return campaign.PINFI.Trial(m, b, prof, costs, from, target, rng, tail)
 }
 
 // TestHasComparesByName: Suite.has and the comparison tables must match

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -217,5 +218,50 @@ func TestSuitePoolReuse(t *testing.T) {
 	st := pool.Stats()
 	if st.Builds == 0 {
 		t.Fatalf("cold sharded suite reported no worker builds: %+v", st)
+	}
+}
+
+// TestReportSpeedLineIsThisProcessOnly: the phase counters behind "# speed:"
+// are this process's, so the line gives rates, skipped= and rejoined= only
+// when the suite ran here. A coordinator has run no trial — it used to print
+// profile=0.0M trial=0.0M skipped=0% — and says where the trials ran instead,
+// whatever this process has run before.
+func TestReportSpeedLineIsThisProcessOnly(t *testing.T) {
+	cfg, _ := remoteSuite(t) // leaves the process with trials of its own counted
+	speedLine := func(cfg experiments.Config) string {
+		var out bytes.Buffer
+		experiments.Report(&out, cfg)
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "# speed:") {
+				return line
+			}
+		}
+		t.Fatalf("no # speed: line in:\n%s", out.String())
+		return ""
+	}
+	if line := speedLine(cfg); !regexp.MustCompile(
+		`^# speed: profile=\d+\.\dM instr/s trial=\d+\.\dM instr/s skipped=\d+% rejoined=\d+%$`).MatchString(line) ||
+		strings.Contains(line, "trial=0.0M") {
+		t.Errorf("in-process line: %q", line)
+	}
+
+	const elsewhere = "# speed: trials ran in other processes, which keep their own counters"
+	cfg.Daemon = &serve.Client{Addr: "127.0.0.1:1"}
+	if line := speedLine(cfg); line != elsewhere {
+		t.Errorf("submitting line: %q", line)
+	}
+
+	if testing.Short() {
+		return // the pool spawns worker processes
+	}
+	cfg.Daemon = nil
+	pool, err := shard.NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	cfg.Pool = pool
+	if line := speedLine(cfg); line != elsewhere {
+		t.Errorf("sharded line: %q", line)
 	}
 }

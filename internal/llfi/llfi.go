@@ -22,6 +22,8 @@
 package llfi
 
 import (
+	"math"
+
 	"repro/internal/fault"
 	"repro/internal/ir"
 	"repro/internal/vm"
@@ -167,11 +169,18 @@ type Lib struct {
 	// boundary right behind it, after the C-ABI scramble.
 	Marks  []int64
 	AtMark func(count int64)
-	mark   int // Marks[:mark] have been armed
+	mark   int          // Marks[:mark] have been armed
+	next   int64        // Marks[mark], or math.MaxInt64 when none is left
+	fire   vm.FirePoint // the one fire point every mark re-arms
 }
 
 // Bind installs the runtime on a machine.
 func (l *Lib) Bind(m *vm.Machine) {
+	l.next = math.MaxInt64
+	if l.mark < len(l.Marks) {
+		l.next = l.Marks[l.mark]
+	}
+	l.fire.Fn = func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }
 	flip := func(mm *vm.Machine, isF64 bool, width int64) {
 		if l.Count == l.Target {
 			l.Triggered = true
@@ -199,10 +208,14 @@ func (l *Lib) Bind(m *vm.Machine) {
 			mm.Regs[vx.R0] = mm.Regs[vx.R2]
 		}
 		l.Count++
-		if l.mark < len(l.Marks) && l.Count == l.Marks[l.mark] {
+		if l.Count == l.next {
 			l.mark++
-			mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, PC: mm.PC - 1,
-				Fn: func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }})
+			l.next = math.MaxInt64
+			if l.mark < len(l.Marks) {
+				l.next = l.Marks[l.mark]
+			}
+			l.fire.At, l.fire.PC = mm.InstrCount, mm.PC-1
+			mm.ArmFire(&l.fire)
 		}
 	}
 	m.BindHost(vm.HostFn{Name: HostFaultI64, Fn: func(mm *vm.Machine) { flip(mm, false, 64) }, Cycles: injectFaultCycles})

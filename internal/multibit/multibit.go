@@ -48,8 +48,9 @@ func (injector) String() string { return Name }
 // target site (the first flip crashed or diverted the program), only the
 // first fault lands — as on real hardware, a dead process cannot be faulted
 // twice. The returned record describes the first flip.
-func (injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG) fault.Record {
-	lib := &core.Lib{Target: target, RNG: rng, Flips: 2, Count: from}
+func (injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, _ pinfi.CostModel, from, target int64, rng *fault.RNG, tail *campaign.Tail) fault.Record {
+	lib := &core.Lib{Target: target, RNG: rng, Flips: 2, Count: from,
+		Marks: tail.Marks(target + 3), AtMark: func(dyn int64) { tail.Rejoined(m, dyn) }}
 	lib.Bind(m)
 	m.Run()
 	lib.ResolveRecord(b.Img)

@@ -37,9 +37,19 @@ type pinfi2Injector struct {
 
 // Trial injects two single-bit register faults at consecutive dynamic target
 // occurrences (the double-fault model), first flip via the fire-point index.
-func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG) fault.Record {
+// Only the callback that lands the second flip, the observer detached, looks
+// for the golden run again: until then the observer is charging.
+func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG, tail *campaign.Tail) fault.Record {
 	var rec fault.Record
-	pinfi.ArmFired(m, b.FirePoints(), costs, target, DoubleFlip(b.TargetMap(), costs, target, rng, &rec))
+	first := DoubleFlip(b.TargetMap(), costs, target, rng, &rec)
+	pinfi.ArmFired(m, b.FirePoints(), costs, target, func(m *vm.Machine, pc int32, in *vm.Inst) {
+		first(m, pc, in)
+		second := m.Count.Fire
+		m.Count.Fire = func(m *vm.Machine, pc int32, in *vm.Inst) {
+			second(m, pc, in)
+			tail.Chain(m)
+		}
+	})
 	m.Run()
 	return rec
 }

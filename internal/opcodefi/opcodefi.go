@@ -66,8 +66,10 @@ type injector struct {
 // shared image; the pristine clone's dynamics are identical), so the whole
 // trial — prefix, corruption, post-corruption suffix — runs on the hook-free
 // fast loop. The flipped opcode is restored before the clone is released, so
-// released clones are always pristine.
-func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG) fault.Record {
+// released clones are always pristine. The Tail goes unused: the fault is
+// in the clone's instruction stream, which no snapshot holds, so a state
+// equal to the golden run's says nothing about what runs next.
+func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG, _ *campaign.Tail) fault.Record {
 	priv := b.AcquireImageClone()
 	base := m.Img
 	m.Img = priv

@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"bytes"
 	"math/bits"
+	"slices"
 
 	"repro/internal/vx"
 )
@@ -9,9 +11,10 @@ import (
 // Snapshot is a machine's architectural state at an inter-instruction
 // boundary of a run — registers, PC, InstrCount, Cycles, the output emitted
 // so far and the contents of every page dirty at that boundary — taken with
-// Machine.Snapshot and put back with Machine.Restore. A trial whose fault
-// lands after the boundary starts there instead of re-executing the golden
-// prefix from Reset. It holds no per-run harness state (Budget, observers, an
+// Machine.Snapshot, put back with Machine.Restore, compared with Matches. A
+// trial whose fault lands after the boundary starts there instead of
+// re-executing the golden prefix from Reset; one whose fault left no trace
+// by then ends there. It holds no per-run harness state (Budget, observers, an
 // armed fire point, host bindings): Restore leaves those as Reset does, and
 // the caller sets up the run. Immutable once taken, so any number of
 // machines restore from one concurrently.
@@ -39,6 +42,9 @@ type extent struct{ addr, n int }
 
 // Bytes reports the memory the snapshot retains.
 func (s *Snapshot) Bytes() int { return len(s.mem) + 16*len(s.extents) + 8*len(s.output) }
+
+// At reports the InstrCount and the Cycles of the snapshot's boundary.
+func (s *Snapshot) At() (instrs, cycles int64) { return s.instrCount, s.cycles }
 
 // eachDirtyPage calls fn with the byte range of every page marked dirty, in
 // page order.
@@ -111,4 +117,45 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.Cycles = s.cycles
 	m.Output = append(m.Output[:0], s.output...)
 	m.clearRun()
+}
+
+// zeroPage is what a never-written page holds.
+var zeroPage [dirtyPageSize]byte
+
+// Matches reports whether the machine's architectural state is the
+// snapshot's: registers (FLAGS among them) and PC, the output, and every
+// byte of memory. The VM is deterministic, so a machine that matches — with
+// nothing pending in the harness around it — has the snapshot's run ahead of
+// it. InstrCount and Cycles are not state and are not compared: a run that
+// took a detour and rejoined sits at the boundary late. Registers go first,
+// one array compare that turns away almost every machine that does not
+// match. Memory is compared on the pages dirty on either side, all that can
+// differ from zero: a page the snapshot marks holds its extent with zeroes
+// around it, a page only the machine marks has to be all zeroes. Like
+// Restore it panics on another address space.
+func (s *Snapshot) Matches(m *Machine) bool {
+	if len(s.dirty) != len(m.dirty) {
+		panic("vm: Matches: snapshot of a different address space")
+	}
+	if s.regs != m.Regs || s.pc != m.PC || !slices.Equal(s.output, m.Output) {
+		return false
+	}
+	ext, mem := s.extents, s.mem // not yet compared
+	for wi, w := range s.dirty {
+		for w |= m.dirty[wi]; w != 0; w &= w - 1 {
+			lo := (wi*64 + bits.TrailingZeros64(w)) << dirtyPageShift
+			page := m.Mem[lo:min(lo+dirtyPageSize, len(m.Mem))]
+			if len(ext) > 0 && ext[0].addr < lo+len(page) {
+				at, n := ext[0].addr-lo, ext[0].n
+				if !bytes.Equal(page[at:at+n], mem[:n]) || !bytes.Equal(page[:at], zeroPage[:at]) {
+					return false
+				}
+				ext, mem, page = ext[1:], mem[n:], page[at+n:]
+			}
+			if !bytes.Equal(page, zeroPage[:len(page)]) {
+				return false
+			}
+		}
+	}
+	return true
 }
