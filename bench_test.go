@@ -410,8 +410,9 @@ func BenchmarkVMThroughput(b *testing.B) {
 // BenchmarkVMThroughputSites reports the loop a REFINE trial spends its time
 // in: a golden run of a REFINE image with a never-firing control library
 // bound, where every target instruction is followed by a fused site
-// (internal/vm/site.go). sites/s is the rate of those dispatches, which is
-// the library's own count of selInstr calls.
+// (internal/vm/site.go) whose selInstr call the VM makes itself (vm.Inert).
+// sites/s is the rate of those dispatches, which is the library's own count
+// of selInstr calls.
 func BenchmarkVMThroughputSites(b *testing.B) {
 	app, err := refine.AppByName("HPCCG")
 	if err != nil {
@@ -434,6 +435,35 @@ func BenchmarkVMThroughputSites(b *testing.B) {
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
 	b.ReportMetric(float64(sites)/b.Elapsed().Seconds(), "sites/s")
+}
+
+// BenchmarkVMThroughputLLFI reports the loop an LLFI trial spends its time
+// in: a golden run of an LLFI image with a never-firing injectFault runtime
+// bound, whose every call is an inert host call runFast makes itself
+// (vm.Inert: counter, pass-through, the C-ABI clobber). calls/s is the rate
+// of those calls, the runtime's own count.
+func BenchmarkVMThroughputLLFI(b *testing.B) {
+	app, err := refine.AppByName("HPCCG")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bin, err := refine.Build(app, refine.LLFI, refine.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := bin.NewMachine()
+	b.ResetTimer()
+	var instrs, calls int64
+	for i := 0; i < b.N; i++ {
+		m.Reset()
+		lib := &llfi.Lib{Target: -1}
+		lib.Bind(m)
+		m.Run()
+		instrs += m.InstrCount
+		calls += lib.Count
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/s")
 }
 
 // BenchmarkVMThroughputObserved reports emulator speed with a counting

@@ -17,7 +17,8 @@ import (
 // except the return register, so instrumentation needs to save only its own
 // scratch state. Each call costs the modeled native-call latency, which is
 // the dominant runtime overhead of REFINE (the basic-block approach saves
-// the full C-ABI spill/reload dance an IR-level call requires).
+// the full C-ABI spill/reload dance an IR-level call requires); in host time
+// a call that only counts costs the VM a counter bump (see Lib).
 
 // SiteMap returns the per-PC bitmap of the image's REFINE injection sites —
 // the application instructions the backend pass assigned a SiteID. Each
@@ -48,6 +49,13 @@ func SiteMap(img *vm.Image) []bool {
 // Flips == 2 is REFINE2's double fault, whose second flip lands only if
 // execution reaches another target instruction — as on real hardware, a dead
 // process cannot be faulted twice.
+//
+// Almost every selInstr call only counts and answers 0 — the paper's cheap
+// stub (§4.2.4) — and Bind declares those calls to the VM (vm.Inert, with
+// Count as the counter), so the hook-free loop makes them itself and the
+// closure runs only at an event: a count in the trigger window, or the call
+// that reaches a mark. The fused site then executes a not-triggered
+// occurrence as its saves, a counter bump and its closing SP load.
 type Lib struct {
 	Target int64 // dynamic index to inject at (0-based; < 0 ⇒ never)
 	RNG    *fault.RNG
@@ -82,6 +90,21 @@ type Lib struct {
 	mark   int          // Marks[:mark] have been armed
 	next   int64        // Marks[mark], or math.MaxInt64 when none is left
 	fire   vm.FirePoint // the one fire point every mark re-arms
+	event  int64        // the Count at which selInstr next has work (vm.Inert)
+}
+
+// nextEvent returns the first call count from Count on at which selInstr
+// has work to do — the next count in the trigger window, or the call before
+// the next mark — or a count no run reaches.
+func (l *Lib) nextEvent(flips uint64) int64 {
+	e := int64(math.MaxInt64)
+	if l.next > l.Count { // a mark already passed is never armed
+		e = l.next - 1
+	}
+	if l.Count < l.Target+int64(flips) {
+		e = min(e, max(l.Count, l.Target))
+	}
+	return e
 }
 
 // ResolveRecord completes the paper's fault log (target instruction, operand,
@@ -112,6 +135,7 @@ func (l *Lib) Bind(m *vm.Machine) {
 		l.next = l.Marks[l.mark]
 	}
 	l.fire.Fn = func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }
+	l.event = l.nextEvent(flips)
 	selInstr := func(mm *vm.Machine) {
 		// Count only grows, so the window [Target, Target+flips) is
 		// crossed once: one unsigned compare decides.
@@ -136,8 +160,10 @@ func (l *Lib) Bind(m *vm.Machine) {
 			l.fire.At, l.fire.PC = mm.InstrCount, mm.PC-1
 			mm.ArmFire(&l.fire)
 		}
+		l.event = l.nextEvent(flips)
 	}
-	m.BindHost(vm.HostFn{Name: HostSelInstr, PreserveRegs: true, Fn: selInstr})
+	m.BindHost(vm.HostFn{Name: HostSelInstr, PreserveRegs: true, Fn: selInstr,
+		Inert: vm.Inert{Count: &l.Count, Event: &l.event, Ret: vx.NoReg}})
 	m.BindHost(vm.HostFn{
 		Name:         HostSetupFI,
 		PreserveRegs: true,

@@ -153,6 +153,13 @@ const injectFaultCycles = 200
 // the run is the population. IR values have a single destination and no
 // flags, so the operand draw is degenerate — exactly the fault-model
 // impoverishment the paper attributes to IR-level injectors.
+//
+// A call that does not inject passes its value through and counts, and Bind
+// declares those calls to the VM (vm.Inert, with Count as the counter and
+// the value's register as the return), so the hook-free loop makes them
+// itself: the closure runs only at the target or at the call that reaches a
+// mark. The modeled cost of every call is unchanged — injectFaultCycles and
+// the C-ABI clobber — since that is the instrumented binary's, not the host's.
 type Lib struct {
 	Target int64 // dynamic index to inject at (0-based; < 0 ⇒ never)
 	RNG    *fault.RNG
@@ -172,6 +179,21 @@ type Lib struct {
 	mark   int          // Marks[:mark] have been armed
 	next   int64        // Marks[mark], or math.MaxInt64 when none is left
 	fire   vm.FirePoint // the one fire point every mark re-arms
+	event  int64        // the Count at which a call next has work (vm.Inert)
+}
+
+// nextEvent returns the first call count from Count on at which a call has
+// work to do — the target, or the call before the next mark — or a count no
+// run reaches.
+func (l *Lib) nextEvent() int64 {
+	e := int64(math.MaxInt64)
+	if l.next > l.Count { // a mark already passed is never armed
+		e = l.next - 1
+	}
+	if l.Target >= l.Count {
+		e = min(e, l.Target)
+	}
+	return e
 }
 
 // Bind installs the runtime on a machine.
@@ -181,6 +203,7 @@ func (l *Lib) Bind(m *vm.Machine) {
 		l.next = l.Marks[l.mark]
 	}
 	l.fire.Fn = func(*vm.Machine, int32, *vm.Inst) { l.AtMark(l.Count) }
+	l.event = l.nextEvent()
 	flip := func(mm *vm.Machine, isF64 bool, width int64) {
 		if l.Count == l.Target {
 			l.Triggered = true
@@ -217,9 +240,16 @@ func (l *Lib) Bind(m *vm.Machine) {
 			l.fire.At, l.fire.PC = mm.InstrCount, mm.PC-1
 			mm.ArmFire(&l.fire)
 		}
+		l.event = l.nextEvent()
 	}
-	m.BindHost(vm.HostFn{Name: HostFaultI64, Fn: func(mm *vm.Machine) { flip(mm, false, 64) }, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultI1, Fn: func(mm *vm.Machine) { flip(mm, false, 1) }, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultPtr, Fn: func(mm *vm.Machine) { flip(mm, false, 64) }, Cycles: injectFaultCycles})
-	m.BindHost(vm.HostFn{Name: HostFaultF64, Fn: func(mm *vm.Machine) { flip(mm, true, 64) }, Cycles: injectFaultCycles})
+	// An inert call returns its value: R2 for the integer hosts, F0 already
+	// for f64 (R0 stays what it was).
+	bind := func(name string, isF64 bool, width int64, ret vx.Reg) {
+		m.BindHost(vm.HostFn{Name: name, Fn: func(mm *vm.Machine) { flip(mm, isF64, width) }, Cycles: injectFaultCycles,
+			Inert: vm.Inert{Count: &l.Count, Event: &l.event, Ret: ret}})
+	}
+	bind(HostFaultI64, false, 64, vx.R2)
+	bind(HostFaultI1, false, 1, vx.R2)
+	bind(HostFaultPtr, false, 64, vx.R2)
+	bind(HostFaultF64, true, 64, vx.R0)
 }

@@ -9,6 +9,7 @@ package vm_test
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/llfi"
+	"repro/internal/multibit"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/vx"
@@ -71,14 +73,20 @@ func buildBin(t *testing.T, appName string, tool campaign.Tool) *campaign.Binary
 }
 
 // bindGolden installs the per-tool profiling runtime (REFINE/LLFI images
-// import instrumentation symbols that must resolve before Run).
-func bindGolden(m *vm.Machine, tool campaign.Tool) {
+// import instrumentation symbols that must resolve before Run) and returns
+// its call count so far (0 for a tool without one).
+func bindGolden(m *vm.Machine, tool campaign.Tool) func() int64 {
 	switch tool {
 	case campaign.REFINE:
-		(&core.Lib{Target: -1}).Bind(m)
+		lib := &core.Lib{Target: -1}
+		lib.Bind(m)
+		return func() int64 { return lib.Count }
 	case campaign.LLFI:
-		(&llfi.Lib{Target: -1}).Bind(m)
+		lib := &llfi.Lib{Target: -1}
+		lib.Bind(m)
+		return func() int64 { return lib.Count }
 	}
+	return func() int64 { return 0 }
 }
 
 // everyInstr attaches fn as a per-instruction observer: a CountHook over an
@@ -113,46 +121,162 @@ func TestFastEngineMatchesStepReference(t *testing.T) {
 			bin := buildBin(t, name, tool)
 
 			fast := bin.NewMachine()
-			bindGolden(fast, tool)
+			fastCount := bindGolden(fast, tool)
 			fast.Run()
 
 			ref := bin.NewMachine()
-			bindGolden(ref, tool)
+			refCount := bindGolden(ref, tool)
 			refRun(ref)
 
 			if fs, rs := snapshot(fast), snapshot(ref); !equalStates(fs, rs) {
 				t.Errorf("%s/%s: fast engine diverged from Step reference:\nfast: %+v\nref:  %+v",
 					name, tool, fs, rs)
 			}
+			if fc, rc := fastCount(), refCount(); fc != rc {
+				t.Errorf("%s/%s: control library counted %d calls fast, %d stepped", name, tool, fc, rc)
+			}
 		}
+	}
+}
+
+// libState is what a control library holds after a trial: the counter the
+// VM advances on its own for an inert call, the fault, and every AtMark
+// callback with the boundary it ran at.
+type libState struct {
+	Count     int64
+	Triggered bool
+	Rec       fault.Record
+	AtMarks   [][3]int64 // count, InstrCount, PC
+}
+
+// libTrial is one control-library trial: the library's call count starts
+// at from (on a machine restored from the golden run there when from > 0),
+// it injects at target, and it calls AtMark at marks; halt > 0 halts the
+// machine from the AtMark of that count, as a rejoined trial is.
+type libTrial struct {
+	flips              int // 0: LLFI
+	from, target, halt int64
+	marks              []int64
+	budget             int64
+	seed               uint64
+}
+
+// bind binds t's library on m and returns its state reporter.
+func (t libTrial) bind(m *vm.Machine) func() libState {
+	var st libState
+	at := func(count int64) {
+		st.AtMarks = append(st.AtMarks, [3]int64{count, m.InstrCount, int64(m.PC)})
+		if count == t.halt {
+			m.Halted = true
+		}
+	}
+	rng := fault.NewRNG(t.seed)
+	if t.flips == 0 {
+		lib := &llfi.Lib{Target: t.target, RNG: rng, Count: t.from, Marks: t.marks, AtMark: at}
+		lib.Bind(m)
+		return func() libState {
+			st.Count, st.Triggered, st.Rec = lib.Count, lib.Triggered, lib.Rec
+			return st
+		}
+	}
+	lib := &core.Lib{Target: t.target, RNG: rng, Flips: t.flips, Count: t.from, Marks: t.marks, AtMark: at}
+	lib.Bind(m)
+	return func() libState {
+		lib.ResolveRecord(m.Img)
+		st.Count, st.Triggered, st.Rec = lib.Count, lib.Triggered, lib.Rec
+		return st
 	}
 }
 
 // TestFastEngineMatchesStepUnderInjection drives corrupted executions (the
 // post-fault wild-control-flow paths the campaign actually exercises)
-// through both engines for a spread of REFINE injection targets.
+// through both engines for the three control-library tools — REFINE,
+// REFINE2 and LLFI — on three small kernels, and for REFINE on HPCCG: per
+// pair, 24 plain trials from Reset spread over the run, and on top of them
+// marked trials (one halting at a mark, as a rejoined trial does), a marked
+// profile and trials from a golden snapshot with the library's count
+// started there. Both the machine and the library must agree: the fast loop
+// makes the library's inert calls itself (vm.Inert), Step enters the
+// closure every time.
 func TestFastEngineMatchesStepUnderInjection(t *testing.T) {
-	bin := buildBin(t, "HPCCG", campaign.REFINE)
-	prof, err := bin.RunProfile(pinfi.DefaultCosts())
-	if err != nil {
-		t.Fatal(err)
+	const targets = 24
+	type toolFlips struct {
+		tool  campaign.Tool
+		flips int // libTrial.flips
 	}
-	for i := 0; i < 24; i++ {
-		target := (prof.Targets * int64(i)) / 24
-		run := func(exec func(m *vm.Machine)) machineState {
-			m := bin.NewMachine()
-			m.Budget = prof.Budget
-			lib := &core.Lib{Target: target, RNG: fault.NewRNG(uint64(i) * 977)}
-			lib.Bind(m)
-			exec(m)
-			return snapshot(m)
-		}
-		fs := run(func(m *vm.Machine) { m.Run() })
-		rs := run(refRun)
-		if !equalStates(fs, rs) {
-			t.Errorf("target %d: fast engine diverged under injection:\nfast: %+v\nref:  %+v", target, fs, rs)
+	all := []toolFlips{{campaign.REFINE, 1}, {multibit.Injector, 2}, {campaign.LLFI, 0}}
+	for _, c := range []struct {
+		name  string
+		tools []toolFlips
+	}{{"HPCCG", all[:1]}, {"DC", all}, {"FT", all}, {"EP", all}} {
+		name := c.name
+		for _, tf := range c.tools {
+			tool, flips := tf.tool, tf.flips
+			bin := buildBin(t, name, tool)
+			prof, err := bin.RunProfile(pinfi.DefaultCosts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := prof.Targets
+			from := n / 3
+			start := goldenSnapshot(t, bin, flips, from)
+			var trials []libTrial
+			for i := 0; i < targets; i++ {
+				target := n * int64(i) / int64(targets)
+				trials = append(trials, libTrial{flips: flips, target: target, budget: prof.Budget, seed: uint64(i) * 977})
+			}
+			for i := 1; i < targets; i += 6 {
+				// Marks behind the fault and spread over the rest of the run;
+				// the last row halts at one, as a rejoined trial does.
+				target := n * int64(i) / int64(targets)
+				tr := libTrial{flips: flips, target: target, budget: prof.Budget, seed: uint64(i)*977 + 1,
+					marks: []int64{target + int64(flips) + 1, target + (n-target)/2, n}}
+				if i+6 >= targets {
+					tr.halt = tr.marks[1]
+				}
+				trials = append(trials, tr)
+			}
+			trials = append(trials,
+				libTrial{flips: flips, target: -1, budget: prof.Budget, marks: []int64{1, n / 2, n}},
+				libTrial{flips: flips, from: from, target: from, budget: prof.Budget, seed: 5},
+				libTrial{flips: flips, from: from, target: from + (n-from)/2, budget: prof.Budget, seed: 6,
+					marks: []int64{from + 1, from + (n-from)/2 + 3, n}})
+			for _, tr := range trials {
+				run := func(exec func(m *vm.Machine)) (machineState, libState) {
+					m := bin.NewMachine()
+					if tr.from > 0 {
+						m.Restore(start)
+					}
+					m.Budget = tr.budget
+					report := tr.bind(m)
+					exec(m)
+					return snapshot(m), report()
+				}
+				fs, fl := run(func(m *vm.Machine) { m.Run() })
+				rs, rl := run(refRun)
+				if !equalStates(fs, rs) {
+					t.Errorf("%s/%s %+v: fast engine diverged under injection:\nfast: %+v\nref:  %+v", name, tool.Name(), tr, fs, rs)
+				}
+				if !reflect.DeepEqual(fl, rl) {
+					t.Errorf("%s/%s %+v: control library diverged:\nfast: %+v\nref:  %+v", name, tool.Name(), tr, fl, rl)
+				}
+			}
 		}
 	}
+}
+
+// goldenSnapshot returns bin's golden run snapshotted right behind the call
+// that brings its control library's count to dyn, where a campaign anchor is
+// taken: the run halts there.
+func goldenSnapshot(t *testing.T, bin *campaign.Binary, flips int, dyn int64) *vm.Snapshot {
+	t.Helper()
+	m := bin.NewMachine()
+	report := libTrial{flips: flips, target: -1, marks: []int64{dyn}, halt: dyn}.bind(m)
+	m.Run()
+	if len(report().AtMarks) != 1 {
+		t.Fatalf("%s/%s: the golden run never brings the count to %d", bin.App.Name, bin.Tool.Name(), dyn)
+	}
+	return m.Snapshot()
 }
 
 // TestDirtyPageResetMatchesFreshMachine verifies that Reset's dirty-page

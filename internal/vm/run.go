@@ -40,6 +40,8 @@ func (m *Machine) Run() TrapKind {
 // must stay observationally identical to stepping: same traps, same cycle
 // accounting, same InstrCount at every host-call boundary. It returns when
 // the machine halts or a host function or fire point attaches an observer.
+// A host call its HostFn declares inert (HostFn.Inert) is made here, without
+// entering the host function.
 func (m *Machine) runFast() {
 	img := m.Img
 	code := img.code
@@ -393,11 +395,16 @@ func (m *Machine) runFast() {
 				m.fault(TrapIllegal, "unbound host function %q", img.HostFns[u.tgt])
 				return
 			}
-			c := h.Cycles
-			if c == 0 {
-				c = vx.HostCallCycles
+			m.Cycles += h.Cycles
+			if h.inert() {
+				// A declared inert call runs no Go of the library's, so
+				// there is nothing for the seams below to find.
+				m.callInert(h)
+				if !h.PreserveRegs {
+					m.scrambleExceptResults()
+				}
+				continue
 			}
-			m.Cycles += c
 			h.Fn(m)
 			if !h.PreserveRegs {
 				m.scrambleExceptResults()

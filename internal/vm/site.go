@@ -194,6 +194,11 @@ func (img *Image) refuseSitesAround(pc int32) {
 //     the CALLQ as runFast's host-call seam does), R0 != 0, a deadline moved
 //     into the remaining 8 instructions, or SP/PC were rewritten.
 //
+// A call that a register-preserving host declares inert (HostFn.Inert) with
+// an answer of 0 — selInstr on every call but a trial's few — is made without
+// entering the host function: the whole not-triggered path is the five saves,
+// the counter bump and the closing SP load. Every other call enters Fn.
+//
 //go:noinline
 func (m *Machine) runSite(s *siteInfo) {
 	sp := m.Regs[vx.SP]
@@ -217,14 +222,22 @@ func (m *Machine) runSite(s *siteInfo) {
 	binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
 	binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
 	binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
+	if h.inert() && h.PreserveRegs && h.Inert.Ret == vx.NoReg {
+		// A declared inert call that answers 0 and clobbers nothing: the
+		// pops would read back exactly what was just pushed, so R0..R3 and
+		// FLAGS keep their values and only the closing SP load is left — a
+		// load, because a wild SP can put the save area over the slot.
+		*h.Inert.Count++
+		m.Regs[vx.SP] = binary.LittleEndian.Uint64(mem[s.abs:])
+		m.InstrCount += siteAfterHead
+		m.Cycles += s.preCycles + h.Cycles + s.postCycles
+		m.PC = s.post + sitePostLen
+		return
+	}
 	m.Regs[vx.SP] = sp - siteSaveBytes
 	m.Regs[vx.R1] = uint64(s.site)
 	m.InstrCount += siteCallOff
-	c := h.Cycles
-	if c == 0 {
-		c = vx.HostCallCycles
-	}
-	m.Cycles += s.preCycles + c
+	m.Cycles += s.preCycles + h.Cycles
 	call := s.head + siteCallOff
 	m.PC = call + 1
 	h.Fn(m)

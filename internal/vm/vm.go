@@ -203,8 +203,42 @@ type HostFn struct {
 	// clobbers only R0. Normal (C ABI) host functions clobber all
 	// caller-saved registers, which the machine models by scrambling them.
 	PreserveRegs bool
-	// Cycles overrides the modeled cost (0 ⇒ vx.HostCallCycles).
+	// Cycles overrides the modeled cost (0 ⇒ vx.HostCallCycles, resolved by
+	// BindHost).
 	Cycles int64
+	// Inert declares the calls on which Fn would only count (optional).
+	Inert Inert
+}
+
+// Inert is a host function's declaration of its inert calls: while *Count
+// differs from *Event, a call does nothing but advance *Count and return
+// Regs[Ret] (0 for vx.NoReg) in R0, and the hook-free loop makes such a
+// call itself instead of entering Fn — no closure, no post-call seams. The
+// cycle charge and the ABI clobber are the call's as ever. Fn keeps both
+// counts current: it advances *Count like an inert call and, whenever it
+// runs, leaves *Event at the count of the next call that has work. Step
+// calls Fn on every call, so the differential suites hold each declaration
+// to the closure it summarizes.
+type Inert struct {
+	Count, Event *int64
+	Ret          vx.Reg
+}
+
+// inert reports whether the next call of h is one its Inert declaration
+// covers.
+func (h *HostFn) inert() bool {
+	c := h.Inert.Count
+	return c != nil && *c != *h.Inert.Event
+}
+
+// callInert makes an inert call of h in place of Fn.
+func (m *Machine) callInert(h *HostFn) {
+	*h.Inert.Count++
+	var r uint64
+	if h.Inert.Ret != vx.NoReg {
+		r = m.Regs[h.Inert.Ret]
+	}
+	m.Regs[vx.R0] = r
 }
 
 // ExecHook is the callback type of CountHook.Fire and FirePoint.Fn. It runs
@@ -368,6 +402,9 @@ func (m *Machine) markDirtyRange(addr uint64, n int64) {
 func (m *Machine) BindHost(h HostFn) {
 	m.Img.ensure()
 	if i, ok := m.Img.hostIndex[h.Name]; ok {
+		if h.Cycles == 0 {
+			h.Cycles = vx.HostCallCycles
+		}
 		m.hosts[i] = h
 		return
 	}
@@ -502,46 +539,6 @@ func (m *Machine) setFlagsZS(v uint64) {
 		f |= vx.FlagS
 	}
 	m.Regs[vx.RFLAGS] = f
-}
-
-// scrambleEntry is one precomputed register clobber of the host-call
-// scramble sequence.
-type scrambleEntry struct {
-	reg vx.Reg
-	val uint64
-}
-
-// scrambleTab is the host-call clobber pattern, precomputed once at package
-// init: every caller-saved register except the return registers, paired with
-// its deterministic garbage value. The hot path then runs a branch-free
-// table walk instead of re-deriving the skip conditions and bit patterns on
-// every host call. TestScrambleTableMatchesReference pins the table to the
-// spelled-out per-call loop bit for bit.
-var scrambleTab = func() []scrambleEntry {
-	var tab []scrambleEntry
-	for _, r := range vx.CallerSavedGPR {
-		if r == vx.R0 {
-			continue // return value register, written by the host fn
-		}
-		tab = append(tab, scrambleEntry{r, 0xD15EA5ED0000_0000 | uint64(r)})
-	}
-	for _, r := range vx.CallerSavedFPR {
-		if r == vx.F0 {
-			continue
-		}
-		tab = append(tab, scrambleEntry{r, 0x7FF8_DEAD_0000_0000 | uint64(r)}) // quiet-NaN pattern
-	}
-	return tab
-}()
-
-// scramble models C-ABI clobbering of caller-saved registers by native
-// library code. Deterministic garbage values surface register-allocation bugs
-// in differential tests without breaking reproducibility.
-func (m *Machine) scramble() {
-	for _, s := range scrambleTab {
-		m.Regs[s.reg] = s.val
-	}
-	m.Regs[vx.RFLAGS] = vx.FlagS
 }
 
 // Step executes a single instruction. It is the reference path: Run executes
@@ -824,11 +821,7 @@ func (m *Machine) execOp(pc int32, in *Inst) {
 				m.fault(TrapIllegal, "unbound host function %q", m.Img.HostFns[in.HostIdx])
 				return
 			}
-			c := h.Cycles
-			if c == 0 {
-				c = vx.HostCallCycles
-			}
-			m.Cycles += c
+			m.Cycles += h.Cycles
 			h.Fn(m)
 			if !h.PreserveRegs {
 				m.scrambleExceptResults()
@@ -889,13 +882,29 @@ func (m *Machine) execOp(pc int32, in *Inst) {
 	}
 }
 
-// scrambleExceptResults clobbers caller-saved registers except the return
-// registers, which the host implementation has already written.
+// clobbered is the register file a C-ABI host call leaves behind in the
+// caller-saved registers: deterministic garbage, which surfaces
+// register-allocation bugs in differential tests without breaking
+// reproducibility.
+var clobbered = func() (r [vx.NumRegs]uint64) {
+	for _, g := range vx.CallerSavedGPR {
+		r[g] = 0xD15EA5ED0000_0000 | uint64(g)
+	}
+	for _, f := range vx.CallerSavedFPR {
+		r[f] = 0x7FF8_DEAD_0000_0000 | uint64(f) // quiet-NaN pattern
+	}
+	return r
+}()
+
+// scrambleExceptResults models C-ABI clobbering by native library code: the
+// caller-saved registers R1..R8 and F1..F7 and FLAGS (= SF), but not the
+// return registers R0/F0, which the host implementation has already
+// written. TestScrambleTableMatchesReference pins the two ranges to the
+// spelled-out per-register loop.
 func (m *Machine) scrambleExceptResults() {
-	saved0, savedF0 := m.Regs[vx.R0], m.Regs[vx.F0]
-	m.scramble()
-	m.Regs[vx.R0] = saved0
-	m.Regs[vx.F0] = savedF0
+	copy(m.Regs[vx.R1:vx.R8+1], clobbered[vx.R1:vx.R8+1])
+	copy(m.Regs[vx.F1:vx.F7+1], clobbered[vx.F1:vx.F7+1])
+	m.Regs[vx.RFLAGS] = vx.FlagS
 }
 
 // FlipBit XORs a single bit into a register. FPR values are stored as bit
