@@ -96,6 +96,16 @@ type CacheStats struct {
 	Quarantined uint64
 }
 
+// Add accumulates o into s: the cross-process total of a shard fleet's
+// caches.
+func (s *CacheStats) Add(o CacheStats) {
+	s.MemHits += o.MemHits
+	s.DiskHits += o.DiskHits
+	s.Builds += o.Builds
+	s.DiskErrors += o.DiskErrors
+	s.Quarantined += o.Quarantined
+}
+
 type cacheKey struct {
 	app     string
 	memSize int64

@@ -207,17 +207,6 @@ func TestOutcomeMixIsNonTrivial(t *testing.T) {
 	}
 }
 
-func TestParallelCampaignMatchesSerial(t *testing.T) {
-	serial := runCampaign(t, testApp, campaign.REFINE, 120, 7, 1, campaign.DefaultBuildOptions())
-	parallel := runCampaign(t, testApp, campaign.REFINE, 120, 7, 8, campaign.DefaultBuildOptions())
-	if serial.Counts != parallel.Counts {
-		t.Fatalf("parallel counts %+v != serial %+v", parallel.Counts, serial.Counts)
-	}
-	if serial.Cycles != parallel.Cycles {
-		t.Fatalf("parallel cycles %d != serial %d", parallel.Cycles, serial.Cycles)
-	}
-}
-
 func TestInstrumentationSiteCounts(t *testing.T) {
 	bins := buildAll(t)
 	if bins[campaign.REFINE].Sites == 0 {

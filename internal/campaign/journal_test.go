@@ -1,22 +1,21 @@
 package campaign_test
 
-// Crash-safe resume tests: the journal must round-trip entries through
-// segment files, tolerate torn tails left by dying writers, and — wired into
-// a campaign — make a restarted run replay recorded trials and execute only
-// the missing indices, bit-identically to an uninterrupted run.
+// Journal tests: entries round-trip through segment files, torn tails left
+// by dying writers are tolerated, append failures are counted, and a
+// campaign replays only its own key's entries. A resumed campaign's
+// equivalence with an uninterrupted one is the journal-resumed row of
+// internal/experiments' TestEquivalenceMatrix.
 
 import (
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/fault"
-	"repro/internal/sched"
 	"repro/internal/workloads"
 )
 
@@ -188,139 +187,6 @@ func TestUnusableJournalPathFailsFast(t *testing.T) {
 	}
 }
 
-// TestCampaignResumeExecutesOnlyMissing is the acceptance pin for crash-safe
-// resume: a campaign interrupted mid-run and restarted over the same journal
-// must replay the recorded prefix and execute only the missing indices, with
-// a final result bit-identical to an uninterrupted run.
-func TestCampaignResumeExecutesOnlyMissing(t *testing.T) {
-	const trials = 60
-	app := journalApp(t)
-	ref, err := campaign.New(app, campaign.REFINE,
-		campaign.WithTrials(trials), campaign.WithSeed(21),
-		campaign.WithRecords(), campaign.WithCache(nil)).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	j1, err := campaign.OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "Crash" partway: cancel once a prefix has been delivered. Workers that
-	// already completed out-of-order indices journal them too — exactly what
-	// a dying coordinator leaves behind.
-	ctx, cancel := context.WithCancel(context.Background())
-	c1 := campaign.New(app, campaign.REFINE,
-		campaign.WithTrials(trials), campaign.WithSeed(21),
-		campaign.WithCache(nil), campaign.WithJournal(j1),
-		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
-			if i == 20 {
-				cancel()
-			}
-		}))
-	if _, err := c1.Run(ctx); err == nil {
-		t.Fatal("cancelled first run returned nil error")
-	}
-	j1.Close()
-	recorded := j1.Stats().Appended
-	if recorded == 0 || recorded >= trials {
-		t.Fatalf("interrupted run journaled %d of %d trials; the test needs a partial journal", recorded, trials)
-	}
-
-	// Restart over the same journal dir, as a new coordinator process would.
-	j2, err := campaign.OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if st := j2.Stats(); st.Loaded != recorded {
-		t.Fatalf("reopen loaded %d entries, first run appended %d", st.Loaded, recorded)
-	}
-	var mu sync.Mutex
-	var order []int
-	res, err := campaign.New(app, campaign.REFINE,
-		campaign.WithTrials(trials), campaign.WithSeed(21),
-		campaign.WithRecords(), campaign.WithCache(nil), campaign.WithJournal(j2),
-		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		})).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Only the missing indices re-executed: replayed + newly appended must
-	// partition the trial space exactly.
-	st := j2.Stats()
-	if st.Replayed != recorded {
-		t.Fatalf("resume replayed %d entries, journal held %d", st.Replayed, recorded)
-	}
-	if st.Appended != uint64(trials)-recorded {
-		t.Fatalf("resume appended %d entries, want the %d missing", st.Appended, uint64(trials)-recorded)
-	}
-
-	// Bit-identical to the uninterrupted run, observer stream in order.
-	if res.Counts != ref.Counts || res.Cycles != ref.Cycles || res.Trials != ref.Trials {
-		t.Fatalf("resumed result diverges: %+v/%d vs %+v/%d", res.Counts, res.Cycles, ref.Counts, ref.Cycles)
-	}
-	for i := range ref.Records {
-		if res.Records[i] != ref.Records[i] {
-			t.Fatalf("resumed Records[%d] = %+v, reference %+v", i, res.Records[i], ref.Records[i])
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != trials {
-		t.Fatalf("observer saw %d deliveries, want %d (replayed + fresh)", len(order), trials)
-	}
-	for i, got := range order {
-		if got != i {
-			t.Fatalf("resumed observer stream out of order: order[%d] = %d", i, got)
-		}
-	}
-}
-
-// TestJournalFullyRecordedRunReExecutesNothing: a completed campaign resumed
-// over its own journal is pure replay — zero fresh appends.
-func TestJournalFullyRecordedRunReExecutesNothing(t *testing.T) {
-	const trials = 30
-	app := journalApp(t)
-	dir := t.TempDir()
-	run := func() (*campaign.Result, campaign.JournalStats) {
-		j, err := campaign.OpenJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		res, err := campaign.New(app, campaign.PINFI,
-			campaign.WithTrials(trials), campaign.WithSeed(4),
-			campaign.WithRecords(), campaign.WithCache(nil),
-			campaign.WithJournal(j)).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, j.Stats()
-	}
-	res1, st1 := run()
-	if st1.Appended != trials || st1.Replayed != 0 {
-		t.Fatalf("cold journaled run stats %+v", st1)
-	}
-	res2, st2 := run()
-	if st2.Appended != 0 || st2.Replayed != trials {
-		t.Fatalf("warm journaled run stats %+v, want pure replay", st2)
-	}
-	if res1.Counts != res2.Counts || res1.Cycles != res2.Cycles {
-		t.Fatalf("replayed result diverges: %+v vs %+v", res2.Counts, res1.Counts)
-	}
-	for i := range res1.Records {
-		if res1.Records[i] != res2.Records[i] {
-			t.Fatalf("replayed Records[%d] diverges", i)
-		}
-	}
-}
-
 // TestJournalKeyIsolation: recordings are namespaced by the campaign's
 // outcome-determining configuration — a different seed (or tool) never
 // replays another campaign's entries.
@@ -349,36 +215,6 @@ func TestJournalKeyIsolation(t *testing.T) {
 	}
 	if st := runSeed(1); st.Replayed != trials || st.Appended != 0 {
 		t.Fatalf("seed 1 warm run stats %+v, want pure replay", st)
-	}
-}
-
-// TestScheduledCampaignResume: a campaign on a shared executor honors the
-// journal the same way one on its private executor does.
-func TestScheduledCampaignResume(t *testing.T) {
-	const trials = 24
-	app := journalApp(t)
-	ex := sched.New(4)
-	defer ex.Close()
-	dir := t.TempDir()
-	run := func() campaign.JournalStats {
-		j, err := campaign.OpenJournal(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		if _, err := campaign.New(app, campaign.REFINE,
-			campaign.WithTrials(trials), campaign.WithSeed(8),
-			campaign.WithCache(nil), campaign.WithJournal(j),
-			campaign.WithExecutor(ex)).Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return j.Stats()
-	}
-	if st := run(); st.Appended != trials {
-		t.Fatalf("cold scheduled run stats %+v", st)
-	}
-	if st := run(); st.Appended != 0 || st.Replayed != trials {
-		t.Fatalf("warm scheduled run stats %+v, want pure replay", st)
 	}
 }
 

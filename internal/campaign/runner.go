@@ -66,13 +66,9 @@ func WithWorkers(n int) Option { return func(c *Campaign) { c.workers = n } }
 func WithBuildOptions(o BuildOptions) Option { return func(c *Campaign) { c.build = o } }
 
 // WithCache selects the build/profile cache. Passing nil forces a fresh
-// build and golden run (the determinism suite compares exactly that against
+// build and golden run (the equivalence matrix compares exactly that against
 // cached campaigns). Default: the process-wide DefaultCache.
 func WithCache(cache *Cache) Option { return func(c *Campaign) { c.cache = cache } }
-
-// WithCostModel overrides the PIN-style dynamic-instrumentation cost model
-// (default: pinfi.DefaultCosts).
-func WithCostModel(m pinfi.CostModel) Option { return func(c *Campaign) { c.costs = m } }
 
 // WithObserver streams trial results as the campaign runs. The observer is
 // invoked exactly once per completed trial, in trial order (i = 0, 1, 2, …)

@@ -1,23 +1,25 @@
 package campaign_test
 
-// Coverage for the trial executor and the disk-persistent artifact cache:
-// campaigns on a shared work-stealing executor must be bit-identical to ones
-// on a private executor across executor sizes and submission patterns;
-// cancellation keeps the partial-prefix contract; a private executor never
-// outlives its Run; and a warm disk cache must skip every build and golden
-// profile while reproducing the cold run bit for bit.
+// Coverage for the trial executor and the build cache: a private executor
+// never outlives its Run, an empty range still builds, memory entries are
+// keyed by build configuration and disk entries by instrumentation level and
+// IR. That every
+// executor and cache state reproduces the reference run is
+// internal/experiments' TestEquivalenceMatrix.
 
 import (
 	"context"
 	"path/filepath"
 	"runtime"
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/ir"
+	"repro/internal/pinfi"
 	"repro/internal/sched"
+	"repro/internal/workloads"
 )
 
 // miniApp2 builds under miniApp's name but with different IR — the
@@ -37,183 +39,15 @@ func miniApp2() *ir.Module {
 	return m
 }
 
-// runPrivate runs the reference campaign on a private executor of the given
-// size; runShared runs it on ex.
-func runPrivate(t *testing.T, workers int, cache *campaign.Cache) *campaign.Result {
+// runMini runs a buffered campaign of testApp to completion.
+func runMini(t *testing.T, tool campaign.Tool, n int, opts ...campaign.Option) *campaign.Result {
 	t.Helper()
-	return runCampaign(t, testApp, campaign.REFINE, 120, 7, workers,
-		campaign.DefaultBuildOptions(), campaign.WithCache(cache))
-}
-
-func runShared(t *testing.T, ex *sched.Executor, cache *campaign.Cache) *campaign.Result {
-	t.Helper()
-	return runCampaign(t, testApp, campaign.REFINE, 120, 7, 0,
-		campaign.DefaultBuildOptions(), campaign.WithCache(cache), campaign.WithExecutor(ex))
-}
-
-func equalResults(t *testing.T, label string, a, b *campaign.Result) {
-	t.Helper()
-	if a.Counts != b.Counts || a.Cycles != b.Cycles || a.Trials != b.Trials {
-		t.Fatalf("%s: aggregates differ: %+v/%d/%d vs %+v/%d/%d",
-			label, a.Counts, a.Cycles, a.Trials, b.Counts, b.Cycles, b.Trials)
-	}
-	if len(a.Records) != len(b.Records) {
-		t.Fatalf("%s: record counts differ: %d vs %d", label, len(a.Records), len(b.Records))
-	}
-	for i := range a.Records {
-		if a.Records[i] != b.Records[i] {
-			t.Fatalf("%s: trial %d differs:\n%+v\nvs\n%+v", label, i, a.Records[i], b.Records[i])
-		}
-	}
-}
-
-// TestScheduledMatchesPooled: a campaign on a shared executor reproduces the
-// one on its private executor bit for bit, across executor sizes (1 worker ≡
-// serial, 0 = GOMAXPROCS) and every cache state.
-func TestScheduledMatchesPooled(t *testing.T) {
-	cache := campaign.NewCache()
-	private := runPrivate(t, 4, cache) // cold cache
-	for _, workers := range []int{0, 1, 8} {
-		ex := sched.New(workers)
-		got := runShared(t, ex, cache)
-		ex.Close()
-		equalResults(t, "shared executor workers="+string(rune('0'+workers)), private, got)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		equalResults(t, "private executor workers="+string(rune('0'+workers)), private, runPrivate(t, workers, cache))
-	}
-	// WithCache(nil) forces a fresh build+profile; results must still agree
-	// with the cached ones.
-	equalResults(t, "warm cache vs fresh build", private, runPrivate(t, 2, nil))
-}
-
-// TestScheduledConcurrentCampaigns: many campaigns submitted to one executor
-// at once (the suite shape) each reproduce their solo result.
-func TestScheduledConcurrentCampaigns(t *testing.T) {
-	cache := campaign.NewCache()
-	want := map[string]*campaign.Result{}
-	for _, tool := range campaign.Tools {
-		res, err := campaign.New(testApp, tool,
-			campaign.WithTrials(100), campaign.WithSeed(3), campaign.WithWorkers(1),
-			campaign.WithCache(cache), campaign.WithRecords(),
-		).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[tool.Name()] = res
-	}
-	ex := sched.New(4)
-	defer ex.Close()
-	var wg sync.WaitGroup
-	got := make(map[string]*campaign.Result)
-	var mu sync.Mutex
-	for _, tool := range campaign.Tools {
-		wg.Add(1)
-		go func(tool campaign.Tool) {
-			defer wg.Done()
-			res, err := campaign.New(testApp, tool,
-				campaign.WithTrials(100), campaign.WithSeed(3),
-				campaign.WithExecutor(ex), campaign.WithCache(cache), campaign.WithRecords(),
-			).Run(context.Background())
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			got[tool.Name()] = res
-			mu.Unlock()
-		}(tool)
-	}
-	wg.Wait()
-	for name, w := range want {
-		g := got[name]
-		if g == nil {
-			t.Fatalf("%s: no scheduled result", name)
-		}
-		equalResults(t, name+" concurrent-vs-solo", w, g)
-	}
-}
-
-// TestScheduledCancellation: cancelling a scheduled campaign returns the
-// partial-safe prefix — aggregates and records covering a contiguous run of
-// delivered trials, each bit-identical to the full run's.
-func TestScheduledCancellation(t *testing.T) {
-	cache := campaign.NewCache()
-	full := runPrivate(t, 1, cache)
-	ex := sched.New(2)
-	defer ex.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	var seen int
-	res, err := campaign.New(testApp, campaign.REFINE,
-		campaign.WithTrials(100000), campaign.WithSeed(7),
-		campaign.WithExecutor(ex), campaign.WithCache(cache), campaign.WithRecords(),
-		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
-			seen++
-			if seen == 25 {
-				cancel()
-			}
-		}),
-	).Run(ctx)
-	if err == nil {
-		t.Fatal("cancelled scheduled campaign returned nil error")
-	}
-	if res == nil {
-		t.Fatal("cancelled scheduled campaign returned nil partial result")
-	}
-	if res.Trials >= 100000 {
-		t.Fatalf("cancellation did not abandon trials: %d completed", res.Trials)
-	}
-	if res.Trials < 25 {
-		t.Fatalf("partial prefix lost deliveries: %d < 25", res.Trials)
-	}
-	if len(res.Records) != res.Trials {
-		t.Fatalf("records (%d) != partial trials (%d)", len(res.Records), res.Trials)
-	}
-	for i := 0; i < min(res.Trials, len(full.Records)); i++ {
-		if res.Records[i] != full.Records[i] {
-			t.Fatalf("partial trial %d differs from full run", i)
-		}
-	}
-}
-
-// TestDiskCacheColdWarm: a second cache over the same directory — a fresh
-// process in miniature — must restore every artifact from disk (zero
-// builds), and the warm campaign must be bit-identical to the cold one.
-func TestDiskCacheColdWarm(t *testing.T) {
-	dir := t.TempDir()
-	cold, err := campaign.NewDiskCache(dir)
+	res, err := campaign.New(testApp, tool, append([]campaign.Option{
+		campaign.WithTrials(n), campaign.WithSeed(7), campaign.WithRecords()}, opts...)...).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := runPrivate(t, 4, cold)
-	st := cold.Stats()
-	if st.Builds == 0 {
-		t.Fatalf("cold run built nothing: %+v", st)
-	}
-	if st.DiskHits != 0 {
-		t.Fatalf("cold run hit disk entries: %+v", st)
-	}
-
-	warm, err := campaign.NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := runPrivate(t, 4, warm)
-	st = warm.Stats()
-	if st.Builds != 0 {
-		t.Fatalf("warm run rebuilt %d artifacts: %+v", st.Builds, st)
-	}
-	if st.DiskHits == 0 {
-		t.Fatalf("warm run never hit the disk layer: %+v", st)
-	}
-	if st.DiskErrors != 0 {
-		t.Fatalf("disk layer errored: %+v", st)
-	}
-	equalResults(t, "cold vs warm disk cache", a, b)
-
-	// And fully uncached agrees too: persistence must not change results.
-	fresh := runPrivate(t, 4, nil)
-	equalResults(t, "warm disk cache vs fresh build", b, fresh)
+	return res
 }
 
 // TestDiskCacheStoresOneEntryPerLevel: a build is addressed by what was built.
@@ -230,8 +64,7 @@ func TestDiskCacheStoresOneEntryPerLevel(t *testing.T) {
 		}
 		out := map[string]*campaign.Result{}
 		for _, tool := range everyTool {
-			out[tool.Name()] = runCampaign(t, testApp, tool, 24, 7, 1,
-				campaign.DefaultBuildOptions(), campaign.WithCache(cache))
+			out[tool.Name()] = runMini(t, tool, 24, campaign.WithWorkers(1), campaign.WithCache(cache))
 		}
 		return out, cache.Stats()
 	}
@@ -247,7 +80,9 @@ func TestDiskCacheStoresOneEntryPerLevel(t *testing.T) {
 		t.Fatalf("warm sweep: %+v, want 0 builds from 3 disk hits", st)
 	}
 	for _, tool := range everyTool {
-		equalResults(t, "cold vs warm "+tool.Name(), cold[tool.Name()], warm[tool.Name()])
+		if c, w := cold[tool.Name()], warm[tool.Name()]; c.Counts != w.Counts || c.Cycles != w.Cycles || !slices.Equal(c.Records, w.Records) {
+			t.Fatalf("%s: warm sweep differs from cold", tool.Name())
+		}
 	}
 }
 
@@ -276,38 +111,6 @@ func TestDiskCacheKeysByIR(t *testing.T) {
 	}
 	if st := c2.Stats(); st.DiskHits != 0 || st.Builds != 1 {
 		t.Fatalf("changed IR behind the same name must rebuild: %+v", st)
-	}
-}
-
-// TestChunkedCancellationPrefix: cancellation abandons unclaimed indexes
-// only — a claimed chunk runs to its end. One worker cancelled mid-chunk
-// therefore delivers exactly its first claim (sched.MaxChunk at this trial
-// count), bit-identical to the full run's prefix.
-func TestChunkedCancellationPrefix(t *testing.T) {
-	cache := campaign.NewCache()
-	full := runPrivate(t, 1, cache)
-	ctx, cancel := context.WithCancel(context.Background())
-	var seen int
-	res, err := campaign.New(testApp, campaign.REFINE,
-		campaign.WithTrials(100000), campaign.WithSeed(7), campaign.WithWorkers(1),
-		campaign.WithCache(cache), campaign.WithRecords(),
-		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
-			seen++
-			if seen == 25 {
-				cancel()
-			}
-		}),
-	).Run(ctx)
-	if err == nil {
-		t.Fatal("cancelled campaign returned nil error")
-	}
-	if res.Trials != sched.MaxChunk {
-		t.Fatalf("partial prefix %d, want the one claimed chunk of %d", res.Trials, sched.MaxChunk)
-	}
-	for i := 0; i < res.Trials; i++ {
-		if res.Records[i] != full.Records[i] {
-			t.Fatalf("partial trial %d differs from full run", i)
-		}
 	}
 }
 
@@ -354,10 +157,10 @@ func unbuildable() *ir.Module {
 // so repeated campaigns leave the goroutine count where it started.
 func TestPrivateExecutorNeverLeaks(t *testing.T) {
 	cache := campaign.NewCache()
-	runPrivate(t, 4, cache) // warm the cache and any lazily started runtime goroutines
+	runMini(t, campaign.REFINE, 120, campaign.WithWorkers(4), campaign.WithCache(cache)) // warm the cache and any lazily started runtime goroutines
 	base := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
-		runPrivate(t, 4, cache)
+		runMini(t, campaign.REFINE, 120, campaign.WithWorkers(4), campaign.WithCache(cache))
 
 		ctx, cancel := context.WithCancel(context.Background())
 		var seen int
@@ -387,5 +190,64 @@ func TestPrivateExecutorNeverLeaks(t *testing.T) {
 			t.Fatalf("goroutines: %d after, %d before", runtime.NumGoroutine(), base)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+func detCosts() pinfi.CostModel { return pinfi.DefaultCosts() }
+
+func detApp(t *testing.T) campaign.App {
+	t.Helper()
+	app, err := workloads.ByName("CG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return app
+}
+
+func TestCacheKeysDistinguishOptions(t *testing.T) {
+	app := detApp(t)
+	cache := campaign.NewCache()
+	o := campaign.DefaultBuildOptions()
+	if _, _, err := cache.BuildAndProfile(app, campaign.REFINE, o, detCosts()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cache.BuildAndProfile(app, campaign.REFINE, o, detCosts()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Len(); got != 1 {
+		t.Fatalf("repeat key: cache entries = %d, want 1", got)
+	}
+	o2 := o
+	o2.FI.Funcs = []string{"main"}
+	if _, _, err := cache.BuildAndProfile(app, campaign.REFINE, o2, detCosts()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Len(); got != 2 {
+		t.Fatalf("distinct FI config: cache entries = %d, want 2", got)
+	}
+	if _, _, err := cache.BuildAndProfile(app, campaign.PINFI, o, detCosts()); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Len(); got != 3 {
+		t.Fatalf("distinct tool: cache entries = %d, want 3", got)
+	}
+}
+
+func TestCachedBinarySharedAcrossCampaigns(t *testing.T) {
+	app := detApp(t)
+	cache := campaign.NewCache()
+	o := campaign.DefaultBuildOptions()
+	b1, p1, err := cache.BuildAndProfile(app, campaign.PINFI, o, detCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, p2, err := cache.BuildAndProfile(app, campaign.PINFI, o, detCosts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A Binary is the asking tool's handle; the build behind it and the
+	// profile are the key's one copy.
+	if b1.Img != b2.Img || b1.FirePoints() != b2.FirePoints() || p1 != p2 {
+		t.Errorf("cache returned distinct objects for the same key")
 	}
 }

@@ -76,12 +76,13 @@ func NewFromSpec(s Spec, app App, lo, hi int, cache *Cache, obs func(int, TrialR
 		WithTrialRange(lo, hi),
 		WithSeed(s.Seed),
 		WithBuildOptions(s.Build),
-		WithCostModel(s.Costs),
 		WithWorkers(s.Workers),
 		WithCache(cache),
 		WithObserver(obs),
 	}
-	return New(app, tool, append(opts, extra...)...), nil
+	c := New(app, tool, append(opts, extra...)...)
+	c.costs = s.Costs
+	return c, nil
 }
 
 // Merger reassembles a sharded campaign's result from worker (index,

@@ -148,9 +148,7 @@ func splitCSV(s string) []string {
 // vary run to run and nothing deterministic derives from the line; a
 // coordinator, which ran no trial, says so instead of printing its zeroes.
 func Report(w io.Writer, cfg Config) {
-	st := cfg.Cache.Stats()
-	fmt.Fprintf(w, "# cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d dir=%s\n",
-		st.Builds, st.MemHits, st.DiskHits, st.DiskErrors, st.Quarantined, cfg.Cache.Dir())
+	fmt.Fprintf(w, "# cache: %s dir=%s\n", cacheCounters(cfg.Cache.Stats()), cfg.Cache.Dir())
 	if cfg.Cache.Dir() != "" {
 		cs := cfg.Cache.Compose()
 		fmt.Fprintf(w, "# compose: sections=%d reused=%d reinjected=%d trials-reused=%d trials-reinjected=%d\n",
@@ -163,9 +161,7 @@ func Report(w io.Writer, cfg Config) {
 	}
 	if p := cfg.Pool; p != nil {
 		p.Close()
-		ps := p.Stats()
-		fmt.Fprintf(w, "# shard: workers=%d deaths=%d\n# shard-cache: builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d\n",
-			p.Workers(), p.Deaths(), ps.Builds, ps.MemHits, ps.DiskHits, ps.DiskErrors, ps.Quarantined)
+		fmt.Fprintf(w, "# shard: workers=%d deaths=%d\n# shard-cache: %s\n", p.Workers(), p.Deaths(), cacheCounters(p.Stats()))
 	} else {
 		workers := cfg.Workers
 		if workers <= 0 {
@@ -181,4 +177,11 @@ func Report(w io.Writer, cfg Config) {
 	profile, trial := ps.InstrsPerSec()
 	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s skipped=%.0f%% rejoined=%.0f%%\n",
 		profile/1e6, trial/1e6, 100*ps.SkippedShare(), 100*ps.RejoinedShare())
+}
+
+// cacheCounters formats the counters of the "# cache:" and "# shard-cache:"
+// lines.
+func cacheCounters(s campaign.CacheStats) string {
+	return fmt.Sprintf("builds=%d mem-hits=%d disk-hits=%d disk-errors=%d quarantined=%d",
+		s.Builds, s.MemHits, s.DiskHits, s.DiskErrors, s.Quarantined)
 }

@@ -7,7 +7,10 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/opt"
+	"repro/internal/pinfi"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -171,5 +174,55 @@ func TestRunSuiteDefaultTrialsIsPaperSize(t *testing.T) {
 	// logic via a 1-app suite with explicit small trials, then the constant.
 	if got := experiments.AppNames(nil); len(got) != 14 {
 		t.Fatalf("AppNames(nil) returned %d apps", len(got))
+	}
+}
+
+// renamedTool wraps an existing injector under a registry-independent value
+// with the same name — the "uncomparable/name-equal tool instance" shape the
+// Suite.has fix covers. The struct carries a slice field, so comparing two
+// of them with == would panic at runtime.
+type renamedTool struct {
+	campaign.ToolName
+	campaign.BinaryLevel
+	pad []int // uncomparable dynamic type on purpose
+}
+
+func (renamedTool) Trial(m *vm.Machine, b *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, from, target int64, rng *fault.RNG, tail *campaign.Tail) fault.Record {
+	return campaign.PINFI.Trial(m, b, prof, costs, from, target, rng, tail)
+}
+
+// TestHasComparesByName: Suite.has and the comparison tables must match
+// tools by stable name, not interface identity — and must not panic on an
+// injector whose dynamic type is uncomparable.
+func TestHasComparesByName(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite run too heavy for -short")
+	}
+	app, err := workloads.ByName("EP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A value (not pointer) with a slice field: an uncomparable dynamic
+	// type. Identity-based tool comparison or Tool-keyed result maps would
+	// panic at runtime on this injector; name-based handling must not.
+	pinfiAlike := renamedTool{ToolName: "PINFI", pad: []int{1}}
+	cfg := experiments.Config{
+		Apps:   []campaign.App{app},
+		Tools:  []campaign.Tool{campaign.LLFI, pinfiAlike},
+		Trials: 40, Seed: 5,
+		Cache: campaign.NewCache(),
+	}
+	s, err := experiments.RunSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Table5 resolves the baseline through campaign.PINFI (a different
+	// instance with the same name): the name-based lookup must find the
+	// suite's PINFI-named tool instead of erroring or panicking.
+	if _, err := s.ChiSquared(campaign.LLFI); err != nil {
+		t.Fatalf("ChiSquared with name-equal baseline: %v", err)
+	}
+	if s.Figure5() == "Figure 5: skipped (requires the PINFI baseline in the suite)\n" {
+		t.Fatal("Figure5 skipped despite a name-equal PINFI baseline")
 	}
 }

@@ -1,22 +1,15 @@
 package experiments_test
 
-// Suite-level remote-execution coverage: a suite fanned out across worker OS
-// processes (Config.Pool) or submitted to a daemon (Config.Daemon) must
-// reproduce the serial in-process suite bit for bit — outcome counts, cycles,
-// and the rendered tables — and a pool must be reusable across the suite's
-// campaigns.
+// Suite-level remote-execution coverage: -submit refuses what a daemon
+// cannot honour, a pool is reusable across the suite's campaigns, and the
+// "# speed:" line says where trials ran. That remote suites reproduce the
+// reference is the suite rows of TestEquivalenceMatrix.
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -29,134 +22,6 @@ import (
 func TestMain(m *testing.M) {
 	shard.MaybeWorker() // this test binary is re-exec'd as the shard worker
 	os.Exit(m.Run())
-}
-
-// remoteSuite is the 2 apps × 2 tools configuration the remote-execution tests
-// compare against its own serial in-process run.
-func remoteSuite(t *testing.T) (experiments.Config, *experiments.Suite) {
-	t.Helper()
-	var apps []campaign.App
-	for _, name := range []string{"EP", "CG"} {
-		a, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		apps = append(apps, a)
-	}
-	cfg := experiments.Config{
-		Apps:   apps,
-		Tools:  []campaign.Tool{campaign.REFINE, campaign.PINFI},
-		Trials: 24,
-		Seed:   7,
-		Cache:  campaign.NewCache(),
-	}
-	serial, err := experiments.RunSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Cache = campaign.NewCache()
-	return cfg, serial
-}
-
-// assertMatchesSerial: every cell's Counts, Cycles and Trials and the
-// rendered Tables 5 and 6 equal the serial suite's.
-func assertMatchesSerial(t *testing.T, mode string, serial, got *experiments.Suite) {
-	t.Helper()
-	for _, app := range serial.Order {
-		for _, tool := range serial.Tools {
-			s := serial.Results[app][tool.Name()]
-			h := got.Results[app][tool.Name()]
-			if h == nil {
-				t.Fatalf("%s/%s: missing %s result", app, tool.Name(), mode)
-			}
-			if s.Counts != h.Counts || s.Cycles != h.Cycles || s.Trials != h.Trials {
-				t.Fatalf("%s/%s: %s %+v/%d/%d != serial %+v/%d/%d",
-					app, tool.Name(), mode, h.Counts, h.Cycles, h.Trials, s.Counts, s.Cycles, s.Trials)
-			}
-		}
-	}
-	if st, ht := serial.Table6(), got.Table6(); st != ht {
-		t.Fatalf("%s Table 6 differs from serial:\n%s\nvs\n%s", mode, ht, st)
-	}
-	s5, err := serial.Table5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h5, err := got.Table5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s5 != h5 {
-		t.Fatalf("%s Table 5 differs from serial:\n%s\nvs\n%s", mode, h5, s5)
-	}
-}
-
-func TestSuiteShardedMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	cfg, serial := remoteSuite(t)
-	pool, err := shard.NewPool(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	cfg.Pool = pool
-	sharded, err := experiments.RunSuiteContext(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesSerial(t, "sharded", serial, sharded)
-}
-
-// TestSuiteSubmittedMatchesSerial: the same suite run through the daemon seam
-// (Config.Daemon, what fi-campaign -submit sets) against an in-process
-// fi-serve reproduces the serial suite, and what it submits is deployment-
-// free: the client's disk cache and worker count stay out of the spec.
-func TestSuiteSubmittedMatchesSerial(t *testing.T) {
-	cfg, serial := remoteSuite(t)
-	srv, err := serve.NewServer(serve.Config{Logf: func(string, ...any) {}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var specs []campaign.Spec
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		var req serve.Request
-		if err := json.Unmarshal(body, &req); err != nil {
-			t.Errorf("submission does not decode: %v", err)
-		}
-		mu.Lock()
-		specs = append(specs, req.Spec)
-		mu.Unlock()
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	defer ts.Close()
-
-	if cfg.Cache, err = campaign.NewDiskCache(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 3
-	cfg.Daemon = &serve.Client{Addr: strings.TrimPrefix(ts.URL, "http://")}
-	served, err := experiments.RunSuite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesSerial(t, "submitted", serial, served)
-	if len(specs) != 4 {
-		t.Fatalf("%d submissions for 2 apps x 2 tools", len(specs))
-	}
-	for _, spec := range specs {
-		if spec.CacheDir != "" || spec.Workers != 0 {
-			t.Errorf("%s/%s submitted with deployment detail: CacheDir=%q Workers=%d",
-				spec.App, spec.Tool, spec.CacheDir, spec.Workers)
-		}
-	}
-	if st := cfg.Cache.Stats(); st.Builds != 0 {
-		t.Errorf("the submitting client built %d binaries itself", st.Builds)
-	}
 }
 
 // TestOpenRejectsWhatSubmitCannotHonour: a campaign.Spec carries no precision
@@ -227,7 +92,15 @@ func TestSuitePoolReuse(t *testing.T) {
 // profile=0.0M trial=0.0M skipped=0% — and says where the trials ran instead,
 // whatever this process has run before.
 func TestReportSpeedLineIsThisProcessOnly(t *testing.T) {
-	cfg, _ := remoteSuite(t) // leaves the process with trials of its own counted
+	app, err := workloads.ByName("EP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.Config{Apps: []campaign.App{app}, Tools: []campaign.Tool{campaign.REFINE, campaign.PINFI},
+		Trials: 24, Seed: 7, Cache: campaign.NewCache()}
+	if _, err := experiments.RunSuite(cfg); err != nil { // leaves the process with trials of its own counted
+		t.Fatal(err)
+	}
 	speedLine := func(cfg experiments.Config) string {
 		var out bytes.Buffer
 		experiments.Report(&out, cfg)

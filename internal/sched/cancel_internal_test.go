@@ -21,7 +21,7 @@ func TestCancelAfterFullClaimIsNoOp(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{}, n)
-	h := e.SubmitChunk(context.Background(), n, 1, func(int) {
+	h := e.Submit(context.Background(), n, func(int) {
 		started <- struct{}{}
 		<-block
 	})
@@ -67,7 +67,7 @@ func TestWaitCompletionCancelStress(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		const n = 8
 		var ran atomic.Int32
-		h := e.SubmitChunk(ctx, n, 1, func(int) {
+		h := e.Submit(ctx, n, func(int) {
 			if int(ran.Add(1)) == n {
 				cancel()
 				// Give the watcher a beat to land inside the race window

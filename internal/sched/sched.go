@@ -12,8 +12,8 @@
 // *where and when* an iteration runs, never *what* it computes — iteration i
 // of a batch always receives index i, and campaign results are keyed by
 // per-trial seeds, so a suite executed serially, concurrently, or on one
-// worker produces bit-identical results (the campaign determinism suite
-// asserts exactly that).
+// worker produces bit-identical results (the equivalence matrix in
+// internal/experiments asserts exactly that).
 package sched
 
 import (
@@ -73,36 +73,24 @@ func New(workers int) *Executor {
 // Workers reports the pool size.
 func (e *Executor) Workers() int { return e.workers }
 
-// Submit enqueues n iterations of body with an adaptive claim-chunk size
-// (see SubmitChunk). Iteration i receives index i; the executor guarantees
-// each index is claimed exactly once, in increasing order, but makes no
-// promise about which worker runs it or how iterations interleave with
-// other jobs. If ctx is cancelled, unclaimed iterations are abandoned (the
-// claimed prefix — every index of every handed-out chunk — still completes)
-// — Handle.Wait reports whether the batch ran in full.
+// Submit enqueues n iterations of body. Iteration i receives index i; the
+// executor guarantees each index is claimed exactly once, in increasing
+// order, but makes no promise about which worker runs it or how iterations
+// interleave with other jobs. Workers claim up to adaptiveChunk consecutive
+// indexes per lock acquisition and run them back to back, trading lock
+// traffic for steal granularity — very short trials stop paying one executor
+// lock round-trip each; chunking never changes what runs, so any result
+// keyed by index is bit-identical across chunk sizes. If ctx is cancelled,
+// unclaimed indexes are abandoned; a claimed chunk runs to its end, so the
+// completed set is always a prefix of claimed chunks — Handle.Wait reports
+// whether the batch ran in full.
 //
 // Job bodies must not call Handle.Wait on jobs submitted to the same
 // executor: a worker blocked in Wait is a worker lost, and with enough of
 // them the pool deadlocks. Campaigns submit and wait from their own
 // goroutines, never from inside a body.
 func (e *Executor) Submit(ctx context.Context, n int, body func(i int)) *Handle {
-	return e.SubmitChunk(ctx, n, 0, body)
-}
-
-// SubmitChunk is Submit with an explicit claim-chunk size: workers claim up
-// to chunk consecutive indexes per lock acquisition and run them back to
-// back, trading lock traffic for steal granularity — very short trials stop
-// paying one executor lock round-trip each. chunk <= 0 selects the adaptive
-// size (1 for small batches, growing with n, capped at MaxChunk). Chunking
-// never changes what runs: indexes are still handed out exactly once in
-// increasing order, so any result keyed by index is bit-identical across
-// chunk sizes. Cancellation abandons unclaimed indexes only; a claimed chunk
-// runs to its end, so the completed set is always a prefix of claimed chunks.
-func (e *Executor) SubmitChunk(ctx context.Context, n, chunk int, body func(i int)) *Handle {
-	if chunk <= 0 {
-		chunk = adaptiveChunk(n, e.workers)
-	}
-	j := &job{e: e, ctx: ctx, body: body, n: n, chunk: chunk, done: make(chan struct{})}
+	j := &job{e: e, ctx: ctx, body: body, n: n, chunk: adaptiveChunk(n, e.workers), done: make(chan struct{})}
 	if n <= 0 {
 		j.completed = true
 		close(j.done)
@@ -116,7 +104,7 @@ func (e *Executor) SubmitChunk(ctx context.Context, n, chunk int, body func(i in
 	e.queue = append(e.queue, j)
 	e.mu.Unlock()
 	e.cond.Broadcast()
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -171,7 +159,7 @@ func (j *job) claim() (start, cnt int, ok bool) {
 	}
 	// A cancelled context stops the hand-out even before the watcher
 	// goroutine fires, so prompt cancellation never races a slow scheduler.
-	if j.ctx != nil && j.ctx.Err() != nil {
+	if j.ctx.Err() != nil {
 		j.cancelled = true
 		j.settleLocked()
 		return 0, 0, false

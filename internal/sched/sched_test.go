@@ -141,16 +141,21 @@ func TestManyConcurrentSubmitters(t *testing.T) {
 	wg.Wait()
 }
 
-// TestChunkedEveryIndexExactlyOnce: explicit chunk sizes hand out each index
-// exactly once, in increasing claim order, across worker counts — chunking
-// changes lock traffic, never coverage.
+// chunkedN is a batch size whose adaptive claim chunk at the given worker
+// count is chunk (n/(16·workers), clamped to [1, MaxChunk]), with a ragged
+// tail chunk.
+func chunkedN(chunk, workers int) int { return (chunk+1)*16*workers - 1 }
+
+// TestChunkedEveryIndexExactlyOnce: every claim-chunk size hands out each
+// index exactly once, in increasing claim order, across worker counts —
+// chunking changes lock traffic, never coverage.
 func TestChunkedEveryIndexExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		for _, chunk := range []int{1, 4, 64, 1000} {
+		for _, chunk := range []int{1, 4, 64} {
 			e := sched.New(workers)
-			const n = 997 // prime: the tail chunk is always ragged
-			var hits [n]atomic.Int32
-			h := e.SubmitChunk(context.Background(), n, chunk, func(i int) { hits[i].Add(1) })
+			n := chunkedN(chunk, workers)
+			hits := make([]atomic.Int32, n)
+			h := e.Submit(context.Background(), n, func(i int) { hits[i].Add(1) })
 			if !h.Wait() {
 				t.Fatalf("workers=%d chunk=%d: batch did not complete", workers, chunk)
 			}
@@ -170,9 +175,8 @@ func TestChunkedEveryIndexExactlyOnce(t *testing.T) {
 func TestChunkedRunsConsecutively(t *testing.T) {
 	e := sched.New(1) // single worker: the full order is one worker's order
 	defer e.Close()
-	const n, chunk = 64, 8
 	var order []int
-	h := e.SubmitChunk(context.Background(), n, chunk, func(i int) { order = append(order, i) })
+	h := e.Submit(context.Background(), chunkedN(8, 1), func(i int) { order = append(order, i) })
 	if !h.Wait() {
 		t.Fatal("batch did not complete")
 	}
@@ -190,10 +194,10 @@ func TestChunkedCancellationClaimedPrefix(t *testing.T) {
 	for _, chunk := range []int{1, 4, 64} {
 		e := sched.New(4)
 		ctx, cancel := context.WithCancel(context.Background())
-		const n = 100_000
-		var ran [n]atomic.Int32
+		n := chunkedN(chunk, 4)
+		ran := make([]atomic.Int32, n)
 		var count atomic.Int32
-		h := e.SubmitChunk(ctx, n, chunk, func(i int) {
+		h := e.Submit(ctx, n, func(i int) {
 			ran[i].Add(1)
 			if count.Add(1) == 37 {
 				cancel()

@@ -1,11 +1,11 @@
 package serve_test
 
-// Service-layer acceptance suite: identical submissions dedup onto one
-// execution, a reconnecting client's stitched stream equals an uninterrupted
-// client's, concurrent tenants are bit-identical to solo runs, and rejected
-// submissions fail fast (no retry storm). Campaigns execute in-process here
-// (Config.Pool is the shard suite's concern); one pool-backed test wires the
-// two layers together end to end.
+// Service-layer suite: identical submissions dedup onto one execution, a
+// reconnecting client's stitched stream equals an uninterrupted client's,
+// and rejected submissions fail fast (no retry storm). That served
+// campaigns — in-process or pool-backed, alongside other tenants —
+// reproduce the reference run is the served rows of internal/experiments'
+// TestEquivalenceMatrix.
 
 import (
 	"bytes"
@@ -14,21 +14,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/workloads"
 )
-
-func TestMain(m *testing.M) {
-	shard.MaybeWorker() // the pool-backed test re-execs this binary as workers
-	os.Exit(m.Run())
-}
 
 // newTestServer starts an httptest daemon and returns it with a ready Client.
 func newTestServer(t *testing.T, cfg serve.Config) (*httptest.Server, *serve.Client) {
@@ -253,81 +246,6 @@ func TestServeReconnectReplaysDeliveredPrefix(t *testing.T) {
 	if term.Key != sum.Key || term.Counts != sum.Counts || term.Cycles != sum.Cycles || term.Trials != sum.Trials {
 		t.Fatalf("resumed summary %+v != uninterrupted %+v", term, sum)
 	}
-}
-
-// TestServeConcurrentTenantsBitIdentical: two distinct campaigns submitted
-// concurrently each produce exactly the stream and summary of running alone.
-func TestServeConcurrentTenantsBitIdentical(t *testing.T) {
-	const trials = 24
-	refA := baseline(t, "CG", trials, 5)
-	refB := baseline(t, "CG", trials, 11)
-	_, client := newTestServer(t, serve.Config{})
-
-	var wg sync.WaitGroup
-	var sumA, sumB *serve.Summary
-	var strA, strB stream
-	var errA, errB error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		sumA, errA = client.Run(context.Background(), spec(t, "CG", trials, 5), strA.obs)
-	}()
-	go func() {
-		defer wg.Done()
-		sumB, errB = client.Run(context.Background(), spec(t, "CG", trials, 11), strB.obs)
-	}()
-	wg.Wait()
-	if errA != nil || errB != nil {
-		t.Fatalf("concurrent submissions failed: %v / %v", errA, errB)
-	}
-	assertStreamInOrder(t, "tenant A", strA.events, trials)
-	assertStreamInOrder(t, "tenant B", strB.events, trials)
-	assertSummary(t, "tenant A", sumA, refA)
-	assertSummary(t, "tenant B", sumB, refB)
-	if sumA.Key == sumB.Key {
-		t.Fatal("distinct campaigns share a run key")
-	}
-}
-
-// TestServePoolBackedExecution wires the layers together: a server whose
-// executor is a 2-worker shard pool serves two concurrent tenants, and both
-// match their baselines bit for bit — HTTP in, pool fan-out behind.
-func TestServePoolBackedExecution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker processes")
-	}
-	const trials = 48
-	refA := baseline(t, "CG", trials, 21)
-	refB := baseline(t, "CG", trials, 23)
-
-	p, err := shard.NewPool(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	_, client := newTestServer(t, serve.Config{Pool: p})
-
-	var wg sync.WaitGroup
-	var sumA, sumB *serve.Summary
-	var strA, strB stream
-	var errA, errB error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		sumA, errA = client.Run(context.Background(), spec(t, "CG", trials, 21), strA.obs)
-	}()
-	go func() {
-		defer wg.Done()
-		sumB, errB = client.Run(context.Background(), spec(t, "CG", trials, 23), strB.obs)
-	}()
-	wg.Wait()
-	if errA != nil || errB != nil {
-		t.Fatalf("pool-backed submissions failed: %v / %v", errA, errB)
-	}
-	assertStreamInOrder(t, "pool tenant A", strA.events, trials)
-	assertStreamInOrder(t, "pool tenant B", strB.events, trials)
-	assertSummary(t, "pool tenant A", sumA, refA)
-	assertSummary(t, "pool tenant B", sumB, refB)
 }
 
 // TestServeRejectsBadSubmissions: an unknown app or a mangled range fails

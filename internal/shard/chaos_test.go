@@ -12,6 +12,7 @@ package shard_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -172,6 +173,51 @@ func TestChaosDeterministicCrashBecomesHarnessFault(t *testing.T) {
 	if res.Cycles != ref.Cycles-ref.Records[poison].Cycles {
 		t.Fatalf("Cycles = %d, want fault-free minus the poison trial (%d)",
 			res.Cycles, ref.Cycles-ref.Records[poison].Cycles)
+	}
+}
+
+// TestConcurrentCampaignsSurviveWorkerCrash: a worker crash while multiple
+// tenants share the pool orphans at most one range per tenant; both campaigns
+// still finish bit-identical on the respawned capacity.
+func TestConcurrentCampaignsSurviveWorkerCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	app := mustApp(t, "CG")
+	refA := baseline(t, app, campaign.REFINE, 120, 41)
+	refB := baseline(t, app, campaign.REFINE, 120, 43)
+
+	t.Setenv("FI_CHAOS", "shard.worker.range:crash:w=0")
+	p, err := shard.NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	var wg sync.WaitGroup
+	var resA, resB *campaign.Result
+	var errA, errB error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		resA, errA = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+			campaign.WithTrials(120), campaign.WithSeed(41),
+			campaign.WithRecords(), campaign.WithCache(nil)))
+	}()
+	go func() {
+		defer wg.Done()
+		resB, errB = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+			campaign.WithTrials(120), campaign.WithSeed(43),
+			campaign.WithRecords(), campaign.WithCache(nil)))
+	}()
+	wg.Wait()
+	if errA != nil || errB != nil {
+		t.Fatalf("concurrent runs failed: %v / %v", errA, errB)
+	}
+	assertIdentical(t, resA, refA, "tenant A after crash")
+	assertIdentical(t, resB, refB, "tenant B after crash")
+	if d := p.Deaths(); d != 1 {
+		t.Fatalf("pool counted %d deaths, want exactly the crashed worker", d)
 	}
 }
 

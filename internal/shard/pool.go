@@ -13,8 +13,8 @@
 //     frames are merged through the order-deterministic collector, and
 //     Counts, Cycles, Records and the observer stream are bit-identical to
 //     an in-process run for any shard count and either transport (the
-//     determinism suite asserts shards ∈ {1, 2, 4} over stdio and TCP ≡
-//     unsharded).
+//     equivalence matrix in internal/experiments runs shards ∈ {1, 2, 4}
+//     over stdio and TCP against one in-process reference).
 //
 //   - Cache sharing: workers given the same cache directory share one
 //     content-addressed disk cache; the first process to build an app×tool
@@ -310,11 +310,7 @@ func (p *Pool) Stats() campaign.CacheStats {
 	defer p.mu.Unlock()
 	var s campaign.CacheStats
 	for _, w := range p.workers {
-		s.MemHits += w.last.MemHits
-		s.DiskHits += w.last.DiskHits
-		s.Builds += w.last.Builds
-		s.DiskErrors += w.last.DiskErrors
-		s.Quarantined += w.last.Quarantined
+		s.Add(w.last)
 	}
 	return s
 }
@@ -387,10 +383,10 @@ func insertPending(run *runState, r rangeReq) {
 // application (workers re-resolve it by name) and a registered tool. See
 // the package comment for the determinism, cache-sharing, concurrency,
 // cancellation and resilience contracts; they are asserted by the
-// determinism and chaos suites. One edge diverges from in-process runs:
-// Result.Profile comes from the workers, so a partial result whose every
-// contributing worker died before finishing its first range can carry a nil
-// Profile.
+// equivalence matrix and the chaos suite. One edge diverges from in-process
+// runs: Result.Profile comes from the workers, so a partial result whose
+// every contributing worker died before finishing its first range can carry
+// a nil Profile.
 //
 // Run may be called from any number of goroutines concurrently: each
 // campaign is an independent tenant, range assignment round-robins across
@@ -417,12 +413,10 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 	if lo < 0 || lo > hi {
 		return nil, fmt.Errorf("shard: %s/%s: invalid trial range [%d, %d)", spec.App, spec.Tool, lo, hi)
 	}
-	if ctx != nil {
-		// Promptly honor an already-cancelled context before assigning any
-		// work, matching the in-process runner's pre-trial ctx check.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("campaign: %s/%s: %w", spec.App, spec.Tool, err)
-		}
+	// Promptly honor an already-cancelled context before assigning any work,
+	// matching the in-process runner's pre-trial ctx check.
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("campaign: %s/%s: %w", spec.App, spec.Tool, err)
 	}
 
 	// Journal replay happens inside NewMerger (outside the pool lock: the
@@ -483,7 +477,7 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 
 	stopWatch := make(chan struct{})
 	go p.monitor(run, stopWatch)
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -621,7 +615,7 @@ func (p *Pool) nextAssignLocked() *runState {
 		// A cancelled context stops the hand-out even before the watcher
 		// goroutine fires — mirroring sched's claim() guard — so prompt
 		// cancellation never races a slow assignment loop.
-		if run.ctx != nil && run.ctx.Err() != nil {
+		if run.ctx.Err() != nil {
 			run.cancelled = true
 			p.settleLocked(run)
 			continue

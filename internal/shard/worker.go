@@ -210,12 +210,7 @@ func (w *worker) sendExit() {
 func (w *worker) stats() campaign.CacheStats {
 	var s campaign.CacheStats
 	for _, c := range w.caches {
-		st := c.Stats()
-		s.MemHits += st.MemHits
-		s.DiskHits += st.DiskHits
-		s.Builds += st.Builds
-		s.DiskErrors += st.DiskErrors
-		s.Quarantined += st.Quarantined
+		s.Add(c.Stats())
 	}
 	return s
 }

@@ -10,7 +10,7 @@ import (
 // copies from a precomputed register file — to the original per-call loop:
 // it must leave the register file bit-identical to re-deriving every skip
 // condition and garbage value on the fly, which also holds the two ranges to
-// vx.CallerSavedGPR/FPR. The campaign determinism suite then extends the
+// vx.CallerSavedGPR/FPR. The campaign equivalence matrix then extends the
 // guarantee end to end (host-call-heavy campaigns stay bit-identical across
 // worker counts and cache states).
 func TestScrambleTableMatchesReference(t *testing.T) {
