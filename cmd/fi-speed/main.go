@@ -92,10 +92,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	experiments.Report(os.Stdout, cfg)
+	phases := experiments.Report(os.Stdout, cfg)
 	fmt.Println()
 	fmt.Println(suite.Figure5())
-	fmt.Println(hostTimes(suite, campaign.ReadPhaseStats()))
+	fmt.Println(hostTimes(suite, phases))
 
 	paper := experiments.PaperFigure5()
 	fmt.Println("Paper's published normalization for reference:")
@@ -113,9 +113,10 @@ func run() error {
 }
 
 // hostTimes renders what the trials cost on this machine — wall time per
-// trial from the process's phase counters, normalized to PINFI — beside the
-// cycle model's Figure 5 totals. Without PINFI trials in this process (a
-// sharded run: the workers hold the counters) it degrades to a skip notice.
+// trial from the suite's phase counters (its cache's, or on -shards the
+// workers' summed), normalized to PINFI — beside the cycle model's Figure 5
+// totals. Without PINFI trials counted (every one restored from the section
+// cache) it degrades to a skip notice.
 func hostTimes(suite *experiments.Suite, ps campaign.PhaseStats) string {
 	perTrial := func(t campaign.TrialPhase) float64 {
 		if t.Trials == 0 {
@@ -125,7 +126,7 @@ func hostTimes(suite *experiments.Suite, ps campaign.PhaseStats) string {
 	}
 	base := perTrial(ps.TrialByTool[campaign.PINFI.Name()])
 	if base == 0 {
-		return "Host time: skipped (no PINFI trials ran in this process)\n"
+		return "Host time: skipped (no PINFI trial ran)\n"
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Host time on this machine, normalized to PINFI\n")

@@ -98,7 +98,7 @@ func (b *Binary) captureAnchors(m *vm.Machine, targets int64) {
 		}
 	})
 	g.endInstrs, g.endCycles = m.InstrCount, m.Cycles
-	noteProfilePhase(m.InstrCount, start)
+	b.phases.noteProfile(m.InstrCount, start)
 }
 
 // goldenAnchors returns the build's anchors; the first call on a build

@@ -101,10 +101,10 @@ func TestAnchoredTrialsMatchResetStarted(t *testing.T) {
 	}
 }
 
-// rejoinedBy reads how many of a tool's trials have been finished at an
-// anchor so far.
-func rejoinedBy(tool campaign.Tool) int64 {
-	return campaign.ReadPhaseStats().TrialByTool[tool.Name()].Rejoined
+// rejoinedBy reads how many of a tool's trials on the cache's binaries have
+// been finished at an anchor so far.
+func rejoinedBy(cache *campaign.Cache, tool campaign.Tool) int64 {
+	return cache.Phases().TrialByTool[tool.Name()].Rejoined
 }
 
 // TestRejoinedTrialsMatchUnpruned is the tail-pruning differential: per
@@ -126,14 +126,10 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 	const trials = 64
 	var unlanded int
 	for _, tool := range everyTool {
-		before := rejoinedBy(tool)
+		cache := campaign.NewCache()
 		var benign int
 		for _, app := range apps {
-			bin, err := campaign.BuildBinary(app, tool, campaign.DefaultBuildOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			prof, err := bin.RunProfile(costs)
+			bin, prof, err := cache.BuildAndProfile(app, tool, campaign.DefaultBuildOptions(), costs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +140,7 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 					target := rng.Intn(prof.Targets) // the runner's draw
 					return bin.TrialAt(m, prof, costs, target, rng, how)
 				}
-				was := rejoinedBy(tool)
+				was := rejoinedBy(cache, tool)
 				got, want := trial(pruned, campaign.AsRun), trial(full, campaign.FromAnchor)
 				if got != want {
 					t.Errorf("%s/%s trial %d: finished at an anchor it is not the trial run to its end:\npruned:   %+v\nunpruned: %+v",
@@ -156,7 +152,7 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 				}
 				if pruned.Count != nil {
 					unlanded++
-					if rejoinedBy(tool) != was {
+					if rejoinedBy(cache, tool) != was {
 						t.Errorf("%s/%s trial %d: finished at an anchor with its observer still attached", app.Name, tool.Name(), i)
 					}
 				}
@@ -165,7 +161,7 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 				}
 			}
 		}
-		n := rejoinedBy(tool) - before
+		n := rejoinedBy(cache, tool)
 		t.Logf("%-12s %d trials, %d benign, %d finished at an anchor", tool.Name(), trials*len(apps), benign, n)
 		if never := tool == opcodefi.Injector || tool == opcodefi.ValidInjector; never != (n == 0) {
 			t.Errorf("%s: %d trials finished at an anchor (OPCODE and OPCODE-VALID never are, the others must be)", tool.Name(), n)
@@ -182,12 +178,8 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 // site, so under a budget of exactly the golden length it is left to run and
 // times out, as it always did; under the profile's budget it is pruned.
 func TestRejoinedTrialRespectsBudget(t *testing.T) {
-	bin, err := campaign.BuildBinary(appsByName(t, "CG")[0], campaign.REFINE, campaign.DefaultBuildOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := pinfi.DefaultCosts()
-	prof, err := bin.RunProfile(costs)
+	cache, costs := campaign.NewCache(), pinfi.DefaultCosts()
+	bin, prof, err := cache.BuildAndProfile(appsByName(t, "CG")[0], campaign.REFINE, campaign.DefaultBuildOptions(), costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +191,13 @@ func TestRejoinedTrialRespectsBudget(t *testing.T) {
 			t.Fatal("no REFINE trial of 64 rejoined the golden run")
 		}
 		target := int64(seed) * prof.Targets / 65
-		was := rejoinedBy(campaign.REFINE)
-		if bin.TrialAt(m, prof, costs, target, fault.NewRNG(seed), campaign.AsRun); rejoinedBy(campaign.REFINE) == was {
+		was := rejoinedBy(cache, campaign.REFINE)
+		if bin.TrialAt(m, prof, costs, target, fault.NewRNG(seed), campaign.AsRun); rejoinedBy(cache, campaign.REFINE) == was {
 			continue
 		}
 		got := bin.TrialAt(m, &tight, costs, target, fault.NewRNG(seed), campaign.AsRun)
 		want := bin.TrialAt(ref, &tight, costs, target, fault.NewRNG(seed), campaign.FromAnchor)
-		if got != want || got.Trap != vm.TrapTimeout || rejoinedBy(campaign.REFINE) != was+1 {
+		if got != want || got.Trap != vm.TrapTimeout || rejoinedBy(cache, campaign.REFINE) != was+1 {
 			t.Errorf("target %d under a budget of the golden length: %+v, run to its end %+v; want the same timeout, not pruned", target, got, want)
 		}
 		return
@@ -256,9 +248,9 @@ func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 		if lastTarget {
 			target = prof.Targets - 1
 		}
-		rejoined -= rejoinedBy(tool)
+		rejoined -= rejoinedBy(cache, tool)
 		got := shared.TrialAt(m, prof, costs, target, fault.NewRNG(seed), campaign.AsRun)
-		rejoined += rejoinedBy(tool)
+		rejoined += rejoinedBy(cache, tool)
 		want := private.TrialAt(private.NewMachine(), prof, costs, target, fault.NewRNG(seed), campaign.FromReset)
 		if got != want {
 			t.Errorf("%s target %d on the shared build's pooled machine diverged from a fresh private build:\nshared:  %+v\nprivate: %+v",
@@ -300,22 +292,20 @@ func TestAnchorsSkipTheGoldenPrefix(t *testing.T) {
 	} {
 		tool := row.tool
 		measure := func() (c counts) {
-			before := campaign.ReadPhaseStats()
+			cache := campaign.NewCache()
 			for _, app := range apps {
 				_, err := campaign.New(app, tool, campaign.WithTrials(64), campaign.WithSeed(1),
-					campaign.WithWorkers(1), campaign.WithCache(nil),
+					campaign.WithWorkers(1), campaign.WithCache(cache),
 					campaign.WithObserver(func(_ int, tr campaign.TrialResult) { c.instrs += tr.Instrs }),
 				).Run(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			after := campaign.ReadPhaseStats()
-			c.executed = after.TrialInstrs - before.TrialInstrs
-			c.rejoined = after.TrialByTool[tool.Name()].Rejoined - before.TrialByTool[tool.Name()].Rejoined
-			skipped, pruned := after.TrialSkipped-before.TrialSkipped, after.TrialPruned-before.TrialPruned
-			if c.executed+skipped+pruned != c.instrs {
-				t.Errorf("%s: executed %d + skipped %d + pruned %d != Σ Instrs %d", tool.Name(), c.executed, skipped, pruned, c.instrs)
+			ps := cache.Phases().Trials()
+			c.executed, c.rejoined = ps.Instrs, ps.Rejoined
+			if c.executed+ps.Skipped+ps.Pruned != c.instrs {
+				t.Errorf("%s: executed %d + skipped %d + pruned %d != Σ Instrs %d", tool.Name(), c.executed, ps.Skipped, ps.Pruned, c.instrs)
 			}
 			return c
 		}
@@ -379,12 +369,8 @@ func bigFootprintApp() campaign.App {
 // keeps no anchor, and its trials — all of them on the Reset branch — are
 // what they are for any other binary.
 func TestAnchorByteCap(t *testing.T) {
-	bin, err := campaign.BuildBinary(bigFootprintApp(), campaign.PINFI, campaign.DefaultBuildOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := pinfi.DefaultCosts()
-	prof, err := bin.RunProfile(costs)
+	cache, costs := campaign.NewCache(), pinfi.DefaultCosts()
+	bin, prof, err := cache.BuildAndProfile(bigFootprintApp(), campaign.PINFI, campaign.DefaultBuildOptions(), costs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +378,6 @@ func TestAnchorByteCap(t *testing.T) {
 	if dyns := bin.AnchorDyns(m, prof); len(dyns) != 0 {
 		t.Fatalf("binary with 1.25 MiB of initialized data kept anchors at %v", dyns)
 	}
-	before := campaign.ReadPhaseStats().TrialSkipped
 	ref := bin.NewMachine()
 	for seed := uint64(1); seed <= 8; seed++ {
 		target := int64(seed) * prof.Targets / 9
@@ -400,37 +385,32 @@ func TestAnchorByteCap(t *testing.T) {
 			t.Errorf("target %d: %+v, reset-started %+v", target, got, want)
 		}
 	}
-	if skipped := campaign.ReadPhaseStats().TrialSkipped - before; skipped != 0 {
+	if skipped := cache.Phases().Trials().Skipped; skipped != 0 {
 		t.Errorf("trials without an anchor skipped %d instructions", skipped)
 	}
 }
 
-// TestPhaseStatsSplitByTool: the trial counters are kept per tool name — one
-// campaign moves its own tool's row by exactly its trials and its
-// instructions, nobody else's — and the totals are the sum of the rows.
+// TestPhaseStatsSplitByTool: a cache keeps the trial counters per tool name
+// — one campaign moves its own tool's row by exactly its trials and its
+// instructions, nobody else's.
 func TestPhaseStatsSplitByTool(t *testing.T) {
 	app := appsByName(t, "CG")[0]
+	cache := campaign.NewCache()
 	for _, tool := range []campaign.Tool{campaign.PINFI, campaign.REFINE} {
-		before := campaign.ReadPhaseStats()
+		before := cache.Phases()
 		var instrs int64
 		_, err := campaign.New(app, tool, campaign.WithTrials(8), campaign.WithSeed(1),
-			campaign.WithWorkers(1), campaign.WithCache(nil),
+			campaign.WithWorkers(1), campaign.WithCache(cache),
 			campaign.WithObserver(func(_ int, tr campaign.TrialResult) { instrs += tr.Instrs }),
 		).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := campaign.ReadPhaseStats()
-		var sum campaign.TrialPhase
+		after := cache.Phases()
 		for name, row := range after.TrialByTool {
-			was := before.TrialByTool[name]
-			if name != tool.Name() && row != was {
+			if was := before.TrialByTool[name]; name != tool.Name() && row != was {
 				t.Errorf("a %s campaign moved %s's counters: %+v → %+v", tool.Name(), name, was, row)
 			}
-			sum.Instrs += row.Instrs
-			sum.Skipped += row.Skipped
-			sum.Pruned += row.Pruned
-			sum.Nanos += row.Nanos
 		}
 		row, was := after.TrialByTool[tool.Name()], before.TrialByTool[tool.Name()]
 		if row.Trials-was.Trials != 8 || row.Instrs-was.Instrs+row.Skipped-was.Skipped+row.Pruned-was.Pruned != instrs || row.Nanos <= was.Nanos {
@@ -438,9 +418,6 @@ func TestPhaseStatsSplitByTool(t *testing.T) {
 		}
 		if rejoined := row.Rejoined - was.Rejoined; rejoined == 0 || rejoined == 8 || row.Pruned == was.Pruned {
 			t.Errorf("%s: %d of 8 trials finished at an anchor, %d instructions pruned; want some and not all", tool.Name(), rejoined, row.Pruned-was.Pruned)
-		}
-		if sum.Instrs != after.TrialInstrs || sum.Skipped != after.TrialSkipped || sum.Pruned != after.TrialPruned || sum.Nanos != after.TrialNanos {
-			t.Errorf("%s: totals %d/%d/%d/%d are not the sum of the rows %+v", tool.Name(), after.TrialInstrs, after.TrialSkipped, after.TrialPruned, after.TrialNanos, sum)
 		}
 	}
 }

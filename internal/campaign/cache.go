@@ -72,6 +72,8 @@ type Cache struct {
 	secReinjected    atomic.Uint64
 	trialsReused     atomic.Uint64
 	trialsReinjected atomic.Uint64
+
+	phases phaseCounters // throughput of its builds' golden passes and trials (phasestats.go)
 }
 
 // CacheStats are the cache's hit/build counters, for the CLI drivers' cache
@@ -140,7 +142,7 @@ type cacheEntry struct {
 
 // NewCache returns an empty in-memory build/profile cache.
 func NewCache() *Cache {
-	return &Cache{m: make(map[cacheKey]*cacheEntry)}
+	return &Cache{m: make(map[cacheKey]*cacheEntry), phases: phaseCounters{byTool: make(map[string]*trialCounters)}}
 }
 
 // NewDiskCache returns a cache backed by a disk persistence layer under dir
@@ -193,8 +195,9 @@ func DefaultCache() *Cache { return defaultCache }
 // BuildAndProfile returns the compiled binary and its profile for the key,
 // building and golden-running at most once per key even under concurrent
 // callers. The Binary's Tool is the caller's; its build and the profile are
-// the key's one copy. Errors are cached too: a broken build fails every
-// campaign the same way instead of rebuilding.
+// the key's one copy. Golden passes on the build and trials on the Binary
+// count into the cache's Phases. Errors are cached too: a broken build fails
+// every campaign the same way instead of rebuilding.
 func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.CostModel) (*Binary, *Profile, error) {
 	k := newCacheKey(app, tool, o, costs)
 	c.mu.Lock()
@@ -219,6 +222,7 @@ func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.
 		c.builds.Add(1)
 		e.bin, e.err = BuildBinary(app, tool, o)
 		if e.err == nil {
+			e.bin.phases = &c.phases
 			e.prof, e.err = e.bin.RunProfile(costs)
 		}
 		if e.err == nil && path != "" {
@@ -229,7 +233,7 @@ func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.
 		return nil, nil, e.err
 	}
 	h := *e.bin
-	h.Tool = tool
+	h.Tool, h.trials = tool, c.phases.tool(tool.Name())
 	return &h, e.prof, e.err
 }
 
@@ -355,7 +359,7 @@ func (c *Cache) loadDiskEntry(path string, app App, tool Tool) (*Binary, *Profil
 		c.quarantine(path)
 		return nil, nil, false
 	}
-	return &Binary{App: app, Tool: tool, build: &build{Img: d.Img, Sites: d.Sites, Cfg: d.Cfg, firePts: d.Fire}}, d.Prof, true
+	return &Binary{App: app, Tool: tool, build: &build{Img: d.Img, Sites: d.Sites, Cfg: d.Cfg, firePts: d.Fire, phases: &c.phases}}, d.Prof, true
 }
 
 // quarantine renames a corrupt entry aside (best effort: removed outright if

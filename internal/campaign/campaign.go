@@ -75,6 +75,7 @@ type Binary struct {
 	App  App
 	Tool Tool
 	*build
+	trials *trialCounters // Tool's row in its cache's Phases (nil outside a cache)
 }
 
 // build is the level's one copy of a compiled application and of what is
@@ -111,6 +112,8 @@ type build struct {
 	// ends. Captured by the first trial, immutable afterwards.
 	anchorOnce sync.Once
 	golden     goldenRun
+
+	phases *phaseCounters // its cache's, counting its golden passes (nil outside a cache)
 }
 
 // TargetMap returns the binary's per-PC injection-population bitmap
@@ -235,7 +238,7 @@ func (b *Binary) RunProfile(costs pinfi.CostModel) (*Profile, error) {
 	p := &Profile{}
 	start := phaseStart()
 	p.Targets, p.Golden = b.Tool.Profile(m, b, costs)
-	noteProfilePhase(m.InstrCount, start)
+	b.phases.noteProfile(m.InstrCount, start)
 	if m.Trap != vm.TrapNone || m.ExitCode != 0 {
 		return nil, fmt.Errorf("campaign: %s/%s: golden run failed: trap=%v exit=%d %s",
 			b.App.Name, b.Tool.Name(), m.Trap, m.ExitCode, m.TrapMsg)
@@ -257,7 +260,7 @@ type TrialResult struct {
 	// Instrs is the trial's dynamic instruction count from instruction 0 —
 	// the architectural length of the run, including the golden prefix and
 	// tail a trial started from or finished at an anchor did not itself
-	// execute (PhaseStats counts what was executed). Old journal entries
+	// execute (Cache.Phases counts what was executed). Old journal entries
 	// gob-decode it as zero; it does not feed the outcome tables.
 	Instrs int64
 }
@@ -297,7 +300,7 @@ func (b *Binary) runTrialFrom(m *vm.Machine, g goldenRun, n int, prof *Profile, 
 	tail := &Tail{goldenRun: g, budget: prof.Budget}
 	start := phaseStart()
 	rec := b.Tool.Trial(m, b, prof, costs, from, target, rng, tail)
-	noteTrialPhase(b.Tool.Name(), m.InstrCount-skipped, skipped, tail, start)
+	b.trials.note(m.InstrCount-skipped, skipped, tail, start)
 	if tail.rejoined {
 		// The rest is the golden run's, which ended clean on its output.
 		return TrialResult{Outcome: fault.Benign, Rec: rec, Cycles: m.Cycles + tail.cycles, Instrs: m.InstrCount + tail.instrs}

@@ -217,13 +217,13 @@ func TestBinaryLevelBuildRunsOneGoldenPass(t *testing.T) {
 		if u, ok := tool.(campaign.FirePointUser); !ok || !u.UsesFirePoints() {
 			t.Fatalf("%s is not a FirePointUser", tool.Name())
 		}
-		before := campaign.ReadPhaseStats().ProfileInstrs
-		bin, prof, err := campaign.NewCache().BuildAndProfile(app, tool, campaign.DefaultBuildOptions(), pinfi.DefaultCosts())
+		cache := campaign.NewCache()
+		bin, prof, err := cache.BuildAndProfile(app, tool, campaign.DefaultBuildOptions(), pinfi.DefaultCosts())
 		if err != nil {
 			t.Fatal(err)
 		}
 		golden := prof.Budget / campaign.TimeoutFactor
-		if got := campaign.ReadPhaseStats().ProfileInstrs - before; got != golden {
+		if got := cache.Phases().ProfileInstrs; got != golden {
 			t.Errorf("%s: cold build+profile executed %d profiling instructions, the golden run has %d", tool.Name(), got, golden)
 		}
 		if fps := bin.FirePoints(); fps == nil || fps.N != prof.Targets {

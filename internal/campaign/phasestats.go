@@ -6,26 +6,51 @@ import (
 	"time"
 )
 
-// Phase throughput accounting: process-wide counters of executed VM
+// Phase throughput accounting: a Cache's counters of executed VM
 // instructions and wall time, split by campaign phase — profiling (golden
-// runs) versus trials. They feed the fi-* drivers' `# speed:` diagnostic
-// line; nothing deterministic reads them, which is why the wall-clock reads
-// below carry //fi:wallclock-ok
-// (the timing never touches outcomes, records, cycles or tables — those stay
-// pure functions of the seed).
-//
-// The counters cover work done by this process: a sharded campaign's
-// coordinator reports only its own share, not its workers' (each worker
-// process accumulates its own). The trial counters are kept per tool name,
-// so a driver can put the host's time per tool beside the cycle model's.
-var (
-	profInstrs atomic.Int64
-	profNanos  atomic.Int64
+// runs) versus trials. BuildAndProfile wires them into the builds and Binary
+// handles it returns; a Binary built outside a cache counts nowhere. They
+// feed the drivers' `# speed:` line and fi-speed's host-time table (a shard
+// pool sums its workers', shipped on every range ack); nothing deterministic
+// reads them, which is why the wall-clock reads below carry
+// //fi:wallclock-ok.
 
-	trialByTool sync.Map // tool name → *trialCounters
-)
+// phaseCounters are one cache's counters; the trial counters are kept per
+// tool name, so a driver can put the host's time per tool beside the model's.
+type phaseCounters struct {
+	profInstrs, profNanos atomic.Int64
+
+	mu     sync.Mutex
+	byTool map[string]*trialCounters
+}
 
 type trialCounters struct{ trials, rejoined, instrs, skipped, pruned, nanos atomic.Int64 }
+
+// tool returns the named tool's trial counters, created on first use.
+func (p *phaseCounters) tool(name string) *trialCounters {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.byTool[name]
+	if c == nil {
+		c = new(trialCounters)
+		p.byTool[name] = c
+	}
+	return c
+}
+
+// Phases returns the cache's phase counters.
+func (c *Cache) Phases() PhaseStats {
+	p := &c.phases
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	s := PhaseStats{ProfileInstrs: p.profInstrs.Load(), ProfileNanos: p.profNanos.Load(),
+		TrialByTool: make(map[string]TrialPhase, len(p.byTool))}
+	for tool, t := range p.byTool {
+		s.TrialByTool[tool] = TrialPhase{Trials: t.trials.Load(), Rejoined: t.rejoined.Load(), Instrs: t.instrs.Load(),
+			Skipped: t.skipped.Load(), Pruned: t.pruned.Load(), Nanos: t.nanos.Load()}
+	}
+	return s
+}
 
 // TrialPhase is one tool's trial counters: Instrs counts the instructions
 // its trials executed, Skipped the golden prefix their start anchors spared
@@ -40,26 +65,48 @@ type TrialPhase struct {
 	Nanos    int64
 }
 
-// PhaseStats is a snapshot of the per-phase throughput counters. The profile
-// phase is every golden pass: a binary's profile run and the replay its
-// anchors are captured on. TrialInstrs, TrialSkipped, TrialPruned and
-// TrialNanos are the sums over TrialByTool, which is keyed by Tool.Name().
+func (t TrialPhase) plus(o TrialPhase) TrialPhase {
+	return TrialPhase{Trials: t.Trials + o.Trials, Rejoined: t.Rejoined + o.Rejoined, Instrs: t.Instrs + o.Instrs,
+		Skipped: t.Skipped + o.Skipped, Pruned: t.Pruned + o.Pruned, Nanos: t.Nanos + o.Nanos}
+}
+
+// PhaseStats is a snapshot of the phase counters. The profile phase is every
+// golden pass: a binary's profile run and the replay its anchors are captured
+// on. TrialByTool is keyed by Tool.Name().
 type PhaseStats struct {
 	ProfileInstrs int64
 	ProfileNanos  int64
-	TrialInstrs   int64
-	TrialSkipped  int64
-	TrialPruned   int64
-	TrialNanos    int64
 	TrialByTool   map[string]TrialPhase
+}
+
+// Add accumulates o into s: the cross-process total of a shard fleet's
+// caches.
+func (s *PhaseStats) Add(o PhaseStats) {
+	s.ProfileInstrs += o.ProfileInstrs
+	s.ProfileNanos += o.ProfileNanos
+	if s.TrialByTool == nil {
+		s.TrialByTool = make(map[string]TrialPhase, len(o.TrialByTool))
+	}
+	for tool, t := range o.TrialByTool {
+		s.TrialByTool[tool] = s.TrialByTool[tool].plus(t)
+	}
+}
+
+// Trials sums the trial counters over the tools.
+func (s PhaseStats) Trials() (all TrialPhase) {
+	for _, t := range s.TrialByTool { //fi:ordered — a sum
+		all = all.plus(t)
+	}
+	return all
 }
 
 // SkippedShare is the share of the trials' architectural instructions that
 // was not executed because the trial started from an anchor (zero before any
 // trial has run).
 func (s PhaseStats) SkippedShare() float64 {
-	if total := s.TrialInstrs + s.TrialSkipped + s.TrialPruned; total > 0 {
-		return float64(s.TrialSkipped) / float64(total)
+	t := s.Trials()
+	if total := t.Instrs + t.Skipped + t.Pruned; total > 0 {
+		return float64(t.Skipped) / float64(total)
 	}
 	return 0
 }
@@ -67,12 +114,8 @@ func (s PhaseStats) SkippedShare() float64 {
 // RejoinedShare is the share of the trials that were finished at an anchor
 // they had rejoined the golden run at (zero before any trial has run).
 func (s PhaseStats) RejoinedShare() float64 {
-	var all TrialPhase
-	for _, t := range s.TrialByTool {
-		all.Trials += t.Trials
-		all.Rejoined += t.Rejoined
-	}
-	return float64(all.Rejoined) / float64(max(all.Trials, 1))
+	t := s.Trials()
+	return float64(t.Rejoined) / float64(max(t.Trials, 1))
 }
 
 // InstrsPerSec returns the phase throughputs in instructions per second
@@ -81,31 +124,10 @@ func (s PhaseStats) InstrsPerSec() (profile, trial float64) {
 	if s.ProfileNanos > 0 {
 		profile = float64(s.ProfileInstrs) / (float64(s.ProfileNanos) / 1e9)
 	}
-	if s.TrialNanos > 0 {
-		trial = float64(s.TrialInstrs) / (float64(s.TrialNanos) / 1e9)
+	if t := s.Trials(); t.Nanos > 0 {
+		trial = float64(t.Instrs) / (float64(t.Nanos) / 1e9)
 	}
 	return profile, trial
-}
-
-// ReadPhaseStats snapshots the process-wide phase counters.
-func ReadPhaseStats() PhaseStats {
-	s := PhaseStats{
-		ProfileInstrs: profInstrs.Load(),
-		ProfileNanos:  profNanos.Load(),
-		TrialByTool:   make(map[string]TrialPhase),
-	}
-	trialByTool.Range(func(tool, v any) bool {
-		c := v.(*trialCounters)
-		t := TrialPhase{Trials: c.trials.Load(), Rejoined: c.rejoined.Load(), Instrs: c.instrs.Load(),
-			Skipped: c.skipped.Load(), Pruned: c.pruned.Load(), Nanos: c.nanos.Load()}
-		s.TrialByTool[tool.(string)] = t
-		s.TrialInstrs += t.Instrs
-		s.TrialSkipped += t.Skipped
-		s.TrialPruned += t.Pruned
-		s.TrialNanos += t.Nanos
-		return true
-	})
-	return s
 }
 
 // phaseStart timestamps the beginning of a timed phase section.
@@ -113,21 +135,23 @@ func phaseStart() time.Time {
 	return time.Now() //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
 }
 
-// noteProfilePhase credits a golden pass (a profile run, an anchor capture)
-// to the throughput counters.
-func noteProfilePhase(instrs int64, start time.Time) {
-	profInstrs.Add(instrs)
-	profNanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
+// noteProfile credits a golden pass (a profile run, an anchor capture) to the
+// cache's counters; nil for a build made outside a cache.
+func (p *phaseCounters) noteProfile(instrs int64, start time.Time) {
+	if p == nil {
+		return
+	}
+	p.profInstrs.Add(instrs)
+	p.profNanos.Add(int64(time.Since(start))) //fi:wallclock-ok — diagnostic throughput only; never feeds outcomes or tables
 }
 
-// noteTrialPhase credits one trial run to its tool's throughput counters: the
-// instructions it executed, its start state skipped and its tail spared it.
-func noteTrialPhase(tool string, executed, skipped int64, tail *Tail, start time.Time) {
-	v, ok := trialByTool.Load(tool)
-	if !ok {
-		v, _ = trialByTool.LoadOrStore(tool, new(trialCounters))
+// note credits one trial run to its tool's counters: the instructions it
+// executed, its start state skipped and its tail spared it. c is nil for a
+// binary built outside a cache.
+func (c *trialCounters) note(executed, skipped int64, tail *Tail, start time.Time) {
+	if c == nil {
+		return
 	}
-	c := v.(*trialCounters)
 	c.trials.Add(1)
 	c.instrs.Add(executed)
 	c.skipped.Add(skipped)

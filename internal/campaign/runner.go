@@ -34,7 +34,7 @@ type Campaign struct {
 	seed    uint64
 	workers int
 	build   BuildOptions
-	cache   *Cache // nil ⇒ fresh build+profile (no cache)
+	cache   *Cache // nil ⇒ fresh build+profile (a private cache per Run)
 	costs   pinfi.CostModel
 
 	observer    func(i int, tr TrialResult)
@@ -66,8 +66,9 @@ func WithWorkers(n int) Option { return func(c *Campaign) { c.workers = n } }
 func WithBuildOptions(o BuildOptions) Option { return func(c *Campaign) { c.build = o } }
 
 // WithCache selects the build/profile cache. Passing nil forces a fresh
-// build and golden run (the equivalence matrix compares exactly that against
-// cached campaigns). Default: the process-wide DefaultCache.
+// build and golden run on a private cache created per Run (the equivalence
+// matrix compares exactly that against cached campaigns). Default: the
+// process-wide DefaultCache.
 func WithCache(cache *Cache) Option { return func(c *Campaign) { c.cache = cache } }
 
 // WithObserver streams trial results as the campaign runs. The observer is
@@ -341,12 +342,16 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 		defer ex.Close()
 	}
 
+	cache := c.cache
+	if cache == nil {
+		cache = NewCache()
+	}
 	var (
 		bin  *Binary
 		prof *Profile
 		err  error
 	)
-	ex.Submit(ctx, 1, func(int) { bin, prof, err = c.prepare() }).Wait()
+	ex.Submit(ctx, 1, func(int) { bin, prof, err = cache.BuildAndProfile(c.app, c.tool, c.build, c.costs) }).Wait()
 	if err != nil {
 		return nil, err
 	}
@@ -385,23 +390,6 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 
 	c.composeStore(ctx, bin, comp, col)
 	return c.finish(ctx, res, col)
-}
-
-// prepare resolves the campaign's binary and profile, through the configured
-// cache when one is set.
-func (c *Campaign) prepare() (*Binary, *Profile, error) {
-	if c.cache != nil {
-		return c.cache.BuildAndProfile(c.app, c.tool, c.build, c.costs)
-	}
-	bin, err := BuildBinary(c.app, c.tool, c.build)
-	if err != nil {
-		return nil, nil, err
-	}
-	prof, err := bin.RunProfile(c.costs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bin, prof, nil
 }
 
 // newResult allocates the campaign result and its ordered collector.

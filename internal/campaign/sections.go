@@ -99,6 +99,16 @@ type ComposeStats struct {
 	TrialsReinjected uint64
 }
 
+// Add accumulates o into s: the cross-process total of a shard fleet's
+// caches.
+func (s *ComposeStats) Add(o ComposeStats) {
+	s.Sections += o.Sections
+	s.Reused += o.Reused
+	s.Reinjected += o.Reinjected
+	s.TrialsReused += o.TrialsReused
+	s.TrialsReinjected += o.TrialsReinjected
+}
+
 // Compose returns the cache's compositional section counters.
 func (c *Cache) Compose() ComposeStats {
 	return ComposeStats{

@@ -100,7 +100,6 @@ type Merger struct {
 
 	mu   sync.Mutex
 	seen []bool
-	dups int
 }
 
 // NewMerger returns a Merger for the campaign's trial range. With WithJournal
@@ -157,7 +156,6 @@ func (m *Merger) Add(i int, tr TrialResult) bool {
 	m.mu.Lock()
 	lo, hi := m.c.lo, m.c.trials
 	if i < lo || i >= hi || m.seen[i-lo] {
-		m.dups++
 		m.mu.Unlock()
 		return false
 	}

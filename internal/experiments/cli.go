@@ -135,22 +135,28 @@ func splitCSV(s string) []string {
 // "# compose:" for the sections a warm run after a single-function edit
 // re-injects, "# journal:" replayed= for resumed runs, "# shard-cache:" for
 // the workers' cross-process totals. A sharded run's pool is drained first —
-// each worker piggybacks its cumulative cache counters on every range ack and
-// on exit, so only after Pool.Close are they the suite-wide total.
+// each worker piggybacks its cumulative counters on every range ack and on
+// exit, so only after Pool.Close are they the suite-wide total — and the
+// "# compose:" and "# speed:" lines then read the pool's sums instead of the
+// suite cache's, which did no work. Report returns the phase counters it
+// read, for fi-speed's host-time table.
 //
-// The closing "# speed:" line is this process's measured wall-clock VM
-// throughput split by campaign phase — profiling (each binary's golden
-// passes: the profile run, and the replay its anchors are captured on)
-// versus trials, over the instructions each executed — then skipped=, the
-// share of the trials' instructions that starting from an anchor spared
-// them, and rejoined=, the share of the trials finished at an anchor behind
-// their fault (exact counts; 0% means the anchors are not in use). The rates
-// vary run to run and nothing deterministic derives from the line; a
-// coordinator, which ran no trial, says so instead of printing its zeroes.
-func Report(w io.Writer, cfg Config) {
+// The closing "# speed:" line is the measured wall-clock VM throughput split
+// by campaign phase — profiling (each binary's golden passes: the profile
+// run, and the replay its anchors are captured on) versus trials, over the
+// instructions each executed — then skipped=, the share of the trials'
+// instructions that starting from an anchor spared them, and rejoined=, the
+// share of the trials finished at an anchor behind their fault (exact counts,
+// equal in-process and on a pool; 0% means the anchors are not in use). The
+// rates vary run to run and nothing deterministic derives from the line.
+func Report(w io.Writer, cfg Config) campaign.PhaseStats {
+	cs, ps := cfg.Cache.Compose(), cfg.Cache.Phases()
+	if cfg.Pool != nil {
+		cfg.Pool.Close()
+		cs, ps = cfg.Pool.Compose(), cfg.Pool.Phases()
+	}
 	fmt.Fprintf(w, "# cache: %s dir=%s\n", cacheCounters(cfg.Cache.Stats()), cfg.Cache.Dir())
 	if cfg.Cache.Dir() != "" {
-		cs := cfg.Cache.Compose()
 		fmt.Fprintf(w, "# compose: sections=%d reused=%d reinjected=%d trials-reused=%d trials-reinjected=%d\n",
 			cs.Sections, cs.Reused, cs.Reinjected, cs.TrialsReused, cs.TrialsReinjected)
 	}
@@ -160,7 +166,6 @@ func Report(w io.Writer, cfg Config) {
 			js.Segments, js.Loaded, js.Replayed, js.Appended, js.Torn, js.Errors, js.Dir)
 	}
 	if p := cfg.Pool; p != nil {
-		p.Close()
 		fmt.Fprintf(w, "# shard: workers=%d deaths=%d\n# shard-cache: %s\n", p.Workers(), p.Deaths(), cacheCounters(p.Stats()))
 	} else {
 		workers := cfg.Workers
@@ -169,14 +174,10 @@ func Report(w io.Writer, cfg Config) {
 		}
 		fmt.Fprintf(w, "# exec: workers=%d\n", workers)
 	}
-	if cfg.Pool != nil || cfg.Daemon != nil {
-		fmt.Fprintln(w, "# speed: trials ran in other processes, which keep their own counters")
-		return
-	}
-	ps := campaign.ReadPhaseStats()
 	profile, trial := ps.InstrsPerSec()
 	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s skipped=%.0f%% rejoined=%.0f%%\n",
 		profile/1e6, trial/1e6, 100*ps.SkippedShare(), 100*ps.RejoinedShare())
+	return ps
 }
 
 // cacheCounters formats the counters of the "# cache:" and "# shard-cache:"

@@ -1,9 +1,9 @@
 package experiments_test
 
 // Suite-level remote-execution coverage: -submit refuses what a daemon
-// cannot honour, a pool is reusable across the suite's campaigns, and the
-// "# speed:" line says where trials ran. That remote suites reproduce the
-// reference is the suite rows of TestEquivalenceMatrix.
+// cannot honour, a pool is reusable across the suite's campaigns, and a
+// pooled suite's report counts its workers' work. That remote suites
+// reproduce the reference is the suite rows of TestEquivalenceMatrix.
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/experiments"
-	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/workloads"
 )
@@ -86,55 +85,68 @@ func TestSuitePoolReuse(t *testing.T) {
 	}
 }
 
-// TestReportSpeedLineIsThisProcessOnly: the phase counters behind "# speed:"
-// are this process's, so the line gives rates, skipped= and rejoined= only
-// when the suite ran here. A coordinator has run no trial — it used to print
-// profile=0.0M trial=0.0M skipped=0% — and says where the trials ran instead,
-// whatever this process has run before.
-func TestReportSpeedLineIsThisProcessOnly(t *testing.T) {
+// TestPoolReportsTheWorkersCounters: the workers ship their caches'
+// counters on every range ack, so a suite on a pool reports the work its
+// workers did. The same suite in-process and on a 2-worker pool counts the
+// same trials, rejoined trials and executed, skipped and pruned instructions
+// per tool (exact counts; only the wall time differs), the pooled "# speed:"
+// line has a trial rate, and "# compose:" counts the sections the workers
+// looked up in the shared cache dir.
+func TestPoolReportsTheWorkersCounters(t *testing.T) {
 	app, err := workloads.ByName("EP")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := experiments.Config{Apps: []campaign.App{app}, Tools: []campaign.Tool{campaign.REFINE, campaign.PINFI},
 		Trials: 24, Seed: 7, Cache: campaign.NewCache()}
-	if _, err := experiments.RunSuite(cfg); err != nil { // leaves the process with trials of its own counted
-		t.Fatal(err)
-	}
-	speedLine := func(cfg experiments.Config) string {
+	report := func(cfg experiments.Config) (ps campaign.PhaseStats, speed, compose string) {
+		if _, err := experiments.RunSuite(cfg); err != nil {
+			t.Fatal(err)
+		}
 		var out bytes.Buffer
-		experiments.Report(&out, cfg)
+		ps = experiments.Report(&out, cfg)
 		for _, line := range strings.Split(out.String(), "\n") {
 			if strings.HasPrefix(line, "# speed:") {
-				return line
+				speed = line
+			}
+			if strings.HasPrefix(line, "# compose:") {
+				compose = line
 			}
 		}
-		t.Fatalf("no # speed: line in:\n%s", out.String())
-		return ""
+		return ps, speed, compose
 	}
-	if line := speedLine(cfg); !regexp.MustCompile(
-		`^# speed: profile=\d+\.\dM instr/s trial=\d+\.\dM instr/s skipped=\d+% rejoined=\d+%$`).MatchString(line) ||
-		strings.Contains(line, "trial=0.0M") {
-		t.Errorf("in-process line: %q", line)
-	}
-
-	const elsewhere = "# speed: trials ran in other processes, which keep their own counters"
-	cfg.Daemon = &serve.Client{Addr: "127.0.0.1:1"}
-	if line := speedLine(cfg); line != elsewhere {
-		t.Errorf("submitting line: %q", line)
+	speedRE := regexp.MustCompile(`^# speed: profile=\d+\.\dM instr/s trial=\d+\.\dM instr/s skipped=\d+% rejoined=\d+%$`)
+	inProcess, speed, _ := report(cfg)
+	if !speedRE.MatchString(speed) || strings.Contains(speed, "trial=0.0M") {
+		t.Errorf("in-process line: %q", speed)
 	}
 
 	if testing.Short() {
 		return // the pool spawns worker processes
 	}
-	cfg.Daemon = nil
-	pool, err := shard.NewPool(2)
-	if err != nil {
+	if cfg.Cache, err = campaign.NewDiskCache(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
-	cfg.Pool = pool
-	if line := speedLine(cfg); line != elsewhere {
-		t.Errorf("sharded line: %q", line)
+	if cfg.Pool, err = shard.NewPool(2); err != nil {
+		t.Fatal(err)
+	}
+	defer cfg.Pool.Close()
+	pooled, pooledSpeed, compose := report(cfg)
+	if !speedRE.MatchString(pooledSpeed) || strings.Contains(pooledSpeed, "trial=0.0M") ||
+		strings.Contains(pooledSpeed, "profile=0.0M") {
+		t.Errorf("pooled line: %q", pooledSpeed)
+	}
+	if skip := regexp.MustCompile(` skipped=.*`); skip.FindString(pooledSpeed) != skip.FindString(speed) {
+		t.Errorf("pooled %q and in-process %q skipped/rejoined shares differ", pooledSpeed, speed)
+	}
+	if !regexp.MustCompile(`^# compose: sections=[1-9]\d* reused=0 reinjected=[1-9]\d* trials-reused=0 trials-reinjected=48$`).MatchString(compose) {
+		t.Errorf("pooled compose line: %q", compose)
+	}
+	for _, tool := range cfg.Tools {
+		got, want := pooled.TrialByTool[tool.Name()], inProcess.TrialByTool[tool.Name()]
+		got.Nanos, want.Nanos = 0, 0
+		if got != want || want.Trials != 24 {
+			t.Errorf("%s: pooled counters %+v, in-process %+v", tool.Name(), got, want)
+		}
 	}
 }

@@ -74,9 +74,9 @@ func TestChaosWorkerCrashReassigned(t *testing.T) {
 }
 
 // TestChaosHungWorkerKilledAndReassigned: worker 0 hangs inside its first
-// range while its heartbeat goroutine keeps beating. The coordinator must
-// notice the stalled progress (beats without advance do not refresh the
-// deadline), SIGTERM then SIGKILL the worker, and finish bit-identically.
+// range, alive but sending no frame. The coordinator must notice that nothing
+// has refreshed its range deadline, SIGTERM then SIGKILL the worker, and
+// finish bit-identically.
 func TestChaosHungWorkerKilledAndReassigned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes and waits out a stall deadline")

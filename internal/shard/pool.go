@@ -19,7 +19,10 @@
 //   - Cache sharing: workers given the same cache directory share one
 //     content-addressed disk cache; the first process to build an app×tool
 //     persists it via atomic rename, the rest restore from disk, and a warm
-//     directory yields builds=0 across every worker process.
+//     directory yields builds=0 across every worker process. Each worker
+//     ships its caches' counters (builds and hits, section reuse, phase
+//     throughput) on every range ack and on exit; Stats, Compose and Phases
+//     sum the fleet's.
 //
 //   - Concurrency: any number of campaigns may Run on one pool at once
 //     (multi-tenant suites, the fi-serve daemon). Range assignment
@@ -41,9 +44,8 @@
 //     worker's partial delivery are dropped by the merger — and a
 //     replacement worker is dialed under a bounded budget. A worker that
 //     goes *silent* (alive but making no progress) is detected by the
-//     heartbeat monitor — workers beat with a cumulative progress counter,
-//     and the deadline only refreshes when progress advances — then
-//     terminated (SIGTERM, or a connection close for TCP) and, after a
+//     monitor — every frame a worker sends refreshes its range deadline —
+//     then terminated (SIGTERM, or a connection close for TCP) and, after a
 //     grace period, killed, feeding the same reassignment path. A range
 //     that keeps killing workers is split into single-trial ranges to
 //     isolate the poison trial, and a single trial that exhausts its retry
@@ -68,6 +70,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -102,6 +105,17 @@ const (
 	slowInstrPerSec = 8 << 20
 )
 
+// envDuration reads a millisecond count from the environment (0 or unset ⇒
+// def): the stall and grace knobs.
+func envDuration(name string, def time.Duration) time.Duration {
+	if s := os.Getenv(name); s != "" {
+		if n, err := strconv.Atoi(s); err == nil && n > 0 {
+			return time.Duration(n) * time.Millisecond
+		}
+	}
+	return def
+}
+
 // spawnRetry bounds worker spawn attempts (fork/exec and network dials can
 // fail transiently under fd, pid, or connection pressure).
 var spawnRetry = backoff.Default()
@@ -134,16 +148,15 @@ type Pool struct {
 
 // proc is one worker connection and its coordinator-side bookkeeping.
 type proc struct {
-	index        int // shard index: stderr prefix, chaos w= filter
-	conn         Conn
-	dead         bool
-	condemned    bool      // monitor declared it hung; kill escalation running
-	cur          *rangeReq // outstanding assignment (nil ⇒ idle)
-	beatProgress int64     // highest heartbeat progress counter seen
-	lastAdvance  time.Time // last observed forward progress
-	knows        map[int]bool
-	last         campaign.CacheStats
-	readerDone   chan struct{}
+	index       int // shard index: stderr prefix, chaos w= filter
+	conn        Conn
+	dead        bool
+	condemned   bool      // monitor declared it hung; kill escalation running
+	cur         *rangeReq // outstanding assignment (nil ⇒ idle)
+	lastAdvance time.Time // last frame received (or range assigned)
+	knows       map[int]bool
+	last        counters // as of the worker's latest range ack or exit
+	readerDone  chan struct{}
 }
 
 // runState tracks one campaign's fan-out.
@@ -305,14 +318,21 @@ func (p *Pool) Pids() []int {
 // piggybacks its cumulative counters on every range ack and on exit, so
 // after a run (or Close) this is the cross-process total the drivers print
 // and the warm-start tests assert builds == 0 on.
-func (p *Pool) Stats() campaign.CacheStats {
+func (p *Pool) Stats() campaign.CacheStats { return p.counters().Stats }
+
+// Compose sums the workers' section-cache counters, as Stats does.
+func (p *Pool) Compose() campaign.ComposeStats { return p.counters().Compose }
+
+// Phases sums the workers' phase throughput counters, as Stats does.
+func (p *Pool) Phases() campaign.PhaseStats { return p.counters().Phases }
+
+func (p *Pool) counters() (sum counters) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var s campaign.CacheStats
 	for _, w := range p.workers {
-		s.Add(w.last)
+		sum.add(w.last)
 	}
-	return s
+	return sum
 }
 
 // Close drains the pool: worker write sides close, workers ship their final
@@ -537,8 +557,7 @@ func (p *Pool) rangeDeadline(run *runState, r *rangeReq) time.Duration {
 }
 
 // monitor is the per-run hung-worker detector: workers holding one of this
-// run's ranges must show forward progress (new data frames, or a heartbeat
-// whose progress counter advanced) within the range deadline, or they are
+// run's ranges must send a frame within the range deadline, or they are
 // condemned and terminated — politely first (SIGTERM, or the conn close that
 // is TCP's equivalent: a live-but-slow worker drains its prefix and exits),
 // then killed after the grace period (a truly wedged worker ignores the
@@ -696,71 +715,30 @@ func (p *Pool) reader(w *proc) {
 	}
 }
 
-// dispatch handles one worker frame. Trial and profile frames go straight
-// to their campaign's merger (thread-safe; ordering is the collector's
-// reorder buffer's job), routed by campaign id; control frames update
-// assignment state under the pool lock. Every data frame — and every
-// heartbeat whose progress counter advanced — refreshes the worker's
-// progress deadline.
+// dispatch handles one worker frame. Every frame refreshes the worker's
+// progress deadline and updates assignment state in one section under the
+// pool lock; trial and profile frames then go to their campaign's merger
+// outside it (thread-safe; ordering is the collector's reorder buffer's job),
+// routed by campaign id.
 func (p *Pool) dispatch(w *proc, f *frame) {
 	p.mu.Lock()
-	if f.Kind == frameBeat {
-		if f.Progress > w.beatProgress {
-			w.beatProgress = f.Progress
-			w.lastAdvance = time.Now()
-		}
-		p.mu.Unlock()
-		return
-	}
 	w.lastAdvance = time.Now()
-	p.mu.Unlock()
-
+	run := p.runs[f.CID]
 	switch f.Kind {
-	case frameTrial:
-		p.mu.Lock()
-		run := p.runs[f.CID]
-		p.mu.Unlock()
-		if run != nil {
-			run.merger.Add(f.Index, f.TR)
-			if run.merger.Stopped() {
-				// Sequential precision stop (campaign.WithPrecision): drop
-				// the unassigned ranges and let claimed ones drain — the
-				// merger's collector discards frames past the stop index, so
-				// draining only costs wall-clock, never determinism. Not a
-				// cancellation: Finish returns the truncated result cleanly.
-				p.mu.Lock()
-				if p.runs[f.CID] == run && !run.settled && !run.cancelled && run.err == nil {
-					run.cancelled = true
-					run.pending = nil
-					p.settleLocked(run)
-				}
-				p.mu.Unlock()
-			}
-		}
 	case frameProfile:
-		p.mu.Lock()
-		run := p.runs[f.CID]
 		if run != nil && f.Profile != nil && run.budget == 0 {
 			run.budget = f.Profile.Budget // arms the cost-model deadline
 		}
-		p.mu.Unlock()
-		if run != nil && f.Profile != nil {
-			run.merger.SetProfile(f.Profile)
-		}
 	case frameRangeDone:
-		p.mu.Lock()
-		w.last = f.Stats
-		if run := p.runs[f.CID]; run != nil &&
-			w.cur != nil && w.cur.CID == f.CID && w.cur.Lo == f.Lo && w.cur.Hi == f.Hi {
+		w.last = f.Counters
+		if run != nil && w.cur != nil && w.cur.CID == f.CID && w.cur.Lo == f.Lo && w.cur.Hi == f.Hi {
 			w.cur = nil
 			run.done++
 			p.assignLocked()
 			p.settleLocked(run)
 		}
-		p.mu.Unlock()
 	case frameErr:
-		p.mu.Lock()
-		if run := p.runs[f.CID]; run != nil {
+		if run != nil {
 			if run.err == nil {
 				run.err = errors.New(f.Err)
 			}
@@ -770,11 +748,31 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 			p.assignLocked() // the freed worker can serve other tenants
 			p.settleLocked(run)
 		}
-		p.mu.Unlock()
 	case frameExit:
-		p.mu.Lock()
-		w.last = f.Stats
-		p.mu.Unlock()
+		w.last = f.Counters
+	}
+	p.mu.Unlock()
+
+	switch {
+	case run == nil:
+	case f.Kind == frameTrial:
+		run.merger.Add(f.Index, f.TR)
+		if run.merger.Stopped() {
+			// Sequential precision stop (campaign.WithPrecision): drop the
+			// unassigned ranges and let claimed ones drain — the merger's
+			// collector discards frames past the stop index, so draining only
+			// costs wall-clock, never determinism. Not a cancellation: Finish
+			// returns the truncated result cleanly.
+			p.mu.Lock()
+			if p.runs[f.CID] == run && !run.settled && !run.cancelled && run.err == nil {
+				run.cancelled = true
+				run.pending = nil
+				p.settleLocked(run)
+			}
+			p.mu.Unlock()
+		}
+	case f.Kind == frameProfile && f.Profile != nil:
+		run.merger.SetProfile(f.Profile)
 	}
 }
 

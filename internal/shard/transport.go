@@ -11,7 +11,7 @@ package shard
 //     cluster fan-out.
 //
 // The contract is deliberately small so every coordinator behavior —
-// heartbeat-stall detection, SIGTERM→SIGKILL escalation, range reassignment
+// progress-deadline detection, SIGTERM→SIGKILL escalation, range reassignment
 // on death, retry budgets, HarnessFault isolation — works identically over
 // both: a Conn only ever needs to carry frames, be told to stop, and be
 // reaped.

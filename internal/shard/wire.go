@@ -12,7 +12,7 @@ import "repro/internal/campaign"
 //	    campaign per worker, before its first range), a rangeReq assigns the
 //	    trial index range [Lo, Hi) of that campaign. Closing the write side
 //	    tells the worker to finish up: it ships a final frameExit with its
-//	    cache counters and exits 0 (stdio) or ends the session (TCP).
+//	    counters and exits 0 (stdio) or ends the session (TCP).
 //
 //	worker → coordinator (stdout): a stream of frames. Running a range
 //	    produces one frameTrial per trial — (Index, TrialResult), exactly
@@ -20,8 +20,10 @@ import "repro/internal/campaign"
 //	    then one frameProfile (first range of a campaign only; builds are
 //	    byte-stable across processes, so every worker derives the identical
 //	    profile) and one frameRangeDone echoing [Lo, Hi) with the worker's
-//	    cumulative cache counters. A campaign-fatal error (unknown app,
-//	    build failure) is one frameErr.
+//	    cumulative counters — cache, section-cache and phase throughput.
+//	    A campaign-fatal error (unknown app, build failure) is one frameErr.
+//	    Every frame is progress: each refreshes the worker's range deadline,
+//	    and a worker that sends nothing within it is taken for hung.
 //
 // The coordinator merges frameTrial streams through campaign.Merger, which
 // feeds the same reorder-buffer collector the in-process paths use: frames
@@ -67,20 +69,13 @@ const (
 	// frameProfile carries the campaign's golden-run profile.
 	frameProfile
 	// frameRangeDone acknowledges completion of [Lo, Hi), with the worker's
-	// cumulative cache counters piggybacked for the drivers' stats report.
+	// cumulative counters piggybacked for the drivers' report.
 	frameRangeDone
 	// frameErr reports a campaign-fatal worker error (Err).
 	frameErr
-	// frameExit is the worker's sign-off after stdin closes: final cache
+	// frameExit is the worker's sign-off after stdin closes: final
 	// counters, then process exit.
 	frameExit
-	// frameBeat is the worker's heartbeat: Progress carries the cumulative
-	// count of data frames the worker has sent. The coordinator's hung-worker
-	// monitor refreshes a worker's progress deadline only when Progress
-	// advances (or a data frame arrives), so a worker whose heartbeat
-	// goroutine still ticks while its trial loop is wedged is detected all
-	// the same.
-	frameBeat
 )
 
 // frame is one worker→coordinator message.
@@ -92,6 +87,20 @@ type frame struct {
 	Profile  *campaign.Profile
 	Lo, Hi   int
 	Err      string
-	Stats    campaign.CacheStats
-	Progress int64 // frameBeat: cumulative data frames sent
+	Counters counters // frameRangeDone, frameExit
+}
+
+// counters are a worker session's cumulative counters, summed over its
+// caches: what the drivers' "# shard-cache:", "# compose:" and "# speed:"
+// lines report for a pool, which sums its workers' last-shipped copies.
+type counters struct {
+	Stats   campaign.CacheStats
+	Compose campaign.ComposeStats
+	Phases  campaign.PhaseStats
+}
+
+func (c *counters) add(o counters) {
+	c.Stats.Add(o.Stats)
+	c.Compose.Add(o.Compose)
+	c.Phases.Add(o.Phases)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -79,11 +80,14 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		{Kind: frameTrial, CID: 2, Index: 17,
 			TR: campaign.TrialResult{Outcome: fault.Crash, Cycles: 12345, Instrs: 678}},
 		{Kind: frameProfile, CID: 2, Profile: &campaign.Profile{}},
-		{Kind: frameRangeDone, CID: 2, Lo: 16, Hi: 32,
-			Stats: campaign.CacheStats{MemHits: 3, Builds: 1}},
+		{Kind: frameRangeDone, CID: 2, Lo: 16, Hi: 32, Counters: counters{
+			Stats:   campaign.CacheStats{MemHits: 3, Builds: 1},
+			Compose: campaign.ComposeStats{Sections: 8, Reinjected: 8, TrialsReinjected: 16},
+			Phases: campaign.PhaseStats{ProfileInstrs: 5, ProfileNanos: 6,
+				TrialByTool: map[string]campaign.TrialPhase{"REFINE": {Trials: 16, Rejoined: 3, Instrs: 700, Skipped: 90, Pruned: 80, Nanos: 1}}},
+		}},
 		{Kind: frameErr, CID: 2, Err: "build failed"},
-		{Kind: frameBeat, Progress: 99},
-		{Kind: frameExit, Stats: campaign.CacheStats{DiskHits: 4}},
+		{Kind: frameExit, Counters: counters{Stats: campaign.CacheStats{DiskHits: 4}}},
 	}
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
@@ -100,7 +104,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		}
 		if got.Kind != want.Kind || got.CID != want.CID || got.Index != want.Index ||
 			got.TR != want.TR || got.Lo != want.Lo || got.Hi != want.Hi ||
-			got.Err != want.Err || got.Stats != want.Stats || got.Progress != want.Progress {
+			got.Err != want.Err || !reflect.DeepEqual(got.Counters, want.Counters) {
 			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
 		}
 		if (got.Profile != nil) != (want.Profile != nil) {
@@ -139,7 +143,7 @@ func TestWireTruncatedFrame(t *testing.T) {
 // of decoding nonsense into the merger.
 func TestWireGarbagePrefix(t *testing.T) {
 	var valid bytes.Buffer
-	if err := gob.NewEncoder(&valid).Encode(&frame{Kind: frameBeat, Progress: 1}); err != nil {
+	if err := gob.NewEncoder(&valid).Encode(&frame{Kind: frameExit, Counters: counters{Stats: campaign.CacheStats{Builds: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, garbage := range [][]byte{

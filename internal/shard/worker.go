@@ -7,11 +7,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
@@ -22,27 +19,6 @@ import (
 // sets it when spawning os.Executable(), so the same mechanism works for the
 // fi-* drivers and for test binaries (whose TestMain calls MaybeWorker).
 const workerEnv = "FI_SHARD_WORKER"
-
-// heartbeatEnv overrides the worker heartbeat interval in milliseconds
-// (tests shrink it alongside the coordinator's stall deadline).
-const heartbeatEnv = "FI_SHARD_HEARTBEAT"
-
-// defaultHeartbeat is the worker heartbeat period: frequent enough that the
-// coordinator's stall deadline (seconds) spans many beats, cheap enough to
-// be noise on the wire.
-const defaultHeartbeat = 500 * time.Millisecond
-
-// envDuration reads a millisecond count from the environment (0 or unset ⇒
-// def). Shared by the worker heartbeat and the coordinator's stall/grace
-// knobs.
-func envDuration(name string, def time.Duration) time.Duration {
-	if s := os.Getenv(name); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return time.Duration(n) * time.Millisecond
-		}
-	}
-	return def
-}
 
 // MaybeWorker turns this process into a shard worker when the re-exec
 // marker is set — the stdio marker (FI_SHARD_WORKER) runs the wire protocol
@@ -69,11 +45,9 @@ func MaybeWorker() {
 // to out. It returns when the coordinator closes in (normal drain) or the
 // process receives SIGTERM/SIGINT — then the current range's claimed trials
 // finish shipping their contiguous prefix, a final frameExit carries the
-// cache counters, and the coordinator reassigns whatever was left.
-//
-// A heartbeat goroutine ships frameBeat with the cumulative data-frame count
-// so the coordinator can tell a slow worker (progress advances) from a hung
-// one (beats arrive, progress doesn't — or nothing arrives at all).
+// counters, and the coordinator reassigns whatever was left. Every range ack
+// carries them too: the worker's cache, section-cache and phase counters,
+// summed over its caches, are how the coordinator reports work it did not do.
 //
 // TCP worker-node sessions (transport_tcp.go) run the identical session loop
 // over their connection; only the stop signal differs — connection close
@@ -95,9 +69,8 @@ type worker struct {
 	caches   map[string]*campaign.Cache
 	profiled map[int]bool
 
-	sendMu sync.Mutex // serializes enc between trial stream and heartbeat
+	sendMu sync.Mutex // serializes enc: trial frames come from the executor's deliverer
 	encErr error
-	sent   atomic.Int64 // data frames sent (the heartbeat's progress counter)
 
 	// onSendErr, when set, fires once when the first encode error latches —
 	// TCP sessions cancel their context here so a range whose frames have
@@ -118,11 +91,8 @@ func newWorker(in io.Reader, out io.Writer) *worker {
 }
 
 // serve is the session loop shared by stdio workers and TCP node sessions:
-// decode reqs, run ranges, stream frames, heartbeat until the peer goes away.
+// decode reqs, run ranges, stream frames until the peer goes away.
 func (w *worker) serve(ctx context.Context) error {
-	beatDone := make(chan struct{})
-	defer close(beatDone)
-	go w.heartbeat(beatDone)
 	for {
 		var r req
 		if err := w.dec.Decode(&r); err != nil {
@@ -166,8 +136,7 @@ func (t *tearWriter) Write(p []byte) (int, error) {
 }
 
 // send encodes one frame, latching the first encode error (a vanished
-// coordinator): after that the worker just drains. Safe for concurrent use
-// (the heartbeat goroutine interleaves with the trial stream).
+// coordinator): after that the worker just drains. Safe for concurrent use.
 func (w *worker) send(f *frame) {
 	w.sendMu.Lock()
 	if w.encErr != nil {
@@ -176,9 +145,6 @@ func (w *worker) send(f *frame) {
 	}
 	w.encErr = w.enc.Encode(f)
 	failed := w.encErr != nil
-	if !failed && f.Kind != frameBeat {
-		w.sent.Add(1)
-	}
 	w.sendMu.Unlock()
 	// Fire the failure hook outside the critical section: onSendErr cancels
 	// the session context, and cancellation callbacks must never run under
@@ -188,31 +154,16 @@ func (w *worker) send(f *frame) {
 	}
 }
 
-// heartbeat ships the cumulative data-frame count until the worker exits.
-func (w *worker) heartbeat(done <-chan struct{}) {
-	t := time.NewTicker(envDuration(heartbeatEnv, defaultHeartbeat))
-	defer t.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-t.C:
-			w.send(&frame{Kind: frameBeat, Progress: w.sent.Load()})
-		}
-	}
-}
-
 func (w *worker) sendExit() {
-	w.send(&frame{Kind: frameExit, Stats: w.stats()})
+	w.send(&frame{Kind: frameExit, Counters: w.counters()})
 }
 
-// stats sums the cache counters across the worker's caches.
-func (w *worker) stats() campaign.CacheStats {
-	var s campaign.CacheStats
+// counters sums the counters of the worker's caches.
+func (w *worker) counters() (sum counters) {
 	for _, c := range w.caches {
-		s.Add(c.Stats())
+		sum.add(counters{Stats: c.Stats(), Compose: c.Compose(), Phases: c.Phases()})
 	}
-	return s
+	return sum
 }
 
 // cache resolves the build/profile cache for a spec: the shared disk cache
@@ -287,7 +238,7 @@ func (w *worker) runRange(ctx context.Context, r *rangeReq) {
 		return
 	}
 	w.sendProfile(r.CID, res.Profile)
-	w.send(&frame{Kind: frameRangeDone, CID: r.CID, Lo: r.Lo, Hi: r.Hi, Stats: w.stats()})
+	w.send(&frame{Kind: frameRangeDone, CID: r.CID, Lo: r.Lo, Hi: r.Hi, Counters: w.counters()})
 }
 
 // sendProfile ships a campaign's golden-run profile once per session.
