@@ -29,7 +29,9 @@
 // is compositional: per-function section entries let a warm run restore
 // unchanged functions' trial outcomes and re-inject only changed sections
 // (the "# compose:" line reports reused vs re-injected; -mutate app:func
-// demonstrates the single-function-edit path). -precision M replaces the
+// demonstrates the single-function-edit path). Section reuse is in-process:
+// shard workers and the daemon share the build entries only, and identical
+// reruns in any mode replay from -journal. -precision M replaces the
 // fixed trial count with sequential stopping at the first deterministic
 // batch boundary where every outcome class's 95% Wilson-CI half-width
 // fits M — bit-identical across all execution modes.

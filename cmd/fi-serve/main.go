@@ -18,14 +18,23 @@
 // makes finished trials survive daemon restarts — a resubmitted campaign
 // replays instead of re-executing.
 //
+// SIGINT or SIGTERM cancels the running campaigns (their streams end with an
+// error event; what they delivered is journaled), drains the HTTP server and
+// releases the pool and the journal before exiting.
+//
 // Submit with: fi-campaign -submit host:port [usual campaign flags].
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
+	"os/signal"
+	"syscall"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/serve"
@@ -67,10 +76,29 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// SIGINT/SIGTERM: cancel the running campaigns, let their streams end —
+	// a client that stopped reading is cut off after a grace — then return
+	// so the pool and journal defers run.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	hs := &http.Server{Addr: *listen, Handler: s.Handler()}
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		<-ctx.Done()
+		s.Close()
+		drain, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if hs.Shutdown(drain) != nil {
+			hs.Close()
+		}
+	}()
 	fmt.Fprintf(os.Stderr, "fi-serve: listening on %s (pool: %s)\n", *listen, poolDesc(pool))
-	if err := http.ListenAndServe(*listen, s.Handler()); err != nil {
+	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
+	<-stopped
+	fmt.Fprintln(os.Stderr, "fi-serve: shut down")
 }
 
 func poolDesc(p *shard.Pool) string {

@@ -3,10 +3,10 @@
 // tests, sample-size calculations (§5.3), and a side-by-side comparison of
 // the published Table 6 numbers against locally measured ones.
 //
-// With no input file it analyzes the paper's published Table 6 data,
-// verifying that the statistical machinery reproduces the published
-// conclusions (LLFI significantly different from PINFI on every app; REFINE
-// on none).
+// With no input file it analyzes the paper's published Table 6 data through
+// the renderers a measured suite uses (experiments.PaperSuite): LLFI comes
+// out significantly different from PINFI on every app, REFINE on one — CoMD,
+// at p ≈ 0.047, just inside α = 0.05.
 //
 // With -measure it additionally runs a live suite — on one work-stealing
 // executor and, with -cache-dir, the disk-persistent build/profile cache —
@@ -32,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/shard"
@@ -56,12 +55,7 @@ func main() {
 	f.Register(flag.CommandLine, 1068)
 	flag.Parse()
 
-	paper := experiments.PaperTable6()
-	var apps []string
-	for app := range paper {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
+	paper := experiments.PaperSuite()
 
 	if *sampleSize {
 		fmt.Printf("Sample size (margin %.0f%%, 95%% confidence):\n", *margin*100)
@@ -73,63 +67,37 @@ func main() {
 	}
 
 	if *table4 {
-		l := paper["AMG2013"]["LLFI"]
-		p := paper["AMG2013"]["PINFI"]
-		fmt.Println("Table 4 (published AMG2013 data):")
-		fmt.Printf("%-8s %8s %8s %8s %8s\n", "Tool", "Crash", "SOC", "Benign", "Total")
-		fmt.Printf("%-8s %8d %8d %8d %8d\n", "LLFI", l.Crash, l.SOC, l.Benign, l.Total())
-		fmt.Printf("%-8s %8d %8d %8d %8d\n", "PINFI", p.Crash, p.SOC, p.Benign, p.Total())
-		fmt.Println()
+		fmt.Println("Published data:", paper.Table4("AMG2013"))
 	}
 
 	if *table5 {
-		fmt.Println("Table 5 reproduced from the published Table 6 counts:")
-		for _, cmp := range []string{"LLFI", "REFINE"} {
-			fmt.Printf("\n%s vs PINFI:\n%-10s %10s %10s %6s\n", cmp, "App", "chi2", "p-value", "diff?")
-			sig := 0
-			for _, app := range apps {
-				base := paper[app]["PINFI"]
-				c := paper[app][cmp]
-				res, err := stats.CompareCounts(app, "PINFI", cmp,
-					[3]int64{int64(base.Crash), int64(base.SOC), int64(base.Benign)},
-					[3]int64{int64(c.Crash), int64(c.SOC), int64(c.Benign)})
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "fi-stats:", err)
-					os.Exit(1)
-				}
-				y := "no"
-				if res.Significant {
-					y = "yes"
-					sig++
-				}
-				fmt.Printf("%-10s %10.3f %10.2e %6s\n", app, res.Stat, res.P, y)
-			}
-			fmt.Printf("-> %d/%d significantly different\n", sig, len(apps))
+		t5, err := paper.Table5()
+		if err != nil {
+			fatal(err)
 		}
+		sig, err := paper.SummaryCounts()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println("Published data:", t5)
+		fmt.Printf("-> significantly different: LLFI %d/%d, REFINE %d/%d\n\n",
+			sig["LLFI"], len(paper.Order), sig["REFINE"], len(paper.Order))
 	}
 
 	if *ci {
-		fmt.Println("\nPublished outcome rates ±95% Wilson CI (from the Table 6 counts):")
-		fmt.Printf("%-10s %-8s %22s %22s %22s\n", "App", "Tool", "Crash%", "SOC%", "Benign%")
-		for _, app := range apps {
-			for _, tool := range []string{"LLFI", "REFINE", "PINFI"} {
-				c := paper[app][tool]
-				n := c.Total()
-				cell := func(k int) string {
-					lo, hi := stats.WilsonCI(k, n, stats.Z95)
-					return fmt.Sprintf("%5.1f [%5.1f,%5.1f]", 100*float64(k)/float64(n), 100*lo, 100*hi)
-				}
-				fmt.Printf("%-10s %-8s %22s %22s %22s\n", app, tool, cell(c.Crash), cell(c.SOC), cell(c.Benign))
-			}
-		}
+		fmt.Println("Published data:", paper.Figure4())
 	}
 
 	if *measure {
 		if err := runMeasured(&f, *ci); err != nil {
-			fmt.Fprintln(os.Stderr, "fi-stats:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "fi-stats:", err)
+	os.Exit(1)
 }
 
 // runMeasured runs a live suite and prints the measured Table 5.

@@ -218,6 +218,38 @@ func TestJournalKeyIsolation(t *testing.T) {
 	}
 }
 
+// TestJournalReplayIsNeitherReusedNorReinjected: a campaign over a complete
+// journal and an empty cache dir executes nothing, and its section counters
+// say so — journal replays + trials reused + trials re-injected = trials.
+func TestJournalReplayIsNeitherReusedNorReinjected(t *testing.T) {
+	const trials = 24
+	app := journalApp(t)
+	dir := t.TempDir()
+	run := func(cache *campaign.Cache) campaign.JournalStats {
+		j, err := campaign.OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if _, err := campaign.New(app, campaign.PINFI, campaign.WithTrials(trials),
+			campaign.WithCache(cache), campaign.WithJournal(j)).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return j.Stats()
+	}
+	if st := run(nil); st.Appended != trials {
+		t.Fatalf("cold run stats %+v", st)
+	}
+	cache, err := campaign.NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := run(cache)
+	if cs := cache.Compose(); st.Replayed != trials || cs.TrialsReused != 0 || cs.TrialsReinjected != 0 {
+		t.Fatalf("rerun over a complete journal: journal %+v, sections %+v; want %d replayed, none reused or re-injected", st, cs, trials)
+	}
+}
+
 // TestJournalSegmentRotation: appends past the segment size cap rotate into
 // new segment files, and every entry survives a reopen.
 func TestJournalSegmentRotation(t *testing.T) {

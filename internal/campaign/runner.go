@@ -42,6 +42,7 @@ type Campaign struct {
 	exec        *sched.Executor   // nil ⇒ a private executor of c.workers for this Run
 	journal     *Journal          // nil ⇒ no crash-safe resume
 	precision   *stats.Sequential // nil ⇒ fixed trial count (no sequential stopping)
+	fromSpec    bool              // built by NewFromSpec: reads and writes no section entries
 }
 
 // Option configures a Campaign (functional options).

@@ -16,6 +16,12 @@ package campaign
 // composed Counts/Records/observer stream is bit-identical to a monolithic
 // run over the same cache state.
 //
+// Section reuse is in-process: only a campaign made with New composes. One
+// rebuilt from a Spec (NewFromSpec: a shard worker's claimed range, a fi-serve
+// run) names a registry app, so no edit can reach it, and its lookups would
+// either all hit or all miss; it reads and writes no section entry. Identical
+// reruns in every mode are the journal's.
+//
 // Soundness note: a fault injected in function A propagates through the
 // whole program, so section reuse rests on FastFlip's compositional
 // hypothesis — an edit's error-impact is local to the edited section. Two
@@ -88,25 +94,16 @@ func (c *Cache) fingerprints(app App) *appFingerprints {
 
 // ComposeStats are the compositional section-cache counters behind the
 // drivers' "# compose:" line. Sections counts every section lookup across
-// campaigns; Reused/Reinjected partition it into disk hits and misses;
-// TrialsReused/TrialsReinjected count the trials restored from section
-// entries versus executed.
+// campaigns; Reused/Reinjected partition it into disk hits and misses.
+// TrialsReused counts the trials restored from section entries and not from
+// the journal, TrialsReinjected those restored by neither (executed), so
+// journal replays + TrialsReused + TrialsReinjected = trials.
 type ComposeStats struct {
 	Sections         uint64
 	Reused           uint64
 	Reinjected       uint64
 	TrialsReused     uint64
 	TrialsReinjected uint64
-}
-
-// Add accumulates o into s: the cross-process total of a shard fleet's
-// caches.
-func (s *ComposeStats) Add(o ComposeStats) {
-	s.Sections += o.Sections
-	s.Reused += o.Reused
-	s.Reinjected += o.Reinjected
-	s.TrialsReused += o.TrialsReused
-	s.TrialsReinjected += o.TrialsReinjected
 }
 
 // Compose returns the cache's compositional section counters.
@@ -191,30 +188,34 @@ type composeState struct {
 }
 
 // composeEnabled reports whether this campaign partitions its trial space
-// through the section cache: a disk-backed cache and a non-empty range.
+// through the section cache: made with New, a disk-backed cache and a
+// non-empty range.
 func (c *Campaign) composeEnabled() bool {
-	return c.cache != nil && c.cache.dir != "" && c.trials > c.lo
+	return !c.fromSpec && c.cache != nil && c.cache.dir != "" && c.trials > c.lo
 }
 
 // composeLoad restores every unchanged section's trials from the section
 // cache and merges them with the journal's recorded set (journal entries
 // win on overlap; both restore identical values by the determinism
-// invariant). Returns nil state when composition is disabled.
+// invariant), then counts the trials the sections restored and those left to
+// execute. Returns nil state when composition is disabled.
 func (c *Campaign) composeLoad(prof *Profile, recorded map[int]TrialResult) (*composeState, map[int]TrialResult) {
 	if !c.composeEnabled() {
 		return nil, recorded
 	}
 	st := c.cache.loadSections(c, prof)
-	if len(st.recorded) > 0 {
-		if recorded == nil {
-			recorded = make(map[int]TrialResult, len(st.recorded))
-		}
-		replay(st.recorded, func(i int, tr TrialResult) {
-			if _, ok := recorded[i]; !ok {
-				recorded[i] = tr
-			}
-		})
+	if recorded == nil {
+		recorded = make(map[int]TrialResult, len(st.recorded))
 	}
+	reused := 0
+	replay(st.recorded, func(i int, tr TrialResult) {
+		if _, ok := recorded[i]; !ok {
+			recorded[i] = tr
+			reused++
+		}
+	})
+	c.cache.trialsReused.Add(uint64(reused))
+	c.cache.trialsReinjected.Add(uint64(c.trials - c.lo - len(recorded)))
 	return st, recorded
 }
 
@@ -266,8 +267,6 @@ func (c *Cache) loadSections(cmp *Campaign, prof *Profile) *composeState {
 			st.recorded[int(idx)] = e.TRs[j]
 		}
 	}
-	c.trialsReused.Add(uint64(len(st.recorded)))
-	c.trialsReinjected.Add(uint64(cmp.trials - cmp.lo - len(st.recorded)))
 	return st
 }
 

@@ -21,6 +21,12 @@ import (
 // machinery. Applications travel by registry name (workloads.ByName) and
 // tools by injector-registry name, so the spec is plain data — gob-encodable
 // across the coordinator/worker pipe.
+//
+// A Spec names the registry app, so the receiving process always rebuilds
+// the harness's own IR: no edit can travel in one, and section reuse (which
+// pays only after an edit) stays with campaigns run in the process that made
+// them. Identical reruns in any mode are the journal's: Key leaves out the
+// cache directory, the worker count and the shard layout.
 type Spec struct {
 	App      string          // workload registry name
 	Tool     string          // injector registry name
@@ -60,7 +66,9 @@ func (c *Campaign) Spec() Spec {
 // import); the tool resolves through the injector registry. The observer
 // receives absolute trial indexes — the frames the worker ships back.
 // Trailing options are applied after the spec-derived ones (the fi-serve
-// daemon attaches its journal and precision rule this way).
+// daemon attaches its journal this way). The campaign uses the cache for its
+// build and profile only: it neither reads nor writes section entries, so a
+// shard worker's claimed range and a daemon's run leave no .fis behind.
 func NewFromSpec(s Spec, app App, lo, hi int, cache *Cache, obs func(int, TrialResult), extra ...Option) (*Campaign, error) {
 	if app.Name != s.App {
 		return nil, fmt.Errorf("campaign: spec app %q resolved to %q", s.App, app.Name)
@@ -81,7 +89,7 @@ func NewFromSpec(s Spec, app App, lo, hi int, cache *Cache, obs func(int, TrialR
 		WithObserver(obs),
 	}
 	c := New(app, tool, append(opts, extra...)...)
-	c.costs = s.Costs
+	c.costs, c.fromSpec = s.Costs, true
 	return c, nil
 }
 

@@ -137,9 +137,10 @@ func splitCSV(s string) []string {
 // the workers' cross-process totals. A sharded run's pool is drained first —
 // each worker piggybacks its cumulative counters on every range ack and on
 // exit, so only after Pool.Close are they the suite-wide total — and the
-// "# compose:" and "# speed:" lines then read the pool's sums instead of the
-// suite cache's, which did no work. Report returns the phase counters it
-// read, for fi-speed's host-time table.
+// "# speed:" line then reads the pool's sums instead of the suite cache's,
+// which did no work. "# compose:" is always the suite cache's: section reuse
+// is in-process, so on a pool it reads all zeros. Report returns the phase
+// counters it read, for fi-speed's host-time table.
 //
 // The closing "# speed:" line is the measured wall-clock VM throughput split
 // by campaign phase — profiling (each binary's golden passes: the profile
@@ -150,13 +151,14 @@ func splitCSV(s string) []string {
 // equal in-process and on a pool; 0% means the anchors are not in use). The
 // rates vary run to run and nothing deterministic derives from the line.
 func Report(w io.Writer, cfg Config) campaign.PhaseStats {
-	cs, ps := cfg.Cache.Compose(), cfg.Cache.Phases()
+	ps := cfg.Cache.Phases()
 	if cfg.Pool != nil {
 		cfg.Pool.Close()
-		cs, ps = cfg.Pool.Compose(), cfg.Pool.Phases()
+		ps = cfg.Pool.Phases()
 	}
 	fmt.Fprintf(w, "# cache: %s dir=%s\n", cacheCounters(cfg.Cache.Stats()), cfg.Cache.Dir())
 	if cfg.Cache.Dir() != "" {
+		cs := cfg.Cache.Compose()
 		fmt.Fprintf(w, "# compose: sections=%d reused=%d reinjected=%d trials-reused=%d trials-reinjected=%d\n",
 			cs.Sections, cs.Reused, cs.Reinjected, cs.TrialsReused, cs.TrialsReinjected)
 	}

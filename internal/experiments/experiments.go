@@ -415,8 +415,7 @@ func (s *Suite) SummaryCounts() (map[string]int, error) {
 	return sig, nil
 }
 
-// PaperTable6 returns the published Table 6 counts for side-by-side
-// comparison in EXPERIMENTS.md and the fi-stats tool.
+// PaperTable6 returns the published Table 6 counts, app → tool → counts.
 func PaperTable6() map[string]map[string]fault.Counts {
 	t := map[string]map[string]fault.Counts{
 		"AMG2013": {"LLFI": {Crash: 395, SOC: 168, Benign: 505}, "REFINE": {Crash: 254, SOC: 87, Benign: 727}, "PINFI": {Crash: 269, SOC: 70, Benign: 729}},
@@ -437,6 +436,27 @@ func PaperTable6() map[string]map[string]fault.Counts {
 	return t
 }
 
+// PaperSuite returns the published Table 6 counts as a Suite (n = 1068, apps
+// sorted, tools LLFI/REFINE/PINFI), so the paper's own data renders through
+// the renderers a measured suite uses.
+func PaperSuite() *Suite {
+	paper := PaperTable6()
+	s := &Suite{Trials: campaign.PaperTrials, Results: map[string]map[string]*campaign.Result{},
+		Tools: []campaign.Tool{campaign.LLFI, campaign.REFINE, campaign.PINFI}}
+	for app := range paper { //fi:ordered — sorted below
+		s.Order = append(s.Order, app)
+	}
+	sort.Strings(s.Order)
+	for _, app := range s.Order {
+		s.Results[app] = map[string]*campaign.Result{}
+		for _, tool := range s.Tools {
+			c := paper[app][tool.Name()]
+			s.Results[app][tool.Name()] = &campaign.Result{App: app, Tool: tool, Counts: c, Trials: c.Total()}
+		}
+	}
+	return s
+}
+
 // PaperFigure5 returns the published normalized campaign times.
 func PaperFigure5() map[string][2]float64 {
 	return map[string][2]float64{
@@ -446,18 +466,4 @@ func PaperFigure5() map[string][2]float64 {
 		"FT": {3.0, 1.0}, "LU": {3.8, 1.6}, "SP": {4.8, 1.2}, "UA": {4.4, 1.2},
 		"Total": {3.9, 1.2},
 	}
-}
-
-// AppNames returns the suite's app order, or the registry's order when the
-// suite is nil.
-func AppNames(s *Suite) []string {
-	if s != nil {
-		return s.Order
-	}
-	var names []string
-	for _, a := range workloads.Registry() {
-		names = append(names, a.Name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -169,11 +169,26 @@ func TestSuiteToolSubset(t *testing.T) {
 	}
 }
 
-func TestRunSuiteDefaultTrialsIsPaperSize(t *testing.T) {
-	// Don't actually run 1068 trials here; just check the default resolution
-	// logic via a 1-app suite with explicit small trials, then the constant.
-	if got := experiments.AppNames(nil); len(got) != 14 {
-		t.Fatalf("AppNames(nil) returned %d apps", len(got))
+// TestPaperSuiteVerdict pins the Table 5 verdict the published Table 6
+// counts give under this package's test: LLFI differs from PINFI on all 14
+// apps, REFINE on one — CoMD, at p ≈ 0.047, just inside α = 0.05.
+func TestPaperSuiteVerdict(t *testing.T) {
+	s := experiments.PaperSuite()
+	sig, err := s.SummaryCounts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Order) != 14 || s.Trials != 1068 || sig["LLFI"] != 14 || sig["REFINE"] != 1 || len(sig) != 2 {
+		t.Fatalf("paper suite: %d apps, n=%d, verdict %v; want 14 apps, n=1068, LLFI 14 and REFINE 1", len(s.Order), s.Trials, sig)
+	}
+	rows, err := s.ChiSquared(campaign.REFINE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Test.Significant != (r.App == "CoMD") || (r.App == "CoMD" && r.Test.P < 0.04) {
+			t.Errorf("REFINE vs PINFI on %s: p = %.3g", r.App, r.Test.P)
+		}
 	}
 }
 

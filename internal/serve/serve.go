@@ -29,6 +29,11 @@
 //     bit-identical to running it alone — trial i is a pure function of
 //     TrialSeed(Seed, tool, i), and ordering is the collector's job.
 //
+//   - Lifetime: runs execute under the server's context, not a request's.
+//     Close cancels them and waits until each has settled — its stream ends
+//     with an error event, and the trials it delivered are journaled — and
+//     later submissions are answered 503. A body over 1 MiB is answered 413.
+//
 // Wire format (HTTP, all JSON): POST /v1/run with a Request body; the
 // response is an application/x-ndjson stream of Event lines — zero or more
 // {"Kind":"trial"} events in trial order, then exactly one terminal
@@ -41,6 +46,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -98,13 +104,22 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Server owns the run registry. Create with NewServer, expose via Handler.
+// maxRequestBytes caps a /v1/run body: a Spec is a few hundred bytes.
+const maxRequestBytes = 1 << 20
+
+// Server owns the run registry. Create with NewServer, expose via Handler,
+// and Close to cancel what still runs.
 type Server struct {
 	cfg   Config
 	cache *campaign.Cache // in-process execution: shared across tenants
 
-	mu   sync.Mutex
-	runs map[string]*run
+	ctx     context.Context // every run's lifetime; Close cancels it
+	cancel  context.CancelFunc
+	running sync.WaitGroup // one per executing run
+
+	mu     sync.Mutex
+	runs   map[string]*run
+	closed bool
 }
 
 // run is one deduped campaign execution and its ordered event log.
@@ -136,7 +151,19 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	return &Server{cfg: cfg, cache: cache, runs: map[string]*run{}}, nil
+	ctx, cancel := context.WithCancel(context.Background())
+	return &Server{cfg: cfg, cache: cache, ctx: ctx, cancel: cancel, runs: map[string]*run{}}, nil
+}
+
+// Close cancels every running campaign and returns once each has settled:
+// its stream ends with an error event, and the trials it delivered are
+// already journaled. Submissions after Close are answered 503.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	s.cancel()
+	s.running.Wait()
 }
 
 // Handler returns the HTTP API.
@@ -177,8 +204,13 @@ func (s *Server) handleRun(w http.ResponseWriter, hr *http.Request) {
 		return
 	}
 	var req Request
-	if err := json.NewDecoder(hr.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, hr.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request: "+err.Error(), status)
 		return
 	}
 	spec := req.Spec
@@ -196,12 +228,21 @@ func (s *Server) handleRun(w http.ResponseWriter, hr *http.Request) {
 
 	key := spec.Key()
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		http.Error(w, "server closing", http.StatusServiceUnavailable)
+		return
+	}
 	r, ok := s.runs[key]
 	if !ok {
 		r = &run{key: key}
 		r.cond = sync.NewCond(&r.mu)
 		s.runs[key] = r
-		go s.execute(r, spec)
+		s.running.Add(1)
+		go func() {
+			defer s.running.Done()
+			s.execute(r, spec)
+		}()
 	}
 	s.mu.Unlock()
 	// Log outside the registry lock: Logf is caller-supplied and must not be
@@ -254,9 +295,9 @@ func (s *Server) execute(r *run, spec campaign.Spec) {
 	}
 	var res *campaign.Result
 	if s.cfg.Pool != nil {
-		res, err = s.cfg.Pool.Run(context.Background(), cam)
+		res, err = s.cfg.Pool.Run(s.ctx, cam)
 	} else {
-		res, err = cam.Run(context.Background())
+		res, err = cam.Run(s.ctx)
 	}
 	r.finish(res, err, s.cfg.Logf)
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -177,16 +178,34 @@ func TestServeDedupsIdenticalSubmissions(t *testing.T) {
 	}
 }
 
-// rawStream POSTs one /v1/run request and decodes at most limit trial events
-// (limit < 0 ⇒ until the terminal line), returning the trial events and the
-// terminal event if one was reached.
-func rawStream(t *testing.T, url string, sp campaign.Spec, from, limit int) ([]serve.Event, *serve.Event) {
+// post POSTs body to /v1/run; the response body closes with the test.
+func post(t *testing.T, url string, body io.Reader) *http.Response {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/run", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// request encodes one /v1/run submission.
+func request(t *testing.T, sp campaign.Spec, from int) io.Reader {
 	t.Helper()
 	body, err := json.Marshal(serve.Request{Spec: sp, From: from})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/v1/run", "application/json", bytes.NewReader(body))
+	return bytes.NewReader(body)
+}
+
+// rawStream POSTs one /v1/run request and decodes at most limit trial events
+// (limit < 0 ⇒ until the terminal line), returning the trial events and the
+// terminal event if one was reached. after, if set, runs after each trial
+// event.
+func rawStream(t *testing.T, url string, sp campaign.Spec, from, limit int, after func(n int)) ([]serve.Event, *serve.Event) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/run", "application/json", request(t, sp, from))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +224,9 @@ func rawStream(t *testing.T, url string, sp campaign.Spec, from, limit int) ([]s
 			return events, &e
 		}
 		events = append(events, e)
+		if after != nil {
+			after(len(events))
+		}
 	}
 	return events, nil // limit reached: abandon the connection mid-stream
 }
@@ -228,11 +250,11 @@ func TestServeReconnectReplaysDeliveredPrefix(t *testing.T) {
 
 	// Torn client: consume 7 events, drop the connection, reconnect at From=7.
 	const cut = 7
-	head, term := rawStream(t, ts.URL, sp, 0, cut)
+	head, term := rawStream(t, ts.URL, sp, 0, cut, nil)
 	if term != nil {
 		t.Fatalf("stream ended during the prefix: %+v", term)
 	}
-	tail, term := rawStream(t, ts.URL, sp, cut, -1)
+	tail, term := rawStream(t, ts.URL, sp, cut, -1, nil)
 	if term == nil || term.Kind != "summary" {
 		t.Fatalf("resumed stream ended without a summary: %+v", term)
 	}
@@ -248,8 +270,63 @@ func TestServeReconnectReplaysDeliveredPrefix(t *testing.T) {
 	}
 }
 
+// TestServeCloseSettlesRunsOntoTheJournal: Close after a long campaign's
+// first event cancels it and returns once it has settled. The stream ends
+// with an error event, a later submission is refused 503, the journal holds
+// exactly the delivered trials, and a server over that journal replays them.
+func TestServeCloseSettlesRunsOntoTheJournal(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*campaign.Journal, *serve.Server, string) {
+		j, err := campaign.OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.NewServer(serve.Config{Journal: j, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		t.Cleanup(s.Close)
+		return j, s, ts.URL
+	}
+	sp := spec(t, "CG", 1<<16, 11)
+	sp.Workers = 1 // trials finish in index order, so every journaled trial is delivered
+
+	j, s, url := open()
+	events, term := rawStream(t, url, sp, 0, -1, func(n int) {
+		if n == 1 {
+			s.Close()
+		}
+	})
+	if term == nil || term.Kind != "error" || len(events) == 0 || len(events) == sp.Trials {
+		t.Fatalf("closed run: %d events, terminal %+v; want a partial stream ending in an error", len(events), term)
+	}
+	if resp := post(t, url, request(t, sp, 0)); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submission after Close: %s, want 503", resp.Status)
+	}
+	j.Close()
+
+	j, s, url = open()
+	defer j.Close()
+	if st := j.Stats(); st.Loaded != uint64(len(events)) {
+		t.Fatalf("reopened journal loaded %d trials, the stream delivered %d", st.Loaded, len(events))
+	}
+	replayed, _ := rawStream(t, url, sp, 0, len(events), nil)
+	s.Close()
+	for i := range events {
+		if replayed[i] != events[i] {
+			t.Fatalf("replayed event %d = %+v, delivered %+v", i, replayed[i], events[i])
+		}
+	}
+	if st := j.Stats(); st.Replayed != uint64(len(events)) {
+		t.Fatalf("the new server replayed %d journaled trials, want %d", st.Replayed, len(events))
+	}
+}
+
 // TestServeRejectsBadSubmissions: an unknown app or a mangled range fails
-// fast with a fatal (non-retried) client error and mints no run entry.
+// fast with a fatal (non-retried) client error, a body over the 1 MiB cap is
+// answered 413, and none mints a run entry.
 func TestServeRejectsBadSubmissions(t *testing.T) {
 	ts, client := newTestServer(t, serve.Config{})
 	bad := spec(t, "CG", 16, 1)
@@ -261,6 +338,10 @@ func TestServeRejectsBadSubmissions(t *testing.T) {
 	neg.Lo = -1
 	if _, err := client.Run(context.Background(), neg, nil); err == nil {
 		t.Fatal("negative range accepted")
+	}
+	huge := `{"Spec":{"App":"` + strings.Repeat("x", 2<<20) + `"}}`
+	if resp := post(t, ts.URL, strings.NewReader(huge)); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB body: %s, want 413", resp.Status)
 	}
 	resp, err := http.Get(ts.URL + "/v1/runs")
 	if err != nil {

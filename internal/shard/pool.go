@@ -19,10 +19,12 @@
 //   - Cache sharing: workers given the same cache directory share one
 //     content-addressed disk cache; the first process to build an app×tool
 //     persists it via atomic rename, the rest restore from disk, and a warm
-//     directory yields builds=0 across every worker process. Each worker
-//     ships its caches' counters (builds and hits, section reuse, phase
-//     throughput) on every range ack and on exit; Stats, Compose and Phases
-//     sum the fleet's.
+//     directory yields builds=0 across every worker process. The sharing is
+//     of build entries only: a worker runs its ranges as campaigns rebuilt
+//     from a Spec, which neither read nor write section entries (identical
+//     reruns are the coordinator's journal's). Each worker ships its caches'
+//     counters (builds and hits, phase throughput) on every range ack and on
+//     exit; Stats and Phases sum the fleet's.
 //
 //   - Concurrency: any number of campaigns may Run on one pool at once
 //     (multi-tenant suites, the fi-serve daemon). Range assignment
@@ -319,9 +321,6 @@ func (p *Pool) Pids() []int {
 // after a run (or Close) this is the cross-process total the drivers print
 // and the warm-start tests assert builds == 0 on.
 func (p *Pool) Stats() campaign.CacheStats { return p.counters().Stats }
-
-// Compose sums the workers' section-cache counters, as Stats does.
-func (p *Pool) Compose() campaign.ComposeStats { return p.counters().Compose }
 
 // Phases sums the workers' phase throughput counters, as Stats does.
 func (p *Pool) Phases() campaign.PhaseStats { return p.counters().Phases }

@@ -20,7 +20,7 @@ import "repro/internal/campaign"
 //	    then one frameProfile (first range of a campaign only; builds are
 //	    byte-stable across processes, so every worker derives the identical
 //	    profile) and one frameRangeDone echoing [Lo, Hi) with the worker's
-//	    cumulative counters — cache, section-cache and phase throughput.
+//	    cumulative counters — cache and phase throughput.
 //	    A campaign-fatal error (unknown app, build failure) is one frameErr.
 //	    Every frame is progress: each refreshes the worker's range deadline,
 //	    and a worker that sends nothing within it is taken for hung.
@@ -91,16 +91,15 @@ type frame struct {
 }
 
 // counters are a worker session's cumulative counters, summed over its
-// caches: what the drivers' "# shard-cache:", "# compose:" and "# speed:"
-// lines report for a pool, which sums its workers' last-shipped copies.
+// caches: what the drivers' "# shard-cache:" and "# speed:" lines report for
+// a pool, which sums its workers' last-shipped copies. No section counter
+// travels: a worker's campaigns are rebuilt from a Spec and never compose.
 type counters struct {
-	Stats   campaign.CacheStats
-	Compose campaign.ComposeStats
-	Phases  campaign.PhaseStats
+	Stats  campaign.CacheStats
+	Phases campaign.PhaseStats
 }
 
 func (c *counters) add(o counters) {
 	c.Stats.Add(o.Stats)
-	c.Compose.Add(o.Compose)
 	c.Phases.Add(o.Phases)
 }

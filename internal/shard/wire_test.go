@@ -81,8 +81,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			TR: campaign.TrialResult{Outcome: fault.Crash, Cycles: 12345, Instrs: 678}},
 		{Kind: frameProfile, CID: 2, Profile: &campaign.Profile{}},
 		{Kind: frameRangeDone, CID: 2, Lo: 16, Hi: 32, Counters: counters{
-			Stats:   campaign.CacheStats{MemHits: 3, Builds: 1},
-			Compose: campaign.ComposeStats{Sections: 8, Reinjected: 8, TrialsReinjected: 16},
+			Stats: campaign.CacheStats{MemHits: 3, Builds: 1},
 			Phases: campaign.PhaseStats{ProfileInstrs: 5, ProfileNanos: 6,
 				TrialByTool: map[string]campaign.TrialPhase{"REFINE": {Trials: 16, Rejoined: 3, Instrs: 700, Skipped: 90, Pruned: 80, Nanos: 1}}},
 		}},

@@ -46,8 +46,8 @@ func MaybeWorker() {
 // process receives SIGTERM/SIGINT — then the current range's claimed trials
 // finish shipping their contiguous prefix, a final frameExit carries the
 // counters, and the coordinator reassigns whatever was left. Every range ack
-// carries them too: the worker's cache, section-cache and phase counters,
-// summed over its caches, are how the coordinator reports work it did not do.
+// carries them too: the worker's cache and phase counters, summed over its
+// caches, are how the coordinator reports work it did not do.
 //
 // TCP worker-node sessions (transport_tcp.go) run the identical session loop
 // over their connection; only the stop signal differs — connection close
@@ -161,7 +161,7 @@ func (w *worker) sendExit() {
 // counters sums the counters of the worker's caches.
 func (w *worker) counters() (sum counters) {
 	for _, c := range w.caches {
-		sum.add(counters{Stats: c.Stats(), Compose: c.Compose(), Phases: c.Phases()})
+		sum.add(counters{Stats: c.Stats(), Phases: c.Phases()})
 	}
 	return sum
 }
