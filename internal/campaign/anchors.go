@@ -69,10 +69,10 @@ func (g goldenRun) before(target int64) int {
 
 // captureAnchors replays the golden pass once on m, snapshots it at up to
 // maxAnchors evenly spaced marks and notes where it ends. m is the machine
-// the calling trial already holds, on purpose: a second machine per binary is
-// a second 4 MiB address space, and with dozens of binaries in a suite the
-// recycled spans it is carved from get zeroed and become resident (measured:
-// +11 to +55 MB peak RSS on the benchmark's fired_serial workload).
+// the calling trial already holds, on purpose: a second one would be a second
+// 4 MiB address space in use at once on the capturing worker, and the
+// process's pool keeps every machine it has ever lent out, so it would stay
+// resident for the rest of the process.
 func (b *Binary) captureAnchors(m *vm.Machine, targets int64) {
 	var marks []int64
 	last := int64(0) // Reset is the anchor at 0; a tiny population repeats marks

@@ -475,9 +475,25 @@ func (c *Cache) Len() int {
 
 // machine pooling ------------------------------------------------------------
 
-// AcquireMachine returns a reset machine for the binary, reusing a pooled
-// one when available. Pooled machines live on the (cached) build, so a
-// worker's machine — and its dirty-page state — survives across campaigns
+// idle holds the process's idle machines, one stack per address-space size
+// (vm.Image.MemSize): a 4 MiB address space belongs to the process, not to
+// what was built, so every build of a size draws from one stack and a machine
+// last used for another image is rebound to the borrower's instead of being
+// reallocated. Nothing is dropped — not at a GC, not with a discarded cache —
+// so a stack holds as many machines as were ever in use at once: one per
+// worker.
+var idle = struct {
+	sync.Mutex
+	bySize map[int64][]*vm.Machine
+}{bySize: map[int64][]*vm.Machine{}}
+
+// newMachines counts the address spaces NewMachine has allocated (for the
+// tests' allocation gate).
+var newMachines atomic.Uint64
+
+// AcquireMachine returns a reset machine for the binary, borrowed from the
+// process's pool when one of the image's size is idle, so a worker's machine
+// — and its dirty-page state — survives across trials, campaigns and builds
 // instead of being reallocated per run. Release with ReleaseMachine.
 func (b *Binary) AcquireMachine() *vm.Machine {
 	m := b.acquireMachine()
@@ -487,18 +503,32 @@ func (b *Binary) AcquireMachine() *vm.Machine {
 
 // acquireMachine is AcquireMachine without the Reset, for the campaign
 // runner: runTrialOn sets the start state itself, so a trial pays one Reset
-// or one Restore, never both. A pooled machine comes back as its last trial
-// left it.
+// or one Restore, never both. A pooled machine comes back as its last run
+// left it; one from another image is rebound first, with output bound.
 func (b *Binary) acquireMachine() *vm.Machine {
-	if v := b.pool.Get(); v != nil {
-		return v.(*vm.Machine)
+	size := b.Img.MemSize
+	var m *vm.Machine
+	idle.Lock()
+	if s := idle.bySize[size]; len(s) > 0 {
+		m, idle.bySize[size] = s[len(s)-1], s[:len(s)-1]
 	}
-	return b.NewMachine()
+	idle.Unlock()
+	switch {
+	case m == nil:
+		return b.NewMachine()
+	case m.Img != b.Img:
+		m.Rebind(b.Img)
+		bindOutput(m)
+	}
+	return m
 }
 
 // ReleaseMachine returns a machine obtained from AcquireMachine to the pool.
 func (b *Binary) ReleaseMachine(m *vm.Machine) {
-	b.pool.Put(m)
+	size := int64(len(m.Mem))
+	idle.Lock()
+	idle.bySize[size] = append(idle.bySize[size], m)
+	idle.Unlock()
 }
 
 // AcquireImageClone returns a private copy of the binary's image for

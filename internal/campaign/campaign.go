@@ -70,7 +70,8 @@ func DefaultBuildOptions() BuildOptions {
 // built, the tool's instrumentation level: a Cache hands every tool of one
 // Level a Binary with its own Tool and the same *build, so PINFI, OPCODE,
 // OPCODE-VALID and PINFI2 run their trials on one image, one fire-point
-// index, one set of anchors and one pool of machines.
+// index and one set of anchors. Machines are the process's, not the build's
+// (see AcquireMachine).
 type Binary struct {
 	App  App
 	Tool Tool
@@ -84,11 +85,6 @@ type build struct {
 	Img   *vm.Image
 	Sites int // static instrumentation sites (REFINE / LLFI)
 	Cfg   fault.Config
-
-	// pool recycles machines across trials and campaigns (see
-	// AcquireMachine); a 4 MiB address space per trial is the dominant
-	// allocation of a campaign otherwise.
-	pool sync.Pool
 
 	// imgPool recycles private image clones for injectors that mutate the
 	// instruction stream in place (see AcquireImageClone). Living on the
@@ -211,8 +207,10 @@ func bindOutput(m *vm.Machine) {
 	}
 }
 
-// NewMachine prepares a machine for the binary with output bound.
+// NewMachine prepares a machine for the binary with output bound, on an
+// address space of its own.
 func (b *Binary) NewMachine() *vm.Machine {
+	newMachines.Add(1)
 	m := vm.New(b.Img)
 	bindOutput(m)
 	return m
@@ -230,11 +228,13 @@ type Profile struct {
 // crashed (timeout) after 10× the profiled execution length.
 const TimeoutFactor = 10
 
-// RunProfile executes the profiling step for the binary: the tool counts its
-// dynamic target population over a golden run, and the orchestrator
-// validates the run and derives the timeout budget.
+// RunProfile executes the profiling step for the binary, on a machine
+// borrowed from the process's pool: the tool counts its dynamic target
+// population over a golden run, and the orchestrator validates the run and
+// derives the timeout budget.
 func (b *Binary) RunProfile(costs pinfi.CostModel) (*Profile, error) {
-	m := b.NewMachine()
+	m := b.AcquireMachine()
+	defer b.ReleaseMachine(m)
 	p := &Profile{}
 	start := phaseStart()
 	p.Targets, p.Golden = b.Tool.Profile(m, b, costs)
@@ -274,7 +274,8 @@ func (b *Binary) RunTrial(prof *Profile, costs pinfi.CostModel, seed uint64) Tri
 }
 
 // runTrialOn runs one trial on a machine of the binary in any state (fresh,
-// or as the pool's last trial left it), starting from the nearest anchor.
+// or as its last trial left it, on this image or, rebound, on another),
+// starting from the nearest anchor.
 func (b *Binary) runTrialOn(m *vm.Machine, prof *Profile, costs pinfi.CostModel, seed uint64) TrialResult {
 	rng := fault.NewRNG(seed)
 	target := rng.Intn(prof.Targets)

@@ -8,9 +8,9 @@ import (
 	"repro/internal/vm"
 )
 
-// Test-only access to the trial start state (anchors.go) for the external
-// test package, which needs every registered tool and therefore cannot live
-// inside package campaign.
+// Test-only access to the trial start state (anchors.go) and the machine
+// pool (cache.go) for the external test package, which needs every
+// registered tool and therefore cannot live inside package campaign.
 
 // AnchorDyns returns the dynamic target index of each of the binary's
 // anchors, capturing them on m if no trial has yet.
@@ -46,4 +46,27 @@ func (b *Binary) TrialAt(m *vm.Machine, prof *Profile, costs pinfi.CostModel, ta
 		g.dyns, g.snaps = g.dyns[:n], g.snaps[:n]
 	}
 	return b.runTrialFrom(m, g, n, prof, costs, target, rng)
+}
+
+// PooledTrial is one iteration of the campaign runner: the trial of seed on
+// a machine borrowed from the process's pool and returned to it afterwards.
+// It also returns that machine and the size of the address space it was
+// lent with.
+func (b *Binary) PooledTrial(prof *Profile, costs pinfi.CostModel, seed uint64) (TrialResult, *vm.Machine, int) {
+	m := b.acquireMachine()
+	defer b.ReleaseMachine(m)
+	size := len(m.Mem)
+	return b.runTrialOn(m, prof, costs, seed), m, size
+}
+
+// NewAddressSpaces reports how many address spaces NewMachine has allocated
+// in this process.
+func NewAddressSpaces() uint64 { return newMachines.Load() }
+
+// DropIdleMachines empties the process's machine pool, so that the next
+// borrower of every size allocates.
+func DropIdleMachines() {
+	idle.Lock()
+	clear(idle.bySize)
+	idle.Unlock()
 }

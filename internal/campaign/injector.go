@@ -36,10 +36,10 @@ type Injector interface {
 	// Level is the stable name of the tool's build half — the two hooks
 	// below, Profile and Replay — and what a Cache keys a build by: tools
 	// with one Level must build, profile and replay identically, and share
-	// one build (image, fire-point index, anchors, machine pool) with only
-	// Trial their own. Registered: "ir" (LLFI), "backend" (REFINE, REFINE2),
-	// "binary" (embed BinaryLevel). A hand-written injector returns its own
-	// Name and shares with nobody.
+	// one build (image, fire-point index, anchors) with only Trial their
+	// own. Registered: "ir" (LLFI), "backend" (REFINE, REFINE2), "binary"
+	// (embed BinaryLevel). A hand-written injector returns its own Name and
+	// shares with nobody.
 	Level() string
 
 	// InstrumentIR instruments the optimized, not-yet-legalized IR module
@@ -54,11 +54,11 @@ type Injector interface {
 	// added. Tools that do not instrument machine code return 0, nil.
 	InstrumentMachine(p *mir.Prog, cfg fault.Config) (int, error)
 
-	// Profile runs the profiling step (paper Figure 3a) on a fresh machine
-	// for b: it must execute the program once, counting the dynamic target
-	// population and collecting the golden output. The orchestrator
-	// validates the run (no trap, clean exit, non-empty population) and
-	// derives the timeout budget afterwards.
+	// Profile runs the profiling step (paper Figure 3a) on a reset machine
+	// for b with only output bound: it must execute the program once,
+	// counting the dynamic target population and collecting the golden
+	// output. The orchestrator validates the run (no trap, clean exit,
+	// non-empty population) and derives the timeout budget afterwards.
 	Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (targets int64, golden []uint64)
 
 	// Replay re-runs the never-firing golden pass of Profile on m, which

@@ -139,8 +139,8 @@ func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi
 // one Restore per trial, pooled machines that crashed over stray stores
 // included — and what it hands over is the golden run at the boundary it
 // names. The anchors are captured once, on the machine the first trial
-// already holds (a second machine per binary showed up as +11 to +55 MB peak
-// RSS in the benchmark).
+// already holds (a second one would be a second address space the process's
+// pool keeps for good).
 func TestRunnerOwnsTrialStartState(t *testing.T) {
 	const trials = 24
 	probe := &startStateProbe{ToolName: "START-STATE-PROBE", t: t, seen: map[*vm.Machine]bool{}}

@@ -59,7 +59,7 @@ func equalStates(a, b machineState) bool {
 	return slices.Equal(a.Output, b.Output) && slices.Equal(a.Dirty, b.Dirty)
 }
 
-func buildBin(t *testing.T, appName string, tool campaign.Tool) *campaign.Binary {
+func buildBin(t testing.TB, appName string, tool campaign.Tool) *campaign.Binary {
 	t.Helper()
 	app, err := workloads.ByName(appName)
 	if err != nil {

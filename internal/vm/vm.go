@@ -312,6 +312,21 @@ func New(img *Image) *Machine {
 	return m
 }
 
+// Rebind points the machine at img, whose address space must be the size of
+// the machine's, and gives it a fresh host table with nothing bound: no host
+// function of the previous image stays callable. It leaves memory, registers
+// and accounting alone — the Reset or Restore every run starts with sweeps
+// what the previous image's runs dirtied — so a machine moves between images
+// of one size without reallocating its address space.
+func (m *Machine) Rebind(img *Image) {
+	if int64(len(m.Mem)) != img.MemSize {
+		panic("vm: Rebind: image of a different address space")
+	}
+	img.ensure()
+	m.Img = img
+	m.hosts = make([]HostFn, len(img.HostFns))
+}
+
 // Reset re-initializes registers, memory and accounting for a fresh run. It
 // also clears the instruction Budget, detaches any CountHook and TraceRing,
 // and disarms any pending FirePoint, so a pooled machine cannot
