@@ -271,8 +271,7 @@ func BenchmarkAblationPinfiDetach(b *testing.B) {
 			// "No detach" counterpart: charge the callback for the whole run.
 			m := bin.NewMachine()
 			m.Budget = prof.Budget
-			m.Count = &vm.CountHook{PerInstr: costs.PerInstr, Arm: -1}
-			m.Run()
+			pinfi.Observe(m, costs, nil, nil)
 			withoutDetach += m.Cycles + costs.JITPerStaticInstr*int64(len(bin.Img.Instrs))
 		}
 		b.ReportMetric(float64(withoutDetach)/float64(withDetach), "detach_speedup_x")
@@ -466,10 +465,10 @@ func BenchmarkVMThroughputLLFI(b *testing.B) {
 	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/s")
 }
 
-// BenchmarkVMThroughputObserved reports emulator speed with a counting
-// observer attached — Step's rate, which is what Run executes an observed
-// stretch through: the cost of a binary-level build's golden pass and of the
-// counted reference carrier's prefix.
+// BenchmarkVMThroughputObserved reports emulator speed under PIN's counting
+// instrumentation — pinfi.Observe stepping through Step: the cost of a
+// binary-level build's golden pass and of the counted reference carrier's
+// prefix.
 func BenchmarkVMThroughputObserved(b *testing.B) {
 	app, err := refine.AppByName("FT")
 	if err != nil {
@@ -486,8 +485,7 @@ func BenchmarkVMThroughputObserved(b *testing.B) {
 	var instrs int64
 	for i := 0; i < b.N; i++ {
 		m.Reset()
-		m.Count = &vm.CountHook{Targets: tm, PerInstr: costs.PerInstr, Arm: -1}
-		m.Run()
+		pinfi.Observe(m, costs, tm, func(int32) bool { return true })
 		instrs += m.InstrCount
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")

@@ -23,14 +23,14 @@ import (
 //
 // Cycle accounting. A snapshot holds the golden run's bare Cycles at its
 // boundary: the replay charges no cost model, so an anchor belongs to none.
-// A binary-level trial is made whole in pinfi.ArmFired, which adds the JIT
-// lump plus PerInstr for the restored InstrCount and arms its fire point
-// from there, so the lump sum at the fire covers the remainder. A control
-// library's call latencies are ordinary Cycles; its snapshot is taken right
+// A binary-level trial is made whole in pinfi.RunFired, which charges the JIT
+// lump plus PerInstr for every instruction up to the injection, the restored
+// ones included, once the run is over. A control library's call latencies
+// are ordinary Cycles; its snapshot is taken right
 // behind the call that consumed target dyn-1 and answered 0, which is why an
 // anchor serves targets ≥ dyn only and the library's count starts at dyn.
 // OPCODE swaps its private image clone in after the restore. The same bare
-// counts finish a rejoined trial, whose observer has detached by then.
+// counts finish a rejoined trial, whose instrumentation has detached by then.
 //
 // Anchors live on the Binary for as long as it does — never on disk, never
 // on the wire — and are captured lazily, by the first trial: the spacing
@@ -111,11 +111,12 @@ func (b *Binary) goldenAnchors(m *vm.Machine, targets int64) goldenRun {
 // Tail is the golden run behind a trial's fault: the anchors after the
 // trial's start state, handed to Injector.Trial so that a trial that has
 // rejoined the golden run is over. The VM is deterministic: once every flip
-// has landed and nothing of the injector is pending — no observer attached,
-// the control library past its trigger window — a machine whose state equals
-// an anchor's (vm.Snapshot.Matches) has the golden run's remainder ahead of
-// it. Rejoined halts it there and the runner finishes the trial: benign,
-// the golden run's remaining instructions and bare cycles added.
+// has landed and nothing of the injector is pending — no instrumentation
+// stepping, the control library past its trigger window — a machine whose
+// state equals an anchor's (vm.Snapshot.Matches) has the golden run's
+// remainder ahead of it. Rejoined halts it there and the runner finishes the
+// trial: benign, the golden run's remaining instructions and bare cycles
+// added.
 //
 // The comparison is made where the anchor was taken. A binary-level trial is
 // in step with the golden run, so Chain compares at the anchor's InstrCount.
@@ -154,8 +155,8 @@ func (t *Tail) Rejoined(m *vm.Machine, dyn int64) bool {
 }
 
 // Chain is Marks and Rejoined for a binary-level injector: called as the
-// last flip lands, no observer attached, it arms the fire point at the first
-// anchor ahead of the machine, which compares or arms the next.
+// last flip lands, the instrumentation detached, it arms the fire point at
+// the first anchor ahead of the machine, which compares or arms the next.
 func (t *Tail) Chain(m *vm.Machine) {
 	if t.fire.Fn == nil {
 		t.fire.Fn = func(m *vm.Machine, _ int32, _ *vm.Inst) {

@@ -116,7 +116,7 @@ func rejoinedBy(cache *campaign.Cache, tool campaign.Tool) int64 {
 // machine halted in mid-run; it must come back on the shared image with
 // nothing armed. OPCODE's fault lives in its image clone, which no snapshot
 // holds, so it is never pruned; neither is a PINFI2 trial whose second flip
-// has not landed, its observer still attached and charging.
+// has not landed, its instrumentation observing and charging to the end.
 func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 	apps := workloads.Registry()
 	if testing.Short() {
@@ -150,10 +150,10 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 					t.Errorf("%s/%s trial %d: machine handed back on image %p (binary's %p), armed=%v",
 						app.Name, tool.Name(), i, pruned.Img, bin.Img, pruned.FireArmed())
 				}
-				if pruned.Count != nil {
+				if tool == multibit.PINFI2Injector && !secondFlipLands(bin, prof, costs, i) {
 					unlanded++
 					if rejoinedBy(cache, tool) != was {
-						t.Errorf("%s/%s trial %d: finished at an anchor with its observer still attached", app.Name, tool.Name(), i)
+						t.Errorf("%s/%s trial %d: finished at an anchor with its second flip unlanded", app.Name, tool.Name(), i)
 					}
 				}
 				if want.Outcome == fault.Benign {
@@ -168,8 +168,21 @@ func TestRejoinedTrialsMatchUnpruned(t *testing.T) {
 		}
 	}
 	if unlanded == 0 {
-		t.Error("no PINFI2 trial ended with its second flip unlanded: the observer-attached row is gone")
+		t.Error("no PINFI2 trial ended with its second flip unlanded: the still-observing row is gone")
 	}
+}
+
+// secondFlipLands runs PINFI2's trial i of the seed-1 campaign from Reset on
+// its own machine and reports whether the trial's second flip lands.
+func secondFlipLands(bin *campaign.Binary, prof *campaign.Profile, costs pinfi.CostModel, i int) bool {
+	rng := fault.NewRNG(campaign.TrialSeed(1, multibit.PINFI2Injector, i))
+	target := rng.Intn(prof.Targets)
+	m := bin.NewMachine()
+	m.Budget = prof.Budget
+	landed := false
+	pinfi.RunFired(m, bin.FirePoints(), costs, target,
+		multibit.DoubleFlip(bin.TargetMap(), costs, target, rng, new(fault.Record), func(*vm.Machine) { landed = true }))
+	return landed
 }
 
 // TestRejoinedTrialRespectsBudget: a trial that has rejoined the golden run
@@ -207,14 +220,14 @@ func TestRejoinedTrialRespectsBudget(t *testing.T) {
 // TestSharedBuildInterleavesFaultModels is the hygiene the shared build
 // depends on: the four binary-level tools hold one build, so one pooled
 // machine serves an OPCODE trial (private image clone swapped in and out),
-// then a PINFI2 trial (counting observer attached mid-run), then PINFI, then
-// OPCODE-VALID, over the same anchors. Each must be the trial a fresh machine
-// of the tool's own private build runs from Reset, Cycles included, and must
-// hand the machine back on the shared image with nothing armed — the rows
-// include an OPCODE trial that traps on its corrupted opcode, a PINFI2
-// trial on the last target, whose second flip never lands and whose observer
-// is still attached when the run ends, and trials finished at an anchor, which
-// hand the next row a machine halted in mid-run.
+// then a PINFI2 trial (stepped by its instrumentation mid-run), then PINFI,
+// then OPCODE-VALID, over the same anchors. Each must be the trial a fresh
+// machine of the tool's own private build runs from Reset, Cycles included,
+// and must hand the machine back on the shared image with nothing armed —
+// the rows include an OPCODE trial that traps on its corrupted opcode, a
+// PINFI2 trial on the last target, whose second flip never lands and whose
+// instrumentation observes to the end of the run, and trials finished at an
+// anchor, which hand the next row a machine halted in mid-run.
 func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 	app := appsByName(t, "HPCCG")[0]
 	costs := pinfi.DefaultCosts()
@@ -256,9 +269,9 @@ func TestSharedBuildInterleavesFaultModels(t *testing.T) {
 			t.Errorf("%s target %d on the shared build's pooled machine diverged from a fresh private build:\nshared:  %+v\nprivate: %+v",
 				tool.Name(), target, got, want)
 		}
-		if m.Img != shared.Img || m.FireArmed() || (m.Count != nil) != lastTarget {
-			t.Errorf("%s target %d left the pooled machine on image %p (shared %p), armed=%v, observer=%v",
-				tool.Name(), target, m.Img, shared.Img, m.FireArmed(), m.Count != nil)
+		if m.Img != shared.Img || m.FireArmed() {
+			t.Errorf("%s target %d left the pooled machine on image %p (shared %p), armed=%v",
+				tool.Name(), target, m.Img, shared.Img, m.FireArmed())
 		}
 		illegal = illegal || tool == opcodefi.Injector && got.Trap == vm.TrapIllegal
 		unlanded = unlanded || lastTarget

@@ -24,9 +24,9 @@ var (
 	// REFINE instruments the final machine program (paper §4): full
 	// machine-level population with no code-generation interference.
 	REFINE Tool = &refineInjector{ToolName: "REFINE"}
-	// PINFI is the binary-level baseline: no static instrumentation, the
-	// VM's counting observer stands in for PIN's dynamic instrumentation
-	// during the profile and a fire point schedules each trial's injection.
+	// PINFI is the binary-level baseline: no static instrumentation,
+	// pinfi.Observe stands in for PIN's dynamic instrumentation during the
+	// profile and a fire point schedules each trial's injection.
 	PINFI Tool = &pinfiInjector{ToolName: "PINFI"}
 )
 
@@ -115,10 +115,9 @@ type pinfiInjector struct {
 func (pinfiInjector) Trial(m *vm.Machine, b *Binary, _ *Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG, tail *Tail) fault.Record {
 	var rec fault.Record
 	flip := pinfi.Flip(target, rng, &rec)
-	pinfi.ArmFired(m, b.FirePoints(), costs, target, func(m *vm.Machine, pc int32, in *vm.Inst) {
+	pinfi.RunFired(m, b.FirePoints(), costs, target, func(m *vm.Machine, pc int32, in *vm.Inst) {
 		flip(m, pc, in)
 		tail.Chain(m)
 	})
-	m.Run()
 	return rec
 }

@@ -113,9 +113,9 @@ type build struct {
 }
 
 // TargetMap returns the binary's per-PC injection-population bitmap
-// (pinfi.TargetMap over Img and Cfg) — the representation a vm.CountHook
-// counts without closure indirection. It is computed once per build and
-// immutable afterwards, so concurrent trial workers share it.
+// (pinfi.TargetMap over Img and Cfg) — the representation pinfi.Observe
+// looks targets up in. It is computed once per build and immutable
+// afterwards, so concurrent trial workers share it.
 func (b *Binary) TargetMap() []bool {
 	b.targetOnce.Do(func() { b.targets = pinfi.TargetMap(b.Img, b.Cfg) })
 	return b.targets

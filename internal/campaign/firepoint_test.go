@@ -3,8 +3,8 @@ package campaign_test
 // The fire-point differential suite: every binary-level injection carried by
 // the fire-point index must be bit-identical — outcome, fault record,
 // modeled cycles, trap and its message, dynamic instruction count, output,
-// final memory — to the same injection on the counted CountHook reference
-// carrier, run on the fast loops and single-stepped, across all 14 kernels
+// final memory — to the same injection on the counted reference carrier
+// (pinfi.RunCounted), run on and single-stepped, across all 14 kernels
 // and all four binary-level fault models (PINFI register flips, OPCODE /
 // OPCODE-VALID opcode corruption, PINFI2 double flips). This is the
 // acceptance bar for the hook-free trial path: the carrier changes how the
@@ -74,13 +74,14 @@ func injections() []injection {
 		opcode("OPCODE", pinfi.OpcodeAny),
 		opcode("OPCODE-VALID", pinfi.OpcodeValidOnly),
 		{"PINFI2", func(bin *campaign.Binary, costs pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) (vm.ExecHook, func()) {
-			return multibit.DoubleFlip(bin.TargetMap(), costs, target, rng, rec), none
+			return multibit.DoubleFlip(bin.TargetMap(), costs, target, rng, rec, func(*vm.Machine) {}), none
 		}},
 	}
 }
 
 // carriers are the ways an injection reaches its target occurrence: the
-// production fire point, and the counted reference on both execution paths.
+// production fire point, and the counted reference on both execution paths —
+// a machine traced from the start runs stepped throughout.
 var carriers = []struct {
 	name             string
 	counted, stepped bool
@@ -97,17 +98,15 @@ func diffCarriers(t *testing.T, bin *campaign.Binary, prof *campaign.Profile, in
 		m := bin.NewMachine()
 		m.Img = bin.AcquireImageClone() // opcode injections mutate in place
 		m.Budget = budget
+		if c.stepped {
+			m.Trace = vm.NewTraceRing(1)
+		}
 		var rec fault.Record
 		inject, restore := inj.make(bin, costs, occ, fault.NewRNG(seed), &rec)
 		if c.counted {
-			pinfi.ArmCounted(m, bin.TargetMap(), costs, occ, inject)
+			pinfi.RunCounted(m, bin.TargetMap(), costs, occ, inject)
 		} else {
-			pinfi.ArmFired(m, bin.FirePoints(), costs, occ, inject)
-		}
-		if c.stepped {
-			m.RunStepped()
-		} else {
-			m.Run()
+			pinfi.RunFired(m, bin.FirePoints(), costs, occ, inject)
 		}
 		restore()
 		bin.ReleaseImageClone(m.Img)
@@ -205,7 +204,7 @@ func TestFiredTrialBudgetSweep(t *testing.T) {
 	}
 }
 
-// TestBinaryLevelBuildRunsOneGoldenPass: the hooked golden pass that counts
+// TestBinaryLevelBuildRunsOneGoldenPass: the observed golden pass that counts
 // a binary-level tool's population also records its fire-point index, so a
 // cold build+profile executes the program exactly once.
 func TestBinaryLevelBuildRunsOneGoldenPass(t *testing.T) {

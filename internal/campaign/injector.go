@@ -76,7 +76,7 @@ type Injector interface {
 	// dynamic target index, leaving the machine halted for outcome
 	// classification. The runner owns the start state and Trial must not
 	// reset: m arrives (possibly recycled from a pool) with prof.Budget
-	// applied, no observer attached and nothing armed, in the state of the
+	// applied, no trace attached and nothing armed, in the state of the
 	// golden run at the boundary where from ≤ target dynamic targets have
 	// been consumed — freshly reset when from is 0, restored from a snapshot
 	// Replay let the runner take otherwise, with InstrCount, Cycles and the
@@ -127,9 +127,9 @@ func (BinaryLevel) Profile(m *vm.Machine, b *Binary, costs pinfi.CostModel) (int
 
 // Replay runs the plain binary hook-free with a chain of fire points, each
 // armed by its predecessor, at the golden-run instruction where the last of
-// the mark's dyn targets commits. No observer cost is charged: a snapshot
-// taken here holds the golden run's bare Cycles, and pinfi.ArmFired settles
-// the skipped prefix under the trial's own cost model.
+// the mark's dyn targets commits. No instrumentation cost is charged: a
+// snapshot taken here holds the golden run's bare Cycles, and pinfi.RunFired
+// charges the skipped prefix under the trial's own cost model.
 func (BinaryLevel) Replay(m *vm.Machine, b *Binary, marks []int64, at func(dyn int64)) {
 	fps := b.FirePoints()
 	var arm func(i int)

@@ -101,9 +101,9 @@ func (p *startStateProbe) Trial(m *vm.Machine, b *Binary, prof *Profile, _ pinfi
 	if from < 0 || from > target {
 		p.t.Errorf("trial against target %d told its start state has consumed %d targets", target, from)
 	}
-	if m.Budget != prof.Budget || m.Count != nil || m.Trace != nil || m.FireArmed() || m.Halted || m.Trap != vm.TrapNone {
-		p.t.Errorf("from %d: trial handed a machine not ready to run: Budget=%d (want %d) observer=%v armed=%v halted=%v trap=%v",
-			from, m.Budget, prof.Budget, m.Count != nil || m.Trace != nil, m.FireArmed(), m.Halted, m.Trap)
+	if m.Budget != prof.Budget || m.Trace != nil || m.FireArmed() || m.Halted || m.Trap != vm.TrapNone {
+		p.t.Errorf("from %d: trial handed a machine not ready to run: Budget=%d (want %d) traced=%v armed=%v halted=%v trap=%v",
+			from, m.Budget, prof.Budget, m.Trace != nil, m.FireArmed(), m.Halted, m.Trap)
 	}
 	if m.InstrCount != golden.InstrCount || m.Cycles != golden.Cycles || m.PC != golden.PC || m.Regs != golden.Regs ||
 		!slices.Equal(m.Output, golden.Output) || !bytes.Equal(m.Mem, golden.Mem) {

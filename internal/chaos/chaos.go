@@ -390,14 +390,3 @@ func Points() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Hits reports how many times a point has been evaluated in this process.
-func Hits(name string) int64 {
-	mu.Lock()
-	p := points[name]
-	mu.Unlock()
-	if p == nil {
-		return 0
-	}
-	return p.hits.Load()
-}

@@ -23,7 +23,7 @@ import (
 // SiteMap returns the per-PC bitmap of the image's REFINE injection sites —
 // the application instructions the backend pass assigned a SiteID. Each
 // execution of a marked instruction drives exactly one selInstr call, so a
-// vm.CountHook over this map counts the same dynamic target population a
+// run stepped over this map counts the same dynamic target population a
 // never-firing Lib counts through the control runtime, without executing the
 // instrumentation's host calls: a PC-indexed census with no closure per
 // instruction. The cross-layer test suite pins the two counts to

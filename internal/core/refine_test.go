@@ -152,17 +152,16 @@ func TestProfileCountMatchesDynamicTargets(t *testing.T) {
 	}
 	_, lib := runProfiled(t, img)
 
-	// Count dynamically executed target instructions with a VM count hook;
+	// Count dynamically executed target instructions by stepping the run;
 	// must equal the library's count exactly.
 	m2 := vm.New(img)
 	m2.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) { mm.Regs[vx.R0] = 0 }})
 	plib := &core.Lib{Target: -1}
 	plib.Bind(m2)
-	ch := &vm.CountHook{Targets: pinfi.TargetMap(img, cfg), Arm: -1}
-	m2.Count = ch
-	m2.Run()
-	if ch.N != lib.Count {
-		t.Fatalf("hook counted %d targets, selInstr %d", ch.N, lib.Count)
+	var n int64
+	pinfi.Observe(m2, pinfi.CostModel{}, pinfi.TargetMap(img, cfg), func(int32) bool { n++; return true })
+	if n != lib.Count {
+		t.Fatalf("stepping counted %d targets, selInstr %d", n, lib.Count)
 	}
 }
 

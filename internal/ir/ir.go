@@ -374,17 +374,3 @@ func (f *Func) NewValueAt(b *Block, pos int, op Op, t Type, args ...*Value) *Val
 	b.Values[pos] = v
 	return v
 }
-
-// InsertAfter inserts nv immediately after v in block b.
-func (b *Block) InsertAfter(v, nv *Value) {
-	for i, w := range b.Values {
-		if w == v {
-			b.Values = append(b.Values, nil)
-			copy(b.Values[i+2:], b.Values[i+1:])
-			b.Values[i+1] = nv
-			nv.Block = b
-			return
-		}
-	}
-	panic("ir: InsertAfter: anchor not in block")
-}

@@ -120,7 +120,7 @@ func posIn(b *ir.Block, v *ir.Value) int {
 // SiteMap returns the per-PC bitmap of the image's LLFI instrumentation
 // call sites — the CALLQ instructions into the injectFault runtime. Each
 // execution of a marked call drives exactly one runtime invocation, so a
-// vm.CountHook over this map counts the same dynamic instrumented
+// run stepped over this map counts the same dynamic instrumented
 // population a never-firing Lib counts from inside the host functions, without
 // paying their modeled call costs: a PC-indexed census with no closure per
 // instruction (and a cross-layer check that instrumentation, code generation

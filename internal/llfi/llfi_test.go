@@ -155,11 +155,10 @@ func TestPopulationSmallerThanMachine(t *testing.T) {
 	plib := &llfi.Lib{Target: -1}
 	plib.Bind(m)
 	cfg := fault.DefaultConfig()
-	ch := &vm.CountHook{Targets: pinfi.TargetMap(img, cfg), Arm: -1}
-	m.Count = ch
-	m.Run()
-	if plib.Count >= ch.N {
-		t.Fatalf("LLFI population %d not smaller than machine population %d", plib.Count, ch.N)
+	var n int64
+	pinfi.Observe(m, pinfi.CostModel{}, pinfi.TargetMap(img, cfg), func(int32) bool { n++; return true })
+	if plib.Count >= n {
+		t.Fatalf("LLFI population %d not smaller than machine population %d", plib.Count, n)
 	}
 }
 

@@ -7,11 +7,10 @@ package multibit
 // hook-free fast loop. The second flip cannot use a fire point: it lands on
 // the (target+1)-th target occurrence of the *post-injection* execution,
 // whose dynamics have diverged from the golden run the index was recorded
-// on. The fire callback therefore attaches an inline counting hook primed
-// with the occurrence count so far, and the run continues observed (through
+// on. The fire callback therefore observes the run on (pinfi.Observe, through
 // the VM's reference Step path, for the few instructions it takes) until the
-// second flip detaches it — fire points where the golden trace is valid,
-// counting where it is not.
+// second flip lands and detaches, and the fast loop resumes from there —
+// fire points where the golden trace is valid, counting where it is not.
 
 import (
 	"repro/internal/campaign"
@@ -37,46 +36,34 @@ type pinfi2Injector struct {
 
 // Trial injects two single-bit register faults at consecutive dynamic target
 // occurrences (the double-fault model), first flip via the fire-point index.
-// Only the callback that lands the second flip, the observer detached, looks
-// for the golden run again: until then the observer is charging.
+// Only the second flip, as it lands, looks for the golden run again: until
+// then the instrumentation is charging.
 func (pinfi2Injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile, costs pinfi.CostModel, _, target int64, rng *fault.RNG, tail *campaign.Tail) fault.Record {
 	var rec fault.Record
-	first := DoubleFlip(b.TargetMap(), costs, target, rng, &rec)
-	pinfi.ArmFired(m, b.FirePoints(), costs, target, func(m *vm.Machine, pc int32, in *vm.Inst) {
-		first(m, pc, in)
-		second := m.Count.Fire
-		m.Count.Fire = func(m *vm.Machine, pc int32, in *vm.Inst) {
-			second(m, pc, in)
-			tail.Chain(m)
-		}
-	})
-	m.Run()
+	pinfi.RunFired(m, b.FirePoints(), costs, target, DoubleFlip(b.TargetMap(), costs, target, rng, &rec, tail.Chain))
 	return rec
 }
 
 // DoubleFlip is the double-flip injection: pinfi's register flip at the
-// target occurrence, logged to rec, which then attaches the counting hook
-// that lands the same flip once more (the Record format logs one fault, so
-// the second flip's log is dropped; its draw consumes RNG state
-// deterministically). N primes to target+1 — this occurrence was number
-// target, and counting advances past it before looking for the next — armed
-// for the very next target occurrence of the now-diverged stream; the second
-// flip detaches, as the single-flip trial does. If the first flip crashes or
-// diverts the program away from every remaining target site, only it lands
-// (a dead process cannot be faulted twice); if the budget expires before the
-// first flip, neither does.
-func DoubleFlip(targets []bool, costs pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record) vm.ExecHook {
+// target occurrence, logged to rec, which then observes the run on and lands
+// the same flip once more at the very next target occurrence of the
+// now-diverged stream, detaches as the single-flip trial does, and calls
+// landed. The Record format logs one fault, so the second
+// flip's log is dropped; its draw consumes RNG state deterministically. If
+// the first flip crashes or diverts the program away from every remaining
+// target site, only it lands (a dead process cannot be faulted twice) and
+// the observation lasts to the end of the run; if the budget expires before
+// the first flip, neither does.
+func DoubleFlip(targets []bool, costs pinfi.CostModel, target int64, rng *fault.RNG, rec *fault.Record, landed func(*vm.Machine)) vm.ExecHook {
 	flip := pinfi.Flip(target, rng, rec)
 	return func(m *vm.Machine, pc int32, in *vm.Inst) {
 		flip(m, pc, in)
 		first := *rec
-		m.Count = &vm.CountHook{
-			Targets: targets, PerInstr: costs.PerInstr, N: target + 1, Arm: target + 1,
-			Fire: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-				mm.Count = nil
-				flip(mm, pc, in)
-				*rec = first
-			},
-		}
+		pinfi.Observe(m, costs, targets, func(pc int32) bool {
+			flip(m, pc, &m.Img.Instrs[pc])
+			*rec = first
+			landed(m)
+			return false
+		})
 	}
 }

@@ -75,8 +75,7 @@ func (j *injector) Trial(m *vm.Machine, b *campaign.Binary, _ *campaign.Profile,
 	m.Img = priv
 	var rec fault.Record
 	inject, restore := pinfi.CorruptOpcode(target, j.mode, rng, &rec)
-	pinfi.ArmFired(m, b.FirePoints(), costs, target, inject)
-	m.Run()
+	pinfi.RunFired(m, b.FirePoints(), costs, target, inject)
 	restore()
 	m.Img = base
 	b.ReleaseImageClone(priv)

@@ -10,7 +10,7 @@ import (
 // records, for every dynamic target-instruction occurrence, the absolute
 // InstrCount at which it committed and its PC. A trial then maps "inject at
 // the Nth dynamic target occurrence" straight to an absolute instruction
-// index and arms the VM's fire-point seam (ArmFired): the injection deadline
+// index and arms the VM's fire-point seam (RunFired): the injection deadline
 // rides the budget countdown of the hook-free fast loop, so neither the
 // prefix nor the suffix of the trial executes a single observed instruction.
 // The index is persisted in the campaign disk cache alongside the profile.

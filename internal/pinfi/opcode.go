@@ -41,8 +41,8 @@ const (
 // predecoded stream in place, so the running loop executes the corrupted
 // instruction from the next dispatch) — and logs the transition to rec;
 // restore puts the opcode back once the machine has halted, so trials are
-// independent. A counting hook's target bitmap is consulted only while the
-// hook is attached, so it never observes the corrupted stream.
+// independent. A target bitmap is consulted only while Observe is stepping,
+// which ends at the injection, so it never observes the corrupted stream.
 func CorruptOpcode(target int64, mode OpcodeMode, rng *fault.RNG, rec *fault.Record) (inject vm.ExecHook, restore func()) {
 	var img *vm.Image // the corrupted image, once the injection has landed
 	var old vx.Op

@@ -14,8 +14,7 @@ import (
 func opcodeTrial(m *vm.Machine, fps *pinfi.FirePoints, target int64, mode pinfi.OpcodeMode, rng *fault.RNG) fault.Record {
 	var rec fault.Record
 	inject, restore := pinfi.CorruptOpcode(target, mode, rng, &rec)
-	pinfi.ArmFired(m, fps, pinfi.DefaultCosts(), target, inject)
-	m.Run()
+	pinfi.RunFired(m, fps, pinfi.DefaultCosts(), target, inject)
 	restore()
 	return rec
 }

@@ -1,15 +1,17 @@
 // Package pinfi implements the binary-level comparator: fault injection via
 // dynamic binary instrumentation in the style of the PINFI tool the paper
-// uses as its accuracy baseline (§5.2). The VM's inline counting observer
-// (vm.CountHook) stands in for PIN's instruction-level instrumentation: it
-// observes the executed machine instruction stream of the *uninstrumented,
-// optimized* binary — the definitive dynamic instruction population.
+// uses as its accuracy baseline (§5.2). Observe stands in for PIN's
+// instruction-level instrumentation: it steps the VM through the executed
+// machine instruction stream of the *uninstrumented, optimized* binary — the
+// definitive dynamic instruction population.
 //
 // The package models PIN's costs explicitly (per-instruction analysis
 // callback plus one-time JIT translation of the code it executes) and
 // implements the paper's performance modification: once the single fault has
 // been injected, PINFI removes all instrumentation and detaches (§5.2),
-// letting the rest of the run execute at native speed.
+// letting the rest of the run execute at native speed. The VM knows nothing
+// of either: a trial's injection rides its fire point, and RunFired charges
+// what the instrumentation would have cost.
 package pinfi
 
 import (
@@ -40,8 +42,8 @@ func DefaultCosts() CostModel {
 }
 
 // TargetMap precomputes the per-PC bitmap of the injection population under
-// the configuration — the representation vm.CountHook counts without closure
-// indirection. The population predicate is
+// the configuration — the representation Observe looks targets up in. The
+// population predicate is
 // purely static per instruction (class, output registers, owning function),
 // so the bitmap is exact; campaigns cache it per binary
 // (campaign.Binary.TargetMap) instead of recomputing per trial.
@@ -49,11 +51,32 @@ func TargetMap(img *vm.Image, cfg fault.Config) []bool {
 	return vm.TargetMap(img, func(in *vm.Inst) bool { return cfg.TargetInst(img, in) })
 }
 
+// Observe is PIN's instrumentation attached to a running machine: it steps m
+// through Step, the reference path, charging costs.PerInstr for every
+// instruction that commits without halting the machine (a trapping
+// instruction is not observed), and calls fn with the PC of every committed
+// target instruction (targets[pc]; a short or nil map targets nothing past
+// its length). It returns when the machine halts or fn returns false — the
+// detach (§5.2), after which whoever runs the machine on does so
+// uninstrumented. No fire point may come due while it steps.
+func Observe(m *vm.Machine, costs CostModel, targets []bool, fn func(pc int32) bool) {
+	for !m.Halted {
+		pc := m.PC
+		m.Step()
+		if m.Halted {
+			return
+		}
+		m.Cycles += costs.PerInstr
+		if uint32(pc) < uint32(len(targets)) && targets[pc] && !fn(pc) {
+			return
+		}
+	}
+}
+
 // Profile runs the one observed golden pass of a binary-level build on a
-// fresh machine: counting instrumentation attached for the whole run (as
-// PINFI's profiling tool does), so the VM executes it through Step, whose
-// Fire — re-armed at every occurrence — records the fire-point index the
-// trials are scheduled from. It returns the index
+// fresh machine: instrumentation attached for the whole run (as PINFI's
+// profiling tool does), recording every target occurrence into the
+// fire-point index the trials are scheduled from. It returns the index
 // (N is the dynamic target count) and the golden output; the machine is left
 // halted with the dynamic instruction count the 10× timeout budget derives
 // from. The recorded indices are exact for every trial of the campaign: a
@@ -62,63 +85,62 @@ func TargetMap(img *vm.Image, cfg fault.Config) []bool {
 func Profile(m *vm.Machine, targets []bool, costs CostModel) (*FirePoints, []uint64) {
 	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
 	fps := &FirePoints{}
-	ch := &vm.CountHook{Targets: targets, PerInstr: costs.PerInstr}
-	ch.Fire = func(mm *vm.Machine, pc int32, _ *vm.Inst) {
-		fps.add(mm.InstrCount, pc)
-		ch.Arm++
-	}
-	m.Count = ch
-	m.Run()
-	m.Count = nil
+	Observe(m, costs, targets, func(pc int32) bool {
+		fps.add(m.InstrCount, pc)
+		return true
+	})
 	return fps, append([]uint64(nil), m.Output...)
 }
 
 // A binary-level trial is one injection — an ExecHook-shaped callback that
-// runs once, after the target-th dynamic target instruction commits — armed
-// on a machine in its start state by one of the two carriers below; the caller
-// then runs the machine, which is left halted for outcome classification.
-// The injections are Flip, CorruptOpcode (opcode.go) and multibit's double
-// flip. Both carriers hand the injection the same machine state (the
-// instruction's effects committed, its PerInstr cost charged, no observer
-// attached), so everything a campaign derives from a trial is bit-identical
-// between them — the differential suite holds the fired carrier to the
-// counted one and to RunStepped.
+// runs once, after the target-th dynamic target instruction commits — run on
+// a machine in its start state by one of the two carriers below, which leave
+// the machine halted for outcome classification. The injections are Flip,
+// CorruptOpcode (opcode.go) and multibit's double flip. Both carriers hand
+// the injection the same machine state (the instruction's effects
+// committed, no instrumentation attached) and charge the same cycles, so
+// everything a campaign derives from a trial is bit-identical between them —
+// the differential suite holds the fired carrier to the counted one, run on
+// and stepped.
 
-// ArmFired is the production carrier: it looks the target occurrence up in
-// the fire-point index and arms the VM's fire-point seam at that absolute
-// instruction index. The whole trial — prefix, injection, suffix — runs on
-// the hook-free fast loop with zero observed instructions; the deferred
-// PerInstr observer cost is settled as a lump sum at the fire (see
-// vm.FirePoint).
+// RunFired is the production carrier: it looks the target occurrence up in
+// the fire-point index, arms the VM's fire-point seam at that absolute
+// instruction index and runs the machine. The whole trial — prefix,
+// injection, suffix — runs on the hook-free fast loop with zero observed
+// instructions, and PIN's cost is charged afterwards: the JIT lump plus
+// PerInstr for every instruction the instrumentation would have observed up
+// to the injection, min(InstrCount, at) — fewer when the run ends first.
 //
 // The machine need not be at instruction 0: a snapshot of the golden run
 // (vm.Machine.Restore) at or before the target occurrence is as good a start
-// as Reset. This is the one place a binary-level trial's cycles are made
-// whole. A snapshot holds the golden run's bare Cycles — no JIT lump, no
-// observer cost, so it belongs to no cost model — and ArmFired charges the
-// JIT lump plus PerInstr for the InstrCount instructions the start state
-// skipped; the fire point is armed from that InstrCount, so the lump sum at
-// the fire covers exactly the remainder.
-func ArmFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, inject vm.ExecHook) {
-	m.Cycles += costs.JITPerStaticInstr*int64(len(m.Img.Instrs)) + costs.PerInstr*m.InstrCount
+// as Reset. A snapshot holds the golden run's bare Cycles — no JIT lump, no
+// observer cost, so it belongs to no cost model — and the charge counts the
+// instructions the start state skipped as observed, as a trial from Reset
+// would have them.
+func RunFired(m *vm.Machine, fps *FirePoints, costs CostModel, target int64, inject vm.ExecHook) {
 	at, pc := fps.Lookup(target)
-	m.ArmFire(&vm.FirePoint{At: at, PC: pc, PerInstr: costs.PerInstr, Fn: inject})
+	m.ArmFire(&vm.FirePoint{At: at, PC: pc, Fn: inject})
+	m.Run()
+	m.Cycles += costs.JITPerStaticInstr*int64(len(m.Img.Instrs)) + costs.PerInstr*min(m.InstrCount, at)
 }
 
-// ArmCounted is the reference carrier, PINFI as the paper describes it, for
-// a freshly reset machine: a counting hook attached from instruction 0
-// counts target occurrences through an observed prefix and, at the target-th,
-// removes the instrumentation and detaches (the §5.2 optimization) before
-// injecting.
-func ArmCounted(m *vm.Machine, targets []bool, costs CostModel, target int64, inject vm.ExecHook) {
+// RunCounted is the reference carrier, PINFI as the paper describes it, for
+// a freshly reset machine: instrumentation attached from instruction 0
+// counts target occurrences through an observed prefix and, at the
+// target-th, injects and detaches (the §5.2 optimization); the machine then
+// runs on uninstrumented.
+func RunCounted(m *vm.Machine, targets []bool, costs CostModel, target int64, inject vm.ExecHook) {
 	m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
-	m.Count = &vm.CountHook{
-		Targets: targets, PerInstr: costs.PerInstr, Arm: target,
-		Fire: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			mm.Count = nil
-			inject(mm, pc, in)
-		},
-	}
+	n := int64(0)
+	Observe(m, costs, targets, func(pc int32) bool {
+		if n < target {
+			n++
+			return true
+		}
+		inject(m, pc, &m.Img.Instrs[pc])
+		return false
+	})
+	m.Run()
 }
 
 // Flip is the register-flip injection (the paper's single-bit fault model):

@@ -57,8 +57,7 @@ func profile(img *vm.Image) (m *vm.Machine, fps *pinfi.FirePoints, golden []uint
 // trial runs one register-flip trial on the production carrier.
 func trial(m *vm.Machine, fps *pinfi.FirePoints, target int64, rng *fault.RNG) fault.Record {
 	var rec fault.Record
-	pinfi.ArmFired(m, fps, pinfi.DefaultCosts(), target, pinfi.Flip(target, rng, &rec))
-	m.Run()
+	pinfi.RunFired(m, fps, pinfi.DefaultCosts(), target, pinfi.Flip(target, rng, &rec))
 	return rec
 }
 
@@ -102,7 +101,7 @@ func TestTrialInjectsAndDetaches(t *testing.T) {
 		if rec.Op == "" {
 			t.Fatalf("target %d: no fault recorded", target)
 		}
-		if mt.Count != nil || mt.FireArmed() {
+		if mt.FireArmed() {
 			t.Fatal("instrumentation still attached after trial")
 		}
 		outcomes[fault.Classify(mt, golden)]++
@@ -169,5 +168,50 @@ func TestRecordFieldsPlausible(t *testing.T) {
 	}
 	if rec.Bit >= 64 {
 		t.Fatalf("bit %d out of range", rec.Bit)
+	}
+}
+
+// TestObserveChargesCommittedInstructions: Observe charges PerInstr for
+// every instruction that commits without halting the machine — not for one
+// that traps — and stops where fn answers false, the machine running on
+// uninstrumented from there.
+func TestObserveChargesCommittedInstructions(t *testing.T) {
+	img := buildImage(t)
+	const perInstr = 1000
+	every := make([]bool, len(img.Instrs))
+	for i := range every {
+		every[i] = true
+	}
+	// observe steps a run whose stack and frame pointers go wild at
+	// instruction 50, so the closing RET traps, and detaches at instruction
+	// detach (never if 0).
+	observe := func(costs pinfi.CostModel, detach int64) *vm.Machine {
+		m := newMachine(img)
+		pinfi.Observe(m, costs, every, func(int32) bool {
+			if m.InstrCount == 50 {
+				m.Regs[vx.SP], m.Regs[vx.BP] = 8, 8
+			}
+			return m.InstrCount != detach
+		})
+		return m
+	}
+	plain := observe(pinfi.CostModel{}, 0)
+	charged := observe(pinfi.CostModel{PerInstr: perInstr}, 0)
+	if charged.Trap != vm.TrapSegv || plain.Trap != vm.TrapSegv {
+		t.Fatalf("the wild stack pointer ended the runs with %v / %v, want a segfault", charged.Trap, plain.Trap)
+	}
+	if got, want := charged.Cycles-plain.Cycles, perInstr*(charged.InstrCount-1); got != want {
+		t.Errorf("observing %d instructions, the last of them trapping, charged %d cycles, want %d", charged.InstrCount, got, want)
+	}
+
+	detached := observe(pinfi.CostModel{PerInstr: perInstr}, 20)
+	if detached.Halted || detached.InstrCount != 20 {
+		t.Fatalf("detach at instruction 20 left the machine halted=%v at instruction %d", detached.Halted, detached.InstrCount)
+	}
+	detached.Run()
+	golden := newMachine(img)
+	golden.Run()
+	if got, want := detached.Cycles, golden.Cycles+20*perInstr; detached.Trap != vm.TrapNone || got != want {
+		t.Errorf("detached run: trap %v, %d cycles, want a normal halt and %d", detached.Trap, got, want)
 	}
 }

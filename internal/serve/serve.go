@@ -271,17 +271,33 @@ func validate(spec campaign.Spec) error {
 	return nil
 }
 
-// execute runs one admitted campaign to completion, appending every trial
-// event as it lands. The observer fires from the order-deterministic
-// collector — in trial order, exactly once per index — so the event log IS
-// the canonical stream, no reordering needed here. With a journal, recorded
-// trials replay through the same observer before new work runs, rebuilding
-// the log across daemon restarts.
+// execute runs one admitted campaign to completion and seals the run. A
+// failed run stops capturing its key before it is sealed, so no client that
+// has seen its error event can dedup onto it: the streams already attached
+// get the error, and the next submission of the key executes afresh
+// (replaying, with a journal, the trials this one delivered).
 func (s *Server) execute(r *run, spec campaign.Spec) {
+	res, err := s.runCampaign(r, spec)
+	if err != nil {
+		s.mu.Lock()
+		if s.runs[r.key] == r {
+			delete(s.runs, r.key)
+		}
+		s.mu.Unlock()
+	}
+	r.finish(res, err, s.cfg.Logf)
+}
+
+// runCampaign runs the spec's campaign, appending every trial event as it
+// lands. The observer fires from the order-deterministic collector — in
+// trial order, exactly once per index — so the event log IS the canonical
+// stream, no reordering needed here. With a journal, recorded trials replay
+// through the same observer before new work runs, rebuilding the log across
+// daemon restarts.
+func (s *Server) runCampaign(r *run, spec campaign.Spec) (*campaign.Result, error) {
 	app, err := workloads.ByName(spec.App)
 	if err != nil {
-		r.finish(nil, err, s.cfg.Logf)
-		return
+		return nil, err
 	}
 	var extra []campaign.Option
 	if s.cfg.Journal != nil {
@@ -290,16 +306,12 @@ func (s *Server) execute(r *run, spec campaign.Spec) {
 	cam, err := campaign.NewFromSpec(spec, app, spec.Lo, spec.Trials, s.cache,
 		func(i int, tr campaign.TrialResult) { r.append(i, tr) }, extra...)
 	if err != nil {
-		r.finish(nil, err, s.cfg.Logf)
-		return
+		return nil, err
 	}
-	var res *campaign.Result
 	if s.cfg.Pool != nil {
-		res, err = s.cfg.Pool.Run(s.ctx, cam)
-	} else {
-		res, err = cam.Run(s.ctx)
+		return s.cfg.Pool.Run(s.ctx, cam)
 	}
-	r.finish(res, err, s.cfg.Logf)
+	return cam.Run(s.ctx)
 }
 
 // append records one delivered trial and wakes the streamers.

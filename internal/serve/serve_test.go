@@ -324,6 +324,34 @@ func TestServeCloseSettlesRunsOntoTheJournal(t *testing.T) {
 	}
 }
 
+// TestServeFailedRunReleasesItsKey: a spec that validates but fails — no
+// instruction of the program is in the population — ends its stream with an
+// error, and resubmitting it executes afresh instead of deduping onto the
+// failure.
+func TestServeFailedRunReleasesItsKey(t *testing.T) {
+	var logMu sync.Mutex
+	var admitted, deduped int
+	_, client := newTestServer(t, serve.Config{Logf: func(format string, args ...any) {
+		logMu.Lock()
+		admitted += strings.Count(format, "admitted")
+		deduped += strings.Count(format, "deduped")
+		logMu.Unlock()
+		t.Logf(format, args...)
+	}})
+	bad := spec(t, "CG", 8, 1)
+	bad.Build.FI.Funcs = []string{"nope"}
+	for i := 0; i < 2; i++ {
+		if _, err := client.Run(context.Background(), bad, nil); err == nil || !strings.Contains(err.Error(), "empty target population") {
+			t.Fatalf("submission %d of a spec with no targets: %v, want the empty-population failure", i, err)
+		}
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if admitted != 2 || deduped != 0 {
+		t.Fatalf("admitted %d / deduped %d, want the failed key admitted twice", admitted, deduped)
+	}
+}
+
 // TestServeRejectsBadSubmissions: an unknown app or a mangled range fails
 // fast with a fatal (non-retried) client error, a body over the 1 MiB cap is
 // answered 413, and none mints a run entry.

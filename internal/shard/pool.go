@@ -101,7 +101,7 @@ const (
 	defaultStall = 30 * time.Second
 	defaultGrace = 2 * time.Second
 	// slowInstrPerSec is the pessimistic VM throughput floor used to derive
-	// a per-range progress deadline from the cost model's trial budget; the
+	// a per-trial progress deadline from the cost model's trial budget; the
 	// real VM is orders of magnitude faster, so only a genuinely wedged
 	// worker can miss the deadline.
 	slowInstrPerSec = 8 << 20
@@ -536,23 +536,17 @@ func (p *Pool) admitLocked(cid int) {
 	}
 }
 
-// rangeDeadline is the silent-worker deadline for one assigned range: the
-// stall floor (generous enough to cover a cold build+profile inside the
-// first range), scaled up by the cost model when a range's worst-case trial
-// budget at a pessimistic VM throughput floor exceeds it. FI_SHARD_STALL
-// fixes it absolutely (tests).
-func (p *Pool) rangeDeadline(run *runState, r *rangeReq) time.Duration {
+// rangeDeadline is the silent-worker deadline for a range of the run: every
+// frame restarts the clock and a worker sends one per trial, so it covers
+// one trial — the stall floor (generous enough to cover a cold
+// build+profile inside the first range), raised to the worst-case trial
+// budget at a pessimistic VM throughput floor when that is longer.
+// FI_SHARD_STALL fixes it absolutely (tests).
+func (p *Pool) rangeDeadline(run *runState) time.Duration {
 	if p.stallFixed {
 		return p.stall
 	}
-	d := p.stall
-	if run.budget > 0 {
-		est := time.Duration(float64(run.budget) * float64(r.Hi-r.Lo) / slowInstrPerSec * float64(time.Second))
-		if est > d {
-			d = est
-		}
-	}
-	return d
+	return max(p.stall, time.Duration(float64(run.budget)/slowInstrPerSec*float64(time.Second)))
 }
 
 // monitor is the per-run hung-worker detector: workers holding one of this
@@ -589,7 +583,7 @@ func (p *Pool) monitor(run *runState, stop <-chan struct{}) {
 			if w.dead || w.condemned || w.cur == nil || w.cur.CID != run.cid {
 				continue
 			}
-			if now.Sub(w.lastAdvance) > p.rangeDeadline(run, w.cur) {
+			if now.Sub(w.lastAdvance) > p.rangeDeadline(run) {
 				w.condemned = true
 				victims = append(victims, w)
 			}

@@ -89,29 +89,27 @@ func bindGolden(m *vm.Machine, tool campaign.Tool) func() int64 {
 	return func() int64 { return 0 }
 }
 
-// everyInstr attaches fn as a per-instruction observer: a CountHook over an
-// all-true target map whose Fire re-arms itself for the next occurrence runs
-// fn after every committed instruction, on Step and at the fast loop's
-// host-call seam alike. It charges no cycles. fn detaches it with
-// m.Count = nil.
-func everyInstr(m *vm.Machine, fn vm.ExecHook) {
-	ch := &vm.CountHook{Targets: vm.TargetMap(m.Img, func(*vm.Inst) bool { return true })}
-	ch.Fire = func(mm *vm.Machine, pc int32, in *vm.Inst) {
-		ch.Arm++
-		fn(mm, pc, in)
+// everyInstr steps m on through Step, the reference path, and runs fn after
+// every instruction that commits without halting the machine, until the
+// machine halts or fn returns false. It charges no cycles: it is
+// pinfi.Observe without a cost model or a target map.
+func everyInstr(m *vm.Machine, fn func(pc int32, in *vm.Inst) bool) {
+	for !m.Halted {
+		pc := m.PC
+		m.Step()
+		if !m.Halted && !fn(pc, &m.Img.Instrs[pc]) {
+			return
+		}
 	}
-	m.Count = ch
 }
 
-// refRun executes the machine entirely through the Step reference path
-// (RunStepped: an attached observer alone would keep Run on Step only until
-// it detaches). The no-op probe is kept attached so observer-servicing
-// transitions exercise the same observer code; it costs no cycles, so the
-// accounting is identical to an unobserved stepping loop.
-func refRun(m *vm.Machine) {
-	everyInstr(m, func(*vm.Machine, int32, *vm.Inst) {})
-	m.RunStepped()
-	m.Count = nil
+// observeNow arms a fire point due at once whose callback runs
+// everyInstr(m, fn): how host code hands a stretch of the run to a
+// per-instruction observer, which a binary-level trial does from its
+// injection (multibit.DoubleFlip). The loop the callback interrupted resumes
+// where the observer stops.
+func observeNow(m *vm.Machine, fn func(pc int32, in *vm.Inst) bool) {
+	m.ArmFire(&vm.FirePoint{At: m.InstrCount, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) { everyInstr(mm, fn) }})
 }
 
 func TestFastEngineMatchesStepReference(t *testing.T) {
@@ -126,7 +124,7 @@ func TestFastEngineMatchesStepReference(t *testing.T) {
 
 			ref := bin.NewMachine()
 			refCount := bindGolden(ref, tool)
-			refRun(ref)
+			ref.RunStepped()
 
 			if fs, rs := snapshot(fast), snapshot(ref); !equalStates(fs, rs) {
 				t.Errorf("%s/%s: fast engine diverged from Step reference:\nfast: %+v\nref:  %+v",
@@ -253,7 +251,7 @@ func TestFastEngineMatchesStepUnderInjection(t *testing.T) {
 					return snapshot(m), report()
 				}
 				fs, fl := run(func(m *vm.Machine) { m.Run() })
-				rs, rl := run(refRun)
+				rs, rl := run(func(m *vm.Machine) { m.RunStepped() })
 				if !equalStates(fs, rs) {
 					t.Errorf("%s/%s %+v: fast engine diverged under injection:\nfast: %+v\nref:  %+v", name, tool.Name(), tr, fs, rs)
 				}
@@ -310,10 +308,10 @@ func TestDirtyPageResetMatchesFreshMachine(t *testing.T) {
 	}
 }
 
-// TestHostAttachedHookMatchesStep covers one way an observer can appear
-// mid-run in the fast loop: a host function attaching it. Step services a
-// freshly attached observer for the attaching CALLQ itself, so the fast loop
-// must too — the probe's observation count and the final state have to match
+// TestHostAttachedHookMatchesStep covers the way an observer can appear
+// mid-run: a host function arming a fire point at its own call, whose
+// callback steps the rest of the run. Both loops service it right behind the
+// CALLQ — the probe's observation count and the final state have to match
 // the reference path exactly.
 func TestHostAttachedHookMatchesStep(t *testing.T) {
 	img := mustAssemble(t, buildFactorial())
@@ -323,10 +321,10 @@ func TestHostAttachedHookMatchesStep(t *testing.T) {
 		m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 			mm.Output = append(mm.Output, mm.Regs[vx.R1])
 			mm.Regs[vx.R0] = 0
-			everyInstr(mm, func(*vm.Machine, int32, *vm.Inst) { hooked++ })
+			observeNow(mm, func(int32, *vm.Inst) bool { hooked++; return true })
 		}})
 		if ref {
-			refRun(m)
+			m.RunStepped()
 		} else {
 			m.Run()
 		}
@@ -364,7 +362,7 @@ func TestHostClearedBudgetMatchesStep(t *testing.T) {
 		}})
 		m.Budget = total - 1 // would trap before halting if the lift were lost
 		if ref {
-			refRun(m)
+			m.RunStepped()
 		} else {
 			m.Run()
 		}
@@ -413,18 +411,18 @@ func TestImageIndexes(t *testing.T) {
 
 // TestResetClearsBudgetAndHook is the machine-reuse hygiene regression
 // test: a pooled machine must not leak the previous trial's timeout budget
-// or observer into the next run.
+// or a pending observer into the next run.
 func TestResetClearsBudgetAndHook(t *testing.T) {
 	bin := buildBin(t, "CG", campaign.PINFI)
 	m := bin.NewMachine()
 	m.Budget = 123
-	everyInstr(m, func(*vm.Machine, int32, *vm.Inst) {})
+	observeNow(m, func(int32, *vm.Inst) bool { return true })
 	m.Reset()
 	if m.Budget != 0 {
 		t.Errorf("Reset left Budget = %d, want 0", m.Budget)
 	}
-	if m.Count != nil {
-		t.Errorf("Reset left the probe attached")
+	if m.FireArmed() {
+		t.Errorf("Reset left the probe armed")
 	}
 	// A reused machine whose previous trial timed out must now complete.
 	m.Budget = 10

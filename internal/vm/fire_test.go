@@ -2,13 +2,13 @@ package vm_test
 
 // Differential tests for the fire-point seam: a FirePoint armed at absolute
 // index At must be observationally identical — outcome, cycle accounting,
-// trap, final register file — to a CountHook whose Fire runs at the same
-// dynamic target occurrence, on the fast loop, on Step behind an observer and
-// on RunStepped, and
+// trap, final register file — to a counted injection at the same dynamic
+// target occurrence (pinfi.RunCounted without a cost model), on the fast
+// loop, on a traced run's Step and on RunStepped, and
 // it must compose with the caller budget in every order (fire before budget,
 // budget before fire, both on the same instruction). Plus the machine-reuse
 // hygiene the pool depends on: Reset must disarm a pending fire point and
-// detach the trace ring, mirroring the PR 1 Budget+observer clearing bug.
+// detach the trace ring, mirroring an early Budget+observer clearing bug.
 
 import (
 	"os"
@@ -21,13 +21,13 @@ import (
 	"repro/internal/vm"
 )
 
-// fireEquivalents builds, for one occurrence index, the hooked-reference run
-// (CountHook armed at the occurrence) and the fire-point run (ArmFire at the
-// recorded absolute index) over the same injection callback, and returns the
-// final snapshots.
+// fireEquivalents builds, for one occurrence index, the counted-reference
+// run (occurrences counted by stepping, the injection at the occurrence) and
+// the fire-point run (ArmFire at the recorded absolute index) over the same
+// injection callback, and returns the final snapshots. Neither charges a
+// cost model: the seam is the VM's, the cycles are the program's.
 func fireEquivalents(t *testing.T, bin *campaign.Binary, fps *pinfi.FirePoints, occurrence int64, budget int64) (hooked, fired machineState) {
 	t.Helper()
-	costs := pinfi.DefaultCosts()
 	inject := func(seed uint64) vm.ExecHook {
 		rng := fault.NewRNG(seed)
 		return func(mm *vm.Machine, pc int32, in *vm.Inst) {
@@ -39,27 +39,18 @@ func fireEquivalents(t *testing.T, bin *campaign.Binary, fps *pinfi.FirePoints, 
 
 	hm := bin.NewMachine()
 	hm.Budget = budget
-	fn := inject(7)
-	hm.Count = &vm.CountHook{
-		Targets: bin.TargetMap(), PerInstr: costs.PerInstr, Arm: occurrence,
-		Fire: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			fn(mm, pc, in)
-			mm.Count = nil
-		},
-	}
-	hm.Run()
-	hm.Count = nil
+	pinfi.RunCounted(hm, bin.TargetMap(), pinfi.CostModel{}, occurrence, inject(7))
 
 	fm := bin.NewMachine()
 	fm.Budget = budget
 	at, pc := fps.Lookup(occurrence)
-	fm.ArmFire(&vm.FirePoint{At: at, PC: pc, PerInstr: costs.PerInstr, Fn: inject(7)})
+	fm.ArmFire(&vm.FirePoint{At: at, PC: pc, Fn: inject(7)})
 	fm.Run()
 
 	return snapshot(hm), snapshot(fm)
 }
 
-// TestFirePointMatchesCountHook holds the fire-point run to the hooked
+// TestFirePointMatchesCountHook holds the fire-point run to the counted
 // reference across early, middle and late occurrences, with the campaign's
 // 10× budget — the production shape of a binary-level trial.
 func TestFirePointMatchesCountHook(t *testing.T) {
@@ -86,11 +77,10 @@ func TestFirePointMatchesCountHook(t *testing.T) {
 }
 
 // TestFirePointBudgetInteraction sweeps the fire/budget orderings: a budget
-// that expires before the fire index (the callback must never run, and the
-// deferred observer cost must still match the hooked run's per-instruction
-// charges), a budget landing exactly on the fire instruction (fire first,
-// then timeout — the hooked Fire runs in the budgeted instruction's
-// epilogue), and a budget one past it.
+// that expires before the fire index (the callback must never run), a
+// budget landing exactly on the fire instruction (fire first, then timeout —
+// the counted injection runs right behind the budgeted instruction), and a
+// budget one past it.
 func TestFirePointBudgetInteraction(t *testing.T) {
 	bin := buildBin(t, "HPCCG", campaign.PINFI)
 	prof, err := bin.RunProfile(pinfi.DefaultCosts())
@@ -134,10 +124,9 @@ func TestFirePointBudgetInteraction(t *testing.T) {
 }
 
 // TestFirePointLoopEquivalence services the same fire point three ways:
-// production Run (hook-free fast loop), Run with a counting observer
-// attached (Step, observers serviced), and RunStepped. Final states must be
-// bit-identical; the observer variants charge no cycles so the comparison is
-// exact.
+// production Run (hook-free fast loop), Run on a traced machine (Step
+// throughout, the trace recorded), and RunStepped. Final states must be
+// bit-identical.
 func TestFirePointLoopEquivalence(t *testing.T) {
 	bin := buildBin(t, "CG", campaign.PINFI)
 	prof, err := bin.RunProfile(pinfi.DefaultCosts())
@@ -160,12 +149,9 @@ func TestFirePointLoopEquivalence(t *testing.T) {
 		switch mode {
 		case "fast":
 			m.Run()
-		case "hooked":
-			// A zero-cost counting observer takes Run off the fast loop
-			// without perturbing the accounting.
-			m.Count = &vm.CountHook{Targets: make([]bool, len(bin.Img.Instrs)), Arm: -1}
+		case "traced":
+			m.Trace = vm.NewTraceRing(8)
 			m.Run()
-			m.Count = nil
 		case "stepped":
 			m.RunStepped()
 		}
@@ -173,20 +159,18 @@ func TestFirePointLoopEquivalence(t *testing.T) {
 	}
 
 	fast := run("fast")
-	for _, mode := range []string{"hooked", "stepped"} {
+	for _, mode := range []string{"traced", "stepped"} {
 		if got := run(mode); !equalStates(fast, got) {
 			t.Errorf("%s loop diverged from fast:\nfast: %+v\n%s: %+v", mode, fast, mode, got)
 		}
 	}
 }
 
-// TestFiredTrialRunsZeroHookedInstructions pins the tentpole property at the
-// seam level: a fire-point trial attaches no per-instruction observer — not
-// before the fire (the prefix runs on the hook-free fast loop by
-// construction: Run dispatches there exactly when no observer is attached),
-// not inside the callback, and not after (the suffix re-enters the fast
-// loop). The callback itself asserts the observer slots are empty at the
-// injection point.
+// TestFiredTrialRunsZeroHookedInstructions pins the property at the seam
+// level: a fire-point trial on an untraced machine steps nothing — the
+// prefix and the suffix run on the hook-free fast loop (Run steps only a
+// machine traced from the start) — and the callback finds its fire point
+// disarmed and no trace attached at the injection point.
 func TestFiredTrialRunsZeroHookedInstructions(t *testing.T) {
 	bin := buildBin(t, "HPCCG", campaign.PINFI)
 	prof, err := bin.RunProfile(pinfi.DefaultCosts())
@@ -201,28 +185,24 @@ func TestFiredTrialRunsZeroHookedInstructions(t *testing.T) {
 	fired := false
 	m.ArmFire(&vm.FirePoint{At: at, PC: pc, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
 		fired = true
-		if mm.Count != nil || mm.Trace != nil {
-			t.Error("observer attached at the injection point of a fire-point trial")
+		if mm.Trace != nil {
+			t.Error("trace attached at the injection point of a fire-point trial")
 		}
 		if mm.FireArmed() {
 			t.Error("fire point still armed inside its own callback")
 		}
 	}})
-	if m.Count != nil || m.Trace != nil {
-		t.Fatal("fire-point trial armed with an observer attached")
-	}
 	m.Run()
 	if !fired {
 		t.Fatal("fire point never serviced")
 	}
-	if m.Count != nil || m.Trace != nil {
-		t.Error("observer attached after a fire-point trial")
+	if m.Trace != nil || m.FireArmed() {
+		t.Error("trace attached or fire point armed after a fire-point trial")
 	}
 }
 
 // TestResetClearsFireAndTrace extends the machine-reuse hygiene contract
-// (the PR 1 Budget+Hook clearing bug, later extended to CountHook) to the
-// two new per-run slots: a pooled machine must leak neither a pending fire
+// (an early Budget+observer clearing bug) to the two per-run slots: a pooled machine must leak neither a pending fire
 // point nor a trace ring into the next trial.
 func TestResetClearsFireAndTrace(t *testing.T) {
 	img := hostToggleProg(t)
@@ -275,15 +255,15 @@ func TestPooledMachineNoFireLeak(t *testing.T) {
 	if m2.FireArmed() {
 		t.Fatal("AcquireMachine returned a machine with a leaked fire point")
 	}
-	if m2.Budget != 0 || m2.Count != nil || m2.Trace != nil {
+	if m2.Budget != 0 || m2.Trace != nil {
 		t.Fatal("AcquireMachine returned a machine with leaked per-run state")
 	}
 }
 
 // TestTrialFastSpeedGate is the CI bench-smoke gate for the fire-point
-// rung: a binary-level trial on the fired carrier must be at least 1.2×
-// faster than the same trial on the counted reference carrier, whose
-// pre-injection prefix runs through Step behind a counting observer. The
+// rung: a binary-level trial on the fired carrier (pinfi.RunFired) must be
+// at least 1.2× faster than the same trial on the counted reference carrier
+// (pinfi.RunCounted), whose pre-injection prefix is stepped. The
 // target is the last dynamic occurrence, so the counted prefix spans
 // (almost) the whole run — the shape that dominates a campaign's trial
 // phase. Measured ≈3× (it was 1.3–1.8× while the counted prefix had a
@@ -308,11 +288,10 @@ func TestTrialFastSpeedGate(t *testing.T) {
 		inject := pinfi.Flip(target, fault.NewRNG(9), new(fault.Record))
 		start := time.Now()
 		if fired {
-			pinfi.ArmFired(m, fps, costs, target, inject)
+			pinfi.RunFired(m, fps, costs, target, inject)
 		} else {
-			pinfi.ArmCounted(m, bin.TargetMap(), costs, target, inject)
+			pinfi.RunCounted(m, bin.TargetMap(), costs, target, inject)
 		}
-		m.Run()
 		return time.Since(start)
 	}
 	// Best of nine, interleaved: a shared box's slow phases outlast a run,

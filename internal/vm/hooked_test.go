@@ -1,11 +1,13 @@
 package vm_test
 
-// Differential tests for observed execution. Run executes an observed
-// stretch through Step, so what these tests pin is everything that crosses a
-// boundary between Step and the hook-free fast loop — an observer attached or
-// detached by a host call, a Fire or a fire point, a budget changed from
-// inside either — against the pure Step reference (RunStepped), and the
-// inline CountHook against the closure formulation of the same counting:
+// Differential tests for observed execution. An observer is a stepping loop
+// over Step (pinfi.Observe, the test helper everyInstr) that a fire point's
+// callback may run in the middle of a fast-loop run, so what these tests pin
+// is everything that crosses a boundary between Step and the hook-free fast
+// loop — a stretch stepped from a fire point armed by a host call or by
+// another observer, a budget changed from inside either — against the pure
+// Step reference (RunStepped), and PIN's counting instrumentation (the count
+// hook, pinfi.Observe) against the closure formulation of the same counting:
 // same traps, cycles, InstrCount and fault records. The sweeps cover all 14
 // workloads (a subset under -short, which the CI race job runs).
 
@@ -44,11 +46,12 @@ func diffApps(t *testing.T) []string {
 	return workloads.Names()
 }
 
-// TestCountHookMatchesClosureHook pins the inline CountHook — bitmap lookup,
-// PerInstr surcharge, counter — to the closure formulation of PINFI's
-// whole-run counting instrumentation, which evaluates the population
-// predicate and charges the callback on every instruction: same population
-// count, same cycle surcharges, same final state.
+// TestCountHookMatchesClosureHook pins PIN's counting instrumentation as
+// pinfi.Profile runs it — bitmap lookup, PerInstr surcharge, the recorded
+// occurrences — to the closure formulation of PINFI's whole-run counting
+// instrumentation, which evaluates the population predicate and charges the
+// callback on every instruction: same population count, same cycle
+// surcharges, same final state.
 func TestCountHookMatchesClosureHook(t *testing.T) {
 	for _, name := range diffApps(t) {
 		bin := buildBin(t, name, campaign.PINFI)
@@ -59,26 +62,26 @@ func TestCountHookMatchesClosureHook(t *testing.T) {
 		m := bin.NewMachine()
 		m.Cycles += costs.JITPerStaticInstr * int64(len(m.Img.Instrs))
 		var closureTargets int64
-		everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			mm.Cycles += costs.PerInstr
-			if cfg.TargetInst(mm.Img, in) {
+		everyInstr(m, func(_ int32, in *vm.Inst) bool {
+			m.Cycles += costs.PerInstr
+			if cfg.TargetInst(m.Img, in) {
 				closureTargets++
 			}
+			return true
 		})
-		m.RunStepped()
 		ref := snapshot(m)
 
-		// Inline CountHook with the recording Fire (the production profile).
+		// The production profile.
 		fastM := bin.NewMachine()
 		fps, golden := pinfi.Profile(fastM, bin.TargetMap(), costs)
 		targets := fps.N
 		fast := snapshot(fastM)
 
 		if !equalStates(fast, ref) {
-			t.Errorf("%s: CountHook profile diverged from closure reference:\nfast: %+v\nref:  %+v", name, fast, ref)
+			t.Errorf("%s: profile diverged from closure reference:\nfast: %+v\nref:  %+v", name, fast, ref)
 		}
 		if targets != closureTargets {
-			t.Errorf("%s: CountHook counted %d targets, closure counted %d", name, targets, closureTargets)
+			t.Errorf("%s: profile counted %d targets, closure counted %d", name, targets, closureTargets)
 		}
 		if len(golden) != len(ref.Output) {
 			t.Errorf("%s: golden output length %d vs %d", name, len(golden), len(ref.Output))
@@ -87,11 +90,11 @@ func TestCountHookMatchesClosureHook(t *testing.T) {
 }
 
 // TestHookedTrialPrefixMatchesStep sweeps counted PINFI trials — observed
-// counting prefix, injection, detach, hook-free tail — across a spread of
-// dynamic targets, comparing the counted carrier against a stepped reference
-// that counts in a closure on every instruction. Records (PC, register, bit)
-// must match too: the injection point may not shift by a single dynamic
-// instruction.
+// counting prefix, injection, detach, hook-free tail (pinfi.RunCounted) —
+// across a spread of dynamic targets, comparing the counted carrier against
+// a stepped reference that counts in a closure on every instruction. Records
+// (PC, register, bit) must match too: the injection point may not shift by a
+// single dynamic instruction.
 func TestHookedTrialPrefixMatchesStep(t *testing.T) {
 	apps := []string{"HPCCG", "FT"}
 	if testing.Short() {
@@ -111,8 +114,7 @@ func TestHookedTrialPrefixMatchesStep(t *testing.T) {
 			fastM := bin.NewMachine()
 			fastM.Budget = prof.Budget
 			var fastRec fault.Record
-			pinfi.ArmCounted(fastM, bin.TargetMap(), costs, target, pinfi.Flip(target, fault.NewRNG(uint64(i)*1237), &fastRec))
-			fastM.Run()
+			pinfi.RunCounted(fastM, bin.TargetMap(), costs, target, pinfi.Flip(target, fault.NewRNG(uint64(i)*1237), &fastRec))
 			fast := snapshot(fastM)
 
 			// Stepped reference: the closure formulation.
@@ -122,19 +124,20 @@ func TestHookedTrialPrefixMatchesStep(t *testing.T) {
 			rng := fault.NewRNG(uint64(i) * 1237)
 			var refRec fault.Record
 			var count int64
-			everyInstr(refM, func(mm *vm.Machine, pc int32, in *vm.Inst) {
-				mm.Cycles += costs.PerInstr
-				if !cfg.TargetInst(mm.Img, in) {
-					return
+			everyInstr(refM, func(pc int32, in *vm.Inst) bool {
+				refM.Cycles += costs.PerInstr
+				if !cfg.TargetInst(refM.Img, in) {
+					return true
 				}
 				if count == target {
 					outs := in.Outs[:in.NOut]
 					op, bit := fault.PickOperandAndBit(rng, outs)
-					mm.FlipBit(outs[op], bit)
+					refM.FlipBit(outs[op], bit)
 					refRec = fault.Record{DynIdx: count, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String()}
-					mm.Count = nil
+					return false
 				}
 				count++
+				return true
 			})
 			refM.RunStepped()
 			ref := snapshot(refM)
@@ -150,11 +153,11 @@ func TestHookedTrialPrefixMatchesStep(t *testing.T) {
 }
 
 // TestSiteMapsMatchHostCallCounts cross-checks the PC-indexed site maps the
-// profile libraries expose against their host-call-counted populations: a
-// CountHook over core.SiteMap / llfi.SiteMap must count exactly what the
-// control runtime's selInstr / injectFault invocations count. This pins the
-// whole chain — instrumentation pass, code generation, runtime protocol,
-// count-hook servicing — across layers.
+// profile libraries expose against their host-call-counted populations:
+// stepping a golden run and counting the instructions core.SiteMap /
+// llfi.SiteMap mark must count exactly what the control runtime's selInstr /
+// injectFault invocations count. This pins the whole chain —
+// instrumentation pass, code generation, runtime protocol — across layers.
 func TestSiteMapsMatchHostCallCounts(t *testing.T) {
 	for _, name := range diffApps(t) {
 		for _, tc := range []struct {
@@ -181,15 +184,20 @@ func TestSiteMapsMatchHostCallCounts(t *testing.T) {
 				hostCount = lib.Count
 			}
 
-			hookM := bin.NewMachine()
-			bindGolden(hookM, tc.tool)
-			ch := &vm.CountHook{Targets: tc.siteMap(bin.Img), Arm: -1}
-			hookM.Count = ch
-			hookM.Run()
+			stepM := bin.NewMachine()
+			bindGolden(stepM, tc.tool)
+			sites := tc.siteMap(bin.Img)
+			var n int64
+			everyInstr(stepM, func(pc int32, _ *vm.Inst) bool {
+				if sites[pc] {
+					n++
+				}
+				return true
+			})
 
-			if ch.N != hostCount {
-				t.Errorf("%s/%s: count hook over SiteMap counted %d, host-call runtime counted %d",
-					name, tc.tool, ch.N, hostCount)
+			if n != hostCount {
+				t.Errorf("%s/%s: stepping over SiteMap counted %d, host-call runtime counted %d",
+					name, tc.tool, n, hostCount)
 			}
 		}
 	}
@@ -204,18 +212,44 @@ func hostToggleProg(t *testing.T) *vm.Image {
 }
 
 // transitionScenario mutates machine state from inside the out_i64 host
-// function and/or an attached observer.
+// function and/or a fire point and the observer it runs.
 type transitionScenario struct {
 	name string
-	prep func(m *vm.Machine) // install host fn and initial observers
+	prep func(m *vm.Machine) // install host fn and initial fire point
 }
 
 // budgetHookScenarios is the satellite sweep of the budget/hook transition
-// seams: every way a host call or observer can flip Budget or Count
-// mid-run. Each scenario runs on the production Run (the fast loop, Step
-// while observed) and on RunStepped; final states must be bit-identical.
+// seams: every way a host call, a fire point or the stepping observer one of
+// them runs (the count hook, pinfi.Observe) can flip Budget, halt, or arm
+// the next fire point mid-run. Each scenario runs on the production Run (the
+// fast loop, stepping inside a serviced fire point) and on RunStepped; final
+// states must be bit-identical.
 func budgetHookScenarios() []transitionScenario {
-	noop := func(*vm.Machine, int32, *vm.Inst) {}
+	everyOther := func(m *vm.Machine) []bool {
+		tm := make([]bool, len(m.Img.Instrs))
+		for i := range tm {
+			tm[i] = i%2 == 0
+		}
+		return tm
+	}
+	// countHookFire arms a fire point at instruction 3 that observes the run
+	// on with a count hook over every instruction, at PerInstr cycles each,
+	// and runs fire at its arm-th occurrence; fire's answer is the hook's.
+	countHookFire := func(m *vm.Machine, perInstr, arm int64, fire func(fm *vm.Machine) bool) {
+		m.ArmFire(&vm.FirePoint{At: 3, Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
+			n := int64(0)
+			all := vm.TargetMap(fm.Img, func(*vm.Inst) bool { return true })
+			pinfi.Observe(fm, pinfi.CostModel{PerInstr: perInstr}, all, func(int32) bool {
+				if n++; n-1 == arm {
+					return fire(fm)
+				}
+				return true
+			})
+		}})
+		m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
+			mm.Regs[vx.R0] = 0
+		}})
+	}
 	return []transitionScenario{
 		{"host-shrinks-budget", func(m *vm.Machine) {
 			m.Budget = 1 << 40
@@ -240,10 +274,11 @@ func budgetHookScenarios() []transitionScenario {
 		{"host-attaches-hook-that-shrinks-budget", func(m *vm.Machine) {
 			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 				mm.Regs[vx.R0] = 0
-				everyInstr(mm, func(hm *vm.Machine, pc int32, in *vm.Inst) {
-					if hm.InstrCount%3 == 0 {
-						hm.Budget = hm.InstrCount + 7
+				observeNow(mm, func(int32, *vm.Inst) bool {
+					if mm.InstrCount%3 == 0 {
+						mm.Budget = mm.InstrCount + 7
 					}
+					return true
 				})
 			}})
 		}},
@@ -251,16 +286,14 @@ func budgetHookScenarios() []transitionScenario {
 			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 				mm.Regs[vx.R0] = 0
 				seen := 0
-				everyInstr(mm, func(hm *vm.Machine, pc int32, in *vm.Inst) {
+				observeNow(mm, func(int32, *vm.Inst) bool {
 					seen++
-					if seen == 3 {
-						hm.Count = nil // observed → fast transition mid-run
-					}
+					return seen < 3 // observed → fast transition mid-run
 				})
 			}})
 		}},
 		{"hook-attached-host-swaps-budget", func(m *vm.Machine) {
-			everyInstr(m, noop)
+			observeNow(m, func(int32, *vm.Inst) bool { return true })
 			m.Budget = 1 << 40
 			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 				mm.Regs[vx.R0] = 0
@@ -270,55 +303,35 @@ func budgetHookScenarios() []transitionScenario {
 		{"host-attaches-counthook", func(m *vm.Machine) {
 			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
 				mm.Regs[vx.R0] = 0
-				if mm.Count == nil {
-					tm := make([]bool, len(mm.Img.Instrs))
-					for i := range tm {
-						tm[i] = i%2 == 0
-					}
-					mm.Count = &vm.CountHook{Targets: tm, PerInstr: 3, Arm: -1}
-				}
+				tm := everyOther(mm)
+				mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
+					pinfi.Observe(fm, pinfi.CostModel{PerInstr: 3}, tm, func(int32) bool { return true })
+				}})
 			}})
 		}},
 		{"counthook-fire-attaches-exechook", func(m *vm.Machine) {
-			tm := make([]bool, len(m.Img.Instrs))
-			for i := range tm {
-				tm[i] = true
-			}
-			m.Count = &vm.CountHook{Targets: tm, PerInstr: 2, Arm: 9,
-				Fire: func(fm *vm.Machine, pc int32, in *vm.Inst) {
-					everyInstr(fm, func(hm *vm.Machine, pc int32, in *vm.Inst) { hm.Cycles++ })
-				}}
-			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
-				mm.Regs[vx.R0] = 0
-			}})
+			countHookFire(m, 2, 9, func(fm *vm.Machine) bool {
+				// The second flip's shape: detach and arm the next fire point
+				// (campaign.Tail.Chain), which the fast loop must pick up.
+				fm.ArmFire(&vm.FirePoint{At: fm.InstrCount + 6, Fn: func(hm *vm.Machine, _ int32, _ *vm.Inst) {
+					hm.Cycles += 1000
+					hm.FlipBit(vx.R0, 2)
+				}})
+				return false
+			})
 		}},
 		{"counthook-fire-halts", func(m *vm.Machine) {
-			tm := make([]bool, len(m.Img.Instrs))
-			for i := range tm {
-				tm[i] = true
-			}
-			m.Count = &vm.CountHook{Targets: tm, PerInstr: 1, Arm: 25,
-				Fire: func(fm *vm.Machine, pc int32, in *vm.Inst) {
-					fm.Halted = true
-					fm.ExitCode = 77
-				}}
-			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
-				mm.Regs[vx.R0] = 0
-			}})
+			countHookFire(m, 1, 25, func(fm *vm.Machine) bool {
+				fm.Halted = true
+				fm.ExitCode = 77
+				return true
+			})
 		}},
 		{"counthook-fire-shrinks-budget", func(m *vm.Machine) {
-			tm := make([]bool, len(m.Img.Instrs))
-			for i := range tm {
-				tm[i] = true
-			}
-			m.Count = &vm.CountHook{Targets: tm, PerInstr: 1, Arm: 12,
-				Fire: func(fm *vm.Machine, pc int32, in *vm.Inst) {
-					fm.Budget = fm.InstrCount + 3
-					fm.Count = nil
-				}}
-			m.BindHost(vm.HostFn{Name: "out_i64", Fn: func(mm *vm.Machine) {
-				mm.Regs[vx.R0] = 0
-			}})
+			countHookFire(m, 1, 12, func(fm *vm.Machine) bool {
+				fm.Budget = fm.InstrCount + 3
+				return false
+			})
 		}},
 	}
 }
@@ -352,44 +365,37 @@ func TestBudgetHookTransitionsMatchStep(t *testing.T) {
 
 // TestCountHookBudgetArithmetic pins the InstrCount a budget trap lands on:
 // the budget is checked before executing, on the committed count, so a
-// budget of k halts with InstrCount == k — including when a count hook is
-// charging per-instruction cycles.
+// budget of k halts with InstrCount == k on Run and on RunStepped alike —
+// and under a count hook (pinfi.Observe) charging per-instruction cycles,
+// which charges all k of them: the trap is not an instruction.
 func TestCountHookBudgetArithmetic(t *testing.T) {
 	img := hostToggleProg(t)
+	const perInstr = 5
 	for _, budget := range []int64{1, 2, 7, 31} {
-		run := func(stepped bool) machineState {
+		run := func(how string) machineState {
 			m := vm.New(img)
 			bindOut(m)
 			m.Budget = budget
-			tm := make([]bool, len(img.Instrs))
-			m.Count = &vm.CountHook{Targets: tm, PerInstr: 5, Arm: -1}
-			if stepped {
-				m.RunStepped()
-			} else {
+			switch how {
+			case "fast":
 				m.Run()
+			case "stepped":
+				m.RunStepped()
+			case "observed":
+				pinfi.Observe(m, pinfi.CostModel{PerInstr: perInstr}, nil, nil)
+				m.Cycles -= perInstr * m.InstrCount
 			}
 			return snapshot(m)
 		}
-		fast := run(false)
-		ref := run(true)
-		if !equalStates(fast, ref) {
-			t.Errorf("budget %d diverged:\nfast: %+v\nref:  %+v", budget, fast, ref)
+		fast := run("fast")
+		for _, how := range []string{"stepped", "observed"} {
+			if ref := run(how); !equalStates(fast, ref) {
+				t.Errorf("budget %d diverged %s:\nfast: %+v\n%s: %+v", budget, how, fast, how, ref)
+			}
 		}
 		if fast.Trap != vm.TrapTimeout || fast.InstrCount != budget {
 			t.Errorf("budget %d: trap=%v InstrCount=%d, want timeout at exactly the budget",
 				budget, fast.Trap, fast.InstrCount)
 		}
-	}
-}
-
-// TestResetClearsCountHook extends the machine-reuse hygiene contract to
-// the new observer: a pooled machine must not leak a count hook.
-func TestResetClearsCountHook(t *testing.T) {
-	img := hostToggleProg(t)
-	m := vm.New(img)
-	m.Count = &vm.CountHook{Targets: make([]bool, len(img.Instrs))}
-	m.Reset()
-	if m.Count != nil {
-		t.Fatal("Reset left CountHook attached")
 	}
 }

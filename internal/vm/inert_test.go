@@ -27,8 +27,8 @@ import (
 // counter. Fn is the closure the declaration summarizes: on a call that is
 // not due it only counts and returns Regs[ret]; on a due call (n == event)
 // it also records the machine as it finds it and runs act, which may move
-// event, answer something else, halt, attach an observer, arm a fire point
-// or set the budget.
+// event, answer something else, halt, arm a fire point (one that steps an
+// observer, too) or set the budget.
 type countingHost struct {
 	n, event int64
 	seen     []hostCall
@@ -83,7 +83,7 @@ func counted(m *vm.Machine, tool campaign.Tool, c *countingHost) {
 // TestInertCallsMatchStep: on a REFINE image (inert calls inside fused
 // sites, and at the unfused CALLQ when a deadline cuts a site) and an LLFI
 // image (runFast's host-call arm, C ABI), a counting host whose event comes
-// first, last, never, moves on every event, halts, attaches an observer, or
+// first, last, never, moves on every event, halts, arms an observer, or
 // puts a budget or a fire point on each of the instructions that follow.
 func TestInertCallsMatchStep(t *testing.T) {
 	offsets := 24
@@ -116,17 +116,16 @@ func TestInertCallsMatchStep(t *testing.T) {
 			}
 		})
 		row("Fn halts", total/2, func(mm *vm.Machine, _ *countingHost) { mm.Halted, mm.ExitCode = true, 3 })
-		// An observer attached at one event runs the next 300 instructions
+		// An observer armed at one event steps the next 300 instructions
 		// through Step, which enters Fn on every call: the counter goes on
 		// from where the hook-free loop left it, and the events behind it
 		// fall on both sides of the detach.
 		row("an observer attached mid-run", total/3, func(mm *vm.Machine, c *countingHost) {
 			if len(c.seen) == 1 {
 				left := 300
-				everyInstr(mm, func(hm *vm.Machine, _ int32, _ *vm.Inst) {
-					if left--; left == 0 {
-						hm.Count = nil
-					}
+				observeNow(mm, func(int32, *vm.Inst) bool {
+					left--
+					return left > 0
 				})
 			}
 			if len(c.seen) < 40 {
@@ -142,7 +141,13 @@ func TestInertCallsMatchStep(t *testing.T) {
 					Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
 						fm.FlipBit(vx.R2, 3) // what the next inert LLFI call passes through
 						if off%2 == 1 {
-							fm.Trace = vm.NewTraceRing(8)
+							// Step on a few instructions, as a second flip's
+							// observer does, before the fast loop resumes.
+							left := off
+							everyInstr(fm, func(int32, *vm.Inst) bool {
+								left--
+								return left > 0
+							})
 						}
 					}})
 				c.event = c.n + 1

@@ -7,41 +7,34 @@ import (
 )
 
 // Run executes until halt, trap, or budget exhaustion. It returns the trap
-// kind (TrapNone for a normal halt).
+// kind (TrapNone for a normal halt), with nothing armed.
 //
-// There are two loops. With no observer attached Run executes the hook-free
-// fast loop (runFast): predecoded uops, the budget check hoisted into a
-// countdown, fused superinstructions. While a CountHook or TraceRing is
-// attached it executes Step, the reference path, one instruction at a time —
-// observers see every architectural instruction unfused, and what is
-// observed is too little to own a loop: one golden pass per binary-level
-// build, the few instructions between PINFI2's two flips, vxrun -trace. A
-// counted trial (pinfi.ArmCounted, the reference carrier) detaches its
-// observer mid-run (§5.2), so it starts stepped and finishes on runFast; a
-// fire-point trial (ArmFire), the production form, never leaves runFast: the
-// injection rides the same countdown as the budget. The differential suites
-// pin runFast to Step through RunStepped.
+// There are two loops. Run executes the hook-free fast loop (runFast):
+// predecoded uops, the budget check hoisted into a countdown, fused
+// superinstructions. A machine with a TraceRing attached when Run starts is
+// stepped throughout instead, through Step, the reference path, so the ring
+// sees every architectural instruction unfused; nothing attaches mid-run.
+// A fire-point trial (ArmFire) never leaves runFast: the injection rides the
+// same countdown as the budget, and a callback that steps the machine on
+// (pinfi.Observe) hands it back where the stepping stopped. The differential
+// suites pin runFast to Step through RunStepped.
 func (m *Machine) Run() TrapKind {
-	m.Img.ensure()
-	for !m.Halted {
-		if m.observed() {
-			m.Step()
-		} else {
-			m.runFast()
-		}
+	if m.Trace != nil {
+		return m.RunStepped()
 	}
-	// A fire point the run never reached still owes its deferred observer
-	// cost (see FirePoint.PerInstr).
-	m.settleFire()
+	m.Img.ensure()
+	if !m.Halted {
+		m.runFast()
+	}
+	m.fire = nil
 	return m.Trap
 }
 
 // runFast is the hook-free inner interpreter loop over predecoded uops. It
 // must stay observationally identical to stepping: same traps, same cycle
 // accounting, same InstrCount at every host-call boundary. It returns when
-// the machine halts or a host function or fire point attaches an observer.
-// A host call its HostFn declares inert (HostFn.Inert) is made here, without
-// entering the host function.
+// the machine halts. A host call its HostFn declares inert (HostFn.Inert) is
+// made here, without entering the host function.
 func (m *Machine) runFast() {
 	img := m.Img
 	code := img.code
@@ -55,15 +48,14 @@ func (m *Machine) runFast() {
 		pc := m.PC
 		if uint32(pc) >= uint32(n) || left <= 0 {
 			// Slow path: sentinel/bad-pc, a due fire point, or the budget.
-			// A due fire services first — the counted reference runs
-			// CountHook.Fire in instruction At's observer epilogue, before
-			// the next instruction's sentinel, bad-pc and budget checks —
-			// then the loop re-enters with the countdown restored. A fire
-			// callback that halts ends the run; one that attaches an
-			// observer hands over to Step (Run switches).
+			// A due fire services first — right behind instruction At,
+			// before the next instruction's sentinel, bad-pc and budget
+			// checks, as in Step — then the loop re-enters at whatever PC
+			// the callback left, with the countdown restored. A fire
+			// callback that halts ends the run.
 			if fp := m.fire; fp != nil && m.InstrCount >= fp.At {
 				m.serviceFire()
-				if m.Halted || m.observed() {
+				if m.Halted {
 					return
 				}
 				left = m.fastCountdown()
@@ -316,9 +308,9 @@ func (m *Machine) runFast() {
 					// with the pair's committed state (flags written, PC at
 					// the branch slot) and re-dispatch the branch through
 					// its own unfused uop — Step executes the pair as two
-					// instructions around an observer.
+					// instructions with the fire between them.
 					m.serviceFire()
-					if m.Halted || m.observed() {
+					if m.Halted {
 						return
 					}
 					left = m.fastCountdown()
@@ -409,15 +401,9 @@ func (m *Machine) runFast() {
 			if !h.PreserveRegs {
 				m.scrambleExceptResults()
 			}
-			// Host code runs arbitrary Go: it may halt the machine, attach an
-			// observer (Step services a freshly attached observer for the
-			// attaching instruction, so do the same before handing over to
-			// it), or change the budget (refresh the countdown either way).
+			// Host code runs arbitrary Go: it may halt the machine or change
+			// the budget (refresh the countdown either way).
 			if m.Halted {
-				return
-			}
-			if m.observed() {
-				m.postExec(pc, &img.Instrs[pc])
 				return
 			}
 			left = m.fastCountdown()
@@ -439,7 +425,7 @@ func (m *Machine) runFast() {
 				// uGeneric: full decode through the reference switch.
 				m.execOp(pc, &img.Instrs[pc])
 			}
-			if m.Halted || m.observed() {
+			if m.Halted {
 				return
 			}
 			left = m.fastCountdown()

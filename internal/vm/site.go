@@ -33,8 +33,8 @@ import (
 // assembler's Instrumented mark. Only the head slot is rewritten (to uSITE);
 // the other 15 slots keep their own uops, so branches and corrupted return
 // addresses landing mid-sequence execute exactly what they always did.
-// Step executes the head as the plain store it is: observers see every
-// instruction.
+// Step executes the head as the plain store it is: a traced or stepped run
+// sees every instruction.
 
 const (
 	sitePreLen  = 10 // instructions at head (PreFI)
@@ -173,7 +173,7 @@ func (img *Image) refuseSitesAround(pc int32) {
 
 // runSite executes a fused site head for runFast, which has already
 // accounted for the head instruction (InstrCount, cost, PC). The caller
-// re-checks Halted and observed() and recomputes its countdown afterwards,
+// re-checks Halted and recomputes its countdown afterwards,
 // exactly as after a generic op.
 //
 // The accounting is the unfused sequence's, lump-summed between the points
@@ -190,9 +190,8 @@ func (img *Image) refuseSitesAround(pc int32) {
 //     wholly in bounds — each of those ends or traps mid-sequence, and the
 //     unfused slots already do that exactly;
 //   - after the host call: anything but "not triggered, nothing else
-//     changed" — the machine halted, an observer was attached (serviced for
-//     the CALLQ as runFast's host-call seam does), R0 != 0, a deadline moved
-//     into the remaining 8 instructions, or SP/PC were rewritten.
+//     changed" — the machine halted, R0 != 0, a deadline moved into the
+//     remaining 8 instructions, or SP/PC were rewritten.
 //
 // A call that a register-preserving host declares inert (HostFn.Inert) with
 // an answer of 0 — selInstr on every call but a trial's few — is made without
@@ -245,10 +244,6 @@ func (m *Machine) runSite(s *siteInfo) {
 		m.scrambleExceptResults()
 	}
 	if m.Halted {
-		return
-	}
-	if m.observed() {
-		m.postExec(call, &m.Img.Instrs[call])
 		return
 	}
 	if m.Regs[vx.R0] != 0 || m.fastCountdown() < siteAfterCall ||

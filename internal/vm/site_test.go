@@ -95,10 +95,10 @@ func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []site
 	cur := siteAnchor{at: -1, ret: -1}
 	m := bin.NewMachine()
 	(&core.Lib{Target: -1}).Bind(m)
-	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
-		before := mm.InstrCount - 1
+	everyInstr(m, func(pc int32, in *vm.Inst) bool {
+		before := m.InstrCount - 1
 		if before < thresholds[len(out)] {
-			return
+			return true
 		}
 		if post, ok := postOf[pc]; ok && cur.at < 0 {
 			cur.at, cur.head, cur.post = before, pc, post
@@ -109,12 +109,9 @@ func findAnchors(t *testing.T, bin *campaign.Binary, thresholds ...int64) []site
 		if cur.at >= 0 && cur.ret >= 0 {
 			out = append(out, cur)
 			cur = siteAnchor{at: -1, ret: -1}
-			if len(out) == len(thresholds) {
-				mm.Count = nil
-			}
 		}
+		return len(out) < len(thresholds)
 	})
-	m.Run()
 	if len(out) == 0 {
 		t.Fatalf("%s: golden run executes no fused site past %d instructions", bin.App.Name, thresholds[0])
 	}
@@ -232,25 +229,34 @@ func siteBudgetCases(d *siteDiff, a siteAnchor) {
 }
 
 // (f) A fire point is due before each of the 16 instructions and behind the
-// last: once flipping a register, once attaching a counting observer.
+// last: once flipping a register, once also stepping a counting observer
+// over the next 12 instructions, as a second flip's does, before the fast
+// loop resumes mid-site.
 func siteFireCases(d *siteDiff, a siteAnchor) {
 	tm := core.SiteMap(d.bin.Img)
 	for off := int64(0); off <= 16; off++ {
-		for _, attach := range []bool{false, true} {
-			d.check(fmt.Sprintf("fire at head+%d attach=%v", off, attach), func(m *vm.Machine) func() any {
+		for _, observe := range []bool{false, true} {
+			d.check(fmt.Sprintf("fire at head+%d observe=%v", off, observe), func(m *vm.Machine) func() any {
 				m.Budget = a.at + tailBudget
 				report := bindProfile(m)
 				var seen [3]int64
-				ch := &vm.CountHook{Targets: tm, PerInstr: 3, Arm: -1}
-				m.ArmFire(&vm.FirePoint{At: a.at + off, PC: a.head, PerInstr: 2,
+				var n, sites int64
+				m.ArmFire(&vm.FirePoint{At: a.at + off, PC: a.head,
 					Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
 						seen = [3]int64{mm.InstrCount, int64(mm.PC), mm.Cycles}
 						mm.FlipBit(vx.R2, 5)
-						if attach {
-							mm.Count = ch
+						if observe {
+							everyInstr(mm, func(pc int32, _ *vm.Inst) bool {
+								mm.Cycles += 3
+								if tm[pc] {
+									sites++
+								}
+								n++
+								return n < 12
+							})
 						}
 					}})
-				return func() any { return [3]any{report(), seen, ch.N} }
+				return func() any { return [3]any{report(), seen, [2]int64{n, sites}} }
 			})
 		}
 	}
@@ -321,8 +327,7 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 		at, cycles int64
 		pc         int32
 		sp, r1     uint64
-		count      vm.CountHook
-		trace      []vm.TraceEntry
+		count      int64
 		hookHash   uint64
 		hookN      int64
 		fire       int64
@@ -333,7 +338,7 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 		d.check("selInstr "+label, func(m *vm.Machine) func() any {
 			m.Budget = a.at + tailBudget
 			(&core.Lib{Target: -1, RNG: fault.NewRNG(1)}).Bind(m) // setupFI
-			o := &obs{count: vm.CountHook{Targets: tm, PerInstr: 3, Arm: -1}}
+			o := &obs{}
 			done := false
 			m.BindHost(vm.HostFn{
 				Name:         core.HostSelInstr,
@@ -351,10 +356,6 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 				},
 			})
 			return func() any {
-				if m.Trace != nil {
-					o.trace = m.Trace.Entries()
-				}
-				o.count.Targets = nil
 				if r := o.restored; r != nil {
 					if !equalStates(snapshot(r), snapshot(m)) || r.TrapMsg != m.TrapMsg || !bytes.Equal(r.Mem, m.Mem) {
 						d.t.Errorf("%s selInstr %s: the machine restored from the snapshot ended elsewhere:\nrestored: %+v\nmachine:  %+v",
@@ -372,13 +373,17 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 	scenario("triggers", false, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.R0] = 1 })
 	scenario("returns garbage", true, func(mm *vm.Machine, _ *obs) { mm.Regs[vx.R0] = 1 << 40 })
 	scenario("halts", false, func(mm *vm.Machine, _ *obs) { mm.Halted, mm.ExitCode = true, 7 })
-	scenario("attaches a CountHook", false, func(mm *vm.Machine, o *obs) { mm.Count = &o.count })
-	scenario("attaches a TraceRing", false, func(mm *vm.Machine, _ *obs) { mm.Trace = vm.NewTraceRing(24) })
-	scenario("attaches a per-instruction Fire", false, func(mm *vm.Machine, o *obs) {
+	scenario("attaches a count hook", false, func(mm *vm.Machine, o *obs) {
+		mm.ArmFire(&vm.FirePoint{At: mm.InstrCount, Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
+			pinfi.Observe(fm, pinfi.CostModel{PerInstr: 3}, tm, func(int32) bool { o.count++; return true })
+		}})
+	})
+	scenario("attaches a per-instruction observer", false, func(mm *vm.Machine, o *obs) {
 		o.hookHash = 14695981039346656037
-		everyInstr(mm, func(hm *vm.Machine, pc int32, in *vm.Inst) {
-			o.hookHash = obsHash(o.hookHash, pc, hm.InstrCount, hm.Cycles, in.Op)
+		observeNow(mm, func(pc int32, in *vm.Inst) bool {
+			o.hookHash = obsHash(o.hookHash, pc, mm.InstrCount, mm.Cycles, in.Op)
 			o.hookN++
+			return true
 		})
 	})
 	// The shape a control library's mark has (core.Lib.Marks): the call arms
@@ -407,20 +412,20 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 			mm.Budget = mm.InstrCount + k
 		})
 		scenario(fmt.Sprintf("arms a fire point at now+%d", k), false, func(mm *vm.Machine, o *obs) {
-			mm.ArmFire(&vm.FirePoint{At: mm.InstrCount + k, PC: a.head, PerInstr: 1,
+			mm.ArmFire(&vm.FirePoint{At: mm.InstrCount + k, PC: a.head,
 				Fn: func(fm *vm.Machine, _ int32, _ *vm.Inst) {
 					o.fire = fm.InstrCount<<20 | int64(fm.PC)
 					fm.FlipBit(vx.R3, 9)
 				}})
 		})
-		// An observer that is gone again after the CALLQ it was attached
-		// on, leaving a new budget behind: the hook-free loop carries on and
-		// must count down from the new deadline.
+		// An observer that is gone again after the instruction behind the
+		// CALLQ it was armed on, leaving a new budget behind: the hook-free
+		// loop carries on and must count down from the new deadline.
 		scenario(fmt.Sprintf("attaches a one-shot hook setting Budget to now+%d", k), false, func(mm *vm.Machine, o *obs) {
-			everyInstr(mm, func(hm *vm.Machine, _ int32, _ *vm.Inst) {
+			observeNow(mm, func(int32, *vm.Inst) bool {
 				o.hookN++
-				hm.Count = nil
-				hm.Budget = hm.InstrCount + k
+				mm.Budget = mm.InstrCount + k
+				return false
 			})
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // Machine.Snapshot, put back with Machine.Restore, compared with Matches. A
 // trial whose fault lands after the boundary starts there instead of
 // re-executing the golden prefix from Reset; one whose fault left no trace
-// by then ends there. It holds no per-run harness state (Budget, observers, an
+// by then ends there. It holds no per-run harness state (Budget, trace, an
 // armed fire point, host bindings): Restore leaves those as Reset does, and
 // the caller sets up the run. Immutable once taken, so any number of
 // machines restore from one concurrently.
@@ -93,7 +93,7 @@ func (m *Machine) Snapshot() *Snapshot {
 
 // Restore puts the machine into the snapshot's state, as if it had just
 // executed the golden prefix up to that boundary, and otherwise leaves it as
-// Reset does: not halted, no Budget, no observer, nothing armed. The machine
+// Reset does: not halted, no Budget, no trace, nothing armed. The machine
 // must run the snapshot's image (or a clone of it). Reset is the restore of
 // the state before the first instruction, and the two share the dirty-page
 // sweep: every page dirty now is zeroed, the snapshot's extents are copied

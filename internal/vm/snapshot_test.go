@@ -79,7 +79,7 @@ func TestRestoreMatchesSteppedMachine(t *testing.T) {
 				if !bytes.Equal(restored.Mem, ref.Mem) {
 					t.Errorf("%s/%s boundary %d: restored memory is not the stepped machine's", name, tool, at)
 				}
-				if restored.Halted || restored.Budget != 0 || restored.Count != nil || restored.Trace != nil || restored.FireArmed() {
+				if restored.Halted || restored.Budget != 0 || restored.Trace != nil || restored.FireArmed() {
 					t.Errorf("%s/%s boundary %d: Restore left per-run state behind", name, tool, at)
 				}
 				bindGolden(restored, tool)

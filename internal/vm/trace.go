@@ -8,11 +8,11 @@ import (
 )
 
 // TraceRing is the closure-free ring-buffer trace observer: a fixed-depth
-// ring of the most recently committed instructions, serviced by Step's
-// postExec (like CountHook — straight-line stores, no closure call). Attach by setting Machine.Trace: the ring occupies its own
-// observer slot, so it composes structurally with a CountHook (order is
-// Count, then Trace), a traced run reports the identical InstrCount/Cycles
-// an untraced one does (trace_test.go asserts it), and Reset detaches it.
+// ring of the most recently committed instructions, recorded by Step
+// (straight-line stores, no closure call). Attach by setting Machine.Trace
+// before Run: a traced run executes through Step throughout and reports the
+// identical InstrCount/Cycles an untraced one does (trace_test.go asserts
+// it), and Reset detaches it.
 // Fault-injection campaigns discard tracing (speed), but vxrun -trace and
 // crash triage in tests use it to reconstruct how a corrupted execution
 // reached its trap — the kind of failure forensics a debugger-based injector
@@ -32,7 +32,7 @@ func NewTraceRing(depth int) *TraceRing {
 	return &TraceRing{ring: make([]TraceEntry, depth)}
 }
 
-// record appends one committed instruction; postExec calls it.
+// record appends one committed instruction; Step calls it.
 func (t *TraceRing) record(seq int64, pc int32, op vx.Op, sp, flags uint64) {
 	t.ring[t.next] = TraceEntry{Seq: seq, PC: pc, Op: op, SP: sp, Flags: flags}
 	t.next++

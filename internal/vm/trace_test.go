@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/vx"
 )
@@ -38,20 +39,21 @@ func TestTracerCapturesTail(t *testing.T) {
 	}
 }
 
+// TestTracerChainsExistingHook: a stepping observer on a traced machine sees
+// every instruction, and so does the ring.
 func TestTracerChainsExistingHook(t *testing.T) {
 	img := mustAssemble(t, buildFactorial())
 	m := vm.New(img)
 	bindOut(m)
 	count := 0
-	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) { count++ })
-	tr := vm.NewTraceRing(8)
+	tr := vm.NewTraceRing(4096)
 	m.Trace = tr
-	m.Run()
+	everyInstr(m, func(int32, *vm.Inst) bool { count++; return true })
 	if count == 0 {
 		t.Fatal("chained hook never ran")
 	}
-	if int64(count) != m.InstrCount {
-		t.Fatalf("chained hook ran %d times for %d instructions", count, m.InstrCount)
+	if int64(count) != m.InstrCount || int64(len(tr.Entries())) != m.InstrCount {
+		t.Fatalf("chained hook ran %d times and the ring holds %d entries for %d instructions", count, len(tr.Entries()), m.InstrCount)
 	}
 }
 
@@ -102,15 +104,16 @@ func TestTracedRunMatchesUntraced(t *testing.T) {
 	}
 
 	// Tracing a counting run must chain, not perturb: identical
-	// accounting with and without the tracer on top of a CountHook.
+	// accounting with and without the tracer under a count hook.
+	count := func(m *vm.Machine) {
+		pinfi.Observe(m, pinfi.CostModel{PerInstr: 7}, bin.TargetMap(), func(int32) bool { return true })
+	}
 	counted := bin.NewMachine()
-	counted.Count = &vm.CountHook{Targets: bin.TargetMap(), PerInstr: 7, Arm: -1}
-	counted.Run()
+	count(counted)
 
 	both := bin.NewMachine()
-	both.Count = &vm.CountHook{Targets: bin.TargetMap(), PerInstr: 7, Arm: -1}
 	both.Trace = vm.NewTraceRing(16)
-	both.Run()
+	count(both)
 
 	if cs, bs := snapshot(counted), snapshot(both); !equalStates(cs, bs) {
 		t.Errorf("tracer over count hook diverged:\nboth:    %+v\ncounted: %+v", bs, cs)

@@ -4,9 +4,9 @@
 // guarded address space, a downward-growing stack, a FLAGS register, traps
 // (segfault, divide error, wild control flow), an instruction budget for
 // timeout detection, a deterministic cycle model for the speed experiments,
-// and inline per-instruction observers (CountHook, TraceRing) plus a
-// one-shot fire point that the PINFI comparator uses as its stand-in for
-// dynamic binary instrumentation.
+// a ring-buffer trace, and a one-shot fire point that binary-level injectors
+// schedule their faults with. The PIN-style cost model of the PINFI
+// comparator lives in package pinfi, not here.
 package vm
 
 import (
@@ -241,7 +241,8 @@ func (m *Machine) callInert(h *HostFn) {
 	m.Regs[vx.R0] = r
 }
 
-// ExecHook is the callback type of CountHook.Fire and FirePoint.Fn. It runs
+// ExecHook is the callback type of FirePoint.Fn and of the injections
+// binary-level tools arm with it (pinfi.Flip and its kin). It runs
 // after the instruction's architectural effects are committed, which lets a
 // fault injector flip bits in the instruction's output registers — matching
 // PIN-style "insert analysis call after instruction" semantics.
@@ -271,13 +272,9 @@ type Machine struct {
 	// SOC classification uses exactly this stream.
 	Output []uint64
 
-	// Count is the counting observer, serviced without closure indirection
-	// (see CountHook in hooked.go). While it or Trace is attached, Run
-	// executes through Step.
-	Count *CountHook
-	// Trace is the inline ring-buffer trace observer (see TraceRing in
-	// trace.go), serviced like Count without closure indirection. Observer
-	// order is Count, then Trace.
+	// Trace is the ring-buffer trace observer (see TraceRing in trace.go),
+	// which Step records into. Run reads it once, when it starts: a run
+	// traced from the start executes through Step throughout.
 	Trace *TraceRing
 
 	// fire is the armed one-shot fire point (see FirePoint/ArmFire in
@@ -328,11 +325,10 @@ func (m *Machine) Rebind(img *Image) {
 }
 
 // Reset re-initializes registers, memory and accounting for a fresh run. It
-// also clears the instruction Budget, detaches any CountHook and TraceRing,
-// and disarms any pending FirePoint, so a pooled machine cannot
-// leak the previous trial's timeout, instrumentation or injection into the
-// next run. Only pages dirtied since the previous Reset or Restore (see
-// snapshot.go) are cleared.
+// also clears the instruction Budget, detaches any TraceRing, and disarms
+// any pending FirePoint, so a pooled machine cannot leak the previous
+// trial's timeout, trace or injection into the next run. Only pages dirtied
+// since the previous Reset or Restore (see snapshot.go) are cleared.
 func (m *Machine) Reset() {
 	img := m.Img
 	if m.Mem == nil || int64(len(m.Mem)) != img.MemSize {
@@ -359,15 +355,14 @@ func (m *Machine) Reset() {
 }
 
 // clearRun drops what a run leaves on the machine besides its architectural
-// state, for Reset and Restore alike: how it ended, the Budget, the
-// observers and a pending fire point.
+// state, for Reset and Restore alike: how it ended, the Budget, the trace
+// ring and a pending fire point.
 func (m *Machine) clearRun() {
 	m.Halted = false
 	m.ExitCode = 0
 	m.Trap = TrapNone
 	m.TrapMsg = ""
 	m.Budget = 0
-	m.Count = nil
 	m.Trace = nil
 	m.fire = nil
 }
@@ -556,10 +551,11 @@ func (m *Machine) setFlagsZS(v uint64) {
 	m.Regs[vx.RFLAGS] = f
 }
 
-// Step executes a single instruction. It is the reference path: Run executes
-// observed stretches through it, RunStepped and single-stepping tools whole
-// runs, and the predecoded loop in run.go must stay observationally
-// identical to it.
+// Step executes a single instruction. It is the reference path: traced runs,
+// RunStepped and stepping observers (pinfi.Observe) execute through it, and
+// the predecoded loop in run.go must stay observationally identical to it.
+// An attached TraceRing records the instruction unless it halted the
+// machine.
 func (m *Machine) Step() {
 	if m.Halted {
 		return
@@ -567,8 +563,8 @@ func (m *Machine) Step() {
 	if fp := m.fire; fp != nil && m.InstrCount >= fp.At {
 		// A due fire point is serviced before this instruction's sentinel,
 		// bad-pc and budget checks — the same inter-instruction boundary at
-		// which the fast loop services it (the observer epilogue of the
-		// At-th committed instruction).
+		// which the fast loop services it, right behind the At-th committed
+		// instruction.
 		m.serviceFire()
 		if m.Halted {
 			return
@@ -595,7 +591,9 @@ func (m *Machine) Step() {
 	m.Cycles += in.Op.CycleCost()
 	m.PC = pc + 1 // default fallthrough; control flow overrides below
 	m.execOp(pc, in)
-	m.postExec(pc, in)
+	if tr := m.Trace; tr != nil && !m.Halted {
+		tr.record(m.InstrCount, pc, in.Op, m.Regs[vx.SP], m.Regs[vx.RFLAGS])
+	}
 }
 
 // execOp applies the architectural effects of one instruction. The caller

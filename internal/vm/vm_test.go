@@ -342,13 +342,13 @@ func TestTwoNaNOperandsKeepDestination(t *testing.T) {
 			b.Emit(&mir.Instr{Op: vx.RET})
 			p.Fns = []*mir.Fn{f}
 			img := mustAssemble(t, p)
-			for _, loop := range []string{"fast", "hooked", "stepped"} {
+			for _, loop := range []string{"fast", "traced", "stepped"} {
 				m := vm.New(img)
 				switch loop {
 				case "fast":
 					m.Run()
-				case "hooked":
-					m.Count = &vm.CountHook{Arm: -1}
+				case "traced":
+					m.Trace = vm.NewTraceRing(4)
 					m.Run()
 				case "stepped":
 					m.RunStepped()
@@ -385,15 +385,19 @@ func TestHookObservesAndDetaches(t *testing.T) {
 	m := vm.New(img)
 	bindOut(m)
 	seen := 0
-	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
+	everyInstr(m, func(int32, *vm.Inst) bool {
 		seen++
-		if seen == 5 {
-			mm.Count = nil // detach
-		}
+		return seen < 5 // detach
 	})
+	if m.Halted || m.InstrCount != 5 {
+		t.Fatalf("observer detached at 5 left the machine halted=%v at instruction %d", m.Halted, m.InstrCount)
+	}
 	m.Run()
 	if seen != 5 {
 		t.Fatalf("hook ran %d times after detach at 5", seen)
+	}
+	if m.Trap != vm.TrapNone || len(m.Output) != 1 || m.Output[0] != 3628800 {
+		t.Fatalf("run on after the detach: trap %v output %v", m.Trap, m.Output)
 	}
 }
 
@@ -403,11 +407,12 @@ func TestFlipBitChangesOutcome(t *testing.T) {
 	// must differ from the golden product.
 	m := vm.New(img)
 	bindOut(m)
-	everyInstr(m, func(mm *vm.Machine, pc int32, in *vm.Inst) {
+	everyInstr(m, func(_ int32, in *vm.Inst) bool {
 		if in.Op == vx.IMULQ {
-			mm.FlipBit(vx.R0, 0)
-			mm.Count = nil
+			m.FlipBit(vx.R0, 0)
+			return false
 		}
+		return true
 	})
 	m.Run()
 	if m.Output[0] == 3628800 {
