@@ -82,9 +82,9 @@ type Lib struct {
 	// arms a fire point at its own instruction, so AtMark runs at the
 	// inter-instruction boundary right behind that call — the call has
 	// answered, the machine is between instructions — with Count as its
-	// argument. The fused site leaves its handler for an armed fire point
-	// at its post-call seam like for any other deadline. Most runs have
-	// some: a trial's are where it is compared with the golden run.
+	// argument. That call has work, so a fused site runs it on its unfused
+	// slots, which reach the fire point like any other deadline. Most runs
+	// have some: a trial's are where it is compared with the golden run.
 	Marks  []int64
 	AtMark func(count int64)
 	mark   int          // Marks[:mark] have been armed

@@ -66,8 +66,13 @@ func (c *Client) Run(ctx context.Context, spec campaign.Spec, obs func(int, camp
 		if err == nil {
 			return sum, nil
 		}
+		if ctx.Err() != nil {
+			// Cancelling closes the body under the decoder, which may then
+			// report the closed connection rather than the cancellation.
+			return nil, ctx.Err()
+		}
 		var fatal *fatalError
-		if errors.As(err, &fatal) || ctx.Err() != nil {
+		if errors.As(err, &fatal) {
 			return nil, err
 		}
 		lastErr = err

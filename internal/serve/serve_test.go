@@ -11,8 +11,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -321,6 +323,66 @@ func TestServeCloseSettlesRunsOntoTheJournal(t *testing.T) {
 	}
 	if st := j.Stats(); st.Replayed != uint64(len(events)) {
 		t.Fatalf("the new server replayed %d journaled trials, want %d", st.Replayed, len(events))
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// closedConnBody reads like the body it wraps until its request's context
+// is done, then fails the way a body closed under the reader can: with the
+// closed connection, not the cancellation.
+type closedConnBody struct {
+	ctx context.Context
+	io.ReadCloser
+}
+
+func (b closedConnBody) Read(p []byte) (int, error) {
+	if b.ctx.Err() != nil {
+		return 0, net.ErrClosed
+	}
+	return b.ReadCloser.Read(p)
+}
+
+// TestServeClientCancelMidStream: cancelling the context while a stream is
+// being read returns the cancellation — also when the body reports the
+// closed connection instead — and no reconnect is attempted.
+func TestServeClientCancelMidStream(t *testing.T) {
+	s, err := serve.NewServer(serve.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close)
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	closedConn := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if err == nil {
+			resp.Body = closedConnBody{r.Context(), resp.Body}
+		}
+		return resp, err
+	})}
+	sp := spec(t, "CG", 1<<16, 13)
+	sp.Workers = 1
+
+	for label, client := range map[string]*serve.Client{
+		"default transport":        {Addr: addr},
+		"body reports closed conn": {Addr: addr, HTTP: closedConn},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen := 0
+		_, err := client.Run(ctx, sp, func(int, campaign.TrialResult) {
+			if seen++; seen == 1 {
+				cancel()
+			}
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Run returned %v, want context.Canceled", label, err)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
@@ -22,14 +23,18 @@ import (
 )
 
 // runPool runs one campaign over a fresh 2-worker pool, returning the result
-// and the pool's death count.
-func runPool(t *testing.T, app campaign.App, trials int, seed uint64) (*campaign.Result, int) {
+// and the pool's death count. A non-zero stall fixes the silent-worker
+// deadline and grace the SIGTERM→SIGKILL escalation (shard.SetDeadlines).
+func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall, grace time.Duration) (*campaign.Result, int) {
 	t.Helper()
 	p, err := shard.NewPool(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	if stall > 0 {
+		shard.SetDeadlines(p, stall, grace)
+	}
 	res, err := p.Run(context.Background(), campaign.New(app, campaign.REFINE,
 		campaign.WithTrials(trials), campaign.WithSeed(seed),
 		campaign.WithRecords(), campaign.WithCache(nil)))
@@ -63,7 +68,7 @@ func TestChaosWorkerCrashReassigned(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 31)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.range:crash:w=0")
-	res, deaths := runPool(t, app, trials, 31)
+	res, deaths := runPool(t, app, trials, 31, 0, 0)
 	assertIdentical(t, res, ref, "crash")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the crashed worker", deaths)
@@ -86,9 +91,7 @@ func TestChaosHungWorkerKilledAndReassigned(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 33)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.range:hang:w=0")
-	t.Setenv("FI_SHARD_STALL", "1200") // fixed stall deadline, ms
-	t.Setenv("FI_SHARD_GRACE", "200")  // SIGTERM→SIGKILL grace, ms
-	res, deaths := runPool(t, app, trials, 33)
+	res, deaths := runPool(t, app, trials, 33, 1200*time.Millisecond, 200*time.Millisecond)
 	assertIdentical(t, res, ref, "hang")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the hung worker", deaths)
@@ -107,7 +110,7 @@ func TestChaosTornFrameRecovered(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 35)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.send:tear:w=0")
-	res, deaths := runPool(t, app, trials, 35)
+	res, deaths := runPool(t, app, trials, 35, 0, 0)
 	assertIdentical(t, res, ref, "tear")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the torn worker", deaths)
@@ -125,8 +128,7 @@ func TestChaosSlowWorkerNotKilled(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 37)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.range:sleep:ms=300:w=0")
-	t.Setenv("FI_SHARD_STALL", "5000")
-	res, deaths := runPool(t, app, trials, 37)
+	res, deaths := runPool(t, app, trials, 37, 5*time.Second, 2*time.Second)
 	assertIdentical(t, res, ref, "slow")
 	if deaths != 0 {
 		t.Fatalf("slow worker was killed: %d deaths", deaths)
@@ -149,7 +151,7 @@ func TestChaosDeterministicCrashBecomesHarnessFault(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 39)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.trial:crash:at=30:count=9999")
-	res, deaths := runPool(t, app, trials, 39)
+	res, deaths := runPool(t, app, trials, 39, 0, 0)
 
 	if res.Counts.HarnessFault != 1 {
 		t.Fatalf("Counts.HarnessFault = %d, want exactly the poison trial", res.Counts.HarnessFault)

@@ -26,6 +26,6 @@ func TestRangeDeadlineCoversOneTrial(t *testing.T) {
 	}
 	fixed := &Pool{stall: 1200 * time.Millisecond, stallFixed: true}
 	if got := fixed.rangeDeadline(&runState{budget: slowInstrPerSec * 90}); got != fixed.stall {
-		t.Errorf("FI_SHARD_STALL deadline %v, want %v", got, fixed.stall)
+		t.Errorf("fixed stall: deadline %v, want %v", got, fixed.stall)
 	}
 }

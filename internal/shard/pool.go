@@ -58,9 +58,7 @@
 // Pool.Run is the only way a campaign reaches the workers: callers open a
 // pool (NewPool, NewTCPPool, or OpenPool from the fi-* drivers' -shards /
 // -shard-nodes) and hand it campaigns; suites pass it as
-// experiments.Config.Pool. Knobs for tests: FI_SHARD_STALL and
-// FI_SHARD_GRACE (milliseconds) fix the silent-worker deadline and the
-// terminate→kill grace.
+// experiments.Config.Pool.
 package shard
 
 import (
@@ -72,7 +70,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -96,8 +93,6 @@ const (
 )
 
 const (
-	stallEnv     = "FI_SHARD_STALL"
-	graceEnv     = "FI_SHARD_GRACE"
 	defaultStall = 30 * time.Second
 	defaultGrace = 2 * time.Second
 	// slowInstrPerSec is the pessimistic VM throughput floor used to derive
@@ -106,17 +101,6 @@ const (
 	// worker can miss the deadline.
 	slowInstrPerSec = 8 << 20
 )
-
-// envDuration reads a millisecond count from the environment (0 or unset ⇒
-// def): the stall and grace knobs.
-func envDuration(name string, def time.Duration) time.Duration {
-	if s := os.Getenv(name); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return time.Duration(n) * time.Millisecond
-		}
-	}
-	return def
-}
 
 // spawnRetry bounds worker spawn attempts (fork/exec and network dials can
 // fail transiently under fd, pid, or connection pressure).
@@ -132,7 +116,7 @@ type Pool struct {
 
 	transport  Transport
 	stall      time.Duration // silent-worker deadline floor
-	stallFixed bool          // FI_SHARD_STALL set: skip the cost-model scale-up
+	stallFixed bool          // tests: stall is the deadline, no cost-model scale-up
 	grace      time.Duration // terminate → kill escalation grace
 
 	mu            sync.Mutex
@@ -229,12 +213,10 @@ func newPool(n int, t Transport) (*Pool, error) {
 	if n < 1 {
 		n = 1
 	}
-	stall := envDuration(stallEnv, defaultStall)
 	p := &Pool{
 		transport:     t,
-		stall:         stall,
-		stallFixed:    stall != defaultStall,
-		grace:         envDuration(graceEnv, defaultGrace),
+		stall:         defaultStall,
+		grace:         defaultGrace,
 		runs:          map[int]*runState{},
 		respawnBudget: 2 * n,
 	}
@@ -540,8 +522,8 @@ func (p *Pool) admitLocked(cid int) {
 // frame restarts the clock and a worker sends one per trial, so it covers
 // one trial — the stall floor (generous enough to cover a cold
 // build+profile inside the first range), raised to the worst-case trial
-// budget at a pessimistic VM throughput floor when that is longer.
-// FI_SHARD_STALL fixes it absolutely (tests).
+// budget at a pessimistic VM throughput floor when that is longer. The
+// chaos tests fix it absolutely (export_test.go).
 func (p *Pool) rangeDeadline(run *runState) time.Duration {
 	if p.stallFixed {
 		return p.stall

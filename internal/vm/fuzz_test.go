@@ -1,13 +1,20 @@
 package vm_test
 
-// A native fuzz target for Snapshot, Restore and Matches on a machine that
-// hops between images, as the campaign's machine pool lends it: it ran image
-// A for a while — a stray store and a register flip on top, at the fuzzer's
-// choice — and is rebound to image B, which does not sweep its memory. The
-// images are real: CG and FT under the LLFI, REFINE and PINFI pipelines. Run
-// it with
+// Native fuzz targets on real images (CG and FT, built by the test):
+//
+//   - FuzzSnapshotRestore: Snapshot, Restore and Matches on a machine that
+//     hops between images, as the campaign's machine pool lends it: it ran
+//     image A for a while — a stray store and a register flip on top, at the
+//     fuzzer's choice — and is rebound to image B, which does not sweep its
+//     memory. Images under the LLFI, REFINE and PINFI pipelines.
+//   - FuzzPredecode: the predecoder on a mutated REFINE or PINFI image. Every
+//     fused site must have the site shape, and the fast loop must run the
+//     image exactly like the reference decoder.
+//
+// Run them with
 //
 //	go test -run '^$' -fuzz '^FuzzSnapshotRestore$' -fuzztime=10s -fuzzminimizetime=100x ./internal/vm/
+//	go test -run '^$' -fuzz '^FuzzPredecode$' -fuzztime=10s -fuzzminimizetime=100x ./internal/vm/
 
 import (
 	"bytes"
@@ -92,6 +99,159 @@ func FuzzSnapshotRestore(f *testing.F) {
 		stray(m, after, addr, val, reg, bit)
 		if s.Matches(m) != sameState(m, ref) {
 			t.Fatalf("restored, then perturbed (%d): Matches = %v, the whole-memory compare %v", after&3, s.Matches(m), sameState(m, ref))
+		}
+	})
+}
+
+// predecodeBudget bounds every FuzzPredecode run: a mutated image may loop
+// forever, and the stepped reference has to stay cheap.
+const predecodeBudget = 1 << 16
+
+// predecodeImage is one seed image and the PCs its golden run executes
+// within predecodeBudget, which is where a mutation is seen.
+type predecodeImage struct {
+	bin  *campaign.Binary
+	live []int32
+}
+
+// siteShaped is the site shape spelled out on the decoded instructions, as
+// an independent check of the predecoder's matcher: what the fused path
+// assumes the 16 instructions at head and post do.
+func siteShaped(ins []vm.Inst, hosts int, head, post int32) bool {
+	if head < 0 || int(head)+10 > len(ins) || post < 0 || int(post)+6 > len(ins) {
+		return false
+	}
+	abs := func(in *vm.Inst) bool { return in.MemBase == vx.NoReg && in.MemIndex == vx.NoReg }
+	reg := func(in *vm.Inst, op vx.Op, r vx.Reg) bool {
+		return in.Op == op && in.AKind == vm.OpReg && in.AReg == r
+	}
+	pre, fin := ins[head:head+10], ins[post:post+6]
+	ok := pre[0].Op == vx.MOVQ && pre[0].Instrumented && pre[0].AKind == vm.OpMem && abs(&pre[0]) &&
+		pre[0].BKind == vm.OpReg && pre[0].BReg == vx.SP &&
+		pre[1].Op == vx.PUSHF &&
+		reg(&pre[2], vx.PUSHQ, vx.R0) && reg(&pre[3], vx.PUSHQ, vx.R1) &&
+		reg(&pre[4], vx.PUSHQ, vx.R2) && reg(&pre[5], vx.PUSHQ, vx.R3) &&
+		reg(&pre[6], vx.MOVQ, vx.R1) && (pre[6].BKind == vm.OpImm || pre[6].BKind == vm.OpFImm) &&
+		pre[7].Op == vx.CALLQ && pre[7].HostIdx >= 0 && int(pre[7].HostIdx) < hosts &&
+		reg(&pre[8], vx.TESTQ, vx.R0) && pre[8].BKind == vm.OpReg && pre[8].BReg == vx.R0 &&
+		pre[9].Op == vx.JCC && pre[9].Cond == vx.CondE && pre[9].Target == post
+	for i, r := range []vx.Reg{vx.R3, vx.R2, vx.R1, vx.R0} {
+		ok = ok && fin[i].Op == vx.POPQ && fin[i].AReg == r
+	}
+	return ok && fin[4].Op == vx.POPF &&
+		reg(&fin[5], vx.MOVQ, vx.SP) && fin[5].BKind == vm.OpMem && abs(&fin[5]) && fin[5].MemDisp == pre[0].MemDisp
+}
+
+// mutate applies one 9-byte mutation — a field selector, a PC among the
+// image's live ones and a value — to a clone's instruction stream. Every
+// mutation keeps the instruction decodable: registers stay inside the
+// register file, branch targets inside the stream and host indexes among
+// the imported ones.
+func mutate(img *vm.Image, live []int32, field uint8, at, val uint32) int32 {
+	pc := live[int(at%uint32(len(live)))]
+	in := &img.Instrs[pc]
+	switch field % 5 {
+	case 0:
+		in.Op = vx.Op(val)
+	case 1:
+		r := vx.Reg(val % vx.NumRegs)
+		switch val >> 8 & 3 {
+		case 0:
+			in.AReg = r
+		case 1:
+			in.BReg = r
+		case 2:
+			in.MemBase = r
+		default:
+			in.MemIndex = r
+		}
+	case 2:
+		in.Imm = int64(int32(val))
+	case 3:
+		in.Target = int32(val % uint32(len(img.Instrs)))
+	default:
+		if n := uint32(len(img.HostFns)); n > 0 {
+			in.HostIdx = int32(val % n)
+		}
+	}
+	return pc
+}
+
+// bindPredecode binds the golden run's hosts. A mutated REFINE image can
+// call setupFI, so its library gets an RNG.
+func bindPredecode(m *vm.Machine, tool campaign.Tool) {
+	if tool == campaign.REFINE {
+		bindProfile(m)
+	} else {
+		bindGolden(m, tool)
+	}
+}
+
+func FuzzPredecode(f *testing.F) {
+	var imgs []predecodeImage
+	for _, app := range []string{"CG", "FT"} {
+		for _, tool := range []campaign.Tool{campaign.REFINE, campaign.PINFI} {
+			bin := buildBin(f, app, tool)
+			m := bin.NewMachine()
+			bindPredecode(m, tool)
+			m.Budget = predecodeBudget
+			seen := make([]bool, len(bin.Img.Instrs))
+			var live []int32
+			for !m.Halted {
+				if pc := m.PC; pc >= 0 && int(pc) < len(seen) && !seen[pc] {
+					seen[pc] = true
+					live = append(live, pc)
+				}
+				m.Step()
+			}
+			imgs = append(imgs, predecodeImage{bin, live})
+		}
+	}
+	// which indexes CG/REFINE, CG/PINFI, FT/REFINE, FT/PINFI; each 9 bytes of
+	// plan are one mutation: field, PC (4 bytes), value (4 bytes).
+	f.Add(uint8(0), false, []byte{})
+	f.Add(uint8(0), false, []byte{0, 7, 0, 0, 0, byte(vx.NOP), 0, 0, 0})
+	f.Add(uint8(2), true, []byte{1, 40, 0, 0, 0, byte(vx.SP), 2, 0, 0, 3, 9, 1, 0, 0, 17, 0, 0, 0})
+	f.Add(uint8(1), true, []byte{2, 3, 0, 0, 0, 0, 0, 0, 0x80, 4, 200, 0, 0, 0, 1, 0, 0, 0})
+	f.Add(uint8(3), false, []byte{0, 100, 0, 0, 0, byte(vx.RET), 0, 0, 0, 1, 100, 0, 0, 0, 0, 1, 0, 0})
+
+	f.Fuzz(func(t *testing.T, which uint8, viaRepredecode bool, plan []byte) {
+		src := imgs[int(which)%len(imgs)]
+		img := src.bin.Img.Clone()
+		if viaRepredecode {
+			vm.FusedSites(img) // predecode first, then patch slot by slot
+		}
+		for i := 0; i+9 <= len(plan) && i < 4*9; i += 9 {
+			pc := mutate(img, src.live, plan[i], binary.LittleEndian.Uint32(plan[i+1:]), binary.LittleEndian.Uint32(plan[i+5:]))
+			if viaRepredecode {
+				img.Repredecode(pc)
+			}
+		}
+
+		heads, posts := vm.SiteHeads(img)
+		for i, head := range heads {
+			if !siteShaped(img.Instrs, len(img.HostFns), head, posts[i]) {
+				t.Fatalf("fused a site at %d (post %d) that does not have the site shape", head, posts[i])
+			}
+		}
+
+		run := func(stepped bool) (machineState, string) {
+			m := src.bin.NewMachine()
+			m.Img = img
+			m.Reset()
+			bindPredecode(m, src.bin.Tool)
+			m.Budget = predecodeBudget
+			if stepped {
+				m.RunStepped()
+			} else {
+				m.Run()
+			}
+			return snapshot(m), m.TrapMsg
+		}
+		fast, fastMsg := run(false)
+		ref, refMsg := run(true)
+		if !equalStates(fast, ref) || fastMsg != refMsg {
+			t.Fatalf("Run diverged from RunStepped:\nRun:        %+v %q\nRunStepped: %+v %q", fast, fastMsg, ref, refMsg)
 		}
 	})
 }

@@ -158,9 +158,10 @@ func TestInertCallsMatchStep(t *testing.T) {
 
 // TestInertCountedHostAtSiteShape: a counted host at a site that is not
 // selInstr's shape of host — one that clobbers like the C ABI, or whose
-// inert answer is a register rather than 0 — takes the site's seams instead
-// of its inert shortcut, and must run like the unfused sequence and like
-// Step. Rows on the one-site image vm.SiteShape and on a real REFINE image.
+// inert answer is a register rather than 0 — leaves the site to its unfused
+// slots right after the head store, and must run like the unfused sequence
+// and like Step. Rows on the one-site image vm.SiteShape and on a real
+// REFINE image.
 func TestInertCountedHostAtSiteShape(t *testing.T) {
 	hosts := []struct {
 		preserve bool

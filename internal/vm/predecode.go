@@ -24,7 +24,9 @@ type predecodeOnce = sync.Once
 
 // uopKind enumerates the specialized micro-ops. Anything not covered by a
 // dedicated kind falls back to uGeneric, which dispatches through the same
-// execOp switch Step uses, so the long tail keeps reference semantics.
+// execOp switch Step uses, so the long tail keeps reference semantics. A
+// shape earns a kind only if some workload gives it at least 0.01 % of
+// dispatches (README.md, "Which uops earn a kind").
 type uopKind uint8
 
 const (
@@ -45,17 +47,9 @@ const (
 	uSUBri
 	uIMULrr
 	uIMULri
-	uANDrr
 	uANDri
 	uORrr
-	uORri
-	uXORrr
-	uXORri
-	uSHLrr
 	uSHLri
-	uSHRrr
-	uSHRri
-	uSARrr
 	uSARri
 	uIDIVrr
 	uIDIVri
@@ -74,7 +68,6 @@ const (
 	uFDIVrr
 	uFDIVri
 	uSQRTrr
-	uFXORrr
 	uCVTSI2SDrr
 	uCVTTSD2SIrr
 	uUCOMISDrr
@@ -83,11 +76,9 @@ const (
 	uCMPrr
 	uCMPri
 	uTESTrr
-	uTESTri
 	uCMPrrJCC
 	uCMPriJCC
 	uTESTrrJCC
-	uTESTriJCC
 	uJMP
 	uJCC
 	uSETCC
@@ -102,7 +93,6 @@ const (
 	uCALLH // host call, host index in tgt
 
 	uNOP
-	uHALT
 
 	// uSITE is the site superinstruction (site.go): a uSTORE whose tgt
 	// indexes Image.sites. It stays the last kind, outside the range
@@ -161,16 +151,20 @@ func (img *Image) build() {
 	for pc := range img.Instrs {
 		img.code[pc] = predecode1(&img.Instrs[pc])
 	}
-	// Superinstruction fusion: a reg/imm-shaped CMPQ/TESTQ immediately
-	// followed by a JCC executes as one dispatch when reached by
-	// fallthrough. The JCC slot keeps its unfused uop (see file comment).
+	// Superinstruction fusion: a reg/reg or reg/imm CMPQ, or a reg/reg
+	// TESTQ, immediately followed by a JCC executes as one dispatch when
+	// reached by fallthrough. The JCC slot keeps its unfused uop (see file
+	// comment).
 	for pc := range img.Instrs {
 		img.fuse(int32(pc))
 	}
 	// Site superinstruction (site.go): matched on the fused stream, rewrites
 	// head slots only.
 	for pc := range img.Instrs {
-		img.fuseSite(int32(pc), len(img.sites))
+		if s, ok := img.matchSite(int32(pc)); ok {
+			img.code[pc].kind, img.code[pc].tgt = uSITE, int32(len(img.sites))
+			img.sites = append(img.sites, s)
+		}
 	}
 
 	// SiteID → PC of the application instruction carrying it (first wins).
@@ -206,8 +200,6 @@ func (img *Image) fuse(pc int32) {
 		fused = uCMPriJCC
 	case uTESTrr:
 		fused = uTESTrrJCC
-	case uTESTri:
-		fused = uTESTriJCC
 	default:
 		return
 	}
@@ -242,9 +234,9 @@ func (img *Image) Clone() *Image {
 // Repredecode refreshes the predecoded state of pc after an in-place
 // mutation of Instrs[pc] (the opcode-corruption ablation rewrites opcodes
 // mid-run). The neighboring slot pc-1 is re-fused as well, since its fused
-// state depends on what pc holds, and so is every site superinstruction one
-// of whose 16 slots is pc: its head drops back to the plain store unless the
-// sequence still has the site shape. Mutating an image forfeits its
+// state depends on what pc holds, and every site superinstruction one of
+// whose 16 slots is pc drops back to its plain store for good — restoring
+// the slot does not fuse it again. Mutating an image forfeits its
 // share-across-goroutines guarantee: callers must have exclusive use of
 // the image for the whole mutate/run/restore window.
 func (img *Image) Repredecode(pc int32) {
@@ -256,21 +248,22 @@ func (img *Image) Repredecode(pc int32) {
 		img.code[p] = predecode1(&img.Instrs[p])
 		img.fuse(p)
 	}
-	img.refuseSitesAround(pc)
+	img.unfuseSitesAround(pc)
 }
 
-// intALUKinds and fpALUKinds map two-address ALU opcodes to their reg/reg
-// uop kind; the reg/imm kind is always the next enumerator (rr+1).
-var intALUKinds = map[vx.Op]uopKind{
-	vx.ADDQ: uADDrr, vx.SUBQ: uSUBrr, vx.IMULQ: uIMULrr,
-	vx.ANDQ: uANDrr, vx.ORQ: uORrr, vx.XORQ: uXORrr,
-	vx.SHLQ: uSHLrr, vx.SHRQ: uSHRrr, vx.SARQ: uSARrr,
-	vx.IDIVQ: uIDIVrr, vx.IREMQ: uIREMrr,
+// intALUKinds and fpALUKinds map two-address ALU opcodes to their
+// {reg/reg, reg/imm} uop kinds; uGeneric marks a shape too rare to earn one.
+// XORQ and SHRQ have neither and stay out of the table.
+var intALUKinds = map[vx.Op][2]uopKind{
+	vx.ADDQ: {uADDrr, uADDri}, vx.SUBQ: {uSUBrr, uSUBri}, vx.IMULQ: {uIMULrr, uIMULri},
+	vx.ANDQ: {uGeneric, uANDri}, vx.ORQ: {uORrr, uGeneric},
+	vx.SHLQ: {uGeneric, uSHLri}, vx.SARQ: {uGeneric, uSARri},
+	vx.IDIVQ: {uIDIVrr, uIDIVri}, vx.IREMQ: {uIREMrr, uIREMri},
 }
 
-var fpALUKinds = map[vx.Op]uopKind{
-	vx.ADDSD: uFADDrr, vx.SUBSD: uFSUBrr,
-	vx.MULSD: uFMULrr, vx.DIVSD: uFDIVrr,
+var fpALUKinds = map[vx.Op][2]uopKind{
+	vx.ADDSD: {uFADDrr, uFADDri}, vx.SUBSD: {uFSUBrr, uFSUBri},
+	vx.MULSD: {uFMULrr, uFMULri}, vx.DIVSD: {uFDIVrr, uFDIVri},
 }
 
 // predecode1 lowers one instruction. It only specializes shapes whose
@@ -329,17 +322,17 @@ func predecode1(in *Inst) uop {
 			setMem()
 		}
 
-	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ, vx.XORQ,
-		vx.SHLQ, vx.SHRQ, vx.SARQ, vx.IDIVQ, vx.IREMQ:
+	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ,
+		vx.SHLQ, vx.SARQ, vx.IDIVQ, vx.IREMQ:
 		if !regA {
 			break
 		}
-		rr := intALUKinds[in.Op]
+		k := intALUKinds[in.Op]
 		switch {
 		case regB:
-			u.kind, u.a, u.b = rr, uint8(in.AReg), uint8(in.BReg)
+			u.kind, u.a, u.b = k[0], uint8(in.AReg), uint8(in.BReg)
 		case in.BKind == OpImm:
-			u.kind, u.a, u.imm = rr+1, uint8(in.AReg), in.Imm // ri kind follows rr
+			u.kind, u.a, u.imm = k[1], uint8(in.AReg), in.Imm
 		}
 
 	case vx.NEGQ:
@@ -349,22 +342,17 @@ func predecode1(in *Inst) uop {
 		u.kind, u.a = uNOT, uint8(in.AReg)
 
 	case vx.ADDSD, vx.SUBSD, vx.MULSD, vx.DIVSD:
-		rr := fpALUKinds[in.Op]
+		k := fpALUKinds[in.Op]
 		switch {
 		case regB:
-			u.kind, u.a, u.b = rr, uint8(in.AReg), uint8(in.BReg)
+			u.kind, u.a, u.b = k[0], uint8(in.AReg), uint8(in.BReg)
 		case immB:
-			u.kind, u.a, u.imm = rr+1, uint8(in.AReg), in.Imm
+			u.kind, u.a, u.imm = k[1], uint8(in.AReg), in.Imm
 		}
 
 	case vx.SQRTSD:
 		if regB {
 			u.kind, u.a, u.b = uSQRTrr, uint8(in.AReg), uint8(in.BReg)
-		}
-
-	case vx.XORPD:
-		if regB {
-			u.kind, u.a, u.b = uFXORrr, uint8(in.AReg), uint8(in.BReg)
 		}
 
 	case vx.CVTSI2SD:
@@ -391,11 +379,8 @@ func predecode1(in *Inst) uop {
 		}
 
 	case vx.TESTQ:
-		switch {
-		case regA && regB:
+		if regA && regB {
 			u.kind, u.a, u.b = uTESTrr, uint8(in.AReg), uint8(in.BReg)
-		case regA && in.BKind == OpImm:
-			u.kind, u.a, u.imm = uTESTri, uint8(in.AReg), in.Imm
 		}
 
 	case vx.SETCC:
@@ -430,9 +415,6 @@ func predecode1(in *Inst) uop {
 
 	case vx.POPF:
 		u.kind = uPOPF
-
-	case vx.HALT:
-		u.kind = uHALT
 	}
 	return u
 }

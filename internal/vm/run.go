@@ -30,6 +30,32 @@ func (m *Machine) Run() TrapKind {
 	return m.Trap
 }
 
+// RunStepped executes until halt, trap, or budget exhaustion entirely
+// through the reference Step path. The differential suites use it as the
+// ground truth runFast is pinned to. Like Run it returns with nothing armed.
+func (m *Machine) RunStepped() TrapKind {
+	m.Img.ensure()
+	for !m.Halted {
+		m.Step()
+	}
+	m.fire = nil
+	return m.Trap
+}
+
+// TargetMap precomputes the per-PC bitmap of instructions for which keep
+// returns true — an injection population a stepping observer looks up by PC
+// (pinfi.Observe). The bitmap is valid for as long as the image's
+// instruction stream is; injectors that mutate instructions in place (opcode
+// corruption) must stop consulting it no later than the mutation, as the
+// bitmap is not re-derived.
+func TargetMap(img *Image, keep func(*Inst) bool) []bool {
+	tm := make([]bool, len(img.Instrs))
+	for pc := range img.Instrs {
+		tm[pc] = keep(&img.Instrs[pc])
+	}
+	return tm
+}
+
 // runFast is the hook-free inner interpreter loop over predecoded uops. It
 // must stay observationally identical to stepping: same traps, same cycle
 // accounting, same InstrCount at every host-call boundary. It returns when
@@ -141,10 +167,6 @@ func (m *Machine) runFast() {
 			r := uint64(int64(m.Regs[u.a]) * u.imm)
 			m.Regs[u.a] = r
 			m.setFlagsZS(r)
-		case uANDrr:
-			r := m.Regs[u.a] & m.Regs[u.b]
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
 		case uANDri:
 			r := m.Regs[u.a] & uint64(u.imm)
 			m.Regs[u.a] = r
@@ -153,36 +175,8 @@ func (m *Machine) runFast() {
 			r := m.Regs[u.a] | m.Regs[u.b]
 			m.Regs[u.a] = r
 			m.setFlagsZS(r)
-		case uORri:
-			r := m.Regs[u.a] | uint64(u.imm)
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
-		case uXORrr:
-			r := m.Regs[u.a] ^ m.Regs[u.b]
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
-		case uXORri:
-			r := m.Regs[u.a] ^ uint64(u.imm)
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
-		case uSHLrr:
-			r := m.Regs[u.a] << (m.Regs[u.b] & 63)
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
 		case uSHLri:
 			r := m.Regs[u.a] << (uint64(u.imm) & 63)
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
-		case uSHRrr:
-			r := m.Regs[u.a] >> (m.Regs[u.b] & 63)
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
-		case uSHRri:
-			r := m.Regs[u.a] >> (uint64(u.imm) & 63)
-			m.Regs[u.a] = r
-			m.setFlagsZS(r)
-		case uSARrr:
-			r := uint64(int64(m.Regs[u.a]) >> (m.Regs[u.b] & 63))
 			m.Regs[u.a] = r
 			m.setFlagsZS(r)
 		case uSARri:
@@ -239,9 +233,6 @@ func (m *Machine) runFast() {
 		case uSQRTrr:
 			m.Regs[u.a] = math.Float64bits(math.Sqrt(math.Float64frombits(m.Regs[u.b])))
 
-		case uFXORrr:
-			m.Regs[u.a] ^= m.Regs[u.b]
-
 		case uCVTSI2SDrr:
 			m.Regs[u.a] = math.Float64bits(float64(int64(m.Regs[u.b])))
 
@@ -275,24 +266,23 @@ func (m *Machine) runFast() {
 			m.Regs[vx.RFLAGS] = cmpFlags(m.Regs[u.a], uint64(u.imm))
 		case uTESTrr:
 			m.setFlagsZS(m.Regs[u.a] & m.Regs[u.b])
-		case uTESTri:
-			m.setFlagsZS(m.Regs[u.a] & uint64(u.imm))
 
-		case uCMPrrJCC, uCMPriJCC, uTESTrrJCC, uTESTriJCC:
+		case uCMPrrJCC, uCMPriJCC, uTESTrrJCC:
 			// Fused compare+branch superinstruction: one dispatch, two
-			// architectural instructions. The accounting (InstrCount, cycles,
-			// budget check between the pair) matches the unfused sequence
-			// exactly, including a timeout landing on the branch.
+			// architectural instructions, accounted as the unfused pair. A
+			// deadline between the halves is the loop's slow path: the
+			// compare is committed (flags written, PC at the branch slot),
+			// so the slow path services a due fire point or times out there
+			// exactly as between two single dispatches, and a fire callback
+			// that returns resumes at the branch's own unfused uop.
 			var b uint64
-			if u.kind == uCMPrrJCC || u.kind == uTESTrrJCC {
-				b = m.Regs[u.b]
-			} else {
+			if u.kind == uCMPriJCC {
 				b = uint64(u.imm)
+			} else {
+				b = m.Regs[u.b]
 			}
 			var f uint64
-			if u.kind == uCMPrrJCC || u.kind == uCMPriJCC {
-				f = cmpFlags(m.Regs[u.a], b)
-			} else {
+			if u.kind == uTESTrrJCC {
 				v := m.Regs[u.a] & b
 				if v == 0 {
 					f |= vx.FlagZ
@@ -300,24 +290,12 @@ func (m *Machine) runFast() {
 				if int64(v) < 0 {
 					f |= vx.FlagS
 				}
+			} else {
+				f = cmpFlags(m.Regs[u.a], b)
 			}
 			m.Regs[vx.RFLAGS] = f
 			if left <= 0 {
-				if fp := m.fire; fp != nil && m.InstrCount >= fp.At {
-					// The compare half was the fired instruction. Service it
-					// with the pair's committed state (flags written, PC at
-					// the branch slot) and re-dispatch the branch through
-					// its own unfused uop — Step executes the pair as two
-					// instructions with the fire between them.
-					m.serviceFire()
-					if m.Halted {
-						return
-					}
-					left = m.fastCountdown()
-					continue
-				}
-				m.fault(TrapTimeout, "budget %d exhausted", m.Budget)
-				return
+				continue
 			}
 			m.InstrCount++
 			m.Cycles += int64(u.cost2)
@@ -409,11 +387,6 @@ func (m *Machine) runFast() {
 			left = m.fastCountdown()
 
 		case uNOP:
-
-		case uHALT:
-			m.Halted = true
-			m.ExitCode = int64(m.Regs[vx.R0])
-			return
 
 		default:
 			if u.kind == uSITE {

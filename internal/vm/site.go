@@ -40,21 +40,18 @@ const (
 	sitePreLen  = 10 // instructions at head (PreFI)
 	sitePostLen = 6  // instructions at post (PostFI)
 	siteCallOff = 7  // head-relative slot of the CALLQ
-	// Instructions still to run after the head, and after the CALLQ.
+	// Instructions still to run after the head.
 	siteAfterHead = sitePreLen + sitePostLen - 1
-	siteAfterCall = siteAfterHead - siteCallOff
 	// siteSaveBytes is the PreFI save area: FLAGS and R0..R3 pushed below SP.
 	siteSaveBytes = 40
 )
 
-// siteInfo is the side-table entry of one matched site; the head uop's tgt
-// indexes it. Entries are never removed: a site a mutation unfused keeps its
-// entry, which is how Repredecode finds it again when a later mutation
-// restores the shape.
+// siteInfo is the side-table entry of one site matched when the image was
+// built; the head uop's tgt indexes it. A site Repredecode unfused keeps its
+// entry, unused.
 type siteInfo struct {
 	head, post int32
 	host       int32  // host index of the CALLQ
-	site       int64  // the immediate loaded into R1
 	abs        uint64 // the SP save slot
 	// preCycles covers head+1..head+7 (without the host function's own
 	// latency, which is the machine's binding); postCycles covers the TESTQ,
@@ -120,7 +117,6 @@ func (img *Image) matchSite(head int32) (siteInfo, bool) {
 		head: head,
 		post: br.tgt,
 		host: pre[siteCallOff].tgt,
-		site: pre[6].imm,
 		abs:  uint64(pre[0].imm),
 	}
 	for i := 1; i <= siteCallOff; i++ {
@@ -140,33 +136,15 @@ func (img *Image) unfuseSite(head int32) {
 	}
 }
 
-// fuseSite brings code[head] in line with what the 16 slots hold now: uSITE
-// when they have the site shape, the plain store (or whatever predecode1
-// made of a mutated head) otherwise. A match is recorded in sites[idx],
-// appended when idx == len(sites).
-func (img *Image) fuseSite(head int32, idx int) {
-	img.unfuseSite(head)
-	s, ok := img.matchSite(head)
-	if !ok {
-		return
-	}
-	if idx == len(img.sites) {
-		img.sites = append(img.sites, s)
-	} else {
-		img.sites[idx] = s
-	}
-	img.code[head].kind, img.code[head].tgt = uSITE, int32(idx)
-}
-
-// refuseSitesAround re-evaluates every known site one of whose 16 slots is
-// pc, after Repredecode refreshed that slot. Only sequences that matched when
-// the image was built are considered: a mutation can unfuse and re-fuse
-// those, never conjure a new site.
-func (img *Image) refuseSitesAround(pc int32) {
+// unfuseSitesAround demotes every fused site one of whose 16 slots is pc to
+// its plain store, after Repredecode refreshed that slot. A site never fuses
+// again: the unfused slots are exact, and the only images that are mutated
+// (opcode corruption, on binary-level clones) have no sites.
+func (img *Image) unfuseSitesAround(pc int32) {
 	for i := range img.sites {
 		s := &img.sites[i]
 		if (pc >= s.head && pc < s.head+sitePreLen) || (pc >= s.post && pc < s.post+sitePostLen) {
-			img.fuseSite(s.head, i)
+			img.unfuseSite(s.head)
 		}
 	}
 }
@@ -176,27 +154,22 @@ func (img *Image) refuseSitesAround(pc int32) {
 // re-checks Halted and recomputes its countdown afterwards,
 // exactly as after a generic op.
 //
-// The accounting is the unfused sequence's, lump-summed between the points
-// where anything can look: the host function sees InstrCount, Cycles, PC,
-// SP, R1 and the stack as after eight single dispatches, and the final state
-// is that of sixteen. Stores and loads stay real, in the original order —
-// a fault-flipped SP can make the pushes overwrite the save slot, and the
-// closing load must then read what they wrote — and the handler hands the
-// rest of the sequence to the unfused slots (PC already points at the next
-// one) at two seams:
+// It fuses one path, the one nearly every call takes: a call the
+// register-preserving host declares inert (HostFn.Inert) with an answer of 0
+// — selInstr on every call but a trial's few. That call is made without
+// entering the host function, and the pops would read back exactly what was
+// just pushed, so R0..R3 and FLAGS keep their values: the whole
+// not-triggered path is the five saves, the counter bump and the closing SP
+// load, accounted as the sixteen single dispatches. The stores and the load
+// stay real, in the original order — a fault-flipped SP can make the pushes
+// overwrite the save slot, and the closing load must then read what they
+// wrote.
 //
-//   - after the head store: a deadline (budget or fire point) within the
-//     remaining 15 instructions, an unbound host, or a save area that is not
-//     wholly in bounds — each of those ends or traps mid-sequence, and the
-//     unfused slots already do that exactly;
-//   - after the host call: anything but "not triggered, nothing else
-//     changed" — the machine halted, R0 != 0, a deadline moved into the
-//     remaining 8 instructions, or SP/PC were rewritten.
-//
-// A call that a register-preserving host declares inert (HostFn.Inert) with
-// an answer of 0 — selInstr on every call but a trial's few — is made without
-// entering the host function: the whole not-triggered path is the five saves,
-// the counter bump and the closing SP load. Every other call enters Fn.
+// Anything else returns right after the head store and leaves the rest of
+// the sequence to the unfused slots, which PC already points at and which
+// do it exactly: a call with work, a deadline (budget or fire point) within
+// the remaining 15 instructions, an unbound host, or a save area that is not
+// wholly in bounds.
 //
 //go:noinline
 func (m *Machine) runSite(s *siteInfo) {
@@ -205,7 +178,8 @@ func (m *Machine) runSite(s *siteInfo) {
 		return
 	}
 	h := &m.hosts[s.host]
-	if m.fastCountdown() < siteAfterHead || h.Fn == nil ||
+	if !h.inert() || h.Fn == nil || !h.PreserveRegs || h.Inert.Ret != vx.NoReg ||
+		m.fastCountdown() < siteAfterHead ||
 		sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
 		return
 	}
@@ -221,44 +195,10 @@ func (m *Machine) runSite(s *siteInfo) {
 	binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
 	binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
 	binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
-	if h.inert() && h.PreserveRegs && h.Inert.Ret == vx.NoReg {
-		// A declared inert call that answers 0 and clobbers nothing: the
-		// pops would read back exactly what was just pushed, so R0..R3 and
-		// FLAGS keep their values and only the closing SP load is left — a
-		// load, because a wild SP can put the save area over the slot.
-		*h.Inert.Count++
-		m.Regs[vx.SP] = binary.LittleEndian.Uint64(mem[s.abs:])
-		m.InstrCount += siteAfterHead
-		m.Cycles += s.preCycles + h.Cycles + s.postCycles
-		m.PC = s.post + sitePostLen
-		return
-	}
-	m.Regs[vx.SP] = sp - siteSaveBytes
-	m.Regs[vx.R1] = uint64(s.site)
-	m.InstrCount += siteCallOff
-	m.Cycles += s.preCycles + h.Cycles
-	call := s.head + siteCallOff
-	m.PC = call + 1
-	h.Fn(m)
-	if !h.PreserveRegs {
-		m.scrambleExceptResults()
-	}
-	if m.Halted {
-		return
-	}
-	if m.Regs[vx.R0] != 0 || m.fastCountdown() < siteAfterCall ||
-		m.Regs[vx.SP] != sp-siteSaveBytes || m.PC != call+1 {
-		return
-	}
-
-	// TESTQ sets ZF, JE is taken; POPF then overwrites the flags.
-	m.Regs[vx.R3] = binary.LittleEndian.Uint64(save[0:])
-	m.Regs[vx.R2] = binary.LittleEndian.Uint64(save[8:])
-	m.Regs[vx.R1] = binary.LittleEndian.Uint64(save[16:])
-	m.Regs[vx.R0] = binary.LittleEndian.Uint64(save[24:])
-	m.Regs[vx.RFLAGS] = binary.LittleEndian.Uint64(save[32:])
+	*h.Inert.Count++
+	// A load, because a wild SP can put the save area over the slot.
 	m.Regs[vx.SP] = binary.LittleEndian.Uint64(mem[s.abs:])
-	m.InstrCount += siteAfterCall
-	m.Cycles += s.postCycles
+	m.InstrCount += siteAfterHead
+	m.Cycles += s.preCycles + h.Cycles + s.postCycles
 	m.PC = s.post + sitePostLen
 }

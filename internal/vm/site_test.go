@@ -151,8 +151,8 @@ func TestSiteFusionCoversEveryRefineSite(t *testing.T) {
 }
 
 // TestSiteFusedMatchesSteppedTrials sweeps injection trials — the triggered
-// path leaves the superinstruction at its second seam — for REFINE's
-// single flip and for the double flip of multibit's REFINE2.
+// call has work, so the superinstruction leaves it to the unfused slots —
+// for REFINE's single flip and for the double flip of multibit's REFINE2.
 func TestSiteFusedMatchesSteppedTrials(t *testing.T) {
 	targets := 4
 	if testing.Short() {
@@ -388,8 +388,8 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 	})
 	// The shape a control library's mark has (core.Lib.Marks): the call arms
 	// a fire point at its own instruction, so the callback runs at the
-	// boundary right behind it — the fused handler has to leave at its
-	// post-call seam for that — and snapshots the machine. The snapshot must
+	// boundary right behind it — a call with work runs on the site's unfused
+	// slots — and snapshots the machine. The snapshot must
 	// be the same boundary under Run and RunStepped, and a machine restored
 	// from it must run on to where the snapshotted one ends.
 	scenario("arms a mark that snapshots the machine", false, func(mm *vm.Machine, o *obs) {
@@ -433,30 +433,35 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 
 // TestSiteRepredecodeUnfuses: a mutation of any of a site's 16 slots demotes
 // the head to its plain store, the mutated image runs like the stepped
-// reference, and restoring the slot fuses the site again — before a run and
-// from a fire point in the middle of one, as the opcode-corruption injector
-// does it.
+// reference, and the site stays unfused after the slot is restored — before
+// a run and from a fire point in the middle of one, as the opcode-corruption
+// injector does it. Every check starts from a fresh clone, so each slot
+// demotes a fused site.
 func TestSiteRepredecodeUnfuses(t *testing.T) {
 	bin := buildBin(t, "HPCCG", campaign.REFINE)
 	a := findAnchors(t, bin, 2000)[0]
-	img := bin.Img.Clone()
-	if n := vm.FusedSites(img); n != bin.Sites {
-		t.Fatalf("clone fuses %d of %d sites", n, bin.Sites)
-	}
 	d := newSiteDiff(t, bin)
-	d.fast.Img, d.ref.Img = img, img
+	var img *vm.Image
+	fresh := func() {
+		img = bin.Img.Clone()
+		if n := vm.FusedSites(img); n != bin.Sites {
+			t.Fatalf("clone fuses %d of %d sites", n, bin.Sites)
+		}
+		d.fast.Img, d.ref.Img = img, img
+	}
 
 	for k := int32(0); k < 16; k++ {
 		pc := a.head + k
 		if k >= 10 {
 			pc = a.post + k - 10
 		}
-		orig := img.Instrs[pc].Op
+		orig := bin.Img.Instrs[pc].Op
 		mutate := func(op vx.Op) {
 			img.Instrs[pc].Op = op
 			img.Repredecode(pc)
 		}
 
+		fresh()
 		mutate(vx.NOP)
 		if n := vm.FusedSites(img); n != bin.Sites-1 {
 			t.Errorf("slot %d corrupted: %d fused sites, want %d", k+1, n, bin.Sites-1)
@@ -466,10 +471,11 @@ func TestSiteRepredecodeUnfuses(t *testing.T) {
 			return bindProfile(m)
 		})
 		mutate(orig)
-		if n := vm.FusedSites(img); n != bin.Sites {
-			t.Errorf("slot %d restored: %d fused sites, want %d", k+1, n, bin.Sites)
+		if n := vm.FusedSites(img); n != bin.Sites-1 {
+			t.Errorf("slot %d restored: %d fused sites, want %d", k+1, n, bin.Sites-1)
 		}
 
+		fresh()
 		d.check(fmt.Sprintf("slot %d corrupted mid-run", k+1), func(m *vm.Machine) func() any {
 			m.Budget = a.at + tailBudget
 			m.ArmFire(&vm.FirePoint{At: a.at, PC: pc,
@@ -480,6 +486,9 @@ func TestSiteRepredecodeUnfuses(t *testing.T) {
 				return report()
 			}
 		})
+		if n := vm.FusedSites(img); n != bin.Sites-1 {
+			t.Errorf("slot %d after the mid-run corruption: %d fused sites, want %d", k+1, n, bin.Sites-1)
+		}
 	}
 	if n := vm.FusedSites(bin.Img); n != bin.Sites {
 		t.Errorf("mutating the clone left the original with %d of %d fused sites", n, bin.Sites)
