@@ -36,7 +36,7 @@ const benchTrials = 80 // reduced trial count for bench runs
 // benchCampaign runs benchTrials trials of (app, tool) at seed 1.
 func benchCampaign(app refine.App, tool refine.Tool, extra ...refine.CampaignOption) (*refine.Result, error) {
 	opts := append([]refine.CampaignOption{
-		refine.WithTrials(benchTrials), refine.WithSeed(1), refine.WithRecords(),
+		refine.WithTrials(benchTrials), refine.WithSeed(1),
 	}, extra...)
 	return refine.NewCampaign(app, tool, opts...).Run(context.Background())
 }

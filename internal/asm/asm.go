@@ -17,8 +17,12 @@ import (
 
 // Options control assembly.
 type Options struct {
-	MemSize int64 // 0 ⇒ vm.DefaultMemSize
+	MemSize int64 // 0 ⇒ vm.DefaultMemSize; at most MaxMemSize
 }
+
+// MaxMemSize is the largest address space an image may ask for (64 MiB,
+// sixteen times the default).
+const MaxMemSize = 16 * vm.DefaultMemSize
 
 // Assemble lowers a machine program to an executable image.
 func Assemble(p *mir.Prog, opts Options) (*vm.Image, error) {
@@ -30,6 +34,9 @@ func Assemble(p *mir.Prog, opts Options) (*vm.Image, error) {
 	}
 	if img.MemSize == 0 {
 		img.MemSize = vm.DefaultMemSize
+	}
+	if img.MemSize > MaxMemSize {
+		return nil, fmt.Errorf("asm: address space of %d bytes exceeds %d", img.MemSize, MaxMemSize)
 	}
 
 	// Pass 0: data segment layout.

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/vm"
-	"repro/internal/vx"
 )
 
 // objMagic identifies serialized VX64 images.
@@ -51,37 +50,23 @@ func EncodeObject(img *vm.Image) []byte {
 	w(uint32(len(img.InitData)))
 	b.Write(img.InitData)
 
+	// Every field of an instruction is fixed-width: the stream is the
+	// packed array, instSize bytes an instruction.
 	w(uint32(len(img.Instrs)))
-	for i := range img.Instrs {
-		in := &img.Instrs[i]
-		w(uint8(in.Op))
-		w(uint8(in.Cond))
-		w(uint8(in.AKind))
-		w(uint8(in.BKind))
-		w(uint8(in.AReg))
-		w(uint8(in.BReg))
-		w(in.Imm)
-		w(uint8(in.MemBase))
-		w(uint8(in.MemIndex))
-		w(in.MemScale)
-		w(in.MemDisp)
-		w(in.Target)
-		w(in.HostIdx)
-		w(uint8(in.Class))
-		w(in.NOut)
-		w(uint8(in.Outs[0]))
-		w(uint8(in.Outs[1]))
-		w(uint8(in.Outs[2]))
-		w(in.SiteID)
-		w(in.FnIdx)
-		w(boolByte(in.Instrumented))
-		w(in.NIntArgs)
-		w(in.NFPArgs)
-	}
+	w(img.Instrs)
 	return b.Bytes()
 }
 
-// DecodeObject parses a serialized image.
+// instSize is the encoded size of one instruction.
+var instSize = binary.Size(vm.Inst{})
+
+// DecodeObject parses a serialized image. It rejects an object no assembled
+// image encodes to — a count larger than the bytes left, an address space
+// larger than MaxMemSize, a data segment that does not start at
+// vm.DefaultGlobalBase, end within the lower half of memory and hold exactly
+// its initialized bytes, an entry outside the instruction stream, more sites
+// than instructions or an instruction naming a site past NumSites — instead
+// of allocating by it or handing it to the VM.
 func DecodeObject(data []byte) (*vm.Image, error) {
 	r := bytes.NewReader(data)
 	var magic [8]byte
@@ -149,48 +134,27 @@ func DecodeObject(data []byte) (*vm.Image, error) {
 
 	rd(&n)
 	if err == nil {
-		img.Instrs = make([]vm.Inst, n)
-	}
-	for i := uint32(0); i < n && err == nil; i++ {
-		in := &img.Instrs[i]
-		var u8 uint8
-		rd(&u8)
-		in.Op = vx.Op(u8)
-		rd(&u8)
-		in.Cond = vx.Cond(u8)
-		rd(&u8)
-		in.AKind = vm.OpndKind(u8)
-		rd(&u8)
-		in.BKind = vm.OpndKind(u8)
-		rd(&u8)
-		in.AReg = vx.Reg(u8)
-		rd(&u8)
-		in.BReg = vx.Reg(u8)
-		rd(&in.Imm)
-		rd(&u8)
-		in.MemBase = vx.Reg(u8)
-		rd(&u8)
-		in.MemIndex = vx.Reg(u8)
-		rd(&in.MemScale)
-		rd(&in.MemDisp)
-		rd(&in.Target)
-		rd(&in.HostIdx)
-		rd(&u8)
-		in.Class = vx.Class(u8)
-		rd(&in.NOut)
-		for k := 0; k < 3; k++ {
-			rd(&u8)
-			in.Outs[k] = vx.Reg(u8)
+		if int(n) > r.Len()/instSize {
+			return nil, fmt.Errorf("asm: truncated instruction stream")
 		}
-		rd(&in.SiteID)
-		rd(&in.FnIdx)
-		rd(&u8)
-		in.Instrumented = u8 != 0
-		rd(&in.NIntArgs)
-		rd(&in.NFPArgs)
+		img.Instrs = make([]vm.Inst, n)
+		rd(img.Instrs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("asm: decode: %w", err)
+	}
+	if img.MemSize > MaxMemSize || img.GlobalBase != vm.DefaultGlobalBase ||
+		img.GlobalEnd < img.GlobalBase || img.GlobalEnd > img.MemSize/2 ||
+		int64(len(img.InitData)) != img.GlobalEnd-img.GlobalBase ||
+		img.EntryPC < 0 || int(img.EntryPC) >= len(img.Instrs) ||
+		img.NumSites < 0 || int(img.NumSites) > len(img.Instrs) {
+		return nil, fmt.Errorf("asm: bad header: memory %d, data [%d, %d) with %d bytes, entry %d of %d instructions, %d sites",
+			img.MemSize, img.GlobalBase, img.GlobalEnd, len(img.InitData), img.EntryPC, len(img.Instrs), img.NumSites)
+	}
+	for pc := range img.Instrs {
+		if id := img.Instrs[pc].SiteID; id < -1 || id >= img.NumSites {
+			return nil, fmt.Errorf("asm: instruction %d: site %d of %d", pc, id, img.NumSites)
+		}
 	}
 	return img, nil
 }

@@ -341,14 +341,15 @@ func TestAnchorsSkipTheGoldenPrefix(t *testing.T) {
 func TestFirstTrialCaptureRace(t *testing.T) {
 	app := appsByName(t, "EP")[0]
 	for _, tool := range []campaign.Tool{campaign.PINFI, campaign.REFINE, campaign.LLFI} {
-		run := func(workers int) []campaign.TrialResult {
-			res, err := campaign.New(app, tool, campaign.WithTrials(48), campaign.WithSeed(9),
-				campaign.WithWorkers(workers), campaign.WithCache(nil), campaign.WithRecords(),
+		run := func(workers int) (trs []campaign.TrialResult) {
+			_, err := campaign.New(app, tool, campaign.WithTrials(48), campaign.WithSeed(9),
+				campaign.WithWorkers(workers), campaign.WithCache(nil),
+				campaign.WithObserver(func(_ int, tr campaign.TrialResult) { trs = append(trs, tr) }),
 			).Run(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Records
+			return trs
 		}
 		serial := run(1)
 		for round := 0; round < 3; round++ {

@@ -323,11 +323,4 @@ type Result struct {
 	Cycles  int64 // total modeled cycles across all trials
 	Trials  int
 	Profile *Profile
-	// Records holds every trial's result in trial order — the campaign's
-	// full fault log. Trial i is seeded by TrialSeed(baseSeed, tool, i), so
-	// Records must be identical across worker counts and cache states; the
-	// equivalence matrix asserts exactly that. Records is populated only when
-	// the campaign opts in via WithRecords (million-trial campaigns stream
-	// through WithObserver instead).
-	Records []TrialResult
 }

@@ -28,21 +28,17 @@ var ErrBuildUnclaimed = errors.New("build+profile unit abandoned unclaimed")
 type Campaign struct {
 	app  App
 	tool Tool
+	// spec is the campaign's description: trial range, seed, build options,
+	// cost model and worker count. Its App and Tool stay empty (the names are
+	// app's and tool's) and its CacheDir is the cache's; Spec fills all three.
+	spec  Spec
+	cache *Cache // nil ⇒ fresh build+profile (a private cache per Run)
 
-	trials  int // one past the last trial index (== trial count when lo is 0)
-	lo      int // first trial index (WithTrialRange; 0 ⇒ full campaign)
-	seed    uint64
-	workers int
-	build   BuildOptions
-	cache   *Cache // nil ⇒ fresh build+profile (a private cache per Run)
-	costs   pinfi.CostModel
-
-	observer    func(i int, tr TrialResult)
-	keepRecords bool
-	exec        *sched.Executor   // nil ⇒ a private executor of c.workers for this Run
-	journal     *Journal          // nil ⇒ no crash-safe resume
-	precision   *stats.Sequential // nil ⇒ fixed trial count (no sequential stopping)
-	fromSpec    bool              // built by NewFromSpec: reads and writes no section entries
+	observer  func(i int, tr TrialResult)
+	exec      *sched.Executor   // nil ⇒ a private executor of spec.Workers for this Run
+	journal   *Journal          // nil ⇒ no crash-safe resume
+	precision *stats.Sequential // nil ⇒ fixed trial count (no sequential stopping)
+	fromSpec  bool              // built by NewFromSpec: reads and writes no section entries
 }
 
 // Option configures a Campaign (functional options).
@@ -51,20 +47,20 @@ type Option func(*Campaign)
 // WithTrials sets the number of fault-injection trials (default:
 // PaperTrials, the paper's n=1068), covering the full index range [0, n) —
 // it resets any earlier WithTrialRange.
-func WithTrials(n int) Option { return func(c *Campaign) { c.lo, c.trials = 0, n } }
+func WithTrials(n int) Option { return func(c *Campaign) { c.spec.Lo, c.spec.Trials = 0, n } }
 
 // WithSeed sets the base RNG seed; trial i uses TrialSeed(seed, tool, i)
 // (default: 1).
-func WithSeed(s uint64) Option { return func(c *Campaign) { c.seed = s } }
+func WithSeed(s uint64) Option { return func(c *Campaign) { c.spec.Seed = s } }
 
 // WithWorkers sizes the private executor a campaign without WithExecutor
 // runs on (default and ≤ 0: GOMAXPROCS; 1 = serial). Results are independent
 // of the worker count by construction.
-func WithWorkers(n int) Option { return func(c *Campaign) { c.workers = n } }
+func WithWorkers(n int) Option { return func(c *Campaign) { c.spec.Workers = n } }
 
 // WithBuildOptions sets the build pipeline configuration (optimization
 // level, -fi-funcs, -fi-instrs). Default: DefaultBuildOptions.
-func WithBuildOptions(o BuildOptions) Option { return func(c *Campaign) { c.build = o } }
+func WithBuildOptions(o BuildOptions) Option { return func(c *Campaign) { c.spec.Build = o } }
 
 // WithCache selects the build/profile cache. Passing nil forces a fresh
 // build and golden run on a private cache created per Run (the equivalence
@@ -75,19 +71,15 @@ func WithCache(cache *Cache) Option { return func(c *Campaign) { c.cache = cache
 // WithObserver streams trial results as the campaign runs. The observer is
 // invoked exactly once per completed trial, in trial order (i = 0, 1, 2, …)
 // regardless of worker count — out-of-order completions are buffered and
-// delivered in sequence, so an observer sees the identical stream a buffered
-// Records slice would hold. Calls are serialized; a slow observer
+// delivered in sequence. The observer is the only view of individual trials:
+// a Result holds aggregates, so million-trial campaigns run in constant
+// memory. On cancellation or a precision stop it has seen exactly the
+// delivered prefix Result.Trials counts. Calls are serialized; a slow observer
 // back-pressures delivery (workers keep running ahead into the reorder
 // buffer), so keep it cheap or hand off to a channel.
 func WithObserver(fn func(i int, tr TrialResult)) Option {
 	return func(c *Campaign) { c.observer = fn }
 }
-
-// WithRecords buffers every trial's TrialResult in Result.Records. Off by
-// default so million-trial campaigns run in constant memory; aggregate
-// Counts/Cycles are always collected, and WithObserver provides the full
-// stream without buffering.
-func WithRecords() Option { return func(c *Campaign) { c.keepRecords = true } }
 
 // WithExecutor schedules the campaign's build+profile and trials on a shared
 // work-stealing executor instead of a private one created for the Run.
@@ -107,10 +99,10 @@ func WithExecutor(ex *sched.Executor) Option { return func(c *Campaign) { c.exec
 // and the observer still receives absolute indexes, so a set of ranged
 // campaigns covering [0, n) reproduces the unranged campaign's stream
 // exactly — this is the substrate the process-sharding workers run on.
-// Result aggregates (Counts, Cycles, Records) cover only the range.
+// Result aggregates (Counts, Cycles) cover only the range.
 // WithTrials after WithTrialRange resets to the full [0, n) range.
 func WithTrialRange(lo, hi int) Option {
-	return func(c *Campaign) { c.lo, c.trials = lo, hi }
+	return func(c *Campaign) { c.spec.Lo, c.spec.Trials = lo, hi }
 }
 
 // WithPrecision replaces the fixed trial count with sequential Wilson-CI
@@ -144,7 +136,7 @@ func WithPrecision(margin, z float64) Option {
 // the ordinary reorder-buffer collector, so only missing indices execute. A
 // coordinator killed mid-campaign therefore resumes where it left off, and
 // because trial i is a pure function of TrialSeed(seed, tool, i), the resumed
-// Counts/Cycles/Records/observer stream is bit-identical to an uninterrupted
+// Counts/Cycles/observer stream is bit-identical to an uninterrupted
 // run. Applies to in-process and sharded campaigns alike (shard workers
 // never journal — only the coordinator's merger does).
 func WithJournal(j *Journal) Option { return func(c *Campaign) { c.journal = j } }
@@ -155,12 +147,8 @@ func (c *Campaign) resume() map[int]TrialResult {
 	if c.journal == nil {
 		return nil
 	}
-	return c.journal.Recorded(c.Spec().Key(), c.lo, c.trials)
+	return c.journal.Recorded(c.Spec().Key(), c.spec.Lo, c.spec.Trials)
 }
-
-// TrialRange reports the campaign's [lo, hi) trial index range
-// (0, WithTrials for a full campaign).
-func (c *Campaign) TrialRange() (lo, hi int) { return c.lo, c.trials }
 
 // PaperTrials is the paper's per-configuration trial count (§5.3: 3% margin,
 // 95% confidence over a large population — the Leveugle et al. sample size;
@@ -170,13 +158,15 @@ const PaperTrials = 1068
 // New specifies a campaign for (app, tool) with the given options.
 func New(app App, tool Tool, opts ...Option) *Campaign {
 	c := &Campaign{
-		app:    app,
-		tool:   tool,
-		trials: PaperTrials,
-		seed:   1,
-		build:  DefaultBuildOptions(),
-		cache:  defaultCache,
-		costs:  pinfi.DefaultCosts(),
+		app:  app,
+		tool: tool,
+		spec: Spec{
+			Trials: PaperTrials,
+			Seed:   1,
+			Build:  DefaultBuildOptions(),
+			Costs:  pinfi.DefaultCosts(),
+		},
+		cache: defaultCache,
 	}
 	for _, o := range opts {
 		o(c)
@@ -186,10 +176,9 @@ func New(app App, tool Tool, opts ...Option) *Campaign {
 
 // collector delivers trial results in trial order: workers insert completed
 // trials under the lock, and whoever completes the next-in-sequence trial
-// becomes the deliverer, flushing the contiguous run — aggregating counts,
-// appending records, and invoking the observer — so aggregation order,
-// record order and the observer stream are all deterministic regardless of
-// scheduling.
+// becomes the deliverer, flushing the contiguous run — aggregating counts
+// and invoking the observer — so aggregation order and the observer stream
+// are deterministic regardless of scheduling.
 //
 // Delivery happens OUTSIDE the collector mutex: the deliverer extracts the
 // contiguous run under the lock, drops the lock, applies it, and loops in
@@ -207,7 +196,6 @@ type collector struct {
 	res        *Result
 	base       int // first trial index (WithTrialRange lo)
 	obs        func(int, TrialResult)
-	keep       bool
 
 	// Crash-safe resume sink: freshly executed trials are appended to the
 	// journal before insertion; indices in skip were themselves restored
@@ -281,9 +269,6 @@ func (c *collector) add(i int, tr TrialResult) {
 			if c.comp != nil {
 				c.comp[idx-c.base] = r
 			}
-			if c.keep {
-				c.res.Records[idx-c.base] = r
-			}
 			c.res.Counts.Add(r.Outcome)
 			c.res.Cycles += r.Cycles
 			if c.obs != nil {
@@ -308,7 +293,7 @@ func (c *collector) add(i int, tr TrialResult) {
 }
 
 // delivered returns the length of the contiguous delivered prefix: the
-// number of trials whose counts, record and observer call have all been
+// number of trials whose counts and observer call have both been
 // applied. Safe to call from anywhere, including from inside an observer.
 func (c *collector) delivered() int {
 	return int(c.flushed.Load())
@@ -319,27 +304,28 @@ func (c *collector) delivered() int {
 // pick it up while other campaigns trial — then the trials as one claimable
 // batch. The executor is the one from WithExecutor, otherwise a private one of
 // WithWorkers workers that lives for this call. Trial i uses
-// TrialSeed(seed, tool, i), so Counts, Cycles, Records and the observer
-// stream are all reproducible regardless of parallelism and cache state.
+// TrialSeed(seed, tool, i), so Counts, Cycles and the observer stream are
+// all reproducible regardless of parallelism and cache state.
 //
 // Cancelling the context stops the campaign promptly: workers abandon
 // not-yet-started trials, and Run returns the partial Result — aggregates
-// and records covering the contiguous prefix of delivered trials
-// (Result.Trials is shrunk to that prefix) — together with an error wrapping
-// ctx.Err(). The observer never sees a trial outside that prefix.
+// covering the contiguous prefix of delivered trials (Result.Trials is shrunk
+// to that prefix) — together with an error wrapping ctx.Err(). The observer
+// never sees a trial outside that prefix.
 func (c *Campaign) Run(ctx context.Context) (*Result, error) {
-	if c.lo < 0 || c.lo > c.trials {
+	s := c.spec
+	if s.Lo < 0 || s.Lo > s.Trials {
 		return nil, fmt.Errorf("campaign: %s/%s: invalid trial range [%d, %d)",
-			c.app.Name, c.tool.Name(), c.lo, c.trials)
+			c.app.Name, c.tool.Name(), s.Lo, s.Trials)
 	}
 	ex := c.exec
 	if ex == nil {
-		workers := c.workers
+		workers := s.Workers
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		// A zero-trial campaign still builds and profiles: never size below 1.
-		ex = sched.New(max(1, min(workers, c.trials-c.lo)))
+		ex = sched.New(max(1, min(workers, s.Trials-s.Lo)))
 		defer ex.Close()
 	}
 
@@ -352,7 +338,7 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 		prof *Profile
 		err  error
 	)
-	ex.Submit(ctx, 1, func(int) { bin, prof, err = cache.BuildAndProfile(c.app, c.tool, c.build, c.costs) }).Wait()
+	ex.Submit(ctx, 1, func(int) { bin, prof, err = cache.BuildAndProfile(c.app, c.tool, s.Build, s.Costs) }).Wait()
 	if err != nil {
 		return nil, err
 	}
@@ -373,11 +359,11 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 	comp, recorded := c.composeLoad(prof, c.resume())
 	res, col := c.newResult(prof, recorded)
 	if comp != nil && len(comp.missed) > 0 {
-		col.comp = make([]TrialResult, c.trials-c.lo)
+		col.comp = make([]TrialResult, s.Trials-s.Lo)
 	}
 	replay(recorded, col.add)
-	ex.Submit(ctx, c.trials-c.lo, func(i int) {
-		idx := c.lo + i
+	ex.Submit(ctx, s.Trials-s.Lo, func(i int) {
+		idx := s.Lo + i
 		if idx >= col.stop() {
 			return // past the precision stop
 		}
@@ -386,7 +372,7 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 		}
 		m := bin.acquireMachine()
 		defer bin.ReleaseMachine(m)
-		col.add(idx, bin.runTrialOn(m, prof, c.costs, TrialSeed(c.seed, c.tool, idx)))
+		col.add(idx, bin.runTrialOn(m, prof, s.Costs, TrialSeed(s.Seed, c.tool, idx)))
 	}).Wait()
 
 	c.composeStore(ctx, bin, comp, col)
@@ -397,14 +383,11 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 // recorded is the journal replay set (nil without one): those indices are
 // delivered from the journal and must not be re-appended to it.
 func (c *Campaign) newResult(prof *Profile, recorded map[int]TrialResult) (*Result, *collector) {
-	res := &Result{App: c.app.Name, Tool: c.tool, Trials: c.trials - c.lo, Profile: prof}
-	if c.keepRecords {
-		res.Records = make([]TrialResult, c.trials-c.lo)
-	}
-	col := &collector{pending: map[int]TrialResult{}, next: c.lo, base: c.lo,
-		res: res, obs: c.observer, keep: c.keepRecords,
-		prec: c.precision, hi: c.trials}
-	col.stopAt.Store(int64(c.trials))
+	lo, hi := c.spec.Lo, c.spec.Trials
+	res := &Result{App: c.app.Name, Tool: c.tool, Trials: hi - lo, Profile: prof}
+	col := &collector{pending: map[int]TrialResult{}, next: lo, base: lo,
+		res: res, obs: c.observer, prec: c.precision, hi: hi}
+	col.stopAt.Store(int64(hi))
 	if c.journal != nil {
 		col.j, col.jkey, col.skip = c.journal, c.Spec().Key(), recorded
 	}
@@ -433,18 +416,12 @@ func (c *Campaign) finish(ctx context.Context, res *Result, col *collector) (*Re
 		// (== the stop index), with no error — stopping early is the
 		// campaign completing, not being interrupted.
 		res.Trials = col.delivered()
-		if c.keepRecords {
-			res.Records = res.Records[:res.Trials]
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		// Partial-safe result: everything up to the first undelivered trial.
 		res.Trials = col.delivered()
-		if c.keepRecords {
-			res.Records = res.Records[:res.Trials]
-		}
 		return res, fmt.Errorf("campaign: %s/%s: cancelled after %d/%d trials: %w",
-			c.app.Name, c.tool.Name(), res.Trials, c.trials-c.lo, err)
+			c.app.Name, c.tool.Name(), res.Trials, c.spec.Trials-c.spec.Lo, err)
 	}
 	return res, nil
 }

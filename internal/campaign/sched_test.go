@@ -39,15 +39,23 @@ func miniApp2() *ir.Module {
 	return m
 }
 
-// runMini runs a buffered campaign of testApp to completion.
-func runMini(t *testing.T, tool campaign.Tool, n int, opts ...campaign.Option) *campaign.Result {
+// miniRun is a campaign of testApp run to completion with its observed stream.
+type miniRun struct {
+	*campaign.Result
+	trials []campaign.TrialResult
+}
+
+// runMini runs a campaign of testApp to completion, collecting its stream.
+func runMini(t *testing.T, tool campaign.Tool, n int, opts ...campaign.Option) miniRun {
 	t.Helper()
+	var trs []campaign.TrialResult
 	res, err := campaign.New(testApp, tool, append([]campaign.Option{
-		campaign.WithTrials(n), campaign.WithSeed(7), campaign.WithRecords()}, opts...)...).Run(context.Background())
+		campaign.WithTrials(n), campaign.WithSeed(7),
+		campaign.WithObserver(func(_ int, tr campaign.TrialResult) { trs = append(trs, tr) })}, opts...)...).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return miniRun{res, trs}
 }
 
 // TestDiskCacheStoresOneEntryPerLevel: a build is addressed by what was built.
@@ -57,12 +65,12 @@ func runMini(t *testing.T, tool campaign.Tool, n int, opts ...campaign.Option) *
 // records of the cold run.
 func TestDiskCacheStoresOneEntryPerLevel(t *testing.T) {
 	dir := t.TempDir()
-	sweep := func() (map[string]*campaign.Result, campaign.CacheStats) {
+	sweep := func() (map[string]miniRun, campaign.CacheStats) {
 		cache, err := campaign.NewDiskCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := map[string]*campaign.Result{}
+		out := map[string]miniRun{}
 		for _, tool := range everyTool {
 			out[tool.Name()] = runMini(t, tool, 24, campaign.WithWorkers(1), campaign.WithCache(cache))
 		}
@@ -80,7 +88,7 @@ func TestDiskCacheStoresOneEntryPerLevel(t *testing.T) {
 		t.Fatalf("warm sweep: %+v, want 0 builds from 3 disk hits", st)
 	}
 	for _, tool := range everyTool {
-		if c, w := cold[tool.Name()], warm[tool.Name()]; c.Counts != w.Counts || c.Cycles != w.Cycles || !slices.Equal(c.Records, w.Records) {
+		if c, w := cold[tool.Name()], warm[tool.Name()]; c.Counts != w.Counts || c.Cycles != w.Cycles || !slices.Equal(c.trials, w.trials) {
 			t.Fatalf("%s: warm sweep differs from cold", tool.Name())
 		}
 	}
@@ -127,7 +135,7 @@ func TestZeroTrialCampaign(t *testing.T) {
 	} {
 		for where, exec := range map[string]*sched.Executor{"private": nil, "shared": ex} {
 			res, err := campaign.New(testApp, campaign.REFINE, rng,
-				campaign.WithExecutor(exec), campaign.WithRecords(),
+				campaign.WithExecutor(exec),
 				campaign.WithObserver(func(int, campaign.TrialResult) {
 					t.Errorf("%s/%s: observer invoked", name, where)
 				}),
@@ -135,7 +143,7 @@ func TestZeroTrialCampaign(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, where, err)
 			}
-			if res.Trials != 0 || len(res.Records) != 0 || res.Counts.Total() != 0 || res.Cycles != 0 {
+			if res.Trials != 0 || res.Counts.Total() != 0 || res.Cycles != 0 {
 				t.Fatalf("%s/%s: result not empty: %+v", name, where, res)
 			}
 			if res.Profile == nil {

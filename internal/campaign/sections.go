@@ -13,7 +13,7 @@ package campaign
 // campaign restores every unchanged section's trials from disk and
 // re-injects only the changed sections, then composes the restored and
 // fresh trials through the ordinary order-deterministic collector — so the
-// composed Counts/Records/observer stream is bit-identical to a monolithic
+// composed Counts/Cycles/observer stream is bit-identical to a monolithic
 // run over the same cache state.
 //
 // Section reuse is in-process: only a campaign made with New composes. One
@@ -191,7 +191,7 @@ type composeState struct {
 // through the section cache: made with New, a disk-backed cache and a
 // non-empty range.
 func (c *Campaign) composeEnabled() bool {
-	return !c.fromSpec && c.cache != nil && c.cache.dir != "" && c.trials > c.lo
+	return !c.fromSpec && c.cache != nil && c.cache.dir != "" && c.spec.Trials > c.spec.Lo
 }
 
 // composeLoad restores every unchanged section's trials from the section
@@ -215,7 +215,7 @@ func (c *Campaign) composeLoad(prof *Profile, recorded map[int]TrialResult) (*co
 		}
 	})
 	c.cache.trialsReused.Add(uint64(reused))
-	c.cache.trialsReinjected.Add(uint64(c.trials - c.lo - len(recorded)))
+	c.cache.trialsReinjected.Add(uint64(c.spec.Trials - c.spec.Lo - len(recorded)))
 	return st, recorded
 }
 
@@ -227,7 +227,7 @@ func (c *Campaign) composeStore(ctx context.Context, bin *Binary, st *composeSta
 	if st == nil || col.comp == nil || len(st.missed) == 0 {
 		return
 	}
-	if ctx.Err() != nil || col.stopped() || col.delivered() != c.trials-c.lo {
+	if ctx.Err() != nil || col.stopped() || col.delivered() != c.spec.Trials-c.spec.Lo {
 		return
 	}
 	c.cache.storeSections(c, bin, st, col.comp)
@@ -239,7 +239,7 @@ func (c *Campaign) composeStore(ctx context.Context, bin *Binary, st *composeSta
 // re-injection.
 func (c *Cache) loadSections(cmp *Campaign, prof *Profile) *composeState {
 	fps := c.fingerprints(cmp.app)
-	k := newCacheKey(cmp.app, cmp.tool, cmp.build, cmp.costs)
+	k := newCacheKey(cmp.app, cmp.tool, cmp.spec.Build, cmp.spec.Costs)
 	profD := profileDigest(prof)
 	st := &composeState{
 		fps:      fps,
@@ -253,10 +253,10 @@ func (c *Cache) loadSections(cmp *Campaign, prof *Profile) *composeState {
 		if sec != "" {
 			fp = fps.funcs[sec]
 		}
-		path := c.sectionPath(k, cmp.tool.Name(), cmp.seed, cmp.lo, cmp.trials, profD, sec, fp)
+		path := c.sectionPath(k, cmp.tool.Name(), cmp.spec.Seed, cmp.spec.Lo, cmp.spec.Trials, profD, sec, fp)
 		st.paths[sec] = path
 		c.secTotal.Add(1)
-		e, ok := c.loadSectionEntry(path, cmp.lo, cmp.trials)
+		e, ok := c.loadSectionEntry(path, cmp.spec.Lo, cmp.spec.Trials)
 		if !ok {
 			c.secReinjected.Add(1)
 			st.missed[sec] = true
@@ -308,7 +308,7 @@ func (c *Cache) storeSections(cmp *Campaign, bin *Binary, st *composeState, all 
 		}
 	}
 	for k, tr := range all {
-		idx := cmp.lo + k
+		idx := cmp.spec.Lo + k
 		if _, restored := st.recorded[idx]; restored {
 			continue // already persisted under its original section
 		}

@@ -39,25 +39,17 @@ type Spec struct {
 	Workers  int             // in-worker trial parallelism (0 ⇒ GOMAXPROCS)
 }
 
-// Spec derives the campaign's wire description. The campaign must use a
-// registry application — workers re-resolve the app by name, so a synthetic
-// App whose builder only exists in this process cannot shard.
+// Spec returns the campaign's wire description, with the app and tool names
+// and CacheDir taken from its app, tool and cache. The campaign must use a registry application — workers re-resolve
+// the app by name, so a synthetic App whose builder only exists in this
+// process cannot shard.
 func (c *Campaign) Spec() Spec {
-	dir := ""
+	s := c.spec
+	s.App, s.Tool, s.CacheDir = c.app.Name, c.tool.Name(), ""
 	if c.cache != nil {
-		dir = c.cache.Dir()
+		s.CacheDir = c.cache.Dir()
 	}
-	return Spec{
-		App:      c.app.Name,
-		Tool:     c.tool.Name(),
-		Trials:   c.trials,
-		Lo:       c.lo,
-		Seed:     c.seed,
-		Build:    c.build,
-		Costs:    c.costs,
-		CacheDir: dir,
-		Workers:  c.workers,
-	}
+	return s
 }
 
 // NewFromSpec reconstructs a worker-side campaign for trial range [lo, hi)
@@ -65,10 +57,10 @@ func (c *Campaign) Spec() Spec {
 // worker resolves it through the workload registry, which campaign cannot
 // import); the tool resolves through the injector registry. The observer
 // receives absolute trial indexes — the frames the worker ships back.
-// Trailing options are applied after the spec-derived ones (the fi-serve
-// daemon attaches its journal this way). The campaign uses the cache for its
-// build and profile only: it neither reads nor writes section entries, so a
-// shard worker's claimed range and a daemon's run leave no .fis behind.
+// Trailing options are applied after the spec (the fi-serve daemon attaches
+// its journal this way). The campaign uses the cache for its build and
+// profile only: it neither reads nor writes section entries, so a shard
+// worker's claimed range and a daemon's run leave no .fis behind.
 func NewFromSpec(s Spec, app App, lo, hi int, cache *Cache, obs func(int, TrialResult), extra ...Option) (*Campaign, error) {
 	if app.Name != s.App {
 		return nil, fmt.Errorf("campaign: spec app %q resolved to %q", s.App, app.Name)
@@ -80,16 +72,11 @@ func NewFromSpec(s Spec, app App, lo, hi int, cache *Cache, obs func(int, TrialR
 	if lo < s.Lo || hi > s.Trials || lo > hi {
 		return nil, fmt.Errorf("campaign: spec range [%d, %d) outside campaign range [%d, %d)", lo, hi, s.Lo, s.Trials)
 	}
-	opts := []Option{
-		WithTrialRange(lo, hi),
-		WithSeed(s.Seed),
-		WithBuildOptions(s.Build),
-		WithWorkers(s.Workers),
-		WithCache(cache),
-		WithObserver(obs),
+	s.App, s.Tool, s.Lo, s.Trials = "", "", lo, hi
+	c := &Campaign{app: app, tool: tool, spec: s, cache: cache, observer: obs, fromSpec: true}
+	for _, o := range extra {
+		o(c)
 	}
-	c := New(app, tool, append(opts, extra...)...)
-	c.costs, c.fromSpec = s.Costs, true
 	return c, nil
 }
 
@@ -98,7 +85,7 @@ func NewFromSpec(s Spec, app App, lo, hi int, cache *Cache, obs func(int, TrialR
 // worker's range is reassigned — more than once per index; the merger drops
 // duplicates (trial i is a pure function of its seed, so the first receipt
 // is authoritative) and feeds the campaign's order-deterministic collector,
-// which aggregates counts, buffers records and streams the observer exactly
+// which aggregates counts and streams the observer exactly
 // as an in-process run would. The zero value is not usable; construct with
 // Campaign.NewMerger.
 type Merger struct {
@@ -118,7 +105,7 @@ type Merger struct {
 func (c *Campaign) NewMerger() *Merger {
 	recorded := c.resume()
 	res, col := c.newResult(nil, recorded)
-	m := &Merger{c: c, res: res, col: col, seen: make([]bool, c.trials-c.lo)}
+	m := &Merger{c: c, res: res, col: col, seen: make([]bool, c.spec.Trials-c.spec.Lo)}
 	replay(recorded, func(i int, tr TrialResult) { m.Add(i, tr) })
 	return m
 }
@@ -131,7 +118,7 @@ func (m *Merger) Missing() [][2]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var runs [][2]int
-	lo := m.c.lo
+	lo := m.c.spec.Lo
 	for i := 0; i < len(m.seen); {
 		if m.seen[i] {
 			i++
@@ -162,7 +149,7 @@ func (m *Merger) SetProfile(p *Profile) {
 // (out-of-range and duplicate frames are dropped).
 func (m *Merger) Add(i int, tr TrialResult) bool {
 	m.mu.Lock()
-	lo, hi := m.c.lo, m.c.trials
+	lo, hi := m.c.spec.Lo, m.c.spec.Trials
 	if i < lo || i >= hi || m.seen[i-lo] {
 		m.mu.Unlock()
 		return false
@@ -174,7 +161,7 @@ func (m *Merger) Add(i int, tr TrialResult) bool {
 }
 
 // Delivered reports the contiguous delivered prefix length — the trials
-// whose aggregates, record and observer call have all been applied.
+// whose aggregates and observer call have both been applied.
 func (m *Merger) Delivered() int { return m.col.delivered() }
 
 // Stopped reports whether the campaign's sequential precision rule
@@ -193,7 +180,7 @@ func (m *Merger) Unseen(lo, hi int) []int {
 	defer m.mu.Unlock()
 	var out []int
 	for i := lo; i < hi; i++ {
-		if k := i - m.c.lo; k >= 0 && k < len(m.seen) && !m.seen[k] {
+		if k := i - m.c.spec.Lo; k >= 0 && k < len(m.seen) && !m.seen[k] {
 			out = append(out, i)
 		}
 	}

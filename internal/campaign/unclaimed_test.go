@@ -18,8 +18,8 @@ import (
 )
 
 // doneNilErrCtx misbehaves in exactly the way that exposed the seam: its
-// Done channel is closed (so the executor's watcher abandons the job) while
-// Err still reports nil (so the runner has no ctx error to wrap).
+// Done channel is closed (so Submit abandons the job unqueued) while Err
+// still reports nil (so the runner has no ctx error to wrap).
 type doneNilErrCtx struct{ done chan struct{} }
 
 func (c doneNilErrCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
@@ -29,7 +29,7 @@ func (c doneNilErrCtx) Value(any) any               { return nil }
 
 func TestScheduledUnclaimedBuildSentinel(t *testing.T) {
 	// One worker, pinned down by a blocker job, so the campaign's build unit
-	// can never be claimed before the watcher abandons it.
+	// can never be claimed before Submit abandons it.
 	ex := sched.New(1)
 	defer ex.Close()
 	block := make(chan struct{})

@@ -85,16 +85,15 @@ type row struct {
 
 // cell is one campaign of the matrix and what its observer saw.
 type cell struct {
-	name      string
-	app       campaign.App
-	tool      campaign.Tool
-	seed      uint64
-	col       column
-	rs        *rowState
-	ctx       context.Context
-	cancel    context.CancelFunc
-	streaming bool // the door buffers no Records: the observer is the stream
-	summary   bool // the door returns a summary: no Records, no Profile
+	name    string
+	app     campaign.App
+	tool    campaign.Tool
+	seed    uint64
+	col     column
+	rs      *rowState
+	ctx     context.Context
+	cancel  context.CancelFunc
+	summary bool // the door returns a summary: no Profile
 
 	mu     sync.Mutex
 	order  []int
@@ -138,9 +137,6 @@ func (x *cell) opts(extra ...campaign.Option) []campaign.Option {
 // campaign is the cell's observed campaign of app: its own, or an edit of it.
 func (x *cell) campaign(app campaign.App, extra ...campaign.Option) *campaign.Campaign {
 	o := x.opts(campaign.WithObserver(x.observe))
-	if !x.streaming && !x.summary {
-		o = append(o, campaign.WithRecords())
-	}
 	return campaign.New(app, x.tool, append(o, extra...)...)
 }
 
@@ -182,14 +178,14 @@ type matrix struct {
 	cols     []column
 	mem      *campaign.Cache
 	exec     *sched.Executor
-	refs     map[string]*campaign.Result
+	refs     map[string]*refRun
 	composed map[string]string // campaign → a dir holding its complete cold disk run
 	nodes    []string
 }
 
 func TestEquivalenceMatrix(t *testing.T) {
 	m := &matrix{t: t, mem: campaign.NewCache(), exec: sched.New(3),
-		refs: map[string]*campaign.Result{}, composed: map[string]string{}}
+		refs: map[string]*refRun{}, composed: map[string]string{}}
 	t.Cleanup(m.exec.Close)
 	if testing.Short() {
 		m.app, m.edit = campaign.App{Name: "mini", Build: miniApp}, "dot"
@@ -282,7 +278,6 @@ func (m *matrix) rows() []row {
 			return res, err
 		}},
 		{name: "private-8", run: func(t *testing.T, x *cell) (*campaign.Result, error) {
-			x.streaming = true
 			return x.run(campaign.WithWorkers(8), campaign.WithCache(m.mem))
 		}},
 		{name: "sched", run: onExecutor},
@@ -413,7 +408,6 @@ func (m *matrix) rangeUnion(t *testing.T, x *cell) (*campaign.Result, error) {
 			union.Counts.HarnessFault += res.Counts.HarnessFault
 			union.Cycles += res.Cycles
 			union.Trials += res.Trials
-			union.Records = append(union.Records, res.Records...)
 		}
 		if err != nil {
 			return union, err
@@ -518,7 +512,7 @@ func (m *matrix) served(pooled bool) door {
 func (m *matrix) alongside(t *testing.T, x *cell, d door) (*campaign.Result, error) {
 	cells := []*cell{x, newCell(x.app, fixedColumn(x.tool), x.seed+1, x.rs), newCell(x.app, fixedColumn(x.tool), x.seed+2, x.rs)}
 	for _, y := range cells {
-		y.streaming, y.summary = x.streaming, x.summary
+		y.summary = x.summary
 	}
 	outs := concurrently(t, cells, d)
 	for i, y := range cells[1:] {
@@ -631,10 +625,16 @@ func composeCold(t *testing.T, x *cell, app campaign.App, dir string) campaign.C
 	return cache.Compose()
 }
 
+// refRun is a reference campaign's result and its observed trial stream.
+type refRun struct {
+	*campaign.Result
+	trs []campaign.TrialResult
+}
+
 // reference is the one run every cell of a campaign is checked against. A
 // cancelled cell is checked against the first n trials of the fixed-count
 // run — trial i is a pure function of its seed, so of any run that long.
-func (m *matrix) reference(t *testing.T, app campaign.App, seed uint64, col column, n int) *campaign.Result {
+func (m *matrix) reference(t *testing.T, app campaign.App, seed uint64, col column, n int) *refRun {
 	trials := col.trials
 	if col.cancelAt > 0 {
 		trials = 256
@@ -646,14 +646,19 @@ func (m *matrix) reference(t *testing.T, app campaign.App, seed uint64, col colu
 	if ref := m.refs[key]; ref != nil {
 		return ref
 	}
+	ref := &refRun{}
 	opts := []campaign.Option{campaign.WithTrials(trials), campaign.WithSeed(seed),
-		campaign.WithWorkers(1), campaign.WithCache(nil), campaign.WithRecords()}
+		campaign.WithWorkers(1), campaign.WithCache(nil),
+		campaign.WithObserver(func(_ int, tr campaign.TrialResult) { ref.trs = append(ref.trs, tr) })}
 	if col.precision {
 		opts = append(opts, campaign.WithPrecision(precMargin, 0))
 	}
-	ref, err := campaign.New(app, col.tool, opts...).Run(context.Background())
-	if err != nil {
+	var err error
+	if ref.Result, err = campaign.New(app, col.tool, opts...).Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	if len(ref.trs) != ref.Trials {
+		t.Fatalf("the reference run delivered %d of its %d trials", len(ref.trs), ref.Trials)
 	}
 	if col.precision && (ref.Trials == 0 || ref.Trials >= trials) {
 		t.Fatalf("the reference run did not stop early: %d of %d trials", ref.Trials, trials)
@@ -687,7 +692,7 @@ func (m *matrix) compare(t *testing.T, x *cell, res *campaign.Result, err error)
 	if x.col.cancelAt == 0 && len(order) != ref.Trials {
 		t.Fatalf("%s: %d deliveries, reference %d trials", label, len(order), ref.Trials)
 	}
-	want := ref.Records[:len(order)]
+	want := ref.trs[:len(order)]
 	for i, idx := range order {
 		if idx != i || stream[i] != want[i] {
 			t.Fatalf("%s: delivery %d is trial %d %+v, reference trial %d %+v", label, i, idx, stream[i], i, want[i])
@@ -707,9 +712,6 @@ func (m *matrix) compare(t *testing.T, x *cell, res *campaign.Result, err error)
 	}
 	if res.Counts != counts || res.Cycles != cycles || res.Trials != len(want) {
 		t.Fatalf("%s: %+v/%d cycles/%d trials, reference %+v/%d/%d", label, res.Counts, res.Cycles, res.Trials, counts, cycles, len(want))
-	}
-	if buffered := !x.streaming && !x.summary; buffered != (res.Records != nil) || (buffered && !slices.Equal(res.Records, want)) {
-		t.Fatalf("%s: %d records (WithRecords: %v) differ from the reference's", label, len(res.Records), buffered)
 	}
 	if !x.summary && (res.Profile == nil || res.Profile.Targets != ref.Profile.Targets || res.Profile.Budget != ref.Profile.Budget) {
 		t.Fatalf("%s: profile %+v, reference %+v", label, res.Profile, ref.Profile)
@@ -733,7 +735,7 @@ func (m *matrix) runSuite(t *testing.T, r row) {
 		want.Results[app.Name] = map[string]*campaign.Result{}
 		for _, tool := range campaign.Tools {
 			ref := m.reference(t, app, matrixSeed, fixedColumn(tool), 0)
-			want.Results[app.Name][tool.Name()] = ref
+			want.Results[app.Name][tool.Name()] = ref.Result
 			if res := got.Results[app.Name][tool.Name()]; res == nil || res.Counts != ref.Counts || res.Cycles != ref.Cycles || res.Trials != ref.Trials {
 				t.Fatalf("%s/%s: %+v, reference %+v/%d cycles/%d trials", app.Name, tool.Name(), res, ref.Counts, ref.Cycles, ref.Trials)
 			}

@@ -137,12 +137,12 @@ func (c Config) TargetInst(img *vm.Image, in *vm.Inst) bool {
 // Record logs one injected fault for reference and repeatability (the
 // paper's fault log, Fig. 3b).
 type Record struct {
-	DynIdx int64   // dynamic index within the target population
-	PC     int32   // static instruction address
-	SiteID int32   // static site id (REFINE instrumentation), 0 if n/a
-	Reg    vx.Reg  // flipped register
-	Bit    uint    // flipped bit
-	Op     string  // mnemonic, for the log
+	DynIdx int64  // dynamic index within the target population
+	PC     int32  // static instruction address
+	SiteID int32  // static site id (REFINE instrumentation), 0 if n/a
+	Reg    vx.Reg // flipped register
+	Bit    uint   // flipped bit
+	Op     string // mnemonic, for the log
 }
 
 func (r Record) String() string {

@@ -124,26 +124,30 @@ func TestDoubleFlipChangesOutcomes(t *testing.T) {
 func TestCampaignDeterministic(t *testing.T) {
 	app := testAppCG(t)
 	ctx := context.Background()
-	run := func(workers int, cache *campaign.Cache) *campaign.Result {
+	run := func(workers int, cache *campaign.Cache) (*campaign.Result, []campaign.TrialResult) {
 		t.Helper()
+		var trs []campaign.TrialResult
 		res, err := campaign.New(app, multibit.Injector,
 			campaign.WithTrials(60), campaign.WithSeed(7),
 			campaign.WithWorkers(workers), campaign.WithCache(cache),
-			campaign.WithRecords(),
+			campaign.WithObserver(func(_ int, tr campaign.TrialResult) { trs = append(trs, tr) }),
 		).Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, trs
 	}
-	w1 := run(1, nil)
-	w8 := run(8, nil)
-	cached := run(4, campaign.NewCache())
-	for i := range w1.Records {
-		if w1.Records[i] != w8.Records[i] {
+	w1, w1trs := run(1, nil)
+	w8, w8trs := run(8, nil)
+	cached, cachedTrs := run(4, campaign.NewCache())
+	if len(w1trs) != 60 || len(w8trs) != 60 || len(cachedTrs) != 60 {
+		t.Fatalf("observers saw %d / %d / %d trials, want 60", len(w1trs), len(w8trs), len(cachedTrs))
+	}
+	for i := range w1trs {
+		if w1trs[i] != w8trs[i] {
 			t.Fatalf("trial %d differs across worker counts", i)
 		}
-		if w1.Records[i] != cached.Records[i] {
+		if w1trs[i] != cachedTrs[i] {
 			t.Fatalf("trial %d differs across cache states", i)
 		}
 	}

@@ -50,29 +50,38 @@ func TestSharedCachedBinaryConcurrencySafe(t *testing.T) {
 	ctx := context.Background()
 	for _, tool := range []campaign.Tool{opcodefi.Injector, opcodefi.ValidInjector} {
 		cache := campaign.NewCache() // one shared binary for every run below
-		run := func(workers int, c *campaign.Cache) *campaign.Result {
+		type observed struct {
+			*campaign.Result
+			trs []campaign.TrialResult
+		}
+		run := func(workers int, c *campaign.Cache) observed {
+			var trs []campaign.TrialResult
 			res, err := campaign.New(a, tool,
 				campaign.WithTrials(trials), campaign.WithSeed(11),
 				campaign.WithWorkers(workers), campaign.WithCache(c),
-				campaign.WithRecords(),
+				campaign.WithObserver(func(_ int, tr campaign.TrialResult) { trs = append(trs, tr) }),
 			).Run(ctx)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tool.Name(), workers, err)
 			}
-			return res
+			return observed{res, trs}
 		}
 		w1 := run(1, cache)
 		w8 := run(8, cache)
 		fresh := run(4, nil)
-		for label, other := range map[string]*campaign.Result{"workers=8": w8, "fresh": fresh} {
+		for label, other := range map[string]observed{"workers=8": w8, "fresh": fresh} {
 			if w1.Counts != other.Counts || w1.Cycles != other.Cycles {
 				t.Fatalf("%s %s: aggregates differ: %+v/%d vs %+v/%d",
 					tool.Name(), label, w1.Counts, w1.Cycles, other.Counts, other.Cycles)
 			}
-			for i := range w1.Records {
-				if w1.Records[i] != other.Records[i] {
+			if len(w1.trs) != trials || len(other.trs) != trials {
+				t.Fatalf("%s %s: observers saw %d / %d trials, want %d",
+					tool.Name(), label, len(w1.trs), len(other.trs), trials)
+			}
+			for i := range w1.trs {
+				if w1.trs[i] != other.trs[i] {
 					t.Fatalf("%s %s: trial %d differs:\n%+v\nvs\n%+v",
-						tool.Name(), label, i, w1.Records[i], other.Records[i])
+						tool.Name(), label, i, w1.trs[i], other.trs[i])
 				}
 			}
 		}
@@ -82,7 +91,7 @@ func TestSharedCachedBinaryConcurrencySafe(t *testing.T) {
 		// The fault must actually land: opcode corruption records the
 		// old->new opcode transition for injected trials.
 		landed := 0
-		for _, r := range w1.Records {
+		for _, r := range w1.trs {
 			if r.Rec.Op != "" {
 				landed++
 			}

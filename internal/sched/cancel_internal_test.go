@@ -10,7 +10,7 @@ import (
 // TestCancelAfterFullClaimIsNoOp pins the cancellation-vs-completion seam
 // deterministically: once every index of a batch is claimed (and a fortiori
 // once every index is claimed and finished), cancel must be a no-op — Wait
-// has to report the batch as fully run. Pre-fix, the context watcher's
+// has to report the batch as fully run. Pre-fix, the context callback's
 // j.cancel() marked the job cancelled whenever it fired before done closed,
 // so a cancellation racing the final iteration's completion made Wait return
 // false even though all n indexes ran.
@@ -28,7 +28,7 @@ func TestCancelAfterFullClaimIsNoOp(t *testing.T) {
 	// Both bodies running ⇒ every index is claimed, none finished.
 	<-started
 	<-started
-	h.j.cancel() // the watcher's exact call, landed in the race window
+	h.j.cancel() // the context callback's exact call, landed in the race window
 	close(block)
 	if !h.Wait() {
 		t.Fatalf("Wait reported a fully-claimed, fully-run batch as cancelled")
@@ -42,7 +42,7 @@ func TestCancelAfterFullClaimIsNoOp(t *testing.T) {
 }
 
 // TestCancelAfterCompletionIsNoOp: a cancel landing after the batch fully
-// completed (watcher losing the select race) must not flip the verdict.
+// completed (the context callback losing the race) must not flip the verdict.
 func TestCancelAfterCompletionIsNoOp(t *testing.T) {
 	e := New(2)
 	defer e.Close()
@@ -56,8 +56,8 @@ func TestCancelAfterCompletionIsNoOp(t *testing.T) {
 	}
 }
 
-// TestWaitCompletionCancelStress hammers the real watcher path: the context
-// is cancelled by the final iteration itself, so the watcher goroutine fires
+// TestWaitCompletionCancelStress hammers the real callback path: the context
+// is cancelled by the final iteration itself, so its AfterFunc fires
 // concurrently with the batch settling. Whenever all n iterations ran, Wait
 // must say so.
 func TestWaitCompletionCancelStress(t *testing.T) {
@@ -70,7 +70,7 @@ func TestWaitCompletionCancelStress(t *testing.T) {
 		h := e.Submit(ctx, n, func(int) {
 			if int(ran.Add(1)) == n {
 				cancel()
-				// Give the watcher a beat to land inside the race window
+				// Give the callback a beat to land inside the race window
 				// while this final iteration is still in flight.
 				time.Sleep(100 * time.Microsecond)
 			}
@@ -83,5 +83,22 @@ func TestWaitCompletionCancelStress(t *testing.T) {
 			t.Fatalf("round %d: only %d/%d iterations ran but Wait reported full completion", round, ran.Load(), n)
 		}
 		cancel()
+	}
+}
+
+// TestSettledJobUnregistersCancel: a job stops its context's AfterFunc when it
+// settles, so jobs on a long-lived context (a daemon's) leave nothing
+// registered behind them — stop, already called, reports false after Wait.
+func TestSettledJobUnregistersCancel(t *testing.T) {
+	e := New(2)
+	defer e.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	h := e.Submit(ctx, 8, func(int) {})
+	if !h.Wait() {
+		t.Fatal("batch did not complete")
+	}
+	if h.j.stop() {
+		t.Fatal("a settled job's cancel callback was still registered on its context")
 	}
 }

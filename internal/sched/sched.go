@@ -41,6 +41,7 @@ type job struct {
 	e    *Executor
 	ctx  context.Context
 	body func(int)
+	stop func() bool // unregisters the context's AfterFunc (cancel)
 
 	n         int // total iterations
 	chunk     int // indexes handed out per claim (>= 1)
@@ -91,6 +92,15 @@ func (e *Executor) Workers() int { return e.workers }
 // goroutines, never from inside a body.
 func (e *Executor) Submit(ctx context.Context, n int, body func(i int)) *Handle {
 	j := &job{e: e, ctx: ctx, body: body, n: n, chunk: adaptiveChunk(n, e.workers), done: make(chan struct{})}
+	// Fast path for a context already done: the job settles here, unqueued
+	// and with nothing registered on the context. Done is the test, not Err,
+	// so a context whose Done fires before its Err reports stays out of
+	// AfterFunc, which panics on such a context.
+	select {
+	case <-ctx.Done():
+		n = 0
+	default:
+	}
 	if n <= 0 {
 		j.completed = true
 		close(j.done)
@@ -102,17 +112,10 @@ func (e *Executor) Submit(ctx context.Context, n int, body func(i int)) *Handle 
 		panic("sched: Submit on closed Executor")
 	}
 	e.queue = append(e.queue, j)
+	// Registered under e.mu, so the job cannot settle (and stop it) first.
+	j.stop = context.AfterFunc(ctx, j.cancel)
 	e.mu.Unlock()
 	e.cond.Broadcast()
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				j.cancel()
-			case <-j.done:
-			}
-		}()
-	}
 	return &Handle{j}
 }
 
@@ -141,14 +144,7 @@ const MaxChunk = 64
 // tail), large batches amortize the executor lock over roughly
 // workers×16 claims per worker, capped at MaxChunk.
 func adaptiveChunk(n, workers int) int {
-	k := n / (workers * 16)
-	if k < 1 {
-		return 1
-	}
-	if k > MaxChunk {
-		return MaxChunk
-	}
-	return k
+	return min(max(n/(workers*16), 1), MaxChunk)
 }
 
 // claim hands out the next unclaimed chunk [start, start+cnt). Caller holds
@@ -157,8 +153,8 @@ func (j *job) claim() (start, cnt int, ok bool) {
 	if j.cancelled || j.next >= j.n {
 		return 0, 0, false
 	}
-	// A cancelled context stops the hand-out even before the watcher
-	// goroutine fires, so prompt cancellation never races a slow scheduler.
+	// A cancelled context stops the hand-out even before its AfterFunc
+	// runs, so prompt cancellation never races a slow scheduler.
 	if j.ctx.Err() != nil {
 		j.cancelled = true
 		j.settleLocked()
@@ -174,11 +170,13 @@ func (j *job) claim() (start, cnt int, ok bool) {
 	return start, cnt, true
 }
 
-// settleLocked closes done if nothing is running and nothing more will.
-// Caller holds e.mu.
+// settleLocked closes done if nothing is running and nothing more will, and
+// unregisters the cancel callback: a settled job leaves nothing on a
+// long-lived context. Caller holds e.mu.
 func (j *job) settleLocked() {
 	if j.inflight == 0 && (j.cancelled || j.next >= j.n) && !j.completed {
 		j.completed = true
+		j.stop()
 		close(j.done)
 	}
 }

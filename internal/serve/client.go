@@ -33,11 +33,12 @@ type Client struct {
 	// HTTP overrides the transport (nil ⇒ a default client with no overall
 	// timeout — streams live as long as their campaigns).
 	HTTP *http.Client
-	// Retries bounds stream reconnections after a torn connection (0 ⇒ 3).
-	// Each reconnect resumes at the first undelivered event, so the
-	// observer's total view equals an uninterrupted stream's.
-	Retries int
 }
+
+// reconnects bounds stream reconnections after a torn connection. Each
+// reconnect resumes at the first undelivered event, so the observer's total
+// view equals an uninterrupted stream's.
+const reconnects = 3
 
 // Run submits the spec and streams its events: obs (optional) fires once
 // per trial in trial order with absolute indexes — the same shape as
@@ -46,13 +47,9 @@ type Client struct {
 // execution. A dropped connection reconnects with the delivered count as
 // the replay offset, making interruption invisible to the caller.
 func (c *Client) Run(ctx context.Context, spec campaign.Spec, obs func(int, campaign.TrialResult)) (*Summary, error) {
-	retries := c.Retries
-	if retries <= 0 {
-		retries = 3
-	}
 	from := 0
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= reconnects; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(time.Duration(attempt) * 100 * time.Millisecond): //fi:wallclock-ok — reconnect pacing only; the replayed stream is a pure function of the event log

@@ -358,17 +358,15 @@ func (s *Server) stream(w http.ResponseWriter, hr *http.Request, r *run, from in
 	fl, _ := w.(http.Flusher)
 
 	// A gone client can't signal the cond; wake the wait loop on its ctx so
-	// the handler goroutine ends instead of idling until the run finishes.
+	// the handler goroutine ends instead of idling until the run's next
+	// event. Taking r.mu first means the wakeup cannot fall between the
+	// loop's ctx.Err() check and its cond.Wait.
 	ctx := hr.Context()
-	stopWake := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.cond.Broadcast()
-		case <-stopWake:
-		}
-	}()
-	defer close(stopWake)
+	defer context.AfterFunc(ctx, func() {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	})()
 
 	for {
 		r.mu.Lock()

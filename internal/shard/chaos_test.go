@@ -11,6 +11,7 @@ package shard_test
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ import (
 // runPool runs one campaign over a fresh 2-worker pool, returning the result
 // and the pool's death count. A non-zero stall fixes the silent-worker
 // deadline and grace the SIGTERM→SIGKILL escalation (shard.SetDeadlines).
-func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall, grace time.Duration) (*campaign.Result, int) {
+func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall, grace time.Duration) (observed, int) {
 	t.Helper()
 	p, err := shard.NewPool(2)
 	if err != nil {
@@ -35,24 +36,28 @@ func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall, gra
 	if stall > 0 {
 		shard.SetDeadlines(p, stall, grace)
 	}
-	res, err := p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+	var o observed
+	o.Result, err = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
 		campaign.WithTrials(trials), campaign.WithSeed(seed),
-		campaign.WithRecords(), campaign.WithCache(nil)))
+		campaign.WithCache(nil), collect(&o.trs, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, p.Deaths()
+	return o, p.Deaths()
 }
 
-func assertIdentical(t *testing.T, got, ref *campaign.Result, label string) {
+func assertIdentical(t *testing.T, got, ref observed, label string) {
 	t.Helper()
 	if got.Counts != ref.Counts || got.Cycles != ref.Cycles || got.Trials != ref.Trials {
 		t.Fatalf("%s: result diverges from fault-free run: %+v/%d vs %+v/%d",
 			label, got.Counts, got.Cycles, ref.Counts, ref.Cycles)
 	}
-	for i := range ref.Records {
-		if got.Records[i] != ref.Records[i] {
-			t.Fatalf("%s: Records[%d] = %+v, fault-free %+v", label, i, got.Records[i], ref.Records[i])
+	if len(got.trs) != len(ref.trs) {
+		t.Fatalf("%s: observer saw %d trials, fault-free %d", label, len(got.trs), len(ref.trs))
+	}
+	for i := range ref.trs {
+		if got.trs[i] != ref.trs[i] {
+			t.Fatalf("%s: trial %d = %+v, fault-free %+v", label, i, got.trs[i], ref.trs[i])
 		}
 	}
 }
@@ -156,25 +161,52 @@ func TestChaosDeterministicCrashBecomesHarnessFault(t *testing.T) {
 	if res.Counts.HarnessFault != 1 {
 		t.Fatalf("Counts.HarnessFault = %d, want exactly the poison trial", res.Counts.HarnessFault)
 	}
-	if res.Records[poison].Outcome != fault.HarnessFault {
-		t.Fatalf("Records[%d] = %+v, want a HarnessFault outcome", poison, res.Records[poison])
+	if len(res.trs) != trials {
+		t.Fatalf("observer saw %d trials, want %d", len(res.trs), trials)
+	}
+	if res.trs[poison].Outcome != fault.HarnessFault {
+		t.Fatalf("trial %d = %+v, want a HarnessFault outcome", poison, res.trs[poison])
 	}
 	wantDeaths := shard.SplitAfter + shard.MaxTrialRetries + 1
 	if deaths != wantDeaths {
 		t.Fatalf("pool counted %d deaths, want the full retry budget (%d)", deaths, wantDeaths)
 	}
 	// Every other trial matches the fault-free run exactly.
-	for i := range ref.Records {
+	for i := range ref.trs {
 		if i == poison {
 			continue
 		}
-		if res.Records[i] != ref.Records[i] {
-			t.Fatalf("Records[%d] = %+v diverges from fault-free %+v", i, res.Records[i], ref.Records[i])
+		if res.trs[i] != ref.trs[i] {
+			t.Fatalf("trial %d = %+v diverges from fault-free %+v", i, res.trs[i], ref.trs[i])
 		}
 	}
-	if res.Cycles != ref.Cycles-ref.Records[poison].Cycles {
+	if res.Cycles != ref.Cycles-ref.trs[poison].Cycles {
 		t.Fatalf("Cycles = %d, want fault-free minus the poison trial (%d)",
-			res.Cycles, ref.Cycles-ref.Records[poison].Cycles)
+			res.Cycles, ref.Cycles-ref.trs[poison].Cycles)
+	}
+}
+
+// TestChaosGiveUpSettlesAfterDelivery: the poison trial is the last work of
+// its campaign, so nothing else keeps the run open while the harness-fault
+// outcome is delivered outside the pool lock. The run must still wait for
+// it: the result and the observer both carry the poison trial.
+func TestChaosGiveUpSettlesAfterDelivery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns (and kills) many worker processes")
+	}
+	const trials = 4
+	const poison = trials - 1
+	app := mustApp(t, "CG")
+	ref := baseline(t, app, campaign.REFINE, trials, 47)
+
+	t.Setenv(chaos.EnvVar, "shard.worker.trial:crash:at=3:count=9999")
+	res, _ := runPool(t, app, trials, 47, 0, 0)
+	if res.Trials != trials || res.Counts.HarnessFault != 1 || len(res.trs) != trials {
+		t.Fatalf("%d trials, %+v, observer saw %d: want all %d with one harness fault",
+			res.Trials, res.Counts, len(res.trs), trials)
+	}
+	if res.trs[poison].Outcome != fault.HarnessFault || !slices.Equal(res.trs[:poison], ref.trs[:poison]) {
+		t.Fatalf("stream %+v, want the fault-free %+v with trial %d a harness fault", res.trs, ref.trs, poison)
 	}
 }
 
@@ -197,20 +229,20 @@ func TestConcurrentCampaignsSurviveWorkerCrash(t *testing.T) {
 	defer p.Close()
 
 	var wg sync.WaitGroup
-	var resA, resB *campaign.Result
+	var resA, resB observed
 	var errA, errB error
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		resA, errA = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+		resA.Result, errA = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
 			campaign.WithTrials(120), campaign.WithSeed(41),
-			campaign.WithRecords(), campaign.WithCache(nil)))
+			campaign.WithCache(nil), collect(&resA.trs, nil)))
 	}()
 	go func() {
 		defer wg.Done()
-		resB, errB = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+		resB.Result, errB = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
 			campaign.WithTrials(120), campaign.WithSeed(43),
-			campaign.WithRecords(), campaign.WithCache(nil)))
+			campaign.WithCache(nil), collect(&resB.trs, nil)))
 	}()
 	wg.Wait()
 	if errA != nil || errB != nil {
@@ -261,9 +293,10 @@ func TestChaosPartialSpawnContinues(t *testing.T) {
 	if p.Workers() != 1 {
 		t.Fatalf("pool reports %d workers, want the 1 that spawned", p.Workers())
 	}
-	res, err := p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+	var res observed
+	res.Result, err = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
 		campaign.WithTrials(trials), campaign.WithSeed(43),
-		campaign.WithRecords(), campaign.WithCache(nil)))
+		campaign.WithCache(nil), collect(&res.trs, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,9 +355,10 @@ func TestChaosJournalResumeAcrossPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	res, err := p2.Run(context.Background(), campaign.New(app, campaign.REFINE,
+	var res observed
+	res.Result, err = p2.Run(context.Background(), campaign.New(app, campaign.REFINE,
 		campaign.WithTrials(trials), campaign.WithSeed(45),
-		campaign.WithRecords(), campaign.WithCache(nil), campaign.WithJournal(j2)))
+		campaign.WithCache(nil), campaign.WithJournal(j2), collect(&res.trs, nil)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,12 @@
 //   - Determinism: the coordinator only decides where a trial runs, never
 //     what it computes — trial i is always seeded TrialSeed(seed, tool, i),
 //     frames are merged through the order-deterministic collector, and
-//     Counts, Cycles, Records and the observer stream are bit-identical to
-//     an in-process run for any shard count and either transport (the
+//     Counts, Cycles and the observer stream are bit-identical to an
+//     in-process run for any shard count and either transport (the
 //     equivalence matrix in internal/experiments runs shards ∈ {1, 2, 4}
-//     over stdio and TCP against one in-process reference).
+//     over stdio and TCP against one in-process reference). A worker built
+//     from another revision would compute other trials, so it refuses any
+//     campaign from a coordinator whose harness build names another one.
 //
 //   - Cache sharing: workers given the same cache directory share one
 //     content-addressed disk cache; the first process to build an app×tool
@@ -69,6 +71,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -123,9 +126,8 @@ type Pool struct {
 	workers       []*proc
 	nextIndex     int // shard index of the next spawned worker (never reused)
 	nextCID       int
-	runs          map[int]*runState // active campaigns by cid
-	runOrder      []int             // cids in admission order (fair-share scan order)
-	rrNext        int               // round-robin cursor into runOrder
+	runs          []*runState // active campaigns in admission order
+	rr            int         // round-robin cursor into runs (fair share)
 	closed        bool
 	respawnBudget int // replacement spawns left (bounds a crash loop)
 	respawning    int // spawns in flight (holds off the all-dead verdict)
@@ -145,15 +147,16 @@ type proc struct {
 	readerDone  chan struct{}
 }
 
-// runState tracks one campaign's fan-out.
+// runState tracks one campaign's fan-out. What is left of it is derived:
+// its pending ranges, the live workers holding one of its ranges, and the
+// harness-fault outcomes being delivered (see settleLocked).
 type runState struct {
 	cid       int
 	ctx       context.Context
 	spec      campaign.Spec
 	merger    *campaign.Merger
 	pending   []rangeReq // unclaimed ranges, ascending Lo
-	total     int        // ranges overall (grows when a fatal range splits)
-	done      int        // ranges acked or given up
+	givingUp  int        // harness-fault outcomes being delivered outside p.mu
 	budget    int64      // cost-model instruction budget per trial (from the profile)
 	cancelled bool       // stop assigning (ctx cancel or fatal error)
 	err       error
@@ -217,7 +220,6 @@ func newPool(n int, t Transport) (*Pool, error) {
 		transport:     t,
 		stall:         defaultStall,
 		grace:         defaultGrace,
-		runs:          map[int]*runState{},
 		respawnBudget: 2 * n,
 	}
 	var spawnErr error
@@ -266,6 +268,28 @@ func (p *Pool) spawnWorker() (*proc, error) {
 		return nil, fmt.Errorf("shard: spawn worker %d (%s): %w", idx, p.transport, err)
 	}
 	return w, nil
+}
+
+// liveLocked counts the workers that have not died. Caller holds p.mu.
+func (p *Pool) liveLocked() int {
+	live := 0
+	for _, w := range p.workers {
+		if !w.dead {
+			live++
+		}
+	}
+	return live
+}
+
+// runLocked finds an active campaign by id; a pool runs a handful at once.
+// Caller holds p.mu.
+func (p *Pool) runLocked(cid int) *runState {
+	for _, run := range p.runs {
+		if run.cid == cid {
+			return run
+		}
+	}
+	return nil
 }
 
 // Workers reports the pool size (including workers that have since died).
@@ -347,25 +371,14 @@ const MaxRange = 256
 // roughly four claims per worker amortize the assignment round-trips while
 // keeping reassignment granularity, mirroring sched's adaptive chunk.
 func rangeSpan(total, n int) int {
-	k := total / (n * 4)
-	if k < 1 {
-		return 1
-	}
-	if k > MaxRange {
-		return MaxRange
-	}
-	return k
+	return min(max(total/(n*4), 1), MaxRange)
 }
 
 // partition splits [lo, hi) into consecutive spans.
 func partition(cid, lo, hi, span int) []rangeReq {
 	var out []rangeReq
 	for at := lo; at < hi; at += span {
-		end := at + span
-		if end > hi {
-			end = hi
-		}
-		out = append(out, rangeReq{CID: cid, Lo: at, Hi: end})
+		out = append(out, rangeReq{CID: cid, Lo: at, Hi: min(at+span, hi)})
 	}
 	return out
 }
@@ -374,9 +387,7 @@ func partition(cid, lo, hi, span int) []rangeReq {
 // ranges stay the lowest outstanding and the delivered prefix contiguous.
 func insertPending(run *runState, r rangeReq) {
 	i := sort.Search(len(run.pending), func(i int) bool { return run.pending[i].Lo >= r.Lo })
-	run.pending = append(run.pending, rangeReq{})
-	copy(run.pending[i+1:], run.pending[i:])
-	run.pending[i] = r
+	run.pending = slices.Insert(run.pending, i, r)
 }
 
 // Run fans the campaign out over the pool's workers and blocks until it
@@ -410,9 +421,8 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 	if _, err := campaign.ToolByName(spec.Tool); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	lo, hi := c.TrialRange()
-	if lo < 0 || lo > hi {
-		return nil, fmt.Errorf("shard: %s/%s: invalid trial range [%d, %d)", spec.App, spec.Tool, lo, hi)
+	if spec.Lo < 0 || spec.Lo > spec.Trials {
+		return nil, fmt.Errorf("shard: %s/%s: invalid trial range [%d, %d)", spec.App, spec.Tool, spec.Lo, spec.Trials)
 	}
 	// Promptly honor an already-cancelled context before assigning any work,
 	// matching the in-process runner's pre-trial ctx check.
@@ -435,12 +445,7 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 		p.mu.Unlock()
 		return nil, errors.New("shard: Run on closed Pool")
 	}
-	live := 0
-	for _, w := range p.workers {
-		if !w.dead {
-			live++
-		}
-	}
+	live := p.liveLocked()
 	if live == 0 {
 		p.mu.Unlock()
 		return nil, errors.New("shard: no live workers")
@@ -452,70 +457,42 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 		// worker cap is per range, and one session runs one range at a
 		// time, so the same split keeps a shared node from oversubscribing
 		// across sessions too.)
-		if spec.Workers = runtime.GOMAXPROCS(0) / live; spec.Workers < 1 {
-			spec.Workers = 1
-		}
+		spec.Workers = max(1, runtime.GOMAXPROCS(0)/live)
 	}
-	cid := p.nextCID
-	p.nextCID++
 	run := &runState{
-		cid:      cid,
+		cid:      p.nextCID,
 		ctx:      ctx,
 		spec:     spec,
 		merger:   merger,
 		finished: make(chan struct{}),
 	}
+	p.nextCID++
 	span := rangeSpan(remaining, live)
 	for _, r := range missing {
-		run.pending = append(run.pending, partition(cid, r[0], r[1], span)...)
+		run.pending = append(run.pending, partition(run.cid, r[0], r[1], span)...)
 	}
-	run.total = len(run.pending)
-	p.runs[cid] = run
-	p.admitLocked(cid)
+	p.runs = append(p.runs, run)
 	p.assignLocked()
 	p.settleLocked(run) // zero-trial (or fully replayed) campaigns settle immediately
 	p.mu.Unlock()
 
-	stopWatch := make(chan struct{})
-	go p.monitor(run, stopWatch)
-	if ctx.Done() != nil {
-		go func() {
-			select {
-			case <-ctx.Done():
-				p.mu.Lock()
-				if p.runs[run.cid] == run && !run.settled {
-					// Stop assigning; claimed ranges drain, the delivered
-					// prefix stays contiguous.
-					run.cancelled = true
-					p.settleLocked(run)
-				}
-				p.mu.Unlock()
-			case <-stopWatch:
-			}
-		}()
-	}
+	go p.monitor(run)
+	// Stop assigning on cancel; claimed ranges drain, the delivered prefix
+	// stays contiguous.
+	defer context.AfterFunc(ctx, func() {
+		p.mu.Lock()
+		if !run.settled {
+			run.cancelled = true
+			p.settleLocked(run)
+		}
+		p.mu.Unlock()
+	})()
 	<-run.finished
-	close(stopWatch)
 
 	if run.err != nil {
 		return nil, fmt.Errorf("shard: %s/%s: %w", spec.App, spec.Tool, run.err)
 	}
 	return run.merger.Finish(ctx)
-}
-
-// admitLocked appends a fresh cid to the fair-share scan order, compacting
-// out settled campaigns in passing. Caller holds p.mu.
-func (p *Pool) admitLocked(cid int) {
-	order := p.runOrder[:0]
-	for _, id := range p.runOrder {
-		if p.runs[id] != nil {
-			order = append(order, id)
-		}
-	}
-	p.runOrder = append(order, cid)
-	if p.rrNext >= len(p.runOrder) {
-		p.rrNext = 0
-	}
 }
 
 // rangeDeadline is the silent-worker deadline for a range of the run: every
@@ -537,30 +514,19 @@ func (p *Pool) rangeDeadline(run *runState) time.Duration {
 // is TCP's equivalent: a live-but-slow worker drains its prefix and exits),
 // then killed after the grace period (a truly wedged worker ignores the
 // polite stop: its trial loop never reaches the context check). Death then
-// feeds the ordinary reassignment path.
-func (p *Pool) monitor(run *runState, stop <-chan struct{}) {
-	tick := p.stall / 8
-	if tick < 20*time.Millisecond {
-		tick = 20 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
+// feeds the ordinary reassignment path. It exits when the run settles.
+func (p *Pool) monitor(run *runState) {
+	t := time.NewTicker(min(max(p.stall/8, 20*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-run.finished:
 			return
 		case <-t.C:
 		}
 		now := time.Now()
 		var victims []*proc
 		p.mu.Lock()
-		if p.runs[run.cid] != run || run.settled {
-			p.mu.Unlock()
-			return
-		}
 		for _, w := range p.workers {
 			if w.dead || w.condemned || w.cur == nil || w.cur.CID != run.cid {
 				continue
@@ -599,22 +565,20 @@ func (p *Pool) terminate(w *proc) {
 // proportionally instead of oldest-first. Returns nil when no campaign has
 // assignable ranges. Caller holds p.mu.
 func (p *Pool) nextAssignLocked() *runState {
-	n := len(p.runOrder)
-	for k := 0; k < n; k++ {
-		at := (p.rrNext + k) % n
-		run := p.runs[p.runOrder[at]]
-		if run == nil || run.settled || run.cancelled || run.err != nil || len(run.pending) == 0 {
+	for k := 0; k < len(p.runs); k++ {
+		at := (p.rr + k) % len(p.runs)
+		run := p.runs[at]
+		if run.cancelled || run.err != nil || len(run.pending) == 0 {
 			continue
 		}
-		// A cancelled context stops the hand-out even before the watcher
-		// goroutine fires — mirroring sched's claim() guard — so prompt
-		// cancellation never races a slow assignment loop.
+		// A cancelled context stops the hand-out even before the AfterFunc
+		// fires — mirroring sched's claim() guard — so prompt cancellation
+		// never races a slow assignment loop.
 		if run.ctx.Err() != nil {
 			run.cancelled = true
-			p.settleLocked(run)
-			continue
+			continue // the AfterFunc Run registered settles it
 		}
-		p.rrNext = (at + 1) % n
+		p.rr = at + 1
 		return run
 	}
 	return nil
@@ -638,7 +602,8 @@ func (p *Pool) assignLocked() {
 		}
 		r := run.pending[0]
 		if !w.knows[run.cid] {
-			if err := w.conn.Send(&req{Spec: &specIntro{CID: run.cid, Spec: run.spec}}); err != nil {
+			intro := &specIntro{CID: run.cid, Spec: run.spec, Build: harnessBuild()}
+			if err := w.conn.Send(&req{Spec: intro}); err != nil {
 				w.dead = true // reader EOF will reap it; range stays pending
 				continue
 			}
@@ -655,23 +620,36 @@ func (p *Pool) assignLocked() {
 	}
 }
 
-// settleLocked closes a run when nothing more will arrive: every range
-// acked, or assignment stopped (cancellation/error) and every outstanding
-// range drained or died. Caller holds p.mu.
+// settleLocked closes a run when nothing more will arrive: none of its
+// ranges is pending (or assignment stopped on cancellation or error), no
+// live worker holds one, and no harness-fault outcome is being delivered.
+// Settling removes the run from p.runs. Caller holds p.mu.
 func (p *Pool) settleLocked(run *runState) {
-	if run == nil || run.settled {
+	if run.settled || run.givingUp > 0 {
 		return
 	}
-	outstanding := false
+	if len(run.pending) > 0 && !run.cancelled && run.err == nil {
+		return
+	}
 	for _, w := range p.workers {
 		if !w.dead && w.cur != nil && w.cur.CID == run.cid {
-			outstanding = true
+			return
 		}
 	}
-	if run.done == run.total || ((run.cancelled || run.err != nil) && !outstanding) {
-		run.settled = true
-		delete(p.runs, run.cid)
-		close(run.finished)
+	run.settled = true
+	i := slices.Index(p.runs, run)
+	p.runs = slices.Delete(p.runs, i, i+1)
+	if i < p.rr {
+		p.rr--
+	}
+	close(run.finished)
+}
+
+// settleAllLocked settles every run that has nothing left to wait for.
+// Caller holds p.mu.
+func (p *Pool) settleAllLocked() {
+	for i := len(p.runs) - 1; i >= 0; i-- {
+		p.settleLocked(p.runs[i])
 	}
 }
 
@@ -698,7 +676,7 @@ func (p *Pool) reader(w *proc) {
 func (p *Pool) dispatch(w *proc, f *frame) {
 	p.mu.Lock()
 	w.lastAdvance = time.Now()
-	run := p.runs[f.CID]
+	run := p.runLocked(f.CID)
 	switch f.Kind {
 	case frameProfile:
 		if run != nil && f.Profile != nil && run.budget == 0 {
@@ -708,7 +686,6 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 		w.last = f.Counters
 		if run != nil && w.cur != nil && w.cur.CID == f.CID && w.cur.Lo == f.Lo && w.cur.Hi == f.Hi {
 			w.cur = nil
-			run.done++
 			p.assignLocked()
 			p.settleLocked(run)
 		}
@@ -739,7 +716,7 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 			// costs wall-clock, never determinism. Not a cancellation: Finish
 			// returns the truncated result cleanly.
 			p.mu.Lock()
-			if p.runs[f.CID] == run && !run.settled && !run.cancelled && run.err == nil {
+			if !run.settled && !run.cancelled && run.err == nil {
 				run.cancelled = true
 				run.pending = nil
 				p.settleLocked(run)
@@ -769,27 +746,22 @@ func (p *Pool) workerGone(w *proc) {
 	w.cur = nil
 	var run *runState
 	if orphan != nil {
-		run = p.runs[orphan.CID]
+		run = p.runLocked(orphan.CID)
 	}
 
 	var giveUp *rangeReq
-	if orphan != nil && run != nil && !run.cancelled && run.err == nil {
+	if run != nil && !run.cancelled && run.err == nil {
 		orphan.Retries++
 		switch {
 		case orphan.Hi-orphan.Lo == 1 && orphan.Retries > SplitAfter+MaxTrialRetries:
 			giveUp = orphan
+			run.givingUp++
 		case orphan.Hi-orphan.Lo > 1 && orphan.Retries > SplitAfter:
 			// The range keeps killing workers: isolate the poison trial by
 			// re-queueing only the not-yet-shipped indexes as single-trial
 			// ranges (each inherits the retry count).
-			unseen := run.merger.Unseen(orphan.Lo, orphan.Hi)
-			if len(unseen) == 0 {
-				run.done++ // every index shipped before the death: range complete
-			} else {
-				run.total += len(unseen) - 1
-				for _, i := range unseen {
-					insertPending(run, rangeReq{CID: run.cid, Lo: i, Hi: i + 1, Retries: orphan.Retries})
-				}
+			for _, i := range run.merger.Unseen(orphan.Lo, orphan.Hi) {
+				insertPending(run, rangeReq{CID: run.cid, Lo: i, Hi: i + 1, Retries: orphan.Retries})
 			}
 		default:
 			insertPending(run, *orphan)
@@ -801,54 +773,38 @@ func (p *Pool) workerGone(w *proc) {
 		p.respawning++
 		go p.respawnWorker()
 	}
-	live := 0
-	for _, other := range p.workers {
-		if !other.dead {
-			live++
-		}
-	}
-	if live == 0 && p.respawning == 0 {
+	if p.liveLocked() == 0 && p.respawning == 0 {
 		p.failAllLocked(errors.New("all workers exited mid-campaign"))
 	}
 	p.assignLocked()
-	if run != nil {
-		p.settleLocked(run)
-	}
+	p.settleAllLocked()
+	p.mu.Unlock()
 	if giveUp == nil {
-		p.mu.Unlock()
 		return
 	}
-	p.mu.Unlock()
 
 	// Deliver the synthesized outcome outside the pool lock: merger delivery
 	// runs the campaign observer, which must never see pool internals locked.
+	// The run cannot settle until it is delivered.
 	fmt.Fprintf(os.Stderr, "shard: trial %d killed %d workers; recording harness-fault\n",
 		giveUp.Lo, giveUp.Retries)
 	run.merger.Add(giveUp.Lo, campaign.TrialResult{Outcome: fault.HarnessFault})
 
 	p.mu.Lock()
-	if p.runs[run.cid] == run {
-		run.done++
-		p.assignLocked()
-		p.settleLocked(run)
-	}
+	run.givingUp--
+	p.assignLocked()
+	p.settleLocked(run)
 	p.mu.Unlock()
 }
 
 // failAllLocked fails every active campaign that isn't already cancelled or
-// failed (the pool has no workers left to serve any of them) and settles
-// each. Caller holds p.mu.
+// failed (the pool has no workers left to serve any of them). The caller
+// settles them. Caller holds p.mu.
 func (p *Pool) failAllLocked(err error) {
-	var active []*runState
 	for _, run := range p.runs {
-		active = append(active, run)
-	}
-	sort.Slice(active, func(i, j int) bool { return active[i].cid < active[j].cid })
-	for _, run := range active {
 		if run.err == nil && !run.cancelled {
 			run.err = err
 		}
-		p.settleLocked(run)
 	}
 }
 
@@ -860,35 +816,23 @@ func (p *Pool) respawnWorker() {
 	w, err := p.spawnWorker()
 	p.mu.Lock()
 	p.respawning--
-	if err == nil && !p.closed {
+	if err == nil && p.closed {
+		// Closed while the respawn was in flight: retire the fresh worker.
+		p.mu.Unlock()
+		w.conn.CloseWrite()
+		<-w.readerDone
+		w.conn.Wait()
+		return
+	}
+	if err == nil {
 		p.workers = append(p.workers, w)
 		p.assignLocked()
-		for _, cid := range p.runOrder {
-			p.settleLocked(p.runs[cid])
-		}
-		p.mu.Unlock()
-		return
-	}
-	if err != nil {
+	} else {
 		fmt.Fprintf(os.Stderr, "shard: respawn failed: %v\n", err)
-		live := 0
-		for _, other := range p.workers {
-			if !other.dead {
-				live++
-			}
-		}
-		if live == 0 && p.respawning == 0 {
+		if p.liveLocked() == 0 && p.respawning == 0 {
 			p.failAllLocked(errors.New("all workers exited mid-campaign and respawn failed"))
 		}
-		for _, cid := range p.runOrder {
-			p.settleLocked(p.runs[cid])
-		}
-		p.mu.Unlock()
-		return
 	}
-	// Closed while the respawn was in flight: retire the fresh worker.
+	p.settleAllLocked()
 	p.mu.Unlock()
-	w.conn.CloseWrite()
-	<-w.readerDone
-	w.conn.Wait()
 }

@@ -71,16 +71,35 @@ func mustApp(t *testing.T, name string) campaign.App {
 	return app
 }
 
+// observed is a campaign's result and the trial stream its observer saw.
+type observed struct {
+	*campaign.Result
+	trs []campaign.TrialResult
+}
+
+// collect is an observer that appends the stream to *trs, then calls then
+// (when non-nil) with the trial's index.
+func collect(trs *[]campaign.TrialResult, then func(i int)) campaign.Option {
+	return campaign.WithObserver(func(i int, tr campaign.TrialResult) {
+		*trs = append(*trs, tr)
+		if then != nil {
+			then(i)
+		}
+	})
+}
+
 // baseline runs the in-process reference campaign.
-func baseline(t *testing.T, app campaign.App, tool campaign.Tool, trials int, seed uint64) *campaign.Result {
+func baseline(t *testing.T, app campaign.App, tool campaign.Tool, trials int, seed uint64) observed {
 	t.Helper()
+	var o observed
 	res, err := campaign.New(app, tool,
 		campaign.WithTrials(trials), campaign.WithSeed(seed),
-		campaign.WithRecords(), campaign.WithCache(nil)).Run(context.Background())
+		campaign.WithCache(nil), collect(&o.trs, nil)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res
+	o.Result = res
+	return o
 }
 
 // TestShardWorkerKilledReassigns: a worker killed mid-campaign (the crash /
@@ -104,12 +123,14 @@ func TestShardWorkerKilledReassigns(t *testing.T) {
 	var once sync.Once
 	var mu sync.Mutex
 	var order []int
+	var trs []campaign.TrialResult
 	c := campaign.New(app, campaign.REFINE,
 		campaign.WithTrials(trials), campaign.WithSeed(13),
-		campaign.WithRecords(), campaign.WithCache(nil),
+		campaign.WithCache(nil),
 		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
 			mu.Lock()
 			order = append(order, i)
+			trs = append(trs, tr)
 			mu.Unlock()
 			once.Do(func() {
 				// First delivery: one worker is mid-range right now. Kill it.
@@ -126,13 +147,16 @@ func TestShardWorkerKilledReassigns(t *testing.T) {
 	if res.Counts != ref.Counts || res.Cycles != ref.Cycles {
 		t.Fatalf("post-kill result diverges: %+v / %d vs %+v / %d", res.Counts, res.Cycles, ref.Counts, ref.Cycles)
 	}
-	for i := range ref.Records {
-		if res.Records[i] != ref.Records[i] {
-			t.Fatalf("post-kill Records[%d] diverges from unsharded run", i)
-		}
-	}
 	mu.Lock()
 	defer mu.Unlock()
+	if len(trs) != len(ref.trs) {
+		t.Fatalf("post-kill observer saw %d trials, unsharded run %d", len(trs), len(ref.trs))
+	}
+	for i := range ref.trs {
+		if trs[i] != ref.trs[i] {
+			t.Fatalf("post-kill trial %d diverges from unsharded run", i)
+		}
+	}
 	for i, got := range order {
 		if got != i {
 			t.Fatalf("observer stream out of order after reassignment: order[%d] = %d", i, got)

@@ -94,23 +94,23 @@ func startNodes(t *testing.T, count int) ([]*node, []string) {
 }
 
 // runTCP runs one campaign over a fresh TCP pool of the given width across
-// the nodes, returning the result and the pool's death count.
-func runTCP(t *testing.T, addrs []string, shards int, app campaign.App, trials int, seed uint64, extra ...campaign.Option) (*campaign.Result, int) {
+// the nodes, returning the result and the pool's death count. then (when
+// non-nil) sees every delivered trial's index.
+func runTCP(t *testing.T, addrs []string, shards int, app campaign.App, trials int, seed uint64, then func(i int)) (observed, int) {
 	t.Helper()
 	p, err := shard.NewTCPPool(shards, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	opts := append([]campaign.Option{
+	var o observed
+	o.Result, err = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
 		campaign.WithTrials(trials), campaign.WithSeed(seed),
-		campaign.WithRecords(), campaign.WithCache(nil),
-	}, extra...)
-	res, err := p.Run(context.Background(), campaign.New(app, campaign.REFINE, opts...))
+		campaign.WithCache(nil), collect(&o.trs, then)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, p.Deaths()
+	return o, p.Deaths()
 }
 
 // TestTCPNodeKilledReassigns: SIGKILL an entire worker node mid-campaign.
@@ -127,10 +127,9 @@ func TestTCPNodeKilledReassigns(t *testing.T) {
 	nodes, addrs := startNodes(t, 2)
 
 	var once sync.Once
-	res, deaths := runTCP(t, addrs, 4, app, trials, 13,
-		campaign.WithObserver(func(i int, tr campaign.TrialResult) {
-			once.Do(func() { nodes[1].cmd.Process.Kill() })
-		}))
+	res, deaths := runTCP(t, addrs, 4, app, trials, 13, func(int) {
+		once.Do(func() { nodes[1].cmd.Process.Kill() })
+	})
 	assertIdentical(t, res, ref, "node-kill")
 	if deaths == 0 {
 		t.Fatal("pool counted no deaths despite a killed worker node")
@@ -158,7 +157,7 @@ func TestTCPChaosDroppedConnection(t *testing.T) {
 
 	chaos.Arm("shard.transport.recv", chaos.Fault{Kind: chaos.ErrKind, After: 10, Count: 1})
 	defer chaos.Reset()
-	res, deaths := runTCP(t, addrs, 2, app, trials, 31)
+	res, deaths := runTCP(t, addrs, 2, app, trials, 31, nil)
 	assertIdentical(t, res, ref, "dropped conn")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the dropped session", deaths)
@@ -182,7 +181,7 @@ func TestTCPChaosSlowDial(t *testing.T) {
 
 	chaos.Arm("shard.transport.dial", chaos.Fault{Kind: chaos.Sleep, Sleep: 300 * time.Millisecond, Count: 2})
 	defer chaos.Reset()
-	res, deaths := runTCP(t, addrs, 2, app, trials, 35)
+	res, deaths := runTCP(t, addrs, 2, app, trials, 35, nil)
 	assertIdentical(t, res, ref, "slow dial")
 	if deaths != 0 {
 		t.Fatalf("slow dials killed %d workers; slowness is not death", deaths)
@@ -204,7 +203,7 @@ func TestTCPChaosTornFrame(t *testing.T) {
 	t.Setenv(chaos.EnvVar, "shard.transport.send:tear") // inherited by the nodes
 	t.Cleanup(chaos.Reset)                              // in case this process's env load armed it too
 	nodes, addrs := startNodes(t, 2)
-	res, deaths := runTCP(t, addrs, 2, app, trials, 37)
+	res, deaths := runTCP(t, addrs, 2, app, trials, 37, nil)
 	assertIdentical(t, res, ref, "torn tcp frame")
 	if deaths == 0 {
 		t.Fatal("pool counted no deaths despite torn frames")

@@ -1,6 +1,11 @@
 package shard
 
-import "repro/internal/campaign"
+import (
+	"runtime/debug"
+	"sync"
+
+	"repro/internal/campaign"
+)
 
 // Wire format. Both directions are gob streams over the worker's transport —
 // the re-exec'd worker's stdio, or a TCP session to a worker node; the frames
@@ -8,11 +13,12 @@ import "repro/internal/campaign"
 //
 //	coordinator → worker (stdin):  a stream of req messages — an optional
 //	    hello introduces the worker's shard index (TCP sessions only), a
-//	    specIntro introduces a campaign under a small integer id (once per
-//	    campaign per worker, before its first range), a rangeReq assigns the
-//	    trial index range [Lo, Hi) of that campaign. Closing the write side
-//	    tells the worker to finish up: it ships a final frameExit with its
-//	    counters and exits 0 (stdio) or ends the session (TCP).
+//	    specIntro introduces a campaign under a small integer id with the
+//	    coordinator's harness build (once per campaign per worker, before
+//	    its first range), a rangeReq assigns the trial index range [Lo, Hi)
+//	    of that campaign. Closing the write side tells the worker to finish up:
+//	    it ships a final frameExit with its counters and exits 0 (stdio) or
+//	    ends the session (TCP).
 //
 //	worker → coordinator (stdout): a stream of frames. Running a range
 //	    produces one frameTrial per trial — (Index, TrialResult), exactly
@@ -21,14 +27,15 @@ import "repro/internal/campaign"
 //	    byte-stable across processes, so every worker derives the identical
 //	    profile) and one frameRangeDone echoing [Lo, Hi) with the worker's
 //	    cumulative counters — cache and phase throughput.
-//	    A campaign-fatal error (unknown app, build failure) is one frameErr.
+//	    A campaign-fatal error (unknown app, build failure, a coordinator
+//	    built from another revision) is one frameErr.
 //	    Every frame is progress: each refreshes the worker's range deadline,
 //	    and a worker that sends nothing within it is taken for hung.
 //
 // The coordinator merges frameTrial streams through campaign.Merger, which
 // feeds the same reorder-buffer collector the in-process paths use: frames
 // may interleave across workers in any order, duplicates from reassigned
-// ranges are dropped, and the merged Counts/Cycles/Records/observer stream
+// ranges are dropped, and the merged Counts/Cycles/observer stream
 // come out bit-identical to an unsharded run.
 
 // req is one coordinator→worker message; exactly one field is non-nil.
@@ -47,10 +54,43 @@ type hello struct {
 }
 
 // specIntro introduces a campaign spec under an id all later rangeReqs use.
+// Build is the coordinator's harnessBuild(): a worker that knows its own
+// build and finds it differs refuses the campaign with a frameErr naming
+// both, since its trials would silently differ.
 type specIntro struct {
-	CID  int
-	Spec campaign.Spec
+	CID   int
+	Spec  campaign.Spec
+	Build string
 }
+
+// harnessBuild names the source revision this binary was built from, as the
+// Go toolchain stamps it into every binary built in a git checkout:
+// vcs.revision, plus "+modified" for a dirty tree. Every fi-* driver built
+// from one checkout shares it — fi-serve coordinating fi-campaign nodes —
+// where Spec.Key's executable hash differs between any two drivers. It is ""
+// for a binary without the stamp (go run, test binaries, a build outside a
+// checkout): such a process cannot name its build, and the check passes.
+// Two builds of one revision with different uncommitted edits share a name.
+// A variable so a test can give the worker a build.
+var harnessBuild = sync.OnceValue(func() string {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	var rev, modified string
+	for _, s := range info.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			modified = s.Value
+		}
+	}
+	if rev != "" && modified == "true" {
+		rev += "+modified"
+	}
+	return rev
+})
 
 // rangeReq assigns the trial index range [Lo, Hi) of campaign CID. Retries
 // is coordinator-side bookkeeping (how many workers died holding this range —

@@ -106,7 +106,7 @@ func (w *worker) serve(ctx context.Context) error {
 		case r.Hello != nil:
 			w.index = r.Hello.Index
 		case r.Spec != nil:
-			w.specs[r.Spec.CID] = r.Spec.Spec
+			w.introduce(r.Spec)
 		case r.Range != nil:
 			w.runRange(ctx, r.Range)
 			if ctx.Err() != nil {
@@ -118,6 +118,21 @@ func (w *worker) serve(ctx context.Context) error {
 			}
 		}
 	}
+}
+
+// introduce records a campaign spec, unless the coordinator and this worker
+// both name their harness build and the names differ: then the worker runs
+// another revision, whose trials would silently differ, and it refuses the
+// campaign instead (the range that follows is refused too, as one for an
+// unknown campaign id).
+func (w *worker) introduce(in *specIntro) {
+	if own := harnessBuild(); own != "" && in.Build != "" && own != in.Build {
+		w.send(&frame{Kind: frameErr, CID: in.CID, Err: fmt.Sprintf(
+			"shard: worker %d runs harness build %s, the coordinator %s",
+			w.index, own, in.Build)})
+		return
+	}
+	w.specs[in.CID] = in.Spec
 }
 
 // tearWriter is the stdio chaos seam for torn frames: when a

@@ -46,10 +46,10 @@ func TestChiSquaredSurvivalKnownValues(t *testing.T) {
 		df   int
 		want float64
 	}{
-		{5.991, 2, 0.05},  // 95th percentile, df=2
-		{9.210, 2, 0.01},  // 99th percentile, df=2
-		{3.841, 1, 0.05},  // 95th percentile, df=1
-		{0, 2, 1.0},       // zero statistic
+		{5.991, 2, 0.05}, // 95th percentile, df=2
+		{9.210, 2, 0.01}, // 99th percentile, df=2
+		{3.841, 1, 0.05}, // 95th percentile, df=1
+		{0, 2, 1.0},      // zero statistic
 		{13.816, 2, 0.001},
 	}
 	for _, c := range cases {

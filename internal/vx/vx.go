@@ -143,21 +143,21 @@ const FlagsBits = 4
 type Cond uint8
 
 const (
-	CondE  Cond = iota // ZF
-	CondNE             // !ZF
-	CondL              // SF            (signed less, from CMPQ's ZF/SF encoding)
-	CondLE             // SF || ZF
-	CondG              // !(SF || ZF)
-	CondGE             // !SF
-	CondB              // CF            (unsigned below / FP ordered-less via operand swap)
-	CondBE             // CF || ZF
-	CondA              // !(CF || ZF)
-	CondAE             // !CF
-	CondP              // PF (unordered)
-	CondNP             // !PF
-	CondEO             // ZF && !PF (FP ordered-equal; fused x64 sete+setnp idiom)
-	CondNEU            // !ZF || PF (FP unordered-not-equal)
-	CondONE            // !ZF && !PF (FP ordered-not-equal; fused setne+setnp idiom)
+	CondE   Cond = iota // ZF
+	CondNE              // !ZF
+	CondL               // SF            (signed less, from CMPQ's ZF/SF encoding)
+	CondLE              // SF || ZF
+	CondG               // !(SF || ZF)
+	CondGE              // !SF
+	CondB               // CF            (unsigned below / FP ordered-less via operand swap)
+	CondBE              // CF || ZF
+	CondA               // !(CF || ZF)
+	CondAE              // !CF
+	CondP               // PF (unordered)
+	CondNP              // !PF
+	CondEO              // ZF && !PF (FP ordered-equal; fused x64 sete+setnp idiom)
+	CondNEU             // !ZF || PF (FP unordered-not-equal)
+	CondONE             // !ZF && !PF (FP ordered-not-equal; fused setne+setnp idiom)
 	NumConds
 )
 
@@ -253,7 +253,7 @@ const (
 	XORPD // bitwise on FP regs (zeroing, sign flip, fault flips)
 
 	// Conversions.
-	CVTSI2SD // f = double(int r)
+	CVTSI2SD  // f = double(int r)
 	CVTTSD2SI // r = int(trunc double f)
 
 	// Compares and conditional materialization.

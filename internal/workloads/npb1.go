@@ -9,7 +9,7 @@ import "repro/internal/ir"
 // as in the original's x/y/z solves.
 func BuildBT() *ir.Module {
 	m, b := newModule("BT")
-	const nb = 26 // block rows
+	const nb = 26                                        // block rows
 	m.AddGlobal(ir.Global{Name: "ab", Size: nb * 9 * 8}) // sub-diagonal blocks
 	m.AddGlobal(ir.Global{Name: "bb", Size: nb * 9 * 8}) // diagonal blocks
 	m.AddGlobal(ir.Global{Name: "cb", Size: nb * 9 * 8}) // super-diagonal blocks
@@ -141,7 +141,7 @@ func BuildBT() *ir.Module {
 		})
 		// Back substitution: x[i] = dp[i] − cp[i]·x[i+1] (reuse dp as x).
 		b.Loop(b.ConstI(1), b.ConstI(nb), b.ConstI(1), func(k *ir.Value) {
-			i := b.Sub(b.ConstI(nb - 1), k)
+			i := b.Sub(b.ConstI(nb-1), k)
 			ip1 := b.Add(i, b.ConstI(1))
 			b.Call("mv3", tmpV, blockAt(cp, i), vecAt(dp, ip1))
 			b.Loop(b.ConstI(0), b.ConstI(3), b.ConstI(1), func(c *ir.Value) {

@@ -10,13 +10,13 @@ func BuildLulesh() *ir.Module {
 	m, b := newModule("lulesh")
 	const nel = 26
 	const nnode = nel + 1
-	m.AddGlobal(ir.Global{Name: "xn", Size: nnode * 8})  // node positions
-	m.AddGlobal(ir.Global{Name: "vn", Size: nnode * 8})  // node velocities
-	m.AddGlobal(ir.Global{Name: "e", Size: nel * 8})     // element energy
-	m.AddGlobal(ir.Global{Name: "rho", Size: nel * 8})   // element density
-	m.AddGlobal(ir.Global{Name: "prs", Size: nel * 8})   // element pressure
-	m.AddGlobal(ir.Global{Name: "q", Size: nel * 8})     // artificial viscosity
-	m.AddGlobal(ir.Global{Name: "mass", Size: nel * 8})  // element mass
+	m.AddGlobal(ir.Global{Name: "xn", Size: nnode * 8}) // node positions
+	m.AddGlobal(ir.Global{Name: "vn", Size: nnode * 8}) // node velocities
+	m.AddGlobal(ir.Global{Name: "e", Size: nel * 8})    // element energy
+	m.AddGlobal(ir.Global{Name: "rho", Size: nel * 8})  // element density
+	m.AddGlobal(ir.Global{Name: "prs", Size: nel * 8})  // element pressure
+	m.AddGlobal(ir.Global{Name: "q", Size: nel * 8})    // artificial viscosity
+	m.AddGlobal(ir.Global{Name: "mass", Size: nel * 8}) // element mass
 
 	// eos(): p = (γ−1)·ρ·e with γ = 1.4; artificial viscosity for
 	// compressing elements.

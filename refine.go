@@ -14,8 +14,7 @@
 // Fault-injection tools are pluggable Injector values resolved through a
 // registry (ToolByName, Registered); the paper's three tools plus the
 // REFINE2 double-bit-flip variant are pre-registered. Campaigns stream
-// results through WithObserver or buffer them with WithRecords, and cancel
-// cleanly through the context. Where a campaign runs is the caller's choice
+// results through WithObserver and cancel cleanly through the context. Where a campaign runs is the caller's choice
 // of call, not an option: Run(ctx) executes in this process, and
 // ShardPool.Run(ctx, campaign) executes the same campaign on worker
 // processes.
@@ -168,10 +167,8 @@ var (
 	// WithCache selects the build/profile cache; nil forces a fresh build.
 	WithCache = campaign.WithCache
 	// WithObserver streams trial results in trial order as the campaign
-	// runs — million-trial campaigns need no Records buffer.
+	// runs; a Result holds only aggregates.
 	WithObserver = campaign.WithObserver
-	// WithRecords buffers every TrialResult in Result.Records.
-	WithRecords = campaign.WithRecords
 	// WithExecutor schedules the campaign on a shared work-stealing
 	// executor (see NewExecutor) instead of a private one of WithWorkers
 	// workers; concurrent campaigns interleave at trial granularity with
