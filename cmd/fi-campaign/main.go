@@ -38,7 +38,8 @@
 //
 // -shards N fans every campaign out across N worker OS processes — this
 // binary re-exec'd as a worker (marked through the environment; a gob job
-// stream on stdin, (index, TrialResult) frames on stdout) — scaling past
+// stream in and (index, TrialResult) frames out on an inherited socket,
+// which closes when the coordinator dies, so the worker exits) — scaling past
 // GOMAXPROCS the way the paper's cluster campaigns do (§A.4). Results are
 // bit-identical to an in-process run for any shard count; combine with
 // -cache-dir so only the first worker per app×tool builds and warm reruns

@@ -12,7 +12,8 @@
 //
 // Submissions co-schedule as tenants of one shared shard worker pool
 // (-shards local re-exec'd workers, or -shard-nodes remote fi-campaign
-// -shard-listen nodes); -shards 0 without nodes runs campaigns in-process.
+// -shard-listen nodes — each worker a session on a socket, served alike);
+// -shards 0 without nodes runs campaigns in-process.
 // -cache-dir shares one content-addressed build cache across every tenant
 // (and overrides whatever CacheDir clients put in their specs); -journal
 // makes finished trials survive daemon restarts — a resubmitted campaign

@@ -9,7 +9,6 @@
 package backoff
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
@@ -17,27 +16,15 @@ import (
 	"time"
 )
 
-// Policy bounds a retry loop.
-type Policy struct {
-	// Attempts is the total number of tries, first included (<= 1 ⇒ no
-	// retries).
-	Attempts int
-	// Base is the delay before the first retry; each subsequent retry
-	// doubles it.
-	Base time.Duration
-	// Max caps the per-retry delay (0 ⇒ uncapped).
-	Max time.Duration
-	// Jitter scales each delay by a factor in [1-Jitter, 1+Jitter) derived
-	// from a per-shard hash, de-synchronizing retry storms across workers
-	// while staying reproducible (0 ⇒ none).
-	Jitter float64
-}
-
-// Default is the harness-wide policy for transient local failures: 4 tries
-// over roughly 10+20+40 ms.
-func Default() Policy {
-	return Policy{Attempts: 4, Base: 10 * time.Millisecond, Max: 250 * time.Millisecond, Jitter: 0.25}
-}
+// The one policy, for transient local failures: 4 tries, first included,
+// over roughly 10+20+40 ms — each retry doubles the delay, and jitter scales
+// it by a factor in [1-jitter, 1+jitter) derived from a per-shard hash,
+// de-synchronizing retry storms across workers while staying reproducible.
+const (
+	attempts = 4
+	base     = 10 * time.Millisecond
+	jitter   = 0.25
+)
 
 // jitterSalt de-synchronizes retry storms across worker processes without
 // wall-clock or math/rand seeding: each shard hashes its FI_SHARD_INDEX (set
@@ -64,20 +51,13 @@ func jitterFrac(retry int) float64 {
 	return float64(h.Sum64()>>11) / float64(uint64(1)<<53)
 }
 
-// Delay returns the backoff delay before retry number retry (0-based).
-func (p Policy) Delay(retry int) time.Duration {
-	d := p.Base << uint(retry)
-	if d <= 0 { // overflow or zero base
-		d = p.Base
+// delay returns the backoff delay before retry number retry (0-based).
+func delay(retry int) time.Duration {
+	d := base << uint(retry)
+	if d <= 0 { // overflow
+		d = base
 	}
-	if p.Max > 0 && d > p.Max {
-		d = p.Max
-	}
-	if p.Jitter > 0 {
-		f := 1 + p.Jitter*(2*jitterFrac(retry)-1)
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	return time.Duration(float64(d) * (1 + jitter*(2*jitterFrac(retry)-1)))
 }
 
 // permanent wraps an error that must not be retried.
@@ -95,23 +75,12 @@ func Permanent(err error) error {
 	return permanent{err}
 }
 
-// Retry runs op up to p.Attempts times, sleeping the policy's backoff
-// between tries, until it succeeds, returns a Permanent error, or the
-// context is cancelled. The returned error is the last attempt's (wrapped
-// Permanent errors are unwrapped); a cancelled context returns ctx.Err().
-// A nil ctx behaves like context.Background().
-func Retry(ctx context.Context, p Policy, op func() error) error {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
+// Retry runs op up to 4 times, sleeping the backoff between tries, until it
+// succeeds or returns a Permanent error. The returned error is the last
+// attempt's (wrapped Permanent errors are unwrapped).
+func Retry(op func() error) error {
 	var err error
 	for i := 0; i < attempts; i++ {
-		if ctx != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
 		if err = op(); err == nil {
 			return nil
 		}
@@ -119,23 +88,8 @@ func Retry(ctx context.Context, p Policy, op func() error) error {
 		if errors.As(err, &perm) {
 			return perm.err
 		}
-		if i == attempts-1 {
-			break
-		}
-		d := p.Delay(i)
-		if d <= 0 {
-			continue
-		}
-		if ctx == nil || ctx.Done() == nil {
-			time.Sleep(d)
-			continue
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
+		if i < attempts-1 {
+			time.Sleep(delay(i))
 		}
 	}
 	return err

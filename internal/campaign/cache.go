@@ -258,12 +258,6 @@ const diskFormatVersion = 5
 // plausible artifact — on every warm run.
 const checksumLen = sha256.Size
 
-// diskRetry bounds the retry loop around disk reads and writes: transient
-// failures (a busy file, an injected chaos error) are retried with
-// exponential backoff; corruption is never retried — it is deterministic
-// and goes straight to quarantine.
-var diskRetry = backoff.Default()
-
 type fpKey struct {
 	app     string
 	memSize int64
@@ -395,7 +389,7 @@ func (c *Cache) storeDiskEntry(path string, bin *Binary, prof *Profile) {
 // gob payload past the checksum.
 func (c *Cache) readPayload(path, seam string) ([]byte, bool) {
 	var data []byte
-	err := backoff.Retry(nil, diskRetry, func() error {
+	err := backoff.Retry(func() error {
 		if err := chaos.Err(seam); err != nil {
 			return err
 		}
@@ -429,7 +423,7 @@ func (c *Cache) readPayload(path, seam string) ([]byte, bool) {
 // post-rename corruption injection point for the quarantine tests.
 func (c *Cache) writePayload(path string, payload []byte, seam, storedSeam string) {
 	sum := sha256.Sum256(payload)
-	err := backoff.Retry(nil, diskRetry, func() error {
+	err := backoff.Retry(func() error {
 		if err := chaos.Err(seam); err != nil {
 			return err
 		}

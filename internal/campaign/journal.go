@@ -200,7 +200,7 @@ func (j *Journal) Append(key string, index int, tr TrialResult) error {
 	chaos.Point("campaign.journal.append")
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	err := backoff.Retry(nil, diskRetry, func() error {
+	err := backoff.Retry(func() error {
 		if err := chaos.Err("campaign.journal.write"); err != nil {
 			return err
 		}

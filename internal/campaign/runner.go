@@ -107,10 +107,10 @@ func WithTrialRange(lo, hi int) Option {
 
 // WithPrecision replaces the fixed trial count with sequential Wilson-CI
 // stopping (stats.Sequential): the campaign stops at the first trial-count
-// batch boundary where every outcome class's Wilson interval has half-width
-// at most margin at z-score z (z = 0 ⇒ stats.Z95). WithTrials still bounds
-// the campaign — precision can only stop it early, never extend it — and
-// Result.Trials reports the delivered count.
+// batch boundary where every outcome class's 95% Wilson interval has
+// half-width at most margin. WithTrials still bounds the campaign —
+// precision can only stop it early, never extend it — and Result.Trials
+// reports the delivered count.
 //
 // The stop index is a pure function of the delivered in-order trial prefix,
 // evaluated only at stats.DefaultBatch boundaries during ordered delivery,
@@ -120,13 +120,13 @@ func WithTrialRange(lo, hi int) Option {
 // trials beyond it are discarded undelivered (the observer never sees them).
 //
 // margin ≤ 0 disables precision stopping (the fixed -trials behavior).
-func WithPrecision(margin, z float64) Option {
+func WithPrecision(margin float64) Option {
 	return func(c *Campaign) {
 		if margin <= 0 {
 			c.precision = nil
 			return
 		}
-		c.precision = &stats.Sequential{Margin: margin, Z: z}
+		c.precision = &stats.Sequential{Margin: margin}
 	}
 }
 

@@ -12,7 +12,7 @@
 //	chaos.Point("shard.worker.range")         // may hang, sleep, or kill the process
 //	chaos.PointN("shard.worker.trial", i)     // same, matchable on the trial index
 //	if err := chaos.Err("campaign.cache.load"); err != nil { ... }
-//	if chaos.Tearing("shard.worker.send") { /* write a partial frame, then die */ }
+//	if chaos.Tearing("shard.transport.send") { /* write a partial frame, then close */ }
 //	chaos.Corrupt("campaign.cache.stored", path)  // may truncate / bit-flip the file
 //
 // When nothing is armed every call is a single atomic load, so production
@@ -67,9 +67,8 @@ type Kind uint8
 
 const (
 	// Hang blocks the calling goroutine forever (a silent worker: the
-	// process stays alive but makes no progress — SIGTERM's context
-	// cancellation cannot unwedge it, forcing the coordinator's kill
-	// escalation).
+	// process stays alive but makes no progress, so only the coordinator's
+	// progress deadline and stop end it).
 	Hang Kind = iota
 	// Crash exits the process with code 3 (an abrupt but flushing death).
 	Crash
@@ -81,7 +80,7 @@ const (
 	// Sleep delays the calling goroutine (a slow worker / slow disk).
 	Sleep
 	// Tear makes Tearing report true: the caller is expected to emit a
-	// partial write and die, simulating a torn stdio frame.
+	// partial write and close its stream, simulating a torn frame.
 	Tear
 	// Truncate makes Corrupt cut the named file in half (a torn cache
 	// write / partial flush hitting disk).
@@ -294,8 +293,8 @@ func act(name string, f *Fault) {
 	switch f.Kind {
 	case Hang:
 		// Block forever: a silent worker. Deliberately ignores context and
-		// signals — only process death (the coordinator's kill escalation)
-		// ends it.
+		// signals — only process death (the coordinator's stop of a
+		// condemned worker) ends it.
 		select {}
 	case Crash:
 		fmt.Fprintf(os.Stderr, "chaos: %s: injected crash\n", name)
@@ -346,8 +345,8 @@ func Err(name string) error {
 }
 
 // Tearing reports whether a tear fault fires at this hit: the caller is
-// expected to emit a partial write and terminate the process, simulating a
-// torn frame on a pipe or a half-flushed file.
+// expected to emit a partial write and close its stream, simulating a torn
+// frame on a socket or a half-flushed file.
 func Tearing(name string) bool {
 	loadEnv()
 	f := fire(name, -1)

@@ -181,7 +181,7 @@ func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 					campaign.WithBuildOptions(cfg.Build),
 					campaign.WithCache(cache),
 					campaign.WithJournal(cfg.Journal),
-					campaign.WithPrecision(cfg.Precision, 0),
+					campaign.WithPrecision(cfg.Precision),
 				))
 				mu.Lock()
 				defer mu.Unlock()

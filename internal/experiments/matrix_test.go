@@ -129,7 +129,7 @@ func (x *cell) ran() bool { return x.col.cancelAt >= 0 }
 func (x *cell) opts(extra ...campaign.Option) []campaign.Option {
 	o := []campaign.Option{campaign.WithTrials(x.col.trials), campaign.WithSeed(x.seed)}
 	if x.col.precision {
-		o = append(o, campaign.WithPrecision(precMargin, 0))
+		o = append(o, campaign.WithPrecision(precMargin))
 	}
 	return append(o, extra...)
 }
@@ -302,6 +302,8 @@ func (m *matrix) rows() []row {
 		{name: "composed-edited", run: m.composedRun(true)},
 		{name: "range-union", noPrecision: true, run: m.rangeUnion},
 		{name: "journal-resumed", run: m.resumed},
+		// The stdio-N rows run local workers: each a socket session, like the
+		// tcp-N rows' (the names keep the test ids of the old pipe transport).
 		{name: "stdio-1", registry: true, run: m.onPool(1, false, false)},
 		{name: "stdio-2", registry: true, run: m.onPool(2, false, true)},
 		{name: "stdio-4", registry: true, run: m.onPool(4, false, false)},
@@ -463,7 +465,7 @@ func (m *matrix) resumed(t *testing.T, x *cell) (*campaign.Result, error) {
 	return res, err
 }
 
-// onPool runs cells on a stdio or TCP pool of n workers, opened once for the
+// onPool runs cells on a local or TCP pool of n workers, opened once for the
 // row. A warm row's workers restore every artifact from a directory another
 // process built into, and build nothing.
 func (m *matrix) onPool(n int, tcp, warm bool) door {
@@ -651,7 +653,7 @@ func (m *matrix) reference(t *testing.T, app campaign.App, seed uint64, col colu
 		campaign.WithWorkers(1), campaign.WithCache(nil),
 		campaign.WithObserver(func(_ int, tr campaign.TrialResult) { ref.trs = append(ref.trs, tr) })}
 	if col.precision {
-		opts = append(opts, campaign.WithPrecision(precMargin, 0))
+		opts = append(opts, campaign.WithPrecision(precMargin))
 	}
 	var err error
 	if ref.Result, err = campaign.New(app, col.tool, opts...).Run(context.Background()); err != nil {

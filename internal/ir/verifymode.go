@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"os"
 	"testing"
 )
 
@@ -28,26 +27,16 @@ func (e *VerifyError) Error() string {
 func (e *VerifyError) Unwrap() error { return e.Err }
 
 // verifyEach gates inter-pass verification: IR checks between every opt pass
-// and after legalization, plus the MIR checkpoints in the backend. On by
-// default in test binaries (every `go test` run exercises the full pipeline
-// with checks on); production binaries keep the checks off unless FI_VERIFY_IR
-// or an explicit flag (refinec -verify-ir) turns them on, since builds are
-// content-cached and the steady-state cost would be pure overhead.
-var verifyEach = defaultVerifyEach()
-
-func defaultVerifyEach() bool {
-	switch os.Getenv("FI_VERIFY_IR") {
-	case "1", "true", "on":
-		return true
-	case "0", "false", "off":
-		return false
-	}
-	return testing.Testing()
-}
+// and after legalization, plus the MIR checkpoints in the backend. On in test
+// binaries (every `go test` run exercises the full pipeline with checks on);
+// production binaries keep the checks off unless a flag (refinec -verify-ir)
+// turns them on, since builds are content-cached and the steady-state cost
+// would be pure overhead.
+var verifyEach = testing.Testing()
 
 // VerifyEachEnabled reports whether inter-pass pipeline verification is on.
 func VerifyEachEnabled() bool { return verifyEach }
 
-// SetVerifyEach overrides the FI_VERIFY_IR / test-binary default (used by
-// refinec's -verify-ir flag). Not safe to toggle concurrently with builds.
+// SetVerifyEach overrides the test-binary default (used by refinec's
+// -verify-ir flag). Not safe to toggle concurrently with builds.
 func SetVerifyEach(on bool) { verifyEach = on }

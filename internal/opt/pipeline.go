@@ -79,9 +79,9 @@ var legalizePasses = []funcPass{
 }
 
 // runPasses applies the pass list to one function. With inter-pass
-// verification enabled (test binaries, FI_VERIFY_IR, refinec -verify-ir) the
-// function is re-verified after every pass and a failure panics with a
-// *ir.VerifyError naming the offending pass.
+// verification enabled (test binaries, refinec -verify-ir) the function is
+// re-verified after every pass and a failure panics with a *ir.VerifyError
+// naming the offending pass.
 func runPasses(f *ir.Func, prefix string, passes []funcPass) {
 	verify := ir.VerifyEachEnabled()
 	for _, p := range passes {

@@ -25,8 +25,8 @@ import (
 
 // runPool runs one campaign over a fresh 2-worker pool, returning the result
 // and the pool's death count. A non-zero stall fixes the silent-worker
-// deadline and grace the SIGTERM→SIGKILL escalation (shard.SetDeadlines).
-func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall, grace time.Duration) (observed, int) {
+// deadline (shard.SetDeadlines).
+func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall time.Duration) (observed, int) {
 	t.Helper()
 	p, err := shard.NewPool(2)
 	if err != nil {
@@ -34,7 +34,7 @@ func runPool(t *testing.T, app campaign.App, trials int, seed uint64, stall, gra
 	}
 	defer p.Close()
 	if stall > 0 {
-		shard.SetDeadlines(p, stall, grace)
+		shard.SetDeadlines(p, stall)
 	}
 	var o observed
 	o.Result, err = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
@@ -73,7 +73,7 @@ func TestChaosWorkerCrashReassigned(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 31)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.range:crash:w=0")
-	res, deaths := runPool(t, app, trials, 31, 0, 0)
+	res, deaths := runPool(t, app, trials, 31, 0)
 	assertIdentical(t, res, ref, "crash")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the crashed worker", deaths)
@@ -85,8 +85,8 @@ func TestChaosWorkerCrashReassigned(t *testing.T) {
 
 // TestChaosHungWorkerKilledAndReassigned: worker 0 hangs inside its first
 // range, alive but sending no frame. The coordinator must notice that nothing
-// has refreshed its range deadline, SIGTERM then SIGKILL the worker, and
-// finish bit-identically.
+// has refreshed its range deadline, stop the worker (close its session and
+// kill its process), and finish bit-identically.
 func TestChaosHungWorkerKilledAndReassigned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes and waits out a stall deadline")
@@ -96,16 +96,17 @@ func TestChaosHungWorkerKilledAndReassigned(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 33)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.range:hang:w=0")
-	res, deaths := runPool(t, app, trials, 33, 1200*time.Millisecond, 200*time.Millisecond)
+	res, deaths := runPool(t, app, trials, 33, 1200*time.Millisecond)
 	assertIdentical(t, res, ref, "hang")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the hung worker", deaths)
 	}
 }
 
-// TestChaosTornFrameRecovered: worker 0 writes half a gob frame and dies.
-// The coordinator's decoder fails mid-stream; the worker is reaped like any
-// death and its range re-executes — no partial frame ever reaches the merger.
+// TestChaosTornFrameRecovered: worker 0 writes half a gob frame and closes
+// its session. The coordinator's decoder fails mid-stream; the worker is
+// reaped like any death and its range re-executes — no partial frame ever
+// reaches the merger.
 func TestChaosTornFrameRecovered(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -114,8 +115,8 @@ func TestChaosTornFrameRecovered(t *testing.T) {
 	app := mustApp(t, "CG")
 	ref := baseline(t, app, campaign.REFINE, trials, 35)
 
-	t.Setenv(chaos.EnvVar, "shard.worker.send:tear:w=0")
-	res, deaths := runPool(t, app, trials, 35, 0, 0)
+	t.Setenv(chaos.EnvVar, "shard.transport.send:tear:w=0")
+	res, deaths := runPool(t, app, trials, 35, 0)
 	assertIdentical(t, res, ref, "tear")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the torn worker", deaths)
@@ -133,7 +134,7 @@ func TestChaosSlowWorkerNotKilled(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 37)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.range:sleep:ms=300:w=0")
-	res, deaths := runPool(t, app, trials, 37, 5*time.Second, 2*time.Second)
+	res, deaths := runPool(t, app, trials, 37, 5*time.Second)
 	assertIdentical(t, res, ref, "slow")
 	if deaths != 0 {
 		t.Fatalf("slow worker was killed: %d deaths", deaths)
@@ -156,7 +157,7 @@ func TestChaosDeterministicCrashBecomesHarnessFault(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 39)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.trial:crash:at=30:count=9999")
-	res, deaths := runPool(t, app, trials, 39, 0, 0)
+	res, deaths := runPool(t, app, trials, 39, 0)
 
 	if res.Counts.HarnessFault != 1 {
 		t.Fatalf("Counts.HarnessFault = %d, want exactly the poison trial", res.Counts.HarnessFault)
@@ -200,7 +201,7 @@ func TestChaosGiveUpSettlesAfterDelivery(t *testing.T) {
 	ref := baseline(t, app, campaign.REFINE, trials, 47)
 
 	t.Setenv(chaos.EnvVar, "shard.worker.trial:crash:at=3:count=9999")
-	res, _ := runPool(t, app, trials, 47, 0, 0)
+	res, _ := runPool(t, app, trials, 47, 0)
 	if res.Trials != trials || res.Counts.HarnessFault != 1 || len(res.trs) != trials {
 		t.Fatalf("%d trials, %+v, observer saw %d: want all %d with one harness fault",
 			res.Trials, res.Counts, len(res.trs), trials)

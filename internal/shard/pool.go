@@ -1,10 +1,11 @@
 // Package shard fans campaigns out across worker processes and machines: a
-// coordinator dials workers through a Transport — re-execing this same
-// binary over stdio (the single-machine default, marked by the
-// FI_SHARD_WORKER environment variable), or TCP sessions to long-lived
-// worker nodes (fi-campaign -shard-listen / NewTCPPool) — partitions each
-// campaign's trial index space into claimable ranges, and merges the
-// workers' trial streams back through the campaign collector.
+// coordinator holds one session per worker on a stream socket — a socketpair
+// to this same binary re-exec'd as a local worker (the single-machine
+// default, marked by the FI_SHARD_WORKER environment variable), or a TCP
+// connection to a long-lived worker node (fi-campaign -shard-listen /
+// NewTCPPool), served alike — partitions each campaign's trial index space
+// into claimable ranges, and merges the workers' trial streams back through
+// the campaign collector.
 //
 // Guarantees, in the same contract language as internal/sched:
 //
@@ -12,11 +13,11 @@
 //     what it computes — trial i is always seeded TrialSeed(seed, tool, i),
 //     frames are merged through the order-deterministic collector, and
 //     Counts, Cycles and the observer stream are bit-identical to an
-//     in-process run for any shard count and either transport (the
-//     equivalence matrix in internal/experiments runs shards ∈ {1, 2, 4}
-//     over stdio and TCP against one in-process reference). A worker built
-//     from another revision would compute other trials, so it refuses any
-//     campaign from a coordinator whose harness build names another one.
+//     in-process run for any shard count, local or remote (the equivalence
+//     matrix in internal/experiments runs shards ∈ {1, 2, 4} on local
+//     workers and on TCP nodes against one in-process reference). A worker
+//     built from another revision would compute other trials, so it refuses
+//     any campaign from a coordinator whose harness build names another one.
 //
 //   - Cache sharing: workers given the same cache directory share one
 //     content-addressed disk cache; the first process to build an app×tool
@@ -42,20 +43,19 @@
 //     result exactly as the in-process runner does. Other campaigns on the
 //     pool are unaffected.
 //
-//   - Resilience: a worker that dies mid-range (SIGTERM, crash, SIGKILL,
-//     torn frame, dropped connection, dead worker node) has its claimed
-//     range reassigned to a live worker — duplicate frames from the dead
-//     worker's partial delivery are dropped by the merger — and a
-//     replacement worker is dialed under a bounded budget. A worker that
-//     goes *silent* (alive but making no progress) is detected by the
-//     monitor — every frame a worker sends refreshes its range deadline —
-//     then terminated (SIGTERM, or a connection close for TCP) and, after a
-//     grace period, killed, feeding the same reassignment path. A range
-//     that keeps killing workers is split into single-trial ranges to
-//     isolate the poison trial, and a single trial that exhausts its retry
-//     budget is recorded as a fault.HarnessFault outcome instead of looping
-//     forever. All of this is exercised deterministically by the chaos
-//     suite (internal/chaos).
+//   - Resilience: a worker that dies mid-range (crash, SIGKILL, torn frame,
+//     dropped connection, dead worker node) has its claimed range reassigned
+//     to a live worker — duplicate frames from the dead worker's partial
+//     delivery are dropped by the merger — and a replacement worker is
+//     dialed under a bounded budget. A worker that goes *silent* (alive but
+//     making no progress) is detected by the monitor — every frame a worker
+//     sends refreshes its range deadline — and stopped: its session is
+//     closed (and a local worker's process killed), feeding the same
+//     reassignment path. A range that keeps killing workers is split into
+//     single-trial ranges to isolate the poison trial, and a single trial
+//     that exhausts its retry budget is recorded as a fault.HarnessFault
+//     outcome instead of looping forever. All of this is exercised
+//     deterministically by the chaos suite (internal/chaos).
 //
 // Pool.Run is the only way a campaign reaches the workers: callers open a
 // pool (NewPool, NewTCPPool, or OpenPool from the fi-* drivers' -shards /
@@ -64,11 +64,9 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -97,7 +95,6 @@ const (
 
 const (
 	defaultStall = 30 * time.Second
-	defaultGrace = 2 * time.Second
 	// slowInstrPerSec is the pessimistic VM throughput floor used to derive
 	// a per-trial progress deadline from the cost model's trial budget; the
 	// real VM is orders of magnitude faster, so only a genuinely wedged
@@ -105,22 +102,17 @@ const (
 	slowInstrPerSec = 8 << 20
 )
 
-// spawnRetry bounds worker spawn attempts (fork/exec and network dials can
-// fail transiently under fd, pid, or connection pressure).
-var spawnRetry = backoff.Default()
-
-// Pool is a set of live worker connections campaigns fan out over. Create
-// with NewPool (stdio re-exec workers) or NewTCPPool (remote worker nodes),
+// Pool is a set of live worker sessions campaigns fan out over. Create with
+// NewPool (local re-exec'd workers) or NewTCPPool (remote worker nodes),
 // run any number of campaigns through Run — concurrently if you like; the
 // pool round-robins range assignment across active campaigns — and Close to
 // drain and reap the workers.
 type Pool struct {
 	runMu sync.RWMutex // Run holds the read side for its duration; Close excludes
 
-	transport  Transport
-	stall      time.Duration // silent-worker deadline floor
-	stallFixed bool          // tests: stall is the deadline, no cost-model scale-up
-	grace      time.Duration // terminate → kill escalation grace
+	dial       func(index int) (*conn, error) // one worker session (dialLocal, dialNode)
+	stall      time.Duration                  // silent-worker deadline floor
+	stallFixed bool                           // tests: stall is the deadline, no cost-model scale-up
 
 	mu            sync.Mutex
 	workers       []*proc
@@ -134,12 +126,12 @@ type Pool struct {
 	deaths        int
 }
 
-// proc is one worker connection and its coordinator-side bookkeeping.
+// proc is one worker session and its coordinator-side bookkeeping.
 type proc struct {
 	index       int // shard index: stderr prefix, chaos w= filter
-	conn        Conn
+	conn        *conn
 	dead        bool
-	condemned   bool      // monitor declared it hung; kill escalation running
+	condemned   bool      // monitor declared it hung and stopped it
 	cur         *rangeReq // outstanding assignment (nil ⇒ idle)
 	lastAdvance time.Time // last frame received (or range assigned)
 	knows       map[int]bool
@@ -164,62 +156,14 @@ type runState struct {
 	finished  chan struct{}
 }
 
-// prefixWriter tags every stderr line a worker writes with its shard index,
-// so interleaved multi-worker diagnostics stay attributable.
-type prefixWriter struct {
-	mu     sync.Mutex
-	dst    io.Writer
-	prefix string
-	buf    []byte // partial line carried across writes
-}
-
-func (pw *prefixWriter) Write(b []byte) (int, error) {
-	pw.mu.Lock()
-	defer pw.mu.Unlock()
-	pw.buf = append(pw.buf, b...)
-	for {
-		i := bytes.IndexByte(pw.buf, '\n')
-		if i < 0 {
-			break
-		}
-		io.WriteString(pw.dst, pw.prefix)
-		pw.dst.Write(pw.buf[:i+1])
-		pw.buf = pw.buf[i+1:]
-	}
-	if len(pw.buf) > 4096 { // don't buffer a runaway unterminated line
-		io.WriteString(pw.dst, pw.prefix)
-		pw.dst.Write(pw.buf)
-		io.WriteString(pw.dst, "\n")
-		pw.buf = pw.buf[:0]
-	}
-	return len(b), nil
-}
-
-// NewPool spawns n worker processes (n < 1 ⇒ 1) by re-executing this
-// binary with the worker marker set. Workers idle until Run assigns ranges
-// and survive across campaigns until Close.
-//
-// Spawns are retried with bounded backoff. If no worker at all can be
-// spawned NewPool fails fast with an error naming the executable and worker
-// index; if some spawned, the pool degrades to the partial fleet with a
-// warning (results are unaffected — workers only decide where trials run).
-func NewPool(n int) (*Pool, error) {
-	t, err := newStdioTransport()
-	if err != nil {
-		return nil, err
-	}
-	return newPool(n, t)
-}
-
-// newPool fields n workers (n < 1 ⇒ 1) over the given transport.
-func newPool(n int, t Transport) (*Pool, error) {
+// newPool fields n workers (n < 1 ⇒ 1), each a session from dial.
+func newPool(n int, dial func(index int) (*conn, error)) (*Pool, error) {
 	if n < 1 {
 		n = 1
 	}
 	p := &Pool{
-		transport:     t,
+		dial:          dial,
 		stall:         defaultStall,
-		grace:         defaultGrace,
 		respawnBudget: 2 * n,
 	}
 	var spawnErr error
@@ -243,29 +187,30 @@ func newPool(n int, t Transport) (*Pool, error) {
 	return p, nil
 }
 
-// spawnWorker dials one worker connection (with bounded retry) and starts its
-// reader. The caller appends it to p.workers.
+// spawnWorker dials one worker session (with bounded retry: fork/exec and
+// network dials can fail transiently under fd, pid or connection pressure)
+// and starts its reader. The caller appends it to p.workers.
 func (p *Pool) spawnWorker() (*proc, error) {
 	p.mu.Lock()
 	idx := p.nextIndex
 	p.nextIndex++
 	p.mu.Unlock()
 	var w *proc
-	err := backoff.Retry(nil, spawnRetry, func() error {
+	err := backoff.Retry(func() error {
 		if err := chaos.Err("shard.pool.spawn"); err != nil {
 			return err
 		}
-		conn, err := p.transport.Dial(idx)
+		c, err := p.dial(idx)
 		if err != nil {
 			return err
 		}
-		w = &proc{index: idx, conn: conn,
+		w = &proc{index: idx, conn: c,
 			knows: map[int]bool{}, readerDone: make(chan struct{}), lastAdvance: time.Now()}
 		go p.reader(w)
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("shard: spawn worker %d (%s): %w", idx, p.transport, err)
+		return nil, fmt.Errorf("shard: spawn worker %d: %w", idx, err)
 	}
 	return w, nil
 }
@@ -308,15 +253,15 @@ func (p *Pool) Deaths() int {
 }
 
 // Pids returns the worker process ids, for diagnostics and the
-// kill-a-worker reassignment tests. Transports that don't own a worker's
-// process (TCP sessions to remote nodes) contribute no entry.
+// kill-a-worker reassignment tests. Sessions on remote nodes, whose
+// processes the pool does not own, contribute no entry.
 func (p *Pool) Pids() []int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pids := make([]int, 0, len(p.workers))
 	for _, w := range p.workers {
-		if pid := w.conn.Pid(); pid != 0 {
-			pids = append(pids, pid)
+		if w.conn.cmd != nil {
+			pids = append(pids, w.conn.cmd.Process.Pid)
 		}
 	}
 	return pids
@@ -340,9 +285,9 @@ func (p *Pool) counters() (sum counters) {
 	return sum
 }
 
-// Close drains the pool: worker write sides close, workers ship their final
-// counters and exit, and their processes are reaped. Waits for every active
-// Run to settle first.
+// Close drains the pool: every session is half-closed and read to EOF, so
+// the workers' final counters arrive, then local worker processes are killed
+// and reaped. Waits for every active Run to settle first.
 func (p *Pool) Close() {
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
@@ -355,11 +300,11 @@ func (p *Pool) Close() {
 	ws := append([]*proc(nil), p.workers...)
 	p.mu.Unlock()
 	for _, w := range ws {
-		w.conn.CloseWrite()
+		w.conn.closeWrite()
 	}
 	for _, w := range ws {
-		<-w.readerDone // all frames consumed (a child's Wait requires it)
-		w.conn.Wait()
+		<-w.readerDone // all frames consumed
+		w.conn.release()
 	}
 }
 
@@ -510,11 +455,9 @@ func (p *Pool) rangeDeadline(run *runState) time.Duration {
 
 // monitor is the per-run hung-worker detector: workers holding one of this
 // run's ranges must send a frame within the range deadline, or they are
-// condemned and terminated — politely first (SIGTERM, or the conn close that
-// is TCP's equivalent: a live-but-slow worker drains its prefix and exits),
-// then killed after the grace period (a truly wedged worker ignores the
-// polite stop: its trial loop never reaches the context check). Death then
-// feeds the ordinary reassignment path. It exits when the run settles.
+// condemned and stopped (conn.stop). Their reader then sees the session
+// close and feeds the ordinary reassignment path. It exits when the run
+// settles.
 func (p *Pool) monitor(run *runState) {
 	t := time.NewTicker(min(max(p.stall/8, 20*time.Millisecond), time.Second))
 	defer t.Stop()
@@ -538,25 +481,10 @@ func (p *Pool) monitor(run *runState) {
 		}
 		p.mu.Unlock()
 		for _, w := range victims {
-			p.terminate(w)
+			fmt.Fprintf(os.Stderr, "shard: worker %d silent past its progress deadline; stopping it\n", w.index)
+			w.conn.stop()
 		}
 	}
-}
-
-// terminate escalates on a condemned worker: a polite stop, then a kill when
-// it doesn't exit within the grace period. Reassignment happens in
-// workerGone when the reader sees the connection close.
-func (p *Pool) terminate(w *proc) {
-	fmt.Fprintf(os.Stderr, "shard: worker %d silent past its progress deadline; terminating\n", w.index)
-	w.conn.Terminate()
-	go func() {
-		select {
-		case <-w.readerDone:
-		case <-time.After(p.grace):
-			fmt.Fprintf(os.Stderr, "shard: worker %d ignored termination; killing\n", w.index)
-			w.conn.Kill()
-		}
-	}()
 }
 
 // nextAssignLocked picks the next campaign to serve, round-robin over the
@@ -588,7 +516,7 @@ func (p *Pool) nextAssignLocked() *runState {
 // campaign spec on a worker's first contact and round-robining across the
 // active campaigns (see nextAssignLocked). Caller holds p.mu. A worker holds
 // at most one outstanding range, so these small control messages can never
-// back up the pipe (the worker is parked in Decode when we write). A send
+// back up the socket (the worker is parked in Decode when we write). A send
 // failure is a broken connection — the worker is marked dead and the range
 // stays pending; reassignment to the next idle worker is the retry.
 func (p *Pool) assignLocked() {
@@ -603,13 +531,13 @@ func (p *Pool) assignLocked() {
 		r := run.pending[0]
 		if !w.knows[run.cid] {
 			intro := &specIntro{CID: run.cid, Spec: run.spec, Build: harnessBuild()}
-			if err := w.conn.Send(&req{Spec: intro}); err != nil {
+			if err := w.conn.send(&req{Spec: intro}); err != nil {
 				w.dead = true // reader EOF will reap it; range stays pending
 				continue
 			}
 			w.knows[run.cid] = true
 		}
-		if err := w.conn.Send(&req{Range: &r}); err != nil {
+		if err := w.conn.send(&req{Range: &r}); err != nil {
 			w.dead = true
 			continue
 		}
@@ -653,14 +581,14 @@ func (p *Pool) settleAllLocked() {
 	}
 }
 
-// reader is the per-worker decode loop, alive for the connection's lifetime:
+// reader is the per-worker decode loop, alive for the session's lifetime:
 // it merges trial frames, acknowledges ranges (freeing the worker for the
 // next assignment), and on worker death requeues the outstanding range.
 func (p *Pool) reader(w *proc) {
 	defer close(w.readerDone)
 	for {
 		var f frame
-		if err := w.conn.Recv(&f); err != nil {
+		if err := w.conn.recv(&f); err != nil {
 			p.workerGone(w)
 			return
 		}
@@ -819,9 +747,9 @@ func (p *Pool) respawnWorker() {
 	if err == nil && p.closed {
 		// Closed while the respawn was in flight: retire the fresh worker.
 		p.mu.Unlock()
-		w.conn.CloseWrite()
+		w.conn.closeWrite()
 		<-w.readerDone
-		w.conn.Wait()
+		w.conn.release()
 		return
 	}
 	if err == nil {

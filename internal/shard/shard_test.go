@@ -105,7 +105,9 @@ func baseline(t *testing.T, app campaign.App, tool campaign.Tool, trials int, se
 // TestShardWorkerKilledReassigns: a worker killed mid-campaign (the crash /
 // external-SIGKILL case) must have its claimed range reassigned to a live
 // worker; the campaign completes in full, without holes or duplicates, bit-
-// identical to the unsharded run.
+// identical to the unsharded run. The kill must reach the reader as EOF at
+// once: a run that waits out the 30 s silence deadline means some process
+// still holds the dead worker's socket end.
 func TestShardWorkerKilledReassigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -137,10 +139,12 @@ func TestShardWorkerKilledReassigns(t *testing.T) {
 				syscall.Kill(pids[0], syscall.SIGKILL)
 			})
 		}))
+	start := time.Now()
 	res, err := p.Run(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertPromptDeath(t, time.Since(start))
 	if res.Trials != trials {
 		t.Fatalf("campaign completed %d/%d trials after worker kill", res.Trials, trials)
 	}
@@ -161,6 +165,16 @@ func TestShardWorkerKilledReassigns(t *testing.T) {
 		if got != i {
 			t.Fatalf("observer stream out of order after reassignment: order[%d] = %d", i, got)
 		}
+	}
+}
+
+// assertPromptDeath fails a run that took long enough to have waited out the
+// pool's 30 s silence deadline: a killed worker was noticed as silent, not
+// as a closed session.
+func assertPromptDeath(t *testing.T, took time.Duration) {
+	t.Helper()
+	if took > 10*time.Second {
+		t.Fatalf("the run took %v: the kill did not reach the reader as EOF", took)
 	}
 }
 

@@ -116,7 +116,8 @@ func runTCP(t *testing.T, addrs []string, shards int, app campaign.App, trials i
 // TestTCPNodeKilledReassigns: SIGKILL an entire worker node mid-campaign.
 // Every session dialed to it breaks at once; each orphaned range feeds the
 // ordinary reassignment path and the respawn redials the surviving node —
-// the campaign finishes bit-identical with no holes or duplicates.
+// the campaign finishes bit-identical with no holes or duplicates, and well
+// before the silence deadline would have noticed the dead sessions.
 func TestTCPNodeKilledReassigns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker-node processes")
@@ -127,9 +128,11 @@ func TestTCPNodeKilledReassigns(t *testing.T) {
 	nodes, addrs := startNodes(t, 2)
 
 	var once sync.Once
+	start := time.Now()
 	res, deaths := runTCP(t, addrs, 4, app, trials, 13, func(int) {
 		once.Do(func() { nodes[1].cmd.Process.Kill() })
 	})
+	assertPromptDeath(t, time.Since(start))
 	assertIdentical(t, res, ref, "node-kill")
 	if deaths == 0 {
 		t.Fatal("pool counted no deaths despite a killed worker node")

@@ -7,20 +7,20 @@ import (
 	"repro/internal/campaign"
 )
 
-// Wire format. Both directions are gob streams over the worker's transport —
-// the re-exec'd worker's stdio, or a TCP session to a worker node; the frames
-// are identical either way (see transport.go):
+// Wire format. Both directions are gob streams over the worker's session
+// socket — a local worker's socketpair or a TCP connection to a worker node;
+// the frames are identical either way (see transport.go):
 //
-//	coordinator → worker (stdin):  a stream of req messages — an optional
-//	    hello introduces the worker's shard index (TCP sessions only), a
-//	    specIntro introduces a campaign under a small integer id with the
-//	    coordinator's harness build (once per campaign per worker, before
-//	    its first range), a rangeReq assigns the trial index range [Lo, Hi)
-//	    of that campaign. Closing the write side tells the worker to finish up:
-//	    it ships a final frameExit with its counters and exits 0 (stdio) or
-//	    ends the session (TCP).
+//	coordinator → worker: a stream of req messages — a hello first
+//	    introduces the worker's shard index, a specIntro introduces a
+//	    campaign under a small integer id with the coordinator's harness
+//	    build (once per campaign per worker, before its first range), a
+//	    rangeReq assigns the trial index range [Lo, Hi) of that campaign.
+//	    Closing the write side tells the worker to finish up: it ships a
+//	    final frameExit with its counters and ends the session (a local
+//	    worker then exits).
 //
-//	worker → coordinator (stdout): a stream of frames. Running a range
+//	worker → coordinator: a stream of frames. Running a range
 //	    produces one frameTrial per trial — (Index, TrialResult), exactly
 //	    the order-deterministic observer's callback shape, in trial order —
 //	    then one frameProfile (first range of a campaign only; builds are
@@ -45,10 +45,8 @@ type req struct {
 	Range *rangeReq
 }
 
-// hello introduces the coordinator-assigned worker identity at the start of
-// a session. The TCP transport sends it first on every dialed connection (a
-// node can't learn its shard index from the environment the way a re-exec'd
-// stdio worker does); stdio coordinators never send it.
+// hello introduces the coordinator-assigned worker identity: the first req
+// of every session (a node learns its session's shard index no other way).
 type hello struct {
 	Index int // the pool's shard index for this worker session
 }
@@ -113,8 +111,8 @@ const (
 	frameRangeDone
 	// frameErr reports a campaign-fatal worker error (Err).
 	frameErr
-	// frameExit is the worker's sign-off after stdin closes: final
-	// counters, then process exit.
+	// frameExit is the worker's sign-off after the coordinator closes its
+	// write side: final counters, then the session ends.
 	frameExit
 )
 

@@ -3,59 +3,178 @@ package shard
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
-	"os/signal"
 	"sync"
-	"syscall"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/workloads"
 )
 
-// workerEnv marks a process as a re-exec'd shard worker. The coordinator
-// sets it when spawning os.Executable(), so the same mechanism works for the
-// fi-* drivers and for test binaries (whose TestMain calls MaybeWorker).
+// workerEnv marks a process as a re-exec'd local shard worker. The
+// coordinator sets it when spawning os.Executable(), so the same mechanism
+// works for the fi-* drivers and for test binaries (whose TestMain calls
+// MaybeWorker).
 const workerEnv = "FI_SHARD_WORKER"
 
-// MaybeWorker turns this process into a shard worker when the re-exec
-// marker is set — the stdio marker (FI_SHARD_WORKER) runs the wire protocol
-// on stdin/stdout and exits when the coordinator closes the pipe; the node
-// marker (FI_SHARD_LISTEN) serves worker sessions over TCP until killed.
-// Call it first thing in main() — and in TestMain of any test binary that
-// spawns a Pool — before flags or tests run. It returns (without side
+// workerFD is the descriptor a local worker's session socket arrives on: the
+// first of exec.Cmd.ExtraFiles.
+const workerFD = 3
+
+// listenEnv, when set, turns MaybeWorker into a TCP worker node listening on
+// the given address — how tests re-exec themselves as node processes. The
+// node prints "FI_SHARD_ADDR host:port" on stdout once the listener is up
+// (the parent reads the resolved port when asked for :0).
+const listenEnv = "FI_SHARD_LISTEN"
+
+// MaybeWorker turns this process into a shard worker when a re-exec marker
+// is set: the worker marker (FI_SHARD_WORKER) serves one session on the
+// socket inherited as fd 3 and exits when the coordinator closes it — or dies
+// with it; the node marker (FI_SHARD_LISTEN) serves sessions over TCP until
+// killed. Call it first thing in main() — and in TestMain of any test binary
+// that spawns a Pool — before flags or tests run. It returns (without side
 // effects) in ordinary processes.
 func MaybeWorker() {
-	maybeNode()
+	if addr := os.Getenv(listenEnv); addr != "" {
+		err := ListenAndServe(addr, func(a string) {
+			fmt.Fprintf(os.Stdout, "FI_SHARD_ADDR %s\n", a)
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "shard node:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
 	if os.Getenv(workerEnv) == "" {
 		return
 	}
-	if err := WorkerMain(os.Stdin, os.Stdout); err != nil {
+	f := os.NewFile(workerFD, "shard")
+	nc, err := net.FileConn(f)
+	f.Close()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "shard worker:", err)
 		os.Exit(1)
 	}
+	serveSession(nc)
 	os.Exit(0)
 }
 
-// WorkerMain runs the worker half of the wire protocol: decode spec and
-// range assignments from in, run each assigned range through the ordinary
-// campaign.New(...).Run machinery, and stream (index, TrialResult) frames
-// to out. It returns when the coordinator closes in (normal drain) or the
-// process receives SIGTERM/SIGINT — then the current range's claimed trials
-// finish shipping their contiguous prefix, a final frameExit carries the
-// counters, and the coordinator reassigns whatever was left. Every range ack
-// carries them too: the worker's cache and phase counters, summed over its
-// caches, are how the coordinator reports work it did not do.
-//
-// TCP worker-node sessions (transport_tcp.go) run the identical session loop
-// over their connection; only the stop signal differs — connection close
-// instead of SIGTERM.
-func WorkerMain(in io.Reader, out io.Writer) error {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
-	return newWorker(in, &tearWriter{w: out}).serve(ctx)
+// Node is a TCP worker node: a listener whose every accepted connection is
+// served as an independent worker session until the peer disconnects. One
+// node serves any number of coordinators and sessions concurrently; sessions
+// are as isolated as local worker processes (private in-memory caches), and
+// share builds through the content-addressed disk cache when the campaign
+// spec names a CacheDir.
+type Node struct {
+	ln net.Listener
+}
+
+// Listen opens a worker-node listener on addr ("host:port"; port 0 picks a
+// free port — read it back from Addr).
+func Listen(addr string) (*Node, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("shard: listen %s: %w", addr, err)
+	}
+	return &Node{ln: ln}, nil
+}
+
+// Addr returns the node's resolved listen address.
+func (n *Node) Addr() string { return n.ln.Addr().String() }
+
+// Close stops the listener; Serve returns. In-flight sessions finish on
+// their own connections.
+func (n *Node) Close() error { return n.ln.Close() }
+
+// Serve accepts coordinator connections until the listener closes, serving
+// each as a worker session in its own goroutine. An armed
+// shard.transport.accept fault drops the fresh connection instead of serving
+// it — the coordinator's dial succeeded but the session never speaks, so its
+// reader EOFs and the spawn retries.
+func (n *Node) Serve() error {
+	for {
+		nc, err := n.ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return nil
+			}
+			return fmt.Errorf("shard: accept: %w", err)
+		}
+		if cerr := chaos.Err("shard.transport.accept"); cerr != nil {
+			fmt.Fprintf(os.Stderr, "shard node: dropping connection: %v\n", cerr)
+			nc.Close()
+			continue
+		}
+		go serveSession(nc)
+	}
+}
+
+// ListenAndServe runs a worker node on addr until the process dies, announcing
+// the resolved address through ready (nil ⇒ a stderr line). fi-campaign
+// -shard-listen lands here.
+func ListenAndServe(addr string, ready func(addr string)) error {
+	n, err := Listen(addr)
+	if err != nil {
+		return err
+	}
+	if ready == nil {
+		ready = func(a string) { fmt.Fprintf(os.Stderr, "shard node: listening on %s\n", a) }
+	}
+	ready(n.Addr())
+	return n.Serve()
+}
+
+// serveSession runs the worker half of the wire protocol on one session —
+// a local worker's inherited socket or a connection a node accepted: decode
+// spec and range assignments, run each assigned range through the ordinary
+// campaign machinery, and stream (index, TrialResult) frames back. It
+// returns when the coordinator closes its write side (the clean drain: a
+// final frameExit carries the counters) or the session breaks. A failed send
+// cancels the session context, so a range whose frames have nowhere to go
+// stops instead of burning the worker's cores; the coordinator reassigns
+// whatever was left.
+func serveSession(nc net.Conn) {
+	defer nc.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &worker{
+		dec:    gob.NewDecoder(nc),
+		enc:    gob.NewEncoder(&tearWriter{nc: nc}),
+		cancel: cancel,
+		specs:  map[int]campaign.Spec{},
+		caches: map[string]*campaign.Cache{},
+	}
+	if err := w.serve(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "shard: worker session %d: %v\n", w.index, err)
+	}
+}
+
+// tearWriter is the worker-side chaos seam for torn frames: when a
+// shard.transport.send tear fault fires, it flushes only half of the pending
+// write and closes the session — the coordinator sees a mid-frame gob error,
+// exactly as if the worker died between two write(2) calls. A local worker
+// then exits; a node survives, only the session dies.
+type tearWriter struct{ nc net.Conn }
+
+func (t *tearWriter) Write(p []byte) (int, error) {
+	if len(p) > 1 && chaos.Tearing("shard.transport.send") {
+		t.nc.Write(p[:len(p)/2])
+		fmt.Fprintln(os.Stderr, "chaos: shard.transport.send: torn frame, closing the session")
+		t.nc.Close()
+		return 0, net.ErrClosed
+	}
+	return t.nc.Write(p)
+}
+
+// sessionClosed reports whether a session decode error is a clean peer
+// disconnect rather than a protocol failure.
+func sessionClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) ||
+		errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
 // worker is the per-session protocol state: introduced specs, one
@@ -64,34 +183,18 @@ func WorkerMain(in io.Reader, out io.Writer) error {
 type worker struct {
 	dec      *gob.Decoder
 	enc      *gob.Encoder
-	index    int // shard index from the session hello (stdio: from the env)
+	cancel   context.CancelFunc // the session context's: fired by the first failed send
+	index    int                // shard index from the session hello
 	specs    map[int]campaign.Spec
 	caches   map[string]*campaign.Cache
 	profiled map[int]bool
 
 	sendMu sync.Mutex // serializes enc: trial frames come from the executor's deliverer
 	encErr error
-
-	// onSendErr, when set, fires once when the first encode error latches —
-	// TCP sessions cancel their context here so a range whose frames have
-	// nowhere to go stops running instead of burning the node until the
-	// decode loop notices the dead conn.
-	onSendErr func()
 }
 
-// newWorker builds the session state over a decode source and an encode sink
-// (the sink is pre-wrapped with the transport's tear seam).
-func newWorker(in io.Reader, out io.Writer) *worker {
-	return &worker{
-		dec:    gob.NewDecoder(in),
-		enc:    gob.NewEncoder(out),
-		specs:  map[int]campaign.Spec{},
-		caches: map[string]*campaign.Cache{},
-	}
-}
-
-// serve is the session loop shared by stdio workers and TCP node sessions:
-// decode reqs, run ranges, stream frames until the peer goes away.
+// serve is the session loop: decode reqs, run ranges, stream frames until
+// the peer goes away.
 func (w *worker) serve(ctx context.Context) error {
 	for {
 		var r req
@@ -110,10 +213,8 @@ func (w *worker) serve(ctx context.Context) error {
 		case r.Range != nil:
 			w.runRange(ctx, r.Range)
 			if ctx.Err() != nil {
-				// Stopped (SIGTERM, or a dead conn): the claimed range drained
-				// what it could (its delivered prefix is on the wire); leave
-				// the rest to reassignment.
-				w.sendExit()
+				// The session broke mid-range: the claimed range drained what
+				// it could; leave the rest to reassignment.
 				return nil
 			}
 		}
@@ -135,21 +236,6 @@ func (w *worker) introduce(in *specIntro) {
 	w.specs[in.CID] = in.Spec
 }
 
-// tearWriter is the stdio chaos seam for torn frames: when a
-// shard.worker.send tear fault fires, it flushes only half of the pending
-// write and dies — the coordinator sees a mid-frame gob error, exactly as if
-// the worker crashed between two write(2) calls.
-type tearWriter struct{ w io.Writer }
-
-func (t *tearWriter) Write(p []byte) (int, error) {
-	if len(p) > 1 && chaos.Tearing("shard.worker.send") {
-		t.w.Write(p[:len(p)/2])
-		fmt.Fprintln(os.Stderr, "chaos: shard.worker.send: torn frame, exiting")
-		os.Exit(3)
-	}
-	return t.w.Write(p)
-}
-
 // send encodes one frame, latching the first encode error (a vanished
 // coordinator): after that the worker just drains. Safe for concurrent use.
 func (w *worker) send(f *frame) {
@@ -161,11 +247,10 @@ func (w *worker) send(f *frame) {
 	w.encErr = w.enc.Encode(f)
 	failed := w.encErr != nil
 	w.sendMu.Unlock()
-	// Fire the failure hook outside the critical section: onSendErr cancels
-	// the session context, and cancellation callbacks must never run under
-	// the same lock the trial stream sends through.
-	if failed && w.onSendErr != nil {
-		w.onSendErr()
+	// Cancel outside the critical section: cancellation callbacks must never
+	// run under the same lock the trial stream sends through.
+	if failed {
+		w.cancel()
 	}
 }
 
@@ -239,17 +324,9 @@ func (w *worker) runRange(ctx context.Context, r *rangeReq) {
 	}
 	res, err := cam.Run(ctx)
 	if err != nil {
-		if ctx.Err() != nil {
-			// Stopped mid-range: the partial prefix is already on the wire;
-			// still ship the profile (the coordinator may have no other
-			// worker that completed a range), then let the exit path report.
-			// The range itself is left for reassignment.
-			if res != nil {
-				w.sendProfile(r.CID, res.Profile)
-			}
-			return
+		if ctx.Err() == nil { // else the session broke: nothing more reaches the coordinator
+			fail(err)
 		}
-		fail(err)
 		return
 	}
 	w.sendProfile(r.CID, res.Profile)

@@ -77,7 +77,7 @@ func TestSampleSizeGolden(t *testing.T) {
 }
 
 func TestSequentialBoundary(t *testing.T) {
-	var s stats.Sequential // zero value: DefaultBatch stride
+	var s stats.Sequential // the stride is always DefaultBatch
 	for _, n := range []int{0, 1, 63, 65, 100} {
 		if s.Boundary(n) {
 			t.Errorf("Boundary(%d) = true with default batch", n)
@@ -87,10 +87,6 @@ func TestSequentialBoundary(t *testing.T) {
 		if !s.Boundary(n) {
 			t.Errorf("Boundary(%d) = false with default batch", n)
 		}
-	}
-	s.Batch = 10
-	if !s.Boundary(30) || s.Boundary(35) {
-		t.Errorf("custom batch 10: Boundary(30)=%v Boundary(35)=%v", s.Boundary(30), s.Boundary(35))
 	}
 }
 

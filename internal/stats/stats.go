@@ -198,26 +198,17 @@ func upperCF(a, x float64) float64 {
 const DefaultBatch = 64
 
 // Sequential is a sequential Wilson-CI stopping rule: a campaign may stop
-// once every outcome class's Wilson score interval has half-width ≤ Margin
-// at z-score Z. Decisions are only taken at fixed batch boundaries
-// (Boundary) so the stopping index is deterministic regardless of trial
-// execution order.
+// once every outcome class's 95% Wilson score interval has half-width ≤
+// Margin. Decisions are only taken at DefaultBatch boundaries (Boundary) so
+// the stopping index is deterministic regardless of trial execution order.
 type Sequential struct {
 	// Margin is the target CI half-width (e.g. 0.03 for ±3%).
 	Margin float64
-	// Z is the confidence z-score; 0 means Z95.
-	Z float64
-	// Batch is the evaluation stride; 0 means DefaultBatch.
-	Batch int
 }
 
 // Boundary reports whether n delivered trials is a decision point.
 func (s Sequential) Boundary(n int) bool {
-	b := s.Batch
-	if b <= 0 {
-		b = DefaultBatch
-	}
-	return n > 0 && n%b == 0
+	return n > 0 && n%DefaultBatch == 0
 }
 
 // Satisfied reports whether every outcome class's Wilson interval over n
@@ -227,12 +218,8 @@ func (s Sequential) Satisfied(n int, counts []int) bool {
 	if n <= 0 {
 		return false
 	}
-	z := s.Z
-	if z == 0 {
-		z = Z95
-	}
 	for _, k := range counts {
-		lo, hi := WilsonCI(k, n, z)
+		lo, hi := WilsonCI(k, n, Z95)
 		if (hi-lo)/2 > s.Margin {
 			return false
 		}

@@ -206,8 +206,8 @@ type JournalStats = campaign.JournalStats
 func OpenJournal(dir string) (*Journal, error) { return campaign.OpenJournal(dir) }
 
 // ShardPool is a set of live worker processes that campaigns fan out over:
-// this binary re-exec'd, driven over stdio with gob frames, sharing one
-// content-addressed disk cache. pool.Run(ctx, campaign) is Campaign.Run on
+// this binary re-exec'd, each driven with gob frames over a socketpair it
+// inherits, sharing one content-addressed disk cache. pool.Run(ctx, campaign) is Campaign.Run on
 // the workers — bit-identical results for any pool size, registry apps only
 // (workers resolve the app by name) — and one pool can run many campaigns (a
 // suite), concurrently, before Close. See internal/shard for the wire
