@@ -15,7 +15,7 @@
 // -shard-listen nodes — each worker a session on a socket, served alike);
 // -shards 0 without nodes runs campaigns in-process.
 // -cache-dir shares one content-addressed build cache across every tenant
-// (and overrides whatever CacheDir clients put in their specs); -journal
+// (a CacheDir in a client's spec is ignored); -journal
 // makes finished trials survive daemon restarts — a resubmitted campaign
 // replays instead of re-executing.
 //
@@ -51,7 +51,7 @@ func main() {
 	listen := flag.String("listen", ":8714", "HTTP listen address")
 	shards := flag.Int("shards", 2, "size of the shared worker pool (re-exec'd worker processes; 0 = run campaigns in-process)")
 	shardNodes := flag.String("shard-nodes", "", "comma-separated remote worker-node addresses (fi-campaign -shard-listen instances) to pool instead of local re-exec workers; -shards sizes the session count (0 = one per node)")
-	cacheDir := flag.String("cache-dir", "", "shared content-addressed build/profile cache for all tenants (overrides client specs' CacheDir)")
+	cacheDir := flag.String("cache-dir", "", "shared content-addressed build/profile cache for all tenants (a client spec's CacheDir is ignored)")
 	journalDir := flag.String("journal", "", "crash-safe trial journal; resubmitted campaigns replay recorded trials after a daemon restart")
 	flag.Parse()
 

@@ -3,9 +3,9 @@ package campaign
 // Crash-safe resume: a Journal persists every delivered (campaign key, trial
 // index, TrialResult) triple to gob segment files as the campaign runs, so a
 // coordinator that dies mid-campaign — power cut, OOM kill, operator ^C —
-// loses no completed work. A restarted run with the same journal replays the
-// recorded trials through the ordinary reorder-buffer collector and executes
-// only the missing indices; because trial i is a pure function of
+// loses no completed work. A restarted run with the same journal adds the
+// recorded trials to the campaign's Merger before any trial runs and
+// executes only the missing indices; because trial i is a pure function of
 // TrialSeed(seed, tool, i), the resumed result is bit-identical to an
 // uninterrupted run.
 //

@@ -142,7 +142,7 @@ func TestJournalAppendFailuresCountedNotFatal(t *testing.T) {
 	chaos.Reset()
 
 	// Persistent: the append is dropped, counted, and reported — the caller
-	// (the collector) treats the journal as best-effort.
+	// (the Merger) treats the journal as best-effort.
 	chaos.Arm("campaign.journal.write", chaos.Fault{Kind: chaos.ErrKind, Count: 1 << 20})
 	if err := j.Append("k", 1, campaign.TrialResult{}); err == nil {
 		t.Fatal("persistent write failure returned nil")

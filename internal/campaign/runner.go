@@ -98,7 +98,7 @@ func WithExecutor(ex *sched.Executor) Option { return func(c *Campaign) { c.exec
 // full trial space. Trial i keeps its absolute seed TrialSeed(seed, tool, i)
 // and the observer still receives absolute indexes, so a set of ranged
 // campaigns covering [0, n) reproduces the unranged campaign's stream
-// exactly — this is the substrate the process-sharding workers run on.
+// exactly — the range NewFromSpec gives a shard worker's campaign.
 // Result aggregates (Counts, Cycles) cover only the range.
 // WithTrials after WithTrialRange resets to the full [0, n) range.
 func WithTrialRange(lo, hi int) Option {
@@ -130,25 +130,16 @@ func WithPrecision(margin float64) Option {
 	}
 }
 
-// WithJournal makes the campaign crash-safe: every delivered trial is
-// appended to the journal as it completes, and Run starts by replaying the
-// journal's recorded trials for this campaign (matched by Spec.Key) through
-// the ordinary reorder-buffer collector, so only missing indices execute. A
+// WithJournal makes the campaign crash-safe: every trial is appended to the
+// journal before it is delivered, and Run starts by adding the journal's
+// recorded trials for this campaign (matched by Spec.Key) to its Merger, so
+// only the missing indices execute. A
 // coordinator killed mid-campaign therefore resumes where it left off, and
 // because trial i is a pure function of TrialSeed(seed, tool, i), the resumed
 // Counts/Cycles/observer stream is bit-identical to an uninterrupted
 // run. Applies to in-process and sharded campaigns alike (shard workers
 // never journal — only the coordinator's merger does).
 func WithJournal(j *Journal) Option { return func(c *Campaign) { c.journal = j } }
-
-// resume returns the journal's recorded results for this campaign's trial
-// range (nil without a journal or recorded work).
-func (c *Campaign) resume() map[int]TrialResult {
-	if c.journal == nil {
-		return nil
-	}
-	return c.journal.Recorded(c.Spec().Key(), c.spec.Lo, c.spec.Trials)
-}
 
 // PaperTrials is the paper's per-configuration trial count (§5.3: 3% margin,
 // 95% confidence over a large population — the Leveugle et al. sample size;
@@ -174,138 +165,13 @@ func New(app App, tool Tool, opts ...Option) *Campaign {
 	return c
 }
 
-// collector delivers trial results in trial order: workers insert completed
-// trials under the lock, and whoever completes the next-in-sequence trial
-// becomes the deliverer, flushing the contiguous run — aggregating counts
-// and invoking the observer — so aggregation order and the observer stream
-// are deterministic regardless of scheduling.
-//
-// Delivery happens OUTSIDE the collector mutex: the deliverer extracts the
-// contiguous run under the lock, drops the lock, applies it, and loops in
-// case more trials queued up meanwhile. The delivering flag keeps delivery
-// single-threaded (and therefore in order), while a re-entrant observer —
-// one that cancels the context and inspects delivered(), or enqueues
-// follow-up work that lands back in this collector — no longer self-
-// deadlocks on the mutex it is already holding.
-type collector struct {
-	mu         sync.Mutex
-	pending    map[int]TrialResult
-	next       int  // lowest trial index not yet extracted for delivery
-	delivering bool // a deliverer is flushing outside the lock
-	flushed    atomic.Int64
-	res        *Result
-	base       int // first trial index (WithTrialRange lo)
-	obs        func(int, TrialResult)
-
-	// Crash-safe resume sink: freshly executed trials are appended to the
-	// journal before insertion; indices in skip were themselves restored
-	// from the journal (or the compositional section cache) and must not be
-	// re-appended.
-	j    *Journal
-	jkey string
-	skip map[int]TrialResult
-
-	// Sequential precision stopping (WithPrecision). stopAt is one past the
-	// last trial index the campaign may deliver: initially hi (the trial
-	// range's upper bound), lowered exactly once — by the single-threaded
-	// deliverer, at a batch boundary of the delivered prefix — when every
-	// outcome class reaches the target half-width. Trials at or past stopAt
-	// are discarded undelivered, so the delivered prefix (and therefore the
-	// stop decision itself) is identical across execution modes.
-	prec   *stats.Sequential
-	hi     int // the campaign's trial-range upper bound
-	stopAt atomic.Int64
-
-	// comp, when non-nil, buffers every delivered trial by range-relative
-	// index for the compositional section store (Run only stores sections
-	// from complete, precision-unstopped campaigns).
-	comp []TrialResult
-}
-
-// stop returns one past the last trial index the campaign may deliver.
-func (c *collector) stop() int { return int(c.stopAt.Load()) }
-
-// stopped reports whether sequential precision stopping fixed a stop index
-// below the campaign's trial-range upper bound.
-func (c *collector) stopped() bool { return c.stop() < c.hi }
-
-func (c *collector) add(i int, tr TrialResult) {
-	if c.j != nil && i < c.stop() {
-		if _, replayed := c.skip[i]; !replayed {
-			c.j.Append(c.jkey, i, tr)
-		}
-	}
-	c.mu.Lock()
-	c.pending[i] = tr
-	if c.delivering {
-		// The current deliverer will pick this up before it retires.
-		c.mu.Unlock()
-		return
-	}
-	c.delivering = true
-	for {
-		start := c.next
-		var run []TrialResult
-		for {
-			r, ok := c.pending[c.next]
-			if !ok {
-				break
-			}
-			delete(c.pending, c.next)
-			run = append(run, r)
-			c.next++
-		}
-		if len(run) == 0 {
-			c.delivering = false
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		for k, r := range run {
-			idx := start + k
-			if idx >= c.stop() {
-				continue // past the precision stop: discard undelivered
-			}
-			if c.comp != nil {
-				c.comp[idx-c.base] = r
-			}
-			c.res.Counts.Add(r.Outcome)
-			c.res.Cycles += r.Cycles
-			if c.obs != nil {
-				c.obs(idx, r)
-			}
-			c.flushed.Store(int64(idx - c.base + 1))
-			if c.prec != nil {
-				// Evaluate the stopping rule per delivered trial (not per
-				// flush batch): the decision sequence must match a replayed
-				// or resumed run, where delivery granularity differs.
-				n := idx - c.base + 1
-				if c.prec.Boundary(n) && c.prec.Satisfied(n, []int{
-					c.res.Counts.Crash, c.res.Counts.SOC,
-					c.res.Counts.Benign, c.res.Counts.HarnessFault,
-				}) {
-					c.stopAt.Store(int64(idx + 1))
-				}
-			}
-		}
-		c.mu.Lock()
-	}
-}
-
-// delivered returns the length of the contiguous delivered prefix: the
-// number of trials whose counts and observer call have both been
-// applied. Safe to call from anywhere, including from inside an observer.
-func (c *collector) delivered() int {
-	return int(c.flushed.Load())
-}
-
 // Run executes the campaign: build and profile (through the configured
 // cache) as one executor unit — so an idle worker of a shared executor can
-// pick it up while other campaigns trial — then the trials as one claimable
-// batch. The executor is the one from WithExecutor, otherwise a private one of
-// WithWorkers workers that lives for this call. Trial i uses
-// TrialSeed(seed, tool, i), so Counts, Cycles and the observer stream are
-// all reproducible regardless of parallelism and cache state.
+// pick it up while other campaigns trial — then every trial its Merger is
+// missing as one claimable batch. The executor is the one from WithExecutor,
+// otherwise a private one of WithWorkers workers that lives for this call.
+// Trial i uses TrialSeed(seed, tool, i), so Counts, Cycles and the observer
+// stream are all reproducible regardless of parallelism and cache state.
 //
 // Cancelling the context stops the campaign promptly: workers abandon
 // not-yet-started trials, and Run returns the partial Result — aggregates
@@ -314,9 +180,8 @@ func (c *collector) delivered() int {
 // never sees a trial outside that prefix.
 func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 	s := c.spec
-	if s.Lo < 0 || s.Lo > s.Trials {
-		return nil, fmt.Errorf("campaign: %s/%s: invalid trial range [%d, %d)",
-			c.app.Name, c.tool.Name(), s.Lo, s.Trials)
+	if err := s.CheckRange(); err != nil {
+		return nil, fmt.Errorf("campaign: %s/%s: %w", c.app.Name, c.tool.Name(), err)
 	}
 	ex := c.exec
 	if ex == nil {
@@ -356,72 +221,275 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("campaign: %s/%s: %w", c.app.Name, c.tool.Name(), err)
 	}
 
-	comp, recorded := c.composeLoad(prof, c.resume())
-	res, col := c.newResult(prof, recorded)
-	if comp != nil && len(comp.missed) > 0 {
-		col.comp = make([]TrialResult, s.Trials-s.Lo)
+	st := c.composeLoad(prof)
+	m := c.newMerger(prof, st)
+	// One job covers the missing runs, so a resume with holes runs in
+	// parallel: job index i lies in the run k whose running total ends[k]
+	// first exceeds it.
+	missing := m.Missing()
+	ends := make([]int, len(missing))
+	n := 0
+	for k, r := range missing {
+		n += r[1] - r[0]
+		ends[k] = n
 	}
-	replay(recorded, col.add)
-	ex.Submit(ctx, s.Trials-s.Lo, func(i int) {
-		idx := s.Lo + i
-		if idx >= col.stop() {
+	ex.Submit(ctx, n, func(i int) {
+		k := sort.SearchInts(ends, i+1)
+		idx := missing[k][1] - (ends[k] - i)
+		if idx >= m.stop() {
 			return // past the precision stop
 		}
-		if _, ok := recorded[idx]; ok {
-			return // restored from the journal or section cache
-		}
-		m := bin.acquireMachine()
-		defer bin.ReleaseMachine(m)
-		col.add(idx, bin.runTrialOn(m, prof, s.Costs, TrialSeed(s.Seed, c.tool, idx)))
+		mach := bin.acquireMachine()
+		defer bin.ReleaseMachine(mach)
+		m.Add(idx, bin.runTrialOn(mach, prof, s.Costs, TrialSeed(s.Seed, c.tool, idx)))
 	}).Wait()
 
-	c.composeStore(ctx, bin, comp, col)
-	return c.finish(ctx, res, col)
+	c.composeStore(ctx, bin, st, m)
+	return m.Finish(ctx)
 }
 
-// newResult allocates the campaign result and its ordered collector.
-// recorded is the journal replay set (nil without one): those indices are
-// delivered from the journal and must not be re-appended to it.
-func (c *Campaign) newResult(prof *Profile, recorded map[int]TrialResult) (*Result, *collector) {
+// Merger is a campaign's ordered sink. Trials arrive in any order — from the
+// executor's workers, from shard workers' frames, restored from the journal
+// or the section cache — and it delivers them in trial order, aggregating
+// counts and invoking the observer, so aggregation order and the observer
+// stream are deterministic regardless of scheduling. Its reorder buffer is
+// the only record of arrival: trial i has arrived iff i < next or i is
+// pending. A trial outside the campaign's range, or arriving again (a dead
+// shard worker's reassigned range), is dropped: trial i is a pure function of
+// its seed, so the first receipt is authoritative.
+//
+// Whoever adds the next-in-sequence trial becomes the deliverer: it extracts
+// the contiguous run under the lock, drops the lock, applies it, and loops in
+// case more trials queued up meanwhile. The delivering flag keeps delivery
+// single-threaded (and therefore in order), while a re-entrant observer — one
+// that cancels the context and inspects Delivered, or adds follow-up work
+// that lands back in this Merger — cannot self-deadlock on the mutex.
+//
+// Campaign.Run and shard.Pool.Run both drive one through Missing → Add →
+// Finish. Construct with Campaign.NewMerger.
+type Merger struct {
+	c   *Campaign
+	res *Result
+
+	mu         sync.Mutex
+	pending    map[int]TrialResult
+	next       int  // lowest trial index not yet extracted for delivery
+	delivering bool // a deliverer is flushing outside the lock
+	flushed    atomic.Int64
+
+	// The crash-safe resume sink, attached once the restored trials are in:
+	// every later arrival inside the stop index is journaled under the lock
+	// that admits it, so a trial is journaled once and before it is delivered.
+	j    *Journal
+	jkey string
+
+	// Sequential precision stopping (WithPrecision). stopAt is one past the
+	// last trial index the campaign may deliver: initially the range's upper
+	// bound, lowered exactly once — by the single-threaded deliverer, at a
+	// batch boundary of the delivered prefix — when every outcome class
+	// reaches the target half-width. Trials at or past stopAt are discarded
+	// undelivered, so the delivered prefix (and therefore the stop decision
+	// itself) is identical across execution modes.
+	stopAt atomic.Int64
+
+	// comp, when non-nil, buffers every delivered trial by range-relative
+	// index for the compositional section store (Run only stores sections
+	// from complete, precision-unstopped campaigns).
+	comp []TrialResult
+}
+
+// NewMerger returns the campaign's Merger holding the journal's recorded
+// trials (WithJournal), so Missing reports only the work left to assign and
+// late frames for recorded indices drop as duplicates. The profile arrives
+// through SetProfile.
+func (c *Campaign) NewMerger() *Merger { return c.newMerger(nil, nil) }
+
+// newMerger returns a Merger holding prof and the restored trials: the
+// journal's, then the reused sections' the journal does not hold (st is nil
+// when the campaign does not compose). The journal is attached only then, so
+// no restored trial is appended again.
+func (c *Campaign) newMerger(prof *Profile, st *composeState) *Merger {
 	lo, hi := c.spec.Lo, c.spec.Trials
-	res := &Result{App: c.app.Name, Tool: c.tool, Trials: hi - lo, Profile: prof}
-	col := &collector{pending: map[int]TrialResult{}, next: lo, base: lo,
-		res: res, obs: c.observer, prec: c.precision, hi: hi}
-	col.stopAt.Store(int64(hi))
-	if c.journal != nil {
-		col.j, col.jkey, col.skip = c.journal, c.Spec().Key(), recorded
+	m := &Merger{c: c, res: &Result{App: c.app.Name, Tool: c.tool, Trials: hi - lo, Profile: prof},
+		pending: map[int]TrialResult{}, next: lo}
+	m.stopAt.Store(int64(hi))
+	if st != nil && len(st.missed) > 0 {
+		m.comp = make([]TrialResult, hi-lo)
 	}
-	return res, col
+	var key string
+	journaled := 0
+	if c.journal != nil {
+		key = c.Spec().Key()
+		journaled = m.restore(c.journal.Recorded(key, lo, hi))
+	}
+	if st != nil {
+		reused := m.restore(st.recorded)
+		c.cache.trialsReused.Add(uint64(reused))
+		c.cache.trialsReinjected.Add(uint64(hi - lo - journaled - reused))
+	}
+	m.j, m.jkey = c.journal, key
+	return m
 }
 
-// replay feeds restored trials (journal, section cache) to add in index
-// order; the reorder buffer behind add delivers them exactly as a live run
-// would.
-func replay(recorded map[int]TrialResult, add func(int, TrialResult)) {
-	idx := make([]int, 0, len(recorded))
-	for i := range recorded {
+// restore adds recovered trials in index order and reports how many were new.
+func (m *Merger) restore(trs map[int]TrialResult) int {
+	idx := make([]int, 0, len(trs))
+	for i := range trs {
 		idx = append(idx, i)
 	}
 	sort.Ints(idx)
+	n := 0
 	for _, i := range idx {
-		add(i, recorded[i])
+		if m.Add(i, trs[i]) {
+			n++
+		}
+	}
+	return n
+}
+
+// stop returns one past the last trial index the campaign may deliver.
+func (m *Merger) stop() int { return int(m.stopAt.Load()) }
+
+// Add folds trial i's result in, reporting whether it was new: a trial
+// outside the campaign's range, or one that has already arrived, is dropped.
+func (m *Merger) Add(i int, tr TrialResult) bool {
+	m.mu.Lock()
+	if _, held := m.pending[i]; held || i < m.next || i >= m.c.spec.Trials {
+		m.mu.Unlock()
+		return false
+	}
+	if m.j != nil && i < m.stop() {
+		m.j.Append(m.jkey, i, tr)
+	}
+	m.pending[i] = tr
+	if m.delivering {
+		// The current deliverer will pick this up before it retires.
+		m.mu.Unlock()
+		return true
+	}
+	m.delivering = true
+	lo := m.c.spec.Lo
+	for {
+		start := m.next
+		var run []TrialResult
+		for {
+			r, ok := m.pending[m.next]
+			if !ok {
+				break
+			}
+			delete(m.pending, m.next)
+			run = append(run, r)
+			m.next++
+		}
+		if len(run) == 0 {
+			m.delivering = false
+			m.mu.Unlock()
+			return true
+		}
+		m.mu.Unlock()
+		for k, r := range run {
+			idx := start + k
+			if idx >= m.stop() {
+				continue // past the precision stop: discard undelivered
+			}
+			if m.comp != nil {
+				m.comp[idx-lo] = r
+			}
+			m.res.Counts.Add(r.Outcome)
+			m.res.Cycles += r.Cycles
+			if m.c.observer != nil {
+				m.c.observer(idx, r)
+			}
+			m.flushed.Store(int64(idx - lo + 1))
+			if p := m.c.precision; p != nil {
+				// Evaluate the stopping rule per delivered trial (not per
+				// flush batch): the decision sequence must match a replayed
+				// or resumed run, where delivery granularity differs.
+				n := idx - lo + 1
+				if p.Boundary(n) && p.Satisfied(n, []int{
+					m.res.Counts.Crash, m.res.Counts.SOC,
+					m.res.Counts.Benign, m.res.Counts.HarnessFault,
+				}) {
+					m.stopAt.Store(int64(idx + 1))
+				}
+			}
+		}
+		m.mu.Lock()
 	}
 }
 
-// finish applies the partial-prefix cancellation contract and the sequential
-// precision-stop truncation.
-func (c *Campaign) finish(ctx context.Context, res *Result, col *collector) (*Result, error) {
-	if col.stopped() {
-		// Precision-stopped: the result covers exactly the delivered prefix
-		// (== the stop index), with no error — stopping early is the
-		// campaign completing, not being interrupted.
-		res.Trials = col.delivered()
+// Missing returns the maximal runs [lo, hi) of trial indexes that have not
+// arrived: after construction, the work a resume still has to execute (the
+// full range for a fresh campaign).
+func (m *Merger) Missing() [][2]int {
+	m.mu.Lock()
+	held := make([]int, 0, len(m.pending)+1)
+	for i := range m.pending {
+		held = append(held, i)
+	}
+	from := m.next
+	m.mu.Unlock()
+	sort.Ints(held)
+	var runs [][2]int
+	for _, i := range append(held, m.c.spec.Trials) {
+		if i > from {
+			runs = append(runs, [2]int{from, i})
+		}
+		from = i + 1
+	}
+	return runs
+}
+
+// Unseen returns the indexes in [lo, hi) that have not arrived. The shard
+// pool uses it when splitting a repeatedly-fatal range into single-trial
+// ranges: indexes the dying workers already shipped need no re-execution.
+func (m *Merger) Unseen(lo, hi int) []int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []int
+	for i := max(lo, m.next); i < min(hi, m.c.spec.Trials); i++ {
+		if _, held := m.pending[i]; !held {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// SetProfile attaches the profile shipped by the first shard worker to build
+// the campaign's artifacts. Builds are byte-stable across processes, so every
+// worker derives the identical profile; first receipt wins.
+func (m *Merger) SetProfile(p *Profile) {
+	m.mu.Lock()
+	if m.res.Profile == nil {
+		m.res.Profile = p
+	}
+	m.mu.Unlock()
+}
+
+// Delivered returns the length of the contiguous delivered prefix: the number
+// of trials whose counts and observer call have both been applied. Safe to
+// call from anywhere, including from inside an observer.
+func (m *Merger) Delivered() int { return int(m.flushed.Load()) }
+
+// Stopped reports whether the sequential precision rule (WithPrecision) has
+// fixed a stop index below the trial range: the shard pool stops assigning
+// ranges and lets outstanding ones drain, whose trials past the stop index
+// are discarded undelivered.
+func (m *Merger) Stopped() bool { return m.stop() < m.c.spec.Trials }
+
+// Finish returns the result under the partial-prefix contract: a
+// precision-stopped campaign covers exactly the delivered prefix with no
+// error (stopping early is the campaign completing, not being interrupted);
+// on a cancelled context the result covers the delivered prefix and the
+// error wraps ctx.Err().
+func (m *Merger) Finish(ctx context.Context) (*Result, error) {
+	if m.Stopped() {
+		m.res.Trials = m.Delivered()
 	}
 	if err := ctx.Err(); err != nil {
-		// Partial-safe result: everything up to the first undelivered trial.
-		res.Trials = col.delivered()
-		return res, fmt.Errorf("campaign: %s/%s: cancelled after %d/%d trials: %w",
-			c.app.Name, c.tool.Name(), res.Trials, c.spec.Trials-c.spec.Lo, err)
+		m.res.Trials = m.Delivered()
+		return m.res, fmt.Errorf("campaign: %s/%s: cancelled after %d/%d trials: %w",
+			m.c.app.Name, m.c.tool.Name(), m.res.Trials, m.c.spec.Trials-m.c.spec.Lo, err)
 	}
-	return res, nil
+	return m.res, nil
 }

@@ -16,38 +16,38 @@ import (
 )
 
 // TestCollectorReentrantObserver pins the observer-delivery seam: the
-// collector must invoke the user observer OUTSIDE its mutex, so a re-entrant
-// observer — one that inspects delivered() (as a cancelling observer checking
-// its partial prefix does) or enqueues follow-up work that lands back in the
-// same collector — cannot self-deadlock. Pre-fix, collector.add held c.mu
-// across the observer call and both re-entrant paths deadlocked.
+// Merger must invoke the user observer OUTSIDE its mutex, so a re-entrant
+// observer — one that inspects Delivered (as a cancelling observer checking
+// its partial prefix does) or adds follow-up work that lands back in the
+// same Merger — cannot self-deadlock. Pre-fix, the ordered sink held its
+// mutex across the observer call and both re-entrant paths deadlocked.
 func TestCollectorReentrantObserver(t *testing.T) {
-	res, col := New(App{}, PINFI, WithTrials(4)).newResult(nil, nil)
+	var m *Merger
 	var order []int
-	col.obs = func(i int, tr TrialResult) {
+	m = New(App{}, PINFI, WithTrials(4), WithObserver(func(i int, tr TrialResult) {
 		order = append(order, i)
 		// Re-entrant inspection: pre-fix this blocked on the mutex the
 		// delivering goroutine already holds.
-		if got := col.delivered(); got != i {
-			t.Errorf("observer(%d): delivered() = %d, want %d (trials fully applied before this one)", i, got, i)
+		if got := m.Delivered(); got != i {
+			t.Errorf("observer(%d): Delivered() = %d, want %d (trials fully applied before this one)", i, got, i)
 		}
 		if i == 0 {
-			// Re-entrant enqueue landing back in this collector: the current
+			// Re-entrant add landing back in this Merger: the current
 			// deliverer must pick it up instead of deadlocking.
-			col.add(3, TrialResult{Outcome: fault.Benign})
+			m.Add(3, TrialResult{Outcome: fault.Benign})
 		}
-	}
+	})).NewMerger()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		col.add(1, TrialResult{Outcome: fault.Benign})
-		col.add(0, TrialResult{Outcome: fault.Benign})
-		col.add(2, TrialResult{Outcome: fault.Benign})
+		m.Add(1, TrialResult{Outcome: fault.Benign})
+		m.Add(0, TrialResult{Outcome: fault.Benign})
+		m.Add(2, TrialResult{Outcome: fault.Benign})
 	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("collector deadlocked delivering with a re-entrant observer")
+		t.Fatal("Merger deadlocked delivering with a re-entrant observer")
 	}
 	want := []int{0, 1, 2, 3}
 	if len(order) != len(want) {
@@ -58,11 +58,12 @@ func TestCollectorReentrantObserver(t *testing.T) {
 			t.Fatalf("observer saw %v, want %v (delivery must stay serialized and in order)", order, want)
 		}
 	}
-	if got := col.delivered(); got != 4 {
-		t.Fatalf("delivered() = %d, want 4", got)
+	if got := m.Delivered(); got != 4 {
+		t.Fatalf("Delivered() = %d, want 4", got)
 	}
-	if res.Counts.Benign != 4 {
-		t.Fatalf("Counts.Benign = %d, want 4", res.Counts.Benign)
+	res, err := m.Finish(context.Background())
+	if err != nil || res.Counts.Benign != 4 {
+		t.Fatalf("Finish = %+v, %v; want Counts.Benign 4", res.Counts, err)
 	}
 }
 

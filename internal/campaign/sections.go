@@ -12,9 +12,9 @@ package campaign
 // function therefore invalidates exactly that function's entries; a warm
 // campaign restores every unchanged section's trials from disk and
 // re-injects only the changed sections, then composes the restored and
-// fresh trials through the ordinary order-deterministic collector — so the
-// composed Counts/Cycles/observer stream is bit-identical to a monolithic
-// run over the same cache state.
+// fresh trials through the campaign's ordinary Merger — so the composed
+// Counts/Cycles/observer stream is bit-identical to a monolithic run over
+// the same cache state.
 //
 // Section reuse is in-process: only a campaign made with New composes. One
 // rebuilt from a Spec (NewFromSpec: a shard worker's claimed range, a fi-serve
@@ -187,50 +187,26 @@ type composeState struct {
 	recorded map[int]TrialResult // trials restored from reused sections
 }
 
-// composeEnabled reports whether this campaign partitions its trial space
-// through the section cache: made with New, a disk-backed cache and a
-// non-empty range.
-func (c *Campaign) composeEnabled() bool {
-	return !c.fromSpec && c.cache != nil && c.cache.dir != "" && c.spec.Trials > c.spec.Lo
-}
-
 // composeLoad restores every unchanged section's trials from the section
-// cache and merges them with the journal's recorded set (journal entries
-// win on overlap; both restore identical values by the determinism
-// invariant), then counts the trials the sections restored and those left to
-// execute. Returns nil state when composition is disabled.
-func (c *Campaign) composeLoad(prof *Profile, recorded map[int]TrialResult) (*composeState, map[int]TrialResult) {
-	if !c.composeEnabled() {
-		return nil, recorded
+// cache and marks the changed or absent ones for re-injection; newMerger adds
+// the restored trials the journal does not hold. Returns nil unless the
+// campaign composes: made with New, a disk-backed cache and a non-empty range.
+func (c *Campaign) composeLoad(prof *Profile) *composeState {
+	if c.fromSpec || c.cache == nil || c.cache.dir == "" || c.spec.Trials <= c.spec.Lo {
+		return nil
 	}
-	st := c.cache.loadSections(c, prof)
-	if recorded == nil {
-		recorded = make(map[int]TrialResult, len(st.recorded))
-	}
-	reused := 0
-	replay(st.recorded, func(i int, tr TrialResult) {
-		if _, ok := recorded[i]; !ok {
-			recorded[i] = tr
-			reused++
-		}
-	})
-	c.cache.trialsReused.Add(uint64(reused))
-	c.cache.trialsReinjected.Add(uint64(c.spec.Trials - c.spec.Lo - len(recorded)))
-	return st, recorded
+	return c.cache.loadSections(c, prof)
 }
 
 // composeStore persists the missed sections' trials after a complete run.
 // Partial runs — cancellation, precision stop — store nothing: a section
 // entry asserts the *complete* set of the section's trials in the range,
 // and a truncated set would poison every later composition.
-func (c *Campaign) composeStore(ctx context.Context, bin *Binary, st *composeState, col *collector) {
-	if st == nil || col.comp == nil || len(st.missed) == 0 {
+func (c *Campaign) composeStore(ctx context.Context, bin *Binary, st *composeState, m *Merger) {
+	if m.comp == nil || ctx.Err() != nil || m.Stopped() || m.Delivered() != c.spec.Trials-c.spec.Lo {
 		return
 	}
-	if ctx.Err() != nil || col.stopped() || col.delivered() != c.spec.Trials-c.spec.Lo {
-		return
-	}
-	c.cache.storeSections(c, bin, st, col.comp)
+	c.cache.storeSections(c, bin, st, m.comp)
 }
 
 // loadSections walks the campaign's sections in deterministic order (the

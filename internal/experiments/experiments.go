@@ -59,7 +59,7 @@ type Config struct {
 	// submitted up front, so builds and profiles of later campaigns overlap
 	// the trial tails of earlier ones and cores stay saturated end to end.
 	// Results are bit-identical for any executor size — campaigns are seeded
-	// per trial, and each campaign's collector delivers in trial order
+	// per trial, and each campaign's Merger delivers in trial order
 	// regardless of where iterations ran.
 	Sched *sched.Executor
 	// Pool runs every campaign of the suite as a tenant of this live shard
@@ -68,7 +68,7 @@ type Config struct {
 	// Workers share the suite cache's disk directory when it has one, so
 	// only the first process per app×tool builds. Results stay bit-identical
 	// to the in-process path — the pool merges worker streams through the
-	// same order-deterministic collector. Sched is unused on a pool.
+	// same order-deterministic Merger. Sched is unused on a pool.
 	Pool *shard.Pool
 	// Daemon submits every campaign of the suite to this running fi-serve
 	// daemon instead of executing it here (fi-campaign -submit): identical

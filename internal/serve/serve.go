@@ -19,7 +19,7 @@
 //     tail, so a reconnecting client's total stream is byte-for-byte the
 //     stream an uninterrupted client saw. With a journal configured the log
 //     survives daemon restarts too: journal replay flows through the
-//     campaign collector and observer, rebuilding the event log before any
+//     campaign's Merger and observer, rebuilding the event log before any
 //     new trial runs.
 //
 //   - Concurrency: distinct submissions execute concurrently. On a shard
@@ -27,7 +27,7 @@
 //     sharing (see internal/shard); in-process they share the server's
 //     build/profile cache. Either way each campaign's event stream is
 //     bit-identical to running it alone — trial i is a pure function of
-//     TrialSeed(Seed, tool, i), and ordering is the collector's job.
+//     TrialSeed(Seed, tool, i), and ordering is the Merger's job.
 //
 //   - Lifetime: runs execute under the server's context, not a request's.
 //     Close cancels them and waits until each has settled — its stream ends
@@ -92,9 +92,10 @@ type Config struct {
 	// worker pool (local re-exec'd workers or remote TCP nodes alike). Nil
 	// runs campaigns in-process on this process's cores.
 	Pool *shard.Pool
-	// CacheDir, when set, overrides every submission's Spec.CacheDir: the
-	// server's disk cache is the one that matters, not the client's local
-	// path. Empty leaves specs untouched.
+	// CacheDir, when set, backs the server's build/profile cache with this
+	// disk directory (empty: memory only). A submission's Spec.CacheDir is
+	// always ignored: every run, in-process or on the pool, uses the
+	// server's cache, never a path a client names.
 	CacheDir string
 	// Journal, when set, records every completed trial crash-safely; a
 	// resubmitted campaign after a daemon restart replays it instead of
@@ -214,9 +215,6 @@ func (s *Server) handleRun(w http.ResponseWriter, hr *http.Request) {
 		return
 	}
 	spec := req.Spec
-	if s.cfg.CacheDir != "" {
-		spec.CacheDir = s.cfg.CacheDir
-	}
 	if err := validate(spec); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -265,8 +263,8 @@ func validate(spec campaign.Spec) error {
 	if _, err := campaign.ToolByName(spec.Tool); err != nil {
 		return err
 	}
-	if spec.Lo < 0 || spec.Lo > spec.Trials {
-		return fmt.Errorf("serve: invalid trial range [%d, %d)", spec.Lo, spec.Trials)
+	if err := spec.CheckRange(); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
@@ -289,8 +287,8 @@ func (s *Server) execute(r *run, spec campaign.Spec) {
 }
 
 // runCampaign runs the spec's campaign, appending every trial event as it
-// lands. The observer fires from the order-deterministic collector — in
-// trial order, exactly once per index — so the event log IS the canonical
+// lands. The observer fires from the campaign's order-deterministic Merger —
+// in trial order, exactly once per index — so the event log IS the canonical
 // stream, no reordering needed here. With a journal, recorded trials replay
 // through the same observer before new work runs, rebuilding the log across
 // daemon restarts.

@@ -17,12 +17,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -177,6 +180,46 @@ func TestServeDedupsIdenticalSubmissions(t *testing.T) {
 	}
 	if len(listed) != 1 || listed[0].Key != sums[0].Key || !listed[0].Done || listed[0].Err != "" {
 		t.Fatalf("/v1/runs = %+v, want exactly the one finished run %s", listed, sums[0].Key)
+	}
+}
+
+// TestServeIgnoresClientCacheDir: a submission's CacheDir is untrusted
+// input. Neither an in-process daemon nor one on a shard pool (a worker node
+// in this process) creates or uses the path a client names — every run uses
+// the daemon's own cache directory — and the results are the baseline's.
+func TestServeIgnoresClientCacheDir(t *testing.T) {
+	const trials = 8
+	ref := baseline(t, "CG", trials, 3)
+	node, err := shard.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go node.Serve()
+	t.Cleanup(func() { node.Close() })
+	pool, err := shard.NewTCPPool(1, []string{node.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	for _, tc := range []struct {
+		name string
+		pool *shard.Pool
+	}{{"in-process", nil}, {"pool", pool}} {
+		serverDir := t.TempDir()
+		_, client := newTestServer(t, serve.Config{Pool: tc.pool, CacheDir: serverDir})
+		sp := spec(t, "CG", trials, 3)
+		sp.CacheDir = filepath.Join(t.TempDir(), "client-cache")
+		sum, err := client.Run(context.Background(), sp, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		assertSummary(t, tc.name, sum, ref)
+		if _, err := os.Stat(sp.CacheDir); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: the client's CacheDir %s was created (stat: %v)", tc.name, sp.CacheDir, err)
+		}
+		if entries, _ := filepath.Glob(filepath.Join(serverDir, "*.fic")); len(entries) == 0 {
+			t.Fatalf("%s: the daemon's cache directory holds no build entry", tc.name)
+		}
 	}
 }
 

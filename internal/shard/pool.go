@@ -5,14 +5,14 @@
 // connection to a long-lived worker node (fi-campaign -shard-listen /
 // NewTCPPool), served alike — partitions each campaign's trial index space
 // into claimable ranges, and merges the workers' trial streams back through
-// the campaign collector.
+// the campaign's Merger.
 //
 // Guarantees, in the same contract language as internal/sched:
 //
 //   - Determinism: the coordinator only decides where a trial runs, never
 //     what it computes — trial i is always seeded TrialSeed(seed, tool, i),
-//     frames are merged through the order-deterministic collector, and
-//     Counts, Cycles and the observer stream are bit-identical to an
+//     frames are merged through the campaign's order-deterministic Merger,
+//     and Counts, Cycles and the observer stream are bit-identical to an
 //     in-process run for any shard count, local or remote (the equivalence
 //     matrix in internal/experiments runs shards ∈ {1, 2, 4} on local
 //     workers and on TCP nodes against one in-process reference). A worker
@@ -366,8 +366,8 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 	if _, err := campaign.ToolByName(spec.Tool); err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}
-	if spec.Lo < 0 || spec.Lo > spec.Trials {
-		return nil, fmt.Errorf("shard: %s/%s: invalid trial range [%d, %d)", spec.App, spec.Tool, spec.Lo, spec.Trials)
+	if err := spec.CheckRange(); err != nil {
+		return nil, fmt.Errorf("shard: %s/%s: %w", spec.App, spec.Tool, err)
 	}
 	// Promptly honor an already-cancelled context before assigning any work,
 	// matching the in-process runner's pre-trial ctx check.
@@ -376,8 +376,8 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 	}
 
 	// Journal replay happens inside NewMerger (outside the pool lock: the
-	// collector invokes the campaign observer); Missing is then the work
-	// left — the full range for a fresh campaign.
+	// Merger invokes the campaign observer); Missing is then the work left —
+	// the full range for a fresh campaign.
 	merger := c.NewMerger()
 	missing := merger.Missing()
 	remaining := 0
@@ -599,7 +599,7 @@ func (p *Pool) reader(w *proc) {
 // dispatch handles one worker frame. Every frame refreshes the worker's
 // progress deadline and updates assignment state in one section under the
 // pool lock; trial and profile frames then go to their campaign's merger
-// outside it (thread-safe; ordering is the collector's reorder buffer's job),
+// outside it (thread-safe; ordering is the merger's reorder buffer's job),
 // routed by campaign id.
 func (p *Pool) dispatch(w *proc, f *frame) {
 	p.mu.Lock()
@@ -639,8 +639,8 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 		run.merger.Add(f.Index, f.TR)
 		if run.merger.Stopped() {
 			// Sequential precision stop (campaign.WithPrecision): drop the
-			// unassigned ranges and let claimed ones drain — the merger's
-			// collector discards frames past the stop index, so draining only
+			// unassigned ranges and let claimed ones drain — the merger
+			// discards frames past the stop index, so draining only
 			// costs wall-clock, never determinism. Not a cancellation: Finish
 			// returns the truncated result cleanly.
 			p.mu.Lock()

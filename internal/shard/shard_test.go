@@ -3,8 +3,8 @@ package shard_test
 // The sharding suite: a worker killed mid-range must have its range
 // reassigned without holes or duplicates, concurrent processes warming one
 // cache directory must leave one entry, and a synthetic app is refused.
-// That a pool at any width, over stdio or TCP, reproduces the reference run
-// is internal/experiments' TestEquivalenceMatrix.
+// That a pool at any width, of local workers or TCP nodes, reproduces the
+// reference run is internal/experiments' TestEquivalenceMatrix.
 //
 // The worker side re-execs this very test binary: TestMain routes the
 // FI_SHARD_WORKER marker into shard.MaybeWorker before any test runs, and a

@@ -32,11 +32,10 @@ import (
 //	    Every frame is progress: each refreshes the worker's range deadline,
 //	    and a worker that sends nothing within it is taken for hung.
 //
-// The coordinator merges frameTrial streams through campaign.Merger, which
-// feeds the same reorder-buffer collector the in-process paths use: frames
-// may interleave across workers in any order, duplicates from reassigned
-// ranges are dropped, and the merged Counts/Cycles/observer stream
-// come out bit-identical to an unsharded run.
+// The coordinator feeds frameTrial streams to the campaign's Merger, the
+// ordered sink in-process runs feed too: frames may interleave across workers
+// in any order, duplicates from reassigned ranges are dropped, and the merged
+// Counts/Cycles/observer stream come out bit-identical to an unsharded run.
 
 // req is one coordinator→worker message; exactly one field is non-nil.
 type req struct {
