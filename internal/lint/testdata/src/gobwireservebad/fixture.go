@@ -1,5 +1,5 @@
 // Package gobwireservebad is a fi-lint fixture modeling the service-layer
-// wire shapes (the coordinator→node req union and the streamed trial event)
+// wire shapes (a coordinator→node request union and the streamed trial event)
 // with wire mistakes: every `// want` line must be flagged by the gobwire
 // analyzer.
 package gobwireservebad
@@ -15,8 +15,7 @@ type Session interface {
 	Addr() string
 }
 
-// Req is the submission union — exactly one variant set per message, like the
-// shard transport's hello/spec/range req.
+// Req is a submission union — exactly one variant set per message.
 type Req struct {
 	Hello *Hello
 	Range *RangeReq

@@ -8,7 +8,9 @@
 //
 //   - Dedup: submissions are identified by Spec.Key() — the same sha256
 //     identity the disk cache and crash-safe journal use, which excludes
-//     deployment detail (CacheDir, Workers). Two clients submitting the
+//     deployment detail (CacheDir, Workers). The daemon owns that detail: a
+//     submission's CacheDir and Workers are ignored, every run using the
+//     daemon's cache and executor size. Two clients submitting the
 //     same campaign get two streams off one execution; a resubmission after
 //     the run finished streams the whole recorded prefix and the summary
 //     without re-executing anything.
@@ -95,7 +97,9 @@ type Config struct {
 	// CacheDir, when set, backs the server's build/profile cache with this
 	// disk directory (empty: memory only). A submission's Spec.CacheDir is
 	// always ignored: every run, in-process or on the pool, uses the
-	// server's cache, never a path a client names.
+	// server's cache, never a path a client names. So is its Spec.Workers:
+	// an in-process run sizes its executor to this process's cores, a run on
+	// the Pool to the pool's share of them, never to a count a client names.
 	CacheDir string
 	// Journal, when set, records every completed trial crash-safely; a
 	// resubmitted campaign after a daemon restart replays it instead of
@@ -215,6 +219,7 @@ func (s *Server) handleRun(w http.ResponseWriter, hr *http.Request) {
 		return
 	}
 	spec := req.Spec
+	spec.Workers = 0 // the daemon sizes its executors (see Config.CacheDir)
 	if err := validate(spec); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -220,6 +221,28 @@ func TestServeIgnoresClientCacheDir(t *testing.T) {
 		if entries, _ := filepath.Glob(filepath.Join(serverDir, "*.fic")); len(entries) == 0 {
 			t.Fatalf("%s: the daemon's cache directory holds no build entry", tc.name)
 		}
+	}
+}
+
+// TestServeIgnoresClientWorkers: a submission's Workers is deployment
+// detail too. A raw /v1/run asking for 4096 executor goroutines runs on the
+// daemon's own executor: once the first trial event arrives, the process
+// holds a few goroutines per core, not one per requested worker.
+func TestServeIgnoresClientWorkers(t *testing.T) {
+	s, err := serve.NewServer(serve.Config{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(s.Close) // cancels the run the stream abandons
+	sp := spec(t, "EP", 4096, 5)
+	sp.Workers = 4096
+	goroutines := 0
+	rawStream(t, ts.URL, sp, 0, 1, func(int) { goroutines = runtime.NumGoroutine() })
+	if limit := 64 + 4*runtime.GOMAXPROCS(0); goroutines > limit {
+		t.Fatalf("%d goroutines after the first trial event, want at most %d: the client's Workers sized the executor",
+			goroutines, limit)
 	}
 }
 

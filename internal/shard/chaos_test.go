@@ -11,6 +11,7 @@ package shard_test
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
@@ -100,6 +101,41 @@ func TestChaosHungWorkerKilledAndReassigned(t *testing.T) {
 	assertIdentical(t, res, ref, "hang")
 	if deaths != 1 {
 		t.Fatalf("pool counted %d deaths, want exactly the hung worker", deaths)
+	}
+}
+
+// TestIdleWorkerOutlivesDeadline: the silence deadline is armed only while
+// a worker holds a range. Workers that idle between two campaigns for more
+// than three deadlines must still be alive to run the second one.
+func TestIdleWorkerOutlivesDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes and idles past a deadline")
+	}
+	const trials = 48
+	const stall = 300 * time.Millisecond
+	app := mustApp(t, "CG")
+	p, err := shard.NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	shard.SetDeadlines(p, stall)
+	for k, seed := range []uint64{49, 51} {
+		if k > 0 {
+			time.Sleep(4 * stall)
+		}
+		ref := baseline(t, app, campaign.REFINE, trials, seed)
+		var res observed
+		res.Result, err = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+			campaign.WithTrials(trials), campaign.WithSeed(seed),
+			campaign.WithCache(nil), collect(&res.trs, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, res, ref, fmt.Sprintf("campaign %d", k))
+	}
+	if d := p.Deaths(); d != 0 {
+		t.Fatalf("idle workers were stopped: %d deaths", d)
 	}
 }
 

@@ -5,8 +5,8 @@ package shard
 // it, and as a coordinator→worker req stream, decoded as a worker session
 // decodes it. Either stream arrives from a peer over a socket, so decoding
 // must end in an error — never a panic or a hang. The seeds are real streams
-// encoded here from a small campaign: every req kind and every frame kind,
-// whole and truncated. Run with
+// encoded here from a small campaign: requests and every frame kind, whole
+// and truncated. Run with
 //
 //	go test -run '^$' -fuzz '^FuzzWireFrames$' -fuzztime=10s -fuzzminimizetime=100x ./internal/shard/
 //
@@ -42,9 +42,8 @@ func wireSeeds(f *testing.F) (reqs, frames []byte) {
 	var rb bytes.Buffer
 	enc := gob.NewEncoder(&rb)
 	for _, r := range []req{
-		{Hello: &hello{Index: 1}},
-		{Spec: &specIntro{CID: 4, Spec: spec, Build: "0123abcd+modified"}},
-		{Range: &rangeReq{CID: 4, Lo: 0, Hi: 3, Retries: 2}},
+		{Index: 1, CID: 4, Spec: spec, Build: "0123abcd+modified", Lo: 0, Hi: 3},
+		{Index: 1, CID: 5, Spec: spec, Lo: 1, Hi: 2},
 	} {
 		if err := enc.Encode(&r); err != nil {
 			f.Fatal(err)
@@ -53,12 +52,12 @@ func wireSeeds(f *testing.F) (reqs, frames []byte) {
 	cs := counters{Stats: cache.Stats(), Phases: cache.Phases()}
 	var fb bytes.Buffer
 	enc = gob.NewEncoder(&fb)
-	out := []frame{{Kind: frameProfile, CID: 4, Profile: res.Profile}}
+	var out []frame
 	for i, tr := range trs {
 		out = append(out, frame{Kind: frameTrial, CID: 4, Index: i, TR: tr})
 	}
 	out = append(out,
-		frame{Kind: frameRangeDone, CID: 4, Lo: 0, Hi: 3, Counters: cs},
+		frame{Kind: frameRangeDone, CID: 4, Lo: 0, Hi: 3, Profile: res.Profile, Counters: cs},
 		frame{Kind: frameErr, CID: 5, Err: "worker 1 runs harness build x, the coordinator y"},
 		frame{Kind: frameExit, Counters: cs})
 	for _, fr := range out {

@@ -11,11 +11,10 @@ import (
 )
 
 // TestWorkerRefusesForeignHarness: a worker compares the coordinator's
-// harness build with its own. A session introducing the campaign from
-// another build — a coordinator built from another revision — gets a
-// frameErr naming both builds and runs no trial; the same session from the
-// worker's own build, or from a coordinator that cannot name its build,
-// runs the range.
+// harness build with its own. A range request from another build — a
+// coordinator built from another revision — gets a frameErr naming both
+// builds and runs no trial; the same request from the worker's own build, or
+// from a coordinator that cannot name its build, runs the range.
 func TestWorkerRefusesForeignHarness(t *testing.T) {
 	const own, foreign = "1111111111111111111111111111111111111111", "2222222222222222222222222222222222222222+modified"
 	defer func(orig func() string) { harnessBuild = orig }(harnessBuild)
@@ -39,13 +38,8 @@ func TestWorkerRefusesForeignHarness(t *testing.T) {
 		}
 		defer nc.Close()
 		enc := gob.NewEncoder(nc)
-		for _, r := range []*req{
-			{Spec: &specIntro{CID: 1, Spec: spec, Build: build}},
-			{Range: &rangeReq{CID: 1, Lo: 0, Hi: 4}},
-		} {
-			if err := enc.Encode(r); err != nil {
-				t.Fatal(err)
-			}
+		if err := enc.Encode(&req{CID: 1, Spec: spec, Build: build, Lo: 0, Hi: 4}); err != nil {
+			t.Fatal(err)
 		}
 		nc.(*net.TCPConn).CloseWrite() // the session ends after the range
 		dec := gob.NewDecoder(nc)

@@ -48,14 +48,15 @@
 //     to a live worker — duplicate frames from the dead worker's partial
 //     delivery are dropped by the merger — and a replacement worker is
 //     dialed under a bounded budget. A worker that goes *silent* (alive but
-//     making no progress) is detected by the monitor — every frame a worker
-//     sends refreshes its range deadline — and stopped: its session is
-//     closed (and a local worker's process killed), feeding the same
-//     reassignment path. A range that keeps killing workers is split into
-//     single-trial ranges to isolate the poison trial, and a single trial
-//     that exhausts its retry budget is recorded as a fault.HarnessFault
-//     outcome instead of looping forever. All of this is exercised
-//     deterministically by the chaos suite (internal/chaos).
+//     making no progress) outlasts its session's read deadline — armed while
+//     it holds a range, pushed one trial's worth ahead by every frame it
+//     sends — and is stopped: its session is closed (and a local worker's
+//     process killed), feeding the same reassignment path. A range that
+//     keeps killing workers is split into single-trial ranges to isolate the
+//     poison trial, and a single trial that exhausts its retry budget is
+//     recorded as a fault.HarnessFault outcome instead of looping forever.
+//     All of this is exercised deterministically by the chaos suite
+//     (internal/chaos).
 //
 // Pool.Run is the only way a campaign reaches the workers: callers open a
 // pool (NewPool, NewTCPPool, or OpenPool from the fi-* drivers' -shards /
@@ -128,15 +129,12 @@ type Pool struct {
 
 // proc is one worker session and its coordinator-side bookkeeping.
 type proc struct {
-	index       int // shard index: stderr prefix, chaos w= filter
-	conn        *conn
-	dead        bool
-	condemned   bool      // monitor declared it hung and stopped it
-	cur         *rangeReq // outstanding assignment (nil ⇒ idle)
-	lastAdvance time.Time // last frame received (or range assigned)
-	knows       map[int]bool
-	last        counters // as of the worker's latest range ack or exit
-	readerDone  chan struct{}
+	index      int // shard index: stderr prefix, chaos w= filter
+	conn       *conn
+	dead       bool
+	cur        *rangeReq // outstanding assignment (nil ⇒ idle)
+	last       counters  // as of the worker's latest range ack or exit
+	readerDone chan struct{}
 }
 
 // runState tracks one campaign's fan-out. What is left of it is derived:
@@ -204,8 +202,7 @@ func (p *Pool) spawnWorker() (*proc, error) {
 		if err != nil {
 			return err
 		}
-		w = &proc{index: idx, conn: c,
-			knows: map[int]bool{}, readerDone: make(chan struct{}), lastAdvance: time.Now()}
+		w = &proc{index: idx, conn: c, readerDone: make(chan struct{})}
 		go p.reader(w)
 		return nil
 	})
@@ -421,7 +418,6 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 	p.settleLocked(run) // zero-trial (or fully replayed) campaigns settle immediately
 	p.mu.Unlock()
 
-	go p.monitor(run)
 	// Stop assigning on cancel; claimed ranges drain, the delivered prefix
 	// stays contiguous.
 	defer context.AfterFunc(ctx, func() {
@@ -441,7 +437,7 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 }
 
 // rangeDeadline is the silent-worker deadline for a range of the run: every
-// frame restarts the clock and a worker sends one per trial, so it covers
+// frame pushes it ahead and a worker sends one per trial, so it covers
 // one trial — the stall floor (generous enough to cover a cold
 // build+profile inside the first range), raised to the worst-case trial
 // budget at a pessimistic VM throughput floor when that is longer. The
@@ -453,38 +449,15 @@ func (p *Pool) rangeDeadline(run *runState) time.Duration {
 	return max(p.stall, time.Duration(float64(run.budget)/slowInstrPerSec*float64(time.Second)))
 }
 
-// monitor is the per-run hung-worker detector: workers holding one of this
-// run's ranges must send a frame within the range deadline, or they are
-// condemned and stopped (conn.stop). Their reader then sees the session
-// close and feeds the ordinary reassignment path. It exits when the run
-// settles.
-func (p *Pool) monitor(run *runState) {
-	t := time.NewTicker(min(max(p.stall/8, 20*time.Millisecond), time.Second))
-	defer t.Stop()
-	for {
-		select {
-		case <-run.finished:
-			return
-		case <-t.C:
-		}
-		now := time.Now()
-		var victims []*proc
-		p.mu.Lock()
-		for _, w := range p.workers {
-			if w.dead || w.condemned || w.cur == nil || w.cur.CID != run.cid {
-				continue
-			}
-			if now.Sub(w.lastAdvance) > p.rangeDeadline(run) {
-				w.condemned = true
-				victims = append(victims, w)
-			}
-		}
-		p.mu.Unlock()
-		for _, w := range victims {
-			fmt.Fprintf(os.Stderr, "shard: worker %d silent past its progress deadline; stopping it\n", w.index)
-			w.conn.stop()
-		}
+// armLocked points a worker's session read deadline one rangeDeadline past
+// now while it holds a range, and clears it while it idles. A worker silent
+// past it is taken for hung: its reader stops it. Caller holds p.mu.
+func (p *Pool) armLocked(w *proc) {
+	var at time.Time
+	if w.cur != nil {
+		at = time.Now().Add(p.rangeDeadline(p.runLocked(w.cur.CID)))
 	}
+	w.conn.nc.SetReadDeadline(at)
 }
 
 // nextAssignLocked picks the next campaign to serve, round-robin over the
@@ -512,16 +485,16 @@ func (p *Pool) nextAssignLocked() *runState {
 	return nil
 }
 
-// assignLocked hands pending ranges to idle live workers, introducing a
-// campaign spec on a worker's first contact and round-robining across the
-// active campaigns (see nextAssignLocked). Caller holds p.mu. A worker holds
-// at most one outstanding range, so these small control messages can never
-// back up the socket (the worker is parked in Decode when we write). A send
-// failure is a broken connection — the worker is marked dead and the range
-// stays pending; reassignment to the next idle worker is the retry.
+// assignLocked hands pending ranges to idle live workers, round-robining
+// across the active campaigns (see nextAssignLocked), and arms each assigned
+// worker's deadline. Caller holds p.mu. A worker holds at most one
+// outstanding range, so these small control messages can never back up the
+// socket (the worker is parked in Decode when we write). A send failure is a
+// broken connection — the worker is marked dead and the range stays pending;
+// reassignment to the next idle worker is the retry.
 func (p *Pool) assignLocked() {
 	for _, w := range p.workers {
-		if w.dead || w.condemned || w.cur != nil {
+		if w.dead || w.cur != nil {
 			continue
 		}
 		run := p.nextAssignLocked()
@@ -529,22 +502,14 @@ func (p *Pool) assignLocked() {
 			return
 		}
 		r := run.pending[0]
-		if !w.knows[run.cid] {
-			intro := &specIntro{CID: run.cid, Spec: run.spec, Build: harnessBuild()}
-			if err := w.conn.send(&req{Spec: intro}); err != nil {
-				w.dead = true // reader EOF will reap it; range stays pending
-				continue
-			}
-			w.knows[run.cid] = true
-		}
-		if err := w.conn.send(&req{Range: &r}); err != nil {
-			w.dead = true
+		if err := w.conn.send(&req{Index: w.index, CID: r.CID, Spec: run.spec,
+			Build: harnessBuild(), Lo: r.Lo, Hi: r.Hi}); err != nil {
+			w.dead = true // reader EOF will reap it; range stays pending
 			continue
 		}
 		run.pending = run.pending[1:]
-		cur := r
-		w.cur = &cur
-		w.lastAdvance = time.Now() // fresh deadline clock for the new range
+		w.cur = &r
+		p.armLocked(w)
 	}
 }
 
@@ -583,12 +548,18 @@ func (p *Pool) settleAllLocked() {
 
 // reader is the per-worker decode loop, alive for the session's lifetime:
 // it merges trial frames, acknowledges ranges (freeing the worker for the
-// next assignment), and on worker death requeues the outstanding range.
+// next assignment), and on worker death requeues the outstanding range. A
+// read that outlasts the session's deadline (armLocked) is a hung worker:
+// the reader stops it, then reaps it like any death.
 func (p *Pool) reader(w *proc) {
 	defer close(w.readerDone)
 	for {
 		var f frame
 		if err := w.conn.recv(&f); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				fmt.Fprintf(os.Stderr, "shard: worker %d silent past its progress deadline; stopping it\n", w.index)
+				w.conn.stop()
+			}
 			p.workerGone(w)
 			return
 		}
@@ -596,22 +567,22 @@ func (p *Pool) reader(w *proc) {
 	}
 }
 
-// dispatch handles one worker frame. Every frame refreshes the worker's
-// progress deadline and updates assignment state in one section under the
-// pool lock; trial and profile frames then go to their campaign's merger
-// outside it (thread-safe; ordering is the merger's reorder buffer's job),
-// routed by campaign id.
+// dispatch handles one worker frame. Every frame updates assignment state
+// and re-arms the worker's deadline in one section under the pool lock — a
+// range ack also hands its profile to the merger there, before the ack can
+// settle the run; trial frames then go to their campaign's merger outside it
+// (thread-safe; ordering is the merger's reorder buffer's job), routed by
+// campaign id.
 func (p *Pool) dispatch(w *proc, f *frame) {
 	p.mu.Lock()
-	w.lastAdvance = time.Now()
 	run := p.runLocked(f.CID)
 	switch f.Kind {
-	case frameProfile:
-		if run != nil && f.Profile != nil && run.budget == 0 {
-			run.budget = f.Profile.Budget // arms the cost-model deadline
-		}
 	case frameRangeDone:
 		w.last = f.Counters
+		if run != nil && f.Profile != nil {
+			run.budget = f.Profile.Budget // arms the cost-model deadline
+			run.merger.SetProfile(f.Profile)
+		}
 		if run != nil && w.cur != nil && w.cur.CID == f.CID && w.cur.Lo == f.Lo && w.cur.Hi == f.Hi {
 			w.cur = nil
 			p.assignLocked()
@@ -631,28 +602,26 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 	case frameExit:
 		w.last = f.Counters
 	}
+	p.armLocked(w)
 	p.mu.Unlock()
 
-	switch {
-	case run == nil:
-	case f.Kind == frameTrial:
-		run.merger.Add(f.Index, f.TR)
-		if run.merger.Stopped() {
-			// Sequential precision stop (campaign.WithPrecision): drop the
-			// unassigned ranges and let claimed ones drain — the merger
-			// discards frames past the stop index, so draining only
-			// costs wall-clock, never determinism. Not a cancellation: Finish
-			// returns the truncated result cleanly.
-			p.mu.Lock()
-			if !run.settled && !run.cancelled && run.err == nil {
-				run.cancelled = true
-				run.pending = nil
-				p.settleLocked(run)
-			}
-			p.mu.Unlock()
+	if run == nil || f.Kind != frameTrial {
+		return
+	}
+	run.merger.Add(f.Index, f.TR)
+	if run.merger.Stopped() {
+		// Sequential precision stop (campaign.WithPrecision): drop the
+		// unassigned ranges and let claimed ones drain — the merger discards
+		// frames past the stop index, so draining only costs wall-clock,
+		// never determinism. Not a cancellation: Finish returns the
+		// truncated result cleanly.
+		p.mu.Lock()
+		if !run.settled && !run.cancelled && run.err == nil {
+			run.cancelled = true
+			run.pending = nil
+			p.settleLocked(run)
 		}
-	case f.Kind == frameProfile && f.Profile != nil:
-		run.merger.SetProfile(f.Profile)
+		p.mu.Unlock()
 	}
 }
 

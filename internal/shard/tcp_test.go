@@ -217,3 +217,41 @@ func TestTCPChaosTornFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPChaosHungSession: a worker node hangs inside the first range it is
+// assigned, alive but sending nothing. The coordinator must close that
+// session at its read deadline and reassign the range; the node survives (only
+// the session's goroutine is wedged) and serves the respawned session, and
+// the tables stay bit-identical.
+func TestTCPChaosHungSession(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a worker-node process and waits out a stall deadline")
+	}
+	const trials = 120
+	app := mustApp(t, "CG")
+	ref := baseline(t, app, campaign.REFINE, trials, 39)
+
+	t.Setenv(chaos.EnvVar, "shard.worker.range:hang:count=1") // inherited by the node
+	t.Cleanup(chaos.Reset)                                    // in case this process's env load armed it too
+	nodes, addrs := startNodes(t, 1)
+	p, err := shard.NewTCPPool(2, addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	shard.SetDeadlines(p, 1200*time.Millisecond)
+	var res observed
+	res.Result, err = p.Run(context.Background(), campaign.New(app, campaign.REFINE,
+		campaign.WithTrials(trials), campaign.WithSeed(39),
+		campaign.WithCache(nil), collect(&res.trs, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, res, ref, "hung tcp session")
+	if d := p.Deaths(); d != 1 {
+		t.Fatalf("pool counted %d deaths, want exactly the hung session", d)
+	}
+	if !nodes[0].alive() {
+		t.Fatal("node died; a hung session must only cost the session")
+	}
+}

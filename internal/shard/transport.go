@@ -29,9 +29,11 @@ import (
 //
 // So every coordinator behavior — progress deadlines, reassignment on death,
 // retry budgets, HarnessFault isolation — is the same code over both. A
-// condemned worker is stopped by closing its session (and killing the
-// process, when the worker is local); a dead worker, local or remote, is a
-// broken stream its reader sees.
+// worker's progress deadline is its session socket's read deadline: the
+// coordinator arms it while the worker holds a range and clears it while the
+// worker idles. A worker silent past it is stopped by closing its session
+// (and killing the process, when the worker is local); a dead worker, local
+// or remote, is a broken stream its reader sees.
 //
 // Chaos seams (internal/chaos): shard.transport.dial (refused/slow node
 // dials), shard.transport.send / shard.transport.recv (the coordinator drops
@@ -54,15 +56,9 @@ type conn struct {
 	cmd *exec.Cmd // the local worker process; nil for a session on a node
 }
 
-// newConn wraps a connected socket and introduces the worker's shard index
-// with a hello req (the session's log prefix; a node learns it no other way).
-func newConn(nc net.Conn, cmd *exec.Cmd, index int) (*conn, error) {
-	c := &conn{nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc), cmd: cmd}
-	if err := c.send(&req{Hello: &hello{Index: index}}); err != nil {
-		c.release()
-		return nil, err
-	}
-	return c, nil
+// newConn wraps a connected socket.
+func newConn(nc net.Conn, cmd *exec.Cmd) *conn {
+	return &conn{nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc), cmd: cmd}
 }
 
 // send encodes one req. An armed shard.transport.send fault drops the
@@ -144,11 +140,11 @@ func dialLocal(index int) (*conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	return newConn(nc, cmd, index)
+	return newConn(nc, cmd), nil
 }
 
 // dialNode connects one worker session on the node at addr.
-func dialNode(addr string, index int) (*conn, error) {
+func dialNode(addr string) (*conn, error) {
 	chaos.Point("shard.transport.dial") // sleep-armed: the slow-dial case
 	if err := chaos.Err("shard.transport.dial"); err != nil {
 		return nil, fmt.Errorf("dial %s: %w", addr, err)
@@ -157,7 +153,7 @@ func dialNode(addr string, index int) (*conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConn(nc, nil, index)
+	return newConn(nc, nil), nil
 }
 
 // NewPool spawns n local worker processes (n < 1 ⇒ 1) by re-executing this
@@ -184,8 +180,8 @@ func NewTCPPool(n int, nodes []string) (*Pool, error) {
 	}
 	nodes = append([]string(nil), nodes...)
 	var next atomic.Uint64
-	return newPool(n, func(index int) (*conn, error) {
-		return dialNode(nodes[(next.Add(1)-1)%uint64(len(nodes))], index)
+	return newPool(n, func(int) (*conn, error) {
+		return dialNode(nodes[(next.Add(1)-1)%uint64(len(nodes))])
 	})
 }
 

@@ -11,53 +11,42 @@ import (
 // socket — a local worker's socketpair or a TCP connection to a worker node;
 // the frames are identical either way (see transport.go):
 //
-//	coordinator → worker: a stream of req messages — a hello first
-//	    introduces the worker's shard index, a specIntro introduces a
-//	    campaign under a small integer id with the coordinator's harness
-//	    build (once per campaign per worker, before its first range), a
-//	    rangeReq assigns the trial index range [Lo, Hi) of that campaign.
-//	    Closing the write side tells the worker to finish up: it ships a
-//	    final frameExit with its counters and ends the session (a local
-//	    worker then exits).
+//	coordinator → worker: a stream of req messages, each assigning one trial
+//	    index range [Lo, Hi) and carrying all the worker needs to run it —
+//	    the campaign's Spec under a small integer id, the coordinator's
+//	    harness build and the session's shard index. The worker keeps no
+//	    per-campaign state between requests. Closing the write side tells
+//	    the worker to finish up: it ships a final frameExit with its counters
+//	    and ends the session (a local worker then exits).
 //
 //	worker → coordinator: a stream of frames. Running a range
 //	    produces one frameTrial per trial — (Index, TrialResult), exactly
 //	    the order-deterministic observer's callback shape, in trial order —
-//	    then one frameProfile (first range of a campaign only; builds are
-//	    byte-stable across processes, so every worker derives the identical
-//	    profile) and one frameRangeDone echoing [Lo, Hi) with the worker's
+//	    then one frameRangeDone echoing [Lo, Hi) with the campaign's
+//	    golden-run profile (builds are byte-stable across processes, so
+//	    every worker derives the identical profile) and the worker's
 //	    cumulative counters — cache and phase throughput.
 //	    A campaign-fatal error (unknown app, build failure, a coordinator
 //	    built from another revision) is one frameErr.
-//	    Every frame is progress: each refreshes the worker's range deadline,
-//	    and a worker that sends nothing within it is taken for hung.
+//	    Every frame is progress: each pushes the session's read deadline one
+//	    trial's worth ahead, and a worker that sends nothing before it
+//	    passes is taken for hung.
 //
 // The coordinator feeds frameTrial streams to the campaign's Merger, the
 // ordered sink in-process runs feed too: frames may interleave across workers
 // in any order, duplicates from reassigned ranges are dropped, and the merged
 // Counts/Cycles/observer stream come out bit-identical to an unsharded run.
 
-// req is one coordinator→worker message; exactly one field is non-nil.
+// req is the one coordinator→worker message: run trial range [Lo, Hi) of
+// campaign CID. Build is the coordinator's harnessBuild(): a worker that
+// knows its own build and finds it differs refuses the range with a
+// frameErr naming both, since its trials would silently differ.
 type req struct {
-	Hello *hello
-	Spec  *specIntro
-	Range *rangeReq
-}
-
-// hello introduces the coordinator-assigned worker identity: the first req
-// of every session (a node learns its session's shard index no other way).
-type hello struct {
-	Index int // the pool's shard index for this worker session
-}
-
-// specIntro introduces a campaign spec under an id all later rangeReqs use.
-// Build is the coordinator's harnessBuild(): a worker that knows its own
-// build and finds it differs refuses the campaign with a frameErr naming
-// both, since its trials would silently differ.
-type specIntro struct {
-	CID   int
-	Spec  campaign.Spec
-	Build string
+	Index  int // the pool's shard index for this worker session
+	CID    int
+	Spec   campaign.Spec
+	Build  string
+	Lo, Hi int
 }
 
 // harnessBuild names the source revision this binary was built from, as the
@@ -89,9 +78,9 @@ var harnessBuild = sync.OnceValue(func() string {
 	return rev
 })
 
-// rangeReq assigns the trial index range [Lo, Hi) of campaign CID. Retries
-// is coordinator-side bookkeeping (how many workers died holding this range —
-// the per-range slice of the retry budget); workers ignore it.
+// rangeReq is the coordinator's record of trial index range [Lo, Hi) of
+// campaign CID, pending or assigned. Retries counts how many workers died
+// holding it — the per-range slice of the retry budget; it never travels.
 type rangeReq struct {
 	CID     int
 	Lo, Hi  int
@@ -103,10 +92,9 @@ type frameKind uint8
 const (
 	// frameTrial carries one trial result: (Index, TR).
 	frameTrial frameKind = iota
-	// frameProfile carries the campaign's golden-run profile.
-	frameProfile
-	// frameRangeDone acknowledges completion of [Lo, Hi), with the worker's
-	// cumulative counters piggybacked for the drivers' report.
+	// frameRangeDone acknowledges completion of [Lo, Hi) with the
+	// campaign's Profile, and the worker's cumulative counters piggybacked
+	// for the drivers' report.
 	frameRangeDone
 	// frameErr reports a campaign-fatal worker error (Err).
 	frameErr
@@ -121,7 +109,7 @@ type frame struct {
 	CID      int
 	Index    int
 	TR       campaign.TrialResult
-	Profile  *campaign.Profile
+	Profile  *campaign.Profile // frameRangeDone
 	Lo, Hi   int
 	Err      string
 	Counters counters // frameRangeDone, frameExit

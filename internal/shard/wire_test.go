@@ -11,18 +11,17 @@ import (
 	"repro/internal/fault"
 )
 
-// TestWireReqRoundTrip pins the coordinator→worker messages through a gob
-// encode/decode cycle: every req variant (hello, specIntro, rangeReq) must
-// come back field-for-field, exactly one variant non-nil — the property the
-// worker's serve loop dispatches on.
+// TestWireReqRoundTrip pins the coordinator→worker message through a gob
+// encode/decode cycle: every req must come back field-for-field — the
+// session index, campaign id, spec, harness build and range the worker runs
+// it from.
 func TestWireReqRoundTrip(t *testing.T) {
 	reqs := []req{
-		{Hello: &hello{Index: 3}},
-		{Spec: &specIntro{CID: 7, Spec: campaign.Spec{
+		{Index: 3, CID: 7, Spec: campaign.Spec{
 			App: "CG", Tool: "REFINE", Trials: 120, Lo: 8, Seed: 42,
 			CacheDir: "/tmp/fi-cache", Workers: 2,
-		}}},
-		{Range: &rangeReq{CID: 7, Lo: 16, Hi: 32, Retries: 1}},
+		}, Build: "0123abcd+modified", Lo: 16, Hi: 32},
+		{Index: 3, CID: 8, Spec: campaign.Spec{App: "FT", Tool: "PINFI", Trials: 4}, Lo: 0, Hi: 4},
 	}
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
@@ -37,37 +36,18 @@ func TestWireReqRoundTrip(t *testing.T) {
 		if err := dec.Decode(&got); err != nil {
 			t.Fatalf("decode req %d: %v", i, err)
 		}
-		nonNil := 0
-		for _, set := range []bool{got.Hello != nil, got.Spec != nil, got.Range != nil} {
-			if set {
-				nonNil++
-			}
-		}
-		if nonNil != 1 {
-			t.Fatalf("req %d: %d non-nil variants, want exactly 1", i, nonNil)
-		}
-		switch {
-		case want.Hello != nil:
-			if got.Hello == nil || *got.Hello != *want.Hello {
-				t.Errorf("req %d: hello = %+v, want %+v", i, got.Hello, want.Hello)
-			}
-		case want.Spec != nil:
-			// Spec holds a slice-bearing BuildOptions, so compare the scalar
-			// identity fields (the Key() inputs plus deployment detail).
-			if got.Spec == nil || got.Spec.CID != want.Spec.CID ||
-				got.Spec.Spec.App != want.Spec.Spec.App ||
-				got.Spec.Spec.Tool != want.Spec.Spec.Tool ||
-				got.Spec.Spec.Trials != want.Spec.Spec.Trials ||
-				got.Spec.Spec.Lo != want.Spec.Spec.Lo ||
-				got.Spec.Spec.Seed != want.Spec.Spec.Seed ||
-				got.Spec.Spec.CacheDir != want.Spec.Spec.CacheDir ||
-				got.Spec.Spec.Workers != want.Spec.Spec.Workers {
-				t.Errorf("req %d: specIntro = %+v, want %+v", i, got.Spec, want.Spec)
-			}
-		case want.Range != nil:
-			if got.Range == nil || *got.Range != *want.Range {
-				t.Errorf("req %d: rangeReq = %+v, want %+v", i, got.Range, want.Range)
-			}
+		// Spec holds a slice-bearing BuildOptions, so compare the scalar
+		// identity fields (the Key() inputs plus deployment detail).
+		if got.Index != want.Index || got.CID != want.CID || got.Build != want.Build ||
+			got.Lo != want.Lo || got.Hi != want.Hi ||
+			got.Spec.App != want.Spec.App ||
+			got.Spec.Tool != want.Spec.Tool ||
+			got.Spec.Trials != want.Spec.Trials ||
+			got.Spec.Lo != want.Spec.Lo ||
+			got.Spec.Seed != want.Spec.Seed ||
+			got.Spec.CacheDir != want.Spec.CacheDir ||
+			got.Spec.Workers != want.Spec.Workers {
+			t.Errorf("req %d = %+v, want %+v", i, got, want)
 		}
 	}
 }
@@ -79,8 +59,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	frames := []frame{
 		{Kind: frameTrial, CID: 2, Index: 17,
 			TR: campaign.TrialResult{Outcome: fault.Crash, Cycles: 12345, Instrs: 678}},
-		{Kind: frameProfile, CID: 2, Profile: &campaign.Profile{}},
-		{Kind: frameRangeDone, CID: 2, Lo: 16, Hi: 32, Counters: counters{
+		{Kind: frameRangeDone, CID: 2, Lo: 16, Hi: 32, Profile: &campaign.Profile{}, Counters: counters{
 			Stats: campaign.CacheStats{MemHits: 3, Builds: 1},
 			Phases: campaign.PhaseStats{ProfileInstrs: 5, ProfileNanos: 6,
 				TrialByTool: map[string]campaign.TrialPhase{"REFINE": {Trials: 16, Rejoined: 3, Instrs: 700, Skipped: 90, Pruned: 80, Nanos: 1}}},

@@ -130,13 +130,12 @@ func ListenAndServe(addr string, ready func(addr string)) error {
 
 // serveSession runs the worker half of the wire protocol on one session —
 // a local worker's inherited socket or a connection a node accepted: decode
-// spec and range assignments, run each assigned range through the ordinary
-// campaign machinery, and stream (index, TrialResult) frames back. It
-// returns when the coordinator closes its write side (the clean drain: a
-// final frameExit carries the counters) or the session breaks. A failed send
-// cancels the session context, so a range whose frames have nowhere to go
-// stops instead of burning the worker's cores; the coordinator reassigns
-// whatever was left.
+// range requests, run each through the ordinary campaign machinery, and
+// stream (index, TrialResult) frames back. It returns when the coordinator
+// closes its write side (the clean drain: a final frameExit carries the
+// counters) or the session breaks. A failed send cancels the session
+// context, so a range whose frames have nowhere to go stops instead of
+// burning the worker's cores; the coordinator reassigns whatever was left.
 func serveSession(nc net.Conn) {
 	defer nc.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -145,7 +144,6 @@ func serveSession(nc net.Conn) {
 		dec:    gob.NewDecoder(nc),
 		enc:    gob.NewEncoder(&tearWriter{nc: nc}),
 		cancel: cancel,
-		specs:  map[int]campaign.Spec{},
 		caches: map[string]*campaign.Cache{},
 	}
 	if err := w.serve(ctx); err != nil {
@@ -177,17 +175,15 @@ func sessionClosed(err error) bool {
 		errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// worker is the per-session protocol state: introduced specs, one
-// build/profile cache per cache directory (plus one session-private memory
-// cache for dirless specs), and which campaigns already shipped a profile.
+// worker is the per-session state: one build/profile cache per cache
+// directory (plus one session-private memory cache for dirless specs), which
+// a session's later ranges and campaigns reuse.
 type worker struct {
-	dec      *gob.Decoder
-	enc      *gob.Encoder
-	cancel   context.CancelFunc // the session context's: fired by the first failed send
-	index    int                // shard index from the session hello
-	specs    map[int]campaign.Spec
-	caches   map[string]*campaign.Cache
-	profiled map[int]bool
+	dec    *gob.Decoder
+	enc    *gob.Encoder
+	cancel context.CancelFunc // the session context's: fired by the first failed send
+	index  int                // shard index from the latest req
+	caches map[string]*campaign.Cache
 
 	sendMu sync.Mutex // serializes enc: trial frames come from the executor's deliverer
 	encErr error
@@ -205,35 +201,14 @@ func (w *worker) serve(ctx context.Context) error {
 			}
 			return fmt.Errorf("decode: %w", err)
 		}
-		switch {
-		case r.Hello != nil:
-			w.index = r.Hello.Index
-		case r.Spec != nil:
-			w.introduce(r.Spec)
-		case r.Range != nil:
-			w.runRange(ctx, r.Range)
-			if ctx.Err() != nil {
-				// The session broke mid-range: the claimed range drained what
-				// it could; leave the rest to reassignment.
-				return nil
-			}
+		w.index = r.Index
+		w.runRange(ctx, &r)
+		if ctx.Err() != nil {
+			// The session broke mid-range: the claimed range drained what it
+			// could; leave the rest to reassignment.
+			return nil
 		}
 	}
-}
-
-// introduce records a campaign spec, unless the coordinator and this worker
-// both name their harness build and the names differ: then the worker runs
-// another revision, whose trials would silently differ, and it refuses the
-// campaign instead (the range that follows is refused too, as one for an
-// unknown campaign id).
-func (w *worker) introduce(in *specIntro) {
-	if own := harnessBuild(); own != "" && in.Build != "" && own != in.Build {
-		w.send(&frame{Kind: frameErr, CID: in.CID, Err: fmt.Sprintf(
-			"shard: worker %d runs harness build %s, the coordinator %s",
-			w.index, own, in.Build)})
-		return
-	}
-	w.specs[in.CID] = in.Spec
 }
 
 // send encodes one frame, latching the first encode error (a vanished
@@ -287,34 +262,35 @@ func (w *worker) cache(dir string) (*campaign.Cache, error) {
 	return c, nil
 }
 
-// runRange executes trial range [Lo, Hi) of an introduced campaign,
+// runRange executes trial range [Lo, Hi) of the request's campaign,
 // streaming each trial as a frame from inside the campaign's ordered
-// observer, then the profile (once per campaign) and the range ack.
-// shard.worker.range and shard.worker.trial are chaos seams: the former
-// fires per assignment, the latter per trial with the absolute trial index
-// as its PointN argument, so a test can hang/crash/kill this worker at an
-// exact frame.
-func (w *worker) runRange(ctx context.Context, r *rangeReq) {
+// observer, then the range ack carrying the profile. It refuses the range
+// when the coordinator and this worker both name their harness build and the
+// names differ: the worker runs another revision, whose trials would
+// silently differ. shard.worker.range and shard.worker.trial are chaos
+// seams: the former fires per assignment, the latter per trial with the
+// absolute trial index as its PointN argument, so a test can
+// hang/crash/kill this worker at an exact frame.
+func (w *worker) runRange(ctx context.Context, r *req) {
 	chaos.Point("shard.worker.range")
 	fail := func(err error) {
 		w.send(&frame{Kind: frameErr, CID: r.CID, Err: err.Error()})
 	}
-	s, ok := w.specs[r.CID]
-	if !ok {
-		fail(fmt.Errorf("shard: range for unknown campaign id %d", r.CID))
+	if own := harnessBuild(); own != "" && r.Build != "" && own != r.Build {
+		fail(fmt.Errorf("shard: worker %d runs harness build %s, the coordinator %s", w.index, own, r.Build))
 		return
 	}
-	app, err := workloads.ByName(s.App)
+	app, err := workloads.ByName(r.Spec.App)
 	if err != nil {
 		fail(err)
 		return
 	}
-	cache, err := w.cache(s.CacheDir)
+	cache, err := w.cache(r.Spec.CacheDir)
 	if err != nil {
 		fail(err)
 		return
 	}
-	cam, err := campaign.NewFromSpec(s, app, r.Lo, r.Hi, cache, func(i int, tr campaign.TrialResult) {
+	cam, err := campaign.NewFromSpec(r.Spec, app, r.Lo, r.Hi, cache, func(i int, tr campaign.TrialResult) {
 		chaos.PointN("shard.worker.trial", int64(i))
 		w.send(&frame{Kind: frameTrial, CID: r.CID, Index: i, TR: tr})
 	})
@@ -329,18 +305,6 @@ func (w *worker) runRange(ctx context.Context, r *rangeReq) {
 		}
 		return
 	}
-	w.sendProfile(r.CID, res.Profile)
-	w.send(&frame{Kind: frameRangeDone, CID: r.CID, Lo: r.Lo, Hi: r.Hi, Counters: w.counters()})
-}
-
-// sendProfile ships a campaign's golden-run profile once per session.
-func (w *worker) sendProfile(cid int, p *campaign.Profile) {
-	if p == nil || w.profiled[cid] {
-		return
-	}
-	if w.profiled == nil {
-		w.profiled = map[int]bool{}
-	}
-	w.profiled[cid] = true
-	w.send(&frame{Kind: frameProfile, CID: cid, Profile: p})
+	w.send(&frame{Kind: frameRangeDone, CID: r.CID, Lo: r.Lo, Hi: r.Hi,
+		Profile: res.Profile, Counters: w.counters()})
 }
