@@ -12,17 +12,17 @@
 //	Listing 2 / §3.3.2 -> BenchmarkCodegenInterference
 //	§5.3 sampling -> BenchmarkSampleSize
 //	Ablations -> BenchmarkAblation*
-package refine_test
+package repro_test
 
 import (
 	"context"
 	"testing"
 
-	refine "repro"
 	"repro/internal/campaign"
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/fault"
 	"repro/internal/llfi"
 	"repro/internal/opt"
 	"repro/internal/pinfi"
@@ -34,20 +34,28 @@ import (
 const benchTrials = 80 // reduced trial count for bench runs
 
 // benchCampaign runs benchTrials trials of (app, tool) at seed 1.
-func benchCampaign(app refine.App, tool refine.Tool, extra ...refine.CampaignOption) (*refine.Result, error) {
-	opts := append([]refine.CampaignOption{
-		refine.WithTrials(benchTrials), refine.WithSeed(1),
+func benchCampaign(app campaign.App, tool campaign.Tool, extra ...campaign.Option) (*campaign.Result, error) {
+	opts := append([]campaign.Option{
+		campaign.WithTrials(benchTrials), campaign.WithSeed(1),
 	}, extra...)
-	return refine.NewCampaign(app, tool, opts...).Run(context.Background())
+	return campaign.New(app, tool, opts...).Run(context.Background())
+}
+
+// compareCounts is Table 5's chi-squared test of two outcome distributions
+// (α = 0.05).
+func compareCounts(app, baseTool, cmpTool string, base, cmp fault.Counts) (stats.TestResult, error) {
+	return stats.CompareCounts(app, baseTool, cmpTool,
+		[3]int64{int64(base.Crash), int64(base.SOC), int64(base.Benign)},
+		[3]int64{int64(cmp.Crash), int64(cmp.SOC), int64(cmp.Benign)})
 }
 
 // BenchmarkFig4Outcomes regenerates the Figure 4 / Table 6 series: per
 // application, the crash/SOC/benign percentages of all three tools.
 func BenchmarkFig4Outcomes(b *testing.B) {
-	for _, app := range refine.Apps() {
+	for _, app := range workloads.Registry() {
 		b.Run(app.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				for _, tool := range refine.Tools {
+				for _, tool := range campaign.Tools {
 					res, err := benchCampaign(app, tool)
 					if err != nil {
 						b.Fatal(err)
@@ -65,20 +73,20 @@ func BenchmarkFig4Outcomes(b *testing.B) {
 // BenchmarkTable4ContingencyAMG regenerates the worked contingency example:
 // LLFI vs PINFI on AMG2013, reporting the chi-squared statistic.
 func BenchmarkTable4ContingencyAMG(b *testing.B) {
-	app, err := refine.AppByName("AMG2013")
+	app, err := workloads.ByName("AMG2013")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		l, err := benchCampaign(app, refine.LLFI)
+		l, err := benchCampaign(app, campaign.LLFI)
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := benchCampaign(app, refine.PINFI)
+		p, err := benchCampaign(app, campaign.PINFI)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := refine.ChiSquaredCompare("AMG2013", "PINFI", "LLFI", p.Counts, l.Counts)
+		res, err := compareCounts("AMG2013", "PINFI", "LLFI", p.Counts, l.Counts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +100,7 @@ func BenchmarkTable4ContingencyAMG(b *testing.B) {
 // significantly from PINFI's. The paper's result: LLFI differs on all apps,
 // REFINE on none.
 func BenchmarkTable5ChiSquared(b *testing.B) {
-	apps := refine.Apps()[:6] // keep bench runtime bounded
+	apps := workloads.Registry()[:6] // keep bench runtime bounded
 	// Per-benchmark cache: measurements stay independent of which other
 	// benchmarks ran earlier in the process, while iterations past the
 	// first still show the steady-state build/profile reuse.
@@ -118,7 +126,7 @@ func BenchmarkTable5ChiSquared(b *testing.B) {
 // campaign cycles of LLFI and REFINE normalized to PINFI (paper: 3.9× and
 // 1.2× overall; REFINE within 0.7–1.8× everywhere).
 func BenchmarkFig5Speed(b *testing.B) {
-	apps := refine.Apps()
+	apps := workloads.Registry()
 	cache := campaign.NewCache() // see BenchmarkTable5ChiSquared
 	for i := 0; i < b.N; i++ {
 		suite, err := experiments.RunSuite(experiments.Config{
@@ -137,7 +145,7 @@ func BenchmarkFig5Speed(b *testing.B) {
 // degradation caused by IR-level instrumentation — spill slots and
 // memory-operand instructions before and after LLFI's pass.
 func BenchmarkCodegenInterference(b *testing.B) {
-	app, err := refine.AppByName("HPCCG")
+	app, err := workloads.ByName("HPCCG")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -150,7 +158,7 @@ func BenchmarkCodegenInterference(b *testing.B) {
 		}
 		inst := app.Build()
 		opt.OptimizeNoLower(inst, opt.O2)
-		llfi.Instrument(inst, refine.DefaultOptions().FI)
+		llfi.Instrument(inst, campaign.DefaultBuildOptions().FI)
 		opt.Legalize(inst)
 		ires, err := codegen.Compile(inst)
 		if err != nil {
@@ -186,23 +194,23 @@ func BenchmarkSampleSize(b *testing.B) {
 // the root cause of the accuracy gap (§3.3.1).
 func BenchmarkAblationPopulationGap(b *testing.B) {
 	for _, name := range []string{"HPCCG", "CoMD", "UA"} {
-		app, err := refine.AppByName(name)
+		app, err := workloads.ByName(name)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var llfiT, pinT int64
-				for _, tool := range []refine.Tool{refine.LLFI, refine.PINFI} {
-					bin, err := refine.Build(app, tool, refine.DefaultOptions())
+				for _, tool := range []campaign.Tool{campaign.LLFI, campaign.PINFI} {
+					bin, err := campaign.BuildBinary(app, tool, campaign.DefaultBuildOptions())
 					if err != nil {
 						b.Fatal(err)
 					}
-					prof, err := refine.ProfileRun(bin)
+					prof, err := bin.RunProfile(pinfi.DefaultCosts())
 					if err != nil {
 						b.Fatal(err)
 					}
-					if tool == refine.LLFI {
+					if tool == campaign.LLFI {
 						llfiT = prof.Targets
 					} else {
 						pinT = prof.Targets
@@ -219,22 +227,22 @@ func BenchmarkAblationPopulationGap(b *testing.B) {
 // golden-run cycles of each instrumented binary, normalized to the plain
 // binary.
 func BenchmarkAblationCallVsBlock(b *testing.B) {
-	app, err := refine.AppByName("HPCCG")
+	app, err := workloads.ByName("HPCCG")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		cycles := map[refine.Tool]int64{}
-		for _, tool := range refine.Tools {
-			bin, err := refine.Build(app, tool, refine.DefaultOptions())
+		cycles := map[campaign.Tool]int64{}
+		for _, tool := range campaign.Tools {
+			bin, err := campaign.BuildBinary(app, tool, campaign.DefaultBuildOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
 			m := bin.NewMachine()
 			switch tool {
-			case refine.REFINE:
+			case campaign.REFINE:
 				(&core.Lib{Target: -1}).Bind(m)
-			case refine.LLFI:
+			case campaign.LLFI:
 				(&llfi.Lib{Target: -1}).Bind(m)
 			}
 			if trap := m.Run(); trap != vm.TrapNone {
@@ -242,19 +250,19 @@ func BenchmarkAblationCallVsBlock(b *testing.B) {
 			}
 			cycles[tool] = m.Cycles
 		}
-		b.ReportMetric(float64(cycles[refine.REFINE])/float64(cycles[refine.PINFI]), "block_overhead_x")
-		b.ReportMetric(float64(cycles[refine.LLFI])/float64(cycles[refine.PINFI]), "call_overhead_x")
+		b.ReportMetric(float64(cycles[campaign.REFINE])/float64(cycles[campaign.PINFI]), "block_overhead_x")
+		b.ReportMetric(float64(cycles[campaign.LLFI])/float64(cycles[campaign.PINFI]), "call_overhead_x")
 	}
 }
 
 // BenchmarkAblationPinfiDetach measures the paper's §5.2 PINFI optimization:
 // campaign time with and without detach-after-injection.
 func BenchmarkAblationPinfiDetach(b *testing.B) {
-	app, err := refine.AppByName("CG")
+	app, err := workloads.ByName("CG")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, err := refine.Build(app, refine.PINFI, refine.DefaultOptions())
+	bin, err := campaign.BuildBinary(app, campaign.PINFI, campaign.DefaultBuildOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +274,7 @@ func BenchmarkAblationPinfiDetach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var withDetach, withoutDetach int64
 		for seed := uint64(0); seed < 40; seed++ {
-			tr := refine.Trial(bin, prof, campaign.TrialSeed(1, refine.PINFI, int(seed)))
+			tr := bin.RunTrial(prof, costs, campaign.TrialSeed(1, campaign.PINFI, int(seed)))
 			withDetach += tr.Cycles
 			// "No detach" counterpart: charge the callback for the whole run.
 			m := bin.NewMachine()
@@ -282,18 +290,18 @@ func BenchmarkAblationPinfiDetach(b *testing.B) {
 // quantifying how much a "poorly optimized binary" (the paper's critique of
 // IR-level flows) skews results even under the same injector.
 func BenchmarkAblationOptLevel(b *testing.B) {
-	app, err := refine.AppByName("HPCCG")
+	app, err := workloads.ByName("HPCCG")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		o2, err := benchCampaign(app, refine.PINFI)
+		o2, err := benchCampaign(app, campaign.PINFI)
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := refine.DefaultOptions()
+		opts := campaign.DefaultBuildOptions()
 		opts.Opt = opt.O0
-		o0, err := benchCampaign(app, refine.PINFI, refine.WithOptions(opts))
+		o0, err := benchCampaign(app, campaign.PINFI, campaign.WithBuildOptions(opts))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,7 +309,7 @@ func BenchmarkAblationOptLevel(b *testing.B) {
 		c0, _, _ := o0.Counts.Rates()
 		b.ReportMetric(c2, "O2_crash%")
 		b.ReportMetric(c0, "O0_crash%")
-		res, err := refine.ChiSquaredCompare("HPCCG", "O2", "O0", o2.Counts, o0.Counts)
+		res, err := compareCounts("HPCCG", "O2", "O0", o2.Counts, o0.Counts)
 		if err == nil {
 			b.ReportMetric(res.P, "p_O0_vs_O2")
 		}
@@ -315,7 +323,7 @@ func BenchmarkAblationOptLevel(b *testing.B) {
 // BenchmarkFig5Speed's first-iteration (cold) cost; disk_hits confirms every
 // artifact came from the persistence layer.
 func BenchmarkFig5SpeedWarmStart(b *testing.B) {
-	apps := refine.Apps()
+	apps := workloads.Registry()
 	dir := b.TempDir()
 	warmup, err := campaign.NewDiskCache(dir)
 	if err != nil {
@@ -351,7 +359,7 @@ func BenchmarkFig5SpeedWarmStart(b *testing.B) {
 // fresh-per-iteration cache over a warm disk directory (see
 // BenchmarkFig5SpeedWarmStart).
 func BenchmarkTable5ChiSquaredWarmStart(b *testing.B) {
-	apps := refine.Apps()[:6]
+	apps := workloads.Registry()[:6]
 	dir := b.TempDir()
 	warmup, err := campaign.NewDiskCache(dir)
 	if err != nil {
@@ -387,11 +395,11 @@ func BenchmarkTable5ChiSquaredWarmStart(b *testing.B) {
 // BenchmarkVMThroughput reports raw emulator speed (instructions/sec), the
 // substrate cost every experiment pays.
 func BenchmarkVMThroughput(b *testing.B) {
-	app, err := refine.AppByName("FT")
+	app, err := workloads.ByName("FT")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, err := refine.Build(app, refine.PINFI, refine.DefaultOptions())
+	bin, err := campaign.BuildBinary(app, campaign.PINFI, campaign.DefaultBuildOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,11 +421,11 @@ func BenchmarkVMThroughput(b *testing.B) {
 // sites/s is the rate of those dispatches, which is the library's own count
 // of selInstr calls.
 func BenchmarkVMThroughputSites(b *testing.B) {
-	app, err := refine.AppByName("HPCCG")
+	app, err := workloads.ByName("HPCCG")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, err := refine.Build(app, refine.REFINE, refine.DefaultOptions())
+	bin, err := campaign.BuildBinary(app, campaign.REFINE, campaign.DefaultBuildOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,11 +450,11 @@ func BenchmarkVMThroughputSites(b *testing.B) {
 // (vm.Inert: counter, pass-through, the C-ABI clobber). calls/s is the rate
 // of those calls, the runtime's own count.
 func BenchmarkVMThroughputLLFI(b *testing.B) {
-	app, err := refine.AppByName("HPCCG")
+	app, err := workloads.ByName("HPCCG")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, err := refine.Build(app, refine.LLFI, refine.DefaultOptions())
+	bin, err := campaign.BuildBinary(app, campaign.LLFI, campaign.DefaultBuildOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -470,11 +478,11 @@ func BenchmarkVMThroughputLLFI(b *testing.B) {
 // binary-level build's golden pass and of the counted reference carrier's
 // prefix.
 func BenchmarkVMThroughputObserved(b *testing.B) {
-	app, err := refine.AppByName("FT")
+	app, err := workloads.ByName("FT")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin, err := refine.Build(app, refine.PINFI, refine.DefaultOptions())
+	bin, err := campaign.BuildBinary(app, campaign.PINFI, campaign.DefaultBuildOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -497,7 +505,7 @@ func BenchmarkCompile(b *testing.B) {
 	apps := workloads.Registry()
 	for i := 0; i < b.N; i++ {
 		for _, app := range apps {
-			if _, err := refine.Build(app, refine.REFINE, refine.DefaultOptions()); err != nil {
+			if _, err := campaign.BuildBinary(app, campaign.REFINE, campaign.DefaultBuildOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -55,7 +55,8 @@
 // executing locally: trial streams arrive over HTTP as they land, identical
 // submissions dedup onto one execution server-side, and the client prints
 // the same tables a local run would. The daemon runs full-count campaigns on
-// its own pool, so -precision, -shards and -shard-nodes are refused with it.
+// its own pool and journals nothing for the client, so -precision, -shards,
+// -shard-nodes and -journal are refused with it.
 package main
 
 import (
@@ -82,7 +83,7 @@ import (
 func main() {
 	shard.MaybeWorker() // re-exec'd shard workers never reach flag parsing
 	var f experiments.Flags
-	f.Register(flag.CommandLine, 1068)
+	f.Register(flag.CommandLine, campaign.PaperTrials)
 	f.RegisterTools(flag.CommandLine)
 	instrs := flag.String("instrs", "all", "-fi-instrs class filter: all|arithm|mem|stack")
 	optLevel := flag.Int("O", 2, "optimization level (2 or 0)")

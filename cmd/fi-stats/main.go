@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/shard"
 	"repro/internal/stats"
@@ -52,7 +53,7 @@ func main() {
 	ci := flag.Bool("ci", false, "add 95% Wilson confidence-interval columns: a rate table over the published Table 6 counts, and the measured Figure 4 under -measure")
 	measure := flag.Bool("measure", false, "run a live suite and print the measured Table 5")
 	var f experiments.Flags // the -measure suite's execution flags
-	f.Register(flag.CommandLine, 1068)
+	f.Register(flag.CommandLine, campaign.PaperTrials)
 	flag.Parse()
 
 	paper := experiments.PaperSuite()

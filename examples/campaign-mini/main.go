@@ -1,6 +1,6 @@
 // Campaign-mini: a reduced version of the paper's full evaluation — three
-// benchmarks, the three paper tools plus the registry-provided REFINE2
-// double-bit-flip variant, a few hundred trials each — producing the same
+// benchmarks, the three paper tools plus every registered extension
+// injector, a few hundred trials each — producing the same
 // artifacts (outcome table, chi-squared tests, normalized campaign times)
 // in under a minute.
 package main
@@ -9,9 +9,14 @@ import (
 	"fmt"
 	"log"
 
-	refine "repro"
+	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/workloads"
+
+	// Register the extension injectors: the suite below runs every
+	// registered tool.
+	_ "repro/internal/multibit"
+	_ "repro/internal/opcodefi"
 )
 
 func main() {
@@ -24,9 +29,9 @@ func main() {
 		cfg.Apps = append(cfg.Apps, app)
 	}
 	// The suite runs every registered injector: LLFI, REFINE, PINFI and the
-	// REFINE2 extension — Table 5 and Figure 5 then compare each of them
-	// against the PINFI baseline.
-	cfg.Tools = refine.Registered()
+	// REFINE2, PINFI2, OPCODE and OPCODE-VALID extensions — Table 5 and
+	// Figure 5 then compare each of them against the PINFI baseline.
+	cfg.Tools = campaign.RegisteredTools()
 	cfg.Trials = 400
 	cfg.Seed = 1
 
@@ -44,5 +49,4 @@ func main() {
 
 	l, r := suite.Speedups()
 	fmt.Printf("LLFI campaign cost %.1fx PINFI; REFINE %.1fx (paper: 3.9x / 1.2x over 14 apps)\n", l, r)
-	_ = refine.PaperTrials
 }

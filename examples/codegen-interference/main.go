@@ -12,15 +12,16 @@ import (
 	"log"
 	"strings"
 
-	refine "repro"
 	"repro/internal/asm"
+	"repro/internal/campaign"
 	"repro/internal/codegen"
 	"repro/internal/llfi"
 	"repro/internal/opt"
+	"repro/internal/workloads"
 )
 
 func main() {
-	app, err := refine.AppByName("HPCCG")
+	app, err := workloads.ByName("HPCCG")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func main() {
 	// LLFI pipeline: -O2, instrument the optimized IR, then compile.
 	instr := app.Build()
 	opt.OptimizeNoLower(instr, opt.O2)
-	sites := llfi.Instrument(instr, refine.DefaultOptions().FI)
+	sites := llfi.Instrument(instr, campaign.DefaultBuildOptions().FI)
 	opt.Legalize(instr)
 	instrRes, err := codegen.Compile(instr)
 	if err != nil {
@@ -60,11 +61,11 @@ func main() {
 
 	// REFINE adds blocks around instructions but never changes them: the
 	// application instructions of a REFINE binary match the plain binary.
-	rbin, err := refine.Build(app, refine.REFINE, refine.DefaultOptions())
+	rbin, err := campaign.BuildBinary(app, campaign.REFINE, campaign.DefaultBuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	pbin, err := refine.Build(app, refine.PINFI, refine.DefaultOptions())
+	pbin, err := campaign.BuildBinary(app, campaign.PINFI, campaign.DefaultBuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

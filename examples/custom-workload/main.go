@@ -1,8 +1,9 @@
-// Custom-workload: fault-inject your own kernel. The public API exposes the
-// IR builder, so any program expressible in the IR can be studied with every
-// registered tool — here a small iterative stencil with a checksum, built
-// from scratch, swept with 300 trials per tool through the v2 campaign API
-// (functional options, context cancellation, streaming observer).
+// Custom-workload: fault-inject your own kernel. A campaign.App is a name
+// and a function that builds IR, so any program expressible in the ir
+// package's builder can be studied with every registered tool — here a small
+// iterative stencil with a checksum, built from scratch, swept with 300
+// trials per tool through the campaign package (functional options, context
+// cancellation, streaming observer).
 package main
 
 import (
@@ -10,19 +11,25 @@ import (
 	"fmt"
 	"log"
 
-	refine "repro"
+	"repro/internal/campaign"
 	"repro/internal/ir"
+	"repro/internal/pinfi"
+
+	// Register the extension injectors: the sweep below runs every
+	// registered tool.
+	_ "repro/internal/multibit"
+	_ "repro/internal/opcodefi"
 )
 
 // buildHeat constructs a 1D explicit heat-equation solver:
 // u[i] += k·(u[i-1] − 2u[i] + u[i+1]) for 40 steps over 64 cells.
 func buildHeat() *ir.Module {
-	m := refine.NewModule("heat1d")
+	m := ir.NewModule("heat1d")
 	m.DeclareHost(ir.HostDecl{Name: "out_f64", Params: []ir.Type{ir.F64}, Ret: ir.I64})
 	const n = 64
 	m.AddGlobal(ir.Global{Name: "u", Size: n * 8})
 	m.AddGlobal(ir.Global{Name: "tmp", Size: n * 8})
-	b := refine.NewBuilder(m)
+	b := ir.NewBuilder(m)
 
 	b.NewFunc("step", ir.Void, ir.F64)
 	{
@@ -65,17 +72,17 @@ func buildHeat() *ir.Module {
 }
 
 func main() {
-	app := refine.App{Name: "heat1d", Build: buildHeat}
+	app := campaign.App{Name: "heat1d", Build: buildHeat}
 	ctx := context.Background()
 	fmt.Printf("%-8s %8s %8s %8s %12s\n", "tool", "crash", "soc", "benign", "cycles")
-	for _, tool := range refine.Registered() {
-		// v2 campaign API: a spec with functional options, run under a
-		// context. A streaming observer sees every trial in order without
-		// buffering the whole record log; here it samples every 100th.
-		res, err := refine.NewCampaign(app, tool,
-			refine.WithTrials(300),
-			refine.WithSeed(1),
-			refine.WithObserver(func(i int, tr refine.TrialResult) {
+	for _, tool := range campaign.RegisteredTools() {
+		// A campaign with functional options, run under a context. A
+		// streaming observer sees every trial in order without buffering
+		// the whole record log; here it samples every 100th.
+		res, err := campaign.New(app, tool,
+			campaign.WithTrials(300),
+			campaign.WithSeed(1),
+			campaign.WithObserver(func(i int, tr campaign.TrialResult) {
 				if i%100 == 0 {
 					fmt.Printf("  %s trial %3d: %s\n", tool.Name(), i, tr.Outcome)
 				}
@@ -88,14 +95,15 @@ func main() {
 		fmt.Printf("%-8s %8d %8d %8d %12.3e\n", tool.Name(), c.Crash, c.SOC, c.Benign, float64(res.Cycles))
 	}
 	fmt.Println("\nSingle-fault reproduction with a fixed seed:")
-	bin, err := refine.Build(app, refine.REFINE, refine.DefaultOptions())
+	bin, err := campaign.BuildBinary(app, campaign.REFINE, campaign.DefaultBuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := refine.ProfileRun(bin)
+	costs := pinfi.DefaultCosts()
+	prof, err := bin.RunProfile(costs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := refine.Trial(bin, prof, 99)
+	tr := bin.RunTrial(prof, costs, 99)
 	fmt.Printf("seed 99: outcome=%s fault={%s}\n", tr.Outcome, tr.Rec)
 }

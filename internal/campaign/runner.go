@@ -406,7 +406,7 @@ func (m *Merger) Add(i int, tr TrialResult) bool {
 				// flush batch): the decision sequence must match a replayed
 				// or resumed run, where delivery granularity differs.
 				n := idx - lo + 1
-				if p.Boundary(n) && p.Satisfied(n, []int{
+				if p.Stop(n, []int{
 					m.res.Counts.Crash, m.res.Counts.SOC,
 					m.res.Counts.Benign, m.res.Counts.HarnessFault,
 				}) {

@@ -71,10 +71,11 @@ func (f *Flags) Open() (Config, func(), error) {
 		Cache:     campaign.DefaultCache(),
 	}
 	if f.Submit != "" {
-		if f.Precision > 0 || f.Shards > 0 || f.ShardNodes != "" {
-			// A submitted campaign.Spec carries no precision rule and the
-			// daemon's pool is its own: refuse what would be silently dropped.
-			return cfg, nil, errors.New("-submit runs on the daemon's own pool at the full trial count; drop -precision/-shards/-shard-nodes")
+		if f.Precision > 0 || f.Shards > 0 || f.ShardNodes != "" || f.Journal != "" {
+			// A submitted campaign.Spec carries no precision rule or journal
+			// and the daemon's pool is its own: refuse what would be
+			// silently dropped.
+			return cfg, nil, errors.New("-submit runs on the daemon's own pool at the full trial count; drop -precision/-shards/-shard-nodes/-journal")
 		}
 		cfg.Daemon = &serve.Client{Addr: f.Submit}
 	}

@@ -89,7 +89,8 @@ type Config struct {
 	// completed trial is appended to the journal, and a restarted suite
 	// over the same journal replays recorded trials and re-executes only
 	// the missing indices — bit-identical to an uninterrupted run. nil ⇒
-	// no journaling.
+	// no journaling. A Daemon run appends nothing to it, so Flags.Open
+	// refuses -journal beside -submit.
 	Journal *campaign.Journal
 	// Progress, if non-nil, receives one line per completed campaign.
 	// Campaigns finish concurrently, so line order follows completion, not
@@ -116,7 +117,7 @@ func RunSuiteContext(ctx context.Context, cfg Config) (*Suite, error) {
 	}
 	trials := cfg.Trials
 	if trials == 0 {
-		trials = stats.SampleSize(1<<40, 0.03, stats.Z95) // 1068
+		trials = campaign.PaperTrials
 	}
 	// Default only the unset fields of the build configuration: an explicit
 	// Opt (including opt.O0 — distinguishable from "unset" since the zero

@@ -25,13 +25,15 @@ func TestMain(m *testing.M) {
 }
 
 // TestOpenRejectsWhatSubmitCannotHonour: a campaign.Spec carries no precision
-// rule and the daemon's pool is its own, so Flags.Open refuses -precision,
-// -shards and -shard-nodes beside -submit rather than dropping them.
+// rule or journal and the daemon's pool is its own, so Flags.Open refuses
+// -precision, -shards, -shard-nodes and -journal beside -submit rather than
+// dropping them.
 func TestOpenRejectsWhatSubmitCannotHonour(t *testing.T) {
 	for _, f := range []experiments.Flags{
 		{Submit: "127.0.0.1:1", Precision: 0.05},
 		{Submit: "127.0.0.1:1", Shards: 2},
 		{Submit: "127.0.0.1:1", ShardNodes: "127.0.0.1:2"},
+		{Submit: "127.0.0.1:1", Journal: t.TempDir()},
 	} {
 		if _, _, err := f.Open(); err == nil || !strings.Contains(err.Error(), "-submit") {
 			t.Errorf("Open(%+v) = %v, want a -submit conflict", f, err)

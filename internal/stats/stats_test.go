@@ -5,14 +5,17 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/campaign"
 	"repro/internal/stats"
 )
 
+// TestSampleSizeMatchesPaper ties campaign.PaperTrials, the n every driver
+// defaults to, to its derivation: §5.3's 3% margin and 95% confidence over
+// a huge fault population.
 func TestSampleSizeMatchesPaper(t *testing.T) {
-	// §5.3: 3% margin, 95% confidence over a huge fault population → 1068.
 	n := stats.SampleSize(1<<40, 0.03, stats.Z95)
-	if n != 1068 {
-		t.Fatalf("SampleSize = %d, want 1068", n)
+	if n != campaign.PaperTrials {
+		t.Fatalf("SampleSize = %d, want campaign.PaperTrials = %d", n, campaign.PaperTrials)
 	}
 }
 
