@@ -68,8 +68,7 @@ func runGoldenSuite(t *testing.T, golden string, args ...string) (*experiments.S
 	t.Helper()
 	var f experiments.Flags
 	fs := flag.NewFlagSet("fi-campaign", flag.ContinueOnError)
-	f.Register(fs, campaign.PaperTrials)
-	f.RegisterTools(fs)
+	f.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@
 //	fi-campaign [-trials 1068] [-seed 1] [-workers 0] [-apps HPCCG,CG,...]
 //	            [-tools LLFI,REFINE,PINFI,REFINE2,OPCODE] [-instrs all|arithm|mem|stack]
 //	            [-O 2|0] [-shards 0] [-cache-dir DIR]
-//	            [-precision 0.03] [-mutate app:func] [-quiet]
+//	            [-precision 0.03] [-mutate app:func] [-quiet] [-cpuprofile out.pprof]
 //
 // The paper's configuration is the default: 1068 trials (3% margin, 95%
 // confidence), -fi-funcs=* -fi-instrs=all, -O2. 14 apps × 3 tools × 1068 =
@@ -21,6 +21,12 @@
 // overlap the trial tails of earlier ones and cores stay saturated across
 // the whole suite. -workers sizes it (0 = GOMAXPROCS, 1 = serial); results
 // are bit-identical for a fixed seed at any size.
+//
+// The "# …:" lines above the tables report the run itself: its cache, pool
+// and journal counters, the VM's instruction rates ("# speed:") and each
+// tool's host time per trial beside PINFI's ("# host:") — wall-clock
+// diagnostics that vary run to run and never reach a table. -cpuprofile
+// writes a pprof CPU profile of the whole run.
 //
 // -cache-dir persists built binaries and golden profiles to disk,
 // content-addressed by configuration and IR fingerprint: a second
@@ -64,6 +70,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -82,33 +89,54 @@ import (
 
 func main() {
 	shard.MaybeWorker() // re-exec'd shard workers never reach flag parsing
+	// Every error returns through run, so the deferred closes and the CPU
+	// profile's flush run before exit: a profile of a failed suite is still
+	// useful.
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "fi-campaign:", err)
+		os.Exit(1)
+	}
+}
+
+func run() (err error) {
 	var f experiments.Flags
-	f.Register(flag.CommandLine, campaign.PaperTrials)
-	f.RegisterTools(flag.CommandLine)
+	f.Register(flag.CommandLine)
 	instrs := flag.String("instrs", "all", "-fi-instrs class filter: all|arithm|mem|stack")
 	optLevel := flag.Int("O", 2, "optimization level (2 or 0)")
 	shardListen := flag.String("shard-listen", "", "run as a long-lived TCP worker node on this address (host:port; port 0 picks one) serving coordinator sessions until killed")
-	flag.StringVar(&f.ShardNodes, "shard-nodes", "", "comma-separated worker-node addresses (-shard-listen instances) to dial instead of re-execing local workers; -shards sizes the session count (0 = one per node)")
-	flag.StringVar(&f.Submit, "submit", "", "submit the suite to a running fi-serve daemon at this address (host:port) instead of executing locally; identical submissions dedup server-side")
 	mutate := flag.String("mutate", "", "app:func — apply a dead single-function IR edit (DCE-erased, binary-identical) before running; with a warm -cache-dir the compositional cache re-injects only that function's section")
 	quiet := flag.Bool("quiet", false, "suppress per-campaign progress")
+	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the suite run to this file")
 	flag.Parse()
 	if *shardListen != "" {
 		// Worker-node mode: serve coordinator sessions until killed.
-		if err := shard.ListenAndServe(*shardListen, nil); err != nil {
-			fatal(err)
+		return shard.ListenAndServe(*shardListen, nil)
+	}
+	if *cpuprofile != "" {
+		out, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
 		}
-		return
+		if err := pprof.StartCPUProfile(out); err != nil {
+			out.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if cerr := out.Close(); err == nil {
+				err = cerr
+			}
+		}()
 	}
 
 	cfg, closeRun, err := f.Open()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer closeRun()
 	classes, err := fault.ParseClasses(*instrs)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg.Build.FI.Classes = classes
 	if *optLevel == 0 {
@@ -119,11 +147,11 @@ func main() {
 			// Shard workers and the fi-serve daemon re-resolve apps through
 			// the registry by name, so a process-local mutated builder would
 			// silently not ship.
-			fatal(fmt.Errorf("-mutate is in-process only; drop -shards/-shard-nodes/-submit"))
+			return fmt.Errorf("-mutate is in-process only; drop -shards/-shard-nodes/-submit")
 		}
 		name, fn, ok := strings.Cut(*mutate, ":")
 		if !ok {
-			fatal(fmt.Errorf("-mutate wants app:func, got %q", *mutate))
+			return fmt.Errorf("-mutate wants app:func, got %q", *mutate)
 		}
 		if cfg.Apps == nil {
 			cfg.Apps = workloads.Registry()
@@ -135,13 +163,13 @@ func main() {
 			}
 			mutated, err := workloads.MutateFunc(app, fn)
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			cfg.Apps[i] = mutated
 			found = true
 		}
 		if !found {
-			fatal(fmt.Errorf("-mutate app %q not in the selected apps", name))
+			return fmt.Errorf("-mutate app %q not in the selected apps", name)
 		}
 	}
 	if !*quiet {
@@ -151,7 +179,7 @@ func main() {
 	start := time.Now()
 	suite, err := experiments.RunSuite(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	header := fmt.Sprintf("# %d apps x %d tools x %d trials = %d experiments in %v",
 		len(suite.Order), len(suite.Tools), suite.Trials,
@@ -162,11 +190,9 @@ func main() {
 		fmt.Printf("%s (executed by fi-serve %s)\n", header, f.Submit)
 	} else {
 		fmt.Println(header)
-		experiments.Report(os.Stdout, cfg)
+		experiments.Report(os.Stdout, cfg, suite.Tools)
 	}
-	if err := printTables(os.Stdout, suite); err != nil {
-		fatal(err)
-	}
+	return printTables(os.Stdout, suite)
 }
 
 // printTables renders everything below the "# …" report lines: a blank line
@@ -224,9 +250,4 @@ func printTables(w io.Writer, suite *experiments.Suite) error {
 	}
 	fmt.Fprintln(w, " (paper: LLFI 3.9x, REFINE 1.2x).")
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fi-campaign:", err)
-	os.Exit(1)
 }

@@ -24,7 +24,7 @@ import (
 // Cache memoizes the per-campaign fixed costs: compiling an application
 // under a tool's pipeline and golden-running it for the profile (dynamic
 // target population, golden output, timeout budget). A suite over T tools
-// and repeated campaigns — benchmark iterations, ablations, the fi-* drivers
+// and repeated campaigns — benchmark iterations, ablations, fi-campaign
 // regenerating several tables from the same binaries — pays the build and
 // profile once per (app, Injector.Level, options, cost-model) key: the seven
 // registered tools are three builds per app. Both artifacts are immutable
@@ -186,7 +186,7 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // defaultCache backs campaign.Run (and through it experiments.RunSuite and
-// the cmd/fi-* drivers) for the lifetime of the process.
+// cmd/fi-campaign) for the lifetime of the process.
 var defaultCache = NewCache()
 
 // DefaultCache returns the process-wide build/profile cache.

@@ -10,10 +10,9 @@ import (
 // instructions and wall time, split by campaign phase — profiling (golden
 // runs) versus trials. BuildAndProfile wires them into the builds and Binary
 // handles it returns; a Binary built outside a cache counts nowhere. They
-// feed the drivers' `# speed:` line and fi-speed's host-time table (a shard
-// pool sums its workers', shipped on every range ack); nothing deterministic
-// reads them, which is why the wall-clock reads below carry
-// //fi:wallclock-ok.
+// feed fi-campaign's `# speed:` and `# host:` lines (a shard pool sums its
+// workers', shipped on every range ack); nothing deterministic reads them,
+// which is why the wall-clock reads below carry //fi:wallclock-ok.
 
 // phaseCounters are one cache's counters; the trial counters are kept per
 // tool name, so a driver can put the host's time per tool beside the model's.

@@ -14,45 +14,37 @@ import (
 	"repro/internal/workloads"
 )
 
-// Flags is the suite-execution flag block fi-campaign, fi-speed and fi-stats
-// share, so the three drivers cannot drift: Register binds the flags, Open
-// resolves them into a Config-ready cache, journal and worker pool, and
-// Report renders the "# …:" lines that describe the run.
+// Flags is fi-campaign's suite-execution flag block: Register binds the
+// flags, Open resolves them into a Config-ready cache, journal and worker
+// pool (or the fi-serve daemon Submit names), and Report renders the "# …:"
+// lines that describe the run.
 type Flags struct {
-	Trials    int
-	Seed      uint64
-	Workers   int
-	Apps      string
-	Shards    int
-	CacheDir  string
-	Journal   string
-	Precision float64
-
-	// Not every driver offers these: -tools is bound by RegisterTools, and
-	// fi-campaign binds its -shard-nodes and -submit to ShardNodes and Submit
-	// itself.
+	Trials     int
+	Seed       uint64
+	Workers    int
+	Apps       string
 	Tools      string
+	Shards     int
 	ShardNodes string
 	Submit     string
+	CacheDir   string
+	Journal    string
+	Precision  float64
 }
 
-// Register binds the shared flags on fs; trials is the driver's default
-// per-cell trial count.
-func (f *Flags) Register(fs *flag.FlagSet, trials int) {
-	fs.IntVar(&f.Trials, "trials", trials, "fault-injection samples per (app, tool)")
+// Register binds the flags on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.IntVar(&f.Trials, "trials", campaign.PaperTrials, "fault-injection samples per (app, tool)")
 	fs.Uint64Var(&f.Seed, "seed", 1, "base RNG seed")
 	fs.IntVar(&f.Workers, "workers", 0, "size of the work-stealing executor every campaign of the suite runs on (0 = GOMAXPROCS, 1 = serial); with -shards, each worker process's trial parallelism. Results are identical for any value")
 	fs.StringVar(&f.Apps, "apps", "", "comma-separated app subset (default: all 14)")
+	fs.StringVar(&f.Tools, "tools", "", "comma-separated tool subset from the injector registry\n(default: LLFI,REFINE,PINFI; registered: "+strings.Join(campaign.ToolNames(), ",")+")")
 	fs.IntVar(&f.Shards, "shards", 0, "fan campaigns across N worker OS processes (this binary re-exec'd); results are bit-identical to in-process runs, and -cache-dir is shared so only the first worker per app x tool builds (0 = in-process)")
+	fs.StringVar(&f.ShardNodes, "shard-nodes", "", "comma-separated worker-node addresses (-shard-listen instances) to dial instead of re-execing local workers; -shards sizes the session count (0 = one per node)")
+	fs.StringVar(&f.Submit, "submit", "", "submit the suite to a running fi-serve daemon at this address (host:port) instead of executing locally; identical submissions dedup server-side")
 	fs.StringVar(&f.CacheDir, "cache-dir", "", "persist built binaries + profiles under this directory (warm starts skip all builds)")
 	fs.StringVar(&f.Journal, "journal", "", "append every completed trial to a crash-safe journal under this directory; a restarted run replays it and re-executes only missing trials")
 	fs.Float64Var(&f.Precision, "precision", 0, "adaptive trial allocation: stop each campaign once every outcome class's 95% Wilson-CI half-width is at or below this margin (0 = fixed -trials); the stop index is deterministic across execution modes")
-}
-
-// RegisterTools binds -tools for the drivers that campaign with a
-// selectable injector set.
-func (f *Flags) RegisterTools(fs *flag.FlagSet) {
-	fs.StringVar(&f.Tools, "tools", "", "comma-separated tool subset from the injector registry\n(default: LLFI,REFINE,PINFI; registered: "+strings.Join(campaign.ToolNames(), ",")+")")
 }
 
 // Open resolves the flags into a suite Config: the app and tool subsets, the
@@ -131,27 +123,32 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// Report writes the drivers' "# …:" run report for a finished suite. The CI
-// jobs grep these lines: "# cache:" for cold builds and warm disk hits,
-// "# compose:" for the sections a warm run after a single-function edit
-// re-injects, "# journal:" replayed= for resumed runs, "# shard-cache:" for
-// the workers' cross-process totals. A sharded run's pool is drained first —
-// each worker piggybacks its cumulative counters on every range ack and on
-// exit, so only after Pool.Close are they the suite-wide total — and the
-// "# speed:" line then reads the pool's sums instead of the suite cache's,
+// Report writes fi-campaign's "# …:" run report for a finished suite whose
+// tool list is tools. The CI jobs grep these lines: "# cache:" for cold
+// builds and warm disk hits, "# compose:" for the sections a warm run after a
+// single-function edit re-injects, "# journal:" replayed= for resumed runs,
+// "# shard-cache:" for the workers' cross-process totals, "# host:" for the
+// trials a pool's workers ran. A sharded run's pool is drained first — each
+// worker piggybacks its cumulative counters on every range ack and on exit,
+// so only after Pool.Close are they the suite-wide total — and the "# speed:"
+// and "# host:" lines then read the pool's sums instead of the suite cache's,
 // which did no work. "# compose:" is always the suite cache's: section reuse
-// is in-process, so on a pool it reads all zeros. Report returns the phase
-// counters it read, for fi-speed's host-time table.
+// is in-process, so on a pool it reads all zeros.
 //
-// The closing "# speed:" line is the measured wall-clock VM throughput split
-// by campaign phase — profiling (each binary's golden passes: the profile
-// run, and the replay its anchors are captured on) versus trials, over the
+// The "# speed:" line is the measured wall-clock VM throughput split by
+// campaign phase — profiling (each binary's golden passes: the profile run,
+// and the replay its anchors are captured on) versus trials, over the
 // instructions each executed — then skipped=, the share of the trials'
 // instructions that starting from an anchor spared them, and rejoined=, the
 // share of the trials finished at an anchor behind their fault (exact counts,
 // equal in-process and on a pool; 0% means the anchors are not in use). The
-// rates vary run to run and nothing deterministic derives from the line.
-func Report(w io.Writer, cfg Config) campaign.PhaseStats {
+// closing "# host:" lines give each tool's counted trials (exact, equal
+// in-process and on a pool), their mean wall time on this machine and, when
+// PINFI ran trials, that time over PINFI's: the host's own Figure 5 beside
+// the cycle model's. A tool none of whose trials ran here (all replayed from
+// a journal, say) prints trials=0 and no rate. The times vary run to run and
+// nothing deterministic derives from them.
+func Report(w io.Writer, cfg Config, tools []campaign.Tool) {
 	ps := cfg.Cache.Phases()
 	if cfg.Pool != nil {
 		cfg.Pool.Close()
@@ -180,7 +177,24 @@ func Report(w io.Writer, cfg Config) campaign.PhaseStats {
 	profile, trial := ps.InstrsPerSec()
 	fmt.Fprintf(w, "# speed: profile=%.1fM instr/s trial=%.1fM instr/s skipped=%.0f%% rejoined=%.0f%%\n",
 		profile/1e6, trial/1e6, 100*ps.SkippedShare(), 100*ps.RejoinedShare())
-	return ps
+	perTrial := func(t campaign.TrialPhase) float64 {
+		if t.Trials == 0 {
+			return 0
+		}
+		return float64(t.Nanos) / float64(t.Trials)
+	}
+	base := perTrial(ps.TrialByTool[campaign.PINFI.Name()])
+	for _, tool := range tools {
+		t := ps.TrialByTool[tool.Name()]
+		fmt.Fprintf(w, "# host: %s trials=%d", tool.Name(), t.Trials)
+		if t.Trials > 0 {
+			fmt.Fprintf(w, " us/trial=%.1f", perTrial(t)/1e3)
+			if base > 0 {
+				fmt.Fprintf(w, " vs-PINFI=%.1fx", perTrial(t)/base)
+			}
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // cacheCounters formats the counters of the "# cache:" and "# shard-cache:"

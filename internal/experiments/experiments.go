@@ -1,7 +1,7 @@
 // Package experiments regenerates the paper's evaluation artifacts: the
 // outcome-frequency table (Table 6 / Figure 4), the chi-squared comparison
 // (Table 5, with Table 4 as the worked example), and the campaign-time
-// comparison (Figure 5). The cmd/fi-* tools and the benchmark harness both
+// comparison (Figure 5). fi-campaign, fi-stats and the benchmark harness
 // drive this package.
 package experiments
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -93,37 +94,78 @@ func TestSuitePoolReuse(t *testing.T) {
 // workers did. The same suite in-process and on a 2-worker pool counts the
 // same trials, rejoined trials and executed, skipped and pruned instructions
 // per tool (exact counts; only the wall time differs), and the pooled
-// "# speed:" line has a trial rate. Section reuse is in-process: the workers
-// run campaigns rebuilt from a Spec, so the pooled "# compose:" line is all
-// zeros and the shared cache dir holds no section entry.
+// "# speed:" line has a trial rate. Both print one "# host:" line per tool
+// in the suite's tool order with equal trials=; a tool that counted no trial
+// prints no rate, and no tool is compared with PINFI when PINFI counted
+// none. Section reuse is in-process: the workers run campaigns rebuilt from
+// a Spec, so the pooled "# compose:" line is all zeros and the shared cache
+// dir holds no section entry.
 func TestPoolReportsTheWorkersCounters(t *testing.T) {
 	app, err := workloads.ByName("EP")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// REFINE before PINFI: neither name order nor map order.
 	cfg := experiments.Config{Apps: []campaign.App{app}, Tools: []campaign.Tool{campaign.REFINE, campaign.PINFI},
 		Trials: 24, Seed: 7, Cache: campaign.NewCache()}
-	report := func(cfg experiments.Config) (ps campaign.PhaseStats, speed, compose string) {
-		if _, err := experiments.RunSuite(cfg); err != nil {
+	report := func(cfg experiments.Config) (speed, compose string, host []string) {
+		suite, err := experiments.RunSuite(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var out bytes.Buffer
-		ps = experiments.Report(&out, cfg)
+		experiments.Report(&out, cfg, suite.Tools)
 		for _, line := range strings.Split(out.String(), "\n") {
-			if strings.HasPrefix(line, "# speed:") {
+			switch {
+			case strings.HasPrefix(line, "# speed:"):
 				speed = line
-			}
-			if strings.HasPrefix(line, "# compose:") {
+			case strings.HasPrefix(line, "# compose:"):
 				compose = line
+			case strings.HasPrefix(line, "# host:"):
+				host = append(host, line)
 			}
 		}
-		return ps, speed, compose
+		return speed, compose, host
+	}
+	// checkHost wants one line per tool of cfg, in its order, with want[i]
+	// trials; a per-trial time iff the tool counted trials, and the ratio
+	// to PINFI iff PINFI counted trials too.
+	hostRE := regexp.MustCompile(`^# host: (\S+) trials=(\d+)( us/trial=\d+\.\d)?( vs-PINFI=\d+\.\dx)?$`)
+	checkHost := func(label string, host []string, want ...int) {
+		t.Helper()
+		if len(host) != len(cfg.Tools) {
+			t.Fatalf("%s: host lines %q, want one per tool", label, host)
+		}
+		pinfiRan := want[len(want)-1] > 0
+		for i, line := range host {
+			m := hostRE.FindStringSubmatch(line)
+			if m == nil || m[1] != cfg.Tools[i].Name() || m[2] != strconv.Itoa(want[i]) ||
+				(m[3] != "") != (want[i] > 0) || (m[4] != "") != (want[i] > 0 && pinfiRan) {
+				t.Errorf("%s: host line %d %q, want %s with %d trials", label, i, line, cfg.Tools[i].Name(), want[i])
+			}
+		}
 	}
 	speedRE := regexp.MustCompile(`^# speed: profile=\d+\.\dM instr/s trial=\d+\.\dM instr/s skipped=\d+% rejoined=\d+%$`)
-	inProcess, speed, _ := report(cfg)
+	speed, _, host := report(cfg)
 	if !speedRE.MatchString(speed) || strings.Contains(speed, "trial=0.0M") {
 		t.Errorf("in-process line: %q", speed)
 	}
+	checkHost("in-process", host, 24, 24)
+	inProcess := cfg.Cache.Phases()
+
+	// PINFI's trials journaled by a first run are replayed by the second,
+	// which counts only REFINE's.
+	journaled := cfg
+	jdir := t.TempDir()
+	for _, tools := range [][]campaign.Tool{{campaign.PINFI}, cfg.Tools} {
+		journaled.Tools, journaled.Cache = tools, campaign.NewCache()
+		if journaled.Journal, err = campaign.OpenJournal(jdir); err != nil {
+			t.Fatal(err)
+		}
+		_, _, host = report(journaled)
+		journaled.Journal.Close()
+	}
+	checkHost("journal-replayed PINFI", host, 24, 0)
 
 	if testing.Short() {
 		return // the pool spawns worker processes
@@ -136,7 +178,7 @@ func TestPoolReportsTheWorkersCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cfg.Pool.Close()
-	pooled, pooledSpeed, compose := report(cfg)
+	pooledSpeed, compose, host := report(cfg)
 	if !speedRE.MatchString(pooledSpeed) || strings.Contains(pooledSpeed, "trial=0.0M") ||
 		strings.Contains(pooledSpeed, "profile=0.0M") {
 		t.Errorf("pooled line: %q", pooledSpeed)
@@ -144,12 +186,14 @@ func TestPoolReportsTheWorkersCounters(t *testing.T) {
 	if skip := regexp.MustCompile(` skipped=.*`); skip.FindString(pooledSpeed) != skip.FindString(speed) {
 		t.Errorf("pooled %q and in-process %q skipped/rejoined shares differ", pooledSpeed, speed)
 	}
+	checkHost("pooled", host, 24, 24)
 	if compose != "# compose: sections=0 reused=0 reinjected=0 trials-reused=0 trials-reinjected=0" {
 		t.Errorf("pooled compose line: %q", compose)
 	}
 	if fis, _ := filepath.Glob(filepath.Join(dir, "*.fis")); len(fis) != 0 {
 		t.Errorf("the workers wrote %d section entries", len(fis))
 	}
+	pooled := cfg.Pool.Phases()
 	for _, tool := range cfg.Tools {
 		got, want := pooled.TrialByTool[tool.Name()], inProcess.TrialByTool[tool.Name()]
 		got.Nanos, want.Nanos = 0, 0

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
 	"repro/internal/stats"
 )
 
@@ -133,6 +134,53 @@ func TestChiSquaredDropsZeroColumns(t *testing.T) {
 	}
 	if p > stats.Alpha {
 		t.Fatalf("CG LLFI-vs-PINFI should be significant, p=%v stat=%v", p, stat)
+	}
+}
+
+// TestCompareCountsCalibrated: under a true null — two samples of n =
+// campaign.PaperTrials from one crash / SOC / benign multinomial —
+// CompareCounts rejects at α = 0.05 in 5 % of draws. Over 4 000 draws per
+// rate vector the rejection rate must fall inside the binomial 99.9 %
+// interval around Alpha, so a skewed p-value histogram over real campaigns is
+// the campaigns' doing, not the test's.
+func TestCompareCountsCalibrated(t *testing.T) {
+	const reps = 4000
+	rng := fault.NewRNG(1)
+	draw := func(p [3]float64) (c [3]int64) {
+		for i := 0; i < campaign.PaperTrials; i++ {
+			switch u := rng.Float64(); {
+			case u < p[0]:
+				c[0]++
+			case u < p[0]+p[1]:
+				c[1]++
+			default:
+				c[2]++
+			}
+		}
+		return c
+	}
+	half := 3.2905 * math.Sqrt(stats.Alpha*(1-stats.Alpha)/reps)
+	for _, p := range [][3]float64{
+		{0.14, 0.55, 0.31}, // measured PINFI, mean over the 14 apps
+		{0.13, 0.19, 0.68}, // published PINFI
+		{1.0 / 3, 1.0 / 3, 1.0 / 3},
+		{0.05, 0.15, 0.80},
+	} {
+		rejected := 0
+		for i := 0; i < reps; i++ {
+			r, err := stats.CompareCounts("", "", "", draw(p), draw(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Significant {
+				rejected++
+			}
+		}
+		if rate := float64(rejected) / reps; math.Abs(rate-stats.Alpha) > half {
+			t.Errorf("rates %v: rejected %.4f of %d null draws, want %.2f ± %.4f", p, rate, reps, stats.Alpha, half)
+		} else {
+			t.Logf("rates %v: rejected %.4f", p, rate)
+		}
 	}
 }
 
