@@ -6,7 +6,7 @@ package vm
 // marks its save area once instead of once per push. Losing one means a
 // reused machine leaks bytes from the previous trial into the next, silently
 // corrupting campaign outcomes; these tests pin the invariant at the
-// store64/runSite seam, below anything workload behavior can mask.
+// store64 and fused-site seams, below anything workload behavior can mask.
 
 import (
 	"bytes"

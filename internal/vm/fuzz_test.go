@@ -7,9 +7,10 @@ package vm_test
 //     image A for a while — a stray store and a register flip on top, at the
 //     fuzzer's choice — and is rebound to image B, which does not sweep its
 //     memory. Images under the LLFI, REFINE and PINFI pipelines.
-//   - FuzzPredecode: the predecoder on a mutated REFINE or PINFI image. Every
-//     fused site must have the site shape, and the fast loop must run the
-//     image exactly like the reference decoder.
+//   - FuzzPredecode: the predecoder on a mutated REFINE, PINFI or LLFI
+//     image. Every fused site must have the site shape, every fused call the
+//     call shape, and the fast loop must run the image exactly like the
+//     reference decoder.
 //
 // Run them with
 //
@@ -142,6 +143,29 @@ func siteShaped(ins []vm.Inst, hosts int, head, post int32) bool {
 		reg(&fin[5], vx.MOVQ, vx.SP) && fin[5].BKind == vm.OpMem && abs(&fin[5]) && fin[5].MemDisp == pre[0].MemDisp
 }
 
+// callShaped is the call shape spelled out on the decoded instructions, as
+// an independent check of the predecoder's matcher: what the fused path
+// assumes the four instructions at head do.
+func callShaped(ins []vm.Inst, hosts int, head int32) bool {
+	if head < 0 || int(head)+4 > len(ins) {
+		return false
+	}
+	mov := func(in *vm.Inst) bool { return in.Op == vx.MOVQ || in.Op == vx.MOVSD }
+	rr := func(in *vm.Inst) bool {
+		return in.Op == vx.MOVQ2SD || in.Op == vx.MOVSD2Q || mov(in) && in.AKind == vm.OpReg && in.BKind == vm.OpReg
+	}
+	ri := func(in *vm.Inst) bool {
+		return mov(in) && in.AKind == vm.OpReg && (in.BKind == vm.OpImm || in.BKind == vm.OpFImm)
+	}
+	store := func(in *vm.Inst) bool {
+		return mov(in) && in.AKind == vm.OpMem && in.BKind == vm.OpReg && in.MemScale >= 0 && in.MemScale <= 255
+	}
+	s := ins[head : head+4]
+	return (rr(&s[0]) || ri(&s[0])) && (rr(&s[1]) || ri(&s[1])) &&
+		s[2].Op == vx.CALLQ && s[2].HostIdx >= 0 && int(s[2].HostIdx) < hosts &&
+		(rr(&s[3]) || ri(&s[3]) || store(&s[3]))
+}
+
 // mutate applies one 9-byte mutation — a field selector, a PC among the
 // image's live ones and a value — to a clone's instruction stream. Every
 // mutation keeps the instruction decodable: registers stay inside the
@@ -190,7 +214,7 @@ func bindPredecode(m *vm.Machine, tool campaign.Tool) {
 func FuzzPredecode(f *testing.F) {
 	var imgs []predecodeImage
 	for _, app := range []string{"CG", "FT"} {
-		for _, tool := range []campaign.Tool{campaign.REFINE, campaign.PINFI} {
+		for _, tool := range []campaign.Tool{campaign.REFINE, campaign.PINFI, campaign.LLFI} {
 			bin := buildBin(f, app, tool)
 			m := bin.NewMachine()
 			bindPredecode(m, tool)
@@ -207,13 +231,17 @@ func FuzzPredecode(f *testing.F) {
 			imgs = append(imgs, predecodeImage{bin, live})
 		}
 	}
-	// which indexes CG/REFINE, CG/PINFI, FT/REFINE, FT/PINFI; each 9 bytes of
-	// plan are one mutation: field, PC (4 bytes), value (4 bytes).
+	// which indexes CG/REFINE, CG/PINFI, CG/LLFI, FT/REFINE, FT/PINFI,
+	// FT/LLFI; each 9 bytes of plan are one mutation: field, PC (4 bytes),
+	// value (4 bytes).
 	f.Add(uint8(0), false, []byte{})
 	f.Add(uint8(0), false, []byte{0, 7, 0, 0, 0, byte(vx.NOP), 0, 0, 0})
-	f.Add(uint8(2), true, []byte{1, 40, 0, 0, 0, byte(vx.SP), 2, 0, 0, 3, 9, 1, 0, 0, 17, 0, 0, 0})
+	f.Add(uint8(3), true, []byte{1, 40, 0, 0, 0, byte(vx.SP), 2, 0, 0, 3, 9, 1, 0, 0, 17, 0, 0, 0})
 	f.Add(uint8(1), true, []byte{2, 3, 0, 0, 0, 0, 0, 0, 0x80, 4, 200, 0, 0, 0, 1, 0, 0, 0})
-	f.Add(uint8(3), false, []byte{0, 100, 0, 0, 0, byte(vx.RET), 0, 0, 0, 1, 100, 0, 0, 0, 0, 1, 0, 0})
+	f.Add(uint8(4), false, []byte{0, 100, 0, 0, 0, byte(vx.RET), 0, 0, 0, 1, 100, 0, 0, 0, 0, 1, 0, 0})
+	f.Add(uint8(2), false, []byte{})
+	f.Add(uint8(2), true, []byte{1, 12, 0, 0, 0, byte(vx.R0), 1, 0, 0, 4, 13, 0, 0, 0, 2, 0, 0, 0})
+	f.Add(uint8(5), false, []byte{0, 30, 0, 0, 0, byte(vx.LEAQ), 0, 0, 0, 2, 31, 0, 0, 0, 9, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, which uint8, viaRepredecode bool, plan []byte) {
 		src := imgs[int(which)%len(imgs)]
@@ -232,6 +260,11 @@ func FuzzPredecode(f *testing.F) {
 		for i, head := range heads {
 			if !siteShaped(img.Instrs, len(img.HostFns), head, posts[i]) {
 				t.Fatalf("fused a site at %d (post %d) that does not have the site shape", head, posts[i])
+			}
+		}
+		for _, head := range vm.CallHeads(img) {
+			if !callShaped(img.Instrs, len(img.HostFns), head) {
+				t.Fatalf("fused a call at %d that does not have the call shape", head)
 			}
 		}
 

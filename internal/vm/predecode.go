@@ -12,13 +12,15 @@ import (
 // specialized by operand shape, so the inner dispatch loop in run.go pays
 // neither the operand-kind switches of readA/readB/writeA nor the
 // CycleCost lookup on the hot path. It also fuses the ubiquitous
-// CMPQ+JCC / TESTQ+JCC pairs into superinstructions, and builds the
-// host-symbol and function indexes used by Imports/BindHost/FuncOf.
+// CMPQ+JCC / TESTQ+JCC pairs into superinstructions, matches the two
+// instrumentation sequences (site.go), and builds the host-symbol and
+// function indexes used by Imports/BindHost/FuncOf.
 //
-// Fusion never rewrites the second instruction of a pair: the JCC slot
-// keeps its own unfused uop, so control transfers that land on it directly
-// (branches, corrupted return addresses after a fault) still execute
-// correctly. The fused uop only runs when fallthrough reaches the compare.
+// Fusion never rewrites any but the first instruction of a sequence: the
+// JCC slot of a pair keeps its own unfused uop, so control transfers that
+// land on it directly (branches, corrupted return addresses after a fault)
+// still execute correctly. The fused uop only runs when control reaches the
+// first instruction.
 
 type predecodeOnce = sync.Once
 
@@ -94,10 +96,11 @@ const (
 
 	uNOP
 
-	// uSITE is the site superinstruction (site.go): a uSTORE whose tgt
-	// indexes Image.sites. It stays the last kind, outside the range
-	// runFast's switch covers, and is dispatched from its default arm.
+	// The instrumentation superinstructions (site.go), each a head slot
+	// whose tgt indexes a side table: uSITE a REFINE site's uSTORE
+	// (Image.sites), uCALLSITE an LLFI call's first move (Image.calls).
 	uSITE
+	uCALLSITE
 )
 
 // uop is one predecoded micro-op. Field use depends on kind:
@@ -105,7 +108,7 @@ const (
 //	a           destination / register operand
 //	b, c, scale memory base, index (NoReg ⇒ absent) and scale
 //	imm         immediate or memory displacement
-//	tgt         branch target, host index, uSTOREi displacement, or uSITE entry
+//	tgt         branch target, host index, uSTOREi displacement, or side-table entry
 //	cond        condition code for (fused) JCC / SETCC
 //	cost        cycle cost charged up front (op cost + memory surcharge)
 //	cost2       cycle cost of the branch half of a fused pair
@@ -158,12 +161,18 @@ func (img *Image) build() {
 	for pc := range img.Instrs {
 		img.fuse(int32(pc))
 	}
-	// Site superinstruction (site.go): matched on the fused stream, rewrites
-	// head slots only.
+	// Site and call superinstructions (site.go): matched on the fused
+	// stream, in that order, rewriting head slots only.
 	for pc := range img.Instrs {
 		if s, ok := img.matchSite(int32(pc)); ok {
 			img.code[pc].kind, img.code[pc].tgt = uSITE, int32(len(img.sites))
 			img.sites = append(img.sites, s)
+		}
+	}
+	for pc := range img.Instrs {
+		if c, ok := img.matchCall(int32(pc)); ok {
+			img.code[pc].kind, img.code[pc].tgt = uCALLSITE, int32(len(img.calls))
+			img.calls = append(img.calls, c)
 		}
 	}
 
@@ -234,8 +243,8 @@ func (img *Image) Clone() *Image {
 // Repredecode refreshes the predecoded state of pc after an in-place
 // mutation of Instrs[pc] (the opcode-corruption ablation rewrites opcodes
 // mid-run). The neighboring slot pc-1 is re-fused as well, since its fused
-// state depends on what pc holds, and every site superinstruction one of
-// whose 16 slots is pc drops back to its plain store for good — restoring
+// state depends on what pc holds, and every site or call superinstruction
+// one of whose slots is pc drops back to its plain head for good — restoring
 // the slot does not fuse it again. Mutating an image forfeits its
 // share-across-goroutines guarantee: callers must have exclusive use of
 // the image for the whole mutate/run/restore window.
@@ -249,6 +258,7 @@ func (img *Image) Repredecode(pc int32) {
 		img.fuse(p)
 	}
 	img.unfuseSitesAround(pc)
+	img.unfuseCallsAround(pc)
 }
 
 // intALUKinds and fpALUKinds map two-address ALU opcodes to their

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/vx"
@@ -388,20 +389,74 @@ func (m *Machine) runFast() {
 
 		case uNOP:
 
-		default:
-			if u.kind == uSITE {
-				// Site superinstruction, out of line (site.go) and dispatched
-				// from here so that the switch above — and with it the code
-				// of every site-free run — is what it was without it.
-				m.runSite(&img.sites[u.tgt])
-			} else {
-				// uGeneric: full decode through the reference switch.
-				m.execOp(pc, &img.Instrs[pc])
+		case uSITE:
+			// Site superinstruction (site.go): the head store, then the
+			// not-triggered path in one go, or the unfused slots.
+			s := &img.sites[u.tgt]
+			sp := m.Regs[vx.SP]
+			if s.abs < DefaultGlobalBase || s.abs > uint64(len(m.Mem))-8 {
+				m.store64(s.abs, sp)
+				return
 			}
+			m.markDirty(s.abs)
+			binary.LittleEndian.PutUint64(m.Mem[s.abs:], sp)
+			h := &m.hosts[s.host]
+			if !h.siteInert || *h.Inert.Count == *h.Inert.Event || left < siteAfterHead ||
+				sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
+				continue
+			}
+			lo, hi := (sp-siteSaveBytes)>>dirtyPageShift, (sp-1)>>dirtyPageShift
+			m.markPage(lo)
+			if hi != lo {
+				m.markPage(hi)
+			}
+			save := (*[siteSaveBytes]byte)(m.Mem[sp-siteSaveBytes : sp])
+			binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
+			binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
+			binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
+			binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
+			binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
+			if s.abs < sp && s.abs+8 > sp-siteSaveBytes {
+				m.Regs[vx.SP] = binary.LittleEndian.Uint64(m.Mem[s.abs:])
+			}
+			*h.Inert.Count++
+			m.InstrCount += siteAfterHead
+			m.Cycles += s.preCycles + h.Cycles + s.postCycles
+			m.PC = s.post + sitePostLen
+			left -= siteAfterHead
+
+		case uCALLSITE:
+			// Call superinstruction (site.go): the head move, then an inert
+			// call with the slots around it in one go, or the unfused slots.
+			c := &img.calls[u.tgt]
+			m.move(&c.ops[0])
+			h := &m.hosts[c.host]
+			if left < callLen-1 || !h.inert() || h.Fn == nil {
+				continue
+			}
+			m.move(&c.ops[1])
+			m.callInert(h)
+			if !h.PreserveRegs {
+				m.scrambleExceptResults()
+			}
+			m.InstrCount += callLen - 1
+			m.Cycles += c.cycles + h.Cycles
+			m.PC = c.head + callLen
+			left -= callLen - 1
+			if d := &c.ops[2]; d.kind != uSTORE {
+				m.move(d)
+			} else if !m.store64(m.uopAddr(d), m.Regs[d.a]) {
+				return
+			}
+
+		default:
+			// uGeneric: full decode through the reference switch. Every
+			// CALLQ has a kind of its own, so no Go of a host's runs here
+			// and the countdown stays exact.
+			m.execOp(pc, &img.Instrs[pc])
 			if m.Halted {
 				return
 			}
-			left = m.fastCountdown()
 		}
 	}
 }
@@ -409,7 +464,7 @@ func (m *Machine) runFast() {
 // fastCountdown computes runFast's steps-until-deadline counter: the
 // distance to the nearer of the caller budget and the armed fire point
 // (effectively infinite when neither is pending). Recomputed at every seam
-// where arbitrary Go ran (host calls, generic decode, a serviced fire).
+// where arbitrary Go ran: a host call that entered Fn, a serviced fire.
 func (m *Machine) fastCountdown() int64 {
 	left := int64(math.MaxInt64)
 	if m.Budget > 0 {

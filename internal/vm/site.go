@@ -1,14 +1,11 @@
 package vm
 
-import (
-	"encoding/binary"
+import "repro/internal/vx"
 
-	"repro/internal/vx"
-)
-
-// This file implements the site superinstruction: the second kind of
-// predecode-time fusion, next to the compare+branch pairs in predecode.go.
-// A REFINE binary runs 16 instrumentation instructions behind every target
+// This file implements the two instrumentation superinstructions, REFINE's
+// site and LLFI's call (below): predecode-time fusion next to the
+// compare+branch pairs in predecode.go, each run by a case of runFast's
+// switch. A REFINE binary runs 16 instrumentation instructions behind every target
 // instruction, and on all but one dynamic occurrence per trial they do
 // nothing but save state, ask the control runtime "trigger here?", hear
 // "no", and restore the state again. The predecoder recognises that
@@ -149,56 +146,107 @@ func (img *Image) unfuseSitesAround(pc int32) {
 	}
 }
 
-// runSite executes a fused site head for runFast, which has already
-// accounted for the head instruction (InstrCount, cost, PC). The caller
-// re-checks Halted and recomputes its countdown afterwards,
-// exactly as after a generic op.
+// The fused site is runFast's uSITE case, which finds the head instruction
+// already accounted for (InstrCount, cost, PC, the countdown).
 //
 // It fuses one path, the one nearly every call takes: a call the
 // register-preserving host declares inert (HostFn.Inert) with an answer of 0
-// — selInstr on every call but a trial's few. That call is made without
+// — selInstr on every call but a trial's few; BindHost decides once whether
+// a host has that shape (HostFn.siteInert). That call is made without
 // entering the host function, and the pops would read back exactly what was
 // just pushed, so R0..R3 and FLAGS keep their values: the whole
-// not-triggered path is the five saves, the counter bump and the closing SP
-// load, accounted as the sixteen single dispatches. The stores and the load
-// stay real, in the original order — a fault-flipped SP can make the pushes
-// overwrite the save slot, and the closing load must then read what they
-// wrote.
+// not-triggered path is the head store, the five saves, the counter bump
+// and the closing SP load, accounted as the sixteen single dispatches. The
+// stores stay real, in the original order — a fault-flipped SP can make the
+// pushes overwrite the save slot, and the closing load must then read what
+// they wrote. When the save area [sp-40, sp) misses the slot, the load would
+// read back the SP the head just stored, and SP keeps its value instead. The
+// save area is checked wholly in bounds once and marked once: one page, or
+// two across a boundary, exactly the pages the unfused pushes would mark.
 //
-// Anything else returns right after the head store and leaves the rest of
+// Anything else continues right after the head store and leaves the rest of
 // the sequence to the unfused slots, which PC already points at and which
 // do it exactly: a call with work, a deadline (budget or fire point) within
-// the remaining 15 instructions, an unbound host, or a save area that is not
-// wholly in bounds.
-//
-//go:noinline
-func (m *Machine) runSite(s *siteInfo) {
-	sp := m.Regs[vx.SP]
-	if !m.store64(s.abs, sp) {
-		return
-	}
-	h := &m.hosts[s.host]
-	if !h.inert() || h.Fn == nil || !h.PreserveRegs || h.Inert.Ret != vx.NoReg ||
-		m.fastCountdown() < siteAfterHead ||
-		sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
-		return
-	}
+// the remaining 15 instructions, an unbound host or one of another shape, or
+// a save area that is not wholly in bounds. No Go ran on either path, so the
+// loop's countdown stays exact.
 
-	// The five pushes write [sp-40, sp), checked above: one page, two across
-	// a boundary, and exactly the pages the unfused pushes would mark.
-	mem := m.Mem
-	save := (*[siteSaveBytes]byte)(mem[sp-siteSaveBytes : sp])
-	m.markPage((sp - siteSaveBytes) >> dirtyPageShift)
-	m.markPage((sp - 1) >> dirtyPageShift)
-	binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
-	binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
-	binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
-	binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
-	binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
-	*h.Inert.Count++
-	// A load, because a wild SP can put the save area over the slot.
-	m.Regs[vx.SP] = binary.LittleEndian.Uint64(mem[s.abs:])
-	m.InstrCount += siteAfterHead
-	m.Cycles += s.preCycles + h.Cycles + s.postCycles
-	m.PC = s.post + sitePostLen
+// The call superinstruction is the same idea for LLFI: every injectFault
+// call is four instructions around one host call, and on all but a trial's
+// one or two it passes its value through and counts. The matched shape, by
+// uop kind only (no symbol names, no Instrumented mark):
+//
+//	head+0  MOVQ/MOVSD reg ← imm or reg   (i64: R1 ← id;  f64: R0 ← id)
+//	head+1  MOVQ/MOVSD reg ← imm or reg   (i64: R2 ← value;  f64: R1 ← R0)
+//	head+2  CALLQ host
+//	head+3  MOVQ/MOVSD reg ← reg or imm, or [mem] ← reg
+//
+// The last slot takes the value out of R0 or F0 into its register or its
+// stack slot (and, where the value is dead, is the next instruction of the
+// block). As for sites, only the head slot is rewritten (to uCALLSITE, its
+// tgt indexing Image.calls) and Step runs the four instructions unfused. The
+// fused case runs the head move and then, if the host declares this call
+// inert and the deadline is not within the three instructions behind the
+// head, the rest of the sequence: the second move, the inert call and its
+// clobber, the last slot. Otherwise it continues at head+1 and the unfused
+// slots do the rest — an unbound host's call slot traps there, and a call
+// with work enters Fn there.
+
+// callLen is the length of the call shape.
+const callLen = 4
+
+// callInfo is the side-table entry of one call shape matched when the image
+// was built; the head uop's tgt indexes it. A call Repredecode unfused keeps
+// its entry, unused.
+type callInfo struct {
+	head int32
+	host int32 // host index of the CALLQ
+	// ops are the uops of head+0 and head+1 (uMOVri or uMOVrr) and of
+	// head+3 (either of those, or uSTORE).
+	ops [3]uop
+	// cycles covers head+1..head+3, without the host function's own latency
+	// (the machine's binding); the head's cost is charged by the dispatch
+	// loop like any uop's.
+	cycles int64
+}
+
+// matchCall reports whether the instructions at head have the call shape.
+// It runs after fuse and matchSite and reads the stream they left; a slot
+// either rewrote is not a move or a host call, so it never matches.
+func (img *Image) matchCall(head int32) (callInfo, bool) {
+	if head < 0 || int(head)+callLen > len(img.code) {
+		return callInfo{}, false
+	}
+	s := img.code[head : head+callLen]
+	move := func(u *uop) bool { return u.kind == uMOVri || u.kind == uMOVrr }
+	if !move(&s[0]) || !move(&s[1]) || s[2].kind != uCALLH || !(move(&s[3]) || s[3].kind == uSTORE) {
+		return callInfo{}, false
+	}
+	return callInfo{
+		head:   head,
+		host:   s[2].tgt,
+		ops:    [3]uop{s[0], s[1], s[3]},
+		cycles: int64(s[1].cost) + int64(s[2].cost) + int64(s[3].cost),
+	}, true
+}
+
+// unfuseCallsAround demotes every fused call one of whose four slots is pc
+// to its plain head move, after Repredecode refreshed that slot. Like a
+// site, a call never fuses again.
+func (img *Image) unfuseCallsAround(pc int32) {
+	for i := range img.calls {
+		c := &img.calls[i]
+		if u := &img.code[c.head]; pc >= c.head && pc < c.head+callLen && u.kind == uCALLSITE {
+			*u = c.ops[0]
+		}
+	}
+}
+
+// move runs a uMOVri or uMOVrr uop.
+func (m *Machine) move(u *uop) {
+	if u.kind == uMOVri {
+		m.Regs[u.a] = uint64(u.imm)
+	} else {
+		m.Regs[u.a] = m.Regs[u.b]
+	}
 }

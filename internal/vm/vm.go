@@ -105,6 +105,7 @@ type Image struct {
 	hostIndex map[string]int32 //fi:nowire — derived predecode state, rebuilt by ensure()
 	funcOrder []int32          //fi:nowire — indexes into Funcs sorted by Entry, rebuilt by ensure()
 	sites     []siteInfo       //fi:nowire — site superinstruction side table (site.go), rebuilt by ensure()
+	calls     []callInfo       //fi:nowire — call superinstruction side table (site.go), rebuilt by ensure()
 	sitePC    []int32          //fi:nowire — SiteID → PC index for SitePC, rebuilt by ensure()
 }
 
@@ -208,6 +209,11 @@ type HostFn struct {
 	Cycles int64
 	// Inert declares the calls on which Fn would only count (optional).
 	Inert Inert
+
+	// siteInert is set by BindHost for the one shape of host a fused site
+	// calls itself (site.go): bound, register-preserving, and declaring
+	// inert calls that answer 0.
+	siteInert bool
 }
 
 // Inert is a host function's declaration of its inert calls: while *Count
@@ -415,6 +421,7 @@ func (m *Machine) BindHost(h HostFn) {
 		if h.Cycles == 0 {
 			h.Cycles = vx.HostCallCycles
 		}
+		h.siteInert = h.Fn != nil && h.PreserveRegs && h.Inert.Count != nil && h.Inert.Ret == vx.NoReg
 		m.hosts[i] = h
 		return
 	}
@@ -446,8 +453,9 @@ func (m *Machine) fault(k TrapKind, format string, args ...any) {
 
 // load64 and store64 are the memory-access primitives of every execution
 // path, and store64 is where a store's pages are marked dirty; the one other
-// writer is the fused site (site.go), which bounds-checks and marks its save
-// area once for its five pushes. The bounds checks are overflow-safe:
+// writer is the fused site (runFast's uSITE case, site.go), which spells out
+// the head store and bounds-checks and marks its save area once for its five
+// pushes. The bounds checks are overflow-safe:
 // addr+8 could wrap for addresses near 2^64 (e.g. a bit-flipped stack
 // pointer).
 
@@ -912,12 +920,17 @@ var clobbered = func() (r [vx.NumRegs]uint64) {
 // scrambleExceptResults models C-ABI clobbering by native library code: the
 // caller-saved registers R1..R8 and F1..F7 and FLAGS (= SF), but not the
 // return registers R0/F0, which the host implementation has already
-// written. TestScrambleTableMatchesReference pins the two ranges to the
-// spelled-out per-register loop.
+// written. The writes are spelled out one register at a time: a range copy
+// or an array assignment compiles to runtime.memmove, which costs an LLFI
+// call more than the clobber itself. TestScrambleTableMatchesReference pins
+// them to the per-register loop over vx.CallerSavedGPR/FPR.
 func (m *Machine) scrambleExceptResults() {
-	copy(m.Regs[vx.R1:vx.R8+1], clobbered[vx.R1:vx.R8+1])
-	copy(m.Regs[vx.F1:vx.F7+1], clobbered[vx.F1:vx.F7+1])
-	m.Regs[vx.RFLAGS] = vx.FlagS
+	r, c := &m.Regs, &clobbered
+	r[vx.R1], r[vx.R2], r[vx.R3], r[vx.R4] = c[vx.R1], c[vx.R2], c[vx.R3], c[vx.R4]
+	r[vx.R5], r[vx.R6], r[vx.R7], r[vx.R8] = c[vx.R5], c[vx.R6], c[vx.R7], c[vx.R8]
+	r[vx.F1], r[vx.F2], r[vx.F3], r[vx.F4] = c[vx.F1], c[vx.F2], c[vx.F3], c[vx.F4]
+	r[vx.F5], r[vx.F6], r[vx.F7] = c[vx.F5], c[vx.F6], c[vx.F7]
+	r[vx.RFLAGS] = vx.FlagS
 }
 
 // FlipBit XORs a single bit into a register. FPR values are stored as bit
