@@ -21,7 +21,8 @@ type Options struct {
 }
 
 // MaxMemSize is the largest address space an image may ask for (64 MiB,
-// sixteen times the default).
+// sixteen times the default), the bound vm.Image.Validate holds a decoded
+// image to.
 const MaxMemSize = 16 * vm.DefaultMemSize
 
 // Assemble lowers a machine program to an executable image.

@@ -61,12 +61,10 @@ func EncodeObject(img *vm.Image) []byte {
 var instSize = binary.Size(vm.Inst{})
 
 // DecodeObject parses a serialized image. It rejects an object no assembled
-// image encodes to — a count larger than the bytes left, an address space
-// larger than MaxMemSize, a data segment that does not start at
-// vm.DefaultGlobalBase, end within the lower half of memory and hold exactly
-// its initialized bytes, an entry outside the instruction stream, more sites
-// than instructions or an instruction naming a site past NumSites — instead
-// of allocating by it or handing it to the VM.
+// image encodes to — a count larger than the bytes left, or an image
+// vm.Image.Validate rejects (a header, a register, a branch target or a
+// host index the machine could not run) — instead of allocating by it or
+// handing it to the VM.
 func DecodeObject(data []byte) (*vm.Image, error) {
 	r := bytes.NewReader(data)
 	var magic [8]byte
@@ -143,18 +141,8 @@ func DecodeObject(data []byte) (*vm.Image, error) {
 	if err != nil {
 		return nil, fmt.Errorf("asm: decode: %w", err)
 	}
-	if img.MemSize > MaxMemSize || img.GlobalBase != vm.DefaultGlobalBase ||
-		img.GlobalEnd < img.GlobalBase || img.GlobalEnd > img.MemSize/2 ||
-		int64(len(img.InitData)) != img.GlobalEnd-img.GlobalBase ||
-		img.EntryPC < 0 || int(img.EntryPC) >= len(img.Instrs) ||
-		img.NumSites < 0 || int(img.NumSites) > len(img.Instrs) {
-		return nil, fmt.Errorf("asm: bad header: memory %d, data [%d, %d) with %d bytes, entry %d of %d instructions, %d sites",
-			img.MemSize, img.GlobalBase, img.GlobalEnd, len(img.InitData), img.EntryPC, len(img.Instrs), img.NumSites)
-	}
-	for pc := range img.Instrs {
-		if id := img.Instrs[pc].SiteID; id < -1 || id >= img.NumSites {
-			return nil, fmt.Errorf("asm: instruction %d: site %d of %d", pc, id, img.NumSites)
-		}
+	if err := img.Validate(); err != nil {
+		return nil, fmt.Errorf("asm: %w", err)
 	}
 	return img, nil
 }

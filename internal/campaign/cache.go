@@ -343,13 +343,15 @@ func (c *Cache) loadDiskEntry(path string, app App, tool Tool) (*Binary, *Profil
 	var d diskEntry
 	u, _ := tool.(FirePointUser)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&d); err != nil || d.Img == nil || d.Prof == nil || d.Version != diskFormatVersion ||
-		(u != nil && u.UsesFirePoints() && (d.Fire == nil || d.Fire.N != d.Prof.Targets)) {
+		(u != nil && u.UsesFirePoints() && (d.Fire == nil || d.Fire.N != d.Prof.Targets)) || d.Img.Validate() != nil {
 		// The checksum matched, so this is a well-preserved entry this
 		// binary cannot trust: an undecodable gob, a payload stamped by a
 		// different format version — drift the content address should have
-		// caught — or a fire-point index that is missing or not the
-		// profile's, which would panic in Lookup mid-campaign. Quarantine
-		// it all the same: rebuilding once beats failing forever.
+		// caught — a fire-point index that is missing or not the
+		// profile's, which would panic in Lookup mid-campaign, or an image
+		// the machine could not run (vm.Image.Validate: gob skips every
+		// check the object decoder makes). Quarantine it all the same:
+		// rebuilding once beats failing forever.
 		c.quarantine(path)
 		return nil, nil, false
 	}

@@ -1,11 +1,15 @@
 package campaign
 
-// Native fuzz targets for the two disk stores restored trials come from:
-// section entries (.fis) and journal segments (.fij). Neither may panic on
-// what it reads. A section entry either loads whole and in range or is
-// quarantined; a journal segment is at worst a torn tail. The seeds are
-// encoded here from a real campaign over versionTestApp: the real file, a
-// truncated copy and one of the wrong version. Run one target with
+// Native fuzz targets for the disk stores a campaign reads: build entries
+// (.fic), and the two stores restored trials come from, section entries
+// (.fis) and journal segments (.fij). None may panic on what it reads. A
+// build entry either loads as a build whose image the machine can run
+// (vm.Image.Validate) or is quarantined; a section entry either loads whole
+// and in range or is quarantined; a journal segment is at worst a torn tail.
+// The seeds are encoded here from a real campaign over versionTestApp: the
+// real file, a truncated copy and one of the wrong version (for a build
+// entry, one whose image names a register past the file). Run one target
+// with
 //
 //	go test -run '^$' -fuzz '^FuzzSectionEntry$' -fuzztime=10s -fuzzminimizetime=100x ./internal/campaign/
 //
@@ -18,6 +22,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/vx"
 )
 
 // fuzzTrials is the seed campaign's length, and the range every fuzzed
@@ -42,6 +48,54 @@ func seedStores(f *testing.F) (cacheDir, journalDir string) {
 		f.Fatal(err)
 	}
 	return cacheDir, journalDir
+}
+
+func FuzzCacheEntry(f *testing.F) {
+	dir, _ := seedStores(f)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.fic"))
+	if err != nil || len(paths) != 1 {
+		f.Fatalf("the seed campaign left build entries %v (%v)", paths, err)
+	}
+	data, err := os.ReadFile(paths[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	real := data[checksumLen:]
+	var e diskEntry
+	if err := gob.NewDecoder(bytes.NewReader(real)).Decode(&e); err != nil {
+		f.Fatal(err)
+	}
+	reencode := func(edit func()) []byte {
+		edit()
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(&e); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Add(real)
+	f.Add(real[:len(real)/2])
+	f.Add(reencode(func() { e.Img.Instrs[e.Img.EntryPC].AReg = vx.NumRegs }))
+	f.Add(reencode(func() { e.Version = diskFormatVersion - 1 }))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		c, err := NewDiskCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(c.dir, "fuzz.fic")
+		c.writePayload(path, payload, "campaign.cache.store", "campaign.cache.stored")
+		bin, _, ok := c.loadDiskEntry(path, versionTestApp(), PINFI)
+		if !ok {
+			if _, err := os.Stat(path + ".quarantine"); err != nil || c.quarantined.Load() != 1 {
+				t.Fatalf("rejected entry not quarantined: %v", err)
+			}
+			return
+		}
+		if err := bin.Img.Validate(); err != nil {
+			t.Fatalf("loaded a build the machine cannot run: %v", err)
+		}
+	})
 }
 
 func FuzzSectionEntry(f *testing.F) {

@@ -136,3 +136,28 @@ func CallShape(f64 bool, edit func(ins []Inst)) *Image {
 		MemSize:    1 << 16,
 	}
 }
+
+// Elided is one fused site that may skip its writes (site.go, elide): the
+// distance to the deadline it needs and the largest SP displacement on its
+// paths.
+type Elided struct {
+	Head, Post int32
+	Abs        uint64
+	Need       int64
+	MaxOff     uint64
+}
+
+// ElidedSites returns every fused site of img that may skip its writes, in
+// stream order of the heads.
+func ElidedSites(img *Image) []Elided {
+	img.ensure()
+	var out []Elided
+	for pc := range img.code {
+		if u := &img.code[pc]; u.kind == uSITE {
+			if s := &img.sites[u.tgt]; s.need > 0 {
+				out = append(out, Elided{s.head, s.post, s.abs, s.need, s.maxOff})
+			}
+		}
+	}
+	return out
+}

@@ -15,8 +15,8 @@ package vm
 // once, at the first inter-instruction boundary where InstrCount >= At —
 // right behind the At-th committed instruction, the point a stepping
 // observer that has just seen that instruction commit calls back at. It
-// composes with a caller Budget: the fast loop's countdown tracks the nearer
-// of the two deadlines and is recomputed after the fire services.
+// composes with a caller Budget: the fast loop's deadline is the nearer of
+// the two, recomputed after the fire services.
 type FirePoint struct {
 	// At is the absolute InstrCount at which the callback runs: Fn is
 	// serviced after the At-th instruction commits, before the next

@@ -175,6 +175,11 @@ func (img *Image) build() {
 			img.calls = append(img.calls, c)
 		}
 	}
+	// Sites whose writes the next site repeats (site.go): on the final
+	// stream, which every walk reads whole.
+	for i := range img.sites {
+		img.elide(&img.sites[i])
+	}
 
 	// SiteID → PC of the application instruction carrying it (first wins).
 	for pc := range img.Instrs {
@@ -245,7 +250,8 @@ func (img *Image) Clone() *Image {
 // mid-run). The neighboring slot pc-1 is re-fused as well, since its fused
 // state depends on what pc holds, and every site or call superinstruction
 // one of whose slots is pc drops back to its plain head for good — restoring
-// the slot does not fuse it again. Mutating an image forfeits its
+// the slot does not fuse it again — and no site skips its writes any more:
+// a path elide walked may have changed. Mutating an image forfeits its
 // share-across-goroutines guarantee: callers must have exclusive use of
 // the image for the whole mutate/run/restore window.
 func (img *Image) Repredecode(pc int32) {
@@ -259,6 +265,9 @@ func (img *Image) Repredecode(pc int32) {
 	}
 	img.unfuseSitesAround(pc)
 	img.unfuseCallsAround(pc)
+	for i := range img.sites {
+		img.sites[i].need = 0
+	}
 }
 
 // intALUKinds and fpALUKinds map two-address ALU opcodes to their

@@ -11,12 +11,12 @@ import (
 // kind (TrapNone for a normal halt), with nothing armed.
 //
 // There are two loops. Run executes the hook-free fast loop (runFast):
-// predecoded uops, the budget check hoisted into a countdown, fused
+// predecoded uops, the budget check hoisted into one deadline, fused
 // superinstructions. A machine with a TraceRing attached when Run starts is
 // stepped throughout instead, through Step, the reference path, so the ring
 // sees every architectural instruction unfused; nothing attaches mid-run.
 // A fire-point trial (ArmFire) never leaves runFast: the injection rides the
-// same countdown as the budget, and a callback that steps the machine on
+// same deadline as the budget, and a callback that steps the machine on
 // (pinfi.Observe) hands it back where the stepping stopped. The differential
 // suites pin runFast to Step through RunStepped.
 func (m *Machine) Run() TrapKind {
@@ -66,26 +66,30 @@ func (m *Machine) runFast() {
 	img := m.Img
 	code := img.code
 	n := int32(len(code))
-	// Deadlines as a steps-until-deadline countdown: `left <= 0` is
-	// equivalent to Step's `InstrCount >= Budget` (and to the fire seam's
-	// `InstrCount >= fire.At`) as long as both are advanced in lockstep.
-	// With neither pending the countdown starts effectively infinite.
-	left := m.fastCountdown()
+	// The budget and the fire point as one deadline: `InstrCount >=
+	// deadline` is Step's `InstrCount >= Budget` and the fire seam's
+	// `InstrCount >= fire.At` in one compare. A case that runs several
+	// instructions tests the distance to it first. With neither pending
+	// it is effectively never. A countdown decremented on every dispatch
+	// would keep two copies of itself live across the switch (the cases
+	// that run several instructions fold their decrement into the
+	// dispatch's) and cost the loop a spilled register.
+	deadline := m.fastDeadline()
 	for {
 		pc := m.PC
-		if uint32(pc) >= uint32(n) || left <= 0 {
+		if uint32(pc) >= uint32(n) || m.InstrCount >= deadline {
 			// Slow path: sentinel/bad-pc, a due fire point, or the budget.
 			// A due fire services first — right behind instruction At,
 			// before the next instruction's sentinel, bad-pc and budget
 			// checks, as in Step — then the loop re-enters at whatever PC
-			// the callback left, with the countdown restored. A fire
+			// the callback left, with the deadline recomputed. A fire
 			// callback that halts ends the run.
 			if fp := m.fire; fp != nil && m.InstrCount >= fp.At {
 				m.serviceFire()
 				if m.Halted {
 					return
 				}
-				left = m.fastCountdown()
+				deadline = m.fastDeadline()
 				continue
 			}
 			if pc == n {
@@ -107,7 +111,6 @@ func (m *Machine) runFast() {
 		m.InstrCount++
 		m.Cycles += int64(u.cost)
 		m.PC = pc + 1 // default fallthrough; control flow overrides below
-		left--
 
 		switch u.kind {
 		case uMOVrr:
@@ -295,12 +298,11 @@ func (m *Machine) runFast() {
 				f = cmpFlags(m.Regs[u.a], b)
 			}
 			m.Regs[vx.RFLAGS] = f
-			if left <= 0 {
+			if m.InstrCount >= deadline {
 				continue
 			}
 			m.InstrCount++
 			m.Cycles += int64(u.cost2)
-			left--
 			if vx.Cond(u.cond).Eval(f) {
 				m.PC = u.tgt
 			} else {
@@ -381,49 +383,55 @@ func (m *Machine) runFast() {
 				m.scrambleExceptResults()
 			}
 			// Host code runs arbitrary Go: it may halt the machine or change
-			// the budget (refresh the countdown either way).
+			// the budget (recompute the deadline either way).
 			if m.Halted {
 				return
 			}
-			left = m.fastCountdown()
+			deadline = m.fastDeadline()
 
 		case uNOP:
 
 		case uSITE:
-			// Site superinstruction (site.go): the head store, then the
-			// not-triggered path in one go, or the unfused slots.
+			// Site superinstruction (site.go): the not-triggered path in one
+			// go — the head store and the saves, or no write at all — or the
+			// head store and then the unfused slots.
 			s := &img.sites[u.tgt]
 			sp := m.Regs[vx.SP]
 			if s.abs < DefaultGlobalBase || s.abs > uint64(len(m.Mem))-8 {
 				m.store64(s.abs, sp)
 				return
 			}
-			m.markDirty(s.abs)
-			binary.LittleEndian.PutUint64(m.Mem[s.abs:], sp)
 			h := &m.hosts[s.host]
-			if !h.siteInert || *h.Inert.Count == *h.Inert.Event || left < siteAfterHead ||
-				sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
-				continue
-			}
-			lo, hi := (sp-siteSaveBytes)>>dirtyPageShift, (sp-1)>>dirtyPageShift
-			m.markPage(lo)
-			if hi != lo {
-				m.markPage(hi)
-			}
-			save := (*[siteSaveBytes]byte)(m.Mem[sp-siteSaveBytes : sp])
-			binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
-			binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
-			binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
-			binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
-			binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
-			if s.abs < sp && s.abs+8 > sp-siteSaveBytes {
-				m.Regs[vx.SP] = binary.LittleEndian.Uint64(m.Mem[s.abs:])
+			left := deadline - m.InstrCount
+			inert := h.siteInert && *h.Inert.Count != *h.Inert.Event
+			if !inert || left < s.need || s.need == 0 ||
+				sp < s.abs+8+siteSaveBytes || sp > uint64(len(m.Mem))-8-s.maxOff {
+				// The site writes, unless the next site rewrites the slot
+				// and the save area before anything can read them (site.go).
+				m.markDirty(s.abs)
+				binary.LittleEndian.PutUint64(m.Mem[s.abs:], sp)
+				if !inert || left < siteAfterHead || sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
+					continue
+				}
+				lo, hi := (sp-siteSaveBytes)>>dirtyPageShift, (sp-1)>>dirtyPageShift
+				m.markPage(lo)
+				if hi != lo {
+					m.markPage(hi)
+				}
+				save := (*[siteSaveBytes]byte)(m.Mem[sp-siteSaveBytes : sp])
+				binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
+				binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
+				binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
+				binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
+				binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
+				if s.abs < sp && s.abs+8 > sp-siteSaveBytes {
+					m.Regs[vx.SP] = binary.LittleEndian.Uint64(m.Mem[s.abs:])
+				}
 			}
 			*h.Inert.Count++
 			m.InstrCount += siteAfterHead
 			m.Cycles += s.preCycles + h.Cycles + s.postCycles
 			m.PC = s.post + sitePostLen
-			left -= siteAfterHead
 
 		case uCALLSITE:
 			// Call superinstruction (site.go): the head move, then an inert
@@ -431,7 +439,7 @@ func (m *Machine) runFast() {
 			c := &img.calls[u.tgt]
 			m.move(&c.ops[0])
 			h := &m.hosts[c.host]
-			if left < callLen-1 || !h.inert() || h.Fn == nil {
+			if deadline-m.InstrCount < callLen-1 || !h.inert() || h.Fn == nil {
 				continue
 			}
 			m.move(&c.ops[1])
@@ -442,7 +450,6 @@ func (m *Machine) runFast() {
 			m.InstrCount += callLen - 1
 			m.Cycles += c.cycles + h.Cycles
 			m.PC = c.head + callLen
-			left -= callLen - 1
 			if d := &c.ops[2]; d.kind != uSTORE {
 				m.move(d)
 			} else if !m.store64(m.uopAddr(d), m.Regs[d.a]) {
@@ -452,7 +459,7 @@ func (m *Machine) runFast() {
 		default:
 			// uGeneric: full decode through the reference switch. Every
 			// CALLQ has a kind of its own, so no Go of a host's runs here
-			// and the countdown stays exact.
+			// and the deadline stays exact.
 			m.execOp(pc, &img.Instrs[pc])
 			if m.Halted {
 				return
@@ -461,21 +468,19 @@ func (m *Machine) runFast() {
 	}
 }
 
-// fastCountdown computes runFast's steps-until-deadline counter: the
-// distance to the nearer of the caller budget and the armed fire point
-// (effectively infinite when neither is pending). Recomputed at every seam
+// fastDeadline computes the InstrCount at which runFast leaves its fast
+// path: the nearer of the caller budget and the armed fire point
+// (effectively never when neither is pending). Recomputed at every seam
 // where arbitrary Go ran: a host call that entered Fn, a serviced fire.
-func (m *Machine) fastCountdown() int64 {
-	left := int64(math.MaxInt64)
+func (m *Machine) fastDeadline() int64 {
+	d := int64(math.MaxInt64)
 	if m.Budget > 0 {
-		left = m.Budget - m.InstrCount
+		d = m.Budget
 	}
-	if fp := m.fire; fp != nil {
-		if l := fp.At - m.InstrCount; l < left {
-			left = l
-		}
+	if fp := m.fire; fp != nil && fp.At < d {
+		d = fp.At
 	}
-	return left
+	return d
 }
 
 // uopAddr computes the effective address of a uop memory operand.

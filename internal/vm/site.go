@@ -41,6 +41,8 @@ const (
 	siteAfterHead = sitePreLen + sitePostLen - 1
 	// siteSaveBytes is the PreFI save area: FLAGS and R0..R3 pushed below SP.
 	siteSaveBytes = 40
+	// siteWrites is the head store and the five pushes.
+	siteWrites = 6
 )
 
 // siteInfo is the side-table entry of one site matched when the image was
@@ -55,6 +57,13 @@ type siteInfo struct {
 	// the JE and the six post instructions. The head's cost is charged by
 	// the dispatch loop like any uop's.
 	preCycles, postCycles int64
+	// need is 0, or the distance to the deadline from which the site may
+	// skip its writes because the next site rewrites them (elide): the 15
+	// instructions behind the head, the longest clear path to the next
+	// head, and that head's store and five pushes. maxOff is the largest SP
+	// displacement a load or store on those paths uses.
+	need   int64
+	maxOff uint64
 }
 
 // sitePushOrder is the PreFI push order after PUSHF; PostFI pops in reverse.
@@ -126,6 +135,83 @@ func (img *Image) matchSite(head int32) (siteInfo, bool) {
 	return s, true
 }
 
+// siteElideLimit bounds the instructions elide walks from one site to the
+// next.
+const siteElideLimit = 48
+
+// elide sets s.need and s.maxOff when every path from the end of s reaches
+// the head of a site with the same SP slot within siteElideLimit
+// instructions, through clear uops only (clearUop). It runs once all sites
+// are matched.
+func (img *Image) elide(s *siteInfo) {
+	code := img.code
+	n := int32(len(code))
+	// dist is the longest path from a pc to the next head, once known; -1
+	// while the pc is on the walk's stack, so a cycle fails the walk.
+	dist := make(map[int32]int32)
+	var maxOff int64
+	var walk func(pc, depth int32) (int32, bool)
+	walk = func(pc, depth int32) (int32, bool) {
+		if pc < 0 || pc >= n {
+			return 0, false
+		}
+		u := &code[pc]
+		if u.kind == uSITE {
+			return 0, uint64(u.imm) == s.abs
+		}
+		if d, seen := dist[pc]; seen {
+			return d, d >= 0 && depth+d <= siteElideLimit
+		}
+		if depth >= siteElideLimit || !clearUop(u) {
+			return 0, false
+		}
+		if u.kind == uLOAD || u.kind == uSTORE {
+			maxOff = max(maxOff, u.imm)
+		}
+		dist[pc] = -1
+		d, ok := int32(0), true
+		if u.kind != uJMP {
+			d, ok = walk(pc+1, depth+1)
+		}
+		if ok && (u.kind == uJMP || u.kind == uJCC) {
+			var t int32
+			t, ok = walk(u.tgt, depth+1)
+			d = max(d, t)
+		}
+		if !ok {
+			return 0, false
+		}
+		dist[pc] = d + 1
+		return d + 1, true
+	}
+	if l, ok := walk(s.post+sitePostLen, 0); ok && img.MemSize >= 8 && maxOff <= img.MemSize-8 {
+		s.need = siteAfterHead + int64(l) + siteWrites
+		s.maxOff = uint64(maxOff)
+	}
+}
+
+// clearUop reports whether u is one of the uops elide lets stand between a
+// site and the next one: it cannot trap once its SP operand is in bounds,
+// leaves SP and the memory below it alone, and runs no Go. The fused
+// compare+branch kinds count as their compare: their JCC slot follows.
+func clearUop(u *uop) bool {
+	sp := uint8(vx.SP)
+	switch u.kind {
+	case uMOVrr, uMOVri, uLEA, uSETCC,
+		uADDrr, uADDri, uSUBrr, uSUBri, uIMULrr, uIMULri, uANDri, uORrr, uSHLri, uSARri, uNEG, uNOT,
+		uFADDrr, uFADDri, uFSUBrr, uFSUBri, uFMULrr, uFMULri, uFDIVrr, uFDIVri,
+		uSQRTrr, uCVTSI2SDrr, uCVTTSD2SIrr:
+		return u.a != sp
+	case uLOAD:
+		return u.a != sp && u.b == sp && u.c == uint8(vx.NoReg) && u.imm >= 0
+	case uSTORE:
+		return u.b == sp && u.c == uint8(vx.NoReg) && u.imm >= 0
+	case uCMPrr, uCMPri, uTESTrr, uUCOMISDrr, uCMPrrJCC, uCMPriJCC, uTESTrrJCC, uJMP, uJCC:
+		return true
+	}
+	return false
+}
+
 // unfuseSite demotes a fused head to the plain store it is.
 func (img *Image) unfuseSite(head int32) {
 	if u := &img.code[head]; u.kind == uSITE {
@@ -147,7 +233,7 @@ func (img *Image) unfuseSitesAround(pc int32) {
 }
 
 // The fused site is runFast's uSITE case, which finds the head instruction
-// already accounted for (InstrCount, cost, PC, the countdown).
+// already accounted for (InstrCount, cost, PC).
 //
 // It fuses one path, the one nearly every call takes: a call the
 // register-preserving host declares inert (HostFn.Inert) with an answer of 0
@@ -159,17 +245,36 @@ func (img *Image) unfuseSitesAround(pc int32) {
 // and the closing SP load, accounted as the sixteen single dispatches. The
 // stores stay real, in the original order — a fault-flipped SP can make the
 // pushes overwrite the save slot, and the closing load must then read what
-// they wrote. When the save area [sp-40, sp) misses the slot, the load would
-// read back the SP the head just stored, and SP keeps its value instead. The
-// save area is checked wholly in bounds once and marked once: one page, or
-// two across a boundary, exactly the pages the unfused pushes would mark.
+// they wrote — unless the next site is certain to repeat them first (below).
+// When the save area [sp-40, sp) misses the slot, the load would read back
+// the SP the head just stored, and SP keeps its value instead. The save area
+// is checked wholly in bounds once and marked once: one page, or two across
+// a boundary, exactly the pages the unfused pushes would mark.
+//
+// A site whose writes the next site repeats writes nothing. elide walks, once
+// per image, every path from the end of a site to the next head saving SP to
+// the same slot, through clear uops only (clearUop: no push, pop, call,
+// return, host call, division, generic uop, SP write, or memory operand but
+// [SP+d] with d ≥ 0), within 48 instructions, and records the distance to
+// the deadline the stretch needs (need) and the largest SP displacement on
+// it (maxOff). The case then skips the head store, the saves and the
+// marking, and accounts the same fifteen instructions, when the call is
+// inert, the deadline is need or more instructions away, and SP lies at least 48 bytes above the slot with SP+maxOff
+// in bounds. Nothing can see the difference before the next site has made
+// it good: no clear uop traps or runs Go; no deadline falls in the stretch;
+// SP does not move, so every access at or above it misses the slot and the
+// save area; and the next site, on any path — fused or not, skipped in turn
+// (its own need covers the site after it), triggered or not — stores the
+// same SP to the same slot and pushes the current FLAGS and R0..R3 to the
+// same 40 bytes, marking the same pages, before its CALLQ. Repredecode
+// clears need on every site.
 //
 // Anything else continues right after the head store and leaves the rest of
 // the sequence to the unfused slots, which PC already points at and which
 // do it exactly: a call with work, a deadline (budget or fire point) within
 // the remaining 15 instructions, an unbound host or one of another shape, or
 // a save area that is not wholly in bounds. No Go ran on either path, so the
-// loop's countdown stays exact.
+// loop's deadline stays exact.
 
 // The call superinstruction is the same idea for LLFI: every injectFault
 // call is four instructions around one host call, and on all but a trial's

@@ -284,8 +284,8 @@ type Machine struct {
 	Trace *TraceRing
 
 	// fire is the armed one-shot fire point (see FirePoint/ArmFire in
-	// fire.go): the injection deadline the fast loop's countdown tracks
-	// alongside the Budget.
+	// fire.go): the injection deadline the fast loop tracks alongside the
+	// Budget.
 	fire *FirePoint
 
 	hosts []HostFn
