@@ -341,8 +341,8 @@ func TestHostAttachedHookMatchesStep(t *testing.T) {
 }
 
 // TestHostClearedBudgetMatchesStep: a host function lifting the budget
-// mid-run must stop timeout enforcement in the fast loop too (the countdown
-// is refreshed after every host call).
+// mid-run must stop timeout enforcement in the fast loop too (the deadline
+// is recomputed after every host call that enters Go).
 func TestHostClearedBudgetMatchesStep(t *testing.T) {
 	img := mustAssemble(t, buildFactorial())
 	probe := vm.New(img)

@@ -23,6 +23,7 @@ func UnfuseSites(img *Image) {
 	for i := range img.sites {
 		img.unfuseSite(img.sites[i].head)
 	}
+	img.runs()
 }
 
 // SiteHeads returns the head and post PCs of every fused site, in stream
@@ -101,6 +102,7 @@ func UnfuseCalls(img *Image) {
 	for i := range img.calls {
 		img.unfuseCallsAround(img.calls[i].head)
 	}
+	img.runs()
 }
 
 // CallShape builds the smallest image holding one call: LLFI's i64 call
@@ -160,4 +162,27 @@ func ElidedSites(img *Image) []Elided {
 		}
 	}
 	return out
+}
+
+// SlotClass is how runFast treats a predecoded slot (predecode.go, runs).
+type SlotClass uint8
+
+const (
+	Straight   SlotClass = iota // continues into the run of the slot behind it
+	Terminator                  // ends its run, counted in it, writing PC
+	Breaker                     // ends its run, counted in it (but uEND, 0)
+)
+
+// Slot reports how runFast treats code[pc] and the run counts stored
+// there, and whether the slot is a uGeneric one.
+func Slot(img *Image, pc int32) (class SlotClass, rem, remCy int, generic bool) {
+	img.ensure()
+	u := &img.code[pc]
+	switch u.kind {
+	case uCALLH, uSITE, uCALLSITE, uGeneric, uEND:
+		class = Breaker
+	case uJMP, uJCC, uCALL, uRET, uCMPrrJCC, uCMPriJCC, uTESTrrJCC:
+		class = Terminator
+	}
+	return class, int(u.rem), int(u.remCy), u.kind == uGeneric
 }

@@ -266,9 +266,10 @@ func TestPooledMachineNoFireLeak(t *testing.T) {
 // (pinfi.RunCounted), whose pre-injection prefix is stepped. The
 // target is the last dynamic occurrence, so the counted prefix spans
 // (almost) the whole run — the shape that dominates a campaign's trial
-// phase. Measured ≈3× (it was 1.3–1.8× while the counted prefix had a
-// predecoded loop of its own); 1.2× leaves headroom for noisy shared
-// runners.
+// phase. Measured 4.8–5.5× on a 2-core box since the fast loop charges a
+// straight-line run once (3.8–3.9× before, 1.3–1.8× while the counted
+// prefix had a predecoded loop of its own); 1.2× leaves headroom for noisy
+// shared runners.
 func TestTrialFastSpeedGate(t *testing.T) {
 	if os.Getenv("TRIAL_SPEED_GATE") == "" {
 		t.Skip("wall-clock gate: set TRIAL_SPEED_GATE=1 to run (the dedicated CI step does); skipped by default so loaded machines can't flake the plain suite")

@@ -10,8 +10,9 @@ package vm_test
 //   - FuzzPredecode: the predecoder on a mutated REFINE, PINFI or LLFI
 //     image. Every fused site must have the site shape, every fused call the
 //     call shape, every site that may skip its writes clear paths to the
-//     next site (none after a Repredecode), and the fast loop must run the
-//     image exactly like the reference decoder.
+//     next site (none after a Repredecode), every slot the run counts of the
+//     run spelled out on the instructions (after a Repredecode too), and the
+//     fast loop must run the image exactly like the reference decoder.
 //
 // Run them with
 //
@@ -169,6 +170,85 @@ func callShaped(ins []vm.Inst, hosts int, head int32) bool {
 		(rr(&s[3]) || ri(&s[3]) || store(&s[3]))
 }
 
+// stepCycles is the cycles Step charges for a straight-line instruction:
+// its opcode's cost and a surcharge per memory access of an operand it
+// reads or writes through the operand decoder.
+func stepCycles(in *vm.Inst) int {
+	c := int(in.Op.CycleCost())
+	mem := func(k vm.OpndKind, n int) {
+		if k == vm.OpMem {
+			c += n * vx.MemExtraCycles
+		}
+	}
+	switch in.Op {
+	case vx.MOVQ, vx.MOVSD, vx.CMPQ, vx.TESTQ: // A written or compared
+		mem(in.AKind, 1)
+	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ, vx.XORQ, vx.SHLQ, vx.SHRQ, vx.SARQ,
+		vx.IDIVQ, vx.IREMQ: // A read and written
+		mem(in.AKind, 2)
+	case vx.ADDSD, vx.SUBSD, vx.MULSD, vx.DIVSD, vx.MINSD, vx.MAXSD, vx.SQRTSD,
+		vx.ANDPD, vx.XORPD, vx.CVTSI2SD, vx.CVTTSD2SI, vx.UCOMISD: // A a register
+	default: // no operand through the decoder
+		return c
+	}
+	mem(in.BKind, 1)
+	return c
+}
+
+// checkRuns holds every slot's run counts to the run spelled out on the
+// decoded instructions, as an independent check of the predecoder's count
+// pass: walking forward from the slot, a JMP, JCC, RET or CALLQ, a fused
+// site or call head and a generic slot (charged its opcode's cost alone:
+// its surcharges come as it runs) end the run at themselves, a register
+// compare or test followed by a JCC ends it at the pair, counted as two,
+// and the end of the stream ends it.
+func checkRuns(t *testing.T, img *vm.Image) {
+	t.Helper()
+	ins := img.Instrs
+	heads, _ := vm.SiteHeads(img)
+	ends := make(map[int32]bool)
+	for _, h := range append(heads, vm.CallHeads(img)...) {
+		ends[h] = true
+	}
+	generic := make(map[int32]bool)
+	for pc, in := range ins {
+		_, _, _, generic[int32(pc)] = vm.Slot(img, int32(pc))
+		switch in.Op {
+		case vx.JMP, vx.JCC, vx.RET, vx.CALLQ:
+			ends[int32(pc)] = true
+		}
+	}
+	pair := func(p int) bool {
+		in := &ins[p]
+		reg := in.AKind == vm.OpReg
+		return p+1 < len(ins) && ins[p+1].Op == vx.JCC &&
+			(in.Op == vx.CMPQ && reg && (in.BKind == vm.OpReg || in.BKind == vm.OpImm) ||
+				in.Op == vx.TESTQ && reg && in.BKind == vm.OpReg)
+	}
+	for pc := range ins {
+		var rem, cy int
+		for p := pc; p < len(ins); p++ {
+			in := &ins[p]
+			if generic[int32(p)] {
+				rem, cy = rem+1, cy+int(in.Op.CycleCost())
+				break
+			}
+			if pair(p) {
+				rem, cy = rem+2, cy+stepCycles(in)+int(vx.JCC.CycleCost())
+				break
+			}
+			rem, cy = rem+1, cy+stepCycles(in)
+			if ends[int32(p)] {
+				break
+			}
+		}
+		if _, r, c, _ := vm.Slot(img, int32(pc)); r != rem || c != cy {
+			t.Fatalf("slot %d (%v): run of %d instructions, %d cycles; spelled out on the instructions, %d and %d",
+				pc, ins[pc].Op, r, c, rem, cy)
+		}
+	}
+}
+
 // mutate applies one 9-byte mutation — a field selector, a PC among the
 // image's live ones and a value — to a clone's instruction stream. Every
 // mutation keeps the instruction decodable: registers stay inside the
@@ -263,6 +343,7 @@ func FuzzPredecode(f *testing.F) {
 		if el := checkElided(t, img); viaRepredecode && mutated && len(el) > 0 {
 			t.Fatalf("%d sites still skip their writes after Repredecode", len(el))
 		}
+		checkRuns(t, img)
 
 		heads, posts := vm.SiteHeads(img)
 		for i, head := range heads {

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -13,7 +14,8 @@ import (
 // neither the operand-kind switches of readA/readB/writeA nor the
 // CycleCost lookup on the hot path. It also fuses the ubiquitous
 // CMPQ+JCC / TESTQ+JCC pairs into superinstructions, matches the two
-// instrumentation sequences (site.go), and builds the host-symbol and
+// instrumentation sequences (site.go), cuts the stream into straight-line
+// runs the loop charges once (runs, below), and builds the host-symbol and
 // function indexes used by Imports/BindHost/FuncOf.
 //
 // Fusion never rewrites any but the first instruction of a sequence: the
@@ -73,6 +75,20 @@ const (
 	uCVTSI2SDrr
 	uCVTTSD2SIrr
 	uUCOMISDrr
+	uUCOMISDri
+	uANDPDri // reg ← reg & imm bits (fabs)
+
+	// ALU ops with a memory operand: the spill and reload shapes of LLFI's
+	// code (a stack slot as source, or as the compared operand), and a sum
+	// kept in memory.
+	uADDrm  // reg ← reg + [mem]
+	uADDmr  // [mem] ← [mem] + reg; the register in a
+	uORrm   // reg ← reg | [mem]
+	uFADDrm // reg ← reg + [mem], FP
+	uFSUBrm
+	uFMULrm
+	uTESTmr // flags ← [mem] & reg; the register in a
+	uCMPmi  // flags ← [mem] cmp imm; displacement in tgt
 
 	// Compares, branches, and fused superinstructions.
 	uCMPrr
@@ -101,6 +117,10 @@ const (
 	// (Image.sites), uCALLSITE an LLFI call's first move (Image.calls).
 	uSITE
 	uCALLSITE
+
+	// uEND is the exit sentinel at code[len(Instrs)]: the slot a return
+	// through the sentinel, or a fall off the last instruction, lands on.
+	uEND
 )
 
 // uop is one predecoded micro-op. Field use depends on kind:
@@ -108,10 +128,14 @@ const (
 //	a           destination / register operand
 //	b, c, scale memory base, index (NoReg ⇒ absent) and scale
 //	imm         immediate or memory displacement
-//	tgt         branch target, host index, uSTOREi displacement, or side-table entry
+//	tgt         branch target, host index, uSTOREi/uCMPmi displacement, or side-table entry
 //	cond        condition code for (fused) JCC / SETCC
-//	cost        cycle cost charged up front (op cost + memory surcharge)
+//	cost        cycle cost (op cost + memory surcharge)
 //	cost2       cycle cost of the branch half of a fused pair
+//	rem, remCy  instructions and cycles from this slot to the end of its run
+//	            (runs); 0 for the sentinel
+//
+// The two counts fill what was padding: a uop stays 24 bytes.
 type uop struct {
 	kind  uopKind
 	a     uint8
@@ -123,7 +147,8 @@ type uop struct {
 	cost2 uint8
 	imm   int64
 	tgt   int32
-	_     int32
+	rem   uint16
+	remCy uint16
 }
 
 // ensure builds the predecoded state exactly once. Images are immutable
@@ -150,10 +175,11 @@ func (img *Image) build() {
 		return img.Funcs[img.funcOrder[i]].Entry < img.Funcs[img.funcOrder[j]].Entry
 	})
 
-	img.code = make([]uop, len(img.Instrs))
+	img.code = make([]uop, len(img.Instrs)+1)
 	for pc := range img.Instrs {
 		img.code[pc] = predecode1(&img.Instrs[pc])
 	}
+	img.code[len(img.Instrs)] = uop{kind: uEND}
 	// Superinstruction fusion: a reg/reg or reg/imm CMPQ, or a reg/reg
 	// TESTQ, immediately followed by a JCC executes as one dispatch when
 	// reached by fallthrough. The JCC slot keeps its unfused uop (see file
@@ -180,6 +206,7 @@ func (img *Image) build() {
 	for i := range img.sites {
 		img.elide(&img.sites[i])
 	}
+	img.runs()
 
 	// SiteID → PC of the application instruction carrying it (first wins).
 	for pc := range img.Instrs {
@@ -253,7 +280,8 @@ func (img *Image) Clone() *Image {
 // the slot does not fuse it again — and no site skips its writes any more:
 // a path elide walked may have changed. Mutating an image forfeits its
 // share-across-goroutines guarantee: callers must have exclusive use of
-// the image for the whole mutate/run/restore window.
+// the image for the whole mutate/run/restore window. The runs are counted
+// anew over the whole image: the slot may have started or ended one.
 func (img *Image) Repredecode(pc int32) {
 	img.ensure()
 	for _, p := range [2]int32{pc - 1, pc} {
@@ -268,21 +296,66 @@ func (img *Image) Repredecode(pc int32) {
 	for i := range img.sites {
 		img.sites[i].need = 0
 	}
+	img.runs()
+}
+
+// runs cuts the predecoded stream into straight-line runs and stores, in
+// every uop, the architectural instructions (rem) and cycles (remCy) from
+// its slot to the end of its run, in one backward pass. runFast charges a
+// run once, at its first slot, and then dispatches its uops with no
+// per-instruction accounting (run.go).
+//
+// A run ends at the first uop that does not fall through to the next slot
+// on its own: a terminator — uJMP, uJCC, uCALL, uRET, or a fused
+// compare+branch, which counts as its two instructions — or a breaker —
+// uCALLH, uSITE, uCALLSITE, uGeneric, which may run Go, hand over to
+// unfused slots or halt. Either is counted in the run it ends. Every other
+// uop is straight and continues into the run of the slot behind it. The
+// uEND sentinel ends a run before itself: it is no instruction, and its
+// counts are 0. A run whose counts would not fit in 16 bits demotes the
+// slot where they overflow to uGeneric, the reference path, which ends the
+// run there; no evaluation build comes near (its longest run is 70
+// instructions, 191 cycles).
+//
+// It runs after every rewrite of code: the end of build (after elide),
+// Repredecode, and the tests' unfuse helpers.
+func (img *Image) runs() {
+	code := img.code
+	for pc := len(code) - 1; pc >= 0; pc-- {
+		u := &code[pc]
+		var rem, cy int
+		switch u.kind {
+		case uEND:
+		case uJMP, uJCC, uCALL, uRET, uCALLH, uSITE, uCALLSITE, uGeneric:
+			rem, cy = 1, int(u.cost)
+		case uCMPrrJCC, uCMPriJCC, uTESTrrJCC:
+			rem, cy = 2, int(u.cost)+int(u.cost2)
+		default:
+			next := &code[pc+1] // in bounds: the last slot is the sentinel
+			rem, cy = 1+int(next.rem), int(u.cost)+int(next.remCy)
+			if rem > math.MaxUint16 || cy > math.MaxUint16 {
+				*u = uop{kind: uGeneric, cost: uint8(img.Instrs[pc].Op.CycleCost())}
+				rem, cy = 1, int(u.cost)
+			}
+		}
+		u.rem, u.remCy = uint16(rem), uint16(cy)
+	}
 }
 
 // intALUKinds and fpALUKinds map two-address ALU opcodes to their
-// {reg/reg, reg/imm} uop kinds; uGeneric marks a shape too rare to earn one.
-// XORQ and SHRQ have neither and stay out of the table.
-var intALUKinds = map[vx.Op][2]uopKind{
-	vx.ADDQ: {uADDrr, uADDri}, vx.SUBQ: {uSUBrr, uSUBri}, vx.IMULQ: {uIMULrr, uIMULri},
-	vx.ANDQ: {uGeneric, uANDri}, vx.ORQ: {uORrr, uGeneric},
-	vx.SHLQ: {uGeneric, uSHLri}, vx.SARQ: {uGeneric, uSARri},
-	vx.IDIVQ: {uIDIVrr, uIDIVri}, vx.IREMQ: {uIREMrr, uIREMri},
+// {reg/reg, reg/imm, reg/mem} uop kinds; uGeneric marks a shape too rare to
+// earn one. XORQ and SHRQ have none and stay out of the table.
+var intALUKinds = map[vx.Op][3]uopKind{
+	vx.ADDQ: {uADDrr, uADDri, uADDrm}, vx.SUBQ: {uSUBrr, uSUBri, uGeneric},
+	vx.IMULQ: {uIMULrr, uIMULri, uGeneric},
+	vx.ANDQ:  {uGeneric, uANDri, uGeneric}, vx.ORQ: {uORrr, uGeneric, uORrm},
+	vx.SHLQ: {uGeneric, uSHLri, uGeneric}, vx.SARQ: {uGeneric, uSARri, uGeneric},
+	vx.IDIVQ: {uIDIVrr, uIDIVri, uGeneric}, vx.IREMQ: {uIREMrr, uIREMri, uGeneric},
 }
 
-var fpALUKinds = map[vx.Op][2]uopKind{
-	vx.ADDSD: {uFADDrr, uFADDri}, vx.SUBSD: {uFSUBrr, uFSUBri},
-	vx.MULSD: {uFMULrr, uFMULri}, vx.DIVSD: {uFDIVrr, uFDIVri},
+var fpALUKinds = map[vx.Op][3]uopKind{
+	vx.ADDSD: {uFADDrr, uFADDri, uFADDrm}, vx.SUBSD: {uFSUBrr, uFSUBri, uFSUBrm},
+	vx.MULSD: {uFMULrr, uFMULri, uFMULrm}, vx.DIVSD: {uFDIVrr, uFDIVri, uGeneric},
 }
 
 // predecode1 lowers one instruction. It only specializes shapes whose
@@ -343,6 +416,12 @@ func predecode1(in *Inst) uop {
 
 	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ,
 		vx.SHLQ, vx.SARQ, vx.IDIVQ, vx.IREMQ:
+		if in.Op == vx.ADDQ && in.AKind == OpMem && regB && memOK() {
+			// Read, add, write back: two memory surcharges, as in execOp.
+			u.kind, u.a = uADDmr, uint8(in.BReg)
+			setMem()
+			u.cost += 2 * vx.MemExtraCycles
+		}
 		if !regA {
 			break
 		}
@@ -352,6 +431,10 @@ func predecode1(in *Inst) uop {
 			u.kind, u.a, u.b = k[0], uint8(in.AReg), uint8(in.BReg)
 		case in.BKind == OpImm:
 			u.kind, u.a, u.imm = k[1], uint8(in.AReg), in.Imm
+		case in.BKind == OpMem && memOK() && k[2] != uGeneric:
+			u.kind, u.a = k[2], uint8(in.AReg)
+			setMem()
+			u.cost += vx.MemExtraCycles
 		}
 
 	case vx.NEGQ:
@@ -367,6 +450,15 @@ func predecode1(in *Inst) uop {
 			u.kind, u.a, u.b = k[0], uint8(in.AReg), uint8(in.BReg)
 		case immB:
 			u.kind, u.a, u.imm = k[1], uint8(in.AReg), in.Imm
+		case in.BKind == OpMem && memOK() && k[2] != uGeneric:
+			u.kind, u.a = k[2], uint8(in.AReg)
+			setMem()
+			u.cost += vx.MemExtraCycles
+		}
+
+	case vx.ANDPD:
+		if immB {
+			u.kind, u.a, u.imm = uANDPDri, uint8(in.AReg), in.Imm
 		}
 
 	case vx.SQRTSD:
@@ -385,8 +477,11 @@ func predecode1(in *Inst) uop {
 		}
 
 	case vx.UCOMISD:
-		if regB {
+		switch {
+		case regB:
 			u.kind, u.a, u.b = uUCOMISDrr, uint8(in.AReg), uint8(in.BReg)
+		case immB:
+			u.kind, u.a, u.imm = uUCOMISDri, uint8(in.AReg), in.Imm
 		}
 
 	case vx.CMPQ:
@@ -395,11 +490,23 @@ func predecode1(in *Inst) uop {
 			u.kind, u.a, u.b = uCMPrr, uint8(in.AReg), uint8(in.BReg)
 		case regA && in.BKind == OpImm:
 			u.kind, u.a, u.imm = uCMPri, uint8(in.AReg), in.Imm
+		case in.AKind == OpMem && immB && memOK() && int64(int32(in.MemDisp)) == in.MemDisp:
+			u.kind, u.imm = uCMPmi, in.Imm
+			u.b = uint8(in.MemBase)
+			u.c = uint8(in.MemIndex)
+			u.scale = uint8(in.MemScale)
+			u.tgt = int32(in.MemDisp)
+			u.cost += vx.MemExtraCycles
 		}
 
 	case vx.TESTQ:
-		if regA && regB {
+		switch {
+		case regA && regB:
 			u.kind, u.a, u.b = uTESTrr, uint8(in.AReg), uint8(in.BReg)
+		case in.AKind == OpMem && regB && memOK():
+			u.kind, u.a = uTESTmr, uint8(in.BReg)
+			setMem()
+			u.cost += vx.MemExtraCycles
 		}
 
 	case vx.SETCC:

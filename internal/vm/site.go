@@ -73,7 +73,7 @@ var sitePushOrder = [4]vx.Reg{vx.R0, vx.R1, vx.R2, vx.R3}
 // It reads the predecoded stream, so it must run after fuse (the TESTQ+JE
 // pair is recognised in its fused form).
 func (img *Image) matchSite(head int32) (siteInfo, bool) {
-	code := img.code
+	code := img.code[:len(img.Instrs)]
 	if head < 0 || int(head)+sitePreLen > len(code) {
 		return siteInfo{}, false
 	}
@@ -145,7 +145,7 @@ const siteElideLimit = 48
 // are matched.
 func (img *Image) elide(s *siteInfo) {
 	code := img.code
-	n := int32(len(code))
+	n := int32(len(img.Instrs))
 	// dist is the longest path from a pc to the next head, once known; -1
 	// while the pc is on the walk's stack, so a cycle fails the walk.
 	dist := make(map[int32]int32)
@@ -319,7 +319,7 @@ type callInfo struct {
 // It runs after fuse and matchSite and reads the stream they left; a slot
 // either rewrote is not a move or a host call, so it never matches.
 func (img *Image) matchCall(head int32) (callInfo, bool) {
-	if head < 0 || int(head)+callLen > len(img.code) {
+	if head < 0 || int(head)+callLen > len(img.Instrs) {
 		return callInfo{}, false
 	}
 	s := img.code[head : head+callLen]

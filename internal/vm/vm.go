@@ -460,11 +460,16 @@ func (m *Machine) fault(k TrapKind, format string, args ...any) {
 // pointer).
 
 func (m *Machine) load64(addr uint64) (uint64, bool) {
-	if addr < DefaultGlobalBase || addr > uint64(len(m.Mem))-8 {
-		m.fault(TrapSegv, "load at %#x", addr)
-		return 0, false
+	v, ok := m.peek64(addr)
+	if !ok {
+		m.loadFault(addr)
 	}
-	return binary.LittleEndian.Uint64(m.Mem[addr:]), true
+	return v, ok
+}
+
+// loadFault is the trap of a load at addr.
+func (m *Machine) loadFault(addr uint64) {
+	m.fault(TrapSegv, "load at %#x", addr)
 }
 
 func (m *Machine) store64(addr, v uint64) bool {
@@ -475,6 +480,49 @@ func (m *Machine) store64(addr, v uint64) bool {
 	m.markDirty(addr)
 	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
 	return true
+}
+
+// peek64 and poke64 are the fast paths of load64 and store64, small enough
+// for the inliner, which load64 and store64 with their fault are not: they
+// do the access and report true, or do nothing and report false — for a
+// load out of bounds, for a store out of bounds, onto a page not yet marked
+// dirty or straddling two pages. runFast inlines them and calls out only
+// for the rest (loadFault, store64).
+func (m *Machine) peek64(addr uint64) (uint64, bool) {
+	if addr < DefaultGlobalBase || addr > uint64(len(m.Mem))-8 {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint64(m.Mem[addr:]), true
+}
+
+func (m *Machine) poke64(addr, v uint64) bool {
+	p := addr >> dirtyPageShift
+	if addr < DefaultGlobalBase || addr > uint64(len(m.Mem))-8 ||
+		addr&(dirtyPageSize-1) > dirtyPageSize-8 || m.dirty[p>>6]&(1<<(p&63)) == 0 {
+		return false
+	}
+	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
+	return true
+}
+
+// pushFast and popFast are push and pop on peek64 and poke64: on false
+// they have left SP alone, and push or pop does the access in full.
+func (m *Machine) pushFast(v uint64) bool {
+	sp := m.Regs[vx.SP] - 8
+	if !m.poke64(sp, v) {
+		return false
+	}
+	m.Regs[vx.SP] = sp
+	return true
+}
+
+func (m *Machine) popFast() (uint64, bool) {
+	sp := m.Regs[vx.SP]
+	v, ok := m.peek64(sp)
+	if ok {
+		m.Regs[vx.SP] = sp + 8
+	}
+	return v, ok
 }
 
 func (m *Machine) push(v uint64) bool {
