@@ -2,9 +2,9 @@ package vm
 
 import "repro/internal/vx"
 
-// Test-only access to the site and call superinstructions' internals
-// (site.go) and the dirty-page bitmap for the external test package, which
-// needs real REFINE and LLFI images and therefore cannot live inside
+// Test-only access to the site superinstruction's internals (site.go), the
+// run counts and the dirty-page bitmap for the external test package, which
+// needs real REFINE, LLFI and PINFI images and therefore cannot live inside
 // package vm.
 
 // DirtyPages returns a copy of m's dirty-page bitmap.
@@ -83,62 +83,6 @@ func SiteShape(edit func(ins []Inst)) *Image {
 	}
 }
 
-// CallHeads returns the head PC of every fused call, in stream order.
-func CallHeads(img *Image) []int32 {
-	img.ensure()
-	var heads []int32
-	for pc := range img.code {
-		if img.code[pc].kind == uCALLSITE {
-			heads = append(heads, int32(pc))
-		}
-	}
-	return heads
-}
-
-// UnfuseCalls demotes every fused call head of img to its plain move, so a
-// test can run the same image with and without the superinstruction.
-func UnfuseCalls(img *Image) {
-	img.ensure()
-	for i := range img.calls {
-		img.unfuseCallsAround(img.calls[i].head)
-	}
-	img.runs()
-}
-
-// CallShape builds the smallest image holding one call: LLFI's i64 call
-// shape (MOVQ R1 ← 7, MOVQ R2 ← R3, CALLQ, MOVQ R9 ← R0) or, with f64, its
-// f64 one (MOVQ R0 ← 7, MOVQ R1 ← R0, CALLQ, MOVSD F8 ← F0), then a HALT,
-// importing one host function, "inj". The caller's edit turns it into a near
-// miss.
-func CallShape(f64 bool, edit func(ins []Inst)) *Image {
-	rr := func(op vx.Op, a, b vx.Reg) Inst {
-		return Inst{Op: op, AKind: OpReg, AReg: a, BKind: OpReg, BReg: b, HostIdx: -1}
-	}
-	ins := []Inst{
-		{Op: vx.MOVQ, AKind: OpReg, AReg: vx.R1, BKind: OpImm, Imm: 7, HostIdx: -1},
-		rr(vx.MOVQ, vx.R2, vx.R3),
-		{Op: vx.CALLQ, HostIdx: 0},
-		rr(vx.MOVQ, vx.R9, vx.R0),
-		{Op: vx.HALT, HostIdx: -1},
-	}
-	if f64 {
-		ins[0].AReg = vx.R0
-		ins[1] = rr(vx.MOVQ, vx.R1, vx.R0)
-		ins[3] = rr(vx.MOVSD, vx.F8, vx.F0)
-	}
-	if edit != nil {
-		edit(ins)
-	}
-	return &Image{
-		Instrs:     ins,
-		Funcs:      []FuncInfo{{Name: "main", Entry: 0, End: int32(len(ins))}},
-		HostFns:    []string{"inj"},
-		GlobalBase: DefaultGlobalBase,
-		GlobalEnd:  DefaultGlobalBase + 128,
-		MemSize:    1 << 16,
-	}
-}
-
 // Elided is one fused site that may skip its writes (site.go, elide): the
 // distance to the deadline it needs and the largest SP displacement on its
 // paths.
@@ -179,9 +123,9 @@ func Slot(img *Image, pc int32) (class SlotClass, rem, remCy int, generic bool) 
 	img.ensure()
 	u := &img.code[pc]
 	switch u.kind {
-	case uCALLH, uSITE, uCALLSITE, uGeneric, uEND:
+	case uCALLH, uSITE, uGeneric, uEND:
 		class = Breaker
-	case uJMP, uJCC, uCALL, uRET, uCMPrrJCC, uCMPriJCC, uTESTrrJCC:
+	case uJMP, uJCC, uCALL, uRET:
 		class = Terminator
 	}
 	return class, int(u.rem), int(u.remCy), u.kind == uGeneric

@@ -8,11 +8,11 @@ package vm_test
 //     fuzzer's choice — and is rebound to image B, which does not sweep its
 //     memory. Images under the LLFI, REFINE and PINFI pipelines.
 //   - FuzzPredecode: the predecoder on a mutated REFINE, PINFI or LLFI
-//     image. Every fused site must have the site shape, every fused call the
-//     call shape, every site that may skip its writes clear paths to the
-//     next site (none after a Repredecode), every slot the run counts of the
-//     run spelled out on the instructions (after a Repredecode too), and the
-//     fast loop must run the image exactly like the reference decoder.
+//     image. Every fused site must have the site shape, every site that may
+//     skip its writes clear paths to the next site (none after a
+//     Repredecode), every slot the run counts of the run spelled out on the
+//     instructions (after a Repredecode too), and the fast loop must run the
+//     image exactly like the reference decoder.
 //
 // Run them with
 //
@@ -147,29 +147,6 @@ func siteShaped(ins []vm.Inst, hosts int, head, post int32) bool {
 		mov(&fin[5], vx.SP) && fin[5].BKind == vm.OpMem && abs(&fin[5]) && fin[5].MemDisp == pre[0].MemDisp
 }
 
-// callShaped is the call shape spelled out on the decoded instructions, as
-// an independent check of the predecoder's matcher: what the fused path
-// assumes the four instructions at head do.
-func callShaped(ins []vm.Inst, hosts int, head int32) bool {
-	if head < 0 || int(head)+4 > len(ins) {
-		return false
-	}
-	mov := func(in *vm.Inst) bool { return in.Op == vx.MOVQ || in.Op == vx.MOVSD }
-	rr := func(in *vm.Inst) bool {
-		return in.Op == vx.MOVQ2SD || in.Op == vx.MOVSD2Q || mov(in) && in.AKind == vm.OpReg && in.BKind == vm.OpReg
-	}
-	ri := func(in *vm.Inst) bool {
-		return mov(in) && in.AKind == vm.OpReg && (in.BKind == vm.OpImm || in.BKind == vm.OpFImm)
-	}
-	store := func(in *vm.Inst) bool {
-		return mov(in) && in.AKind == vm.OpMem && in.BKind == vm.OpReg && in.MemScale >= 0 && in.MemScale <= 255
-	}
-	s := ins[head : head+4]
-	return (rr(&s[0]) || ri(&s[0])) && (rr(&s[1]) || ri(&s[1])) &&
-		s[2].Op == vx.CALLQ && s[2].HostIdx >= 0 && int(s[2].HostIdx) < hosts &&
-		(rr(&s[3]) || ri(&s[3]) || store(&s[3]))
-}
-
 // stepCycles is the cycles Step charges for a straight-line instruction:
 // its opcode's cost and a surcharge per memory access of an operand it
 // reads or writes through the operand decoder.
@@ -198,16 +175,15 @@ func stepCycles(in *vm.Inst) int {
 // checkRuns holds every slot's run counts to the run spelled out on the
 // decoded instructions, as an independent check of the predecoder's count
 // pass: walking forward from the slot, a JMP, JCC, RET or CALLQ, a fused
-// site or call head and a generic slot (charged its opcode's cost alone:
-// its surcharges come as it runs) end the run at themselves, a register
-// compare or test followed by a JCC ends it at the pair, counted as two,
-// and the end of the stream ends it.
+// site head and a generic slot (charged its opcode's cost alone: its
+// surcharges come as it runs) end the run at themselves, and the end of the
+// stream ends it.
 func checkRuns(t *testing.T, img *vm.Image) {
 	t.Helper()
 	ins := img.Instrs
 	heads, _ := vm.SiteHeads(img)
 	ends := make(map[int32]bool)
-	for _, h := range append(heads, vm.CallHeads(img)...) {
+	for _, h := range heads {
 		ends[h] = true
 	}
 	generic := make(map[int32]bool)
@@ -218,23 +194,12 @@ func checkRuns(t *testing.T, img *vm.Image) {
 			ends[int32(pc)] = true
 		}
 	}
-	pair := func(p int) bool {
-		in := &ins[p]
-		reg := in.AKind == vm.OpReg
-		return p+1 < len(ins) && ins[p+1].Op == vx.JCC &&
-			(in.Op == vx.CMPQ && reg && (in.BKind == vm.OpReg || in.BKind == vm.OpImm) ||
-				in.Op == vx.TESTQ && reg && in.BKind == vm.OpReg)
-	}
 	for pc := range ins {
 		var rem, cy int
 		for p := pc; p < len(ins); p++ {
 			in := &ins[p]
 			if generic[int32(p)] {
 				rem, cy = rem+1, cy+int(in.Op.CycleCost())
-				break
-			}
-			if pair(p) {
-				rem, cy = rem+2, cy+stepCycles(in)+int(vx.JCC.CycleCost())
 				break
 			}
 			rem, cy = rem+1, cy+stepCycles(in)
@@ -349,11 +314,6 @@ func FuzzPredecode(f *testing.F) {
 		for i, head := range heads {
 			if !siteShaped(img.Instrs, len(img.HostFns), head, posts[i]) {
 				t.Fatalf("fused a site at %d (post %d) that does not have the site shape", head, posts[i])
-			}
-		}
-		for _, head := range vm.CallHeads(img) {
-			if !callShaped(img.Instrs, len(img.HostFns), head) {
-				t.Fatalf("fused a call at %d that does not have the call shape", head)
 			}
 		}
 

@@ -12,17 +12,10 @@ import (
 // instruction stream into a parallel array of compact micro-ops (uops)
 // specialized by operand shape, so the inner dispatch loop in run.go pays
 // neither the operand-kind switches of readA/readB/writeA nor the
-// CycleCost lookup on the hot path. It also fuses the ubiquitous
-// CMPQ+JCC / TESTQ+JCC pairs into superinstructions, matches the two
-// instrumentation sequences (site.go), cuts the stream into straight-line
+// CycleCost lookup on the hot path. It also matches REFINE's
+// instrumentation sequence (site.go), cuts the stream into straight-line
 // runs the loop charges once (runs, below), and builds the host-symbol and
 // function indexes used by Imports/BindHost/FuncOf.
-//
-// Fusion never rewrites any but the first instruction of a sequence: the
-// JCC slot of a pair keeps its own unfused uop, so control transfers that
-// land on it directly (branches, corrupted return addresses after a fault)
-// still execute correctly. The fused uop only runs when control reaches the
-// first instruction.
 
 type predecodeOnce = sync.Once
 
@@ -90,13 +83,10 @@ const (
 	uTESTmr // flags ← [mem] & reg; the register in a
 	uCMPmi  // flags ← [mem] cmp imm; displacement in tgt
 
-	// Compares, branches, and fused superinstructions.
+	// Compares and branches.
 	uCMPrr
 	uCMPri
 	uTESTrr
-	uCMPrrJCC
-	uCMPriJCC
-	uTESTrrJCC
 	uJMP
 	uJCC
 	uSETCC
@@ -112,11 +102,9 @@ const (
 
 	uNOP
 
-	// The instrumentation superinstructions (site.go), each a head slot
-	// whose tgt indexes a side table: uSITE a REFINE site's uSTORE
-	// (Image.sites), uCALLSITE an LLFI call's first move (Image.calls).
+	// The site superinstruction (site.go): a REFINE site's head uSTORE,
+	// its tgt indexing Image.sites.
 	uSITE
-	uCALLSITE
 
 	// uEND is the exit sentinel at code[len(Instrs)]: the slot a return
 	// through the sentinel, or a fall off the last instruction, lands on.
@@ -129,9 +117,8 @@ const (
 //	b, c, scale memory base, index (NoReg ⇒ absent) and scale
 //	imm         immediate or memory displacement
 //	tgt         branch target, host index, uSTOREi/uCMPmi displacement, or side-table entry
-//	cond        condition code for (fused) JCC / SETCC
+//	cond        condition code for JCC / SETCC
 //	cost        cycle cost (op cost + memory surcharge)
-//	cost2       cycle cost of the branch half of a fused pair
 //	rem, remCy  instructions and cycles from this slot to the end of its run
 //	            (runs); 0 for the sentinel
 //
@@ -144,7 +131,6 @@ type uop struct {
 	scale uint8
 	cond  uint8
 	cost  uint8
-	cost2 uint8
 	imm   int64
 	tgt   int32
 	rem   uint16
@@ -180,25 +166,11 @@ func (img *Image) build() {
 		img.code[pc] = predecode1(&img.Instrs[pc])
 	}
 	img.code[len(img.Instrs)] = uop{kind: uEND}
-	// Superinstruction fusion: a reg/reg or reg/imm CMPQ, or a reg/reg
-	// TESTQ, immediately followed by a JCC executes as one dispatch when
-	// reached by fallthrough. The JCC slot keeps its unfused uop (see file
-	// comment).
-	for pc := range img.Instrs {
-		img.fuse(int32(pc))
-	}
-	// Site and call superinstructions (site.go): matched on the fused
-	// stream, in that order, rewriting head slots only.
+	// Site superinstructions (site.go), rewriting head slots only.
 	for pc := range img.Instrs {
 		if s, ok := img.matchSite(int32(pc)); ok {
 			img.code[pc].kind, img.code[pc].tgt = uSITE, int32(len(img.sites))
 			img.sites = append(img.sites, s)
-		}
-	}
-	for pc := range img.Instrs {
-		if c, ok := img.matchCall(int32(pc)); ok {
-			img.code[pc].kind, img.code[pc].tgt = uCALLSITE, int32(len(img.calls))
-			img.calls = append(img.calls, c)
 		}
 	}
 	// Sites whose writes the next site repeats (site.go): on the final
@@ -221,33 +193,6 @@ func (img *Image) build() {
 			img.sitePC[in.SiteID] = int32(pc)
 		}
 	}
-}
-
-// fuse upgrades code[pc] to a fused compare+branch superinstruction when
-// the instruction at pc+1 is a JCC and pc holds a fusable compare shape.
-func (img *Image) fuse(pc int32) {
-	if int(pc)+1 >= len(img.Instrs) {
-		return
-	}
-	next := &img.Instrs[pc+1]
-	if next.Op != vx.JCC {
-		return
-	}
-	var fused uopKind
-	switch img.code[pc].kind {
-	case uCMPrr:
-		fused = uCMPrrJCC
-	case uCMPri:
-		fused = uCMPriJCC
-	case uTESTrr:
-		fused = uTESTrrJCC
-	default:
-		return
-	}
-	img.code[pc].kind = fused
-	img.code[pc].cond = uint8(next.Cond)
-	img.code[pc].tgt = next.Target
-	img.code[pc].cost2 = uint8(vx.JCC.CycleCost())
 }
 
 // Clone returns a private copy of the image for injectors that mutate the
@@ -274,25 +219,19 @@ func (img *Image) Clone() *Image {
 
 // Repredecode refreshes the predecoded state of pc after an in-place
 // mutation of Instrs[pc] (the opcode-corruption ablation rewrites opcodes
-// mid-run). The neighboring slot pc-1 is re-fused as well, since its fused
-// state depends on what pc holds, and every site or call superinstruction
-// one of whose slots is pc drops back to its plain head for good — restoring
-// the slot does not fuse it again — and no site skips its writes any more:
-// a path elide walked may have changed. Mutating an image forfeits its
-// share-across-goroutines guarantee: callers must have exclusive use of
-// the image for the whole mutate/run/restore window. The runs are counted
-// anew over the whole image: the slot may have started or ended one.
+// mid-run). Every site superinstruction one of whose slots is pc drops back
+// to its plain head for good — restoring the slot does not fuse it again —
+// and no site skips its writes any more: a path elide walked may have
+// changed. Mutating an image forfeits its share-across-goroutines
+// guarantee: callers must have exclusive use of the image for the whole
+// mutate/run/restore window. The runs are counted anew over the whole image:
+// the slot may have started or ended one.
 func (img *Image) Repredecode(pc int32) {
 	img.ensure()
-	for _, p := range [2]int32{pc - 1, pc} {
-		if p < 0 || int(p) >= len(img.Instrs) {
-			continue
-		}
-		img.code[p] = predecode1(&img.Instrs[p])
-		img.fuse(p)
+	if pc >= 0 && int(pc) < len(img.Instrs) {
+		img.code[pc] = predecode1(&img.Instrs[pc])
 	}
 	img.unfuseSitesAround(pc)
-	img.unfuseCallsAround(pc)
 	for i := range img.sites {
 		img.sites[i].need = 0
 	}
@@ -306,11 +245,10 @@ func (img *Image) Repredecode(pc int32) {
 // per-instruction accounting (run.go).
 //
 // A run ends at the first uop that does not fall through to the next slot
-// on its own: a terminator — uJMP, uJCC, uCALL, uRET, or a fused
-// compare+branch, which counts as its two instructions — or a breaker —
-// uCALLH, uSITE, uCALLSITE, uGeneric, which may run Go, hand over to
-// unfused slots or halt. Either is counted in the run it ends. Every other
-// uop is straight and continues into the run of the slot behind it. The
+// on its own: a terminator — uJMP, uJCC, uCALL, uRET — or a breaker —
+// uCALLH, uSITE, uGeneric, which may run Go, hand over to unfused slots or
+// halt. Either is counted in the run it ends. Every other uop is straight
+// and continues into the run of the slot behind it. The
 // uEND sentinel ends a run before itself: it is no instruction, and its
 // counts are 0. A run whose counts would not fit in 16 bits demotes the
 // slot where they overflow to uGeneric, the reference path, which ends the
@@ -326,10 +264,8 @@ func (img *Image) runs() {
 		var rem, cy int
 		switch u.kind {
 		case uEND:
-		case uJMP, uJCC, uCALL, uRET, uCALLH, uSITE, uCALLSITE, uGeneric:
+		case uJMP, uJCC, uCALL, uRET, uCALLH, uSITE, uGeneric:
 			rem, cy = 1, int(u.cost)
-		case uCMPrrJCC, uCMPriJCC, uTESTrrJCC:
-			rem, cy = 2, int(u.cost)+int(u.cost2)
 		default:
 			next := &code[pc+1] // in bounds: the last slot is the sentinel
 			rem, cy = 1+int(next.rem), int(u.cost)+int(next.remCy)

@@ -12,9 +12,9 @@ import (
 //
 // There are two loops. Run executes the hook-free fast loop (runFast):
 // predecoded uops, the budget check hoisted into one deadline, each
-// straight-line run charged once, fused superinstructions. A machine with a
-// TraceRing attached when Run starts is stepped throughout instead, through
-// Step, the reference path, so the ring sees every architectural
+// straight-line run charged once, REFINE's site superinstruction. A machine
+// with a TraceRing attached when Run starts is stepped throughout instead,
+// through Step, the reference path, so the ring sees every architectural
 // instruction unfused; nothing attaches mid-run. A fire-point trial
 // (ArmFire) never leaves runFast: the injection rides the same deadline as
 // the budget — runFast steps the few instructions of the run it falls in —
@@ -70,7 +70,7 @@ func TargetMap(img *Image, keep func(*Inst) bool) []bool {
 // Cycles, and the run's uops then dispatch on the local pc with no
 // accounting of their own. The uop that ends the run writes PC and goes
 // back to the head: a terminator where it branches to, a breaker — a host
-// call, a fused site or call, a generic uop — the slot behind it, before it
+// call, a fused site, a generic uop — the slot behind it, before it
 // runs Go or hands over to unfused slots. A uop that traps inside a run
 // takes back the charge for the uops behind it (unwind). So InstrCount,
 // Cycles and PC are exact at the end of every run — and a breaker is the
@@ -362,38 +362,6 @@ loop:
 				// Terminators: the run ends here, PC is written and the
 				// loop's head takes over.
 
-				case uCMPrrJCC, uCMPriJCC, uTESTrrJCC:
-					// Fused compare+branch superinstruction: one dispatch, two
-					// architectural instructions, charged as the unfused pair.
-					// No deadline falls between the halves: the head entered
-					// the run only if both start before it, and otherwise
-					// Step runs the compare and the branch one at a time.
-					var b uint64
-					if u.kind == uCMPriJCC {
-						b = uint64(u.imm)
-					} else {
-						b = m.Regs[u.b]
-					}
-					var f uint64
-					if u.kind == uTESTrrJCC {
-						v := m.Regs[u.a] & b
-						if v == 0 {
-							f |= vx.FlagZ
-						}
-						if int64(v) < 0 {
-							f |= vx.FlagS
-						}
-					} else {
-						f = cmpFlags(m.Regs[u.a], b)
-					}
-					m.Regs[vx.RFLAGS] = f
-					if vx.Cond(u.cond).Eval(f) {
-						m.PC = u.tgt
-					} else {
-						m.PC = pc + 2
-					}
-					continue loop
-
 				case uJMP:
 					m.PC = u.tgt
 					continue loop
@@ -504,32 +472,6 @@ loop:
 					m.InstrCount += siteAfterHead
 					m.Cycles += s.preCycles + h.Cycles + s.postCycles
 					m.PC = s.post + sitePostLen
-					continue loop
-
-				case uCALLSITE:
-					// Call superinstruction (site.go): the head move, then an
-					// inert call with the slots around it in one go, or the
-					// unfused slots.
-					m.PC = pc + 1
-					c := &img.calls[u.tgt]
-					m.move(&c.ops[0])
-					h := &m.hosts[c.host]
-					if deadline-m.InstrCount < callLen-1 || !h.inert() || h.Fn == nil {
-						continue loop
-					}
-					m.move(&c.ops[1])
-					m.callInert(h)
-					if !h.PreserveRegs {
-						m.scrambleExceptResults()
-					}
-					m.InstrCount += callLen - 1
-					m.Cycles += c.cycles + h.Cycles
-					m.PC = c.head + callLen
-					if d := &c.ops[2]; d.kind != uSTORE {
-						m.move(d)
-					} else if !m.store64(m.uopAddr(d), m.Regs[d.a]) {
-						return
-					}
 					continue loop
 
 				case uEND:

@@ -28,7 +28,7 @@ import (
 type census struct {
 	instrs     int64            // architectural instructions
 	heads      int64            // passes of the loop's head
-	dispatches int64            // uops dispatched: a fused pair, site or call is one
+	dispatches int64            // uops dispatched: a fused site is one
 	stepped    int64            // instructions the head hands to Step
 	generic    map[string]int64 // uGeneric dispatches by instruction shape
 }
@@ -65,22 +65,18 @@ func shape(in *vm.Inst) string {
 //     when c+rem is at most the deadline; otherwise Step runs one
 //     instruction, and the one at which the fire point is due services it,
 //     leaving no deadline;
-//   - a fused pair dispatches its JCC slot with its compare, a fused site
-//     the 15 instructions behind its head and a fused call the 3 behind
-//     its, when the deadline leaves them room (a golden run's control
-//     library is inert on every call, and its SP sane).
+//   - a fused site dispatches the 15 instructions behind its head with it,
+//     when the deadline leaves them room (a golden run's control library is
+//     inert on every call, and its SP sane).
 //
 // entry, if not nil, is called at every head pass that enters a run, with
 // its PC and count, and stops the model when it returns false.
 func model(m *vm.Machine, fireAt int64, entry func(pc int32, at int64) bool) census {
 	img := m.Img
 	heads, _ := vm.SiteHeads(img)
-	fused := make(map[int32]int, len(heads))
+	fused := make(map[int32]bool, len(heads))
 	for _, h := range heads {
-		fused[h] = 15
-	}
-	for _, h := range vm.CallHeads(img) {
-		fused[h] = 3
+		fused[h] = true
 	}
 	deadline := int64(math.MaxInt64)
 	if fireAt >= 0 {
@@ -114,20 +110,10 @@ func model(m *vm.Machine, fireAt int64, entry func(pc int32, at int64) bool) cen
 		if generic {
 			c.generic[shape(in)]++
 		}
-		switch class {
-		case vm.Breaker:
-			if n, ok := fused[pc]; ok && deadline-(at+1) >= int64(n) {
-				skip = n
-			}
-			head = true
-		case vm.Terminator:
-			if rem == 2 {
-				skip = 1
-			}
-			head = true
-		default:
-			head = false
+		if fused[pc] && deadline-(at+1) >= 15 {
+			skip = 15
 		}
+		head = class != vm.Straight
 		return true
 	})
 	return c
@@ -234,7 +220,7 @@ type runEntry struct {
 	at   int64 // InstrCount at the entry
 	pc   int32
 	n    int64  // instructions from the entry to the end of the run
-	ends string // what ends it: "a fused pair", "a branch" or "a breaker"
+	ends string // what ends it: "a compare and branch", "a branch" or "a breaker"
 }
 
 // findRuns returns, for each way a run can end, the first per entries of
@@ -261,8 +247,8 @@ func findRuns(bin *campaign.Binary, bind func(m *vm.Machine) func() any, per int
 			end++
 		}
 		ends := "a breaker"
-		if c, r, _, _ := vm.Slot(img, end); c == vm.Terminator && r == 2 {
-			ends = "a fused pair"
+		if c, _, _, _ := vm.Slot(img, end); c == vm.Terminator && end > pc && compareAndBranch(img, end) {
+			ends = "a compare and branch"
 		} else if c == vm.Terminator {
 			ends = "a branch"
 		}
@@ -275,6 +261,13 @@ func findRuns(bin *campaign.Binary, bind func(m *vm.Machine) func() any, per int
 	return out
 }
 
+// compareAndBranch reports whether the instruction at pc is a JCC right
+// behind a CMPQ or TESTQ.
+func compareAndBranch(img *vm.Image, pc int32) bool {
+	op := img.Instrs[pc-1].Op
+	return img.Instrs[pc].Op == vx.JCC && (op == vx.CMPQ || op == vx.TESTQ)
+}
+
 // bindNone binds what a PINFI image imports: nothing.
 func bindNone(m *vm.Machine) func() any {
 	bindGolden(m, campaign.PINFI)
@@ -283,9 +276,9 @@ func bindNone(m *vm.Machine) func() any {
 
 // TestRunAccountingMatchesSteppedAtEverySeam puts a budget and a fire point
 // on every instruction boundary of runs the golden runs of FT and CG under
-// PINFI, CG under LLFI and HPCCG under REFINE enter — runs ending in a fused
-// pair (so one lands between its halves), in a plain branch, and in a
-// breaker (so one lands on the breaker, behind the run's last straight
+// PINFI, CG under LLFI and HPCCG under REFINE enter — runs ending in a
+// compare and branch (so one lands between the two), in another branch, and
+// in a breaker (so one lands on the breaker, behind the run's last straight
 // slot) — and holds Run to RunStepped: machineState with the dirty bitmap,
 // TrapMsg, final memory, and the PC, counts and cycles the fire point sees.
 // Under -short two runs of each kind on two images.
@@ -343,7 +336,7 @@ func TestRunAccountingMatchesSteppedAtEverySeam(t *testing.T) {
 		}
 	}
 	// FT's PINFI image reaches its two host calls only by a jump.
-	for _, e := range []string{"a fused pair", "a branch", "a breaker"} {
+	for _, e := range []string{"a compare and branch", "a branch", "a breaker"} {
 		if ends[e] < per {
 			t.Errorf("%d runs ended by %s cut, want at least %d", ends[e], e, per)
 		}

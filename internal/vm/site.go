@@ -2,15 +2,13 @@ package vm
 
 import "repro/internal/vx"
 
-// This file implements the two instrumentation superinstructions, REFINE's
-// site and LLFI's call (below): predecode-time fusion next to the
-// compare+branch pairs in predecode.go, each run by a case of runFast's
-// switch. A REFINE binary runs 16 instrumentation instructions behind every target
-// instruction, and on all but one dynamic occurrence per trial they do
-// nothing but save state, ask the control runtime "trigger here?", hear
-// "no", and restore the state again. The predecoder recognises that
-// sequence by shape and the hook-free loop executes the whole not-triggered
-// path in one dispatch.
+// This file implements REFINE's site superinstruction: predecode-time
+// fusion, run by the uSITE case of runFast's switch. A REFINE binary runs 16
+// instrumentation instructions behind every target instruction, and on all
+// but one dynamic occurrence per trial they do nothing but save state, ask
+// the control runtime "trigger here?", hear "no", and restore the state
+// again. The predecoder recognises that sequence by shape and the hook-free
+// loop executes the whole not-triggered path in one dispatch.
 //
 // The matched shape (pre at head, post wherever the JE lands):
 //
@@ -69,9 +67,8 @@ type siteInfo struct {
 // sitePushOrder is the PreFI push order after PUSHF; PostFI pops in reverse.
 var sitePushOrder = [4]vx.Reg{vx.R0, vx.R1, vx.R2, vx.R3}
 
-// matchSite reports whether the instructions at head have the site shape.
-// It reads the predecoded stream, so it must run after fuse (the TESTQ+JE
-// pair is recognised in its fused form).
+// matchSite reports whether the instructions at head have the site shape,
+// on the predecoded stream.
 func (img *Image) matchSite(head int32) (siteInfo, bool) {
 	code := img.code[:len(img.Instrs)]
 	if head < 0 || int(head)+sitePreLen > len(code) {
@@ -99,8 +96,11 @@ func (img *Image) matchSite(head int32) (siteInfo, bool) {
 	if pre[siteCallOff].kind != uCALLH {
 		return siteInfo{}, false
 	}
-	br := &pre[8]
-	if br.kind != uTESTrrJCC || br.a != uint8(vx.R0) || br.b != uint8(vx.R0) || vx.Cond(br.cond) != vx.CondE {
+	if u := &pre[8]; u.kind != uTESTrr || u.a != uint8(vx.R0) || u.b != uint8(vx.R0) {
+		return siteInfo{}, false
+	}
+	br := &pre[9]
+	if br.kind != uJCC || vx.Cond(br.cond) != vx.CondE {
 		return siteInfo{}, false
 	}
 	if br.tgt < 0 || int(br.tgt)+sitePostLen > len(code) {
@@ -128,7 +128,7 @@ func (img *Image) matchSite(head int32) (siteInfo, bool) {
 	for i := 1; i <= siteCallOff; i++ {
 		s.preCycles += int64(pre[i].cost)
 	}
-	s.postCycles = int64(br.cost) + int64(br.cost2)
+	s.postCycles = int64(pre[8].cost) + int64(br.cost)
 	for i := range post {
 		s.postCycles += int64(post[i].cost)
 	}
@@ -192,8 +192,7 @@ func (img *Image) elide(s *siteInfo) {
 
 // clearUop reports whether u is one of the uops elide lets stand between a
 // site and the next one: it cannot trap once its SP operand is in bounds,
-// leaves SP and the memory below it alone, and runs no Go. The fused
-// compare+branch kinds count as their compare: their JCC slot follows.
+// leaves SP and the memory below it alone, and runs no Go.
 func clearUop(u *uop) bool {
 	sp := uint8(vx.SP)
 	switch u.kind {
@@ -206,7 +205,7 @@ func clearUop(u *uop) bool {
 		return u.a != sp && u.b == sp && u.c == uint8(vx.NoReg) && u.imm >= 0
 	case uSTORE:
 		return u.b == sp && u.c == uint8(vx.NoReg) && u.imm >= 0
-	case uCMPrr, uCMPri, uTESTrr, uUCOMISDrr, uCMPrrJCC, uCMPriJCC, uTESTrrJCC, uJMP, uJCC:
+	case uCMPrr, uCMPri, uTESTrr, uUCOMISDrr, uJMP, uJCC:
 		return true
 	}
 	return false
@@ -275,83 +274,3 @@ func (img *Image) unfuseSitesAround(pc int32) {
 // the remaining 15 instructions, an unbound host or one of another shape, or
 // a save area that is not wholly in bounds. No Go ran on either path, so the
 // loop's deadline stays exact.
-
-// The call superinstruction is the same idea for LLFI: every injectFault
-// call is four instructions around one host call, and on all but a trial's
-// one or two it passes its value through and counts. The matched shape, by
-// uop kind only (no symbol names, no Instrumented mark):
-//
-//	head+0  MOVQ/MOVSD reg ← imm or reg   (i64: R1 ← id;  f64: R0 ← id)
-//	head+1  MOVQ/MOVSD reg ← imm or reg   (i64: R2 ← value;  f64: R1 ← R0)
-//	head+2  CALLQ host
-//	head+3  MOVQ/MOVSD reg ← reg or imm, or [mem] ← reg
-//
-// The last slot takes the value out of R0 or F0 into its register or its
-// stack slot (and, where the value is dead, is the next instruction of the
-// block). As for sites, only the head slot is rewritten (to uCALLSITE, its
-// tgt indexing Image.calls) and Step runs the four instructions unfused. The
-// fused case runs the head move and then, if the host declares this call
-// inert and the deadline is not within the three instructions behind the
-// head, the rest of the sequence: the second move, the inert call and its
-// clobber, the last slot. Otherwise it continues at head+1 and the unfused
-// slots do the rest — an unbound host's call slot traps there, and a call
-// with work enters Fn there.
-
-// callLen is the length of the call shape.
-const callLen = 4
-
-// callInfo is the side-table entry of one call shape matched when the image
-// was built; the head uop's tgt indexes it. A call Repredecode unfused keeps
-// its entry, unused.
-type callInfo struct {
-	head int32
-	host int32 // host index of the CALLQ
-	// ops are the uops of head+0 and head+1 (uMOVri or uMOVrr) and of
-	// head+3 (either of those, or uSTORE).
-	ops [3]uop
-	// cycles covers head+1..head+3, without the host function's own latency
-	// (the machine's binding); the head's cost is charged by the dispatch
-	// loop like any uop's.
-	cycles int64
-}
-
-// matchCall reports whether the instructions at head have the call shape.
-// It runs after fuse and matchSite and reads the stream they left; a slot
-// either rewrote is not a move or a host call, so it never matches.
-func (img *Image) matchCall(head int32) (callInfo, bool) {
-	if head < 0 || int(head)+callLen > len(img.Instrs) {
-		return callInfo{}, false
-	}
-	s := img.code[head : head+callLen]
-	move := func(u *uop) bool { return u.kind == uMOVri || u.kind == uMOVrr }
-	if !move(&s[0]) || !move(&s[1]) || s[2].kind != uCALLH || !(move(&s[3]) || s[3].kind == uSTORE) {
-		return callInfo{}, false
-	}
-	return callInfo{
-		head:   head,
-		host:   s[2].tgt,
-		ops:    [3]uop{s[0], s[1], s[3]},
-		cycles: int64(s[1].cost) + int64(s[2].cost) + int64(s[3].cost),
-	}, true
-}
-
-// unfuseCallsAround demotes every fused call one of whose four slots is pc
-// to its plain head move, after Repredecode refreshed that slot. Like a
-// site, a call never fuses again.
-func (img *Image) unfuseCallsAround(pc int32) {
-	for i := range img.calls {
-		c := &img.calls[i]
-		if u := &img.code[c.head]; pc >= c.head && pc < c.head+callLen && u.kind == uCALLSITE {
-			*u = c.ops[0]
-		}
-	}
-}
-
-// move runs a uMOVri or uMOVrr uop.
-func (m *Machine) move(u *uop) {
-	if u.kind == uMOVri {
-		m.Regs[u.a] = uint64(u.imm)
-	} else {
-		m.Regs[u.a] = m.Regs[u.b]
-	}
-}

@@ -64,7 +64,7 @@ func (d *siteDiff) check(label string, setup func(m *vm.Machine) func() any) {
 	rs, rx := run(d.ref, true)
 	name := d.name + " " + label
 	if !equalStates(fs, rs) {
-		d.t.Errorf("%s: fused run diverged from RunStepped:\nfast: %+v\nref:  %+v", name, fs, rs)
+		d.t.Errorf("%s: Run diverged from RunStepped:\nfast: %+v\nref:  %+v", name, fs, rs)
 	}
 	if d.fast.TrapMsg != d.ref.TrapMsg {
 		d.t.Errorf("%s: trap message %q, stepped %q", name, d.fast.TrapMsg, d.ref.TrapMsg)

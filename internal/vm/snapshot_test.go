@@ -41,7 +41,7 @@ func snapshotsAt(bin *campaign.Binary, boundaries []int64) ([]*vm.Snapshot, *vm.
 
 // TestRestoreMatchesSteppedMachine: boundaries spread over the golden run of
 // every kernel under every tool pipeline — on REFINE images most of them cut
-// a fused site, on all images some split a fused compare+branch pair.
+// a fused site, on all images some split a straight-line run.
 func TestRestoreMatchesSteppedMachine(t *testing.T) {
 	for _, name := range diffApps(t) {
 		for _, tool := range campaign.Tools {

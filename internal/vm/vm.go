@@ -105,7 +105,6 @@ type Image struct {
 	hostIndex map[string]int32 //fi:nowire — derived predecode state, rebuilt by ensure()
 	funcOrder []int32          //fi:nowire — indexes into Funcs sorted by Entry, rebuilt by ensure()
 	sites     []siteInfo       //fi:nowire — site superinstruction side table (site.go), rebuilt by ensure()
-	calls     []callInfo       //fi:nowire — call superinstruction side table (site.go), rebuilt by ensure()
 	sitePC    []int32          //fi:nowire — SiteID → PC index for SitePC, rebuilt by ensure()
 }
 
