@@ -189,7 +189,8 @@ func (t libTrial) bind(m *vm.Machine) func() libState {
 // TestFastEngineMatchesStepUnderInjection drives corrupted executions (the
 // post-fault wild-control-flow paths the campaign actually exercises)
 // through both engines for the three control-library tools — REFINE,
-// REFINE2 and LLFI — on three small kernels, and for REFINE on HPCCG: per
+// REFINE2 and LLFI — on three small kernels, and for REFINE on HPCCG; under
+// -short, one app per tool (REFINE on HPCCG, REFINE2 on DC, LLFI on FT). Per
 // pair, 24 plain trials from Reset spread over the run, and on top of them
 // marked trials (one halting at a mark, as a rejoined trial does), a marked
 // profile and trials from a golden snapshot with the library's count
@@ -203,10 +204,15 @@ func TestFastEngineMatchesStepUnderInjection(t *testing.T) {
 		flips int // libTrial.flips
 	}
 	all := []toolFlips{{campaign.REFINE, 1}, {multibit.Injector, 2}, {campaign.LLFI, 0}}
-	for _, c := range []struct {
+	type appTools struct {
 		name  string
 		tools []toolFlips
-	}{{"HPCCG", all[:1]}, {"DC", all}, {"FT", all}, {"EP", all}} {
+	}
+	apps := []appTools{{"HPCCG", all[:1]}, {"DC", all}, {"FT", all}, {"EP", all}}
+	if testing.Short() {
+		apps = []appTools{{"HPCCG", all[:1]}, {"DC", all[1:2]}, {"FT", all[2:]}}
+	}
+	for _, c := range apps {
 		name := c.name
 		for _, tf := range c.tools {
 			tool, flips := tf.tool, tf.flips

@@ -118,15 +118,17 @@ const (
 )
 
 // Slot reports how runFast treats code[pc] and the run counts stored
-// there, and whether the slot is a uGeneric one.
+// there, and whether the slot runs through the reference decoder: a
+// uGeneric slot, straight, or uCUT, the breaker where runs cut a run whose
+// counts overflow.
 func Slot(img *Image, pc int32) (class SlotClass, rem, remCy int, generic bool) {
 	img.ensure()
 	u := &img.code[pc]
 	switch u.kind {
-	case uCALLH, uSITE, uGeneric, uEND:
+	case uCALLH, uSITE, uCUT, uEND:
 		class = Breaker
 	case uJMP, uJCC, uCALL, uRET:
 		class = Terminator
 	}
-	return class, int(u.rem), int(u.remCy), u.kind == uGeneric
+	return class, int(u.rem), int(u.remCy), u.kind == uGeneric || u.kind == uCUT
 }

@@ -175,9 +175,10 @@ func stepCycles(in *vm.Inst) int {
 // checkRuns holds every slot's run counts to the run spelled out on the
 // decoded instructions, as an independent check of the predecoder's count
 // pass: walking forward from the slot, a JMP, JCC, RET or CALLQ, a fused
-// site head and a generic slot (charged its opcode's cost alone: its
-// surcharges come as it runs) end the run at themselves, and the end of the
-// stream ends it.
+// site head and the overflow cut end the run at themselves, and the end of
+// the stream ends it. A generic slot or the cut is charged its opcode's cost
+// alone (its surcharges come as it runs), and a generic slot continues the
+// run.
 func checkRuns(t *testing.T, img *vm.Image) {
 	t.Helper()
 	ins := img.Instrs
@@ -188,21 +189,23 @@ func checkRuns(t *testing.T, img *vm.Image) {
 	}
 	generic := make(map[int32]bool)
 	for pc, in := range ins {
-		_, _, _, generic[int32(pc)] = vm.Slot(img, int32(pc))
-		switch in.Op {
-		case vx.JMP, vx.JCC, vx.RET, vx.CALLQ:
+		var class vm.SlotClass
+		class, _, _, generic[int32(pc)] = vm.Slot(img, int32(pc))
+		switch {
+		case generic[int32(pc)] && class != vm.Straight: // the cut
+			ends[int32(pc)] = true
+		case in.Op == vx.JMP, in.Op == vx.JCC, in.Op == vx.RET, in.Op == vx.CALLQ:
 			ends[int32(pc)] = true
 		}
 	}
 	for pc := range ins {
 		var rem, cy int
 		for p := pc; p < len(ins); p++ {
-			in := &ins[p]
+			c := stepCycles(&ins[p])
 			if generic[int32(p)] {
-				rem, cy = rem+1, cy+int(in.Op.CycleCost())
-				break
+				c = int(ins[p].Op.CycleCost())
 			}
-			rem, cy = rem+1, cy+stepCycles(in)
+			rem, cy = rem+1, cy+c
 			if ends[int32(p)] {
 				break
 			}

@@ -21,9 +21,11 @@ type predecodeOnce = sync.Once
 
 // uopKind enumerates the specialized micro-ops. Anything not covered by a
 // dedicated kind falls back to uGeneric, which dispatches through the same
-// execOp switch Step uses, so the long tail keeps reference semantics. A
-// shape earns a kind only if some workload gives it at least 0.01 % of
-// dispatches (README.md, "Which uops earn a kind").
+// execOp switch Step uses, so the long tail keeps reference semantics; every
+// branch, call and return has a kind, so a uGeneric slot only falls through,
+// traps or halts, and stays inside its run. A shape earns a kind only if some
+// workload gives it at least 0.01 % of dispatches and the kind measurably
+// beats uGeneric (README.md, "Which uops earn a kind").
 type uopKind uint8
 
 const (
@@ -68,20 +70,6 @@ const (
 	uCVTSI2SDrr
 	uCVTTSD2SIrr
 	uUCOMISDrr
-	uUCOMISDri
-	uANDPDri // reg ← reg & imm bits (fabs)
-
-	// ALU ops with a memory operand: the spill and reload shapes of LLFI's
-	// code (a stack slot as source, or as the compared operand), and a sum
-	// kept in memory.
-	uADDrm  // reg ← reg + [mem]
-	uADDmr  // [mem] ← [mem] + reg; the register in a
-	uORrm   // reg ← reg | [mem]
-	uFADDrm // reg ← reg + [mem], FP
-	uFSUBrm
-	uFMULrm
-	uTESTmr // flags ← [mem] & reg; the register in a
-	uCMPmi  // flags ← [mem] cmp imm; displacement in tgt
 
 	// Compares and branches.
 	uCMPrr
@@ -106,6 +94,10 @@ const (
 	// its tgt indexing Image.sites.
 	uSITE
 
+	// uCUT is where runs cuts a run whose counts would overflow 16 bits: the
+	// reference path, like uGeneric, but ending its run.
+	uCUT
+
 	// uEND is the exit sentinel at code[len(Instrs)]: the slot a return
 	// through the sentinel, or a fall off the last instruction, lands on.
 	uEND
@@ -116,7 +108,7 @@ const (
 //	a           destination / register operand
 //	b, c, scale memory base, index (NoReg ⇒ absent) and scale
 //	imm         immediate or memory displacement
-//	tgt         branch target, host index, uSTOREi/uCMPmi displacement, or side-table entry
+//	tgt         branch target, host index, uSTOREi displacement, or side-table entry
 //	cond        condition code for JCC / SETCC
 //	cost        cycle cost (op cost + memory surcharge)
 //	rem, remCy  instructions and cycles from this slot to the end of its run
@@ -246,14 +238,16 @@ func (img *Image) Repredecode(pc int32) {
 //
 // A run ends at the first uop that does not fall through to the next slot
 // on its own: a terminator — uJMP, uJCC, uCALL, uRET — or a breaker —
-// uCALLH, uSITE, uGeneric, which may run Go, hand over to unfused slots or
-// halt. Either is counted in the run it ends. Every other uop is straight
-// and continues into the run of the slot behind it. The
+// uCALLH or uSITE, which may run Go or hand over to unfused slots, or uCUT.
+// Either is counted in the run it ends. Every other uop, uGeneric included,
+// is straight and continues into the run of the slot behind it; one that
+// traps or halts takes back the rest of its run's charge as it stops. The
 // uEND sentinel ends a run before itself: it is no instruction, and its
-// counts are 0. A run whose counts would not fit in 16 bits demotes the
-// slot where they overflow to uGeneric, the reference path, which ends the
-// run there; no evaluation build comes near (its longest run is 70
-// instructions, 191 cycles).
+// counts are 0. A run whose counts would not fit in 16 bits is cut at the
+// slot where they overflow: the slot becomes uCUT, the reference path, which
+// ends the run there; no evaluation build comes near (its longest run is 147
+// instructions, 419 cycles). A uGeneric or uCUT slot's cost is its opcode's
+// alone: its memory surcharges are charged as execOp runs it.
 //
 // It runs after every rewrite of code: the end of build (after elide),
 // Repredecode, and the tests' unfuse helpers.
@@ -264,13 +258,13 @@ func (img *Image) runs() {
 		var rem, cy int
 		switch u.kind {
 		case uEND:
-		case uJMP, uJCC, uCALL, uRET, uCALLH, uSITE, uGeneric:
+		case uJMP, uJCC, uCALL, uRET, uCALLH, uSITE, uCUT:
 			rem, cy = 1, int(u.cost)
 		default:
 			next := &code[pc+1] // in bounds: the last slot is the sentinel
 			rem, cy = 1+int(next.rem), int(u.cost)+int(next.remCy)
 			if rem > math.MaxUint16 || cy > math.MaxUint16 {
-				*u = uop{kind: uGeneric, cost: uint8(img.Instrs[pc].Op.CycleCost())}
+				*u = uop{kind: uCUT, cost: uint8(img.Instrs[pc].Op.CycleCost())}
 				rem, cy = 1, int(u.cost)
 			}
 		}
@@ -279,19 +273,18 @@ func (img *Image) runs() {
 }
 
 // intALUKinds and fpALUKinds map two-address ALU opcodes to their
-// {reg/reg, reg/imm, reg/mem} uop kinds; uGeneric marks a shape too rare to
-// earn one. XORQ and SHRQ have none and stay out of the table.
-var intALUKinds = map[vx.Op][3]uopKind{
-	vx.ADDQ: {uADDrr, uADDri, uADDrm}, vx.SUBQ: {uSUBrr, uSUBri, uGeneric},
-	vx.IMULQ: {uIMULrr, uIMULri, uGeneric},
-	vx.ANDQ:  {uGeneric, uANDri, uGeneric}, vx.ORQ: {uORrr, uGeneric, uORrm},
-	vx.SHLQ: {uGeneric, uSHLri, uGeneric}, vx.SARQ: {uGeneric, uSARri, uGeneric},
-	vx.IDIVQ: {uIDIVrr, uIDIVri, uGeneric}, vx.IREMQ: {uIREMrr, uIREMri, uGeneric},
+// {reg/reg, reg/imm} uop kinds; uGeneric marks a shape too rare to earn one.
+// XORQ and SHRQ have none and stay out of the table.
+var intALUKinds = map[vx.Op][2]uopKind{
+	vx.ADDQ: {uADDrr, uADDri}, vx.SUBQ: {uSUBrr, uSUBri},
+	vx.IMULQ: {uIMULrr, uIMULri}, vx.ANDQ: {uGeneric, uANDri}, vx.ORQ: {uORrr, uGeneric},
+	vx.SHLQ: {uGeneric, uSHLri}, vx.SARQ: {uGeneric, uSARri},
+	vx.IDIVQ: {uIDIVrr, uIDIVri}, vx.IREMQ: {uIREMrr, uIREMri},
 }
 
-var fpALUKinds = map[vx.Op][3]uopKind{
-	vx.ADDSD: {uFADDrr, uFADDri, uFADDrm}, vx.SUBSD: {uFSUBrr, uFSUBri, uFSUBrm},
-	vx.MULSD: {uFMULrr, uFMULri, uFMULrm}, vx.DIVSD: {uFDIVrr, uFDIVri, uGeneric},
+var fpALUKinds = map[vx.Op][2]uopKind{
+	vx.ADDSD: {uFADDrr, uFADDri}, vx.SUBSD: {uFSUBrr, uFSUBri},
+	vx.MULSD: {uFMULrr, uFMULri}, vx.DIVSD: {uFDIVrr, uFDIVri},
 }
 
 // predecode1 lowers one instruction. It only specializes shapes whose
@@ -352,12 +345,6 @@ func predecode1(in *Inst) uop {
 
 	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ,
 		vx.SHLQ, vx.SARQ, vx.IDIVQ, vx.IREMQ:
-		if in.Op == vx.ADDQ && in.AKind == OpMem && regB && memOK() {
-			// Read, add, write back: two memory surcharges, as in execOp.
-			u.kind, u.a = uADDmr, uint8(in.BReg)
-			setMem()
-			u.cost += 2 * vx.MemExtraCycles
-		}
 		if !regA {
 			break
 		}
@@ -367,10 +354,6 @@ func predecode1(in *Inst) uop {
 			u.kind, u.a, u.b = k[0], uint8(in.AReg), uint8(in.BReg)
 		case in.BKind == OpImm:
 			u.kind, u.a, u.imm = k[1], uint8(in.AReg), in.Imm
-		case in.BKind == OpMem && memOK() && k[2] != uGeneric:
-			u.kind, u.a = k[2], uint8(in.AReg)
-			setMem()
-			u.cost += vx.MemExtraCycles
 		}
 
 	case vx.NEGQ:
@@ -386,15 +369,6 @@ func predecode1(in *Inst) uop {
 			u.kind, u.a, u.b = k[0], uint8(in.AReg), uint8(in.BReg)
 		case immB:
 			u.kind, u.a, u.imm = k[1], uint8(in.AReg), in.Imm
-		case in.BKind == OpMem && memOK() && k[2] != uGeneric:
-			u.kind, u.a = k[2], uint8(in.AReg)
-			setMem()
-			u.cost += vx.MemExtraCycles
-		}
-
-	case vx.ANDPD:
-		if immB {
-			u.kind, u.a, u.imm = uANDPDri, uint8(in.AReg), in.Imm
 		}
 
 	case vx.SQRTSD:
@@ -413,11 +387,8 @@ func predecode1(in *Inst) uop {
 		}
 
 	case vx.UCOMISD:
-		switch {
-		case regB:
+		if regB {
 			u.kind, u.a, u.b = uUCOMISDrr, uint8(in.AReg), uint8(in.BReg)
-		case immB:
-			u.kind, u.a, u.imm = uUCOMISDri, uint8(in.AReg), in.Imm
 		}
 
 	case vx.CMPQ:
@@ -426,23 +397,11 @@ func predecode1(in *Inst) uop {
 			u.kind, u.a, u.b = uCMPrr, uint8(in.AReg), uint8(in.BReg)
 		case regA && in.BKind == OpImm:
 			u.kind, u.a, u.imm = uCMPri, uint8(in.AReg), in.Imm
-		case in.AKind == OpMem && immB && memOK() && int64(int32(in.MemDisp)) == in.MemDisp:
-			u.kind, u.imm = uCMPmi, in.Imm
-			u.b = uint8(in.MemBase)
-			u.c = uint8(in.MemIndex)
-			u.scale = uint8(in.MemScale)
-			u.tgt = int32(in.MemDisp)
-			u.cost += vx.MemExtraCycles
 		}
 
 	case vx.TESTQ:
-		switch {
-		case regA && regB:
+		if regA && regB {
 			u.kind, u.a, u.b = uTESTrr, uint8(in.AReg), uint8(in.BReg)
-		case in.AKind == OpMem && regB && memOK():
-			u.kind, u.a = uTESTmr, uint8(in.BReg)
-			setMem()
-			u.cost += vx.MemExtraCycles
 		}
 
 	case vx.SETCC:

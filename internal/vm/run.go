@@ -70,12 +70,13 @@ func TargetMap(img *Image, keep func(*Inst) bool) []bool {
 // Cycles, and the run's uops then dispatch on the local pc with no
 // accounting of their own. The uop that ends the run writes PC and goes
 // back to the head: a terminator where it branches to, a breaker — a host
-// call, a fused site, a generic uop — the slot behind it, before it
-// runs Go or hands over to unfused slots. A uop that traps inside a run
-// takes back the charge for the uops behind it (unwind). So InstrCount,
-// Cycles and PC are exact at the end of every run — and a breaker is the
-// end of its run — which is the only place anything can see them: a trap,
-// host Go, a fire callback.
+// call, a fused site — the slot behind it, before it runs Go or hands over
+// to unfused slots, and the overflow cut the slot behind it once it ran. A
+// uop that traps or halts inside a run, a generic one included, takes back
+// the charge for the uops behind it (unwind). So InstrCount, Cycles and PC
+// are exact at the end of every run — and a breaker is the end of its run
+// — which is the only place anything can see them: a trap, a halt, host Go,
+// a fire callback.
 func (m *Machine) runFast() {
 	img := m.Img
 	code := img.code
@@ -173,41 +174,6 @@ loop:
 					m.Regs[u.a] = r
 					m.setFlagsZS(r)
 
-				case uADDrm, uORrm:
-					addr := m.uopAddr(u)
-					b, ok := m.peek64(addr)
-					if !ok {
-						m.unwind(u, pc)
-						m.loadFault(addr)
-						return
-					}
-					r := m.Regs[u.a]
-					if u.kind == uADDrm {
-						r += b
-					} else {
-						r |= b
-					}
-					m.Regs[u.a] = r
-					m.setFlagsZS(r)
-
-				case uADDmr:
-					// The store goes to the address the load just read, so
-					// only the load can fault — and then Step has not charged
-					// the write-back's memory surcharge yet.
-					addr := m.uopAddr(u)
-					a, ok := m.peek64(addr)
-					if !ok {
-						m.unwind(u, pc)
-						m.Cycles -= vx.MemExtraCycles
-						m.loadFault(addr)
-						return
-					}
-					r := a + m.Regs[u.a]
-					if !m.poke64(addr, r) {
-						m.store64(addr, r)
-					}
-					m.setFlagsZS(r)
-
 				case uIDIVrr, uIREMrr, uIDIVri, uIREMri:
 					a := m.Regs[u.a]
 					var b uint64
@@ -255,27 +221,6 @@ loop:
 				case uFDIVri:
 					m.Regs[u.a] = math.Float64bits(math.Float64frombits(m.Regs[u.a]) / math.Float64frombits(uint64(u.imm)))
 
-				case uFADDrm, uFSUBrm, uFMULrm:
-					addr := m.uopAddr(u)
-					b, ok := m.peek64(addr)
-					if !ok {
-						m.unwind(u, pc)
-						m.loadFault(addr)
-						return
-					}
-					a := m.Regs[u.a]
-					switch u.kind {
-					case uFADDrm:
-						m.Regs[u.a] = fadd(a, b)
-					case uFSUBrm:
-						m.Regs[u.a] = math.Float64bits(math.Float64frombits(a) - math.Float64frombits(b))
-					default:
-						m.Regs[u.a] = fmul(a, b)
-					}
-
-				case uANDPDri:
-					m.Regs[u.a] &= uint64(u.imm)
-
 				case uSQRTrr:
 					m.Regs[u.a] = math.Float64bits(math.Sqrt(math.Float64frombits(m.Regs[u.b])))
 
@@ -294,8 +239,6 @@ loop:
 
 				case uUCOMISDrr:
 					m.Regs[vx.RFLAGS] = ucomisd(m.Regs[u.a], m.Regs[u.b])
-				case uUCOMISDri:
-					m.Regs[vx.RFLAGS] = ucomisd(m.Regs[u.a], uint64(u.imm))
 
 				case uCMPrr:
 					m.Regs[vx.RFLAGS] = cmpFlags(m.Regs[u.a], m.Regs[u.b])
@@ -303,25 +246,6 @@ loop:
 					m.Regs[vx.RFLAGS] = cmpFlags(m.Regs[u.a], uint64(u.imm))
 				case uTESTrr:
 					m.setFlagsZS(m.Regs[u.a] & m.Regs[u.b])
-
-				case uCMPmi:
-					addr := m.tgtAddr(u)
-					a, ok := m.peek64(addr)
-					if !ok {
-						m.unwind(u, pc)
-						m.loadFault(addr)
-						return
-					}
-					m.Regs[vx.RFLAGS] = cmpFlags(a, uint64(u.imm))
-				case uTESTmr:
-					addr := m.uopAddr(u)
-					a, ok := m.peek64(addr)
-					if !ok {
-						m.unwind(u, pc)
-						m.loadFault(addr)
-						return
-					}
-					m.setFlagsZS(a & m.Regs[u.a])
 
 				case uSETCC:
 					if vx.Cond(u.cond).Eval(m.Regs[vx.RFLAGS]) {
@@ -358,6 +282,22 @@ loop:
 					m.Regs[vx.RFLAGS] = v
 
 				case uNOP:
+
+				case uGeneric, uCUT:
+					// Full decode through the reference switch. It never
+					// writes PC (every JMP, JCC, CALLQ and RET has a kind of
+					// its own) and runs no Go of a host's; its memory
+					// surcharges come as Step charges them. uCUT ends its
+					// run (runs), as a breaker does.
+					m.execOp(pc, &img.Instrs[pc])
+					if m.Halted {
+						m.unwind(u, pc)
+						return
+					}
+					if u.kind == uCUT {
+						m.PC = pc + 1
+						continue loop
+					}
 
 				// Terminators: the run ends here, PC is written and the
 				// loop's head takes over.
@@ -486,17 +426,6 @@ loop:
 					m.Halted = true
 					m.ExitCode = int64(m.Regs[vx.R0])
 					return
-
-				default:
-					// uGeneric: full decode through the reference switch. Every
-					// CALLQ has a kind of its own, so no Go of a host's runs
-					// here and the deadline stays exact.
-					m.PC = pc + 1
-					m.execOp(pc, &img.Instrs[pc])
-					if m.Halted {
-						return
-					}
-					continue loop
 				}
 				pc++
 			}
@@ -517,8 +446,8 @@ loop:
 	}
 }
 
-// unwind takes back, when the uop at pc traps, what its run's head charged
-// for the uops behind it, and points PC behind the trapping instruction, as
+// unwind takes back, when the uop at pc traps or halts, what its run's head
+// charged for the uops behind it, and points PC behind the instruction, as
 // Step leaves it.
 func (m *Machine) unwind(u *uop, pc int32) {
 	m.InstrCount -= int64(u.rem) - 1
@@ -548,7 +477,7 @@ func (m *Machine) uopAddr(u *uop) uint64 {
 }
 
 // tgtAddr computes the effective address of a uop whose immediate is taken,
-// so its displacement is in tgt (uSTOREi, uCMPmi).
+// so its displacement is in tgt (uSTOREi).
 func (m *Machine) tgtAddr(u *uop) uint64 {
 	return m.baseIndex(u) + uint64(int64(u.tgt))
 }

@@ -5,9 +5,8 @@ package vm_test
 // uops with no accounting of their own. Wherever a budget, a fire point, a
 // trap or a mid-run Repredecode falls inside a run, the machine must stop,
 // trap or call out exactly where RunStepped does, with the same InstrCount,
-// Cycles and PC. Two censuses model the loop on the 14 golden runs: how
-// many instructions a head pass covers, and which shapes still go to
-// uGeneric.
+// Cycles and PC. A census models the loop on the 14 golden runs: how many
+// instructions a head pass covers, and which shapes still go to uGeneric.
 
 import (
 	"fmt"
@@ -154,11 +153,20 @@ var goldenCensus = sync.OnceValues(func() (map[campaign.Tool]census, error) {
 	return out, nil
 })
 
+// maxHeads bounds each tool's head passes over the golden runs of the 14
+// apps, and of -short's three: the counts from before generic uops stayed
+// inside their runs. A change that ends runs more often shows here.
+var maxHeads = map[bool]map[campaign.Tool]int64{
+	false: {campaign.LLFI: 1_240_512, campaign.REFINE: 1_784_752, campaign.PINFI: 233_370},
+	true:  {campaign.LLFI: 359_935, campaign.REFINE: 485_370, campaign.PINFI: 72_175},
+}
+
 // TestRunCensus logs, per tool, what the loop's head costs over the golden
-// runs: how many instructions a head pass covers, and what share of the
-// instructions goes through Step around a fire point. A PINFI run — the
-// binary-level trials are nothing but this loop — must average at least 5
-// instructions a head pass.
+// runs: how many instructions a head pass covers, what share of the
+// instructions goes through Step around a fire point, and which shapes go
+// through uGeneric. Head passes must stay within maxHeads, and a PINFI run —
+// the binary-level trials are nothing but this loop — must average at least
+// 5 instructions a head pass.
 func TestRunCensus(t *testing.T) {
 	by, err := goldenCensus()
 	if err != nil {
@@ -172,27 +180,9 @@ func TestRunCensus(t *testing.T) {
 		if c.stepped == 0 || c.stepped*1000 > c.instrs {
 			t.Errorf("%s: %d of %d instructions through Step, want a few per fire point", tool.Name(), c.stepped, c.instrs)
 		}
-	}
-	if c := by[campaign.PINFI]; c.instrs < 5*c.heads {
-		t.Errorf("PINFI: %d instructions over %d head passes, want at least 5 a pass", c.instrs, c.heads)
-	}
-}
-
-// TestNoGenericShapeAboveThreshold: on the golden runs of every tool, no
-// instruction shape reaches 0.01 % of the dispatches through uGeneric (the
-// rule of README.md, "Which uops earn a kind"). A shape that does is worth
-// a kind: under runs a generic uop also ends a run. The rule is over the
-// 14 apps, whose mix -short's three do not have.
-func TestNoGenericShapeAboveThreshold(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the 0.01 % rule holds over all 14 apps; -short models three")
-	}
-	by, err := goldenCensus()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tool := range censusTools {
-		c := by[tool]
+		if most := maxHeads[testing.Short()][tool]; c.heads > most {
+			t.Errorf("%s: %d head passes, want at most %d", tool.Name(), c.heads, most)
+		}
 		shapes := make([]string, 0, len(c.generic))
 		var all int64
 		for s, n := range c.generic {
@@ -201,17 +191,14 @@ func TestNoGenericShapeAboveThreshold(t *testing.T) {
 		}
 		sort.Slice(shapes, func(i, j int) bool { return c.generic[shapes[i]] > c.generic[shapes[j]] })
 		var top []string
-		for i, s := range shapes {
-			if i < 4 {
-				top = append(top, fmt.Sprintf("%s %.4f %%", s, 100*float64(c.generic[s])/float64(c.dispatches)))
-			}
-			if c.generic[s]*10_000 >= c.dispatches {
-				t.Errorf("%s: %q is %d of %d dispatches, at or above 0.01 %%: give it a kind",
-					tool.Name(), s, c.generic[s], c.dispatches)
-			}
+		for _, s := range shapes[:min(4, len(shapes))] {
+			top = append(top, fmt.Sprintf("%s %.4f %%", s, 100*float64(c.generic[s])/float64(c.dispatches)))
 		}
 		t.Logf("%-6s %d of %d dispatches generic (%.4f %%); most: %s", tool.Name(), all, c.dispatches,
 			100*float64(all)/float64(c.dispatches), strings.Join(top, ", "))
+	}
+	if c := by[campaign.PINFI]; c.instrs < 5*c.heads {
+		t.Errorf("PINFI: %d instructions over %d head passes, want at least 5 a pass", c.instrs, c.heads)
 	}
 }
 
@@ -399,11 +386,13 @@ func craftedDiff(t *testing.T, name string, img *vm.Image) *siteDiff {
 	return &siteDiff{t: t, name: name, fast: vm.New(img), ref: vm.New(img)}
 }
 
-// TestRunTrapsTakeBackTheirRun: a load, a store, a pop, a return, a divide
-// and the memory-operand ALU kinds, each trapping at each slot of a run, and
-// a pop whose SP is at the top of memory, leave the machine exactly as
-// Step does — the run's charge for the slots behind the trap taken back, PC
-// behind the trapping instruction, the same trap message.
+// TestRunTrapsTakeBackTheirRun: a load, a store, a pop, a return, a divide,
+// generic slots — ALU ops with a memory operand, an illegal opcode — each
+// trapping at each slot of a run, and a pop whose SP is at the top of
+// memory, leave the machine exactly as Step does — the run's charge for the
+// slots behind the trap taken back, PC behind the trapping instruction, the
+// same trap message. A generic slot that does not trap, and a HALT, stay
+// inside the run, under a budget and a fire point at every boundary.
 func TestRunTrapsTakeBackTheirRun(t *testing.T) {
 	const n = 6
 	ld := vm.Inst{Op: vx.MOVQ, AKind: vm.OpReg, AReg: vx.R4, BKind: vm.OpMem}
@@ -420,6 +409,7 @@ func TestRunTrapsTakeBackTheirRun(t *testing.T) {
 		"fadd from mem": memOp(vm.Inst{Op: vx.ADDSD, AKind: vm.OpReg, AReg: vx.F1, BKind: vm.OpMem}, vx.R3, 0),
 		"test mem":      memOp(vm.Inst{Op: vx.TESTQ, AKind: vm.OpMem, BKind: vm.OpReg, BReg: vx.R1}, vx.R3, 0),
 		"compare mem":   memOp(vm.Inst{Op: vx.CMPQ, AKind: vm.OpMem, BKind: vm.OpImm, Imm: 4}, vx.R3, 0),
+		"illegal":       {Op: vx.NumOps},
 	}
 	names := make([]string, 0, len(traps))
 	for name := range traps {
@@ -453,12 +443,46 @@ func TestRunTrapsTakeBackTheirRun(t *testing.T) {
 			}})
 		})
 	}
+	for _, g := range []struct {
+		name string
+		in   vm.Inst
+	}{
+		{"xor", vm.Inst{Op: vx.XORQ, AKind: vm.OpReg, AReg: vx.R1, BKind: vm.OpReg, BReg: vx.R5}},
+		{"halt", vm.Inst{Op: vx.HALT}},
+	} {
+		for k := 0; k < n; k++ {
+			name := fmt.Sprintf("%s at slot %d", g.name, k)
+			img := trapRun(g.in, k, n)
+			// The run the preamble jumps to, its HALT included.
+			if c, _, _, generic := vm.Slot(img, int32(5+k)); c != vm.Straight || !generic {
+				t.Fatalf("%s: the slot is %v (generic %v), want a straight generic slot", name, c, generic)
+			}
+			if _, rem, _, _ := vm.Slot(img, 5); rem != n+1 {
+				t.Fatalf("%s: the run counts %d instructions, want %d", name, rem, n+1)
+			}
+			d := craftedDiff(t, name, img)
+			for b := int64(0); b <= int64(len(img.Instrs))+2; b++ {
+				d.check(fmt.Sprintf("budget %d", b), func(m *vm.Machine) func() any {
+					m.Budget = b
+					return nil
+				})
+				d.check(fmt.Sprintf("fire point at %d", b), func(m *vm.Machine) func() any {
+					var s [3]int64
+					m.ArmFire(&vm.FirePoint{At: b, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+						s = [3]int64{int64(mm.PC), mm.InstrCount, mm.Cycles}
+						mm.FlipBit(vx.R1, 3)
+					}})
+					return func() any { return s }
+				})
+			}
+		}
+	}
 }
 
 // TestRunOverflowDemotes: a run whose instructions or cycles do not fit in
-// 16 bits is cut where they overflow, that slot going to uGeneric, which
-// ends the run before it; the image runs like the stepped reference with a
-// budget and a fire point at either side of the cut.
+// 16 bits is cut where they overflow, that slot going to uCUT, the reference
+// path, which ends the run there; the image runs like the stepped reference
+// with a budget and a fire point at either side of the cut.
 func TestRunOverflowDemotes(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -477,12 +501,12 @@ func TestRunOverflowDemotes(t *testing.T) {
 			ins[i] = tc.op
 		}
 		img := crafted(append(ins, vm.Inst{Op: vx.HALT}))
-		// The most ops a run that ends in the HALT (a breaker, 1 cycle)
-		// holds.
+		// The most ops a run that ends in the HALT (1 cycle) and the exit
+		// sentinel holds.
 		fit := min(math.MaxUint16-1, (math.MaxUint16-1)/tc.cost)
 		cut := int32(n - fit - 1)
 		if c, rem, cy, generic := vm.Slot(img, cut); c != vm.Breaker || rem != 1 || cy != tc.cost || !generic {
-			t.Fatalf("%s: slot %d is %v, counting %d instructions and %d cycles; want a generic breaker ending its run",
+			t.Fatalf("%s: slot %d is %v, counting %d instructions and %d cycles; want the cut, a generic breaker ending its run",
 				tc.name, cut, c, rem, cy)
 		}
 		if _, rem, cy, _ := vm.Slot(img, cut+1); rem != fit+1 || cy != fit*tc.cost+1 {
@@ -514,7 +538,8 @@ func TestRunOverflowDemotes(t *testing.T) {
 // run — of a slot behind the fire point, ahead of it, or the slot it is at
 // — that turns a straight slot into a JMP, a host call or an illegal opcode
 // runs like the stepped reference, and the counts of the image are
-// recomputed: the run now ends at the corrupted slot.
+// recomputed: a JMP or a host call now ends the run at the corrupted slot,
+// and an illegal opcode, a generic slot, stays inside it.
 func TestRunRepredecodeMidRun(t *testing.T) {
 	const n = 8
 	ins := []vm.Inst{regImm(vx.MOVQ, vx.R1, 0)}
@@ -545,8 +570,12 @@ func TestRunRepredecodeMidRun(t *testing.T) {
 						mm.Img.Repredecode(slot)
 					}})
 					return func() any {
-						if _, rem, _, _ := vm.Slot(img, 1); rem != int(slot) {
-							t.Errorf("%s: the run at slot 1 counts %d instructions, want %d", label, rem, slot)
+						want := int(slot)
+						if name == "illegal" {
+							want = len(ins) - 1
+						}
+						if _, rem, _, _ := vm.Slot(img, 1); rem != want {
+							t.Errorf("%s: the run at slot 1 counts %d instructions, want %d", label, rem, want)
 						}
 						img.Instrs[slot] = orig
 						img.Repredecode(slot)
@@ -556,8 +585,9 @@ func TestRunRepredecodeMidRun(t *testing.T) {
 			}
 		}
 	}
-	if _, rem, _, _ := vm.Slot(img, 1); rem != n+1 {
-		t.Errorf("restored: the run at slot 1 counts %d instructions, want %d", rem, n+1)
+	// Through the HALT, a generic slot, to the end of the stream.
+	if _, rem, _, _ := vm.Slot(img, 1); rem != len(ins)-1 {
+		t.Errorf("restored: the run at slot 1 counts %d instructions, want %d", rem, len(ins)-1)
 	}
 }
 
