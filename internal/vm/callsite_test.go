@@ -216,7 +216,7 @@ func callLibraryCases(d *siteDiff, a callAnchor) {
 			m.Budget = a.at + tailBudget
 			var marks []mark
 			lib := &llfi.Lib{Target: c.target, RNG: fault.NewRNG(uint64(a.count)), Marks: c.marks}
-			lib.AtMark = func(n int64) { marks = append(marks, mark{n, m.InstrCount, m.Cycles, m.PC, m.Regs}) }
+			lib.AtMark = func(n int64) { marks = append(marks, mark{n, m.InstrCount, m.Cycles, m.PC, archRegs(m)}) }
 			lib.Bind(m)
 			return func() any { return [4]any{lib.Triggered, lib.Count, lib.Rec, marks} }
 		})

@@ -38,6 +38,9 @@ type machineState struct {
 	Dirty      []uint64
 }
 
+// archRegs is the architectural part of m's register file.
+func archRegs(m *vm.Machine) [vx.NumRegs]uint64 { return [vx.NumRegs]uint64(m.Regs[:vx.NumRegs]) }
+
 func snapshot(m *vm.Machine) machineState {
 	return machineState{
 		Trap:       m.Trap,
@@ -45,7 +48,7 @@ func snapshot(m *vm.Machine) machineState {
 		InstrCount: m.InstrCount,
 		Cycles:     m.Cycles,
 		PC:         m.PC,
-		Regs:       m.Regs,
+		Regs:       archRegs(m),
 		Output:     append([]uint64(nil), m.Output...),
 		Dirty:      vm.DirtyPages(m),
 	}

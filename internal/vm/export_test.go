@@ -20,8 +20,8 @@ func FusedSites(img *Image) int {
 // can run the same image with and without the superinstruction.
 func UnfuseSites(img *Image) {
 	img.ensure()
-	for i := range img.sites {
-		img.unfuseSite(img.sites[i].head)
+	for _, h := range img.sites {
+		img.unfuseSite(h)
 	}
 	img.runs()
 }
@@ -33,7 +33,7 @@ func SiteHeads(img *Image) (heads, posts []int32) {
 	for pc := range img.code {
 		if u := &img.code[pc]; u.kind == uSITE {
 			heads = append(heads, int32(pc))
-			posts = append(posts, img.sites[u.tgt].post)
+			posts = append(posts, u.tgt-sitePostLen)
 		}
 	}
 	return heads, posts
@@ -100,19 +100,42 @@ func ElidedSites(img *Image) []Elided {
 	var out []Elided
 	for pc := range img.code {
 		if u := &img.code[pc]; u.kind == uSITE {
-			if s := &img.sites[u.tgt]; s.need > 0 {
-				out = append(out, Elided{s.head, s.post, s.abs, s.need, s.maxOff})
+			if u.cond > 0 {
+				out = append(out, Elided{int32(pc), u.tgt - sitePostLen, uint64(u.imm), int64(u.cond), siteMaxOff(u)})
 			}
 		}
 	}
 	return out
 }
 
+// StaleCount returns the first slot of img whose predecoded uop — run counts
+// included — differs from what a full count pass over the stream gives, or
+// -1. It leaves the stream as it found it.
+func StaleCount(img *Image) int32 {
+	img.ensure()
+	kept := append([]uop(nil), img.code...)
+	img.runs()
+	defer copy(img.code, kept)
+	for pc := range kept {
+		if kept[pc] != img.code[pc] {
+			return int32(pc)
+		}
+	}
+	return -1
+}
+
+// DeclaresInert reports whether m's binding of host index i declares inert
+// calls (HostFn.Inert).
+func DeclaresInert(m *Machine, i int32) bool {
+	h := &m.hosts[i]
+	return h.Fn != nil && h.Inert.Count != nil
+}
+
 // SlotClass is how runFast treats a predecoded slot (predecode.go, runs).
 type SlotClass uint8
 
 const (
-	Straight   SlotClass = iota // continues into the run of the slot behind it
+	Straight   SlotClass = iota // continues into the run of the slot behind it (a site: of its exit)
 	Terminator                  // ends its run, counted in it, writing PC
 	Breaker                     // ends its run, counted in it (but uEND, 0)
 )
@@ -125,7 +148,7 @@ func Slot(img *Image, pc int32) (class SlotClass, rem, remCy int, generic bool) 
 	img.ensure()
 	u := &img.code[pc]
 	switch u.kind {
-	case uCALLH, uSITE, uCUT, uEND:
+	case uCUT, uEND:
 		class = Breaker
 	case uJMP, uJCC, uCALL, uRET:
 		class = Terminator

@@ -110,11 +110,26 @@ func FuzzSnapshotRestore(f *testing.F) {
 // forever, and the stepped reference has to stay cheap.
 const predecodeBudget = 1 << 16
 
-// predecodeImage is one seed image and the PCs its golden run executes
-// within predecodeBudget, which is where a mutation is seen.
+// predecodeImage is one seed image, the PCs its golden run executes within
+// predecodeBudget, which is where a mutation is seen, and the 16
+// instructions of a site to splice in: the image's first, or, in an image
+// without sites, vm.SiteShape's.
 type predecodeImage struct {
 	bin  *campaign.Binary
 	live []int32
+	site []vm.Inst
+}
+
+// siteOf returns the pre and post instructions of img's first fused site,
+// or of vm.SiteShape's site saving SP to img's first global word.
+func siteOf(img *vm.Image) []vm.Inst {
+	if heads, posts := vm.SiteHeads(img); len(heads) > 0 {
+		return append(slices.Clone(img.Instrs[heads[0]:heads[0]+10]), img.Instrs[posts[0]:posts[0]+6]...)
+	}
+	shape := vm.SiteShape(nil).Instrs
+	site := append(slices.Clone(shape[:10]), shape[11:17]...)
+	site[0].MemDisp, site[15].MemDisp = img.GlobalBase, img.GlobalBase
+	return site
 }
 
 // siteShaped is the site shape spelled out on the decoded instructions, as
@@ -174,45 +189,50 @@ func stepCycles(in *vm.Inst) int {
 
 // checkRuns holds every slot's run counts to the run spelled out on the
 // decoded instructions, as an independent check of the predecoder's count
-// pass: walking forward from the slot, a JMP, JCC, RET or CALLQ, a fused
-// site head and the overflow cut end the run at themselves, and the end of
-// the stream ends it. A generic slot or the cut is charged its opcode's cost
+// pass: a JMP, JCC, RET or direct CALLQ and the overflow cut end the run at
+// themselves, the end of the stream ends it, a host call continues it, and a
+// fused site continues it at its exit, post+6, counting its 16 instructions
+// and their cycles. A generic slot or the cut is charged its opcode's cost
 // alone (its surcharges come as it runs), and a generic slot continues the
-// run.
-func checkRuns(t *testing.T, img *vm.Image) {
+// run. Counted backward from the end of the stream, as a site's exit lies
+// behind its head.
+func checkRuns(t testing.TB, img *vm.Image) {
 	t.Helper()
 	ins := img.Instrs
-	heads, _ := vm.SiteHeads(img)
-	ends := make(map[int32]bool)
-	for _, h := range heads {
-		ends[h] = true
+	heads, posts := vm.SiteHeads(img)
+	post := make(map[int32]int32, len(heads))
+	for i, h := range heads {
+		post[h] = posts[i]
 	}
-	generic := make(map[int32]bool)
-	for pc, in := range ins {
-		var class vm.SlotClass
-		class, _, _, generic[int32(pc)] = vm.Slot(img, int32(pc))
-		switch {
-		case generic[int32(pc)] && class != vm.Straight: // the cut
-			ends[int32(pc)] = true
-		case in.Op == vx.JMP, in.Op == vx.JCC, in.Op == vx.RET, in.Op == vx.CALLQ:
-			ends[int32(pc)] = true
+	rem, cy := make([]int, len(ins)+1), make([]int, len(ins)+1)
+	for pc := len(ins) - 1; pc >= 0; pc-- {
+		in := &ins[pc]
+		class, _, _, generic := vm.Slot(img, int32(pc))
+		c := stepCycles(in)
+		if generic {
+			c = int(in.Op.CycleCost())
 		}
-	}
-	for pc := range ins {
-		var rem, cy int
-		for p := pc; p < len(ins); p++ {
-			c := stepCycles(&ins[p])
-			if generic[int32(p)] {
-				c = int(ins[p].Op.CycleCost())
+		switch p, fused := post[int32(pc)]; {
+		case fused:
+			if p+6 <= int32(pc) {
+				t.Fatalf("site at %d exits at %d, not behind its head", pc, p+6)
 			}
-			rem, cy = rem+1, cy+c
-			if ends[int32(p)] {
-				break
+			rem[pc], cy[pc] = 16+rem[p+6], cy[p+6]
+			for i := pc; i < pc+10; i++ {
+				cy[pc] += stepCycles(&ins[i])
 			}
+			for i := p; i < p+6; i++ {
+				cy[pc] += stepCycles(&ins[i])
+			}
+		case generic && class != vm.Straight, // the cut
+			in.Op == vx.JMP, in.Op == vx.JCC, in.Op == vx.RET, in.Op == vx.CALLQ && in.HostIdx < 0:
+			rem[pc], cy[pc] = 1, c
+		default:
+			rem[pc], cy[pc] = 1+rem[pc+1], c+cy[pc+1]
 		}
-		if _, r, c, _ := vm.Slot(img, int32(pc)); r != rem || c != cy {
+		if _, r, c, _ := vm.Slot(img, int32(pc)); r != rem[pc] || c != cy[pc] {
 			t.Fatalf("slot %d (%v): run of %d instructions, %d cycles; spelled out on the instructions, %d and %d",
-				pc, ins[pc].Op, r, c, rem, cy)
+				pc, in.Op, r, c, rem[pc], cy[pc])
 		}
 	}
 }
@@ -221,10 +241,38 @@ func checkRuns(t *testing.T, img *vm.Image) {
 // image's live ones and a value — to a clone's instruction stream. Every
 // mutation keeps the instruction decodable: registers stay inside the
 // register file, branch targets inside the stream and host indexes among
-// the imported ones.
-func mutate(img *vm.Image, live []int32, field uint8, at, val uint32) int32 {
+// the imported ones. A selector below 0x80 changes one field of the
+// instruction at the PC; one above turns it into a call of host val (an
+// inert one in an LLFI image, mostly), or, odd, splices site there: its
+// pre at the PC, and its post val%4 instructions behind. It returns the PCs
+// it rewrote.
+func mutate(img *vm.Image, live []int32, site []vm.Inst, field uint8, at, val uint32) []int32 {
 	pc := live[int(at%uint32(len(live)))]
 	in := &img.Instrs[pc]
+	n := uint32(len(img.HostFns))
+	switch {
+	case field >= 0x80 && field&1 == 0 && n > 0:
+		*in = vm.Inst{Op: vx.CALLQ, HostIdx: int32(val % n), SiteID: -1}
+		return []int32{pc}
+	case field >= 0x80:
+		post := pc + 10 + int32(val%4)
+		if int(post)+6 > len(img.Instrs) {
+			return nil
+		}
+		copy(img.Instrs[pc:], site[:10])
+		copy(img.Instrs[post:], site[10:])
+		img.Instrs[pc+9].Target = post
+		if call := &img.Instrs[pc+7]; n > 0 && call.HostIdx >= int32(n) {
+			call.HostIdx = int32(val % n)
+		}
+		var pcs []int32
+		for p := pc; p < post+6; p++ {
+			if p < pc+10 || p >= post {
+				pcs = append(pcs, p)
+			}
+		}
+		return pcs
+	}
 	switch field % 5 {
 	case 0:
 		in.Op = vx.Op(val)
@@ -245,11 +293,11 @@ func mutate(img *vm.Image, live []int32, field uint8, at, val uint32) int32 {
 	case 3:
 		in.Target = int32(val % uint32(len(img.Instrs)))
 	default:
-		if n := uint32(len(img.HostFns)); n > 0 {
+		if n > 0 {
 			in.HostIdx = int32(val % n)
 		}
 	}
-	return pc
+	return []int32{pc}
 }
 
 // bindPredecode binds the golden run's hosts. A mutated REFINE image can
@@ -279,7 +327,7 @@ func FuzzPredecode(f *testing.F) {
 				}
 				m.Step()
 			}
-			imgs = append(imgs, predecodeImage{bin, live})
+			imgs = append(imgs, predecodeImage{bin, live, siteOf(bin.Img)})
 		}
 	}
 	// which indexes CG/REFINE, CG/PINFI, CG/LLFI, FT/REFINE, FT/PINFI,
@@ -293,6 +341,13 @@ func FuzzPredecode(f *testing.F) {
 	f.Add(uint8(2), false, []byte{})
 	f.Add(uint8(2), true, []byte{1, 12, 0, 0, 0, byte(vx.R0), 1, 0, 0, 4, 13, 0, 0, 0, 2, 0, 0, 0})
 	f.Add(uint8(5), false, []byte{0, 30, 0, 0, 0, byte(vx.LEAQ), 0, 0, 0, 2, 31, 0, 0, 0, 9, 0, 0, 0})
+	// A site spliced into CG/REFINE, FT/PINFI and CG/LLFI (a host of another
+	// shape), inert host calls in CG/LLFI and FT/LLFI.
+	f.Add(uint8(0), false, []byte{0x81, 60, 0, 0, 0, 1, 0, 0, 0})
+	f.Add(uint8(4), false, []byte{0x81, 90, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(2), false, []byte{0x81, 20, 0, 0, 0, 2, 0, 0, 0, 0x81, 140, 0, 0, 0, 3, 0, 0, 0})
+	f.Add(uint8(2), false, []byte{0x80, 45, 0, 0, 0, 0, 0, 0, 0, 0x80, 46, 0, 0, 0, 1, 0, 0, 0})
+	f.Add(uint8(5), true, []byte{0x80, 70, 0, 0, 0, 1, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, which uint8, viaRepredecode bool, plan []byte) {
 		src := imgs[int(which)%len(imgs)]
@@ -302,9 +357,10 @@ func FuzzPredecode(f *testing.F) {
 		}
 		mutated := false
 		for i := 0; i+9 <= len(plan) && i < 4*9; i += 9 {
-			pc := mutate(img, src.live, plan[i], binary.LittleEndian.Uint32(plan[i+1:]), binary.LittleEndian.Uint32(plan[i+5:]))
-			if viaRepredecode {
-				img.Repredecode(pc)
+			for _, pc := range mutate(img, src.live, src.site, plan[i], binary.LittleEndian.Uint32(plan[i+1:]), binary.LittleEndian.Uint32(plan[i+5:])) {
+				if viaRepredecode {
+					img.Repredecode(pc)
+				}
 			}
 			mutated = true
 		}

@@ -23,7 +23,8 @@ type predecodeOnce = sync.Once
 // dedicated kind falls back to uGeneric, which dispatches through the same
 // execOp switch Step uses, so the long tail keeps reference semantics; every
 // branch, call and return has a kind, so a uGeneric slot only falls through,
-// traps or halts, and stays inside its run. A shape earns a kind only if some
+// traps or halts, and stays inside its run. So do a host call and a fused
+// site, unless they hand over (runs). A shape earns a kind only if some
 // workload gives it at least 0.01 % of dispatches and the kind measurably
 // beats uGeneric (README.md, "Which uops earn a kind").
 type uopKind uint8
@@ -91,7 +92,7 @@ const (
 	uNOP
 
 	// The site superinstruction (site.go): a REFINE site's head uSTORE,
-	// its tgt indexing Image.sites.
+	// the rest of the site in its operand bytes.
 	uSITE
 
 	// uCUT is where runs cuts a run whose counts would overflow 16 bits: the
@@ -108,8 +109,8 @@ const (
 //	a           destination / register operand
 //	b, c, scale memory base, index (NoReg ⇒ absent) and scale
 //	imm         immediate or memory displacement
-//	tgt         branch target, host index, uSTOREi displacement, or side-table entry
-//	cond        condition code for JCC / SETCC
+//	tgt         branch target, host index, uSTOREi displacement, or a site's exit
+//	cond        condition code for JCC / SETCC (a site's need)
 //	cost        cycle cost (op cost + memory surcharge)
 //	rem, remCy  instructions and cycles from this slot to the end of its run
 //	            (runs); 0 for the sentinel
@@ -159,16 +160,16 @@ func (img *Image) build() {
 	}
 	img.code[len(img.Instrs)] = uop{kind: uEND}
 	// Site superinstructions (site.go), rewriting head slots only.
+	img.siteHost = -1
 	for pc := range img.Instrs {
-		if s, ok := img.matchSite(int32(pc)); ok {
-			img.code[pc].kind, img.code[pc].tgt = uSITE, int32(len(img.sites))
-			img.sites = append(img.sites, s)
+		if exit, ok := img.matchSite(int32(pc)); ok {
+			img.fuseSite(int32(pc), exit)
 		}
 	}
 	// Sites whose writes the next site repeats (site.go): on the final
 	// stream, which every walk reads whole.
-	for i := range img.sites {
-		img.elide(&img.sites[i])
+	for _, h := range img.sites {
+		img.elide(h)
 	}
 	img.runs()
 
@@ -216,18 +217,22 @@ func (img *Image) Clone() *Image {
 // and no site skips its writes any more: a path elide walked may have
 // changed. Mutating an image forfeits its share-across-goroutines
 // guarantee: callers must have exclusive use of the image for the whole
-// mutate/run/restore window. The runs are counted anew over the whole image:
-// the slot may have started or ended one.
+// mutate/run/restore window. Only the run counts the rewritten slots can
+// change are counted anew (recount).
 func (img *Image) Repredecode(pc int32) {
 	img.ensure()
+	var changed []int32
 	if pc >= 0 && int(pc) < len(img.Instrs) {
 		img.code[pc] = predecode1(&img.Instrs[pc])
+		changed = append(changed, pc)
 	}
-	img.unfuseSitesAround(pc)
-	for i := range img.sites {
-		img.sites[i].need = 0
+	changed = append(changed, img.unfuseSitesAround(pc)...)
+	for _, h := range img.sites {
+		if u := &img.code[h]; u.kind == uSITE {
+			u.cond = 0
+		}
 	}
-	img.runs()
+	img.recount(changed)
 }
 
 // runs cuts the predecoded stream into straight-line runs and stores, in
@@ -236,39 +241,83 @@ func (img *Image) Repredecode(pc int32) {
 // run once, at its first slot, and then dispatches its uops with no
 // per-instruction accounting (run.go).
 //
-// A run ends at the first uop that does not fall through to the next slot
-// on its own: a terminator — uJMP, uJCC, uCALL, uRET — or a breaker —
-// uCALLH or uSITE, which may run Go or hand over to unfused slots, or uCUT.
-// Either is counted in the run it ends. Every other uop, uGeneric included,
-// is straight and continues into the run of the slot behind it; one that
-// traps or halts takes back the rest of its run's charge as it stops. The
-// uEND sentinel ends a run before itself: it is no instruction, and its
-// counts are 0. A run whose counts would not fit in 16 bits is cut at the
-// slot where they overflow: the slot becomes uCUT, the reference path, which
-// ends the run there; no evaluation build comes near (its longest run is 147
-// instructions, 419 cycles). A uGeneric or uCUT slot's cost is its opcode's
-// alone: its memory surcharges are charged as execOp runs it.
+// A run ends at a terminator — uJMP, uJCC, uCALL, uRET — or at uCUT, the
+// overflow cut, which is counted in the run it ends. Every other uop is
+// straight and continues into the run of the slot behind it: uGeneric, and
+// uCALLH, which goes on when its call is inert. A fused site (uSITE) is
+// straight too, continuing at its exit: it counts its 16 instructions —
+// their cycles but the host's latency, which the case adds — and the run
+// from post+6, which lies behind it, so the backward pass has counted it
+// already. A uop that traps or halts, a host call that enters Go and a site
+// that hands over to its unfused slots take back the rest of their run's
+// charge as they stop (unwind). The uEND sentinel ends a run before itself:
+// it is no instruction, and its counts are 0. A run whose counts would not
+// fit in 16 bits is cut at the slot where they overflow: the slot becomes
+// uCUT, the reference path, which ends the run there — a site, its store
+// (unfuseSite) and then, if that still overflows, the cut; no evaluation
+// build comes near (its longest run is 147 instructions, 419 cycles). A
+// uGeneric or uCUT slot's cost is its opcode's alone: its memory surcharges
+// are charged as execOp runs it.
 //
-// It runs after every rewrite of code: the end of build (after elide),
-// Repredecode, and the tests' unfuse helpers.
+// It runs after every rewrite of code at build (after elide) and in the
+// tests' unfuse helpers; Repredecode recounts only what it can change.
 func (img *Image) runs() {
+	for pc := len(img.code) - 1; pc >= 0; pc-- {
+		img.count(int32(pc))
+	}
+}
+
+// count stores the run counts of code[pc] from those of the slot its run
+// continues into, which must be counted already.
+func (img *Image) count(pc int32) {
 	code := img.code
-	for pc := len(code) - 1; pc >= 0; pc-- {
-		u := &code[pc]
-		var rem, cy int
-		switch u.kind {
-		case uEND:
-		case uJMP, uJCC, uCALL, uRET, uCALLH, uSITE, uCUT:
+	u := &code[pc]
+	var rem, cy int
+	switch u.kind {
+	case uEND:
+	case uJMP, uJCC, uCALL, uRET, uCUT:
+		rem, cy = 1, int(u.cost)
+	case uSITE:
+		next := &code[u.tgt]
+		rem, cy = sitePreLen+sitePostLen+int(next.rem), int(u.cost)+img.siteCycles(pc)+int(next.remCy)
+		if rem > math.MaxUint16 || cy > math.MaxUint16 {
+			img.unfuseSite(pc)
+			img.count(pc)
+			return
+		}
+	default:
+		next := &code[pc+1] // in bounds: the last slot is the sentinel
+		rem, cy = 1+int(next.rem), int(u.cost)+int(next.remCy)
+		if rem > math.MaxUint16 || cy > math.MaxUint16 {
+			*u = uop{kind: uCUT, cost: uint8(img.Instrs[pc].Op.CycleCost())}
 			rem, cy = 1, int(u.cost)
-		default:
-			next := &code[pc+1] // in bounds: the last slot is the sentinel
-			rem, cy = 1+int(next.rem), int(u.cost)+int(next.remCy)
-			if rem > math.MaxUint16 || cy > math.MaxUint16 {
-				*u = uop{kind: uCUT, cost: uint8(img.Instrs[pc].Op.CycleCost())}
-				rem, cy = 1, int(u.cost)
+		}
+	}
+	u.rem, u.remCy = uint16(rem), uint16(cy)
+}
+
+// recount counts anew what a rewrite of the slots in changed can change:
+// each of them; walking back from it, every slot whose run continues into a
+// slot whose counts changed, up to the first whose counts did not; and, in
+// turn, every fused site whose exit is such a slot. The counts of every
+// other slot are still what a full pass gives.
+func (img *Image) recount(changed []int32) {
+	for len(changed) > 0 {
+		pc := changed[len(changed)-1]
+		changed = changed[:len(changed)-1]
+		for p := pc; p >= 0; p-- {
+			u := &img.code[p]
+			was := *u
+			img.count(p)
+			if p != pc && *u == was {
+				break
+			}
+			for _, h := range img.sites {
+				if s := &img.code[h]; s.kind == uSITE && s.tgt == p {
+					changed = append(changed, h)
+				}
 			}
 		}
-		u.rem, u.remCy = uint16(rem), uint16(cy)
 	}
 }
 

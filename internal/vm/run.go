@@ -27,6 +27,7 @@ func (m *Machine) Run() TrapKind {
 	}
 	m.Img.ensure()
 	if !m.Halted {
+		m.resolveSiteHost()
 		m.runFast()
 	}
 	m.fire = nil
@@ -69,14 +70,15 @@ func TargetMap(img *Image, keep func(*Inst) bool) []bool {
 // loop's head adds the run's instructions and cycles to InstrCount and
 // Cycles, and the run's uops then dispatch on the local pc with no
 // accounting of their own. The uop that ends the run writes PC and goes
-// back to the head: a terminator where it branches to, a breaker — a host
-// call, a fused site — the slot behind it, before it runs Go or hands over
-// to unfused slots, and the overflow cut the slot behind it once it ran. A
-// uop that traps or halts inside a run, a generic one included, takes back
-// the charge for the uops behind it (unwind). So InstrCount, Cycles and PC
-// are exact at the end of every run — and a breaker is the end of its run
-// — which is the only place anything can see them: a trap, a halt, host Go,
-// a fire callback.
+// back to the head: a terminator where it branches to, the overflow cut the
+// slot behind it once it ran. An inert host call and a fused site on its
+// not-triggered path stay inside the run (a site going on at its exit); a
+// host call that enters Go and a site that hands over to its unfused slots
+// end it there, taking back the charge for the uops behind them (unwind) and
+// pointing PC behind themselves first, and so does a uop that traps or
+// halts, a generic one included. So InstrCount, Cycles and PC are exact at
+// the end of every run, which is the only place anything can see them: a
+// trap, a halt, host Go, a fire callback.
 func (m *Machine) runFast() {
 	img := m.Img
 	code := img.code
@@ -116,18 +118,28 @@ loop:
 					}
 					m.Regs[u.a] = v
 
+				// A case that calls out parks pc in PC across the call
+				// (storeOut, pushOut, execOut), so that no dispatch keeps
+				// pc or the slot on the stack.
+
 				case uSTORE:
 					addr, v := m.uopAddr(u), m.Regs[u.a]
-					if !m.poke64(addr, v) && !m.store64(addr, v) {
-						m.unwind(u, pc)
-						return
+					if !m.poke64(addr, v) {
+						m.PC = pc
+						if !m.storeOut(addr, v) {
+							return
+						}
+						pc = m.PC
 					}
 
 				case uSTOREi:
-					addr := m.tgtAddr(u)
-					if !m.poke64(addr, uint64(u.imm)) && !m.store64(addr, uint64(u.imm)) {
-						m.unwind(u, pc)
-						return
+					addr, v := m.tgtAddr(u), uint64(u.imm)
+					if !m.poke64(addr, v) {
+						m.PC = pc
+						if !m.storeOut(addr, v) {
+							return
+						}
+						pc = m.PC
 					}
 
 				case uLEA:
@@ -248,16 +260,19 @@ loop:
 					m.setFlagsZS(m.Regs[u.a] & m.Regs[u.b])
 
 				case uSETCC:
-					if vx.Cond(u.cond).Eval(m.Regs[vx.RFLAGS]) {
+					if condHolds(u.cond, m.Regs[vx.RFLAGS]) {
 						m.Regs[u.a] = 1
 					} else {
 						m.Regs[u.a] = 0
 					}
 
 				case uPUSHr:
-					if v := m.Regs[u.a]; !m.pushFast(v) && !m.push(v) {
-						m.unwind(u, pc)
-						return
+					if v := m.Regs[u.a]; !m.pushFast(v) {
+						m.PC = pc
+						if !m.pushOut(v) {
+							return
+						}
+						pc = m.PC
 					}
 				case uPOPr:
 					v, ok := m.popFast()
@@ -268,9 +283,12 @@ loop:
 					}
 					m.Regs[u.a] = v
 				case uPUSHF:
-					if v := m.Regs[vx.RFLAGS]; !m.pushFast(v) && !m.push(v) {
-						m.unwind(u, pc)
-						return
+					if v := m.Regs[vx.RFLAGS]; !m.pushFast(v) {
+						m.PC = pc
+						if !m.pushOut(v) {
+							return
+						}
+						pc = m.PC
 					}
 				case uPOPF:
 					v, ok := m.popFast()
@@ -288,13 +306,12 @@ loop:
 					// writes PC (every JMP, JCC, CALLQ and RET has a kind of
 					// its own) and runs no Go of a host's; its memory
 					// surcharges come as Step charges them. uCUT ends its
-					// run (runs), as a breaker does.
-					m.execOp(pc, &img.Instrs[pc])
-					if m.Halted {
-						m.unwind(u, pc)
+					// run (runs).
+					m.PC = pc
+					if !m.execOut() {
 						return
 					}
-					if u.kind == uCUT {
+					if pc = m.PC; code[pc].kind == uCUT {
 						m.PC = pc + 1
 						continue loop
 					}
@@ -307,7 +324,7 @@ loop:
 					continue loop
 
 				case uJCC:
-					if vx.Cond(u.cond).Eval(m.Regs[vx.RFLAGS]) {
+					if condHolds(u.cond, m.Regs[vx.RFLAGS]) {
 						m.PC = u.tgt
 					} else {
 						m.PC = pc + 1
@@ -330,33 +347,41 @@ loop:
 					continue loop
 
 				case uCALL:
-					if ret := uint64(pc + 1); !m.pushFast(ret) && !m.push(ret) {
-						m.unwind(u, pc)
-						return
+					if ret := uint64(pc + 1); !m.pushFast(ret) {
+						m.PC = pc
+						if !m.pushOut(ret) {
+							return
+						}
+						pc = m.PC
 					}
-					m.PC = u.tgt
+					m.PC = code[pc].tgt
 					continue loop
 
-				// Breakers: each ends its run, points PC behind itself and
-				// goes back to the loop's head.
+				// Straight unless they hand over: a host call and a fused
+				// site stay inside their run on the path nearly every call
+				// takes, and take back the rest of the run (unwind) before
+				// they run Go or hand over to the unfused slots.
 
 				case uCALLH:
-					m.PC = pc + 1
 					h := &m.hosts[u.tgt]
+					if h.Fn != nil && h.inert() {
+						// A declared inert call runs no Go of the library's, so
+						// there is nothing for the seams below to find.
+						m.Cycles += h.Cycles
+						m.callInert(h)
+						if !h.PreserveRegs {
+							m.PC = pc
+							m.scrambleExceptResults()
+							pc = m.PC
+						}
+						break
+					}
+					m.unwind(u, pc)
 					if h.Fn == nil {
 						m.fault(TrapIllegal, "unbound host function %q", img.HostFns[u.tgt])
 						return
 					}
 					m.Cycles += h.Cycles
-					if h.inert() {
-						// A declared inert call runs no Go of the library's, so
-						// there is nothing for the seams below to find.
-						m.callInert(h)
-						if !h.PreserveRegs {
-							m.scrambleExceptResults()
-						}
-						continue loop
-					}
 					h.Fn(m)
 					if !h.PreserveRegs {
 						m.scrambleExceptResults()
@@ -370,49 +395,28 @@ loop:
 					continue loop
 
 				case uSITE:
-					// Site superinstruction (site.go): the not-triggered path in
-					// one go — the head store and the saves, or no write at all
-					// — or the head store and then the unfused slots.
-					m.PC = pc + 1
-					s := &img.sites[u.tgt]
-					sp := m.Regs[vx.SP]
-					if s.abs < DefaultGlobalBase || s.abs > uint64(len(m.Mem))-8 {
-						m.store64(s.abs, sp)
-						return
+					// Site superinstruction (site.go): the not-triggered path
+					// inside the run, on to the site's exit — here when the
+					// next site repeats the site's writes, so it makes none;
+					// in site when it writes — or the head store and then the
+					// unfused slots. The run's head charged the site's 16
+					// instructions with their cycles but the host's latency.
+					if h, sp := m.siteHost, m.Regs[vx.SP]; h != nil && *h.Inert.Count != *h.Inert.Event && u.cond != 0 &&
+						deadline-m.InstrCount+int64(u.rem)-1 >= int64(u.cond) &&
+						sp >= uint64(u.imm)+8+siteSaveBytes && sp <= uint64(len(m.Mem))-8-siteMaxOff(u) {
+						*h.Inert.Count++
+						m.Cycles += h.Cycles
+						pc = u.tgt - 1 // the run goes on at the exit, behind pc++
+						break
 					}
-					h := &m.hosts[s.host]
-					left := deadline - m.InstrCount
-					inert := h.siteInert && *h.Inert.Count != *h.Inert.Event
-					if !inert || left < s.need || s.need == 0 ||
-						sp < s.abs+8+siteSaveBytes || sp > uint64(len(m.Mem))-8-s.maxOff {
-						// The site writes, unless the next site rewrites the
-						// slot and the save area before anything can read them
-						// (site.go).
-						m.markDirty(s.abs)
-						binary.LittleEndian.PutUint64(m.Mem[s.abs:], sp)
-						if !inert || left < siteAfterHead || sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
-							continue loop
+					m.PC = pc
+					if !m.site() {
+						if m.Halted {
+							return
 						}
-						lo, hi := (sp-siteSaveBytes)>>dirtyPageShift, (sp-1)>>dirtyPageShift
-						m.markPage(lo)
-						if hi != lo {
-							m.markPage(hi)
-						}
-						save := (*[siteSaveBytes]byte)(m.Mem[sp-siteSaveBytes : sp])
-						binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
-						binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
-						binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
-						binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
-						binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
-						if s.abs < sp && s.abs+8 > sp-siteSaveBytes {
-							m.Regs[vx.SP] = binary.LittleEndian.Uint64(m.Mem[s.abs:])
-						}
+						continue loop
 					}
-					*h.Inert.Count++
-					m.InstrCount += siteAfterHead
-					m.Cycles += s.preCycles + h.Cycles + s.postCycles
-					m.PC = s.post + sitePostLen
-					continue loop
+					pc = code[m.PC].tgt - 1
 
 				case uEND:
 					// The exit sentinel: a normal halt, exit code in R0. With
@@ -446,13 +450,80 @@ loop:
 	}
 }
 
-// unwind takes back, when the uop at pc traps or halts, what its run's head
-// charged for the uops behind it, and points PC behind the instruction, as
-// Step leaves it.
+// unwind takes back, when the uop at pc traps, halts or hands over, what
+// its run's head charged for the uops behind it, and points PC behind the
+// instruction, as Step leaves it.
 func (m *Machine) unwind(u *uop, pc int32) {
 	m.InstrCount -= int64(u.rem) - 1
 	m.Cycles -= int64(u.remCy) - int64(u.cost)
 	m.PC = pc + 1
+}
+
+// site runs the fused site at PC on the paths the uSITE case leaves to it
+// (site.go). On an inert call with the slot and the save area in bounds it
+// makes the head store and the saves and reports true: the run goes on at
+// the exit. Otherwise it takes back the rest of the run (unwind), makes the
+// head store — or traps on it — and reports false, handing over to the
+// unfused slots behind the head.
+func (m *Machine) site() bool {
+	pc := m.PC
+	u := &m.Img.code[pc]
+	h, sp, abs := m.siteHost, m.Regs[vx.SP], uint64(u.imm)
+	if h == nil || *h.Inert.Count == *h.Inert.Event || abs < DefaultGlobalBase || abs > uint64(len(m.Mem))-8 ||
+		sp < DefaultGlobalBase+siteSaveBytes || sp > uint64(len(m.Mem)) {
+		m.unwind(u, pc)
+		m.store64(abs, sp)
+		return false
+	}
+	m.markDirty(abs)
+	binary.LittleEndian.PutUint64(m.Mem[abs:], sp)
+	lo, hi := (sp-siteSaveBytes)>>dirtyPageShift, (sp-1)>>dirtyPageShift
+	m.markPage(lo)
+	if hi != lo {
+		m.markPage(hi)
+	}
+	save := (*[siteSaveBytes]byte)(m.Mem[sp-siteSaveBytes : sp])
+	binary.LittleEndian.PutUint64(save[32:], m.Regs[vx.RFLAGS])
+	binary.LittleEndian.PutUint64(save[24:], m.Regs[vx.R0])
+	binary.LittleEndian.PutUint64(save[16:], m.Regs[vx.R1])
+	binary.LittleEndian.PutUint64(save[8:], m.Regs[vx.R2])
+	binary.LittleEndian.PutUint64(save[0:], m.Regs[vx.R3])
+	if abs < sp && abs+8 > sp-siteSaveBytes {
+		m.Regs[vx.SP] = binary.LittleEndian.Uint64(m.Mem[abs:])
+	}
+	*h.Inert.Count++
+	m.Cycles += h.Cycles
+	return true
+}
+
+// storeOut, pushOut and execOut are runFast's calls out of line — store64,
+// push, execOp — for the uop at PC, where runFast parks its pc across the
+// call. Each reports whether the uop completed; one that faulted or halted
+// has taken back its run (unwind).
+func (m *Machine) storeOut(addr, v uint64) bool {
+	if m.store64(addr, v) {
+		return true
+	}
+	m.unwind(&m.Img.code[m.PC], m.PC)
+	return false
+}
+
+func (m *Machine) pushOut(v uint64) bool {
+	if m.push(v) {
+		return true
+	}
+	m.unwind(&m.Img.code[m.PC], m.PC)
+	return false
+}
+
+func (m *Machine) execOut() bool {
+	pc := m.PC
+	m.execOp(pc, &m.Img.Instrs[pc])
+	if m.Halted {
+		m.unwind(&m.Img.code[pc], pc)
+		return false
+	}
+	return true
 }
 
 // fastDeadline computes the InstrCount at which runFast leaves its fast
@@ -493,6 +564,24 @@ func (m *Machine) baseIndex(u *uop) uint64 {
 	}
 	return a
 }
+
+// condTable[c] has bit f set when condition c holds for FLAGS f: Cond.Eval
+// reads the four flag bits only, and a condition past the last is false.
+var condTable = func() (t [256]uint16) {
+	for c := range vx.NumConds {
+		for f := range uint64(16) {
+			if c.Eval(f) {
+				t[c] |= 1 << f
+			}
+		}
+	}
+	return t
+}()
+
+// condHolds is vx.Cond(c).Eval(flags) for runFast, without a call: Eval's
+// switch is past the inliner's budget, and a call in a case keeps the
+// loop's pc on the stack.
+func condHolds(c uint8, flags uint64) bool { return condTable[c]>>(flags&15)&1 != 0 }
 
 // fadd and fmul are ADDSD and MULSD on bit patterns. When both operands are
 // NaN, x64 keeps the destination's payload; Go is free to commute a sum or a

@@ -9,8 +9,11 @@ package vm_test
 // instructions a head pass covers, and which shapes still go to uGeneric.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -59,14 +62,15 @@ func shape(in *vm.Inst) string {
 // negative one) whose callback does nothing:
 //
 //   - the head runs at the start, behind every run — which a terminator or
-//     a breaker ends — and behind every instruction Step ran;
+//     the overflow cut ends — and behind every instruction Step ran;
 //   - at the head, a run of rem instructions from count c is entered whole
 //     when c+rem is at most the deadline; otherwise Step runs one
 //     instruction, and the one at which the fire point is due services it,
 //     leaving no deadline;
-//   - a fused site dispatches the 15 instructions behind its head with it,
-//     when the deadline leaves them room (a golden run's control library is
-//     inert on every call, and its SP sane).
+//   - a host call that declares inert calls and a fused site stay inside
+//     their run, and a fused site dispatches the 15 instructions behind its
+//     head with it (a golden run's libraries are inert on every call, and
+//     its SP sane); a call of another host enters Go and ends its run.
 //
 // entry, if not nil, is called at every head pass that enters a run, with
 // its PC and count, and stops the model when it returns false.
@@ -109,10 +113,11 @@ func model(m *vm.Machine, fireAt int64, entry func(pc int32, at int64) bool) cen
 		if generic {
 			c.generic[shape(in)]++
 		}
-		if fused[pc] && deadline-(at+1) >= 15 {
+		if fused[pc] {
 			skip = 15
 		}
-		head = class != vm.Straight
+		// A call that enters Go takes back the rest of its run and ends it.
+		head = class != vm.Straight || in.Op == vx.CALLQ && in.HostIdx >= 0 && !vm.DeclaresInert(m, in.HostIdx)
 		return true
 	})
 	return c
@@ -154,11 +159,15 @@ var goldenCensus = sync.OnceValues(func() (map[campaign.Tool]census, error) {
 })
 
 // maxHeads bounds each tool's head passes over the golden runs of the 14
-// apps, and of -short's three: the counts from before generic uops stayed
-// inside their runs. A change that ends runs more often shows here.
+// apps, and of -short's three. PINFI's is its count from before generic uops
+// stayed inside their runs; LLFI's and REFINE's hold what straight host
+// calls and sites earn — 1 239 742 and 1 784 416 head passes while they
+// ended their runs, bounded at 0.6 M and 0.5 M, and -short's 359 935 and
+// 485 370 scaled by the same factors. A change that ends runs more often
+// shows here.
 var maxHeads = map[bool]map[campaign.Tool]int64{
-	false: {campaign.LLFI: 1_240_512, campaign.REFINE: 1_784_752, campaign.PINFI: 233_370},
-	true:  {campaign.LLFI: 359_935, campaign.REFINE: 485_370, campaign.PINFI: 72_175},
+	false: {campaign.LLFI: 600_000, campaign.REFINE: 500_000, campaign.PINFI: 233_370},
+	true:  {campaign.LLFI: 174_200, campaign.REFINE: 136_000, campaign.PINFI: 72_175},
 }
 
 // TestRunCensus logs, per tool, what the loop's head costs over the golden
@@ -207,43 +216,74 @@ type runEntry struct {
 	at   int64 // InstrCount at the entry
 	pc   int32
 	n    int64  // instructions from the entry to the end of the run
-	ends string // what ends it: "a compare and branch", "a branch" or "a breaker"
+	ends string // what it is: see runKinds
+	lib  any    // what the bind's report said at the entry
 }
 
-// findRuns returns, for each way a run can end, the first per entries of
-// distinct PCs the golden run of bin (its hosts bound by bind) makes past
-// 300 instructions.
+// runKinds are the kinds of run findRuns looks for: runs through two or more
+// fused sites, through one, runs ending in a compare and branch, runs
+// through a host call, and runs ending in another branch.
+var runKinds = []string{"two or more sites", "a site", "a compare and branch", "a host call", "a branch"}
+
+// findRuns returns, for each of runKinds, the first per entries of distinct
+// PCs the golden run of bin (its hosts bound by bind) makes past 300
+// instructions. A kind the image cannot have stays empty.
 func findRuns(bin *campaign.Binary, bind func(m *vm.Machine) func() any, per int) []runEntry {
 	img := bin.Img
+	heads, posts := vm.SiteHeads(img)
+	exit := make(map[int32]int32, len(heads))
+	for i, h := range heads {
+		exit[h] = posts[i] + 6
+	}
 	seen := make(map[int32]bool)
 	taken := make(map[string]int)
 	var out []runEntry
 	m := bin.NewMachine()
-	bind(m)
+	report := bind(m)
 	model(m, -1, func(pc int32, at int64) bool {
 		class, rem, _, _ := vm.Slot(img, pc)
 		if at < 300 || seen[pc] || class == vm.Breaker {
 			return true
 		}
 		seen[pc] = true
-		end := pc
+		end, sites, calls := pc, 0, 0
 		for {
 			if c, _, _, _ := vm.Slot(img, end); c != vm.Straight {
 				break
 			}
+			if x, ok := exit[end]; ok {
+				end, sites = x, sites+1
+				continue
+			}
+			if in := &img.Instrs[end]; in.Op == vx.CALLQ && in.HostIdx >= 0 {
+				calls++
+			}
 			end++
 		}
-		ends := "a breaker"
-		if c, _, _, _ := vm.Slot(img, end); c == vm.Terminator && end > pc && compareAndBranch(img, end) {
-			ends = "a compare and branch"
-		} else if c == vm.Terminator {
-			ends = "a branch"
+		var kind string
+		switch c, _, _, _ := vm.Slot(img, end); {
+		case sites >= 2:
+			kind = "two or more sites"
+		case sites == 1:
+			kind = "a site"
+		case c == vm.Terminator && end > pc && compareAndBranch(img, end):
+			kind = "a compare and branch"
+		case calls > 0:
+			kind = "a host call"
+		case c == vm.Terminator:
+			kind = "a branch"
+		default:
+			return true
 		}
-		if taken[ends] < per {
-			taken[ends]++
-			out = append(out, runEntry{at: at, pc: pc, n: int64(rem), ends: ends})
+		if taken[kind] < per {
+			taken[kind]++
+			var lib any
+			if report != nil {
+				lib = report()
+			}
+			out = append(out, runEntry{at: at, pc: pc, n: int64(rem), ends: kind, lib: lib})
 		}
-		return len(out) < 3*per
+		return len(out) < len(runKinds)*per && at < 2_000_000
 	})
 	return out
 }
@@ -263,12 +303,17 @@ func bindNone(m *vm.Machine) func() any {
 
 // TestRunAccountingMatchesSteppedAtEverySeam puts a budget and a fire point
 // on every instruction boundary of runs the golden runs of FT and CG under
-// PINFI, CG under LLFI and HPCCG under REFINE enter — runs ending in a
-// compare and branch (so one lands between the two), in another branch, and
-// in a breaker (so one lands on the breaker, behind the run's last straight
-// slot) — and holds Run to RunStepped: machineState with the dirty bitmap,
-// TrapMsg, final memory, and the PC, counts and cycles the fire point sees.
-// Under -short two runs of each kind on two images.
+// PINFI, CG under LLFI and HPCCG under REFINE enter — runs through two or
+// more fused sites, through one, through a host call (inert under LLFI, one
+// that enters Go under PINFI), and runs ending in a compare and branch (so
+// one lands between the two) or in another branch — and holds Run to
+// RunStepped: machineState with the dirty bitmap, TrapMsg, final memory, and
+// the PC, counts and cycles the fire point sees. A run through sites also
+// gets budgets past its end as far as a site's need reaches (elide: a site
+// whose need the deadline does not leave writes), and the control library's
+// call of its first and of its second site due (Count == Event), under a
+// budget at every boundary. Under -short two runs of each kind on two
+// images.
 func TestRunAccountingMatchesSteppedAtEverySeam(t *testing.T) {
 	type image struct {
 		app  string
@@ -276,8 +321,8 @@ func TestRunAccountingMatchesSteppedAtEverySeam(t *testing.T) {
 		bind func(m *vm.Machine) func() any
 	}
 	images := []image{
-		{"FT", campaign.PINFI, bindNone}, {"HPCCG", campaign.REFINE, bindProfile},
-		{"CG", campaign.PINFI, bindNone}, {"CG", campaign.LLFI, bindLLFI},
+		{"HPCCG", campaign.REFINE, bindProfile}, {"CG", campaign.LLFI, bindLLFI},
+		{"FT", campaign.PINFI, bindNone}, {"CG", campaign.PINFI, bindNone},
 	}
 	per := 10
 	if testing.Short() {
@@ -288,18 +333,24 @@ func TestRunAccountingMatchesSteppedAtEverySeam(t *testing.T) {
 		count, cycles int64
 		regs          [vx.NumRegs]uint64
 	}
-	total, ends := 0, make(map[string]int)
+	// The most instructions a site's need reaches past its head.
+	const maxNeed = 15 + 48 + 6
+	total, kinds := 0, make(map[string]int)
 	for _, im := range images {
 		bin := buildBin(t, im.app, im.tool)
 		d := newSiteDiff(t, bin)
 		runs := findRuns(bin, im.bind, per)
 		for _, r := range runs {
-			ends[r.ends]++
+			kinds[r.ends]++
 		}
 		total += len(runs)
 		for _, r := range runs {
-			for k := r.at; k <= r.at+r.n; k++ {
-				label := fmt.Sprintf("run at pc %d (%d instructions, ended by %s), entered at %d:", r.pc, r.n, r.ends, r.at)
+			label := fmt.Sprintf("run at pc %d (%d instructions, %s), entered at %d:", r.pc, r.n, r.ends, r.at)
+			last := r.at + r.n
+			if strings.Contains(r.ends, "site") {
+				last += maxNeed
+			}
+			for k := r.at; k <= last; k++ {
 				d.check(fmt.Sprintf("%s budget %d", label, k), func(m *vm.Machine) func() any {
 					m.Budget = k
 					return im.bind(m)
@@ -308,7 +359,7 @@ func TestRunAccountingMatchesSteppedAtEverySeam(t *testing.T) {
 					m.Budget = k + tailBudget
 					var s seen
 					m.ArmFire(&vm.FirePoint{At: k, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
-						s = seen{mm.PC, mm.InstrCount, mm.Cycles, mm.Regs}
+						s = seen{mm.PC, mm.InstrCount, mm.Cycles, archRegs(mm)}
 						mm.FlipBit(vx.Reg(k%4), 2)
 					}})
 					report := im.bind(m)
@@ -320,18 +371,28 @@ func TestRunAccountingMatchesSteppedAtEverySeam(t *testing.T) {
 					}
 				})
 			}
+			if r.ends != "two or more sites" {
+				continue
+			}
+			for i, target := range []int64{r.lib.(int64), r.lib.(int64) + 1} {
+				for k := r.at; k <= r.at+r.n; k++ {
+					d.check(fmt.Sprintf("%s the call of site %d due, budget %d", label, i+1, k), func(m *vm.Machine) func() any {
+						m.Budget = k
+						return triggerAt(target)(m)
+					})
+				}
+			}
 		}
 	}
-	// FT's PINFI image reaches its two host calls only by a jump.
-	for _, e := range []string{"a compare and branch", "a branch", "a breaker"} {
-		if ends[e] < per {
-			t.Errorf("%d runs ended by %s cut, want at least %d", ends[e], e, per)
+	for _, e := range runKinds {
+		if kinds[e] < per {
+			t.Errorf("%d runs of %s cut, want at least %d", kinds[e], e, per)
 		}
 	}
 	if !testing.Short() && total < 50 {
-		t.Errorf("%d runs cut, want at least 50: %v", total, ends)
+		t.Errorf("%d runs cut, want at least 50: %v", total, kinds)
 	}
-	t.Logf("%d runs cut: %v", total, ends)
+	t.Logf("%d runs cut: %v", total, kinds)
 }
 
 // crafted builds a one-function image from ins, with one imported host
@@ -538,8 +599,8 @@ func TestRunOverflowDemotes(t *testing.T) {
 // run — of a slot behind the fire point, ahead of it, or the slot it is at
 // — that turns a straight slot into a JMP, a host call or an illegal opcode
 // runs like the stepped reference, and the counts of the image are
-// recomputed: a JMP or a host call now ends the run at the corrupted slot,
-// and an illegal opcode, a generic slot, stays inside it.
+// recomputed: a JMP now ends the run at the corrupted slot, and a host call
+// and an illegal opcode, a generic slot, stay inside it.
 func TestRunRepredecodeMidRun(t *testing.T) {
 	const n = 8
 	ins := []vm.Inst{regImm(vx.MOVQ, vx.R1, 0)}
@@ -570,9 +631,9 @@ func TestRunRepredecodeMidRun(t *testing.T) {
 						mm.Img.Repredecode(slot)
 					}})
 					return func() any {
-						want := int(slot)
-						if name == "illegal" {
-							want = len(ins) - 1
+						want := len(ins) - 1
+						if name == "JMP" {
+							want = int(slot)
 						}
 						if _, rem, _, _ := vm.Slot(img, 1); rem != want {
 							t.Errorf("%s: the run at slot 1 counts %d instructions, want %d", label, rem, want)
@@ -588,6 +649,185 @@ func TestRunRepredecodeMidRun(t *testing.T) {
 	// Through the HALT, a generic slot, to the end of the stream.
 	if _, rem, _, _ := vm.Slot(img, 1); rem != len(ins)-1 {
 		t.Errorf("restored: the run at slot 1 counts %d instructions, want %d", rem, len(ins)-1)
+	}
+}
+
+// TestRepredecodeRecountsLikeAFullPass: Repredecode counts anew only the
+// runs the rewritten slot can change — the slots before it in its run and
+// the sites whose exit leads there — and leaves every slot, after any
+// sequence of corruptions and restores, as a full count pass over the stream
+// leaves it: on REFINE images, where a corruption unfuses sites inside runs
+// through several, and on LLFI and PINFI images.
+func TestRepredecodeRecountsLikeAFullPass(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, c := range []struct {
+		app  string
+		tool campaign.Tool
+	}{{"HPCCG", campaign.REFINE}, {"CG", campaign.REFINE}, {"CG", campaign.LLFI}, {"FT", campaign.PINFI}} {
+		orig := buildBin(t, c.app, c.tool).Img
+		img := orig.Clone()
+		n := int32(len(img.Instrs))
+		heads, _ := vm.SiteHeads(img)
+		var rewritten []int32
+		for step := 0; step < 300; step++ {
+			if len(rewritten) > 0 && rng.IntN(3) == 0 {
+				i := rng.IntN(len(rewritten))
+				pc := rewritten[i]
+				img.Instrs[pc] = orig.Instrs[pc]
+				img.Repredecode(pc)
+				rewritten = append(rewritten[:i], rewritten[i+1:]...)
+			} else {
+				pc := rng.Int32N(n)
+				if len(heads) > 0 && rng.IntN(2) == 0 {
+					pc = min(n-1, heads[rng.IntN(len(heads))]+rng.Int32N(16))
+				}
+				img.Instrs[pc] = [...]vm.Inst{
+					{Op: vx.JMP, Target: rng.Int32N(n + 1), HostIdx: -1},
+					{Op: vx.CALLQ, HostIdx: 0},
+					{Op: vx.HALT, HostIdx: -1},
+					{Op: vx.NOP, HostIdx: -1},
+					{Op: vx.NumOps, HostIdx: -1},
+				}[rng.IntN(5)]
+				img.Repredecode(pc)
+				rewritten = append(rewritten, pc)
+			}
+			if pc := vm.StaleCount(img); pc >= 0 {
+				t.Fatalf("%s/%s, step %d: slot %d is not what a full count pass gives", c.app, c.tool.Name(), step, pc)
+			}
+		}
+		t.Logf("%s/%s: %d sites fused of %d after 300 corruptions and restores", c.app, c.tool.Name(), vm.FusedSites(img), len(heads))
+	}
+}
+
+// headCounts steps a machine on img, its "sel" bound never to trigger, to
+// the end and returns the InstrCount at which each fused head is reached and
+// the instructions of the whole run.
+func headCounts(img *vm.Image) (at map[int32]int64, total int64) {
+	heads, _ := vm.SiteHeads(img)
+	at = make(map[int32]int64)
+	m := vm.New(img)
+	bindSel(-1)(m)
+	for !m.Halted {
+		if slices.Contains(heads, m.PC) {
+			at[m.PC] = m.InstrCount
+		}
+		m.Step()
+	}
+	return at, m.InstrCount
+}
+
+// TestRunThroughSitesOnCraftedChains: chains of three fused sites that runs
+// pass through — one run through all three, a jump behind the first site (so
+// its run ends before its need: a budget there leaves the run whole but the
+// site writing), a trap in the first site's exit run — run like the stepped
+// reference under a budget at every count with "sel" triggering at no site
+// and at each, a fire point flipping SP or R2 at every count, and SP set at
+// each head so that the site writes, hands over or faults. And a
+// Repredecode from a fire point at every count that unfuses the second site
+// by rewriting any of its 16 slots: the first site's run, which passed
+// through it, is counted anew, like a full pass.
+func TestRunThroughSitesOnCraftedChains(t *testing.T) {
+	add := func(r vx.Reg) vm.Inst { return regImm(vx.ADDQ, r, 1) }
+	load := memOp(vm.Inst{Op: vx.MOVQ, AKind: vm.OpReg, AReg: vx.R4, BKind: vm.OpMem}, vx.R5, 0)
+	chains := []struct {
+		name  string
+		paths [][]vm.Inst
+	}{
+		{"one run through three sites", [][]vm.Inst{{add(vx.R6)}, {add(vx.R7)}}},
+		{"a jump behind the first site", [][]vm.Inst{{{Op: vx.JMP, Target: 1}}, {add(vx.R7)}}},
+		{"a trap behind the first site", [][]vm.Inst{{regImm(vx.MOVQ, vx.R5, 8), load}, {add(vx.R7)}}},
+	}
+	for _, c := range chains {
+		img := siteChain(c.paths...)
+		heads, posts := vm.SiteHeads(img)
+		if len(heads) != 3 {
+			t.Fatalf("%s: %d fused sites, want 3", c.name, len(heads))
+		}
+		if class, rem, _, _ := vm.Slot(img, heads[0]); class != vm.Straight || rem <= 16 {
+			t.Fatalf("%s: the first site is %v, counting %d instructions; want it straight, counting its exit run", c.name, class, rem)
+		}
+		at, total := headCounts(img)
+		abs, top := uint64(img.Instrs[heads[0]].MemDisp), uint64(img.MemSize)
+		// scribble fills R0..R3, FLAGS, the slot and the save area below SP
+		// as the chain lowers it with values no site writes, so a write
+		// skipped when it must not be shows.
+		scribble := func(m *vm.Machine) {
+			for r := vx.R0; r <= vx.R3; r++ {
+				m.Regs[r] = 0x1111 * uint64(r+1)
+			}
+			m.Regs[vx.RFLAGS] = vx.FlagC
+			sp := m.Regs[vx.SP] - 256
+			for _, a := range []uint64{abs, sp - 40, sp - 32, sp - 24, sp - 16, sp - 8} {
+				binary.LittleEndian.PutUint64(m.Mem[a:], 0xA5A5_5A5A_A5A5_5A5A)
+				m.MarkMemWritten(a, 8)
+			}
+		}
+		d := craftedDiff(t, c.name, img)
+		for b := int64(0); b <= total+2; b++ {
+			for event := int64(-1); event < 3; event++ {
+				d.check(fmt.Sprintf("budget %d, call %d due", b, event), func(m *vm.Machine) func() any {
+					m.Budget = b
+					scribble(m)
+					return bindSel(event)(m)
+				})
+			}
+			for _, r := range []vx.Reg{vx.SP, vx.R2} {
+				d.check(fmt.Sprintf("fire point at %d flips %v", b, r), func(m *vm.Machine) func() any {
+					var s [3]int64
+					m.ArmFire(&vm.FirePoint{At: b, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+						s = [3]int64{int64(mm.PC), mm.InstrCount, mm.Cycles}
+						mm.FlipBit(r, 5)
+					}})
+					scribble(m)
+					report := bindSel(-1)(m)
+					return func() any { return [2]any{s, report()} }
+				})
+			}
+		}
+		for _, h := range heads {
+			for _, sp := range []uint64{abs + 8, abs + 47, abs + 48, vm.DefaultGlobalBase + 39, vm.DefaultGlobalBase + 40, top - 8, top, top + 8} {
+				d.check(fmt.Sprintf("SP=%#x at the head at %d", sp, h), func(m *vm.Machine) func() any {
+					m.Budget = total + 100
+					m.ArmFire(&vm.FirePoint{At: at[h], Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) { mm.Regs[vx.SP] = sp }})
+					return bindSel(-1)(m)
+				})
+			}
+		}
+		if c.name != chains[0].name {
+			continue
+		}
+		second := []int32{}
+		for k := int32(0); k < 10; k++ {
+			second = append(second, heads[1]+k)
+		}
+		for k := int32(0); k < 6; k++ {
+			second = append(second, posts[1]+k)
+		}
+		for _, slot := range second {
+			for b := int64(0); b <= total; b++ {
+				img := siteChain(c.paths...)
+				orig := img.Instrs[slot]
+				d := craftedDiff(t, fmt.Sprintf("%s, slot %d rewritten at %d", c.name, slot, b), img)
+				d.check("", func(m *vm.Machine) func() any {
+					m.ArmFire(&vm.FirePoint{At: b, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
+						mm.Img.Instrs[slot] = vm.Inst{Op: vx.NOP, HostIdx: -1}
+						mm.Img.Repredecode(slot)
+						if pc := vm.StaleCount(mm.Img); pc >= 0 {
+							t.Errorf("%s: slot %d rewritten: slot %d is not what a full count pass gives", c.name, slot, pc)
+						}
+					}})
+					report := bindSel(-1)(m)
+					return func() any {
+						img.Instrs[slot] = orig
+						img.Repredecode(slot)
+						return report()
+					}
+				})
+				if n := vm.FusedSites(img); n != 2 {
+					t.Errorf("%s: slot %d rewritten: %d sites still fused, want 2", c.name, slot, n)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package vm
 
-import "repro/internal/vx"
+import (
+	"math"
+
+	"repro/internal/vx"
+)
 
 // This file implements REFINE's site superinstruction: predecode-time
 // fusion, run by the uSITE case of runFast's switch. A REFINE binary runs 16
@@ -43,36 +47,36 @@ const (
 	siteWrites = 6
 )
 
-// siteInfo is the side-table entry of one site matched when the image was
-// built; the head uop's tgt indexes it. A site Repredecode unfused keeps its
-// entry, unused.
-type siteInfo struct {
-	head, post int32
-	host       int32  // host index of the CALLQ
-	abs        uint64 // the SP save slot
-	// preCycles covers head+1..head+7 (without the host function's own
-	// latency, which is the machine's binding); postCycles covers the TESTQ,
-	// the JE and the six post instructions. The head's cost is charged by
-	// the dispatch loop like any uop's.
-	preCycles, postCycles int64
-	// need is 0, or the distance to the deadline from which the site may
-	// skip its writes because the next site rewrites them (elide): the 15
-	// instructions behind the head, the longest clear path to the next
-	// head, and that head's store and five pushes. maxOff is the largest SP
-	// displacement a load or store on those paths uses.
-	need   int64
-	maxOff uint64
+// A fused head's uop keeps the plain store's cost and slot address (imm) and
+// holds the rest of what the uSITE case reads in the operand bytes, which a
+// uSITE does not use otherwise:
+//
+//	tgt             the site's exit, post+6, always behind the head
+//	cond            need: 0, or the distance to the deadline from which the
+//	                site may skip its writes because the next site rewrites
+//	                them (elide)
+//	a, b, c, scale  maxOff, little-endian: the largest SP displacement a
+//	                load or store on the paths elide walked uses
+//
+// unfuseSite gives the slot back its store (predecode1). Image.sites lists
+// the heads matched when the image was built, fused or since unfused.
+
+// siteMaxOff reads maxOff out of a fused head's operand bytes.
+func siteMaxOff(u *uop) uint64 {
+	return uint64(u.a) | uint64(u.b)<<8 | uint64(u.c)<<16 | uint64(u.scale)<<24
 }
 
 // sitePushOrder is the PreFI push order after PUSHF; PostFI pops in reverse.
 var sitePushOrder = [4]vx.Reg{vx.R0, vx.R1, vx.R2, vx.R3}
 
 // matchSite reports whether the instructions at head have the site shape,
-// on the predecoded stream.
-func (img *Image) matchSite(head int32) (siteInfo, bool) {
+// on the predecoded stream, and where the site exits: post+6, which must lie
+// behind the head, so that the site's run counts are known when runs reaches
+// the head.
+func (img *Image) matchSite(head int32) (exit int32, ok bool) {
 	code := img.code[:len(img.Instrs)]
 	if head < 0 || int(head)+sitePreLen > len(code) {
-		return siteInfo{}, false
+		return 0, false
 	}
 	absSP := func(u *uop) bool {
 		return u.a == uint8(vx.SP) && u.b == uint8(vx.NoReg) && u.c == uint8(vx.NoReg)
@@ -80,71 +84,86 @@ func (img *Image) matchSite(head int32) (siteInfo, bool) {
 	pre := code[head : head+sitePreLen]
 	in := &img.Instrs[head]
 	if pre[0].kind != uSTORE || in.Op != vx.MOVQ || !in.Instrumented || !absSP(&pre[0]) {
-		return siteInfo{}, false
+		return 0, false
 	}
 	if pre[1].kind != uPUSHF {
-		return siteInfo{}, false
+		return 0, false
 	}
 	for i, r := range sitePushOrder {
 		if u := &pre[2+i]; u.kind != uPUSHr || u.a != uint8(r) {
-			return siteInfo{}, false
+			return 0, false
 		}
 	}
 	if u := &pre[6]; u.kind != uMOVri || u.a != uint8(vx.R1) {
-		return siteInfo{}, false
+		return 0, false
 	}
 	if pre[siteCallOff].kind != uCALLH {
-		return siteInfo{}, false
+		return 0, false
 	}
 	if u := &pre[8]; u.kind != uTESTrr || u.a != uint8(vx.R0) || u.b != uint8(vx.R0) {
-		return siteInfo{}, false
+		return 0, false
 	}
 	br := &pre[9]
 	if br.kind != uJCC || vx.Cond(br.cond) != vx.CondE {
-		return siteInfo{}, false
+		return 0, false
 	}
-	if br.tgt < 0 || int(br.tgt)+sitePostLen > len(code) {
-		return siteInfo{}, false
+	if br.tgt < 0 || int(br.tgt)+sitePostLen > len(code) || br.tgt+sitePostLen <= head {
+		return 0, false
 	}
 	post := code[br.tgt : br.tgt+sitePostLen]
 	for i, r := range sitePushOrder {
 		if u := &post[3-i]; u.kind != uPOPr || u.a != uint8(r) {
-			return siteInfo{}, false
+			return 0, false
 		}
 	}
 	if post[4].kind != uPOPF {
-		return siteInfo{}, false
+		return 0, false
 	}
 	if u := &post[5]; u.kind != uLOAD || !absSP(u) || u.imm != pre[0].imm {
-		return siteInfo{}, false
+		return 0, false
 	}
+	return br.tgt + sitePostLen, true
+}
 
-	s := siteInfo{
-		head: head,
-		post: br.tgt,
-		host: pre[siteCallOff].tgt,
-		abs:  uint64(pre[0].imm),
+// fuseSite rewrites the head of a matched site to uSITE, exiting at exit.
+func (img *Image) fuseSite(head, exit int32) {
+	u := &img.code[head]
+	u.kind, u.tgt = uSITE, exit
+	u.a, u.b, u.c, u.scale, u.cond = 0, 0, 0, 0, 0
+	if i := img.code[head+siteCallOff].tgt; len(img.sites) == 0 {
+		img.siteHost = i
+	} else if i != img.siteHost {
+		img.siteHost = -1
 	}
-	for i := 1; i <= siteCallOff; i++ {
-		s.preCycles += int64(pre[i].cost)
+	img.sites = append(img.sites, head)
+}
+
+// siteCycles is the cycles of a fused site's 15 instructions behind its
+// head, without the host function's own latency, which is the machine's
+// binding: the slots' own costs, which runs adds to the head's.
+func (img *Image) siteCycles(head int32) int {
+	cy := 0
+	for _, u := range img.code[head+1 : head+sitePreLen] {
+		cy += int(u.cost)
 	}
-	s.postCycles = int64(pre[8].cost) + int64(br.cost)
-	for i := range post {
-		s.postCycles += int64(post[i].cost)
+	post := img.code[head].tgt - sitePostLen
+	for _, u := range img.code[post : post+sitePostLen] {
+		cy += int(u.cost)
 	}
-	return s, true
+	return cy
 }
 
 // siteElideLimit bounds the instructions elide walks from one site to the
 // next.
 const siteElideLimit = 48
 
-// elide sets s.need and s.maxOff when every path from the end of s reaches
-// the head of a site with the same SP slot within siteElideLimit
-// instructions, through clear uops only (clearUop). It runs once all sites
-// are matched.
-func (img *Image) elide(s *siteInfo) {
+// elide sets the fused head's need and maxOff (above) when every path from
+// its exit reaches the head of a site with the same SP slot within
+// siteElideLimit instructions, through clear uops only (clearUop). It runs
+// once all sites are matched.
+func (img *Image) elide(head int32) {
 	code := img.code
+	site := &code[head]
 	n := int32(len(img.Instrs))
 	// dist is the longest path from a pc to the next head, once known; -1
 	// while the pc is on the walk's stack, so a cycle fails the walk.
@@ -157,7 +176,7 @@ func (img *Image) elide(s *siteInfo) {
 		}
 		u := &code[pc]
 		if u.kind == uSITE {
-			return 0, uint64(u.imm) == s.abs
+			return 0, u.imm == site.imm
 		}
 		if d, seen := dist[pc]; seen {
 			return d, d >= 0 && depth+d <= siteElideLimit
@@ -184,9 +203,11 @@ func (img *Image) elide(s *siteInfo) {
 		dist[pc] = d + 1
 		return d + 1, true
 	}
-	if l, ok := walk(s.post+sitePostLen, 0); ok && img.MemSize >= 8 && maxOff <= img.MemSize-8 {
-		s.need = siteAfterHead + int64(l) + siteWrites
-		s.maxOff = uint64(maxOff)
+	abs := uint64(site.imm)
+	if l, ok := walk(site.tgt, 0); ok && img.MemSize >= 8 && maxOff <= img.MemSize-8 && maxOff <= math.MaxUint32 &&
+		abs >= DefaultGlobalBase && abs <= uint64(img.MemSize)-8 {
+		site.cond = uint8(siteAfterHead + l + siteWrites)
+		site.a, site.b, site.c, site.scale = uint8(maxOff), uint8(maxOff>>8), uint8(maxOff>>16), uint8(maxOff>>24)
 	}
 }
 
@@ -211,44 +232,54 @@ func clearUop(u *uop) bool {
 	return false
 }
 
-// unfuseSite demotes a fused head to the plain store it is.
+// unfuseSite gives a fused head back the plain store it is. Its run counts
+// are then stale: the caller recounts.
 func (img *Image) unfuseSite(head int32) {
-	if u := &img.code[head]; u.kind == uSITE {
-		u.kind, u.tgt = uSTORE, 0
+	if img.code[head].kind == uSITE {
+		img.code[head] = predecode1(&img.Instrs[head])
 	}
 }
 
 // unfuseSitesAround demotes every fused site one of whose 16 slots is pc to
-// its plain store, after Repredecode refreshed that slot. A site never fuses
-// again: the unfused slots are exact, and the only images that are mutated
-// (opcode corruption, on binary-level clones) have no sites.
-func (img *Image) unfuseSitesAround(pc int32) {
-	for i := range img.sites {
-		s := &img.sites[i]
-		if (pc >= s.head && pc < s.head+sitePreLen) || (pc >= s.post && pc < s.post+sitePostLen) {
-			img.unfuseSite(s.head)
+// its plain store, after Repredecode refreshed that slot, and returns the
+// demoted heads. A site never fuses again: the unfused slots are exact, and
+// the only images that are mutated (opcode corruption, on binary-level
+// clones) have no sites.
+func (img *Image) unfuseSitesAround(pc int32) (heads []int32) {
+	for _, h := range img.sites {
+		if u := &img.code[h]; u.kind == uSITE {
+			post := u.tgt - sitePostLen
+			if (pc >= h && pc < h+sitePreLen) || (pc >= post && pc < u.tgt) {
+				img.unfuseSite(h)
+				heads = append(heads, h)
+			}
 		}
 	}
+	return heads
 }
 
-// The fused site is runFast's uSITE case, which finds the head instruction
-// already accounted for (InstrCount, cost, PC).
+// The fused site is runFast's uSITE case, a straight uop: the head of its
+// run charged the site's 16 instructions and their cycles (runs), all but
+// the host function's latency, which is the machine's binding and the case
+// adds, and the run goes on at the site's exit, post+6.
 //
 // It fuses one path, the one nearly every call takes: a call the
 // register-preserving host declares inert (HostFn.Inert) with an answer of 0
 // — selInstr on every call but a trial's few; BindHost decides once whether
-// a host has that shape (HostFn.siteInert). That call is made without
-// entering the host function, and the pops would read back exactly what was
-// just pushed, so R0..R3 and FLAGS keep their values: the whole
-// not-triggered path is the head store, the five saves, the counter bump
-// and the closing SP load, accounted as the sixteen single dispatches. The
-// stores stay real, in the original order — a fault-flipped SP can make the
-// pushes overwrite the save slot, and the closing load must then read what
-// they wrote — unless the next site is certain to repeat them first (below).
+// a host has that shape (HostFn.siteInert), and Run finds the image's one
+// site host (Machine.siteHost), so the case reads nothing but its own slot
+// and that field. That call is made without entering the host function, and
+// the pops would read back exactly what was just pushed, so R0..R3 and FLAGS
+// keep their values: the whole not-triggered path is the head store, the
+// five saves, the counter bump and the closing SP load. The stores stay
+// real, in the original order — a fault-flipped SP can make the pushes
+// overwrite the save slot, and the closing load must then read what they
+// wrote — unless the next site is certain to repeat them first (below).
 // When the save area [sp-40, sp) misses the slot, the load would read back
 // the SP the head just stored, and SP keeps its value instead. The save area
 // is checked wholly in bounds once and marked once: one page, or two across
-// a boundary, exactly the pages the unfused pushes would mark.
+// a boundary, exactly the pages the unfused pushes would mark. The writing
+// path is Machine.site, out of line.
 //
 // A site whose writes the next site repeats writes nothing. elide walks, once
 // per image, every path from the end of a site to the next head saving SP to
@@ -257,20 +288,22 @@ func (img *Image) unfuseSitesAround(pc int32) {
 // [SP+d] with d ≥ 0), within 48 instructions, and records the distance to
 // the deadline the stretch needs (need) and the largest SP displacement on
 // it (maxOff). The case then skips the head store, the saves and the
-// marking, and accounts the same fifteen instructions, when the call is
-// inert, the deadline is need or more instructions away, and SP lies at least 48 bytes above the slot with SP+maxOff
-// in bounds. Nothing can see the difference before the next site has made
-// it good: no clear uop traps or runs Go; no deadline falls in the stretch;
-// SP does not move, so every access at or above it misses the slot and the
-// save area; and the next site, on any path — fused or not, skipped in turn
-// (its own need covers the site after it), triggered or not — stores the
-// same SP to the same slot and pushes the current FLAGS and R0..R3 to the
-// same 40 bytes, marking the same pages, before its CALLQ. Repredecode
-// clears need on every site.
+// marking when the call is inert, the deadline is need or more instructions
+// away from the head — the head of the run charged past the site, so the
+// room is measured from the site's own position, rem-1 instructions before
+// the run's end — and SP lies at least 48 bytes above the slot with
+// SP+maxOff in bounds (elide admits only a slot in bounds). Nothing can see
+// the difference before the next site has made it good: no clear uop traps
+// or runs Go; no deadline falls in the stretch; SP does not move, so every
+// access at or above it misses the slot and the save area; and the next
+// site, on any path — fused or not, skipped in turn (its own need covers the
+// site after it), triggered or not — stores the same SP to the same slot and
+// pushes the current FLAGS and R0..R3 to the same 40 bytes, marking the same
+// pages, before its CALLQ. Repredecode clears need on every site.
 //
-// Anything else continues right after the head store and leaves the rest of
-// the sequence to the unfused slots, which PC already points at and which
-// do it exactly: a call with work, a deadline (budget or fire point) within
-// the remaining 15 instructions, an unbound host or one of another shape, or
-// a save area that is not wholly in bounds. No Go ran on either path, so the
-// loop's deadline stays exact.
+// No deadline falls inside the site: the run was entered whole. Anything
+// else — a call with work, an unbound host or one of another shape, a slot
+// or save area that is not wholly in bounds — takes back the rest of the
+// run (unwind), as a trapping uop does, makes the head store and leaves the
+// rest of the sequence to the unfused slots, which PC points at and which do
+// it exactly. No Go ran on any path, so the loop's deadline stays exact.

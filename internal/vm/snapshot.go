@@ -64,7 +64,7 @@ func (m *Machine) eachDirtyPage(fn func(lo, hi int)) {
 // before Run — never from a host function, whose call is still in flight.
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		regs:       m.Regs,
+		regs:       [vx.NumRegs]uint64(m.Regs[:vx.NumRegs]),
 		pc:         m.PC,
 		instrCount: m.InstrCount,
 		cycles:     m.Cycles,
@@ -111,7 +111,7 @@ func (m *Machine) Restore(s *Snapshot) {
 		off += copy(m.Mem[e.addr:e.addr+e.n], s.mem[off:])
 	}
 	copy(m.dirty, s.dirty)
-	m.Regs = s.regs
+	copy(m.Regs[:], s.regs[:])
 	m.PC = s.pc
 	m.InstrCount = s.instrCount
 	m.Cycles = s.cycles
@@ -137,7 +137,7 @@ func (s *Snapshot) Matches(m *Machine) bool {
 	if len(s.dirty) != len(m.dirty) {
 		panic("vm: Matches: snapshot of a different address space")
 	}
-	if s.regs != m.Regs || s.pc != m.PC || !slices.Equal(s.output, m.Output) {
+	if s.regs != [vx.NumRegs]uint64(m.Regs[:vx.NumRegs]) || s.pc != m.PC || !slices.Equal(s.output, m.Output) {
 		return false
 	}
 	ext, mem := s.extents, s.mem // not yet compared

@@ -104,7 +104,8 @@ type Image struct {
 	code      []uop            //fi:nowire — derived predecode state, rebuilt by ensure()
 	hostIndex map[string]int32 //fi:nowire — derived predecode state, rebuilt by ensure()
 	funcOrder []int32          //fi:nowire — indexes into Funcs sorted by Entry, rebuilt by ensure()
-	sites     []siteInfo       //fi:nowire — site superinstruction side table (site.go), rebuilt by ensure()
+	sites     []int32          //fi:nowire — heads of the sites matched at build (site.go), rebuilt by ensure()
+	siteHost  int32            //fi:nowire — the host every matched site calls, or -1 (site.go), rebuilt by ensure()
 	sitePC    []int32          //fi:nowire — SiteID → PC index for SitePC, rebuilt by ensure()
 }
 
@@ -255,8 +256,14 @@ type ExecHook func(m *Machine, pc int32, in *Inst)
 
 // Machine executes an Image.
 type Machine struct {
-	Img  *Image
-	Regs [vx.NumRegs]uint64 // GPRs, FPR bit patterns, FLAGS
+	Img *Image
+	// Regs is the register file: GPRs, FPR bit patterns and FLAGS in the
+	// first vx.NumRegs entries. It has an entry for every uint8, so the fast
+	// loop indexes it with a uop's register byte and no bounds check; the
+	// rest are never written, since Validate keeps every register operand
+	// inside the architectural file, and snapshots and the clobber table hold
+	// the architectural registers only.
+	Regs [regFileSize]uint64
 	Mem  []byte
 	PC   int32
 
@@ -289,6 +296,12 @@ type Machine struct {
 
 	hosts []HostFn
 
+	// siteHost is the host every fused site of the image calls, when there is
+	// one and it has the shape a site calls itself (HostFn.siteInert), or nil:
+	// all the uSITE case reads beside its own slot. Run resolves it as it
+	// starts, and BindHost again (resolveSiteHost).
+	siteHost *HostFn
+
 	// dirty is a bitmap of memory pages (dirtyPageSize bytes each) that may
 	// differ from a never-written address space: written since the last
 	// Reset, or put back by the last Restore. It is the only marking state
@@ -298,6 +311,9 @@ type Machine struct {
 	// it — so there is no per-run marking state for either to forget.
 	dirty []uint64
 }
+
+// regFileSize is the register file's length: one entry per uint8 index.
+const regFileSize = 256
 
 // dirtyPageShift selects the dirty-tracking page size (4 KiB, like a real
 // MMU page). A 4 MiB address space needs a 16-word bitmap, which stays in L1.
@@ -327,6 +343,7 @@ func (m *Machine) Rebind(img *Image) {
 	img.ensure()
 	m.Img = img
 	m.hosts = make([]HostFn, len(img.HostFns))
+	m.siteHost = nil
 }
 
 // Reset re-initializes registers, memory and accounting for a fresh run. It
@@ -346,9 +363,7 @@ func (m *Machine) Reset() {
 	}
 	copy(m.Mem[img.GlobalBase:], img.InitData)
 	m.markDirtyRange(uint64(img.GlobalBase), int64(len(img.InitData)))
-	for i := range m.Regs {
-		m.Regs[i] = 0
-	}
+	clear(m.Regs[:])
 	m.PC = img.EntryPC
 	m.InstrCount = 0
 	m.Cycles = 0
@@ -422,9 +437,20 @@ func (m *Machine) BindHost(h HostFn) {
 		}
 		h.siteInert = h.Fn != nil && h.PreserveRegs && h.Inert.Count != nil && h.Inert.Ret == vx.NoReg
 		m.hosts[i] = h
+		m.resolveSiteHost()
 		return
 	}
 	panic(fmt.Sprintf("vm: image does not import host function %q", h.Name))
+}
+
+// resolveSiteHost points siteHost at the host every fused site of the image
+// calls (Image.siteHost), if it is bound with the shape a site calls itself;
+// otherwise every site takes the unfused slots.
+func (m *Machine) resolveSiteHost() {
+	m.siteHost = nil
+	if i := m.Img.siteHost; i >= 0 && int(i) < len(m.hosts) && m.hosts[i].siteInert {
+		m.siteHost = &m.hosts[i]
+	}
 }
 
 // HostBound reports whether the named host symbol has an implementation.
