@@ -17,6 +17,7 @@ package repro_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/codegen"
@@ -404,14 +405,29 @@ func BenchmarkVMThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := bin.NewMachine()
-	b.ResetTimer()
-	var instrs int64
-	for i := 0; i < b.N; i++ {
+	goldenRuns(b, func() int64 {
 		m.Reset()
 		m.Run()
-		instrs += m.InstrCount
+		return m.InstrCount
+	})
+}
+
+// goldenRuns runs b.N golden runs, one call of run each, which returns the
+// instructions it executed, and reports instr/s, the rate over all of them,
+// and best_instr/s, the fastest run's: on a shared machine the first spreads
+// with whatever else the machine runs, the fastest run far less.
+func goldenRuns(b *testing.B, run func() int64) {
+	var instrs int64
+	best := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		n := run()
+		best = max(best, float64(n)/time.Since(start).Seconds())
+		instrs += n
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+	b.ReportMetric(best, "best_instr/s")
 }
 
 // BenchmarkVMThroughputSites reports the loop a REFINE trial spends its time
@@ -430,17 +446,15 @@ func BenchmarkVMThroughputSites(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := bin.NewMachine()
-	b.ResetTimer()
-	var instrs, sites int64
-	for i := 0; i < b.N; i++ {
+	var sites int64
+	goldenRuns(b, func() int64 {
 		m.Reset()
 		lib := &core.Lib{Target: -1}
 		lib.Bind(m)
 		m.Run()
-		instrs += m.InstrCount
 		sites += lib.Count
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+		return m.InstrCount
+	})
 	b.ReportMetric(float64(sites)/b.Elapsed().Seconds(), "sites/s")
 }
 
@@ -459,17 +473,15 @@ func BenchmarkVMThroughputLLFI(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := bin.NewMachine()
-	b.ResetTimer()
-	var instrs, calls int64
-	for i := 0; i < b.N; i++ {
+	var calls int64
+	goldenRuns(b, func() int64 {
 		m.Reset()
 		lib := &llfi.Lib{Target: -1}
 		lib.Bind(m)
 		m.Run()
-		instrs += m.InstrCount
 		calls += lib.Count
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instr/s")
+		return m.InstrCount
+	})
 	b.ReportMetric(float64(calls)/b.Elapsed().Seconds(), "calls/s")
 }
 

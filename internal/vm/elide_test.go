@@ -30,6 +30,30 @@ const (
 	nextWrites = 6
 )
 
+// operands reports which operands execOp reaches through the operand
+// decoder — the others it reads and writes as registers, whatever their
+// kinds say, as stepCycles also has it — and whether it writes A; ok is
+// false for an op clearInst never admits.
+func operands(in *vm.Inst) (aMem, bMem, writesA, ok bool) {
+	aMem, bMem, writesA = in.AKind == vm.OpMem, in.BKind == vm.OpMem, true
+	switch in.Op {
+	case vx.MOVQ, vx.MOVSD, vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ, vx.SHLQ, vx.SARQ:
+	case vx.CMPQ, vx.TESTQ:
+		writesA = false
+	case vx.ADDSD, vx.SUBSD, vx.MULSD, vx.DIVSD, vx.SQRTSD, vx.CVTSI2SD, vx.CVTTSD2SI:
+		aMem = false
+	case vx.UCOMISD:
+		aMem, writesA = false, false
+	case vx.LEAQ, vx.MOVQ2SD, vx.MOVSD2Q, vx.NEGQ, vx.NOTQ, vx.SETCC: // LEAQ: an address, no access
+		aMem, bMem = false, false
+	case vx.JMP, vx.JCC:
+		return false, false, false, true
+	default:
+		return false, false, false, false
+	}
+	return aMem, bMem, writesA, true
+}
+
 // clearInst is what a skipped site assumes of an instruction between it and
 // the next site, spelled out on the decoded instruction as an independent
 // check of the predecoder's walk: it runs no Go and cannot trap, writes no
@@ -37,19 +61,11 @@ const (
 // it admits shapes the predecoder leaves to uGeneric — so it holds for every
 // path the walk accepts.
 func clearInst(in *vm.Inst) bool {
-	switch in.Op {
-	case vx.MOVQ, vx.MOVSD, vx.MOVQ2SD, vx.MOVSD2Q, vx.LEAQ,
-		vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.ANDQ, vx.ORQ, vx.SHLQ, vx.SARQ, vx.NEGQ, vx.NOTQ,
-		vx.ADDSD, vx.SUBSD, vx.MULSD, vx.DIVSD, vx.SQRTSD, vx.CVTSI2SD, vx.CVTTSD2SI,
-		vx.UCOMISD, vx.CMPQ, vx.TESTQ, vx.SETCC, vx.JMP, vx.JCC:
-	default:
+	aMem, bMem, writesA, ok := operands(in)
+	if !ok || writesA && !aMem && in.AReg == vx.SP {
 		return false
 	}
-	if in.AKind == vm.OpReg && in.AReg == vx.SP {
-		return false
-	}
-	mem := in.AKind == vm.OpMem || in.BKind == vm.OpMem
-	return !mem || in.Op == vx.LEAQ || in.MemBase == vx.SP && in.MemIndex == vx.NoReg && in.MemDisp >= 0
+	return !aMem && !bMem || in.MemBase == vx.SP && in.MemIndex == vx.NoReg && in.MemDisp >= 0
 }
 
 // elidable walks the decoded stream from start, the instruction behind a
@@ -76,7 +92,7 @@ func elidable(ins []vm.Inst, heads map[int32]bool, start int32, abs uint64) (int
 		if depth >= elideLimit || !clearInst(in) {
 			return 0, false
 		}
-		if in.Op != vx.LEAQ && (in.AKind == vm.OpMem || in.BKind == vm.OpMem) {
+		if aMem, bMem, _, _ := operands(in); aMem || bMem {
 			maxOff = max(maxOff, in.MemDisp)
 		}
 		longest[pc] = onStack

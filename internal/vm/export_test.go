@@ -124,6 +124,20 @@ func StaleCount(img *Image) int32 {
 	return -1
 }
 
+// CodeDiff returns the first slot whose predecoded uop — kind, operands,
+// cost and run counts — differs between a and b, or -1 when the two streams
+// are equal.
+func CodeDiff(a, b *Image) int32 {
+	a.ensure()
+	b.ensure()
+	for pc := range max(len(a.code), len(b.code)) {
+		if pc >= len(a.code) || pc >= len(b.code) || a.code[pc] != b.code[pc] {
+			return int32(pc)
+		}
+	}
+	return -1
+}
+
 // DeclaresInert reports whether m's binding of host index i declares inert
 // calls (HostFn.Inert).
 func DeclaresInert(m *Machine, i int32) bool {

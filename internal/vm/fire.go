@@ -28,9 +28,9 @@ type FirePoint struct {
 	// it is the PC the machine actually executed at instruction At.
 	PC int32
 	// Fn is the injection callback, run with the fired instruction's
-	// architectural effects committed. It may flip registers, mutate the
-	// image (Repredecode updates the predecoded stream in place, so the
-	// running loop sees it), halt, step the machine on through Step, arm
+	// architectural effects committed. It may flip registers, mutate a
+	// site-free image (Repredecode updates the predecoded stream in place,
+	// so the running loop sees it), halt, step the machine on through Step, arm
 	// another fire point, or change the Budget; the loops resynchronize
 	// after it returns.
 	Fn ExecHook

@@ -192,7 +192,9 @@ func (img *Image) build() {
 // instruction stream in place (opcode corruption): the instruction slice is
 // deep-copied and the predecoded state left unbuilt, so Repredecode on the
 // clone never touches the original and the clone regains the full
-// share-nothing mutation license Repredecode's contract demands. Read-only
+// share-nothing mutation license Repredecode's contract demands — on a
+// site-free image: sites are fixed at build, and a clone of an image with
+// sites matches them too, which Repredecode refuses. Read-only
 // structure — function table, host symbol list, init data, global layout —
 // is shared with the original; neither mutation nor predecoding writes it.
 func (img *Image) Clone() *Image {
@@ -212,27 +214,27 @@ func (img *Image) Clone() *Image {
 
 // Repredecode refreshes the predecoded state of pc after an in-place
 // mutation of Instrs[pc] (the opcode-corruption ablation rewrites opcodes
-// mid-run). Every site superinstruction one of whose slots is pc drops back
-// to its plain head for good — restoring the slot does not fuse it again —
-// and no site skips its writes any more: a path elide walked may have
-// changed. Mutating an image forfeits its share-across-goroutines
-// guarantee: callers must have exclusive use of the image for the whole
-// mutate/run/restore window. Only the run counts the rewritten slots can
-// change are counted anew (recount).
+// mid-run) and recounts the runs the slot can change: walking back from it
+// while the counts change. Sites are fixed at build: Repredecode is for
+// site-free images, and it panics on one that matched sites. Mutating an
+// image forfeits its share-across-goroutines guarantee: callers must have
+// exclusive use of the image for the whole mutate/run/restore window.
 func (img *Image) Repredecode(pc int32) {
 	img.ensure()
-	var changed []int32
-	if pc >= 0 && int(pc) < len(img.Instrs) {
-		img.code[pc] = predecode1(&img.Instrs[pc])
-		changed = append(changed, pc)
+	if len(img.sites) > 0 {
+		panic("vm: Repredecode: image has instrumentation sites, which are fixed at build")
 	}
-	changed = append(changed, img.unfuseSitesAround(pc)...)
-	for _, h := range img.sites {
-		if u := &img.code[h]; u.kind == uSITE {
-			u.cond = 0
+	img.code[pc] = predecode1(&img.Instrs[pc])
+	// With no sites, a run continues only into the slot behind it, so the
+	// first slot before pc whose counts stand ends the walk.
+	for p := pc; p >= 0; p-- {
+		u := &img.code[p]
+		was := *u
+		img.count(p)
+		if p != pc && *u == was {
+			break
 		}
 	}
-	img.recount(changed)
 }
 
 // runs cuts the predecoded stream into straight-line runs and stores, in
@@ -259,8 +261,8 @@ func (img *Image) Repredecode(pc int32) {
 // uGeneric or uCUT slot's cost is its opcode's alone: its memory surcharges
 // are charged as execOp runs it.
 //
-// It runs after every rewrite of code at build (after elide) and in the
-// tests' unfuse helpers; Repredecode recounts only what it can change.
+// It runs once at build (after elide) and in the tests' unfuse helpers;
+// Repredecode, on a site-free image, recounts only what its slot changes.
 func (img *Image) runs() {
 	for pc := len(img.code) - 1; pc >= 0; pc-- {
 		img.count(int32(pc))
@@ -294,31 +296,6 @@ func (img *Image) count(pc int32) {
 		}
 	}
 	u.rem, u.remCy = uint16(rem), uint16(cy)
-}
-
-// recount counts anew what a rewrite of the slots in changed can change:
-// each of them; walking back from it, every slot whose run continues into a
-// slot whose counts changed, up to the first whose counts did not; and, in
-// turn, every fused site whose exit is such a slot. The counts of every
-// other slot are still what a full pass gives.
-func (img *Image) recount(changed []int32) {
-	for len(changed) > 0 {
-		pc := changed[len(changed)-1]
-		changed = changed[:len(changed)-1]
-		for p := pc; p >= 0; p-- {
-			u := &img.code[p]
-			was := *u
-			img.count(p)
-			if p != pc && *u == was {
-				break
-			}
-			for _, h := range img.sites {
-				if s := &img.code[h]; s.kind == uSITE && s.tgt == p {
-					changed = append(changed, h)
-				}
-			}
-		}
-	}
 }
 
 // intALUKinds and fpALUKinds map two-address ALU opcodes to their

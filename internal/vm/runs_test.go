@@ -20,6 +20,8 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/fault"
+	"repro/internal/pinfi"
 	"repro/internal/vm"
 	"repro/internal/vx"
 	"repro/internal/workloads"
@@ -653,21 +655,29 @@ func TestRunRepredecodeMidRun(t *testing.T) {
 }
 
 // TestRepredecodeRecountsLikeAFullPass: Repredecode counts anew only the
-// runs the rewritten slot can change — the slots before it in its run and
-// the sites whose exit leads there — and leaves every slot, after any
-// sequence of corruptions and restores, as a full count pass over the stream
-// leaves it: on REFINE images, where a corruption unfuses sites inside runs
-// through several, and on LLFI and PINFI images.
+// runs the rewritten slot can change — the slots before it in its run — and
+// leaves every slot, after any sequence of corruptions and restores, as a
+// full count pass over the stream leaves it: on the site-free images opcode
+// corruption mutates, every app's PINFI image (one under -short) and CG's
+// LLFI image, whose inert host calls stay inside their runs.
 func TestRepredecodeRecountsLikeAFullPass(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	for _, c := range []struct {
+	type row struct {
 		app  string
 		tool campaign.Tool
-	}{{"HPCCG", campaign.REFINE}, {"CG", campaign.REFINE}, {"CG", campaign.LLFI}, {"FT", campaign.PINFI}} {
+	}
+	rows := []row{{"CG", campaign.LLFI}}
+	apps := workloads.Names()
+	if testing.Short() {
+		apps = []string{"FT"}
+	}
+	for _, app := range apps {
+		rows = append(rows, row{app, campaign.PINFI})
+	}
+	for _, c := range rows {
 		orig := buildBin(t, c.app, c.tool).Img
 		img := orig.Clone()
 		n := int32(len(img.Instrs))
-		heads, _ := vm.SiteHeads(img)
 		var rewritten []int32
 		for step := 0; step < 300; step++ {
 			if len(rewritten) > 0 && rng.IntN(3) == 0 {
@@ -678,9 +688,6 @@ func TestRepredecodeRecountsLikeAFullPass(t *testing.T) {
 				rewritten = append(rewritten[:i], rewritten[i+1:]...)
 			} else {
 				pc := rng.Int32N(n)
-				if len(heads) > 0 && rng.IntN(2) == 0 {
-					pc = min(n-1, heads[rng.IntN(len(heads))]+rng.Int32N(16))
-				}
 				img.Instrs[pc] = [...]vm.Inst{
 					{Op: vx.JMP, Target: rng.Int32N(n + 1), HostIdx: -1},
 					{Op: vx.CALLQ, HostIdx: 0},
@@ -695,7 +702,53 @@ func TestRepredecodeRecountsLikeAFullPass(t *testing.T) {
 				t.Fatalf("%s/%s, step %d: slot %d is not what a full count pass gives", c.app, c.tool.Name(), step, pc)
 			}
 		}
-		t.Logf("%s/%s: %d sites fused of %d after 300 corruptions and restores", c.app, c.tool.Name(), vm.FusedSites(img), len(heads))
+	}
+}
+
+// TestOpcodeTrialsLeaveTheCloneAsBuilt: the pool of image clones the
+// opcode-corruption injectors draw from relies on a restored clone being
+// pristine. Opcode-corruption trials, each injected through pinfi.RunFired
+// and restored, one after another on one clone of FT's and CG's PINFI builds
+// in both modes, leave every uop — kind, operands, cost, run counts — as a
+// fresh clone predecodes it.
+func TestOpcodeTrialsLeaveTheCloneAsBuilt(t *testing.T) {
+	trials := 200
+	if testing.Short() {
+		trials = 40
+	}
+	costs := pinfi.DefaultCosts()
+	for _, app := range []string{"FT", "CG"} {
+		bin := buildBin(t, app, campaign.PINFI)
+		prof, err := bin.RunProfile(costs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := bin.Img.Clone()
+		for _, mode := range []pinfi.OpcodeMode{pinfi.OpcodeAny, pinfi.OpcodeValidOnly} {
+			clone := bin.Img.Clone()
+			m := bin.NewMachine()
+			m.Img = clone
+			rng := fault.NewRNG(uint64(mode) + 1)
+			corrupted := 0
+			for i := 0; i < trials; i++ {
+				m.Reset()
+				m.Budget = prof.Budget
+				target := rng.Intn(prof.Targets)
+				var rec fault.Record
+				inject, restore := pinfi.CorruptOpcode(target, mode, rng, &rec)
+				pinfi.RunFired(m, bin.FirePoints(), costs, target, inject)
+				restore()
+				if rec.Op != "" {
+					corrupted++
+				}
+				if pc := vm.CodeDiff(clone, built); pc >= 0 {
+					t.Fatalf("%s/mode %d, trial %d (%+v): slot %d is not as built", app, mode, i, rec, pc)
+				}
+			}
+			if corrupted == 0 {
+				t.Fatalf("%s/mode %d: no trial corrupted an opcode", app, mode)
+			}
+		}
 	}
 }
 
@@ -722,10 +775,7 @@ func headCounts(img *vm.Image) (at map[int32]int64, total int64) {
 // site writing), a trap in the first site's exit run — run like the stepped
 // reference under a budget at every count with "sel" triggering at no site
 // and at each, a fire point flipping SP or R2 at every count, and SP set at
-// each head so that the site writes, hands over or faults. And a
-// Repredecode from a fire point at every count that unfuses the second site
-// by rewriting any of its 16 slots: the first site's run, which passed
-// through it, is counted anew, like a full pass.
+// each head so that the site writes, hands over or faults.
 func TestRunThroughSitesOnCraftedChains(t *testing.T) {
 	add := func(r vx.Reg) vm.Inst { return regImm(vx.ADDQ, r, 1) }
 	load := memOp(vm.Inst{Op: vx.MOVQ, AKind: vm.OpReg, AReg: vx.R4, BKind: vm.OpMem}, vx.R5, 0)
@@ -739,7 +789,7 @@ func TestRunThroughSitesOnCraftedChains(t *testing.T) {
 	}
 	for _, c := range chains {
 		img := siteChain(c.paths...)
-		heads, posts := vm.SiteHeads(img)
+		heads, _ := vm.SiteHeads(img)
 		if len(heads) != 3 {
 			t.Fatalf("%s: %d fused sites, want 3", c.name, len(heads))
 		}
@@ -791,41 +841,6 @@ func TestRunThroughSitesOnCraftedChains(t *testing.T) {
 					m.ArmFire(&vm.FirePoint{At: at[h], Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) { mm.Regs[vx.SP] = sp }})
 					return bindSel(-1)(m)
 				})
-			}
-		}
-		if c.name != chains[0].name {
-			continue
-		}
-		second := []int32{}
-		for k := int32(0); k < 10; k++ {
-			second = append(second, heads[1]+k)
-		}
-		for k := int32(0); k < 6; k++ {
-			second = append(second, posts[1]+k)
-		}
-		for _, slot := range second {
-			for b := int64(0); b <= total; b++ {
-				img := siteChain(c.paths...)
-				orig := img.Instrs[slot]
-				d := craftedDiff(t, fmt.Sprintf("%s, slot %d rewritten at %d", c.name, slot, b), img)
-				d.check("", func(m *vm.Machine) func() any {
-					m.ArmFire(&vm.FirePoint{At: b, Fn: func(mm *vm.Machine, _ int32, _ *vm.Inst) {
-						mm.Img.Instrs[slot] = vm.Inst{Op: vx.NOP, HostIdx: -1}
-						mm.Img.Repredecode(slot)
-						if pc := vm.StaleCount(mm.Img); pc >= 0 {
-							t.Errorf("%s: slot %d rewritten: slot %d is not what a full count pass gives", c.name, slot, pc)
-						}
-					}})
-					report := bindSel(-1)(m)
-					return func() any {
-						img.Instrs[slot] = orig
-						img.Repredecode(slot)
-						return report()
-					}
-				})
-				if n := vm.FusedSites(img); n != 2 {
-					t.Errorf("%s: slot %d rewritten: %d sites still fused, want 2", c.name, slot, n)
-				}
 			}
 		}
 	}

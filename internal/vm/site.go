@@ -59,7 +59,8 @@ const (
 //	                load or store on the paths elide walked uses
 //
 // unfuseSite gives the slot back its store (predecode1). Image.sites lists
-// the heads matched when the image was built, fused or since unfused.
+// the heads matched when the image was built. Sites are fixed at build:
+// Repredecode is for site-free images and refuses an image that has any.
 
 // siteMaxOff reads maxOff out of a fused head's operand bytes.
 func siteMaxOff(u *uop) uint64 {
@@ -232,30 +233,13 @@ func clearUop(u *uop) bool {
 	return false
 }
 
-// unfuseSite gives a fused head back the plain store it is. Its run counts
-// are then stale: the caller recounts.
+// unfuseSite gives a fused head back the plain store it is, for count's
+// overflow cut and the tests. Its run counts are then stale: the caller
+// recounts.
 func (img *Image) unfuseSite(head int32) {
 	if img.code[head].kind == uSITE {
 		img.code[head] = predecode1(&img.Instrs[head])
 	}
-}
-
-// unfuseSitesAround demotes every fused site one of whose 16 slots is pc to
-// its plain store, after Repredecode refreshed that slot, and returns the
-// demoted heads. A site never fuses again: the unfused slots are exact, and
-// the only images that are mutated (opcode corruption, on binary-level
-// clones) have no sites.
-func (img *Image) unfuseSitesAround(pc int32) (heads []int32) {
-	for _, h := range img.sites {
-		if u := &img.code[h]; u.kind == uSITE {
-			post := u.tgt - sitePostLen
-			if (pc >= h && pc < h+sitePreLen) || (pc >= post && pc < u.tgt) {
-				img.unfuseSite(h)
-				heads = append(heads, h)
-			}
-		}
-	}
-	return heads
 }
 
 // The fused site is runFast's uSITE case, a straight uop: the head of its
@@ -299,7 +283,9 @@ func (img *Image) unfuseSitesAround(pc int32) (heads []int32) {
 // site, on any path — fused or not, skipped in turn (its own need covers the
 // site after it), triggered or not — stores the same SP to the same slot and
 // pushes the current FLAGS and R0..R3 to the same 40 bytes, marking the same
-// pages, before its CALLQ. Repredecode clears need on every site.
+// pages, before its CALLQ. The paths elide walked stay as they are: sites
+// are fixed at build, and Repredecode, which rewrites code, is for site-free
+// images only.
 //
 // No deadline falls inside the site: the run was entered whole. Anything
 // else — a call with work, an unbound host or one of another shape, a slot

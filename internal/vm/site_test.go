@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -433,67 +435,45 @@ func siteLibraryCases(d *siteDiff, a siteAnchor) {
 	}
 }
 
-// TestSiteRepredecodeUnfuses: a mutation of any of a site's 16 slots demotes
-// the head to its plain store, the mutated image runs like the stepped
-// reference, and the site stays unfused after the slot is restored — before
-// a run and from a fire point in the middle of one, as the opcode-corruption
-// injector does it. Every check starts from a fresh clone, so each slot
-// demotes a fused site.
-func TestSiteRepredecodeUnfuses(t *testing.T) {
+// TestRepredecodeRefusesSitedImages: sites are fixed at build, so
+// Repredecode refuses an image that matched any — a slot inside a site and
+// one outside every site alike — and leaves it as it was, and it runs on the
+// site-free LLFI and PINFI images, the ones opcode corruption mutates.
+func TestRepredecodeRefusesSitedImages(t *testing.T) {
+	repredecode := func(img *vm.Image, pc int32) (panicked any) {
+		defer func() { panicked = recover() }()
+		img.Repredecode(pc)
+		return nil
+	}
 	bin := buildBin(t, "HPCCG", campaign.REFINE)
-	a := findAnchors(t, bin, 2000)[0]
-	d := newSiteDiff(t, bin)
-	var img *vm.Image
-	fresh := func() {
-		img = bin.Img.Clone()
+	img := bin.Img.Clone()
+	heads, posts := vm.SiteHeads(img)
+	// An application instruction lies outside every site: all 16 of a
+	// site's instructions carry the Instrumented mark.
+	app := slices.IndexFunc(img.Instrs, func(in vm.Inst) bool { return !in.Instrumented })
+	if len(heads) == 0 || app < 0 {
+		t.Fatalf("HPCCG/REFINE: %d fused sites, first application instruction %d", len(heads), app)
+	}
+	for _, pc := range []int32{heads[0] + 3, posts[0] + 2, int32(app)} {
+		if p := repredecode(img, pc); p == nil {
+			t.Errorf("HPCCG/REFINE: Repredecode(%d) did not panic", pc)
+		} else if msg := fmt.Sprint(p); !strings.Contains(msg, "sites") {
+			t.Errorf("HPCCG/REFINE: Repredecode(%d) panicked with %q, which does not name the sites", pc, msg)
+		}
 		if n := vm.FusedSites(img); n != bin.Sites {
-			t.Fatalf("clone fuses %d of %d sites", n, bin.Sites)
+			t.Errorf("HPCCG/REFINE: after the refused Repredecode(%d), %d of %d sites fused", pc, n, bin.Sites)
 		}
-		d.fast.Img, d.ref.Img = img, img
 	}
-
-	for k := int32(0); k < 16; k++ {
-		pc := a.head + k
-		if k >= 10 {
-			pc = a.post + k - 10
-		}
-		orig := bin.Img.Instrs[pc].Op
-		mutate := func(op vx.Op) {
-			img.Instrs[pc].Op = op
-			img.Repredecode(pc)
-		}
-
-		fresh()
-		mutate(vx.NOP)
-		if n := vm.FusedSites(img); n != bin.Sites-1 {
-			t.Errorf("slot %d corrupted: %d fused sites, want %d", k+1, n, bin.Sites-1)
-		}
-		d.check(fmt.Sprintf("slot %d corrupted before the run", k+1), func(m *vm.Machine) func() any {
-			m.Budget = a.at + tailBudget
-			return bindProfile(m)
-		})
-		mutate(orig)
-		if n := vm.FusedSites(img); n != bin.Sites-1 {
-			t.Errorf("slot %d restored: %d fused sites, want %d", k+1, n, bin.Sites-1)
-		}
-
-		fresh()
-		d.check(fmt.Sprintf("slot %d corrupted mid-run", k+1), func(m *vm.Machine) func() any {
-			m.Budget = a.at + tailBudget
-			m.ArmFire(&vm.FirePoint{At: a.at, PC: pc,
-				Fn: func(*vm.Machine, int32, *vm.Inst) { mutate(vx.NOP) }})
-			report := bindProfile(m)
-			return func() any {
-				mutate(orig)
-				return report()
+	for _, tool := range []campaign.Tool{campaign.LLFI, campaign.PINFI} {
+		img := buildBin(t, "HPCCG", tool).Img.Clone()
+		for _, pc := range []int32{0, int32(len(img.Instrs)) / 2, int32(len(img.Instrs)) - 1} {
+			if p := repredecode(img, pc); p != nil {
+				t.Errorf("HPCCG/%s: Repredecode(%d) panicked: %v", tool.Name(), pc, p)
 			}
-		})
-		if n := vm.FusedSites(img); n != bin.Sites-1 {
-			t.Errorf("slot %d after the mid-run corruption: %d fused sites, want %d", k+1, n, bin.Sites-1)
 		}
-	}
-	if n := vm.FusedSites(bin.Img); n != bin.Sites {
-		t.Errorf("mutating the clone left the original with %d of %d fused sites", n, bin.Sites)
+		if pc := vm.StaleCount(img); pc >= 0 {
+			t.Errorf("HPCCG/%s: slot %d is not what a full count pass gives", tool.Name(), pc)
+		}
 	}
 }
 
