@@ -11,13 +11,17 @@ package campaign
 //
 // Durability model: each process appends to its own fresh segment
 // (seg-NNNNNN.fij, O_CREATE|O_EXCL), never to a possibly-torn tail left by a
-// crashed predecessor. Reads tolerate a torn tail per segment — entries
-// decode until the first gob error, which is exactly the prefix the dying
-// process managed to flush. Segments rotate at a size cap so a very long
-// campaign never grows one unbounded file, and rotation closes the old
-// segment with an fsync.
+// crashed predecessor. A batch of entries — one trial from Append, or the
+// new trials of one shard frame from the campaign's Merger — is gob-encoded
+// into a buffer and written with one write, before any of its trials is
+// delivered. Reads tolerate a torn tail per segment — entries decode until
+// the first gob error, which is exactly the prefix the dying process managed
+// to flush, so a crash loses at most the tail of the batch being written.
+// Segments rotate at a size cap so a very long campaign never grows one
+// unbounded file, and rotation closes the old segment with an fsync.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
@@ -47,19 +51,6 @@ const (
 	journalSegMax = 4 << 20 // rotate segments at ~4 MiB
 )
 
-// countWriter tracks how many bytes the current segment holds, so rotation
-// does not need a Stat per append.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Journal is the crash-safe trial log behind WithJournal. One Journal may
 // record many campaigns (the suite drivers share one journal dir across all
 // app×tool cells); entries are namespaced by Spec.Key. Safe for concurrent
@@ -69,9 +60,10 @@ type Journal struct {
 
 	mu  sync.Mutex
 	f   *os.File
-	cw  *countWriter
-	enc *gob.Encoder
-	seq int // last segment sequence number seen or created
+	n   int64        // bytes written to f, so rotation needs no Stat
+	buf bytes.Buffer // one batch's encoding, written to f in one write
+	enc *gob.Encoder // into buf: its type descriptors go once per segment
+	seq int          // last segment sequence number seen or created
 
 	entries map[string]map[int]TrialResult // restored at open
 
@@ -168,9 +160,8 @@ func (j *Journal) ensureSegLocked() error {
 		path := filepath.Join(j.dir, fmt.Sprintf("seg-%06d%s", j.seq, journalExt))
 		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 		if err == nil {
-			j.f = f
-			j.cw = &countWriter{w: f}
-			j.enc = gob.NewEncoder(j.cw)
+			j.f, j.n = f, 0
+			j.enc = gob.NewEncoder(&j.buf)
 			return nil
 		}
 		if !os.IsExist(err) {
@@ -189,7 +180,7 @@ func (j *Journal) closeSegLocked() {
 	}
 	j.f.Sync()
 	j.f.Close()
-	j.f, j.cw, j.enc = nil, nil, nil
+	j.f, j.enc = nil, nil
 }
 
 // Append journals one completed trial. Failures are retried with bounded
@@ -197,6 +188,13 @@ func (j *Journal) closeSegLocked() {
 // callers treat the journal as best-effort — a lost entry only means that
 // trial re-executes on resume, it never corrupts the run.
 func (j *Journal) Append(key string, index int, tr TrialResult) error {
+	return j.write([]journalEntry{{Key: key, Index: index, TR: tr}})
+}
+
+// write journals a batch of entries in one write, under Append's retry and
+// error contract: a failed write retires the segment, whose torn tail the
+// loader tolerates, and the retry writes the whole batch to a fresh one.
+func (j *Journal) write(es []journalEntry) error {
 	chaos.Point("campaign.journal.append")
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -204,26 +202,31 @@ func (j *Journal) Append(key string, index int, tr TrialResult) error {
 		if err := chaos.Err("campaign.journal.write"); err != nil {
 			return err
 		}
+		if j.f != nil && j.n >= journalSegMax {
+			j.closeSegLocked()
+		}
 		if err := j.ensureSegLocked(); err != nil {
 			return err
 		}
-		if j.cw.n >= journalSegMax {
-			j.closeSegLocked()
-			if err := j.ensureSegLocked(); err != nil {
+		j.buf.Reset()
+		for _, e := range es {
+			if err := j.enc.Encode(e); err != nil {
+				j.closeSegLocked()
 				return err
 			}
 		}
-		if err := j.enc.Encode(journalEntry{Key: key, Index: index, TR: tr}); err != nil {
+		n, err := j.f.Write(j.buf.Bytes())
+		j.n += int64(n)
+		if err != nil {
 			j.closeSegLocked()
-			return err
 		}
-		return nil
+		return err
 	})
 	if err != nil {
-		j.errors.Add(1)
+		j.errors.Add(uint64(len(es)))
 		return fmt.Errorf("campaign: journal append: %w", err)
 	}
-	j.appended.Add(1)
+	j.appended.Add(uint64(len(es)))
 	return nil
 }
 

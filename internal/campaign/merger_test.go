@@ -1,9 +1,10 @@
 package campaign_test
 
 // Merger tests: the campaign's ordered sink drops what has already arrived or
-// lies outside the range, journals each new trial once, never re-appends a
-// restored one, and a journal with holes resumes on a parallel executor to
-// the uninterrupted run's counts and observer stream.
+// lies outside the range, journals each new trial once — a batch's new
+// trials in one write —, never re-appends a restored one, adds a trial
+// without allocating, and a journal with holes resumes on a parallel
+// executor to the uninterrupted run's counts and observer stream.
 
 import (
 	"context"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/chaos"
 	"repro/internal/fault"
 )
 
@@ -106,6 +108,72 @@ func TestMergerJournalsEachTrialOnce(t *testing.T) {
 	m.Add(2, tr)
 	if got := j.Stats().Appended; got != 1 {
 		t.Fatalf("appended %d after one new trial, want 1", got)
+	}
+}
+
+// TestMergerJournalsABatchInOneWrite: AddBatch drops what Add drops, and
+// journals the batch's new trials in one write before delivering them. The
+// journal's write seam fails from its second write on, so a batch written
+// trial by trial would lose all but its first trial.
+func TestMergerJournalsABatchInOneWrite(t *testing.T) {
+	defer chaos.Reset()
+	dir := t.TempDir()
+	j, err := campaign.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen stream
+	m := campaign.New(journalApp(t), campaign.PINFI, campaign.WithTrials(8),
+		campaign.WithJournal(j), campaign.WithObserver(seen.obs)).NewMerger()
+	if !m.Add(3, campaign.TrialResult{Outcome: fault.Crash}) {
+		t.Fatal("Add(3) dropped a new trial")
+	}
+	chaos.Arm("campaign.journal.write", chaos.Fault{Kind: chaos.ErrKind, After: 2, Count: 1 << 20})
+	trs := []campaign.TrialResult{
+		{Outcome: fault.SOC, Cycles: 1}, {Outcome: fault.Benign, Cycles: 2}, {Outcome: fault.Crash, Cycles: 3},
+		{Outcome: fault.SOC, Cycles: 4}, {Outcome: fault.Benign, Cycles: 5}, {Outcome: fault.Crash, Cycles: 6},
+	}
+	if got := m.AddBatch(1, trs); got != 5 {
+		t.Fatalf("AddBatch(1, 6 trials) = %d new, want 5 (trial 3 has arrived)", got)
+	}
+	if st := j.Stats(); st.Appended != 6 || st.Errors != 0 {
+		t.Fatalf("journal %+v, want 6 appended in two writes, no error", st)
+	}
+	if m.Delivered() != 0 || len(seen.idx) != 0 {
+		t.Fatalf("delivered %d before trial 0 arrived", m.Delivered())
+	}
+	chaos.Reset()
+	if got := m.AddBatch(6, trs[:3]); got != 1 {
+		t.Fatalf("AddBatch(6, 3 trials) = %d new, want 1 (7; 8 is past the range)", got)
+	}
+	m.Add(0, campaign.TrialResult{Outcome: fault.Benign})
+	if !reflect.DeepEqual(seen.idx, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("observer saw %v, want 0..7 in order", seen.idx)
+	}
+	j.Close()
+
+	j, err = campaign.OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	key := campaign.New(journalApp(t), campaign.PINFI, campaign.WithTrials(8)).Spec().Key()
+	got := j.Recorded(key, 0, 8)
+	if len(got) != 8 || got[1] != trs[0] || got[6] != trs[5] || got[7] != trs[1] {
+		t.Fatalf("reopened journal holds %v, want all 8 trials as added", got)
+	}
+}
+
+// TestMergerAddAllocatesNothing: Add, the one-trial case of AddBatch, takes
+// no allocation once the merger is warm, as the in-process executor calls
+// it once per trial.
+func TestMergerAddAllocatesNothing(t *testing.T) {
+	const n = 1000
+	m := campaign.New(journalApp(t), campaign.PINFI, campaign.WithTrials(n+1)).NewMerger()
+	i := 0
+	tr := campaign.TrialResult{Outcome: fault.Benign, Cycles: 1}
+	if a := testing.AllocsPerRun(n, func() { m.Add(i, tr); i++ }); a != 0 {
+		t.Fatalf("Add allocates %v times, want 0", a)
 	}
 }
 

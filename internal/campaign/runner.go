@@ -261,27 +261,32 @@ func (c *Campaign) Run(ctx context.Context) (*Result, error) {
 // Whoever adds the next-in-sequence trial becomes the deliverer: it extracts
 // the contiguous run under the lock, drops the lock, applies it, and loops in
 // case more trials queued up meanwhile. The delivering flag keeps delivery
-// single-threaded (and therefore in order), while a re-entrant observer — one
-// that cancels the context and inspects Delivered, or adds follow-up work
-// that lands back in this Merger — cannot self-deadlock on the mutex.
+// single-threaded (and therefore in order, through one reused run buffer, so
+// an Add allocates nothing), while a re-entrant observer — one that cancels
+// the context and inspects Delivered, or adds follow-up work that lands back
+// in this Merger — cannot self-deadlock on the mutex.
 //
-// Campaign.Run and shard.Pool.Run both drive one through Missing → Add →
-// Finish. Construct with Campaign.NewMerger.
+// Campaign.Run drives one through Missing → Add → Finish, shard.Pool.Run
+// through Missing → AddBatch (a worker's trial frame at a time) → Finish.
+// Construct with Campaign.NewMerger.
 type Merger struct {
 	c   *Campaign
 	res *Result
 
 	mu         sync.Mutex
 	pending    map[int]TrialResult
-	next       int  // lowest trial index not yet extracted for delivery
-	delivering bool // a deliverer is flushing outside the lock
+	next       int           // lowest trial index not yet extracted for delivery
+	delivering bool          // a deliverer is flushing outside the lock
+	run        []TrialResult // the deliverer's extracted run, reused
 	flushed    atomic.Int64
 
 	// The crash-safe resume sink, attached once the restored trials are in:
 	// every later arrival inside the stop index is journaled under the lock
 	// that admits it, so a trial is journaled once and before it is delivered.
+	// A batch's new trials go out in one write, gathered in jbuf.
 	j    *Journal
 	jkey string
+	jbuf []journalEntry
 
 	// Sequential precision stopping (WithPrecision). stopAt is one past the
 	// last trial index the campaign may deliver: initially the range's upper
@@ -353,25 +358,46 @@ func (m *Merger) stop() int { return int(m.stopAt.Load()) }
 // Add folds trial i's result in, reporting whether it was new: a trial
 // outside the campaign's range, or one that has already arrived, is dropped.
 func (m *Merger) Add(i int, tr TrialResult) bool {
+	return m.AddBatch(i, []TrialResult{tr}) == 1
+}
+
+// AddBatch folds in the results of consecutive trials first, first+1, … — one
+// shard frame's worth — and reports how many were new, dropping the rest as
+// Add does. The new trials are journaled in one write before any of them is
+// delivered.
+func (m *Merger) AddBatch(first int, trs []TrialResult) int {
 	m.mu.Lock()
-	if _, held := m.pending[i]; held || i < m.next || i >= m.c.spec.Trials {
+	added := 0
+	for k, tr := range trs {
+		i := first + k
+		if _, held := m.pending[i]; held || i < m.next || i >= m.c.spec.Trials {
+			continue
+		}
+		if m.j != nil && i < m.stop() {
+			m.jbuf = append(m.jbuf, journalEntry{Key: m.jkey, Index: i, TR: tr})
+		}
+		m.pending[i] = tr
+		added++
+	}
+	if len(m.jbuf) > 0 {
+		m.j.write(m.jbuf)
+		clear(m.jbuf)
+		m.jbuf = m.jbuf[:0]
+	}
+	if added == 0 {
 		m.mu.Unlock()
-		return false
+		return 0
 	}
-	if m.j != nil && i < m.stop() {
-		m.j.Append(m.jkey, i, tr)
-	}
-	m.pending[i] = tr
 	if m.delivering {
-		// The current deliverer will pick this up before it retires.
+		// The current deliverer will pick these up before it retires.
 		m.mu.Unlock()
-		return true
+		return added
 	}
 	m.delivering = true
 	lo := m.c.spec.Lo
 	for {
 		start := m.next
-		var run []TrialResult
+		run := m.run[:0]
 		for {
 			r, ok := m.pending[m.next]
 			if !ok {
@@ -381,10 +407,11 @@ func (m *Merger) Add(i int, tr TrialResult) bool {
 			run = append(run, r)
 			m.next++
 		}
+		m.run = run
 		if len(run) == 0 {
 			m.delivering = false
 			m.mu.Unlock()
-			return true
+			return added
 		}
 		m.mu.Unlock()
 		for k, r := range run {

@@ -376,7 +376,9 @@ func (s *Server) stream(w http.ResponseWriter, hr *http.Request, r *run, from in
 		for len(r.events) <= from && !r.done && ctx.Err() == nil {
 			r.cond.Wait()
 		}
-		pend := append([]Event(nil), r.events[min(from, len(r.events)):]...)
+		// The log is append-only: a later append writes past this slice's
+		// end or into a new array, never into the events it holds.
+		pend := r.events[min(from, len(r.events)):]
 		done := r.done
 		var term Event
 		if done {

@@ -50,11 +50,16 @@
 //     dialed under a bounded budget. A worker that goes *silent* (alive but
 //     making no progress) outlasts its session's read deadline — armed while
 //     it holds a range, pushed one trial's worth ahead by every frame it
-//     sends — and is stopped: its session is closed (and a local worker's
-//     process killed), feeding the same reassignment path. A range that
-//     keeps killing workers is split into single-trial ranges to isolate the
-//     poison trial, and a single trial that exhausts its retry budget is
-//     recorded as a fault.HarnessFault outcome instead of looping forever.
+//     sends, where a healthy worker ships its batch of trials at least every
+//     batchWindow plus one trial — and is stopped: its session is closed
+//     (and a local worker's process killed), feeding the same reassignment
+//     path. A worker that sends what it should not (an empty or unassigned
+//     trial frame, an unknown frame kind, a range ack for trials it never
+//     sent) fails the campaign by name and is stopped the same way. A range
+//     that keeps killing workers is split into single-trial ranges to
+//     isolate the poison trial, and a single trial that exhausts its retry
+//     budget is recorded as a fault.HarnessFault outcome instead of looping
+//     forever.
 //     All of this is exercised deterministically by the chaos suite
 //     (internal/chaos).
 //
@@ -437,11 +442,11 @@ func (p *Pool) Run(ctx context.Context, c *campaign.Campaign) (*campaign.Result,
 }
 
 // rangeDeadline is the silent-worker deadline for a range of the run: every
-// frame pushes it ahead and a worker sends one per trial, so it covers
-// one trial — the stall floor (generous enough to cover a cold
-// build+profile inside the first range), raised to the worst-case trial
-// budget at a pessimistic VM throughput floor when that is longer. The
-// chaos tests fix it absolutely (export_test.go).
+// frame pushes it ahead and a healthy worker sends one at least every
+// batchWindow plus one trial, so it covers one trial — the stall floor
+// (generous enough to cover a cold build+profile inside the first range),
+// raised to the worst-case trial budget at a pessimistic VM throughput floor
+// when that is longer. The chaos tests fix it absolutely (export_test.go).
 func (p *Pool) rangeDeadline(run *runState) time.Duration {
 	if p.stallFixed {
 		return p.stall
@@ -502,7 +507,7 @@ func (p *Pool) assignLocked() {
 			return
 		}
 		r := run.pending[0]
-		if err := w.conn.send(&req{Index: w.index, CID: r.CID, Spec: run.spec,
+		if err := w.conn.send(&req{Wire: wireVersion, Index: w.index, CID: r.CID, Spec: run.spec,
 			Build: harnessBuild(), Lo: r.Lo, Hi: r.Hi}); err != nil {
 			w.dead = true // reader EOF will reap it; range stays pending
 			continue
@@ -549,8 +554,9 @@ func (p *Pool) settleAllLocked() {
 // reader is the per-worker decode loop, alive for the session's lifetime:
 // it merges trial frames, acknowledges ranges (freeing the worker for the
 // next assignment), and on worker death requeues the outstanding range. A
-// read that outlasts the session's deadline (armLocked) is a hung worker:
-// the reader stops it, then reaps it like any death.
+// read that outlasts the session's deadline (armLocked) is a hung worker,
+// and a frame the worker should never have sent a broken one: the reader
+// stops it, then reaps it like any death.
 func (p *Pool) reader(w *proc) {
 	defer close(w.readerDone)
 	for {
@@ -563,20 +569,40 @@ func (p *Pool) reader(w *proc) {
 			p.workerGone(w)
 			return
 		}
-		p.dispatch(w, &f)
+		if err := p.dispatch(w, &f); err != nil {
+			fmt.Fprintf(os.Stderr, "shard: %v; stopping it\n", err)
+			w.conn.stop()
+			p.workerGone(w)
+			return
+		}
 	}
 }
 
 // dispatch handles one worker frame. Every frame updates assignment state
 // and re-arms the worker's deadline in one section under the pool lock — a
 // range ack also hands its profile to the merger there, before the ack can
-// settle the run; trial frames then go to their campaign's merger outside it
-// (thread-safe; ordering is the merger's reorder buffer's job), routed by
-// campaign id.
-func (p *Pool) dispatch(w *proc, f *frame) {
+// settle the run; a trial frame then goes to its campaign's merger outside
+// it, in one call (thread-safe; ordering is the merger's reorder buffer's
+// job), routed by campaign id.
+//
+// It checks what the worker claims: an empty trial frame, trials outside
+// the worker's assignment, a frame of unknown kind, or a range ack for
+// trials that never arrived fail the campaign with an error naming the
+// worker — the one whose range the worker holds, else the frame's — and
+// dispatch returns that error for the reader to stop the worker.
+func (p *Pool) dispatch(w *proc, f *frame) error {
 	p.mu.Lock()
 	run := p.runLocked(f.CID)
+	var bad error
 	switch f.Kind {
+	case frameTrials:
+		switch cur := w.cur; {
+		case len(f.TRs) == 0:
+			bad = fmt.Errorf("worker %d sent an empty trial frame", w.index)
+		case cur == nil || cur.CID != f.CID || f.Index < cur.Lo || len(f.TRs) > cur.Hi-f.Index:
+			bad = fmt.Errorf("worker %d sent trials [%d, %d) of campaign %d, outside its assignment",
+				w.index, f.Index, f.Index+len(f.TRs), f.CID)
+		}
 	case frameRangeDone:
 		w.last = f.Counters
 		if run != nil && f.Profile != nil {
@@ -584,6 +610,11 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 			run.merger.SetProfile(f.Profile)
 		}
 		if run != nil && w.cur != nil && w.cur.CID == f.CID && w.cur.Lo == f.Lo && w.cur.Hi == f.Hi {
+			if n := len(run.merger.Unseen(f.Lo, f.Hi)); n > 0 {
+				bad = fmt.Errorf("worker %d acknowledged trials [%d, %d) with %d of them never sent",
+					w.index, f.Lo, f.Hi, n)
+				break
+			}
 			w.cur = nil
 			p.assignLocked()
 			p.settleLocked(run)
@@ -601,14 +632,28 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 		}
 	case frameExit:
 		w.last = f.Counters
+	default:
+		bad = fmt.Errorf("worker %d sent a frame of unknown kind %d", w.index, f.Kind)
+	}
+	if bad != nil {
+		if w.cur != nil {
+			if held := p.runLocked(w.cur.CID); held != nil {
+				run = held
+			}
+		}
+		if run != nil && run.err == nil {
+			run.err = bad // workerGone settles it
+		}
+		p.mu.Unlock()
+		return bad
 	}
 	p.armLocked(w)
 	p.mu.Unlock()
 
-	if run == nil || f.Kind != frameTrial {
-		return
+	if run == nil || f.Kind != frameTrials {
+		return nil
 	}
-	run.merger.Add(f.Index, f.TR)
+	run.merger.AddBatch(f.Index, f.TRs)
 	if run.merger.Stopped() {
 		// Sequential precision stop (campaign.WithPrecision): drop the
 		// unassigned ranges and let claimed ones drain — the merger discards
@@ -623,6 +668,7 @@ func (p *Pool) dispatch(w *proc, f *frame) {
 		}
 		p.mu.Unlock()
 	}
+	return nil
 }
 
 // workerGone reaps a dead worker: its outstanding range re-enters its

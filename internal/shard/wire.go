@@ -3,6 +3,7 @@ package shard
 import (
 	"runtime/debug"
 	"sync"
+	"time"
 
 	"repro/internal/campaign"
 )
@@ -13,35 +14,54 @@ import (
 //
 //	coordinator → worker: a stream of req messages, each assigning one trial
 //	    index range [Lo, Hi) and carrying all the worker needs to run it —
-//	    the campaign's Spec under a small integer id, the coordinator's
-//	    harness build and the session's shard index. The worker keeps no
-//	    per-campaign state between requests. Closing the write side tells
-//	    the worker to finish up: it ships a final frameExit with its counters
-//	    and ends the session (a local worker then exits).
+//	    the wire version, the campaign's Spec under a small integer id, the
+//	    coordinator's harness build and the session's shard index. The
+//	    worker keeps no per-campaign state between requests. Closing the
+//	    write side tells the worker to finish up: it ships a final frameExit
+//	    with its counters and ends the session (a local worker then exits).
 //
-//	worker → coordinator: a stream of frames. Running a range
-//	    produces one frameTrial per trial — (Index, TrialResult), exactly
-//	    the order-deterministic observer's callback shape, in trial order —
-//	    then one frameRangeDone echoing [Lo, Hi) with the campaign's
-//	    golden-run profile (builds are byte-stable across processes, so
-//	    every worker derives the identical profile) and the worker's
-//	    cumulative counters — cache and phase throughput.
-//	    A campaign-fatal error (unknown app, build failure, a coordinator
-//	    built from another revision) is one frameErr.
+//	worker → coordinator: a stream of frames. Running a range produces
+//	    frameTrials, each carrying consecutive trial results (Index, TRs) in
+//	    trial order — the order-deterministic observer's stream, cut into
+//	    batches: the worker ships its batch when a trial lands batchWindow or
+//	    more after its previous frame, and when the range ends. Then one
+//	    frameRangeDone echoes [Lo, Hi) with the campaign's golden-run profile
+//	    (builds are byte-stable across processes, so every worker derives the
+//	    identical profile) and the worker's cumulative counters — cache and
+//	    phase throughput. A campaign-fatal error (unknown app, build
+//	    failure, a coordinator of another wire version or built from another
+//	    revision) is one frameErr; the batch is shipped before it.
 //	    Every frame is progress: each pushes the session's read deadline one
-//	    trial's worth ahead, and a worker that sends nothing before it
-//	    passes is taken for hung.
+//	    trial's worth ahead, and a healthy worker is silent for at most
+//	    batchWindow plus one trial, so one that sends nothing before the
+//	    deadline passes is taken for hung.
 //
-// The coordinator feeds frameTrial streams to the campaign's Merger, the
-// ordered sink in-process runs feed too: frames may interleave across workers
-// in any order, duplicates from reassigned ranges are dropped, and the merged
-// Counts/Cycles/observer stream come out bit-identical to an unsharded run.
+// The coordinator feeds each frameTrials to the campaign's Merger in one
+// call, the ordered sink in-process runs feed too: frames may interleave
+// across workers in any order, duplicates from reassigned ranges are
+// dropped, and the merged Counts/Cycles/observer stream come out
+// bit-identical to an unsharded run. It checks what a worker claims: an
+// empty trial frame, one outside the worker's assignment, a frame of unknown
+// kind, or a range ack for trials it never sent fails the campaign naming
+// the worker, and the worker's session is stopped.
+
+// wireVersion numbers the layout of req and frame. A worker answers a
+// request of another version with a frameErr naming both, so a coordinator
+// and worker of different revisions fail by name instead of misreading each
+// other's frames. A request from before the field existed decodes as 0.
+const wireVersion = 1
+
+// batchWindow bounds how long a worker holds finished trials: a trial that
+// lands this long after the worker's previous frame ships with its batch.
+const batchWindow = 4 * time.Millisecond
 
 // req is the one coordinator→worker message: run trial range [Lo, Hi) of
-// campaign CID. Build is the coordinator's harnessBuild(): a worker that
-// knows its own build and finds it differs refuses the range with a
-// frameErr naming both, since its trials would silently differ.
+// campaign CID. Wire is the coordinator's wireVersion. Build is the
+// coordinator's harnessBuild(): a worker that knows its own build and finds
+// it differs refuses the range with a frameErr naming both, since its trials
+// would silently differ.
 type req struct {
+	Wire   int
 	Index  int // the pool's shard index for this worker session
 	CID    int
 	Spec   campaign.Spec
@@ -90,8 +110,9 @@ type rangeReq struct {
 type frameKind uint8
 
 const (
-	// frameTrial carries one trial result: (Index, TR).
-	frameTrial frameKind = iota
+	// frameTrials carries the results of trials Index, Index+1, … (TRs, at
+	// least one).
+	frameTrials frameKind = iota
 	// frameRangeDone acknowledges completion of [Lo, Hi) with the
 	// campaign's Profile, and the worker's cumulative counters piggybacked
 	// for the drivers' report.
@@ -107,9 +128,9 @@ const (
 type frame struct {
 	Kind     frameKind
 	CID      int
-	Index    int
-	TR       campaign.TrialResult
-	Profile  *campaign.Profile // frameRangeDone
+	Index    int                    // frameTrials: the first trial's index
+	TRs      []campaign.TrialResult // frameTrials
+	Profile  *campaign.Profile      // frameRangeDone
 	Lo, Hi   int
 	Err      string
 	Counters counters // frameRangeDone, frameExit

@@ -12,12 +12,12 @@ import (
 )
 
 // TestWireReqRoundTrip pins the coordinator→worker message through a gob
-// encode/decode cycle: every req must come back field-for-field — the
-// session index, campaign id, spec, harness build and range the worker runs
-// it from.
+// encode/decode cycle: every req must come back field-for-field — the wire
+// version, session index, campaign id, spec, harness build and range the
+// worker runs it from.
 func TestWireReqRoundTrip(t *testing.T) {
 	reqs := []req{
-		{Index: 3, CID: 7, Spec: campaign.Spec{
+		{Wire: wireVersion, Index: 3, CID: 7, Spec: campaign.Spec{
 			App: "CG", Tool: "REFINE", Trials: 120, Lo: 8, Seed: 42,
 			CacheDir: "/tmp/fi-cache", Workers: 2,
 		}, Build: "0123abcd+modified", Lo: 16, Hi: 32},
@@ -38,7 +38,7 @@ func TestWireReqRoundTrip(t *testing.T) {
 		}
 		// Spec holds a slice-bearing BuildOptions, so compare the scalar
 		// identity fields (the Key() inputs plus deployment detail).
-		if got.Index != want.Index || got.CID != want.CID || got.Build != want.Build ||
+		if got.Wire != want.Wire || got.Index != want.Index || got.CID != want.CID || got.Build != want.Build ||
 			got.Lo != want.Lo || got.Hi != want.Hi ||
 			got.Spec.App != want.Spec.App ||
 			got.Spec.Tool != want.Spec.Tool ||
@@ -54,11 +54,18 @@ func TestWireReqRoundTrip(t *testing.T) {
 
 // TestWireFrameRoundTrip pins every worker→coordinator frame kind through
 // an encode/decode cycle on one shared stream, as the real session
-// interleaves them.
+// interleaves them: a batch of one trial, a batch of several, whose results
+// differ in every field, then the range ack, an error and the exit.
 func TestWireFrameRoundTrip(t *testing.T) {
 	frames := []frame{
-		{Kind: frameTrial, CID: 2, Index: 17,
-			TR: campaign.TrialResult{Outcome: fault.Crash, Cycles: 12345, Instrs: 678}},
+		{Kind: frameTrials, CID: 2, Index: 16,
+			TRs: []campaign.TrialResult{{Outcome: fault.Crash, Cycles: 12345, Instrs: 678}}},
+		{Kind: frameTrials, CID: 2, Index: 17, TRs: []campaign.TrialResult{
+			{Outcome: fault.SOC, Cycles: 1 << 40, Instrs: 9,
+				Rec: fault.Record{DynIdx: 1234, PC: 567, Bit: 13, Op: "addq"}},
+			{Outcome: fault.Benign},
+			{Outcome: fault.HarnessFault, Cycles: 3},
+		}},
 		{Kind: frameRangeDone, CID: 2, Lo: 16, Hi: 32, Profile: &campaign.Profile{}, Counters: counters{
 			Stats: campaign.CacheStats{MemHits: 3, Builds: 1},
 			Phases: campaign.PhaseStats{ProfileInstrs: 5, ProfileNanos: 6,
@@ -81,7 +88,7 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Fatalf("decode frame %d: %v", i, err)
 		}
 		if got.Kind != want.Kind || got.CID != want.CID || got.Index != want.Index ||
-			got.TR != want.TR || got.Lo != want.Lo || got.Hi != want.Hi ||
+			!reflect.DeepEqual(got.TRs, want.TRs) || got.Lo != want.Lo || got.Hi != want.Hi ||
 			got.Err != want.Err || !reflect.DeepEqual(got.Counters, want.Counters) {
 			t.Errorf("frame %d: got %+v, want %+v", i, got, want)
 		}
@@ -97,8 +104,8 @@ func TestWireFrameRoundTrip(t *testing.T) {
 func TestWireTruncatedFrame(t *testing.T) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&frame{
-		Kind: frameTrial, CID: 1, Index: 9,
-		TR: campaign.TrialResult{Outcome: fault.SOC, Cycles: 1 << 40},
+		Kind: frameTrials, CID: 1, Index: 9,
+		TRs: []campaign.TrialResult{{Outcome: fault.SOC, Cycles: 1 << 40}, {Outcome: fault.Crash}},
 	}); err != nil {
 		t.Fatal(err)
 	}

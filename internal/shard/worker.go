@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/chaos"
@@ -131,7 +132,7 @@ func ListenAndServe(addr string, ready func(addr string)) error {
 // serveSession runs the worker half of the wire protocol on one session —
 // a local worker's inherited socket or a connection a node accepted: decode
 // range requests, run each through the ordinary campaign machinery, and
-// stream (index, TrialResult) frames back. It returns when the coordinator
+// stream batches of trial results back. It returns when the coordinator
 // closes its write side (the clean drain: a final frameExit carries the
 // counters) or the session breaks. A failed send cancels the session
 // context, so a range whose frames have nowhere to go stops instead of
@@ -187,6 +188,7 @@ type worker struct {
 
 	sendMu sync.Mutex // serializes enc: trial frames come from the executor's deliverer
 	encErr error
+	sent   time.Time // when the latest frame went out
 }
 
 // serve is the session loop: decode reqs, run ranges, stream frames until
@@ -221,6 +223,7 @@ func (w *worker) send(f *frame) {
 	}
 	w.encErr = w.enc.Encode(f)
 	failed := w.encErr != nil
+	w.sent = time.Now()
 	w.sendMu.Unlock()
 	// Cancel outside the critical section: cancellation callbacks must never
 	// run under the same lock the trial stream sends through.
@@ -263,18 +266,32 @@ func (w *worker) cache(dir string) (*campaign.Cache, error) {
 }
 
 // runRange executes trial range [Lo, Hi) of the request's campaign,
-// streaming each trial as a frame from inside the campaign's ordered
-// observer, then the range ack carrying the profile. It refuses the range
-// when the coordinator and this worker both name their harness build and the
-// names differ: the worker runs another revision, whose trials would
-// silently differ. shard.worker.range and shard.worker.trial are chaos
-// seams: the former fires per assignment, the latter per trial with the
-// absolute trial index as its PointN argument, so a test can
-// hang/crash/kill this worker at an exact frame.
+// collecting the trials from inside the campaign's ordered observer into
+// batches — shipped when a trial lands batchWindow or more after the
+// previous frame, and before the range's last frame — then the range ack
+// carrying the profile. It refuses the range when the coordinator speaks
+// another wire version, or when the coordinator and this worker both name
+// their harness build and the names differ: the worker runs another
+// revision, whose trials would silently differ. shard.worker.range and
+// shard.worker.trial are chaos seams: the former fires per assignment, the
+// latter per trial with the absolute trial index as its PointN argument, so
+// a test can hang/crash/kill this worker at an exact trial.
 func (w *worker) runRange(ctx context.Context, r *req) {
 	chaos.Point("shard.worker.range")
+	batch := frame{Kind: frameTrials, CID: r.CID}
+	flush := func() {
+		if len(batch.TRs) > 0 {
+			w.send(&batch)
+			batch.TRs = batch.TRs[:0]
+		}
+	}
 	fail := func(err error) {
+		flush()
 		w.send(&frame{Kind: frameErr, CID: r.CID, Err: err.Error()})
+	}
+	if r.Wire != wireVersion {
+		fail(fmt.Errorf("shard: worker %d speaks wire version %d, the coordinator %d", w.index, wireVersion, r.Wire))
+		return
 	}
 	if own := harnessBuild(); own != "" && r.Build != "" && own != r.Build {
 		fail(fmt.Errorf("shard: worker %d runs harness build %s, the coordinator %s", w.index, own, r.Build))
@@ -292,7 +309,13 @@ func (w *worker) runRange(ctx context.Context, r *req) {
 	}
 	cam, err := campaign.NewFromSpec(r.Spec, app, r.Lo, r.Hi, cache, func(i int, tr campaign.TrialResult) {
 		chaos.PointN("shard.worker.trial", int64(i))
-		w.send(&frame{Kind: frameTrial, CID: r.CID, Index: i, TR: tr})
+		if len(batch.TRs) == 0 {
+			batch.Index = i
+		}
+		batch.TRs = append(batch.TRs, tr)
+		if time.Since(w.sent) >= batchWindow {
+			flush()
+		}
 	})
 	if err != nil {
 		fail(err)
@@ -305,6 +328,7 @@ func (w *worker) runRange(ctx context.Context, r *req) {
 		}
 		return
 	}
+	flush()
 	w.send(&frame{Kind: frameRangeDone, CID: r.CID, Lo: r.Lo, Hi: r.Hi,
 		Profile: res.Profile, Counters: w.counters()})
 }
