@@ -50,7 +50,7 @@ func main() {
 	memOps := 0
 	for i := range img.Instrs {
 		in := &img.Instrs[i]
-		classCount[in.Class]++
+		classCount[in.Shape().Class()]++
 		if in.Instrumented {
 			instrumented++
 		}

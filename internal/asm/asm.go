@@ -1,9 +1,10 @@
 // Package asm assembles machine IR into executable VX64 images: it lays out
-// the data segment, linearizes basic blocks, resolves symbols (function
-// calls, host imports, globals) and label targets, and precomputes the
-// per-instruction fault-injection metadata (instruction class and output
-// register set) that the injection tools consume. It also provides a binary
-// object encoding with a round-tripping loader and a disassembler.
+// the data segment, linearizes basic blocks, and resolves symbols (function
+// calls, host imports, globals) and label targets. An instruction carries no
+// fault-injection metadata: its class and output registers derive from its
+// shape through the opcode table (vx.Ops), in the image as in MIR. It also
+// provides a binary object encoding with a round-tripping loader and a
+// disassembler.
 package asm
 
 import (
@@ -239,13 +240,6 @@ func lower(mi *mir.Instr, img *vm.Image, fnIdx int) (vm.Inst, error) {
 	if err := setOpnd(mi.B, &in.BKind, &in.BReg); err != nil {
 		return in, err
 	}
-
-	// Precompute FI metadata.
-	in.Class = mi.Classify()
-	var outs [3]vx.Reg
-	set := mi.OutputRegs(outs[:0])
-	in.NOut = uint8(len(set))
-	copy(in.Outs[:], set)
 	return in, nil
 }
 

@@ -132,6 +132,24 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesOldLayout: a version-1 object packs the class and
+// output registers this layout no longer has into every instruction, so its
+// magic is refused rather than its instructions misread.
+func TestDecodeRefusesOldLayout(t *testing.T) {
+	img, err := asm.Assemble(sampleProg(), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob := asm.EncodeObject(img)
+	if string(blob[:8]) != "VX64OBJ2" {
+		t.Fatalf("magic %q, want VX64OBJ2", blob[:8])
+	}
+	copy(blob, "VX64OBJ1")
+	if _, err := asm.DecodeObject(blob); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("a VX64OBJ1 object: err = %v, want a magic error", err)
+	}
+}
+
 func TestDisasmMentionsSymbols(t *testing.T) {
 	img, _ := asm.Assemble(sampleProg(), asm.Options{})
 	text := asm.Disasm(img)

@@ -63,7 +63,7 @@ func DisasmInst(img *vm.Image, pc int32) string {
 	if in.Instrumented {
 		b.WriteString("\t; fi-instr")
 	} else if in.SiteID > 0 {
-		fmt.Fprintf(&b, "\t; site=%d class=%s", in.SiteID, in.Class)
+		fmt.Fprintf(&b, "\t; site=%d class=%s", in.SiteID, in.Shape().Class())
 	}
 	return b.String()
 }

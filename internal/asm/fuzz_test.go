@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/campaign"
+	"repro/internal/opt"
 	"repro/internal/vm"
 	"repro/internal/vx"
 	"repro/internal/workloads"
@@ -29,7 +30,7 @@ import (
 // asks for over 100 GiB.
 func hugeCountObject() []byte {
 	var b bytes.Buffer
-	b.WriteString("VX64OBJ1")
+	b.WriteString("VX64OBJ2")
 	w := func(v any) { binary.Write(&b, binary.LittleEndian, v) }
 	w([3]int64{})            // MemSize, GlobalBase, GlobalEnd
 	w([2]int32{})            // EntryPC, NumSites
@@ -54,6 +55,8 @@ func FuzzDecodeObject(f *testing.F) {
 		}
 	}
 	f.Add(hugeCountObject())
+	f.Add(impossibleObject(f, impossible(vx.MOVSD2Q, vx.F1)))
+	f.Add(impossibleObject(f, impossible(vx.LEAQ, vx.R1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := asm.DecodeObject(data)
 		if err != nil {
@@ -83,6 +86,23 @@ func FuzzDecodeObject(f *testing.F) {
 	})
 }
 
+// impossible is op with a memory A and a register B: the store the
+// assembler emits as MOVQ, with an op whose A is a register.
+func impossible(op vx.Op, b vx.Reg) vm.Inst {
+	return vm.Inst{Op: op, AKind: vm.OpMem, BKind: vm.OpReg, BReg: b, MemBase: vx.SP, MemIndex: vx.NoReg, SiteID: -1}
+}
+
+// impossibleObject is the sample program's object with its first
+// instruction replaced by in.
+func impossibleObject(tb testing.TB, in vm.Inst) []byte {
+	img, err := asm.Assemble(sampleProg(), asm.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	img.Instrs[0] = in
+	return asm.EncodeObject(img)
+}
+
 // runBudget bounds every run of an accepted image.
 const runBudget = 4096
 
@@ -108,10 +128,24 @@ func TestDecodeRejectsImpossibleObjects(t *testing.T) {
 		"register past the file": func(img *vm.Image) { img.Instrs[0].AReg = vx.NumRegs },
 		"absent B register":      func(img *vm.Image) { img.Instrs[0].BReg = vx.NoReg },
 		"base past the file":     func(img *vm.Image) { img.Instrs[0].MemBase = vx.NumRegs },
-		"output past the file": func(img *vm.Image) {
-			img.Instrs[0].NOut, img.Instrs[0].Outs[0] = 1, vx.NumRegs
+		"FP memory base":         func(img *vm.Image) { img.Instrs[0].MemBase = vx.F0 },
+		// The shapes FuzzPredecode found running as register writes: an op
+		// whose A is a register, given a memory A.
+		"movsd2q with a memory A": func(img *vm.Image) { img.Instrs[0] = impossible(vx.MOVSD2Q, vx.F1) },
+		"leaq with a memory A":    func(img *vm.Image) { img.Instrs[0] = impossible(vx.LEAQ, vx.R1) },
+		"xorpd with a memory A":   func(img *vm.Image) { img.Instrs[0] = impossible(vx.XORPD, vx.F1) },
+		"two memory operands": func(img *vm.Image) {
+			img.Instrs[0] = vm.Inst{Op: vx.MOVQ, AKind: vm.OpMem, BKind: vm.OpMem, MemBase: vx.SP, MemIndex: vx.NoReg, SiteID: -1}
 		},
-		"four outputs": func(img *vm.Image) { img.Instrs[0].NOut = 4 },
+		"FPR in an integer slot": func(img *vm.Image) { img.Instrs[1].AReg = vx.F1 },
+		"FLAGS as an operand":    func(img *vm.Image) { img.Instrs[0].AReg = vx.RFLAGS },
+		"label left as an operand": func(img *vm.Image) {
+			img.Instrs[2].AKind = vm.OpImm
+		},
+		"condition past the table": func(img *vm.Image) { img.Instrs[2].Cond = vx.NumConds },
+		"pseudo-instruction": func(img *vm.Image) {
+			img.Instrs[0] = vm.Inst{Op: vx.VCALL, MemBase: vx.NoReg, MemIndex: vx.NoReg, SiteID: -1}
+		},
 		"branch past the code": func(img *vm.Image) {
 			img.Instrs[0] = vm.Inst{Op: vx.JMP, Target: int32(len(img.Instrs)) + 1, SiteID: -1}
 		},
@@ -129,6 +163,33 @@ func TestDecodeRejectsImpossibleObjects(t *testing.T) {
 		bad(img)
 		if _, err := asm.DecodeObject(asm.EncodeObject(img)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestEveryBuildRoundTrips encodes and decodes every evaluation build — each
+// kernel under LLFI, REFINE and PINFI at O0 and O2 — so the opcode table
+// admits everything the backend and the instrumentation emit: the decoder
+// accepts each object and re-encodes it byte for byte.
+func TestEveryBuildRoundTrips(t *testing.T) {
+	for _, app := range workloads.Registry() {
+		for _, tool := range campaign.Tools {
+			for _, lvl := range []opt.Level{opt.O0, opt.O2} {
+				o := campaign.DefaultBuildOptions()
+				o.Opt = lvl
+				bin, err := campaign.BuildBinary(app, tool, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj := asm.EncodeObject(bin.Img)
+				img, err := asm.DecodeObject(obj)
+				if err != nil {
+					t.Fatalf("%s/%s/%v: %v", app.Name, tool.Name(), lvl, err)
+				}
+				if !bytes.Equal(asm.EncodeObject(img), obj) {
+					t.Fatalf("%s/%s/%v: the decoded image re-encodes differently", app.Name, tool.Name(), lvl)
+				}
+			}
 		}
 	}
 }

@@ -9,8 +9,9 @@ import (
 	"repro/internal/vm"
 )
 
-// objMagic identifies serialized VX64 images.
-var objMagic = [8]byte{'V', 'X', '6', '4', 'O', 'B', 'J', '1'}
+// objMagic identifies serialized VX64 images and the packed instruction
+// layout: version 2 dropped the stored class and output registers.
+var objMagic = [8]byte{'V', 'X', '6', '4', 'O', 'B', 'J', '2'}
 
 // EncodeObject serializes an image to the VX64 object format. The format is a
 // faithful binary encoding of the decoded instruction stream plus the data

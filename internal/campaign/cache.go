@@ -249,8 +249,11 @@ func (c *Cache) BuildAndProfile(app App, tool Tool, o BuildOptions, costs pinfi.
 // section-entry layer (.fis files, see sections.go) and re-keyed the build
 // entries alongside it, so every pre-compositional entry misses (or
 // quarantines via the in-payload stamp) and rebuilds through the PR 6 path;
-// version 5 addresses a build entry by level, not tool (same payload).
-const diskFormatVersion = 5
+// version 5 addresses a build entry by level, not tool (same payload);
+// version 6 drops the stored class and output registers from every
+// instruction, which now derive from the opcode table, and re-keys the
+// entries built under a class filter, whose fire points counted LEAQ as mem.
+const diskFormatVersion = 6
 
 // checksumLen prefixes every disk entry: SHA-256 over the gob payload,
 // verified on load so torn writes and bit-rot are detected (and

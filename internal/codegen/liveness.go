@@ -6,7 +6,8 @@ import (
 )
 
 // regRefs reports the virtual registers read (uses) and written (defs) by a
-// MIR instruction. Two-address arithmetic reads and writes its destination.
+// MIR instruction: its operands' registers, by the op's access to A (vx.Ops),
+// and the pseudos' register lists.
 func regRefs(in *mir.Instr, uses, defs *[]int) {
 	addUse := func(r int) {
 		if r >= mir.VRegBase {
@@ -46,22 +47,14 @@ func regRefs(in *mir.Instr, uses, defs *[]int) {
 		for _, r := range in.Regs {
 			addDef(r)
 		}
-	case vx.MOVQ, vx.MOVSD, vx.LEAQ, vx.MOVQ2SD, vx.MOVSD2Q,
-		vx.SETCC, vx.CVTSI2SD, vx.CVTTSD2SI, vx.SQRTSD, vx.POPQ:
-		if in.A.Kind == mir.KindReg {
-			addDef(in.A.Reg)
-		}
-	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.IDIVQ, vx.IREMQ, vx.ANDQ, vx.ORQ,
-		vx.XORQ, vx.SHLQ, vx.SHRQ, vx.SARQ, vx.NEGQ, vx.NOTQ,
-		vx.ADDSD, vx.SUBSD, vx.MULSD, vx.DIVSD, vx.MINSD, vx.MAXSD,
-		vx.ANDPD, vx.XORPD:
-		if in.A.Kind == mir.KindReg {
-			addUse(in.A.Reg)
-			addDef(in.A.Reg)
-		}
-	case vx.CMPQ, vx.TESTQ, vx.UCOMISD, vx.PUSHQ:
-		if in.A.Kind == mir.KindReg {
-			addUse(in.A.Reg)
+	default:
+		if a := in.Op.Info().AAccess; in.A.Kind == mir.KindReg {
+			if a.Reads() {
+				addUse(in.A.Reg)
+			}
+			if a.Writes() {
+				addDef(in.A.Reg)
+			}
 		}
 	}
 }

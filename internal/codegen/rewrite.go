@@ -229,41 +229,6 @@ func (rw *rewriter) expandCall(out []*mir.Instr, in *mir.Instr) ([]*mir.Instr, e
 	return out, nil
 }
 
-// memCapableA lists opcodes whose A operand may be a memory operand in the
-// VM's semantics (readA/writeA path).
-func memCapableA(op vx.Op) bool {
-	switch op {
-	case vx.MOVQ, vx.MOVSD, vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.IDIVQ, vx.IREMQ,
-		vx.ANDQ, vx.ORQ, vx.XORQ, vx.SHLQ, vx.SHRQ, vx.SARQ,
-		vx.CMPQ, vx.TESTQ, vx.PUSHQ:
-		return true
-	}
-	return false
-}
-
-// opReadsA reports whether the opcode reads its A operand before any write.
-func opReadsA(op vx.Op) bool {
-	switch op {
-	case vx.ADDQ, vx.SUBQ, vx.IMULQ, vx.IDIVQ, vx.IREMQ, vx.ANDQ, vx.ORQ,
-		vx.XORQ, vx.SHLQ, vx.SHRQ, vx.SARQ, vx.NEGQ, vx.NOTQ,
-		vx.ADDSD, vx.SUBSD, vx.MULSD, vx.DIVSD, vx.MINSD, vx.MAXSD,
-		vx.ANDPD, vx.XORPD,
-		vx.CMPQ, vx.TESTQ, vx.UCOMISD, vx.PUSHQ:
-		return true
-	}
-	return false
-}
-
-// opWritesA reports whether the opcode writes its A operand.
-func opWritesA(op vx.Op) bool {
-	switch op {
-	case vx.CMPQ, vx.TESTQ, vx.UCOMISD, vx.PUSHQ, vx.JMP, vx.JCC, vx.RET,
-		vx.CALLQ, vx.NOP, vx.HALT, vx.PUSHF, vx.POPF:
-		return false
-	}
-	return true
-}
-
 // rewriteInstr patches one ordinary instruction, inserting spill loads and
 // stores through the reserved scratch registers. The VM supports at most one
 // memory operand per instruction, so a spilled destination becomes a memory
@@ -324,6 +289,7 @@ func (rw *rewriter) rewriteInstr(out []*mir.Instr, in *mir.Instr) ([]*mir.Instr,
 	}
 
 	var post []*mir.Instr
+	info := ni.Op.Info()
 
 	// 2. Spilled A (destination / first operand).
 	if ni.A.Kind == mir.KindReg && ni.A.Reg >= mir.VRegBase {
@@ -331,7 +297,7 @@ func (rw *rewriter) rewriteInstr(out []*mir.Instr, in *mir.Instr) ([]*mir.Instr,
 		switch {
 		case r != vx.NoReg:
 			ni.A = mir.PReg(r)
-		case memCapableA(ni.Op) && ni.B.Kind != mir.KindMem:
+		case info.A.Has(mir.KindMem) && ni.B.Kind != mir.KindMem:
 			// The spilled destination *is* the memory operand — the
 			// "operations on memory operands" shape from the paper's
 			// Listing 2c.
@@ -352,11 +318,11 @@ func (rw *rewriter) rewriteInstr(out []*mir.Instr, in *mir.Instr) ([]*mir.Instr,
 				}
 				usedR8 = true
 			}
-			if opReadsA(ni.Op) {
+			if info.AAccess.Reads() {
 				out = append(out, &mir.Instr{Op: op, A: mir.PReg(sc), B: mir.Mem(int(vx.BP), -off)})
 			}
 			ni.A = mir.PReg(sc)
-			if opWritesA(ni.Op) {
+			if info.AAccess.Writes() {
 				post = append(post, &mir.Instr{Op: op, A: mir.Mem(int(vx.BP), -off), B: mir.PReg(sc)})
 			}
 		}
@@ -368,8 +334,7 @@ func (rw *rewriter) rewriteInstr(out []*mir.Instr, in *mir.Instr) ([]*mir.Instr,
 		switch {
 		case r != vx.NoReg:
 			ni.B = mir.PReg(r)
-		case ni.A.Kind != mir.KindMem && ni.Op != vx.MOVQ2SD && ni.Op != vx.MOVSD2Q:
-			// readB handles memory sources for all remaining ops.
+		case ni.A.Kind != mir.KindMem && info.B.Has(mir.KindMem):
 			ni.B = mir.Mem(int(vx.BP), -off)
 		default:
 			fp := rw.classOf(ni.B.Reg) == mir.ClassFP

@@ -119,8 +119,9 @@ func (l *Lib) ResolveRecord(img *vm.Image) {
 	in := &img.Instrs[pc]
 	l.Rec.PC = pc
 	l.Rec.Op = in.Op.String()
-	if l.OpIdx < int(in.NOut) {
-		l.Rec.Reg = in.Outs[l.OpIdx]
+	var buf [3]vx.Reg
+	if outs := in.Shape().Outputs(&buf); l.OpIdx < len(outs) {
+		l.Rec.Reg = outs[l.OpIdx]
 	}
 }
 

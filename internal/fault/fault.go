@@ -54,9 +54,9 @@ func (r *RNG) Float64() float64 {
 type ClassSet uint8
 
 const (
-	ClassArith ClassSet = 1 << iota
-	ClassMem
-	ClassStack
+	ClassArith ClassSet = 1 << vx.ClassArith
+	ClassMem   ClassSet = 1 << vx.ClassMem
+	ClassStack ClassSet = 1 << vx.ClassStack
 
 	ClassAll = ClassArith | ClassMem | ClassStack
 )
@@ -77,17 +77,7 @@ func ParseClasses(s string) (ClassSet, error) {
 }
 
 // Has reports whether the machine class is selected.
-func (c ClassSet) Has(k vx.Class) bool {
-	switch k {
-	case vx.ClassArith:
-		return c&ClassArith != 0
-	case vx.ClassMem:
-		return c&ClassMem != 0
-	case vx.ClassStack:
-		return c&ClassStack != 0
-	}
-	return false
-}
+func (c ClassSet) Has(k vx.Class) bool { return c&(1<<k) != 0 }
 
 // Config mirrors the compiler-flag interface of REFINE (paper Table 2) and is
 // shared by PINFI so both tools define the same target population.
@@ -120,10 +110,8 @@ func (c Config) FuncSelected(name string) bool {
 // population: application code (not instrumentation), at least one output
 // register, class and function selected.
 func (c Config) TargetInst(img *vm.Image, in *vm.Inst) bool {
-	if in.Instrumented || in.NOut == 0 {
-		return false
-	}
-	if !c.Classes.Has(in.Class) {
+	var buf [3]vx.Reg
+	if s := in.Shape(); in.Instrumented || len(s.Outputs(&buf)) == 0 || !c.Classes.Has(s.Class()) {
 		return false
 	}
 	if len(c.Funcs) != 0 {

@@ -44,17 +44,18 @@ type Operand struct {
 	Target int
 }
 
-// OperandKind enumerates operand shapes.
-type OperandKind uint8
+// OperandKind enumerates operand shapes: the forms of the opcode table
+// (vx.Ops), which says which ones each op admits.
+type OperandKind = vx.Form
 
 const (
-	KindNone OperandKind = iota
-	KindReg
-	KindImm
-	KindFImm
-	KindMem
-	KindSym
-	KindLabel
+	KindNone  = vx.FormNone
+	KindReg   = vx.FormReg
+	KindImm   = vx.FormImm
+	KindFImm  = vx.FormFImm
+	KindMem   = vx.FormMem
+	KindSym   = vx.FormSym
+	KindLabel = vx.FormLabel
 )
 
 // Reg constructs a register operand (physical or virtual).
@@ -276,59 +277,18 @@ func (f *Fn) NumInstrs() int {
 	return n
 }
 
-// OutputRegs appends to dst the architectural output registers of the
-// instruction, assuming physical-register operands (post-RA). This defines
-// the fault-injection operand set shared by REFINE and PINFI: the destination
-// register (GPR or FPR), FLAGS when the opcode sets it, and SP for stack
-// management instructions. Instructions with no output register (stores,
-// branches, compares-without-flags) return an empty set and are not
-// injection targets.
-func (i *Instr) OutputRegs(dst []vx.Reg) []vx.Reg {
-	switch i.Op {
-	case vx.NOP, vx.JMP, vx.JCC, vx.HALT:
-		return dst
-	case vx.RET, vx.CALLQ:
-		// Control transfers modify SP, but no tool can instrument them after
-		// execution (PIN forbids IPOINT_AFTER on control transfers; REFINE's
-		// spliced blocks would be unreachable after a RET). They are excluded
-		// from every tool's injection population.
-		return dst
-	case vx.PUSHQ, vx.PUSHF:
-		return append(dst, vx.SP)
-	case vx.POPQ:
-		if i.A.Kind == KindReg {
-			dst = append(dst, vx.Reg(i.A.Reg))
-		}
-		return append(dst, vx.SP)
-	case vx.POPF:
-		return append(dst, vx.RFLAGS, vx.SP)
-	case vx.CMPQ, vx.TESTQ, vx.UCOMISD:
-		return append(dst, vx.RFLAGS)
-	}
-	// Remaining ops write their A operand when it is a register.
-	if i.A.Kind == KindReg {
-		dst = append(dst, vx.Reg(i.A.Reg))
-	}
-	if i.Op.SetsFlags() {
-		dst = append(dst, vx.RFLAGS)
-	}
-	return dst
+// Shape is the instruction as the opcode table sees it (post-RA): its
+// fault-injection metadata derives from it.
+func (i *Instr) Shape() vx.Shape {
+	return vx.Shape{Op: i.Op, A: i.A.Kind, B: i.B.Kind, AReg: vx.Reg(i.A.Reg)}
 }
 
-// Classify returns the -fi-instrs class of the instruction (post-RA).
-func (i *Instr) Classify() vx.Class {
-	switch i.Op {
-	case vx.PUSHQ, vx.POPQ, vx.PUSHF, vx.POPF, vx.CALLQ, vx.RET:
-		return vx.ClassStack
-	case vx.JMP, vx.JCC, vx.NOP, vx.HALT:
-		return vx.ClassCtl
-	}
-	// Frame-pointer/stack-pointer updates count as stack management.
-	if i.A.Kind == KindReg && (vx.Reg(i.A.Reg) == vx.SP || vx.Reg(i.A.Reg) == vx.BP) {
-		return vx.ClassStack
-	}
-	if i.A.Kind == KindMem || i.B.Kind == KindMem {
-		return vx.ClassMem
-	}
-	return vx.ClassArith
+// OutputRegs appends to dst the instruction's output registers, the
+// fault-injection operand set shared by REFINE and PINFI (vx.Shape.Outputs).
+func (i *Instr) OutputRegs(dst []vx.Reg) []vx.Reg {
+	var buf [3]vx.Reg
+	return append(dst, i.Shape().Outputs(&buf)...)
 }
+
+// Classify returns the -fi-instrs class of the instruction (vx.Shape.Class).
+func (i *Instr) Classify() vx.Class { return i.Shape().Class() }

@@ -82,6 +82,11 @@ func TestClassify(t *testing.T) {
 		{&mir.Instr{Op: vx.CALLQ, A: mir.Sym("f")}, vx.ClassStack},
 		{&mir.Instr{Op: vx.SETCC, Cond: vx.CondE, A: mir.PReg(vx.R1)}, vx.ClassArith},
 		{&mir.Instr{Op: vx.MOVSD, A: mir.PReg(vx.F1), B: mir.FImm(1.5)}, vx.ClassArith},
+		// LEAQ computes an address and reads no memory: arithm in every
+		// spelling.
+		{&mir.Instr{Op: vx.LEAQ, A: mir.PReg(vx.R1), B: mir.Sym("g")}, vx.ClassArith},
+		{&mir.Instr{Op: vx.LEAQ, A: mir.PReg(vx.R1), B: mir.MemSym("g", 8)}, vx.ClassArith},
+		{&mir.Instr{Op: vx.LEAQ, A: mir.PReg(vx.R1), B: mir.Mem(int(vx.BP), -8)}, vx.ClassArith},
 	}
 	for _, c := range cases {
 		if got := c.in.Classify(); got != c.want {

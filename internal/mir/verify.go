@@ -72,9 +72,9 @@ func Verify(p *Prog, mode VerifyMode) error {
 }
 
 // VerifyFn checks one function's structural invariants: block indexing,
-// branch-target validity, operand arity and kinds per opcode, and register
-// validity/class per mode. Symbol resolution needs the whole program — use
-// Verify for that.
+// branch-target validity, operand arity and kinds per opcode (vx.Ops), and
+// register validity/class per mode. Symbol resolution needs the whole
+// program — use Verify for that.
 func VerifyFn(f *Fn, mode VerifyMode) error {
 	return verifyFn(f, mode, nil)
 }
@@ -104,17 +104,8 @@ func verifyFn(f *Fn, mode VerifyMode, syms *symtab) error {
 	return nil
 }
 
-// Register-class requirements for register operands.
-type classReq uint8
-
-const (
-	anyReg  classReq = iota // any architectural register (uniform 64-bit file)
-	gprOnly                 // general-purpose register / ClassInt vreg
-	fprOnly                 // floating-point register / ClassFP vreg
-)
-
 // checkReg validates one register number against the mode and class.
-func checkReg(f *Fn, mode VerifyMode, reg int, req classReq) error {
+func checkReg(f *Fn, mode VerifyMode, reg int, req vx.RegClass) error {
 	if reg >= VRegBase {
 		if mode == PostRA {
 			return fmt.Errorf("virtual register v%d survives past register allocation", reg-VRegBase)
@@ -125,9 +116,9 @@ func checkReg(f *Fn, mode VerifyMode, reg int, req classReq) error {
 		}
 		if idx < len(f.VRegClasses) {
 			switch {
-			case req == gprOnly && f.VRegClasses[idx] != ClassInt:
+			case req == vx.GPROnly && f.VRegClasses[idx] != ClassInt:
 				return fmt.Errorf("v%d is FP-class in an integer slot", idx)
-			case req == fprOnly && f.VRegClasses[idx] != ClassFP:
+			case req == vx.FPROnly && f.VRegClasses[idx] != ClassFP:
 				return fmt.Errorf("v%d is int-class in an FP slot", idx)
 			}
 		}
@@ -137,11 +128,8 @@ func checkReg(f *Fn, mode VerifyMode, reg int, req classReq) error {
 	if !r.IsGPR() && !r.IsFPR() {
 		return fmt.Errorf("register operand %d is not an addressable architectural register", reg)
 	}
-	switch {
-	case req == gprOnly && !r.IsGPR():
-		return fmt.Errorf("%s in a GPR-only slot", r)
-	case req == fprOnly && !r.IsFPR():
-		return fmt.Errorf("%s in an FPR-only slot", r)
+	if !req.Admits(r) {
+		return fmt.Errorf("%s in a %s slot", r, req)
 	}
 	return nil
 }
@@ -161,12 +149,12 @@ func checkMem(f *Fn, mode VerifyMode, o Operand, syms *symtab) error {
 		if o.Base < 0 {
 			return fmt.Errorf("memory operand has neither symbol nor base register")
 		}
-		if err := checkReg(f, mode, o.Base, gprOnly); err != nil {
+		if err := checkReg(f, mode, o.Base, vx.GPROnly); err != nil {
 			return fmt.Errorf("base: %w", err)
 		}
 	}
 	if o.Index >= 0 {
-		if err := checkReg(f, mode, o.Index, gprOnly); err != nil {
+		if err := checkReg(f, mode, o.Index, vx.GPROnly); err != nil {
 			return fmt.Errorf("index: %w", err)
 		}
 		switch o.Scale {
@@ -178,113 +166,15 @@ func checkMem(f *Fn, mode VerifyMode, o Operand, syms *symtab) error {
 	return nil
 }
 
-// kindSet is a bitmask of allowed OperandKinds.
-type kindSet uint8
-
-func ks(kinds ...OperandKind) kindSet {
-	var s kindSet
-	for _, k := range kinds {
-		s |= 1 << k
-	}
-	return s
-}
-
-func (s kindSet) has(k OperandKind) bool { return s&(1<<k) != 0 }
-
-// operandShape describes one opcode's operand contract: the allowed kinds of
-// A and B plus the register class each requires when the operand is a
-// register.
-type operandShape struct {
-	a, b           kindSet
-	aClass, bClass classReq
-}
-
-var (
-	none = ks(KindNone)
-
-	// opShapes is the arity/kind table for every architectural opcode. The
-	// pseudos (VCALL/VENTRY) and condition-coded branches get bespoke checks
-	// in verifyInstr.
-	opShapes = map[vx.Op]operandShape{
-		vx.NOP:  {a: none, b: none},
-		vx.RET:  {a: none, b: none},
-		vx.HALT: {a: none, b: none},
-
-		// MOVQ and PUSHQ/POPQ operate on any architectural register: the
-		// epilogue restores FP callee-saved registers with plain MOVQ loads
-		// (the register file is uniform 64-bit; see codegen/frame.go).
-		vx.MOVQ:  {a: ks(KindReg, KindMem), b: ks(KindReg, KindImm, KindMem), aClass: anyReg, bClass: anyReg},
-		vx.MOVSD: {a: ks(KindReg, KindMem), b: ks(KindReg, KindFImm, KindMem), aClass: fprOnly, bClass: fprOnly},
-		vx.LEAQ:  {a: ks(KindReg), b: ks(KindMem, KindSym), aClass: gprOnly},
-
-		vx.MOVQ2SD: {a: ks(KindReg), b: ks(KindReg), aClass: fprOnly, bClass: gprOnly},
-		vx.MOVSD2Q: {a: ks(KindReg), b: ks(KindReg), aClass: gprOnly, bClass: fprOnly},
-
-		vx.ADDQ:  intALUShape,
-		vx.SUBQ:  intALUShape,
-		vx.IMULQ: intALUShape,
-		vx.IDIVQ: intALUShape,
-		vx.IREMQ: intALUShape,
-		vx.ANDQ:  intALUShape,
-		vx.ORQ:   intALUShape,
-		vx.XORQ:  intALUShape,
-		vx.SHLQ:  intALUShape,
-		vx.SHRQ:  intALUShape,
-		vx.SARQ:  intALUShape,
-		vx.NEGQ:  {a: ks(KindReg), b: none, aClass: gprOnly},
-		vx.NOTQ:  {a: ks(KindReg), b: none, aClass: gprOnly},
-
-		vx.ADDSD: fpALUShape,
-		vx.SUBSD: fpALUShape,
-		vx.MULSD: fpALUShape,
-		vx.DIVSD: fpALUShape,
-		vx.MINSD: fpALUShape,
-		vx.MAXSD: fpALUShape,
-		vx.ANDPD: fpALUShape,
-		vx.XORPD: {a: ks(KindReg, KindMem), b: ks(KindReg, KindFImm), aClass: fprOnly, bClass: fprOnly},
-
-		vx.SQRTSD:    {a: ks(KindReg), b: ks(KindReg, KindMem), aClass: fprOnly, bClass: fprOnly},
-		vx.CVTSI2SD:  {a: ks(KindReg), b: ks(KindReg, KindImm, KindMem), aClass: fprOnly, bClass: gprOnly},
-		vx.CVTTSD2SI: {a: ks(KindReg), b: ks(KindReg, KindMem), aClass: gprOnly, bClass: fprOnly},
-
-		vx.CMPQ:    intALUShape,
-		vx.TESTQ:   intALUShape,
-		vx.UCOMISD: {a: ks(KindReg), b: ks(KindReg, KindFImm, KindMem), aClass: fprOnly, bClass: fprOnly},
-		vx.SETCC:   {a: ks(KindReg), b: none, aClass: gprOnly},
-
-		vx.JMP:   {a: ks(KindLabel), b: none},
-		vx.JCC:   {a: ks(KindLabel), b: none},
-		vx.CALLQ: {a: ks(KindSym), b: none},
-
-		vx.PUSHQ: {a: ks(KindReg, KindImm, KindMem), b: none, aClass: anyReg},
-		vx.POPQ:  {a: ks(KindReg), b: none, aClass: anyReg},
-		vx.PUSHF: {a: none, b: none},
-		vx.POPF:  {a: none, b: none},
-	}
-)
-
-// intALUShape covers the two-address integer ops: register or memory
-// destination, register/immediate/memory source.
-var intALUShape = operandShape{
-	a: ks(KindReg, KindMem), b: ks(KindReg, KindImm, KindMem),
-	aClass: gprOnly, bClass: gprOnly,
-}
-
-// fpALUShape covers the two-address FP ops: register destination,
-// register/FP-immediate/memory source.
-var fpALUShape = operandShape{
-	a: ks(KindReg), b: ks(KindReg, KindFImm, KindMem),
-	aClass: fprOnly, bClass: fprOnly,
-}
-
 func verifyInstr(f *Fn, blockIdx int, in *Instr, mode VerifyMode, syms *symtab) error {
 	if in.Op >= vx.NumOps {
 		return fmt.Errorf("unknown opcode %d", in.Op)
 	}
 
+	info := in.Op.Info()
+
 	// Pseudos: legal only between isel and register allocation.
-	switch in.Op {
-	case vx.VCALL, vx.VENTRY:
+	if info.Pseudo {
 		if mode == PostRA {
 			return fmt.Errorf("pseudo %s survives past register allocation", in.Op)
 		}
@@ -299,27 +189,23 @@ func verifyInstr(f *Fn, blockIdx int, in *Instr, mode VerifyMode, syms *symtab) 
 				return err
 			}
 			if in.CallRes >= 0 {
-				if err := checkReg(f, mode, in.CallRes, anyReg); err != nil {
+				if err := checkReg(f, mode, in.CallRes, vx.AnyReg); err != nil {
 					return fmt.Errorf("result: %w", err)
 				}
 			}
 		}
 		for i, r := range in.Regs {
-			if err := checkReg(f, mode, r, anyReg); err != nil {
+			if err := checkReg(f, mode, r, vx.AnyReg); err != nil {
 				return fmt.Errorf("pseudo reg %d: %w", i, err)
 			}
 		}
 		return nil
 	}
 
-	shape, ok := opShapes[in.Op]
-	if !ok {
-		return fmt.Errorf("no operand contract for opcode %s", in.Op)
-	}
-	if !shape.a.has(in.A.Kind) {
+	if !info.A.Has(in.A.Kind) {
 		return fmt.Errorf("operand A kind %d not allowed", in.A.Kind)
 	}
-	if !shape.b.has(in.B.Kind) {
+	if !info.B.Has(in.B.Kind) {
 		return fmt.Errorf("operand B kind %d not allowed", in.B.Kind)
 	}
 	// The VM decodes at most one memory operand per instruction.
@@ -327,7 +213,7 @@ func verifyInstr(f *Fn, blockIdx int, in *Instr, mode VerifyMode, syms *symtab) 
 		return fmt.Errorf("two memory operands")
 	}
 
-	check := func(o Operand, class classReq, side string) error {
+	check := func(o Operand, class vx.RegClass, side string) error {
 		switch o.Kind {
 		case KindReg:
 			if err := checkReg(f, mode, o.Reg, class); err != nil {
@@ -348,22 +234,17 @@ func verifyInstr(f *Fn, blockIdx int, in *Instr, mode VerifyMode, syms *symtab) 
 		}
 		return nil
 	}
-	if err := check(in.A, shape.aClass, "A"); err != nil {
+	if err := check(in.A, info.AReg, "A"); err != nil {
 		return err
 	}
-	if err := check(in.B, shape.bClass, "B"); err != nil {
+	if err := check(in.B, info.BReg, "B"); err != nil {
 		return err
+	}
+	if info.Cond && in.Cond >= vx.NumConds {
+		return fmt.Errorf("condition code %d out of range", in.Cond)
 	}
 
 	switch in.Op {
-	case vx.JCC:
-		if in.Cond >= vx.NumConds {
-			return fmt.Errorf("condition code %d out of range", in.Cond)
-		}
-	case vx.SETCC:
-		if in.Cond >= vx.NumConds {
-			return fmt.Errorf("condition code %d out of range", in.Cond)
-		}
 	case vx.CALLQ:
 		if err := checkCallTarget(in.A.Sym, syms); err != nil {
 			return err

@@ -82,6 +82,9 @@ func TestVerifyFnRejections(t *testing.T) {
 		{"neg with memory destination", func(f *Fn) {
 			f.Blocks[0].Instrs[1] = &Instr{Op: vx.NEGQ, A: Mem(int(vx.SP), 0)}
 		}, PostRA, "operand A kind"},
+		{"xorpd with memory destination", func(f *Fn) {
+			f.Blocks[1].Instrs[0] = &Instr{Op: vx.XORPD, A: Mem(int(vx.SP), 0), B: PReg(vx.F1)}
+		}, PostRA, "operand A kind"},
 		{"call without symbol", func(f *Fn) {
 			f.Blocks[0].Instrs[1] = &Instr{Op: vx.CALLQ, A: Sym("")}
 		}, PostRA, "empty symbol"},

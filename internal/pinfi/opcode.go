@@ -51,7 +51,7 @@ func CorruptOpcode(target int64, mode OpcodeMode, rng *fault.RNG, rec *fault.Rec
 		bit := uint(rng.Intn(8))
 		flipped := vx.Op(uint8(old) ^ uint8(1<<bit))
 		if mode == OpcodeValidOnly {
-			for !validOpcode(flipped) {
+			for flipped >= vx.NumOps || vx.Ops[flipped].Pseudo {
 				bit = uint(rng.Intn(8))
 				flipped = vx.Op(uint8(old) ^ uint8(1<<bit))
 			}
@@ -70,10 +70,4 @@ func CorruptOpcode(target int64, mode OpcodeMode, rng *fault.RNG, rec *fault.Rec
 func setOpcode(img *vm.Image, pc int32, op vx.Op) {
 	img.Instrs[pc].Op = op
 	img.Repredecode(pc)
-}
-
-// validOpcode reports whether the encoding names a real, emittable
-// instruction (pseudo-ops and out-of-range bytes are invalid).
-func validOpcode(op vx.Op) bool {
-	return op < vx.NumOps && op != vx.VCALL && op != vx.VENTRY
 }

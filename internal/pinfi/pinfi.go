@@ -17,6 +17,7 @@ package pinfi
 import (
 	"repro/internal/fault"
 	"repro/internal/vm"
+	"repro/internal/vx"
 )
 
 // CostModel holds the deterministic cycle model for PIN-style dynamic binary
@@ -149,7 +150,8 @@ func RunCounted(m *vm.Machine, targets []bool, costs CostModel, target int64, in
 // when the run ends before the injection does.
 func Flip(target int64, rng *fault.RNG, rec *fault.Record) vm.ExecHook {
 	return func(m *vm.Machine, pc int32, in *vm.Inst) {
-		outs := in.Outs[:in.NOut]
+		var buf [3]vx.Reg
+		outs := in.Shape().Outputs(&buf)
 		op, bit := fault.PickOperandAndBit(rng, outs)
 		m.FlipBit(outs[op], bit)
 		*rec = fault.Record{DynIdx: target, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String()}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/pinfi"
 	"repro/internal/vm"
+	"repro/internal/vx"
 )
 
 // fireEquivalents builds, for one occurrence index, the counted-reference
@@ -31,7 +32,8 @@ func fireEquivalents(t *testing.T, bin *campaign.Binary, fps *pinfi.FirePoints, 
 	inject := func(seed uint64) vm.ExecHook {
 		rng := fault.NewRNG(seed)
 		return func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			outs := in.Outs[:in.NOut]
+			var buf [3]vx.Reg
+			outs := in.Shape().Outputs(&buf)
 			op, bit := fault.PickOperandAndBit(rng, outs)
 			mm.FlipBit(outs[op], bit)
 		}
@@ -142,7 +144,8 @@ func TestFirePointLoopEquivalence(t *testing.T) {
 		m.Budget = prof.Budget
 		rng := fault.NewRNG(3)
 		m.ArmFire(&vm.FirePoint{At: at, PC: pc, Fn: func(mm *vm.Machine, pc int32, in *vm.Inst) {
-			outs := in.Outs[:in.NOut]
+			var buf [3]vx.Reg
+			outs := in.Shape().Outputs(&buf)
 			op, bit := fault.PickOperandAndBit(rng, outs)
 			mm.FlipBit(outs[op], bit)
 		}})

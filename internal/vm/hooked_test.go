@@ -130,7 +130,8 @@ func TestHookedTrialPrefixMatchesStep(t *testing.T) {
 					return true
 				}
 				if count == target {
-					outs := in.Outs[:in.NOut]
+					var buf [3]vx.Reg
+					outs := in.Shape().Outputs(&buf)
 					op, bit := fault.PickOperandAndBit(rng, outs)
 					refM.FlipBit(outs[op], bit)
 					refRec = fault.Record{DynIdx: count, PC: pc, Reg: outs[op], Bit: bit, Op: in.Op.String()}

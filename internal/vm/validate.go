@@ -19,9 +19,13 @@ const maxMemSize = 16 * DefaultMemSize
 //     exactly its initialized bytes.
 //   - The entry is an instruction, there are no more sites than
 //     instructions, and every instruction's site is -1 or below NumSites.
-//   - Every instruction has a known opcode; its A and B registers are in the
-//     register file, and its memory base and index too unless absent
-//     (vx.NoReg); it names at most three output registers, all in the file.
+//   - Every instruction has a known opcode, not a pseudo, and keeps the
+//     opcode table's contract (vx.Ops) as assembled: operand forms the op
+//     admits, at most one memory operand, register operands of the op's
+//     class, a defined condition on JCC and SETCC. Its A and B registers
+//     are in the file, its memory base and index GPRs unless absent. Its
+//     outputs and class derive from these: a decoded image declares no
+//     injection population the assembler would not.
 //   - A branch or direct call lands in [0, len(Instrs)] (len is the exit
 //     sentinel), and a host call names an imported host function.
 func (img *Image) Validate() error {
@@ -34,8 +38,10 @@ func (img *Image) Validate() error {
 			img.MemSize, img.GlobalBase, img.GlobalEnd, len(img.InitData), img.EntryPC, len(img.Instrs), img.NumSites)
 	}
 	inFile := func(r vx.Reg) bool { return r < vx.NumRegs }
+	memReg := func(r vx.Reg) bool { return r.IsGPR() || r == vx.NoReg }
 	for pc := range img.Instrs {
 		in := &img.Instrs[pc]
+		info := in.Op.Info()
 		bad := func(format string, args ...any) error {
 			return fmt.Errorf("instruction %d (%s): %s", pc, in.Op, fmt.Sprintf(format, args...))
 		}
@@ -44,17 +50,20 @@ func (img *Image) Validate() error {
 			return bad("site %d of %d", in.SiteID, img.NumSites)
 		case in.Op >= vx.NumOps:
 			return bad("unknown opcode %d", in.Op)
+		case info.Pseudo:
+			return bad("pseudo-instruction")
+		case !info.A.Assembled().Has(in.AKind) || !info.B.Assembled().Has(in.BKind):
+			return bad("operand forms %d, %d", in.AKind, in.BKind)
+		case in.AKind == OpMem && in.BKind == OpMem:
+			return bad("two memory operands")
 		case !inFile(in.AReg) || !inFile(in.BReg):
 			return bad("register %d, %d", in.AReg, in.BReg)
-		case !inFile(in.MemBase) && in.MemBase != vx.NoReg || !inFile(in.MemIndex) && in.MemIndex != vx.NoReg:
+		case in.AKind == OpReg && !info.AReg.Admits(in.AReg), in.BKind == OpReg && !info.BReg.Admits(in.BReg):
+			return bad("registers %s, %s: wanted %s, %s", in.AReg, in.BReg, info.AReg, info.BReg)
+		case !memReg(in.MemBase) || !memReg(in.MemIndex):
 			return bad("memory registers %d, %d", in.MemBase, in.MemIndex)
-		case int(in.NOut) > len(in.Outs):
-			return bad("%d outputs", in.NOut)
-		}
-		for _, r := range in.Outs[:in.NOut] {
-			if !inFile(r) {
-				return bad("output register %d", r)
-			}
+		case info.Cond && in.Cond >= vx.NumConds:
+			return bad("condition %d", in.Cond)
 		}
 		host := in.Op == vx.CALLQ && in.HostIdx >= 0
 		if host && int(in.HostIdx) >= len(img.HostFns) {

@@ -17,15 +17,17 @@ import (
 	"repro/internal/vx"
 )
 
-// OpndKind describes the decoded shape of an instruction operand.
-type OpndKind uint8
+// OpndKind is the decoded form of an instruction operand: the opcode
+// table's (vx.Form), without a symbol or a label, which the assembler
+// resolves into Target or a memory operand.
+type OpndKind = vx.Form
 
 const (
-	OpNone OpndKind = iota
-	OpReg
-	OpImm  // integer immediate in Inst.Imm
-	OpFImm // float immediate, bits in Inst.Imm
-	OpMem  // memory operand described by MemBase/MemIndex/MemScale/MemDisp
+	OpNone = vx.FormNone
+	OpReg  = vx.FormReg
+	OpImm  = vx.FormImm  // integer immediate in Inst.Imm
+	OpFImm = vx.FormFImm // float immediate, bits in Inst.Imm
+	OpMem  = vx.FormMem  // memory operand described by MemBase/MemIndex/MemScale/MemDisp
 )
 
 // Inst is one decoded VX64 instruction, flattened for fast dispatch.
@@ -50,15 +52,20 @@ type Inst struct {
 	Target  int32
 	HostIdx int32
 
-	// Fault-injection metadata, precomputed by the assembler.
-	Class        vx.Class
-	NOut         uint8
-	Outs         [3]vx.Reg
+	// The fault-injection site instrumentation assigned (0 for none), and
+	// whether the instruction is instrumentation code, never a target. Its
+	// outputs and class derive from its Shape through vx.Ops.
 	SiteID       int32
-	FnIdx        int32
+	FnIdx        int32 // the function the instruction belongs to
 	Instrumented bool
 
 	NIntArgs, NFPArgs uint8
+}
+
+// Shape is the instruction as the opcode table sees it: its fault-injection
+// outputs and class derive from it (vx.Shape).
+func (in *Inst) Shape() vx.Shape {
+	return vx.Shape{Op: in.Op, A: in.AKind, B: in.BKind, AReg: in.AReg}
 }
 
 // FuncInfo records a function's location in the flat instruction stream.

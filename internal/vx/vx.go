@@ -288,27 +288,6 @@ const (
 	NumOps
 )
 
-var opNames = [NumOps]string{
-	"nop",
-	"movq", "movsd", "leaq", "movq2sd", "movsd2q",
-	"addq", "subq", "imulq", "idivq", "iremq", "andq", "orq", "xorq",
-	"shlq", "shrq", "sarq", "negq", "notq",
-	"addsd", "subsd", "mulsd", "divsd", "sqrtsd", "minsd", "maxsd", "andpd", "xorpd",
-	"cvtsi2sd", "cvttsd2si",
-	"cmpq", "testq", "ucomisd", "setcc",
-	"jmp", "jcc", "callq", "ret",
-	"pushq", "popq", "pushf", "popf",
-	"halt",
-	"vcall", "ventry",
-}
-
-func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
-	}
-	return fmt.Sprintf("op?%d", int(o))
-}
-
 // Class categorizes instructions for the -fi-instrs filter (paper Table 2).
 type Class uint8
 
@@ -316,8 +295,12 @@ const (
 	// ClassArith covers register-destination computation: integer and FP
 	// arithmetic, logic, shifts, compares, converts, moves and LEA.
 	ClassArith Class = iota
-	// ClassMem covers instructions with an explicit memory operand (loads and
-	// stores) outside the stack-management set.
+	// ClassMem covers instructions that access memory through an explicit
+	// memory operand (loads and stores) outside the stack-management set.
+	// LEAQ is never ClassMem, whatever its spelling (a global's symbol,
+	// [g+8], [bp-8]): it computes an address and reads no memory, so the VM
+	// charges it no MemExtraCycles, and neither Pin nor LLVM counts LEA as a
+	// memory access.
 	ClassMem
 	// ClassStack covers stack management: PUSH/POP/PUSHF/POPF/CALL/RET and any
 	// instruction whose destination is SP or BP (frame setup).
@@ -337,43 +320,6 @@ func (c Class) String() string {
 		return "stack"
 	default:
 		return "ctl"
-	}
-}
-
-// SetsFlags reports whether the opcode writes FLAGS as an implicit output.
-// Mirrors x64: integer ALU ops and compares set flags; moves, LEA, FP
-// arithmetic, and NOT do not.
-func (o Op) SetsFlags() bool {
-	switch o {
-	case ADDQ, SUBQ, IMULQ, IDIVQ, IREMQ, ANDQ, ORQ, XORQ,
-		SHLQ, SHRQ, SARQ, NEGQ, CMPQ, TESTQ, UCOMISD:
-		return true
-	}
-	return false
-}
-
-// CycleCost is the deterministic latency model used for the Figure 5 speed
-// experiment. Values are in abstract cycles; only ratios matter.
-func (o Op) CycleCost() int64 {
-	switch o {
-	case IMULQ:
-		return 3
-	case IDIVQ, IREMQ:
-		return 24
-	case DIVSD:
-		return 14
-	case SQRTSD:
-		return 16
-	case MULSD:
-		return 4
-	case ADDSD, SUBSD, MINSD, MAXSD, CVTSI2SD, CVTTSD2SI, UCOMISD:
-		return 3
-	case CALLQ, RET:
-		return 2
-	case PUSHQ, POPQ, PUSHF, POPF:
-		return 2
-	default:
-		return 1
 	}
 }
 
